@@ -35,7 +35,6 @@ import hashlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
-import time  # noqa: E402
 from dataclasses import asdict  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -93,7 +92,9 @@ def environment(workload, args) -> dict:
             "epsilon": workloads.PARAMS.epsilon, "delta": workloads.PARAMS.delta,
             "iteration_cap": workloads.ITERATION_CAP, "horizon": workloads.HORIZON,
             "pool": workloads.POOL, "read_burst": workloads.READ_BURST,
-            "read_chunk": workloads.READ_CHUNK,
+            "chunk_calls": workloads.CHUNK_CALLS,
+            "cal_rounds": workloads.CAL_ROUNDS,
+            "cal_reference_ns": workloads.CAL_REFERENCE_NS,
         },
     }
 
@@ -137,21 +138,75 @@ def tails(log) -> dict:
     }
 
 
-def end_to_end(log, setups, closes, child_kib) -> dict:
-    ms = 1e-6
+def chunk_samples(log, per_call: int, scaled: bool = True) -> dict:
+    """One sample of each per-call time metric per chunk of consecutive calls.
+
+    With ``scaled``, each sample is scaled to the reference speed: the read
+    cost by the chunk's fastest ``ReadProbe`` burst, the rest by the chunk's
+    mean calibration.  Otherwise every sample is the raw time.
+    """
     calls = np.asarray(log.call_ns, dtype=float)
-    fresh = np.asarray(log.fresh_ns, dtype=float)
+    turns = np.asarray(log.turn_ns, dtype=float)
     bursts = np.asarray(log.burst_ns, dtype=float) / workloads.READ_BURST
-    chunks = max(1, len(bursts) // workloads.READ_CHUNK)
-    reads = [chunk.min() for chunk in np.array_split(bursts, chunks)]
+    probes = np.asarray(log.probe_ns, dtype=float) / workloads.READ_BURST
+    fresh = np.asarray(log.fresh_ns, dtype=float)
+    fresh_chunk = np.asarray(log.fresh_call, dtype=int) // workloads.CHUNK_CALLS
+    cal = np.asarray(log.cal_ns, dtype=float)
+    # Calls past the last whole chunk fold into it.
+    chunks = max(1, len(calls) // workloads.CHUNK_CALLS)
+    fresh_chunk = np.minimum(fresh_chunk, chunks - 1)
+    samples = {"turn": [], "block": [], "fresh": [], "read": []}
+    bounds = np.arange(chunks + 1) * workloads.CHUNK_CALLS
+    bounds[-1] = len(calls)
+    for i in range(chunks):
+        lo, hi = bounds[i], bounds[i + 1]
+        scale, read_scale = 1.0, 1.0
+        if scaled:
+            scale = workloads.CAL_REFERENCE_NS / cal[lo:hi].mean()
+            read_scale = workloads.PROBE_REFERENCE_NS / probes[lo:hi].min()
+        samples["turn"].append(turns[lo:hi].mean() * scale)
+        samples["block"].append(calls[lo:hi].mean() * scale)
+        # The burst that the transport's own threads did not preempt.
+        samples["read"].append(bursts[lo:hi].min() * read_scale)
+        ours = fresh[fresh_chunk == i]
+        if len(ours):
+            samples["fresh"].append(ours.mean() * scale)
+    return samples
+
+
+def scaled_median(samples) -> float:
+    """Median over ``Lifecycle`` samples, scaled, in seconds."""
+    return float(np.median([workloads.scale(*sample) for sample in samples])) / 1e9
+
+
+def end_to_end(workload, log, setups, closes, child_kib) -> dict:
+    ms = 1e-6
+    per_call = workloads.BLOCK * workload.group
+    chunks = chunk_samples(log, per_call)
     return {
-        "setup_s": (float(np.median(setups)) / 1e9, "s"),
-        "ingest_pts_per_s": (log.points / log.window_s, "points/s"),
-        "block_ms_mean": (float(calls.mean()) * ms, "ms"),
-        "fresh_ms_mean": (float(fresh.mean()) * ms, "ms"),
-        "read_ns_p50": (float(np.median(reads)), "ns"),
-        "close_s": (float(np.median(closes)) / 1e9, "s"),
+        "setup_s": (scaled_median(setups), "s"),
+        "ingest_pts_per_s": (per_call / float(np.median(chunks["turn"])) * 1e9, "points/s"),
+        "block_ms": (float(np.median(chunks["block"])) * ms, "ms"),
+        "fresh_ms": (float(np.median(chunks["fresh"])) * ms, "ms"),
+        "read_ns": (float(np.median(chunks["read"])), "ns"),
+        "close_s": (scaled_median(closes), "s"),
         "peak_rss_mb": (peak_rss_mb(child_kib), "MB"),
+    }
+
+
+def unscaled(workload, log, setups, closes) -> dict:
+    """The same time metrics at the host's own speed: printed, not declared."""
+    ms = 1e-6
+    per_call = workloads.BLOCK * workload.group
+    chunks = chunk_samples(log, per_call, scaled=False)
+    return {
+        "raw.setup_s": (float(np.median([t for t, *_ in setups])) / 1e9, "s"),
+        "raw.ingest_pts_per_s": (per_call / float(np.median(chunks["turn"])) * 1e9, "points/s"),
+        "raw.block_ms": (float(np.median(chunks["block"])) * ms, "ms"),
+        "raw.fresh_ms": (float(np.median(chunks["fresh"])) * ms, "ms"),
+        "raw.read_ns": (float(np.median(chunks["read"])), "ns"),
+        "raw.close_s": (float(np.median([t for t, *_ in closes])) / 1e9, "s"),
+        "calibration_ns": (float(np.median(log.cal_ns)), "ns"),
     }
 
 
@@ -244,8 +299,8 @@ def run(args) -> dict:
         tracer = Tracer()
         tracer.install()
     try:
-        front, handle, elapsed = workloads.set_up(workload, args.seed)
-        lifecycle = workloads.Lifecycle(workload, args.seed, [elapsed], [])
+        lifecycle = workloads.Lifecycle(workload, args.seed, [], [])
+        front, handle = lifecycle.set_up()
         try:
             if tracer:
                 tracer.counts.clear()
@@ -253,6 +308,7 @@ def run(args) -> dict:
                 workload, front, handle, inputs, args.seconds,
                 pauses=0 if tracer else workload.setup_reps - 1,
                 pause=lifecycle.throwaway,
+                calibrated=not tracer,
             )
             counts = dict(tracer.counts) if tracer else {}
             checks = workloads.check_outputs(workload, front, inputs, log.points)
@@ -261,10 +317,7 @@ def run(args) -> dict:
             child_kib = largest_child_peak_kib()
         finally:
             handle.close()
-            close_start = time.perf_counter_ns()
-            front.close()
-            close_end = time.perf_counter_ns()
-        lifecycle.closes.append(close_end - close_start)
+            close_start, close_end = lifecycle.close(front)
     finally:
         if tracer:
             tracer.restore()
@@ -277,8 +330,9 @@ def run(args) -> dict:
         metrics = per_layer(workload, agg, log, reader_stats, state_floats)
         undeclared = {}
     else:
-        metrics = end_to_end(log, lifecycle.setups, lifecycle.closes, child_kib)
-        undeclared = tails(log)
+        metrics = end_to_end(workload, log, lifecycle.setups, lifecycle.closes, child_kib)
+        undeclared = {**tails(log),
+                      **unscaled(workload, log, lifecycle.setups, lifecycle.closes)}
     record = {
         "environment": env,
         "samples": {
@@ -312,6 +366,24 @@ def run(args) -> dict:
     return record
 
 
+def stop_children() -> None:
+    """End and reap every process this run started, on every path out.
+
+    ``front.close()`` joins the shard workers; this catches any a failed
+    run left behind, then stops the resource tracker that the ``spawn``
+    start method launches on first use.  The tracker is not a
+    ``multiprocessing`` child, so nothing else waits for it, and without
+    this it outlives the run as an unreaped process.
+    """
+    import multiprocessing
+    from multiprocessing import resource_tracker
+
+    for child in multiprocessing.active_children():
+        child.kill()
+        child.join()
+    resource_tracker._resource_tracker._stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
@@ -322,7 +394,10 @@ def main(argv=None) -> int:
     # One CPU for the client and every thread and worker process it starts:
     # thread hand-offs across CPUs made tcp-group's rates bimodal run to run.
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    record = run(args)
+    try:
+        record = run(args)
+    finally:
+        stop_children()
     env = record["environment"]
     print(f"workload {args.workload} seed {args.seed} trace {args.trace} "
           f"source {env['source_sha256'][:12]} cpus {env['cpu_count']} "

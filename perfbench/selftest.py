@@ -71,7 +71,7 @@ def test_smoke_run_reports_the_declared_metrics(name, trace, monkeypatch):
 def test_cli_prints_the_result_object_last():
     completed = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "fast-refresh",
-         "--seed", "3", "--seconds", "0.5", "--trace", "0"],
+         "--seed", "3", "--seconds", "2", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
     )
     result = json.loads(completed.stdout.strip().splitlines()[-1])
