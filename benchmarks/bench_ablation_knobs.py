@@ -1,8 +1,8 @@
 """Ablation benchmarks for the library's engineering knobs.
 
-DESIGN.md §3 documents three deviations from paper-literal execution; each
-is ablated here so the cost of the engineering shortcut is measured, not
-assumed:
+Three engineering deviations from paper-literal execution (the first two
+are knobs in the README's "Knobs" table) are ablated here, so the cost of
+each engineering shortcut is measured, not assumed:
 
 * ``solve_every`` — amortizing Algorithm 3's PGD + lifting across a window
   (post-processing scheduling).  Ablation: risk vs cadence.

@@ -1,8 +1,8 @@
 """Shared infrastructure for the benchmark harness.
 
 Every benchmark regenerates one artifact of the paper's evaluation (a Table
-1 row or a discussed comparison — see DESIGN.md §4 for the experiment
-index).  Measured numbers are collected into a global registry and printed
+1 row or a discussed comparison — the README's "Benchmarks" section and
+each module's docstring say which).  Measured numbers are collected into a global registry and printed
 as paper-vs-measured tables in the pytest terminal summary
 (``benchmarks/conftest.py``), so they survive output capturing.
 
@@ -28,7 +28,7 @@ from repro.geometry.base import ConvexSet
 from repro.streaming.runner import IncrementalEstimator
 from repro.streaming.stream import RegressionStream
 
-#: Global registry of result rows, keyed by experiment id (DESIGN.md §4).
+#: Global registry of result rows, keyed by experiment id.
 EXPERIMENT_ROWS: dict[str, list[dict]] = defaultdict(list)
 
 #: Default privacy failure probability across benchmarks.

@@ -3,7 +3,7 @@
 pytest captures stdout during tests, so the benchmarks record their result
 rows in :mod:`benchmarks.common` and this hook renders them in the terminal
 summary (which is never captured).  The same tables are also written to
-``benchmarks/RESULTS.txt`` for EXPERIMENTS.md bookkeeping.
+``benchmarks/RESULTS.txt``.
 """
 
 import pathlib
@@ -49,7 +49,7 @@ def bench_workers(request):
 def pytest_terminal_summary(terminalreporter):
     if not EXPERIMENT_ROWS:
         return
-    lines = ["", "=" * 78, "PAPER-vs-MEASURED EXPERIMENT TABLES (see DESIGN.md §4)", "=" * 78]
+    lines = ["", "=" * 78, "PAPER-vs-MEASURED EXPERIMENT TABLES (see README.md, Benchmarks)", "=" * 78]
     for experiment in sorted(EXPERIMENT_ROWS):
         lines.append("")
         lines.append(format_table(experiment, EXPERIMENT_ROWS[experiment]))

@@ -97,13 +97,11 @@ from .streaming import (
     FleetResult,
     FleetRunner,
     IncrementalRunner,
-    IVMomentShard,
     MomentBundle,
     MomentShard,
     MomentStatistic,
     MultiTenantStream,
     ProcessShardWorker,
-    ProjectedMomentShard,
     ReaderHandle,
     ReadStats,
     RegressionStream,
@@ -115,7 +113,6 @@ from .streaming import (
     ShardedStream,
     ShardHostListener,
     ShardRpcClient,
-    SketchShard,
     Subscription,
     TcpShardWorker,
     TenantShard,
@@ -215,9 +212,6 @@ __all__ = [
     "MomentBundle",
     "MomentStatistic",
     "MomentShard",
-    "ProjectedMomentShard",
-    "SketchShard",
-    "IVMomentShard",
     "TenantShard",
     "MultiTenantStream",
     "TenantView",

@@ -18,7 +18,8 @@ Utility (Theorem 4.2): excess risk
 ``O(log^{3/2}T · √log(1/δ) · ‖C‖² (√d + √log(T/β)) / ε)`` — the ``√d``
 worst-case-optimal row of Table 1.
 
-Engineering knobs (documented deviations, see DESIGN.md §3):
+Engineering knobs (documented deviations; the README's "Knobs" table
+lists them):
 
 * ``fidelity="fast"`` (default) sizes the inner PGD iteration count from
   Corollary B.2 with the *current* prefix Lipschitz constant and caps it;

@@ -47,8 +47,8 @@ def step4_rescale_block(projection, xs: np.ndarray) -> np.ndarray:
 
     The single definition of the batched rescaling shared by
     :meth:`~repro.core.projected_regression.PrivIncReg2.observe_batch` and
-    the projected serving shards
-    (:class:`~repro.streaming.serving.ProjectedMomentShard`) — one BLAS
+    the projected serving backends' row transform
+    (:mod:`repro.streaming.backends`) — one BLAS
     product for the whole block, then a per-row scale so every row
     satisfies ``‖Φx̃_i‖ = ‖x_i‖`` exactly.  Because the rescaling holds for
     *any* fixed ``Φ``, the projected moment streams built from these rows

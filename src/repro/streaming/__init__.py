@@ -28,16 +28,14 @@ from .adjacency import is_neighbor, replace_point
 from .metrics import ExcessRiskTrace, ReadStats
 from .runner import IncrementalRunner, RunResult
 from .fleet import FleetResult, FleetRunner, ReplicateResult, ReplicateSpec
+from .backends import BACKENDS, Backend
 from .moments import MomentBundle, MomentStatistic
 from .readers import EstimateHub, ReaderHandle, Subscription
 from .serving import (
     EstimateCache,
-    IVMomentShard,
     MomentShard,
-    ProjectedMomentShard,
     ServedEstimate,
     ShardedStream,
-    SketchShard,
     TenantShard,
 )
 from .tenancy import MultiTenantStream, TenantView
@@ -57,12 +55,11 @@ __all__ = [
     "ReplicateSpec",
     "ReplicateResult",
     "ShardedStream",
+    "Backend",
+    "BACKENDS",
     "MomentBundle",
     "MomentStatistic",
     "MomentShard",
-    "ProjectedMomentShard",
-    "SketchShard",
-    "IVMomentShard",
     "TenantShard",
     "MultiTenantStream",
     "TenantView",

@@ -15,14 +15,13 @@ generalization point:
   :func:`~repro.privacy.release.make_release_mechanism`, advanced in
   lockstep over the shard's sub-stream.
 
-The shard classes in :mod:`repro.streaming.serving` are thin bundle
-declarations: :class:`~repro.streaming.serving.MomentShard` declares the
-default two-entry (cross, gram) bundle — built with the same factory
-arguments, the same rng children, and the same float expressions as the
-historical inline pair, so the refactor is bit-identical under one seed —
-and :class:`~repro.streaming.serving.IVMomentShard` declares the
-three-entry (zz, zx, zy) bundle :class:`~repro.core.priv_inc_iv.PrivIncIV`
-consumes.
+Which statistics a shard's bundle holds is a backend declaration
+(:mod:`repro.streaming.backends`): the default two-entry (cross, gram)
+bundle — built with the same factory arguments, the same rng children,
+and the same float expressions as the historical inline pair, so it is
+bit-identical under one seed — or the three-entry (zz, zx, zy) bundle
+:class:`~repro.core.priv_inc_iv.PrivIncIV` consumes.  The multi-tenant
+shard keeps one Gram entry per γ group plus one cross entry per tenant.
 
 Fault semantics (the per-bundle accounting rule)
 ------------------------------------------------
@@ -56,7 +55,6 @@ from ..privacy.release import make_release_mechanism
 __all__ = [
     "MomentBundle",
     "MomentStatistic",
-    "bundle_names",
     "cross_statistic",
     "gram_statistic",
     "iv_statistics",
@@ -94,21 +92,32 @@ class MomentStatistic:
     budget_weight: float = 1.0
 
 
-def cross_statistic(moment_dim: int) -> MomentStatistic:
-    """The ``Σ x_i y_i`` statistic (``(m,)``) of the default bundle."""
+def cross_statistic(
+    moment_dim: int, name: str = "cross", outcome=None
+) -> MomentStatistic:
+    """The ``Σ x_i y_i`` statistic (``(m,)``) of the default bundle.
+
+    ``outcome`` selects one column from a mapping of outcome vectors (the
+    multi-tenant bundle keys each tenant's cross entry by tenant name);
+    ``None`` takes ``ys`` as the outcome vector itself.
+    """
+
+    def column(ys):
+        return ys if outcome is None else ys[outcome]
 
     def values(rows, ys):
-        return rows * ys[:, None]
+        return rows * column(ys)[:, None]
 
     def total(rows, ys, weights):
+        ys = column(ys)
         if weights is not None:
             return (weights * ys) @ rows
         return ys @ rows
 
-    return MomentStatistic("cross", (moment_dim,), values, total)
+    return MomentStatistic(name, (moment_dim,), values, total)
 
 
-def gram_statistic(moment_dim: int) -> MomentStatistic:
+def gram_statistic(moment_dim: int, name: str = "gram") -> MomentStatistic:
     """The ``Σ x_i x_iᵀ`` statistic (``(m, m)``) of the default bundle."""
 
     def values(rows, ys):
@@ -119,7 +128,7 @@ def gram_statistic(moment_dim: int) -> MomentStatistic:
             return (weights[:, None] * rows).T @ rows
         return rows.T @ rows
 
-    return MomentStatistic("gram", (moment_dim, moment_dim), values, total)
+    return MomentStatistic(name, (moment_dim, moment_dim), values, total)
 
 
 def iv_statistics(instruments: int, dim: int) -> tuple[MomentStatistic, ...]:
@@ -170,19 +179,6 @@ def iv_statistics(instruments: int, dim: int) -> tuple[MomentStatistic, ...]:
     )
 
 
-def bundle_names(backend: str) -> tuple[str, ...]:
-    """The statistic names a serving backend's bundle declares, in order.
-
-    The front needs the names *before* any shard exists — to size the rng
-    spawn (``len(names)`` children per shard), to label the accountant
-    charges, and to key the merged releases — so the mapping lives here
-    rather than on the shard classes.
-    """
-    if backend == "iv":
-        return ("zz", "zx", "zy")
-    return ("cross", "gram")
-
-
 class MomentBundle:
     """An ordered set of named statistics, each behind its own mechanism.
 
@@ -203,9 +199,15 @@ class MomentBundle:
     mechanism, horizon, decay, window:
         Forwarded to :func:`~repro.privacy.release.make_release_mechanism`
         per entry, exactly as the historical inline pair construction.
+        ``decay`` is the default forgetting factor of every entry;
+        :meth:`add` may give a later entry its own.
     l2_sensitivity:
         Shared sensitivity of every entry's stream (Δ₂ = 2 under the unit
         normalizations all current statistics assume).
+
+    Entries can be added and removed at runtime (:meth:`add`,
+    :meth:`remove`) — the multi-tenant bundle attaches and retires one
+    cross entry per tenant that way.
     """
 
     def __init__(
@@ -225,32 +227,50 @@ class MomentBundle:
         rngs = tuple(rngs)
         if not statistics:
             raise ValidationError("a moment bundle needs at least one statistic")
-        names = tuple(stat.name for stat in statistics)
-        if len(set(names)) != len(names):
-            raise ValidationError(
-                f"bundle statistic names must be unique, got {names!r}"
-            )
         if len(budgets) != len(statistics) or len(rngs) != len(statistics):
             raise ValidationError(
                 f"need one budget and one rng per statistic: "
                 f"{len(statistics)} statistics, {len(budgets)} budgets, "
                 f"{len(rngs)} rngs"
             )
-        self.statistics = statistics
-        self.names = names
         self.decay, self.window = check_release_knobs(decay, window)
+        self._factory = dict(
+            mechanism=mechanism,
+            horizon=horizon,
+            window=self.window,
+            l2_sensitivity=l2_sensitivity,
+        )
+        self.statistics: tuple[MomentStatistic, ...] = ()
         self._mechanisms: dict[str, object] | None = {}
+        self._decays: dict[str, float | None] = {}
         for stat, budget, rng in zip(statistics, budgets, rngs):
-            self._mechanisms[stat.name] = make_release_mechanism(
-                shape=stat.shape,
-                l2_sensitivity=l2_sensitivity,
-                params=budget,
-                rng=rng,
-                mechanism=mechanism,
-                horizon=horizon,
-                decay=self.decay,
-                window=self.window,
+            self.add(stat, budget, rng, self.decay)
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        """The entry names, in declaration (advance and release) order."""
+        return tuple(stat.name for stat in self.statistics)
+
+    def add(self, stat: MomentStatistic, budget, rng, decay=None) -> None:
+        """Append one entry behind a fresh mechanism (``decay=None``: plain)."""
+        if self._mechanisms is None:
+            raise ValidationError("cannot add to a killed moment bundle")
+        if stat.name in self._mechanisms:
+            raise ValidationError(
+                f"bundle statistic names must be unique, got {stat.name!r} twice"
             )
+        self._mechanisms[stat.name] = make_release_mechanism(
+            shape=stat.shape, params=budget, rng=rng, decay=decay, **self._factory
+        )
+        self._decays[stat.name] = decay
+        self.statistics += (stat,)
+
+    def remove(self, name: str) -> None:
+        """Retire one entry; its mechanism never ingests again."""
+        if self._mechanisms is not None:
+            del self._mechanisms[name]
+        del self._decays[name]
+        self.statistics = tuple(s for s in self.statistics if s.name != name)
 
     def get(self, name: str):
         """The named entry's mechanism, or ``None`` once killed."""
@@ -258,7 +278,7 @@ class MomentBundle:
             return None
         return self._mechanisms[name]
 
-    def ingest(self, rows: np.ndarray, ys: np.ndarray, fast: bool) -> None:
+    def ingest(self, rows: np.ndarray, ys, fast: bool) -> None:
         """Advance every entry with one routed block, in declaration order.
 
         Every statistic's input is materialized *before* any mechanism
@@ -270,17 +290,21 @@ class MomentBundle:
         k = rows.shape[0]
         if fast:
             # One BLAS product per statistic; mechanisms draw only
-            # surviving-node noise (distributional tier).  Under ``decay``
-            # the block totals are γ-weighted — ``advance_sum``'s contract
-            # is ``Σ γ^{k−1−i} v_i`` so the mechanism's internal fold
+            # surviving-node noise (distributional tier).  A decayed entry
+            # gets γ-weighted block totals — ``advance_sum``'s contract is
+            # ``Σ γ^{k−1−i} v_i`` so the mechanism's internal fold
             # ``γ^k·prefix + total`` reproduces the sequential recursion.
-            if self.decay is not None and self.decay != 1.0:
-                weights = self.decay ** np.arange(k - 1, -1, -1, dtype=float)
-            else:
-                weights = None
-            inputs = [
-                stat.total(rows, ys, weights) for stat in self.statistics
-            ]
+            weights: dict[float, np.ndarray] = {}
+            inputs = []
+            for stat in self.statistics:
+                decay = self._decays[stat.name]
+                if decay is None or decay == 1.0:
+                    weight = None
+                else:
+                    if decay not in weights:
+                        weights[decay] = decay ** np.arange(k - 1, -1, -1, dtype=float)
+                    weight = weights[decay]
+                inputs.append(stat.total(rows, ys, weight))
             self._advance(inputs, lambda mech, total: mech.advance_sum(total, k))
         else:
             inputs = [stat.values(rows, ys) for stat in self.statistics]
@@ -315,9 +339,7 @@ class MomentBundle:
         :func:`~repro.privacy.tree.merge_released` accepts both
         interchangeably.
         """
-        if self._mechanisms is None:
-            return tuple(None for _ in self.statistics)
-        return tuple(self._mechanisms[name] for name in self.names)
+        return tuple(self.get(name) for name in self.names)
 
     def memory_floats(self) -> int:
         """Floats held by the bundle's mechanisms (0 once killed)."""

@@ -368,6 +368,13 @@ class ShardHostListener:
             self._closed = True
             conns = list(self._conns)
             self._conns.clear()
+        # close() alone does not wake a thread parked in accept() on
+        # Linux; shutting the listening socket down first does, so the
+        # accept thread exits and the join below returns at once.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._sock.close()
         for conn in conns:
             try:

@@ -19,15 +19,15 @@ the single-tree one (:func:`repro.privacy.parameters.shard_budgets`).
   — an ordered set of named statistics, each behind its own release
   mechanism: ``Σ x y`` and ``Σ x xᵀ`` trees for the default backends, or
   Hybrid mechanisms for horizon-free serving) over its sub-stream.
-* **Pluggable backends** — a backend is a bundle declaration plus a row
-  transform (:meth:`MomentShard._statistics` / :meth:`MomentShard._transform`),
-  so the same front serves **Algorithm 3**: ``backend="projected"`` draws
-  one Gordon-sized ``Φ`` up front and hands it to every
-  :class:`ProjectedMomentShard` (workers ingest ``Φx̃·y`` / ``(Φx̃)(Φx̃)ᵀ``
-  through the shared Step-4 rescale helper) *and* to the default
-  ``PrivIncReg2`` solver, whose ``refresh_from_released`` then consumes
-  merged **projected** moments — and **private two-stage least squares**:
-  ``backend="iv"`` shards (:class:`IVMomentShard`) carry the three-entry
+* **Pluggable backends** — a backend is one declaration
+  (:mod:`repro.streaming.backends`: statistics, row transform, block
+  width and domain check, release family, knobs, default solver), so the
+  same front serves **Algorithm 3**: ``backend="projected"`` draws
+  one Gordon-sized ``Φ`` up front and hands it to every shard (workers
+  ingest ``Φx̃·y`` / ``(Φx̃)(Φx̃)ᵀ`` through the shared Step-4 rescale
+  helper) *and* to the default ``PrivIncReg2`` solver, whose
+  ``refresh_from_released`` then consumes merged **projected** moments —
+  and **private two-stage least squares**: ``backend="iv"`` shards carry the three-entry
   (ZᵀZ, ZᵀX, Zᵀy) bundle over stacked ``[z | x]`` blocks, merged and
   solved by a :class:`~repro.core.priv_inc_iv.PrivIncIV` through its
   ``refresh_from_bundle`` hook.  Every bundle pins its streams'
@@ -111,8 +111,9 @@ acknowledged mass lands in ``lost_steps``.  A bundle torn mid-block
 the shard dies, only its fully committed blocks count into
 ``lost_steps``, and the torn block stays refundable.
 
-This package splits the layer by concern: :mod:`.shards` (the bundle
-backends), :mod:`.stream` (the :class:`ShardedStream` front),
+This package splits the layer by concern: :mod:`.shards` (the shard
+class), :mod:`.stream` (the shared :class:`ShardFront` lifecycle and the
+:class:`ShardedStream` front),
 :mod:`.cache` (the versioned read slot), :mod:`.validation` (shared
 serving validators).  The public import surface is unchanged from the
 historical single-module layout — everything below re-exports from the
@@ -122,22 +123,13 @@ submodules.
 from ..readers import EstimateHub, ReaderHandle, Subscription
 from ..transport import ProcessShardWorker
 from .cache import EstimateCache, ServedEstimate
-from .shards import (
-    IVMomentShard,
-    MomentShard,
-    ProjectedMomentShard,
-    SketchShard,
-    TenantShard,
-)
-from .stream import _CLOSE, ShardedStream
-from .validation import _check_decay_groups
+from .shards import MomentShard, TenantShard
+from .stream import _CLOSE, ShardFront, ShardedStream
 
 __all__ = [
     "ShardedStream",
+    "ShardFront",
     "MomentShard",
-    "ProjectedMomentShard",
-    "SketchShard",
-    "IVMomentShard",
     "TenantShard",
     "ProcessShardWorker",
     "EstimateCache",

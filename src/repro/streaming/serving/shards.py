@@ -1,153 +1,112 @@
-"""Shard worker backends: thin moment-bundle declarations.
+"""The shard worker: one moment bundle over a routed sub-stream.
 
-Every shard class here owns a :class:`~repro.streaming.moments.MomentBundle`
-— an ordered set of named release mechanisms over its routed sub-stream —
-and differs only in *which* statistics it declares and how raw covariate
-blocks are transformed into the rows the statistics are built from:
-
-* :class:`MomentShard` — the default two-entry (cross, gram) bundle in
-  the raw space (Algorithm 2's backend);
-* :class:`ProjectedMomentShard` / :class:`SketchShard` — the same bundle
-  over Step-4 rescaled ``Φx̃`` rows (Algorithm 3 / the sketch-noise
-  variant);
-* :class:`IVMomentShard` — the three-entry (zz, zx, zy) bundle of private
-  two-stage least squares over stacked ``[z | x]`` rows;
-* :class:`TenantShard` — the PRIMO backend: a dynamic per-tenant cross
-  dict plus per-γ-group shared Grams (its slot structure is mutable at
-  runtime, so it keeps its own mechanism bookkeeping rather than a frozen
-  bundle declaration).
+:class:`MomentShard` is the one shard class.  What it ingests is a backend
+declaration (:mod:`repro.streaming.backends`): the declaration names the
+bundle's statistics and the row transform, and the shard owns the
+:class:`~repro.streaming.moments.MomentBundle` — an ordered set of named
+release mechanisms advanced in lockstep — plus the step/liveness books
+the serving front's loss accounting reads.  :class:`TenantShard` is the
+same shard over the PRIMO bundle: one shared Gram entry per γ group plus
+one cross entry per tenant, added and removed at runtime.
 
 The default bundle is built with the same factory arguments, rng children,
-and float expressions as the historical inline (cross, gram) pair, so the
-bundle refactor is bit-identical under one seed on every transport.
+and float expressions as the historical inline (cross, gram) pair, so it
+is bit-identical under one seed on every transport.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..._validation import check_int, check_release_knobs
-from ...core.incremental_regression import MOMENT_SENSITIVITY
 from ...exceptions import (
     BundlePartialCommitError,
     PrivacyBudgetError,
     ValidationError,
 )
 from ...privacy.parameters import PrivacyParams, bundle_budgets, tenant_budgets
-from ...privacy.release import make_release_mechanism
-from ...sketching.gaussian import step4_rescale_block
-from ..moments import (
-    MomentBundle,
-    cross_statistic,
-    gram_statistic,
-    iv_statistics,
-)
-from .validation import _check_decay_groups
+from ..backends import backend_declaration
+from ..moments import MomentBundle, cross_statistic, gram_statistic
+from .validation import _check_group, _check_tenants
 
-__all__ = [
-    "IVMomentShard",
-    "MomentShard",
-    "ProjectedMomentShard",
-    "SketchShard",
-    "TenantShard",
-]
+__all__ = ["MomentShard", "TenantShard"]
 
 
 class MomentShard:
     """One shard worker: an independent moment bundle over a sub-stream.
 
-    Declares the default two-entry bundle — a cross-moment mechanism
-    (element shape ``(moment_dim,)``) and a second-moment mechanism
-    (``(moment_dim, moment_dim)``), each at half the shard's budget —
-    exactly the split Algorithms 2 and 3 apply to their two trees.
+    Parameters
+    ----------
+    index, dim, budget:
+        Shard position, estimand dimension, and the shard's ``(ε, δ)``
+        (split across the bundle entries by
+        :func:`~repro.privacy.parameters.bundle_budgets`, equal weights —
+        exactly ``budget.halve()`` per entry for the default pair).
+    rngs:
+        One child generator per bundle entry, in entry order.
+    backend, config:
+        The backend declaration's name and its shard config (e.g. the
+        shared ``Φ`` of the projected/sketch backends, the instrument
+        count of the iv backend).
+    mechanism, shard_horizon, decay, window:
+        Release-mechanism knobs of every entry; the declaration's
+        ``release_family`` (the sketch backend's ``"sketch"``) overrides
+        ``mechanism`` while the knob itself keeps its value.
 
-    This is the *pluggable shard backend* of the serving front: the
-    moment-ingestion contract lives here once —
-
-    * ``ingest`` maps the routed covariate block through :meth:`_transform`
-      into the ``(k, moment_dim)`` rows the moment streams are built from,
-      then advances the bundle (``advance_batch`` exact tier, or one BLAS
-      block total per statistic + ``advance_sum`` fast tier);
-    * subclasses choose the space and the statistics.  The base class is
-      Algorithm 2's backend (``moment_dim = d``, identity transform);
-      :class:`ProjectedMomentShard` is Algorithm 3's (``moment_dim = m``,
-      Step-4 rescaled ``Φx̃`` rows through a *shared* ``Φ``);
-      :class:`IVMomentShard` swaps in the three-entry IV bundle.
-
-    Sensitivity is Δ₂ = 2 in every case (the unit domain for raw moments;
-    the Step-4 rescaling for projected ones), so the budget split, the
-    noise calibration, and the merge rule are backend-agnostic.
+    ``ingest`` maps the routed block through the declaration's row
+    transform, then advances the bundle (``advance_batch`` exact tier, or
+    one BLAS block total per statistic + ``advance_sum`` fast tier).
+    Sensitivity is Δ₂ = 2 for every declared statistic, so the budget
+    split, the noise calibration, and the merge rule are backend-agnostic.
     """
-
-    #: Class-level backend tag (subclasses override).
-    backend = "moment"
-
-    #: Release-mechanism family the moment streams are built with.
-    #: ``None`` defers to the ``mechanism`` ctor knob; subclasses may pin
-    #: a family (the sketch backend pins ``"sketch"``) while the
-    #: user-facing ``mechanism`` knob and the wire spec keep their value.
-    release_family: str | None = None
 
     def __init__(
         self,
         index: int,
         dim: int,
         budget: PrivacyParams,
-        cross_rng: np.random.Generator = None,
-        gram_rng: np.random.Generator = None,
+        rngs,
+        *,
+        backend: str = "moment",
+        config: dict | None = None,
         mechanism: str = "tree",
         shard_horizon: int | None = None,
-        moment_dim: int | None = None,
         decay: float | None = None,
         window: int | float | None = None,
-        rngs=None,
     ) -> None:
         self.index = index
         self.dim = dim
-        self.moment_dim = dim if moment_dim is None else moment_dim
         self.budget = budget
+        self.backend = backend
+        self.config = dict(config or {})
         self.mechanism = mechanism
         self.shard_horizon = shard_horizon
-        self.decay, self.window = check_release_knobs(decay, window)
         self.steps = 0
         self.alive = True
         #: Set once the front has credited this worker's ingested mass to
         #: its ``lost_steps`` ledger (see ShardedStream._note_shard_death).
         self.lost_accounted = False
-        if rngs is None:
-            rngs = (cross_rng, gram_rng)
-        self._build_bundle(tuple(rngs))
+        self._declaration = backend_declaration(backend)
+        self.bundle = self._build_bundle(tuple(rngs), decay, window)
+        self.moment_dim = self.bundle.statistics[0].shape[0]
 
-    def _statistics(self):
-        """The bundle this backend declares (subclass hook), in order."""
-        m = self.moment_dim
-        return (cross_statistic(m), gram_statistic(m))
-
-    def _build_bundle(self, rngs) -> None:
-        """One factory call per declared statistic, through the bundle.
-
-        ``mechanism``/``decay``/``window`` select among Tree, Hybrid,
-        DecayedTree, SlidingWindow and SketchNoise implementations of the
-        ReleaseMechanism protocol; the default two-entry bundle at equal
-        budget weights is bit-identical to the historical inline
-        (cross, gram) construction (same ctor arguments, same rngs, and
-        ``bundle_budgets`` reproduces ``budget.halve()`` bit-exactly).
-        """
-        statistics = self._statistics()
-        budgets = bundle_budgets(
-            self.budget, tuple(stat.budget_weight for stat in statistics)
-        )
-        family = self.release_family or self.mechanism
-        self.bundle = MomentBundle(
+    def _build_bundle(self, rngs, decay, window) -> MomentBundle:
+        """The declared bundle, one factory call per statistic."""
+        declaration = self._declaration
+        statistics = declaration.statistics(self.dim, self.config)
+        return MomentBundle(
             statistics,
-            budgets,
+            bundle_budgets(self.budget, tuple(s.budget_weight for s in statistics)),
             rngs,
-            mechanism=family,
+            mechanism=declaration.release_family or self.mechanism,
             horizon=self.shard_horizon,
-            decay=self.decay,
-            window=self.window,
-            l2_sensitivity=MOMENT_SENSITIVITY,
+            decay=decay,
+            window=window,
         )
+
+    @property
+    def projection(self):
+        """The shared projection ``Φ`` of the projected backends (or ``None``)."""
+        return self.config.get("projection")
 
     @property
     def cross(self):
@@ -159,54 +118,45 @@ class MomentShard:
         """The second-moment mechanism (``None`` once killed; diagnostics)."""
         return self.bundle.get("gram")
 
-    def _transform(self, xs: np.ndarray) -> np.ndarray:
-        """Rows the moment streams are built from (identity for Alg. 2)."""
-        return xs
-
-    def ingest(self, xs: np.ndarray, ys: np.ndarray, fast: bool) -> None:
+    def ingest(self, xs: np.ndarray, ys, fast: bool) -> None:
         """Feed a routed block to the moment bundle.
 
         Every bundle input is materialized *before* any mechanism
         advances: with the block pre-validated (finite, unit-normalized)
         and the mechanisms in step-lockstep, every failure the library can
         raise (validation, capacity) then happens before anything mutates
-        — the no-consumption guarantee ``_process_block``'s capacity
-        refund relies on.  If a later bundle entry nevertheless fails
-        after an earlier one committed, the bundle is torn: this shard
-        marks itself dead and the
-        :class:`~repro.exceptions.BundlePartialCommitError` (a
+        — the no-consumption guarantee the front's refund path relies on.
+        If a later bundle entry nevertheless fails after an earlier one
+        committed, the bundle is torn: this shard marks itself dead and
+        the :class:`~repro.exceptions.BundlePartialCommitError` (a
         ``ShardUnavailableError``) folds it into the partial-coverage
         fault path, with only the fully committed blocks counted into
         ``steps`` (and hence ``lost_steps``).
         """
-        rows = self._transform(xs)
-        k = rows.shape[0]
+        rows = self._declaration.transform(self.config, xs)
         try:
             self.bundle.ingest(rows, ys, fast)
         except BundlePartialCommitError:
             self.alive = False
             raise
-        self.steps += k
+        self.steps += rows.shape[0]
 
     def released(self):
         """The bundle's merge handles for :func:`~repro.privacy.tree.merge_released`.
 
-        One handle per declared statistic, in bundle order — ``(cross,
-        gram)`` for the default backend.  The transport seam of the merge
-        path: in-process shards hand over their **live** mechanisms
-        (zero-copy — the merge reads ``current_sum()`` directly), while
-        :class:`~repro.streaming.transport.ProcessShardWorker` overrides
-        the same method to fetch picklable
-        :class:`~repro.privacy.tree.ReleasedMoments` snapshots over its
-        pipe.  ``merge_released`` accepts both interchangeably.
+        One handle per bundle entry, in bundle order.  In-process shards
+        hand over their **live** mechanisms (zero-copy); the remote
+        transports ship picklable
+        :class:`~repro.privacy.tree.ReleasedMoments` snapshots of the same
+        handles, and ``merge_released`` accepts both interchangeably.
         """
         return self.bundle.released()
 
     def memory_floats(self) -> int:
         """Floats held by this shard's mechanisms (0 once killed).
 
-        ``O(moment_dim² log T)`` per shard — the Algorithm-3 backend's
-        whole point: ``m² log T`` instead of ``d² log T``.
+        ``O(moment_dim² log T)`` per shard — ``m² log T`` instead of
+        ``d² log T`` under the projected backends.
         """
         if not self.alive:
             return 0
@@ -221,106 +171,40 @@ class MomentShard:
         """Transport-uniform teardown hook (nothing to release in-process)."""
 
 
-class ProjectedMomentShard(MomentShard):
-    """Algorithm 3's shard backend: projected moments through a shared ``Φ``.
+def _decay_knob(g: float) -> float | None:
+    """γ = 1 builds the plain tree (not a γ=1 decayed wrapper)."""
+    return None if g == 1.0 else g
 
-    Workers ingest ``Φx̃·y`` (``(m,)``) and ``(Φx̃)(Φx̃)ᵀ`` (``(m, m)``)
-    where ``x̃`` is the Step-4 rescaled covariate — computed through the
-    *same* :func:`~repro.sketching.gaussian.step4_rescale_block` helper
-    ``PrivIncReg2.observe_batch`` uses, against a single projection drawn
-    once by the serving front and shared by every shard (and by the
-    solver, whose ``refresh_from_released`` then receives merged moments
-    living in the one projected space).  Because the rescaling pins the
-    projected sensitivity at Δ₂ = 2 for *any* fixed ``Φ``, the per-shard
-    noise calibration and the noise-preserving merge rule carry over from
-    the Algorithm-2 backend verbatim.
 
-    The projection is shared state but strictly read-only after
-    construction, so thread-parallel group ingestion across shards needs
-    no synchronization around it.
+class TenantShard(MomentShard):
+    """One multi-tenant shard: **shared** Gram entries + per-tenant crosses.
+
+    The PRIMO shard (*Private Regression in Multiple Outcomes*): when
+    ``k`` outcome streams share one covariate stream, the expensive
+    ``(d, d)`` second-moment statistic is identical for every tenant, so
+    this shard privatizes it **once** per declared γ group — at an equal
+    split of ``(ε/2, δ/2)``, independent of the tenant count — and keeps
+    only a cheap ``(d,)`` cross entry per tenant, each at a
+    ``(ε/(2·cap), δ/(2·cap))`` slot of the other half
+    (:func:`~repro.privacy.parameters.tenant_budgets`).  Ingesting
+    ``(x, y_1..y_k)`` advances every Gram entry once and tenant ``j``'s
+    cross entry with ``x·y_j``, so the per-element privacy loss is at most
+    ``ε/2 + cap·ε/(2·cap) = ε``.
+
+    ``config`` carries ``tenants`` (names), ``tenant_capacity`` (default:
+    the tenant count), ``decays`` (γ groups, default ``(1.0,)``) and
+    ``tenant_decays`` (each tenant's group, default the first); ``rngs``
+    holds one generator per tenant followed by one per γ group.  The Gram
+    entries are declared first, so — never behind any cross entry in
+    step count — they are the bundle's capacity guard, and the bundle's
+    torn-bundle fault rule covers tenants too.
+
+    Slot reuse is sound because a removed tenant's entry never ingests
+    again.  For a single tenant both budget pieces equal
+    ``budget.halve()`` bit-exactly and every entry's arithmetic is
+    :class:`MomentShard`'s, which makes a ``k = 1`` multi-tenant stream
+    bit-identical to the plain sharded path under the same rng children.
     """
-
-    backend = "projected"
-
-    def __init__(
-        self,
-        index: int,
-        dim: int,
-        budget: PrivacyParams,
-        cross_rng: np.random.Generator,
-        gram_rng: np.random.Generator,
-        projection,
-        mechanism: str = "tree",
-        shard_horizon: int | None = None,
-        decay: float | None = None,
-        window: int | float | None = None,
-    ) -> None:
-        # The projection must be set before the base constructor builds
-        # the bundle (the bundle shapes come from projected_dim).
-        self.projection = projection
-        super().__init__(
-            index=index,
-            dim=dim,
-            budget=budget,
-            cross_rng=cross_rng,
-            gram_rng=gram_rng,
-            mechanism=mechanism,
-            shard_horizon=shard_horizon,
-            moment_dim=projection.projected_dim,
-            decay=decay,
-            window=window,
-        )
-
-    def _transform(self, xs: np.ndarray) -> np.ndarray:
-        return step4_rescale_block(self.projection, xs)
-
-
-class SketchShard(ProjectedMomentShard):
-    """The sketch-native shard backend: privatize the sketch, not the moments.
-
-    The ingest geometry is :class:`ProjectedMomentShard`'s — Step-4
-    rescaled rows through a *shared* projection — but the projection is a
-    **sparse-JL** ``Φ`` (:class:`~repro.sketching.sparse_jl.SparseProjection`,
-    the paper's footnote 16: ``~1/s`` of the entries non-zero, so the
-    per-block pass costs ``O(nnz)`` instead of the dense BLAS product),
-    and the noise source is not a tree at all: both moment streams run
-    :class:`~repro.privacy.release.SketchNoiseMechanism`, which keeps the
-    exact sketched running sums and adds **one Gaussian draw per ingested
-    block** at the Step-4-pinned sensitivity (the *Private Sketches for
-    Linear Regression* release model).  Because the Step-4 rescale pins
-    Δ₂ = 2 for any fixed ``Φ``, the budget split, calibration, and the
-    noise-preserving merge rule carry over verbatim; released snapshots
-    are ordinary :class:`~repro.privacy.tree.ReleasedMoments`, so the
-    merge, solver refresh, read path, and partial-coverage accounting
-    upstream never notice the backend.
-
-    The user-facing ``mechanism`` knob stays ``"tree"`` (and rides the
-    wire spec unchanged); the sketch family is pinned here via
-    :attr:`release_family` so every transport builds the same mechanisms.
-    """
-
-    backend = "sketch"
-
-    release_family = "sketch"
-
-
-class IVMomentShard(MomentShard):
-    """The instrumental-variable shard backend: the (zz, zx, zy) bundle.
-
-    Rows are stacked ``[z | x]`` blocks of width ``instruments + dim``
-    (the front validates ``‖z‖ ≤ 1, ‖x‖ ≤ 1, |y| ≤ 1`` separately, so
-    every statistic's per-element sensitivity stays at the shared
-    Δ₂ = 2); the bundle carries the three moment streams two-stage least
-    squares consumes — ``ZᵀZ`` (``(p, p)``), ``ZᵀX`` (``(p, d)``) and
-    ``Zᵀy`` (``(p,)``) — each behind its own tree at a third of the shard
-    budget (:func:`~repro.privacy.parameters.bundle_budgets` at equal
-    weights, exact thirds).  The merge rule, fault semantics, and
-    transports are untouched: a bundle is a bundle, just three entries
-    instead of two.  :class:`~repro.core.priv_inc_iv.PrivIncIV` solves
-    against the merged bundle via ``refresh_from_bundle``.
-    """
-
-    backend = "iv"
 
     def __init__(
         self,
@@ -328,310 +212,124 @@ class IVMomentShard(MomentShard):
         dim: int,
         budget: PrivacyParams,
         rngs,
-        instruments: int,
+        *,
+        config: dict | None = None,
         mechanism: str = "tree",
-        shard_horizon: int | None = None,
-        decay: float | None = None,
-        window: int | float | None = None,
-    ) -> None:
-        # Needed by _statistics before the base constructor runs.
-        self.instruments = check_int("instruments", instruments, minimum=1)
-        super().__init__(
-            index=index,
-            dim=dim,
-            budget=budget,
-            mechanism=mechanism,
-            shard_horizon=shard_horizon,
-            decay=decay,
-            window=window,
-            rngs=tuple(rngs),
-        )
-
-    def _statistics(self):
-        return iv_statistics(self.instruments, self.dim)
-
-
-class TenantShard:
-    """One multi-tenant shard: a **shared** Gram tree + per-tenant cross trees.
-
-    The PRIMO shard backend (*Private Regression in Multiple Outcomes*):
-    when ``k`` outcome streams share one covariate stream, the expensive
-    ``(d, d)`` second-moment statistic is identical for every tenant, so
-    this shard privatizes it **once** — one Gram tree at ``(ε/2, δ/2)``,
-    independent of the tenant count — and keeps only a cheap ``(d,)``
-    cross tree per tenant, each at a ``(ε/(2·cap), δ/(2·cap))`` slot of
-    the other half (:func:`~repro.privacy.parameters.tenant_budgets`).
-    Ingesting ``(x, y_1..y_k)`` advances the Gram tree exactly once and
-    tenant ``j``'s cross tree with ``x·y_j``, so the per-element privacy
-    loss is at most ``ε/2 + cap·ε/(2·cap) = ε`` — the same total budget a
-    single-tenant shard spends, now serving ``k`` models.
-
-    Its statistic set is *mutable at runtime* (tenants come and go), so
-    unlike the other backends it keeps its own mechanism dicts rather
-    than a frozen bundle declaration; the bundle contract it honors is
-    the ``released()`` seam — ordered handle tuples the merge path
-    consumes — and the block-atomic ingest ordering.
-
-    Tenants are dynamic: :meth:`add_tenant` occupies a free capacity slot
-    with a fresh cross tree, :meth:`remove_tenant` retires one.  Slot
-    reuse is sound because a removed tenant's tree never ingests again —
-    no stream element is ever seen by two occupants of one slot, so the
-    per-element bound above survives any add/remove schedule.
-
-    For a single tenant both budget pieces equal ``budget.halve()``
-    bit-exactly and the ingest arithmetic reduces to
-    :class:`MomentShard`'s, which is what makes a ``k = 1`` multi-tenant
-    stream bit-identical to the plain sharded path (given the same rng
-    children — see :class:`~repro.streaming.tenancy.MultiTenantStream`).
-    """
-
-    backend = "tenant"
-
-    def __init__(
-        self,
-        index: int,
-        dim: int,
-        budget: PrivacyParams,
-        tenant_rngs,
-        gram_rng: np.random.Generator,
-        tenants,
-        tenant_capacity: int | None = None,
-        mechanism: str = "tree",
-        shard_horizon: int | None = None,
-        decays: "tuple[float, ...] | None" = None,
-        tenant_decays: "tuple[float, ...] | None" = None,
+        **knobs,
     ) -> None:
         if mechanism != "tree":
             raise ValidationError(
                 "TenantShard requires mechanism='tree' (the PRIMO serving "
                 "layer assumes a known horizon)"
             )
-        names = tuple(str(name) for name in tenants)
-        if len(set(names)) != len(names):
-            raise ValidationError(f"tenant names must be unique, got {names!r}")
-        if not names:
-            raise ValidationError("TenantShard needs at least one tenant")
-        tenant_rngs = tuple(tenant_rngs)
-        if len(tenant_rngs) != len(names):
-            raise ValidationError(
-                f"need one rng per tenant: {len(names)} tenants, "
-                f"{len(tenant_rngs)} rngs"
-            )
-        self.decays = _check_decay_groups(decays)
-        if tenant_decays is None:
-            tenant_decays = tuple(self.decays[0] for _ in names)
-        tenant_decays = tuple(float(g) for g in tenant_decays)
-        if len(tenant_decays) != len(names):
-            raise ValidationError(
-                f"need one decay per tenant: {len(names)} tenants, "
-                f"{len(tenant_decays)} tenant_decays"
-            )
-        for g in tenant_decays:
-            if g not in self.decays:
-                raise ValidationError(
-                    f"tenant_decays entry {g!r} is not a declared γ group "
-                    f"(decays={self.decays!r}); the shared Gram stream is "
-                    f"privatized once per declared group"
-                )
-        self.index = index
-        self.dim = dim
-        self.moment_dim = dim
-        self.budget = budget
-        self.mechanism = mechanism
-        self.shard_horizon = shard_horizon
-        self.tenant_capacity = check_int(
-            "tenant_capacity",
-            len(names) if tenant_capacity is None else tenant_capacity,
-            minimum=len(names),
+        config = dict(config or {})
+        names, self.tenant_capacity, self.decays, tenant_decays = _check_tenants(
+            config.get("tenants", ()),
+            config.get("tenant_capacity"),
+            config.get("decays"),
+            config.get("tenant_decays"),
         )
-        self.steps = 0
-        self.alive = True
-        self.lost_accounted = False
-        gram_budget, slot_budgets = tenant_budgets(budget, self.tenant_capacity)
-        #: Every slot carries the same budget; keep one for later adds.
-        self._slot_budget = slot_budgets[0]
-        #: Tenant → γ group assignment (merges pick the matching Gram).
+        #: Tenant → γ group, in the order merges index the cross entries.
         self.tenant_decay: dict[str, float] = dict(zip(names, tenant_decays))
-        # Cross trees first, then the Gram trees — the same construction
-        # order as MomentShard.  Insertion order of this dict is the
-        # tenant order every merge indexes by.
-        self.cross: dict[str, object] = {}
-        for name, rng in zip(names, tenant_rngs):
-            self.cross[name] = self._make_tree(
-                (dim,), self._slot_budget, rng, self.tenant_decay[name]
-            )
-        # One shared Gram mechanism per declared γ group, each at an equal
-        # split of the gram half (every element enters every group, so the
-        # groups compose sequentially — split(1) leaves the single plain
-        # group at the historical budget bit-exactly).  Group 0 consumes
-        # ``gram_rng`` itself — the exact generator the single-group shard
-        # uses — and later groups consume its spawned siblings (spawning
-        # advances the spawn counter, never the bit stream).
-        group_budgets = gram_budget.split(len(self.decays))
-        extra_rngs = (
-            tuple(gram_rng.spawn(len(self.decays) - 1))
-            if len(self.decays) > 1
-            else ()
+        super().__init__(
+            index, dim, budget, rngs, config=config, mechanism=mechanism, **knobs
         )
-        group_rngs = (gram_rng,) + extra_rngs
-        self.grams: dict[float, object] = {}
-        for g, g_budget, g_rng in zip(self.decays, group_budgets, group_rngs):
-            self.grams[g] = self._make_tree((dim, dim), g_budget, g_rng, g)
 
-    def _make_tree(self, shape, params, rng, decay: float):
-        """One tree-family release mechanism, γ-decayed when ``decay < 1``.
-
-        ``decay == 1.0`` builds the plain :class:`TreeMechanism` (not a
-        γ=1 decayed wrapper), so single-group shards stay type- and
-        bit-identical to the historical construction.
-        """
-        return make_release_mechanism(
-            shape=shape,
-            l2_sensitivity=MOMENT_SENSITIVITY,
-            params=params,
-            rng=rng,
-            mechanism="tree",
+    def _build_bundle(self, rngs, decay, window) -> MomentBundle:
+        """Gram entries per γ group first, then one cross entry per tenant."""
+        names = tuple(self.tenant_decay)
+        if len(rngs) != len(names) + len(self.decays):
+            raise ValidationError(
+                f"need one rng per tenant and per γ group: {len(names)} "
+                f"tenants, {len(self.decays)} groups, {len(rngs)} rngs"
+            )
+        gram_budget, slot_budgets = tenant_budgets(self.budget, self.tenant_capacity)
+        #: Every slot carries the same budget; kept for later adds.
+        self._slot_budget = slot_budgets[0]
+        # Every element enters every group, so the groups compose
+        # sequentially — split(1) leaves the single plain group at the
+        # historical budget bit-exactly.
+        group_budgets = gram_budget.split(len(self.decays))
+        group_rngs = rngs[len(names):]
+        first = self.decays[0]
+        bundle = MomentBundle(
+            [gram_statistic(self.dim, name=f"gram:{first}")],
+            group_budgets[:1],
+            group_rngs[:1],
             horizon=self.shard_horizon,
-            decay=None if decay == 1.0 else decay,
+            decay=_decay_knob(first),
+        )
+        for g, g_budget, g_rng in zip(self.decays[1:], group_budgets[1:], group_rngs[1:]):
+            bundle.add(gram_statistic(self.dim, name=f"gram:{g}"), g_budget, g_rng, _decay_knob(g))
+        self.bundle = bundle
+        for name, rng in zip(names, rngs):
+            self._add_cross(name, rng)
+        return bundle
+
+    def _add_cross(self, name: str, rng) -> None:
+        self.bundle.add(
+            cross_statistic(self.dim, name=f"cross:{name}", outcome=name),
+            self._slot_budget,
+            rng,
+            _decay_knob(self.tenant_decay[name]),
         )
 
     @property
     def gram(self):
-        """The primary (group-0) shared Gram mechanism, or ``None`` if killed.
+        """The primary (group-0) shared Gram mechanism, or ``None`` if killed."""
+        return self.bundle.get(f"gram:{self.decays[0]}")
 
-        Kept for diagnostics and the single-group conformance suites;
-        merges index :meth:`released`'s per-group tuple instead.
-        """
-        if self.grams is None:
-            return None
-        return self.grams[self.decays[0]]
+    @property
+    def cross(self) -> dict:
+        """Tenant → cross mechanism (diagnostics; values ``None`` once killed)."""
+        return {name: self.bundle.get(f"cross:{name}") for name in self.tenant_decay}
 
     def tenants(self) -> tuple[str, ...]:
         """Active tenant names, in the order merges index them."""
-        return tuple(self.cross)
+        return tuple(self.tenant_decay)
 
-    def add_tenant(
-        self,
-        name: str,
-        rng: np.random.Generator,
-        decay: float | None = None,
-    ) -> None:
-        """Occupy a free capacity slot with a fresh cross tree for ``name``.
+    def add_tenant(self, name: str, rng: np.random.Generator, decay: float | None = None) -> None:
+        """Occupy a free capacity slot with a fresh cross entry for ``name``.
 
         ``decay`` assigns the tenant to one of the shard's declared γ
-        groups (default: the primary group); its cross tree uses the same
+        groups (default: the primary group); its cross entry uses the same
         weighting, so the tenant's merged moments stay consistent.
         """
         name = str(name)
-        if name in self.cross:
+        if name in self.tenant_decay:
             raise ValidationError(f"tenant {name!r} already exists")
-        if len(self.cross) >= self.tenant_capacity:
+        if len(self.tenant_decay) >= self.tenant_capacity:
             raise PrivacyBudgetError(
                 f"all {self.tenant_capacity} tenant slots are occupied; "
                 f"remove a tenant before adding {name!r} (the slot budgets "
                 f"are what keep the per-element loss within the total)"
             )
         g = self.decays[0] if decay is None else float(decay)
-        if g not in self.decays:
-            raise ValidationError(
-                f"decay {g!r} is not a declared γ group "
-                f"(decays={self.decays!r}); groups are fixed at "
-                f"construction — the gram budget was split across them"
-            )
+        _check_group(g, self.decays)
         self.tenant_decay[name] = g
-        self.cross[name] = self._make_tree((self.dim,), self._slot_budget, rng, g)
+        self._add_cross(name, rng)
 
     def remove_tenant(self, name: str) -> None:
-        """Retire ``name``'s cross tree, freeing its capacity slot."""
-        if str(name) not in self.cross:
+        """Retire ``name``'s cross entry, freeing its capacity slot."""
+        name = str(name)
+        if name not in self.tenant_decay:
             raise ValidationError(f"unknown tenant {name!r}")
-        del self.cross[str(name)]
-        del self.tenant_decay[str(name)]
+        self.bundle.remove(f"cross:{name}")
+        del self.tenant_decay[name]
 
-    def ingest(self, xs: np.ndarray, ys: np.ndarray, fast: bool) -> None:
-        """Feed a routed block: the Gram tree once, each tenant's cross once.
+    def ingest(self, xs: np.ndarray, ys, fast: bool) -> None:
+        """Feed a routed block: every Gram entry once, each tenant's cross once.
 
         ``ys`` is the ``(n, k)`` outcome matrix, one column per active
-        tenant in :meth:`tenants` order.  All moment inputs are
-        materialized first, and the Gram tree — never behind any cross
-        tree in step count, so the first to hit capacity — advances before
-        the crosses: any failure the library can raise happens before a
-        tree mutates, preserving the block-atomic no-consumption
-        guarantee.  Per tree the arithmetic is exactly
-        :class:`MomentShard.ingest`'s, so a single tenant's trees stay
-        bit-identical to a single-tenant shard's.
+        tenant in :meth:`tenants` order.
         """
         Y = np.asarray(ys, dtype=float)
         if Y.ndim == 1:
             Y = Y[:, None]
-        if Y.shape != (xs.shape[0], len(self.cross)):
+        k = len(self.tenant_decay)
+        if Y.shape != (xs.shape[0], k):
             raise ValidationError(
-                f"outcome block must have shape ({xs.shape[0]}, "
-                f"{len(self.cross)}) — one column per active tenant — got "
-                f"{Y.shape}"
+                f"outcome block must have shape ({xs.shape[0]}, {k}) — one "
+                f"column per active tenant — got {Y.shape}"
             )
-        k = xs.shape[0]
-        if fast:
-            # γ-weighted block totals per group — the decayed
-            # ``advance_sum`` contract; γ = 1 keeps the plain one-product
-            # totals bit-exactly.
-            weights = {
-                g: g ** np.arange(k - 1, -1, -1, dtype=float)
-                for g in self.decays
-                if g != 1.0
-            }
-            gram_totals = []
-            for g in self.decays:
-                if g == 1.0:
-                    gram_totals.append(xs.T @ xs)
-                else:
-                    gram_totals.append((weights[g][:, None] * xs).T @ xs)
-            cross_totals = []
-            for j, name in enumerate(self.cross):
-                g = self.tenant_decay[name]
-                col = Y[:, j] if g == 1.0 else weights[g] * Y[:, j]
-                cross_totals.append(col @ xs)
-            for mechanism, total in zip(self.grams.values(), gram_totals):
-                mechanism.advance_sum(total, k)
-            for mechanism, total in zip(self.cross.values(), cross_totals):
-                mechanism.advance_sum(total, k)
-        else:
-            # The decayed mechanisms fade internally, so every γ group
-            # (and every tenant tree) ingests the same raw moment values.
-            gram_values = xs[:, :, None] * xs[:, None, :]
-            cross_values = [Y[:, j, None] * xs for j in range(Y.shape[1])]
-            for mechanism in self.grams.values():
-                mechanism.advance_batch(gram_values)
-            for mechanism, values in zip(self.cross.values(), cross_values):
-                mechanism.advance_batch(values)
-        self.steps += k
-
-    def released(self):
-        """The (per-tenant cross tuple, per-group gram tuple) merge handles.
-
-        Same seam as :meth:`MomentShard.released`, with both slots widened
-        to tuples — one cross handle per active tenant in :meth:`tenants`
-        order, one Gram handle per declared γ group in ``decays`` order.
-        The process transport snapshots each element as a
-        :class:`~repro.privacy.tree.ReleasedMoments`, so the wire format
-        is unchanged: the same snapshots, just ``k`` (and ``G``) of them.
-        """
-        return tuple(self.cross.values()), tuple(self.grams.values())
-
-    def memory_floats(self) -> int:
-        """Floats held by the shard: ``O((G·d² + k·d) log T)`` — the PRIMO
-        economy, vs ``k·O(d² log T)`` for ``k`` independent shards."""
-        if not self.alive:
-            return 0
-        return sum(
-            mechanism.memory_floats() for mechanism in self.grams.values()
-        ) + sum(mechanism.memory_floats() for mechanism in self.cross.values())
-
-    def kill(self) -> None:
-        """Drop the mechanisms; the shard's ingested mass is lost."""
-        self.alive = False
-        self.cross = None
-        self.grams = None
-
-    def shutdown(self) -> None:
-        """Transport-uniform teardown hook (nothing to release in-process)."""
+        super().ingest(xs, dict(zip(self.tenant_decay, Y.T)), fast)

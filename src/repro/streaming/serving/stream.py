@@ -1,4 +1,4 @@
-"""The serving front: routing, merging, budgeting, caching, async ingestion."""
+"""The serving fronts: one shard lifecycle, and the ShardedStream front on it."""
 
 from __future__ import annotations
 
@@ -13,15 +13,9 @@ from ..._validation import (
     check_int,
     check_release_knobs,
     check_rng,
-    check_unit_iv_domain,
-    check_unit_xy_domain,
     check_vector,
     check_xy_block,
 )
-from ...core.incremental_regression import PrivIncReg1
-from ...core.priv_inc_iv import PrivIncIV
-from ...core.projected_regression import PrivIncReg2, projected_sizing
-from ...core.unbounded import UnboundedPrivIncReg
 from ...exceptions import (
     GroupIngestionError,
     ServingError,
@@ -33,27 +27,952 @@ from ...geometry.base import ConvexSet, PointSet
 from ...privacy.accountant import PrivacyAccountant
 from ...privacy.parameters import PrivacyParams, bundle_budgets, shard_budgets
 from ...privacy.tree import MergedRelease, merge_released
-from ...sketching.gaussian import GaussianProjection
-from ...sketching.sparse_jl import SparseProjection
-from ..metrics import ReadStats
-from ..moments import bundle_names
+from ..backends import BACKEND_KNOBS, backend_declaration
 from ..netserve import ShardAddress, ShardHostListener, TcpShardWorker
 from ..transport import ProcessShardWorker, ShardSpec
-from ..readers import EstimateHub, ReaderHandle, Subscription
+from ..readers import EstimateHub, HubReads
 from .cache import ServedEstimate
-from .shards import (
-    IVMomentShard,
-    MomentShard,
-    ProjectedMomentShard,
-    SketchShard,
-)
 
-__all__ = ["ShardedStream", "_CLOSE"]
+__all__ = ["ShardFront", "ShardedStream", "_CLOSE"]
 
 _CLOSE = object()  # queue sentinel
 
 
-class ShardedStream:
+class ShardFront:
+    """The shard lifecycle every serving front shares.
+
+    Knob validation for the lifecycle knobs, transport and listener
+    set-up, shard construction through a
+    :class:`~repro.streaming.transport.ShardSpec` (built in-process, in a
+    spawned interpreter, or behind a tcp listener), routing, horizon
+    reservation, the sync/async/manual ingestion queue, group ingestion,
+    refresh cadence, heartbeats and auto-restart, kill/restart, close, and
+    the ``lost_steps`` / ``blocks_routed`` / ``blocks_refunded`` books.
+
+    A front subclass declares only what it serves, through these hooks:
+
+    * ``_declare(beta)`` — configure the shard payload; returns the number
+      of rng children each shard takes from the front's spawn;
+    * ``_shard_spec(index, budget, rngs)`` — one shard's spawn payload;
+    * ``_charge_ledger()`` / ``_attach_solvers(beta, fidelity,
+      iteration_cap)`` — the budget ledger and the solve/publish state;
+    * ``_validate_block(xs, ys)`` — shape and unit-domain checks of a
+      block (run under the ingestion lock, so a block is validated against
+      the state it is ingested under);
+    * ``_solve()`` — merge the shard releases and publish;
+    * ``_cached()`` / ``_served()`` / ``_close_reads()`` — what
+      ``observe_batch`` / ``flush`` return, and the read-side teardown.
+
+    See :class:`ShardedStream` for the lifecycle knobs' semantics.
+    """
+
+    def __init__(
+        self,
+        constraint: ConvexSet,
+        params: PrivacyParams,
+        shards: int,
+        *,
+        horizon: int | None,
+        refresh_every: int | None,
+        ingest: str,
+        mechanism: str,
+        composition: str,
+        router,
+        mode: str,
+        transport: str,
+        request_timeout: float | None,
+        addresses,
+        heartbeat_every: float | None,
+        restart_policy: str,
+        shard_horizon: int | None,
+        beta: float,
+        fidelity: str,
+        iteration_cap: int,
+        rng,
+    ) -> None:
+        if ingest not in ("exact", "fast"):
+            raise ValidationError(f"ingest must be 'exact' or 'fast', got {ingest!r}")
+        if mechanism not in ("tree", "hybrid"):
+            raise ValidationError(
+                f"mechanism must be 'tree' or 'hybrid', got {mechanism!r}"
+            )
+        if mode not in ("sync", "async", "manual"):
+            raise ValidationError(
+                f"mode must be 'sync', 'async', or 'manual', got {mode!r}"
+            )
+        if transport not in ("thread", "process", "tcp"):
+            raise ValidationError(
+                f"transport must be 'thread', 'process', or 'tcp', got "
+                f"{transport!r}"
+            )
+        if request_timeout is not None:
+            if transport == "thread":
+                raise ValidationError(
+                    "request_timeout needs a wire to deadline "
+                    "(transport='process' or 'tcp'); in-process shard "
+                    "calls are plain method calls"
+                )
+            if not request_timeout > 0:
+                raise ValidationError(
+                    f"request_timeout must be positive (seconds) or None, "
+                    f"got {request_timeout!r}"
+                )
+        if addresses is not None and transport != "tcp":
+            raise ValidationError("addresses only applies to transport='tcp'")
+        if restart_policy not in ("never", "auto"):
+            raise ValidationError(
+                f"restart_policy must be 'never' or 'auto', got "
+                f"{restart_policy!r}"
+            )
+        if heartbeat_every is not None and not heartbeat_every > 0:
+            raise ValidationError(
+                f"heartbeat_every must be positive (seconds) or None, got "
+                f"{heartbeat_every!r}"
+            )
+        if restart_policy == "auto" and heartbeat_every is None:
+            raise ValidationError(
+                "restart_policy='auto' is driven by the health-check loop; "
+                "set heartbeat_every"
+            )
+        if ingest == "fast" and mechanism != "tree":
+            raise ValidationError(
+                "ingest='fast' needs tree shards (advance_sum is a "
+                "TreeMechanism serving path)"
+            )
+        if mechanism == "tree" and horizon is None:
+            raise ValidationError(
+                "mechanism='tree' needs a horizon (use mechanism='hybrid' "
+                "for horizon-free serving)"
+            )
+        if router != "round_robin" and not callable(router):
+            raise ValidationError(
+                f"router must be 'round_robin' or a callable, got {router!r}"
+            )
+        if callable(router) and composition == "parallel":
+            # A data-dependent router breaks the disjointness argument the
+            # full-budget parallel mode relies on: a neighboring stream can
+            # re-route a block, changing TWO shards' transcripts.  The
+            # library cannot verify a callable is data-independent, so it
+            # refuses the unsound combination rather than under-reporting
+            # the privacy loss.
+            raise ValidationError(
+                "a callable router cannot be certified disjoint under "
+                "neighboring streams; use composition='basic' (per-shard "
+                "(ε/K, δ/K)) with custom routing"
+            )
+        if shard_horizon is not None and mechanism != "tree":
+            raise ValidationError(
+                "shard_horizon only applies to mechanism='tree' (hybrid "
+                "shards are horizon-free)"
+            )
+        self.constraint = constraint
+        self.params = params
+        self.dim = constraint.dim
+        self.shards_count = check_int("shards", shards, minimum=1)
+        self.horizon = (
+            None if horizon is None else check_int("horizon", horizon, minimum=1)
+        )
+        self.refresh_every = (
+            None
+            if refresh_every is None
+            else check_int("refresh_every", refresh_every, minimum=1)
+        )
+        self.ingest = ingest
+        self.mechanism = mechanism
+        self.composition = composition
+        self.mode = mode
+        self.transport = transport
+        self.request_timeout = request_timeout
+        self.heartbeat_every = heartbeat_every
+        self.restart_policy = restart_policy
+        if mechanism != "tree":
+            self.shard_horizon = None
+        elif shard_horizon is None:
+            self.shard_horizon = self.horizon
+        else:
+            self.shard_horizon = check_int("shard_horizon", shard_horizon, minimum=1)
+        self._router = router
+        self._rng = check_rng(rng)
+        self._fast = ingest == "fast"
+
+        # One independent child generator per bundle entry per shard —
+        # shard i consumes the contiguous slice [n·i, n·(i+1)).  For the
+        # default two-entry bundle this is the historical spawn(2K) with
+        # children 2i/2i+1, byte-for-byte.
+        self._entries = self._declare(beta)
+        budgets = shard_budgets(params, self.shards_count, composition)
+        # transport="tcp" with no addresses: boot a private loopback
+        # listener owned (and closed) by this front — single-host tcp
+        # with zero setup.  Explicit addresses mean the listeners are
+        # someone else's lifecycle (other hosts); we only connect.
+        self._listener: ShardHostListener | None = None
+        self._owns_listener = transport == "tcp" and addresses is None
+        self.addresses = None
+        if transport == "tcp":
+            if self._owns_listener:
+                self._listener = ShardHostListener()
+                addresses = [self._listener.address]
+            self.addresses = tuple(
+                ShardAddress.coerce(address) for address in addresses
+            )
+        children = self._rng.spawn(self._entries * self.shards_count)
+        n = self._entries
+        self._shards: list = []
+        try:
+            for i in range(self.shards_count):
+                self._shards.append(
+                    self._make_shard(i, budgets[i], children[n * i : n * (i + 1)])
+                )
+        except BaseException:
+            # A failed shard (e.g. a process worker whose spawn payload
+            # would not pickle) must not leak the workers already booted,
+            # nor the self-hosted tcp listener.
+            for shard in self._shards:
+                shard.shutdown()
+            if self._owns_listener:
+                self._listener.close()
+            raise
+
+        # The logical budget ledger: within `params`, one labelled charge
+        # per privatized statistic.
+        self.accountant = PrivacyAccountant(params, mode="basic")
+        self._charge_ledger()
+        self._attach_solvers(beta, fidelity, iteration_cap)
+
+        self._lock = threading.RLock()
+        self._queue: queue.Queue = queue.Queue()
+        self._processed = 0  # logical t: points fully ingested by shards
+        self._enqueued = 0  # points accepted at the API boundary
+        self._blocks_routed = 0
+        self._blocks_refunded = 0
+        self._next_shard = 0
+        self._last_refresh_t = 0
+        self.lost_steps = 0
+        self._error: BaseException | None = None
+        self._closed = False
+        # close() must be serialized on its own lock: it blocks on the
+        # queue drain, and the ingestion lock is exactly what the worker
+        # needs to finish that drain.
+        self._close_lock = threading.Lock()
+        self._group_executor: ThreadPoolExecutor | None = None
+        self._worker: threading.Thread | None = None
+        if mode == "async":
+            self._worker = threading.Thread(
+                target=self._worker_loop, name="sharded-stream-worker", daemon=True
+            )
+            self._worker.start()
+        # The health-check loop: detects dead/stuck shards between RPCs.
+        # Started last so a constructor failure never leaks it.
+        self._heartbeat = {
+            "pings": 0,
+            "deaths_detected": 0,
+            "restarts": 0,
+            "errors": 0,
+        }
+        self._heartbeat_stop = threading.Event()
+        self._heartbeat_thread: threading.Thread | None = None
+        if heartbeat_every is not None:
+            self._heartbeat_thread = threading.Thread(
+                target=self._heartbeat_loop,
+                name="sharded-stream-heartbeat",
+                daemon=True,
+            )
+            self._heartbeat_thread.start()
+
+    def _make_shard(self, index: int, budget: PrivacyParams, rngs):
+        """Construct one shard worker on the configured transport.
+
+        Every transport builds from the same
+        :class:`~repro.streaming.transport.ShardSpec` — in-process
+        (``spec.build()``), in a spawned interpreter
+        (:class:`~repro.streaming.transport.ProcessShardWorker`), or behind
+        the listener at ``addresses[index % len(addresses)]``
+        (:class:`~repro.streaming.netserve.TcpShardWorker`) — so every
+        transport builds byte-for-byte the same mechanisms and consumes
+        randomness identically.
+        """
+        spec = self._shard_spec(index, budget, tuple(rngs))
+        if self.transport == "tcp":
+            return TcpShardWorker(
+                spec,
+                self.addresses[index % len(self.addresses)],
+                request_timeout=self.request_timeout,
+            )
+        if self.transport == "process":
+            return ProcessShardWorker(spec, request_timeout=self.request_timeout)
+        return spec.build()
+
+    def _group_pool(self) -> ThreadPoolExecutor:
+        """The persistent group-ingestion thread pool (lazily created).
+
+        One pool per front, reused across :meth:`observe_group` calls, so
+        per-group overhead is task dispatch only — creating threads per
+        group would dominate small blocks.  Sized at ``K``: there is never
+        more than one task per shard queue in flight.
+        """
+        if self._group_executor is None:
+            self._group_executor = ThreadPoolExecutor(
+                max_workers=self.shards_count, thread_name_prefix="shard-group"
+            )
+        return self._group_executor
+
+    # ------------------------------------------------------------------
+    # Ingestion API
+    # ------------------------------------------------------------------
+
+    def observe_batch(self, xs: np.ndarray, ys: np.ndarray):
+        """Ingest a block of consecutive points; return the cached estimate.
+
+        The block is validated and accepted (or rejected) atomically at
+        the API boundary, then routed whole to one shard.  ``mode="sync"``
+        processes inline; otherwise the block is enqueued FIFO and this
+        returns without touching the shard mechanisms or the solver.
+        """
+        # Validate and reserve capacity under the lock: concurrent
+        # producers must not both pass the horizon check (the noise
+        # calibration is for T elements, so overshooting it would be a
+        # privacy violation, not a bookkeeping one).
+        with self._lock:
+            self._raise_if_unusable()
+            xs, ys = self._validate_block(xs, ys)
+            k = xs.shape[0]
+            self._reserve(k, "a block")
+            if self.mode == "sync":
+                self._process_block(xs, ys)
+            else:
+                # Enqueue private copies: check_xy_block may alias the
+                # caller's buffers, and a producer that refills its block
+                # buffer before the worker drains would otherwise feed the
+                # mechanisms data that was never validated.
+                self._queue.put((np.array(xs), np.array(ys)))
+        return self._cached()
+
+    def _reserve(self, points: int, what: str) -> None:
+        if self.horizon is not None and self._enqueued + points > self.horizon:
+            raise StreamExhaustedError(
+                f"{type(self).__name__} configured for horizon {self.horizon} "
+                f"received {what} of {points} points at logical step "
+                f"{self._enqueued}"
+            )
+        self._enqueued += points
+
+    def observe_group(self, blocks, workers: int | None = None):
+        """Ingest a *group* of blocks, thread-parallel across shards.
+
+        Each block of the group is routed exactly as ``len(blocks)``
+        successive :meth:`observe_batch` calls would route it (round-robin
+        over live shards, in group order), but the per-shard work runs
+        concurrently on a thread pool: shards are fully independent — own
+        mechanisms, own generators, a read-only shared ``Φ`` — and the
+        heavy lifting (the BLAS moment products of the ``fast`` tier, the
+        Gaussian draws) releases the GIL, so a group of ``K`` blocks
+        ingests in roughly the time of the largest single block.  One
+        merge + solve runs after the whole group (the refresh cadence
+        still honors ``refresh_every``), so the served estimate is exactly
+        the sequential route's post-group state; per-shard releases are
+        bit-identical to the sequential route because each shard consumes
+        its blocks in the same order either way.
+
+        Only ``mode="sync"`` supports groups (async/manual callers already
+        have a queue to overlap ingestion with).
+
+        Parameters
+        ----------
+        blocks:
+            Sequence of ``(xs, ys)`` block pairs.  The whole group is
+            validated and reserved against the horizon atomically before
+            anything ingests.
+        workers:
+            Thread-pool width; defaults to one thread per shard that
+            received work.  ``workers=1`` degrades to inline sequential
+            ingestion (useful as a control in benchmarks).
+
+        Raises
+        ------
+        GroupIngestionError
+            If any shard fails mid-group — a per-shard capacity overrun
+            (custom ``shard_horizon``) or a remote worker dying mid-group:
+            the committed blocks stay committed, the failed blocks'
+            horizon reservation is refunded (a dead worker's previously
+            acknowledged mass goes to ``lost_steps``), and ``failures``
+            reports which group indices were lost.
+        """
+        if self.mode != "sync":
+            raise ServingError(
+                "observe_group requires mode='sync' (async/manual modes "
+                "already pipeline through the ingestion queue)"
+            )
+        blocks = list(blocks)
+        if not blocks:
+            raise ValidationError("block group must contain at least one block")
+        if workers is not None:
+            workers = check_int("workers", workers, minimum=1)
+        with self._lock:
+            self._raise_if_unusable()
+            validated = [self._validate_block(xs, ys) for xs, ys in blocks]
+            self._reserve(sum(len(ys) for _, ys in validated), "a group")
+            # On failure _ingest_group has already refunded the failed
+            # blocks' reservation (a pre-ingestion routing failure refunds
+            # everything).
+            self._ingest_group(validated, workers)
+            if self._should_refresh():
+                self._refresh()
+        return self._cached()
+
+    def _ingest_group(self, blocks, workers: int | None) -> None:
+        """Route a validated group, then drain per-shard queues in parallel.
+
+        Routing happens up front (it is order-sensitive shared state);
+        after that each shard's assigned blocks form an independent work
+        queue consumed by one task, so no two threads ever touch the same
+        mechanism.  Failures are per-block atomic (the mechanisms validate
+        and check capacity before consuming), per-shard fail-stop (a shard
+        stops at its first failed block), and fully reported.
+        """
+        routed = 0
+        try:
+            assignments: dict[int, list] = {}
+            for group_index, (xs, ys) in enumerate(blocks):
+                shard = self._route(xs, ys)
+                self._blocks_routed += 1
+                routed += 1
+                assignments.setdefault(shard.index, []).append(
+                    (group_index, shard, xs, ys)
+                )
+        except BaseException:
+            # A routing failure refunds the whole group: nothing ingested,
+            # so every block counted so far is a refund, not a commit.
+            self._blocks_refunded += routed
+            self._enqueued -= sum(len(ys) for _, ys in blocks)
+            raise
+
+        failures: list[tuple[int, BaseException]] = []
+        failure_lock = threading.Lock()
+
+        def drain_queue(tasks) -> int:
+            """Ingest ONE shard's queue in order; fail-stop that shard only.
+
+            A failed block aborts the rest of *this shard's* queue (its
+            sub-stream order would otherwise gap) and reports every
+            unattempted block of the queue as failed; other shards'
+            queues are unaffected.
+            """
+            done = 0
+            for position, (group_index, shard, xs, ys) in enumerate(tasks):
+                try:
+                    shard.ingest(xs, ys, self._fast)
+                except BaseException as exc:
+                    with failure_lock:
+                        # A crashed remote worker's acknowledged mass is
+                        # lost (no-op for ordinary ingest failures — the
+                        # shard is still alive).
+                        self._note_shard_death(shard)
+                        failures.append((group_index, exc))
+                        failures.extend(
+                            (later_index, exc)
+                            for later_index, _, _, _ in tasks[position + 1 :]
+                        )
+                    return done
+                done += len(ys)
+            return done
+
+        def drain_bucket(bucket) -> int:
+            return sum(drain_queue(tasks) for tasks in bucket)
+
+        queues = list(assignments.values())
+        width = min(workers or len(queues), len(queues))
+        if width == 1:
+            ingested = drain_bucket(queues)
+        else:
+            # Bucket whole per-shard queues onto `width` threads of the
+            # persistent pool.  Buckets hold queues (never flattened), so
+            # per-shard order — and with it release bit-identity — is
+            # preserved, and one shard's failure stops only its own queue.
+            buckets: list[list] = [[] for _ in range(width)]
+            for i, tasks in enumerate(queues):
+                buckets[i % width].append(tasks)
+            ingested = sum(self._group_pool().map(drain_bucket, buckets))
+        self._processed += ingested
+        if failures:
+            failures.sort(key=lambda pair: pair[0])
+            lost = sum(len(blocks[group_index][1]) for group_index, _ in failures)
+            self._enqueued -= lost
+            # Every failed block — the one that raised and the unattempted
+            # fail-stop casualties behind it — was refunded above, so
+            # blocks_routed − blocks_refunded still counts committed blocks.
+            self._blocks_refunded += len(failures)
+            raise GroupIngestionError(
+                f"{len(failures)} of {len(blocks)} group blocks failed to "
+                f"ingest ({lost} points refunded); first error: "
+                f"{failures[0][1]}",
+                failures=failures,
+            ) from failures[0][1]
+
+    def flush(self):
+        """Drain pending ingestion and solve through everything processed.
+
+        Blocks until every enqueued block has been processed (async mode
+        waits on the worker; manual mode pumps inline), then — if any mass
+        arrived since the last refresh — runs a final merge + solve so the
+        returned (and cached) estimate covers the full processed stream.
+        """
+        self._raise_if_unusable()
+        if self.mode == "manual":
+            self.pump()
+        elif self.mode == "async":
+            self._join_queue()
+        self._raise_if_unusable()
+        with self._lock:
+            if self._processed > self._last_refresh_t:
+                self._refresh()
+        return self._served()
+
+    def _join_queue(self) -> None:
+        """``Queue.join`` with a worker-liveness probe (bounded waits).
+
+        A bare ``join()`` parks on ``task_done`` calls that can never come
+        if the async worker thread died with blocks queued — the flush
+        would hang forever.  Waiting in bounded slices on the queue's
+        ``all_tasks_done`` condition and probing the worker's
+        ``is_alive()`` between them turns that hang into a typed
+        :class:`~repro.exceptions.ServingError`; the live path is
+        unchanged (the ``task_done`` notify wakes the wait early).
+        """
+        q = self._queue
+        with q.all_tasks_done:
+            while q.unfinished_tasks:
+                worker = self._worker
+                if worker is None or not worker.is_alive():
+                    raise ServingError(
+                        f"async ingestion worker is dead with "
+                        f"{q.unfinished_tasks} queued block(s) unprocessed; "
+                        f"the queue can never drain, so the stream cannot "
+                        f"be flushed"
+                    )
+                q.all_tasks_done.wait(timeout=0.05)
+
+    def pump(self, max_blocks: int | None = None) -> int:
+        """Process up to ``max_blocks`` queued blocks inline (manual mode).
+
+        Returns the number of blocks processed.  The test suite uses this
+        to enumerate queue interleavings deterministically.
+        """
+        if self.mode != "manual":
+            raise ServingError("pump() is only available in mode='manual'")
+        self._raise_if_unusable()
+        processed = 0
+        while max_blocks is None or processed < max_blocks:
+            try:
+                item = self._queue.get_nowait()
+            except queue.Empty:
+                break
+            self._process_block(*item)
+            processed += 1
+        return processed
+
+    def _drain_queue(self) -> None:
+        """Ingest every queued block now; the caller holds the ingestion lock.
+
+        Producers validate and enqueue under the same lock, and the async
+        worker dequeues under it, so after this returns no block validated
+        against the current front state is still waiting — state changes
+        made before the lock is released (a tenant add or remove) never
+        meet a block validated before them.  A drained block that fails
+        poisons an async stream as the worker would, and raises here.
+        """
+        if self.mode == "manual":
+            self.pump()
+        while self.mode == "async":
+            try:
+                item = self._queue.get_nowait()
+            except queue.Empty:
+                break
+            self._consume(item)
+        self._raise_if_unusable()
+
+    def close(self) -> None:
+        """Flush, stop every worker, and refuse further ingestion.
+
+        Workers are reclaimed even when the final flush raises (e.g. a
+        poisoned server): shutdown must never leak the async thread, the
+        group pool, or the remote shard workers.
+
+        Idempotent under concurrency: all of close runs under a dedicated
+        lock (a bare ``_closed`` check-then-act would let two concurrent
+        closers both run the teardown — double ``_CLOSE`` sentinels, a
+        ``join`` on a reset ``_worker``, double executor shutdown), so a
+        second caller blocks until the first finishes, then returns.
+        """
+        with self._close_lock:
+            self._close_locked()
+
+    def _close_locked(self) -> None:
+        if self._closed:
+            return
+        # Stop the health-check loop first: an auto-restart racing the
+        # teardown would re-boot workers close is about to reap.
+        self._heartbeat_stop.set()
+        try:
+            if self._error is None:
+                self.flush()
+        finally:
+            with self._lock:
+                self._closed = True
+            if self._heartbeat_thread is not None:
+                # Bounded: the loop might be mid-ping on a wedged worker
+                # (daemon thread — safe to abandon past the deadline).
+                self._heartbeat_thread.join(timeout=5.0)
+                self._heartbeat_thread = None
+            if self._worker is not None:
+                self._queue.put(_CLOSE)
+                self._worker.join()
+                self._worker = None
+            if self._group_executor is not None:
+                self._group_executor.shutdown(wait=True)
+                self._group_executor = None
+            for shard in self._shards:
+                shard.shutdown()
+            if self._owns_listener:
+                self._listener.close()
+            # Release parked wait_for_version callers (no further publish
+            # can ever satisfy them); served entries stay readable.
+            self._close_reads()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    # ------------------------------------------------------------------
+    # Books and diagnostics
+    # ------------------------------------------------------------------
+
+    @property
+    def steps_ingested(self) -> int:
+        """Points fully processed into shard mechanisms (logical ``t``)."""
+        return self._processed
+
+    @property
+    def steps_enqueued(self) -> int:
+        """Points accepted at the API boundary (≥ ``steps_ingested``)."""
+        return self._enqueued
+
+    @property
+    def blocks_routed(self) -> int:
+        """Blocks assigned a shard so far (monotone — feeds the callable
+        router's ``block_index``, so refunds never reuse an index)."""
+        return self._blocks_routed
+
+    @property
+    def blocks_refunded(self) -> int:
+        """Routed blocks whose ingestion failed or was never attempted
+        (fail-stop casualties); their reservations were refunded, so
+        ``blocks_routed − blocks_refunded`` counts committed blocks."""
+        return self._blocks_refunded
+
+    def shard_states(self) -> list[dict]:
+        """Per-shard liveness and load snapshot (diagnostics)."""
+        with self._lock:
+            return [
+                {"index": s.index, "alive": s.alive, "steps": s.steps}
+                for s in self._shards
+            ]
+
+    def heartbeat_stats(self) -> dict:
+        """Counters from the health-check loop (one consistent snapshot).
+
+        ``pings`` (successful probes), ``deaths_detected`` (probes that
+        found a dead/stuck worker and booked its loss),
+        ``restarts`` (``restart_policy="auto"`` recoveries), ``errors``
+        (probe or restart failures that were neither — e.g. a refused
+        restart under basic composition).  All zero when
+        ``heartbeat_every`` is unset.
+        """
+        with self._lock:
+            return dict(self._heartbeat)
+
+    def _heartbeat_loop(self) -> None:
+        """The health-check daemon: ping every live shard, book deaths.
+
+        Shares the ingestion lock, so probes are serialized with real
+        traffic — a ping can never interleave mid-RPC on a worker's wire.
+        With a ``request_timeout`` a *stuck* worker fails its ping within
+        the deadline; without one the probe only catches *crashed*
+        workers (pipe/socket EOF fails fast).  Under
+        ``restart_policy="auto"`` any dead shard found is restarted on
+        the spot with :meth:`restart_shard` semantics (reentrant — the
+        ingestion lock is an RLock).
+        """
+        while not self._heartbeat_stop.wait(self.heartbeat_every):
+            with self._lock:
+                if self._closed:
+                    return
+                for shard in self._shards:
+                    if not shard.alive:
+                        continue
+                    probe = getattr(shard, "ping", None)
+                    try:
+                        if probe is not None:
+                            probe()
+                        self._heartbeat["pings"] += 1
+                    except ShardUnavailableError:
+                        self._heartbeat["deaths_detected"] += 1
+                        self._note_shard_death(shard)
+                    except Exception:  # pragma: no cover - defensive
+                        self._heartbeat["errors"] += 1
+                if self.restart_policy == "auto":
+                    for index in range(self.shards_count):
+                        if self._shards[index].alive:
+                            continue
+                        try:
+                            self.restart_shard(index)
+                            self._heartbeat["restarts"] += 1
+                        except Exception:
+                            # e.g. budget refusal under basic composition:
+                            # the shard stays dead, merges stay partial.
+                            self._heartbeat["errors"] += 1
+
+    def memory_floats(self) -> int:
+        """Floats held by the shard mechanisms."""
+        with self._lock:
+            total = 0
+            for shard in self._shards:
+                try:
+                    total += shard.memory_floats()
+                except ShardUnavailableError:
+                    # Crash detected by the diagnostic itself: a dead
+                    # worker holds nothing, and its mass is booked lost.
+                    self._note_shard_death(shard)
+        return total
+
+    # ------------------------------------------------------------------
+    # Shard lifecycle (fault injection / recovery)
+    # ------------------------------------------------------------------
+
+    def _shard_index(self, index: int) -> int:
+        index = check_int("index", index, minimum=0)
+        if index >= self.shards_count:
+            raise ValidationError(
+                f"shard index {index} out of range [0, {self.shards_count})"
+            )
+        return index
+
+    def kill_shard(self, index: int) -> None:
+        """Simulate a shard worker dying: its mechanisms (and mass) are lost.
+
+        Under the remote transports this kills the worker (SIGKILL /
+        severed socket) — a real crash, not a graceful stop.  Idempotent.
+        Subsequent merges degrade to partial coverage; on a multi-tenant
+        front the loss applies to every tenant at once, because the shard
+        held one sub-stream shared by all of them.
+        """
+        index = self._shard_index(index)
+        with self._lock:
+            shard = self._shards[index]
+            shard.kill()
+            self._note_shard_death(shard)
+
+    def restart_shard(self, index: int) -> None:
+        """Bring a dead shard back with fresh mechanisms over a fresh sub-stream.
+
+        Under ``composition="parallel"`` the restarted shard's new
+        mechanisms cover only points routed after the restart — still a
+        partition of the logical stream, so the parallel-composition
+        privacy argument is unchanged and the restart is free.  Under
+        ``composition="basic"`` disjointness is exactly what could not be
+        certified, so the replacement mechanisms' ``(ε/K, δ/K)`` budget is
+        charged to the accountant — which raises
+        :class:`~repro.exceptions.PrivacyBudgetError` when the ledger has
+        no headroom left (the evenly-split default consumes the whole
+        budget up front, so such restarts are refused).  The mass the dead
+        shard had ingested stays lost (and reported) either way.  The
+        replacement is built from the front's *current* state (a
+        multi-tenant shard comes back with the current tenants).
+        """
+        index = self._shard_index(index)
+        with self._lock:
+            old = self._shards[index]
+            if old.alive:
+                raise ServingError(
+                    f"shard {index} is alive; kill_shard() before restarting"
+                )
+            # The replacement removes the dead worker from every later
+            # sweep, so its loss must be booked here if no other path got
+            # to it first.
+            self._note_shard_death(old)
+            if self.composition == "basic":
+                # One atomic charge for the replacement bundle's
+                # mechanisms; PrivacyAccountant.charge rolls itself back
+                # on refusal.
+                self.accountant.charge(
+                    f"shard{index}:moments(restart)",
+                    bundle_budgets(old.budget, (1.0,) * self._entries)[0],
+                    count=self._entries,
+                )
+            rngs = self._rng.spawn(self._entries)
+            self._shards[index] = self._make_shard(index, old.budget, rngs)
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+
+    def _raise_if_unusable(self) -> None:
+        if self._closed:
+            raise ServingError(f"{type(self).__name__} is closed")
+        if self._error is not None:
+            raise ServingError(
+                f"asynchronous ingestion failed: {self._error}"
+            ) from self._error
+
+    def _route(self, xs: np.ndarray, ys: np.ndarray):
+        """Pick the target shard for the next block (skipping dead shards)."""
+        if callable(self._router):
+            start = int(self._router(self._blocks_routed, xs, ys)) % self.shards_count
+        else:
+            start = self._next_shard
+            self._next_shard = (self._next_shard + 1) % self.shards_count
+        for offset in range(self.shards_count):
+            shard = self._shards[(start + offset) % self.shards_count]
+            if shard.alive:
+                return shard
+        raise ShardUnavailableError("every shard is dead; nothing can ingest")
+
+    def _process_block(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        """Ingest one routed block under the lock, then run any due refresh.
+
+        The single definition of the failure semantics every ingestion
+        mode (sync, pump, worker) shares: an *ingest* failure leaves the
+        block unconsumed — routing raises before any mechanism advances,
+        and the mechanisms validate and check capacity before consuming
+        anything — so the block's horizon reservation is released here and
+        a retry is safe.  A *refresh* failure happens after the block is
+        committed — its capacity must stay consumed (re-ingesting the same
+        points would exceed the noise calibration), and only the solve is
+        retried (``flush`` re-runs it because ``_last_refresh_t`` only
+        advances on success).
+        """
+        with self._lock:
+            try:
+                self._ingest_block(xs, ys)
+            except BaseException:
+                self._enqueued -= len(ys)
+                raise
+            if self._should_refresh():
+                self._refresh()
+
+    def _ingest_block(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        shard = self._route(xs, ys)
+        self._blocks_routed += 1
+        try:
+            shard.ingest(xs, ys, self._fast)
+        except BaseException:
+            # The block itself was not acknowledged and is refunded by the
+            # caller, so a retry routes again.  If the shard died under it
+            # (a remote worker crashed, or its bundle tore mid-block —
+            # BundlePartialCommitError), its previously acknowledged mass
+            # is lost; any other failure (capacity, validation) leaves the
+            # shard alive and this is a no-op.
+            self._note_shard_death(shard)
+            self._blocks_refunded += 1
+            raise
+        self._processed += len(ys)
+
+    def _should_refresh(self) -> bool:
+        if self.refresh_every is None:
+            return True
+        if self.horizon is not None and self._processed >= self.horizon:
+            return True
+        return (
+            self._processed // self.refresh_every
+            > self._last_refresh_t // self.refresh_every
+        )
+
+    def _refresh(self) -> None:
+        """Merge + solve + publish (``_solve``), then mark the stream fresh.
+
+        ``_last_refresh_t`` advances only once the solve completes, so a
+        failed solve leaves the stream marked stale and the next ``flush``
+        or scheduled refresh retries it instead of silently serving an
+        outdated estimate.
+        """
+        self._solve()
+        self._last_refresh_t = self._processed
+
+    def _note_shard_death(self, shard) -> None:
+        """Credit a dead worker's acknowledged mass to ``lost_steps`` — once.
+
+        The single definition of the loss-accounting rule, so every path
+        that can *observe* a death (commanded kill, crash detected during
+        ingest, a bundle torn mid-block, during a merge, or by a
+        diagnostic) funnels through the same once-only ledger update and
+        no detection order can drop or double-count mass.  ``steps`` only
+        advances on fully committed bundles, so a torn bundle's partial
+        block is never counted into the loss.  No-op while the shard is
+        alive or after its loss is already booked.
+        """
+        if not shard.alive and not shard.lost_accounted:
+            shard.lost_accounted = True
+            self.lost_steps += shard.steps
+
+    def _released_handles(self, shard):
+        """One shard's merge handles in bundle order, or ``None`` if dead.
+
+        A remote worker found dead *here* (crashed since its last
+        acknowledgement) is folded into the partial-coverage path on the
+        spot: its mass is accounted as lost and the merge proceeds over
+        the survivors, instead of failing the refresh.  Deaths detected
+        earlier by paths that could not account them are swept up here
+        too — every served estimate is preceded by a merge, so the books
+        are settled before coverage is reported.
+        """
+        if shard.alive:
+            try:
+                return shard.released()
+            except ShardUnavailableError:
+                pass
+        self._note_shard_death(shard)
+        return None
+
+    def _consume(self, item) -> None:
+        """Process one dequeued block the way the async worker does."""
+        try:
+            if self._error is None:
+                try:
+                    self._process_block(*item)
+                except BaseException as exc:  # surfaced on the next API call
+                    self._error = exc
+            else:
+                # A poisoned worker drops the block; refund its horizon
+                # reservation so the books match what was ingested.
+                self._enqueued -= len(item[1])
+        finally:
+            self._queue.task_done()
+
+    def _worker_loop(self) -> None:
+        """The async worker: dequeue and process each block under the lock.
+
+        Waiting happens outside the lock; the dequeue itself happens under
+        it, so a block is never in flight where :meth:`_drain_queue` (run
+        under the lock) cannot see it.
+        """
+        q = self._queue
+        while True:
+            with q.not_empty:
+                while not q.queue:
+                    q.not_empty.wait()
+            with self._lock:
+                try:
+                    item = q.get_nowait()
+                except queue.Empty:
+                    continue  # drained under the lock by someone else
+                if item is _CLOSE:
+                    q.task_done()
+                    return
+                self._consume(item)
+
+
+class ShardedStream(ShardFront, HubReads):
     """A sharded, optionally asynchronous, algorithm-generic serving front.
 
     Fronts **Algorithm 2** (``backend="moment"``, the default: raw
@@ -63,15 +982,14 @@ class ShardedStream:
     ``m ≪ d``, solved by a ``PrivIncReg2`` sharing that same ``Φ``), the
     **private-sketch** variant (``backend="sketch"``: the same shared
     ``Φ`` geometry but sparse-JL, with per-block sketch-side noise in
-    place of tree noise — :class:`SketchShard`), or **private two-stage
-    least squares** (``backend="iv"``: shards carry the three-entry
-    (ZᵀZ, ZᵀX, Zᵀy) moment bundle over stacked ``[z | x]`` blocks, solved
-    by a :class:`~repro.core.priv_inc_iv.PrivIncIV` —
-    :class:`IVMomentShard`).  The routing, merge rule, budget ledger,
-    cache, async queue, and fault semantics are backend-agnostic — a
-    backend is just a *moment bundle declaration*
-    (:class:`~repro.streaming.moments.MomentBundle`), and all bundles pin
-    their streams' sensitivity at Δ₂ = 2, so the per-statistic
+    place of tree noise), or **private two-stage least squares**
+    (``backend="iv"``: shards carry the three-entry (ZᵀZ, ZᵀX, Zᵀy)
+    moment bundle over stacked ``[z | x]`` blocks, solved by a
+    :class:`~repro.core.priv_inc_iv.PrivIncIV`).  The routing, merge rule,
+    budget ledger, cache, async queue, and fault semantics are
+    backend-agnostic (:class:`ShardFront`) — a backend is one declaration
+    in :data:`~repro.streaming.backends.BACKENDS`, and all declared
+    statistics pin their sensitivity at Δ₂ = 2, so the per-statistic
     calibration and the noise-preserving merge carry over unchanged.
 
     Parameters
@@ -190,7 +1108,7 @@ class ShardedStream:
         ``"projected"`` (Algorithm 3's shared-Φ projected-moment shards;
         requires ``mechanism="tree"`` and a ``horizon``), ``"sketch"``
         (shared sparse-JL ``Φ`` with per-block sketch-side noise instead
-        of tree noise — :class:`SketchShard`; requires
+        of tree noise; requires
         ``mechanism="tree"`` and a ``horizon``, refuses ``decay`` and
         ``window``), or ``"iv"`` (private two-stage least squares:
         three-statistic (zz, zx, zy) shard bundles over stacked
@@ -291,119 +1209,31 @@ class ShardedStream:
         iteration_cap: int = 400,
         rng: np.random.Generator | int | None = None,
     ) -> None:
-        if ingest not in ("exact", "fast"):
-            raise ValidationError(f"ingest must be 'exact' or 'fast', got {ingest!r}")
-        if backend not in ("moment", "projected", "sketch", "iv"):
-            raise ValidationError(
-                f"backend must be 'moment', 'projected', 'sketch' or 'iv', "
-                f"got {backend!r}"
-            )
-        if backend in ("moment", "iv") and not (
-            x_domain is None
-            and projection is None
-            and projected_dim is None
-            and gamma is None
-        ):
-            raise ValidationError(
-                "x_domain/projection/projected_dim/gamma only apply to "
-                "backend='projected' or 'sketch'"
-            )
-        if backend == "iv":
-            if instruments is None:
+        declaration = backend_declaration(backend)
+        knobs = dict(
+            instruments=instruments,
+            x_domain=x_domain,
+            projection=projection,
+            projected_dim=projected_dim,
+            gamma=gamma,
+            sparsity_factor=sparsity_factor,
+        )
+        for knob in BACKEND_KNOBS:
+            if knobs[knob] is not None and knob not in declaration.knobs:
                 raise ValidationError(
-                    "backend='iv' needs instruments (the width p of the z "
-                    "prefix of each stacked [z | x] block)"
+                    f"{knob} does not apply to backend={backend!r}"
                 )
-            instruments = check_int("instruments", instruments, minimum=1)
-        elif instruments is not None:
-            raise ValidationError("instruments only applies to backend='iv'")
-        if sparsity_factor is not None:
-            if backend != "sketch":
-                raise ValidationError(
-                    "sparsity_factor only applies to backend='sketch' (it "
-                    "sizes the sparse-JL Φ the sketch backend draws)"
-                )
-            sparsity_factor = check_int(
-                "sparsity_factor", sparsity_factor, minimum=1
-            )
-        if backend in ("projected", "sketch") and mechanism != "tree":
+        if declaration.needs_tree and mechanism != "tree":
             raise ValidationError(
-                f"backend={backend!r} needs tree shards (there is no "
-                "horizon-free projected solver; Algorithm 3 assumes a known T)"
-            )
-        if backend == "iv" and mechanism != "tree":
-            raise ValidationError(
-                "backend='iv' needs tree shards (the two-stage solver "
-                "assumes a known horizon T)"
-            )
-        if mechanism not in ("tree", "hybrid"):
-            raise ValidationError(
-                f"mechanism must be 'tree' or 'hybrid', got {mechanism!r}"
-            )
-        if mode not in ("sync", "async", "manual"):
-            raise ValidationError(
-                f"mode must be 'sync', 'async', or 'manual', got {mode!r}"
-            )
-        if transport not in ("thread", "process", "tcp"):
-            raise ValidationError(
-                f"transport must be 'thread', 'process', or 'tcp', got "
-                f"{transport!r}"
-            )
-        if request_timeout is not None:
-            if transport == "thread":
-                raise ValidationError(
-                    "request_timeout needs a wire to deadline "
-                    "(transport='process' or 'tcp'); in-process shard "
-                    "calls are plain method calls"
-                )
-            if not request_timeout > 0:
-                raise ValidationError(
-                    f"request_timeout must be positive (seconds) or None, "
-                    f"got {request_timeout!r}"
-                )
-        if addresses is not None and transport != "tcp":
-            raise ValidationError(
-                "addresses only applies to transport='tcp'"
-            )
-        if restart_policy not in ("never", "auto"):
-            raise ValidationError(
-                f"restart_policy must be 'never' or 'auto', got "
-                f"{restart_policy!r}"
-            )
-        if heartbeat_every is not None and not heartbeat_every > 0:
-            raise ValidationError(
-                f"heartbeat_every must be positive (seconds) or None, got "
-                f"{heartbeat_every!r}"
-            )
-        if restart_policy == "auto" and heartbeat_every is None:
-            raise ValidationError(
-                "restart_policy='auto' is driven by the health-check loop; "
-                "set heartbeat_every"
-            )
-        if ingest == "fast" and mechanism != "tree":
-            raise ValidationError(
-                "ingest='fast' needs tree shards (advance_sum is a "
-                "TreeMechanism serving path)"
+                f"backend={backend!r} needs tree shards (its solver assumes "
+                f"a known horizon T)"
             )
         decay, window = check_release_knobs(decay, window)
-        if backend == "sketch" and decay is not None:
-            raise ValidationError(
-                "decay is not supported with backend='sketch': per-block "
-                "sketch noise keeps no node subtotals to fade; use "
-                "backend='moment' or 'projected' for decayed streams"
-            )
-        if backend == "sketch" and window is not None:
-            raise ValidationError(
-                "window is not supported with backend='sketch': per-block "
-                "sketch noise cannot expire elements; use window= with the "
-                "tree backends"
-            )
-        if backend == "iv" and (decay is not None or window is not None):
-            raise ValidationError(
-                "decay/window are not supported with backend='iv': the "
-                "two-stage solve has no non-stationary utility theory yet; "
-                "use the single-equation backends for drifting streams"
-            )
+        for knob, value in (("decay", decay), ("window", window)):
+            if value is not None and knob in declaration.refuses:
+                raise ValidationError(
+                    f"{knob} is not supported with backend={backend!r}"
+                )
         if window is not None and math.isinf(window) and mechanism != "tree":
             raise ValidationError(
                 "window=inf is the degenerate never-expiring window (one "
@@ -416,435 +1246,111 @@ class ShardedStream:
                 "pre-reduced block totals advance_sum consumes cannot be "
                 "split at chunk expiry boundaries; use ingest='exact'"
             )
-        if mechanism == "tree" and horizon is None:
-            raise ValidationError(
-                "mechanism='tree' needs a horizon (use mechanism='hybrid' "
-                "for horizon-free serving)"
-            )
-        if router != "round_robin" and not callable(router):
-            raise ValidationError(
-                f"router must be 'round_robin' or a callable, got {router!r}"
-            )
-        if callable(router) and composition == "parallel":
-            # A data-dependent router breaks the disjointness argument the
-            # full-budget parallel mode relies on: a neighboring stream can
-            # re-route a block, changing TWO shards' transcripts.  The
-            # library cannot verify a callable is data-independent, so it
-            # refuses the unsound combination rather than under-reporting
-            # the privacy loss.
-            raise ValidationError(
-                "a callable router cannot be certified disjoint under "
-                "neighboring streams; use composition='basic' (per-shard "
-                "(ε/K, δ/K)) with custom routing"
-            )
-        self.constraint = constraint
-        self.params = params
-        self.dim = constraint.dim
-        self.shards_count = check_int("shards", shards, minimum=1)
-        self.horizon = (
-            None if horizon is None else check_int("horizon", horizon, minimum=1)
-        )
-        self.refresh_every = (
-            None
-            if refresh_every is None
-            else check_int("refresh_every", refresh_every, minimum=1)
-        )
-        self.ingest = ingest
-        self.mechanism = mechanism
+        self.backend = backend
+        self._declaration = declaration
+        self._knobs = knobs
         self.decay = decay
         self.window = window
-        self.composition = composition
-        self.mode = mode
-        self.transport = transport
-        self.request_timeout = request_timeout
-        self.heartbeat_every = heartbeat_every
-        self.restart_policy = restart_policy
-        # transport="tcp" with no addresses: boot a private loopback
-        # listener owned (and closed) by this stream — single-host tcp
-        # with zero setup.  Explicit addresses mean the listeners are
-        # someone else's lifecycle (other hosts); we only connect.
-        self._listener: ShardHostListener | None = None
-        self._owns_listener = False
-        if transport == "tcp":
-            if addresses is None:
-                self._listener = ShardHostListener()
-                self._owns_listener = True
-                addresses = [self._listener.address]
-            self.addresses = tuple(
-                ShardAddress.coerce(address) for address in addresses
-            )
-        else:
-            self.addresses = None
-        self._router = router
-        self._rng = check_rng(rng)
-        self._fast = ingest == "fast"
-
-        if shard_horizon is not None and self.mechanism != "tree":
-            raise ValidationError(
-                "shard_horizon only applies to mechanism='tree' (hybrid "
-                "shards are horizon-free)"
-            )
-        if shard_horizon is None:
-            shard_horizon = self.horizon
-        else:
-            shard_horizon = check_int("shard_horizon", shard_horizon, minimum=1)
-        self.shard_horizon = shard_horizon if self.mechanism == "tree" else None
-
-        self.backend = backend
-        self.instruments = instruments
-        # The named statistics every shard's bundle declares, in order —
-        # ("cross", "gram") for the single-equation backends, ("zz",
-        # "zx", "zy") for iv.  Everything downstream (rng spawn, ledger
-        # labels, merge slots, refresh dispatch) is keyed off this tuple.
-        self.bundle_names = bundle_names(backend)
-        # Width of an ingested block row: the estimand dimension, plus
-        # the stacked instrument prefix under backend="iv".
-        self._block_dim = (
-            self.dim + instruments if backend == "iv" else self.dim
-        )
         self.x_domain = x_domain
-        self._solver_gamma = gamma
-        if backend in ("projected", "sketch"):
-            if solver is None and x_domain is None:
-                raise ValidationError(
-                    f"backend={backend!r} needs x_domain for the default "
-                    "PrivIncReg2 solver (or pass an explicit solver)"
-                )
-            if projection is not None:
-                if sparsity_factor is not None:
-                    raise ValidationError(
-                        "sparsity_factor sizes the internally drawn sparse "
-                        "Φ; it cannot rewire a pre-built projection — pass "
-                        "SparseProjection(..., sparsity_factor=s) directly"
-                    )
-                if projection.original_dim != self.dim:
-                    raise ValidationError(
-                        f"projection maps from dim {projection.original_dim}, "
-                        f"expected {self.dim}"
-                    )
-                self.projection = projection
-            else:
-                if projected_dim is None:
-                    if x_domain is None:
-                        raise ValidationError(
-                            f"backend={backend!r} needs x_domain (or an "
-                            "explicit projection/projected_dim) to size Φ"
-                        )
-                    _, _, projected_dim = projected_sizing(
-                        self.horizon, constraint, x_domain, beta=beta, gamma=gamma
-                    )
-                else:
-                    projected_dim = check_int(
-                        "projected_dim", projected_dim, minimum=1
-                    )
-                # Φ is drawn from the front's generator BEFORE the shard
-                # spawn — the same consumption order as a plain PrivIncReg2,
-                # which keeps the K=1 shard children identical to the plain
-                # estimator's two trees.
-                if backend == "sketch":
-                    self.projection = SparseProjection(
-                        self.dim,
-                        projected_dim,
-                        sparsity_factor=(
-                            3 if sparsity_factor is None else sparsity_factor
-                        ),
-                        rng=self._rng,
-                    )
-                else:
-                    self.projection = GaussianProjection(
-                        self.dim, projected_dim, rng=self._rng
-                    )
-            self.projected_dim = self.projection.projected_dim
-        else:
-            self.projection = None
-            self.projected_dim = None
-        self.sparsity_factor = getattr(self.projection, "sparsity_factor", None)
-
-        budgets = shard_budgets(params, self.shards_count, composition)
-        # One independent child generator per bundle entry per shard —
-        # shard i consumes the contiguous slice [n·i, n·(i+1)).  For the
-        # default two-entry bundle this is the historical spawn(2K) with
-        # children 2i/2i+1, byte-for-byte.
-        entries = len(self.bundle_names)
-        children = self._rng.spawn(entries * self.shards_count)
-        shards: list[MomentShard] = []
-        try:
-            for i in range(self.shards_count):
-                shards.append(
-                    self._make_shard(
-                        i, budgets[i], children[entries * i : entries * (i + 1)]
-                    )
-                )
-        except BaseException:
-            # A failed shard (e.g. a process worker whose spawn payload
-            # would not pickle) must not leak the workers already booted,
-            # nor the self-hosted tcp listener.
-            for shard in shards:
-                shard.shutdown()
-            if self._owns_listener:
-                self._listener.close()
-            raise
-        self._shards = shards
-
-        # The logical budget ledger.  Under parallel composition the whole
-        # sharded release costs what ONE shard costs (disjoint sub-streams);
-        # under basic composition the per-shard charges sum back to the
-        # total.  Either way the ledger stays within `params`, with one
-        # labelled charge per bundle statistic (for the default bundle:
-        # the historical cross/gram pair at params.halve(), bit-exactly).
-        self.accountant = PrivacyAccountant(params, mode="basic")
-        weights = (1.0,) * entries
-        if composition == "parallel":
-            for name, piece in zip(self.bundle_names, bundle_budgets(params, weights)):
-                self.accountant.charge(f"shards:{name}-moments(parallel)", piece)
-        else:
-            for shard in self._shards:
-                pieces = bundle_budgets(shard.budget, weights)
-                for name, piece in zip(self.bundle_names, pieces):
-                    self.accountant.charge(
-                        f"shard{shard.index}:{name}-moments", piece
-                    )
-
-        if solver is None:
-            solver = self._default_solver(beta, fidelity, iteration_cap)
+        self.gamma = gamma
         self.solver = solver
-
-        # The hub is the single publish path (cache swap + waiter wakeup +
-        # subscriber fan-out); `self.cache` stays exposed for read-only
-        # inspection and the conformance suites.
-        self._hub = EstimateHub()
-        self.cache = self._hub.cache
-        self._lock = threading.RLock()
-        self._queue: queue.Queue = queue.Queue()
-        self._processed = 0  # logical t: points fully ingested by shards
-        self._enqueued = 0  # points accepted at the API boundary
-        self._blocks_routed = 0
-        self._blocks_refunded = 0
-        self._next_shard = 0
-        self._last_refresh_t = 0
-        self.lost_steps = 0
-        self._error: BaseException | None = None
-        self._closed = False
-        # close() must be serialized on its own lock: it blocks on the
-        # queue drain, and the ingestion lock is exactly what the worker
-        # needs to finish that drain.
-        self._close_lock = threading.Lock()
-        self._group_executor: ThreadPoolExecutor | None = None
-        # Publish the solver's initial parameter so reads never block.
-        self._hub.publish(
-            self.solver.current_estimate(),
-            self.solver.estimate_version,
-            timestep=0,
-            covered_steps=0,
+        super().__init__(
+            constraint,
+            params,
+            shards,
+            horizon=horizon,
+            refresh_every=refresh_every,
+            ingest=ingest,
+            mechanism=mechanism,
+            composition=composition,
+            router=router,
+            mode=mode,
+            transport=transport,
+            request_timeout=request_timeout,
+            addresses=addresses,
+            heartbeat_every=heartbeat_every,
+            restart_policy=restart_policy,
+            shard_horizon=shard_horizon,
+            beta=beta,
+            fidelity=fidelity,
+            iteration_cap=iteration_cap,
+            rng=rng,
         )
-        self._worker: threading.Thread | None = None
-        if mode == "async":
-            self._worker = threading.Thread(
-                target=self._worker_loop, name="sharded-stream-worker", daemon=True
-            )
-            self._worker.start()
-        # The health-check loop: detects dead/stuck shards between RPCs.
-        # Started last so a constructor failure never leaks it.
-        self._heartbeat = {
-            "pings": 0,
-            "deaths_detected": 0,
-            "restarts": 0,
-            "errors": 0,
-        }
-        self._heartbeat_stop = threading.Event()
-        self._heartbeat_thread: threading.Thread | None = None
-        if heartbeat_every is not None:
-            self._heartbeat_thread = threading.Thread(
-                target=self._heartbeat_loop,
-                name="sharded-stream-heartbeat",
-                daemon=True,
-            )
-            self._heartbeat_thread.start()
 
-    def _make_shard(
-        self,
-        index: int,
-        budget: PrivacyParams,
-        rngs,
-    ) -> MomentShard:
-        """Construct one shard worker for the configured backend + transport.
+    def _declare(self, beta: float) -> int:
+        """Configure the backend (draws a shared ``Φ`` first, if any)."""
+        declaration = self._declaration
+        self.config = declaration.configure(
+            self.backend, self, dict(self._knobs, beta=beta)
+        )
+        self.projection = self.config.get("projection")
+        self.projected_dim = getattr(self.projection, "projected_dim", None)
+        self.sparsity_factor = getattr(self.projection, "sparsity_factor", None)
+        self.instruments = self.config.get("instruments")
+        # The named statistics every shard's bundle declares, in order —
+        # everything downstream (rng spawn, ledger labels, merge slots,
+        # refresh dispatch) is keyed off this tuple.
+        self.bundle_names = declaration.names(self.dim, self.config)
+        # Width of an ingested block row (the stacked [z | x] width for iv).
+        self._block_dim = declaration.block_width(self.dim, self.config)
+        return len(self.bundle_names)
 
-        ``rngs`` is the shard's contiguous slice of the front's spawn —
-        one child per bundle statistic, in bundle order.  The remote
-        transports pack the identical configuration — same rng children,
-        same budget, same shared ``Φ`` — into a picklable
-        :class:`~repro.streaming.transport.ShardSpec` and boot a proxy
-        around it (:class:`~repro.streaming.transport.ProcessShardWorker`
-        over a pipe, or
-        :class:`~repro.streaming.netserve.TcpShardWorker` against
-        ``addresses[index % len(addresses)]``), so every transport builds
-        byte-for-byte the same mechanisms and consumes randomness
-        identically.  Two-entry bundles ride the historical
-        ``cross_rng``/``gram_rng`` spec fields (the wire payload is
-        unchanged); wider bundles use the ``rngs`` field.
-        """
-        rngs = tuple(rngs)
-        if self.transport in ("process", "tcp"):
-            if self.backend == "iv":
-                spec = ShardSpec(
-                    index=index,
-                    dim=self.dim,
-                    budget=budget,
-                    mechanism=self.mechanism,
-                    shard_horizon=self.shard_horizon,
-                    backend=self.backend,
-                    decay=self.decay,
-                    window=self.window,
-                    instruments=self.instruments,
-                    rngs=rngs,
-                )
-            else:
-                spec = ShardSpec(
-                    index=index,
-                    dim=self.dim,
-                    budget=budget,
-                    cross_rng=rngs[0],
-                    gram_rng=rngs[1],
-                    mechanism=self.mechanism,
-                    shard_horizon=self.shard_horizon,
-                    backend=self.backend,
-                    projection=self.projection,
-                    decay=self.decay,
-                    window=self.window,
-                )
-            if self.transport == "tcp":
-                return TcpShardWorker(
-                    spec,
-                    self.addresses[index % len(self.addresses)],
-                    request_timeout=self.request_timeout,
-                )
-            return ProcessShardWorker(
-                spec, request_timeout=self.request_timeout
-            )
-        if self.backend == "iv":
-            return IVMomentShard(
-                index=index,
-                dim=self.dim,
-                budget=budget,
-                rngs=rngs,
-                instruments=self.instruments,
-                mechanism=self.mechanism,
-                shard_horizon=self.shard_horizon,
-                decay=self.decay,
-                window=self.window,
-            )
-        if self.backend in ("projected", "sketch"):
-            shard_cls = (
-                SketchShard if self.backend == "sketch" else ProjectedMomentShard
-            )
-            return shard_cls(
-                index=index,
-                dim=self.dim,
-                budget=budget,
-                cross_rng=rngs[0],
-                gram_rng=rngs[1],
-                projection=self.projection,
-                mechanism=self.mechanism,
-                shard_horizon=self.shard_horizon,
-                decay=self.decay,
-                window=self.window,
-            )
-        return MomentShard(
+    def _shard_spec(self, index: int, budget: PrivacyParams, rngs) -> ShardSpec:
+        return ShardSpec(
             index=index,
             dim=self.dim,
             budget=budget,
-            cross_rng=rngs[0],
-            gram_rng=rngs[1],
+            rngs=rngs,
+            backend=self.backend,
+            config=self.config,
             mechanism=self.mechanism,
             shard_horizon=self.shard_horizon,
             decay=self.decay,
             window=self.window,
         )
 
-    def _group_pool(self) -> ThreadPoolExecutor:
-        """The persistent group-ingestion thread pool (lazily created).
+    def _charge_ledger(self) -> None:
+        """One labelled charge per bundle statistic.
 
-        One pool per front, reused across :meth:`observe_group` calls, so
-        per-group overhead is task dispatch only — creating threads per
-        group would dominate small blocks.  Sized at ``K``: there is never
-        more than one task per shard queue in flight.
+        Under parallel composition the whole sharded release costs what
+        ONE shard costs (disjoint sub-streams); under basic composition
+        the per-shard charges sum back to the total.  For the default
+        bundle: the historical cross/gram pair at ``params.halve()``,
+        bit-exactly.
         """
-        if self._group_executor is None:
-            self._group_executor = ThreadPoolExecutor(
-                max_workers=self.shards_count, thread_name_prefix="shard-group"
-            )
-        return self._group_executor
+        weights = (1.0,) * len(self.bundle_names)
+        if self.composition == "parallel":
+            pieces = bundle_budgets(self.params, weights)
+            for name, piece in zip(self.bundle_names, pieces):
+                self.accountant.charge(f"shards:{name}-moments(parallel)", piece)
+            return
+        for shard in self._shards:
+            pieces = bundle_budgets(shard.budget, weights)
+            for name, piece in zip(self.bundle_names, pieces):
+                self.accountant.charge(f"shard{shard.index}:{name}-moments", piece)
 
-    def _default_solver(self, beta: float, fidelity: str, iteration_cap: int):
-        solver_rng = self._rng.spawn(1)[0]
-        if self.backend == "iv":
-            # Shares the bundle's (zz, zx, zy) layout; its own trees never
-            # ingest — served refreshes go through refresh_from_bundle.
-            return PrivIncIV(
-                horizon=self.horizon,
-                constraint=self.constraint,
-                instruments=self.instruments,
-                params=self.params,
-                beta=beta,
-                fidelity=fidelity,
-                iteration_cap=iteration_cap,
-                rng=solver_rng,
+    def _attach_solvers(self, beta: float, fidelity: str, iteration_cap: int) -> None:
+        if self.solver is None:
+            self.solver = self._declaration.solver(
+                self, self.config, self._rng.spawn(1)[0], beta, fidelity, iteration_cap
             )
-        if self.backend in ("projected", "sketch"):
-            # Shares the front's Φ, so refresh_from_released receives merged
-            # moments living in the solver's own projected space; its two
-            # internal trees never ingest (lazy allocation keeps them O(m)).
-            return PrivIncReg2(
-                horizon=self.horizon,
-                constraint=self.constraint,
-                x_domain=self.x_domain,
-                params=self.params,
-                beta=beta,
-                gamma=self._solver_gamma,
-                fidelity=fidelity,
-                iteration_cap=iteration_cap,
-                projection=self.projection,
-                rng=solver_rng,
-            )
-        if self.horizon is not None:
-            return PrivIncReg1(
-                horizon=self.horizon,
-                constraint=self.constraint,
-                params=self.params,
-                beta=beta,
-                fidelity=fidelity,
-                iteration_cap=iteration_cap,
-                rng=solver_rng,
-            )
-        return UnboundedPrivIncReg(
-            self.constraint,
-            self.params,
-            beta=beta,
-            iteration_cap=iteration_cap,
-            rng=solver_rng,
+        # The hub is the single publish path (cache swap + waiter wakeup +
+        # subscriber fan-out); `self.cache` stays exposed for read-only
+        # inspection and the conformance suites.  Publish the solver's
+        # initial parameter so reads never block.
+        self._hub = EstimateHub()
+        self.cache = self._hub.cache
+        self._hub.publish(
+            self.solver.current_estimate(),
+            self.solver.estimate_version,
+            timestep=0,
+            covered_steps=0,
         )
 
-    # ------------------------------------------------------------------
-    # Ingestion API
-    # ------------------------------------------------------------------
-
-    def _validate_block(
-        self, xs: np.ndarray, ys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Shape + unit-domain validation for one block, backend-aware.
-
-        Under ``backend="iv"`` rows are stacked ``[z | x]`` of width
-        ``instruments + dim`` and the unit bounds apply to each factor
-        separately (``‖z‖ ≤ 1, ‖x‖ ≤ 1, |y| ≤ 1`` — the calibration of
-        all three IV statistics); otherwise the paper's plain
-        ``‖x‖ ≤ 1, |y| ≤ 1`` domain.
-        """
+    def _validate_block(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+        """Shape + the backend's unit-domain check for one block."""
         xs, ys = check_xy_block(xs, ys, dim=self._block_dim)
-        if self.backend == "iv":
-            p = self.instruments
-            check_unit_iv_domain("ShardedStream", xs[:, :p], xs[:, p:], ys)
-        else:
-            check_unit_xy_domain("ShardedStream", xs, ys)
+        self._declaration.check_domain(xs, ys, self.config)
         return xs, ys
 
     def observe(self, x: np.ndarray, y: float) -> np.ndarray:
@@ -857,493 +1363,44 @@ class ShardedStream:
         x = check_vector("x", x, dim=self._block_dim)
         return self.observe_batch(x[None, :], np.asarray([float(y)]))
 
-    def observe_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Ingest a block of consecutive points; return the cached estimate.
-
-        The block is validated and accepted (or rejected) atomically at
-        the API boundary, then routed whole to one shard.  ``mode="sync"``
-        processes inline; otherwise the block is enqueued FIFO and this
-        returns without touching the shard trees or the solver.
-        """
-        self._raise_if_unusable()
-        xs, ys = self._validate_block(xs, ys)
-        k = xs.shape[0]
-        # Reserve capacity under the lock: concurrent producers must not
-        # both pass the horizon check (the noise calibration is for T
-        # elements, so overshooting it would be a privacy violation, not a
-        # bookkeeping one).
-        with self._lock:
-            if self.horizon is not None and self._enqueued + k > self.horizon:
-                raise StreamExhaustedError(
-                    f"ShardedStream configured for horizon {self.horizon} "
-                    f"received a block of {k} points at logical step "
-                    f"{self._enqueued}"
-                )
-            self._enqueued += k
-        if self.mode == "sync":
-            self._process_block(xs, ys)
-        else:
-            # Enqueue private copies: check_xy_block may alias the caller's
-            # buffers, and a producer that refills its block buffer before
-            # the worker drains would otherwise feed the trees data that
-            # was never validated (breaking the unit-domain sensitivity
-            # calibration) and diverge from the synchronous path.
-            self._queue.put((np.array(xs), np.array(ys)))
-        return self.current_estimate()
-
-    def observe_group(
-        self,
-        blocks,
-        workers: int | None = None,
-    ) -> np.ndarray:
-        """Ingest a *group* of blocks, thread-parallel across shards.
-
-        Each block of the group is routed exactly as ``len(blocks)``
-        successive :meth:`observe_batch` calls would route it (round-robin
-        over live shards, in group order), but the per-shard work runs
-        concurrently on a thread pool: shards are fully independent — own
-        mechanisms, own generators, a read-only shared ``Φ`` — and the
-        heavy lifting (the BLAS moment products of the ``fast`` tier, the
-        Gaussian draws) releases the GIL, so a group of ``K`` blocks
-        ingests in roughly the time of the largest single block.  One
-        merge + solve runs after the whole group (the refresh cadence
-        still honors ``refresh_every``), so the served estimate is exactly
-        the sequential route's post-group state; per-shard tree releases
-        are bit-identical to the sequential route because each shard
-        consumes its blocks in the same order either way.
-
-        Only ``mode="sync"`` supports groups (async/manual callers already
-        have a queue to overlap ingestion with).
-
-        Parameters
-        ----------
-        blocks:
-            Sequence of ``(xs, ys)`` block pairs (each ``(k_i, d)`` /
-            ``(k_i,)``).  The whole group is validated and reserved
-            against the horizon atomically before anything ingests.
-        workers:
-            Thread-pool width; defaults to one thread per shard that
-            received work.  ``workers=1`` degrades to inline sequential
-            ingestion (useful as a control in benchmarks).
-
-        Raises
-        ------
-        GroupIngestionError
-            If any shard fails mid-group — a per-shard capacity overrun
-            (custom ``shard_horizon``) or, under ``transport="process"``,
-            a worker process dying mid-group: the committed blocks stay
-            committed, the failed blocks' horizon reservation is refunded
-            (a dead worker's previously acknowledged mass goes to
-            ``lost_steps``), and ``failures`` reports which group indices
-            were lost.
-        """
-        self._raise_if_unusable()
-        if self.mode != "sync":
-            raise ServingError(
-                "observe_group requires mode='sync' (async/manual modes "
-                "already pipeline through the ingestion queue)"
-            )
-        blocks = list(blocks)
-        if not blocks:
-            raise ValidationError("block group must contain at least one block")
-        if workers is not None:
-            workers = check_int("workers", workers, minimum=1)
-        validated = []
-        for xs, ys in blocks:
-            xs, ys = self._validate_block(xs, ys)
-            validated.append((xs, ys))
-        total = sum(len(ys) for _, ys in validated)
-        with self._lock:
-            if self.horizon is not None and self._enqueued + total > self.horizon:
-                raise StreamExhaustedError(
-                    f"ShardedStream configured for horizon {self.horizon} "
-                    f"received a group of {total} points at logical step "
-                    f"{self._enqueued}"
-                )
-            self._enqueued += total
-            # On failure _ingest_group has already refunded the failed
-            # blocks' reservation (a pre-ingestion routing failure refunds
-            # everything).
-            self._ingest_group(validated, workers)
-            if self._should_refresh():
-                self._refresh()
-        return self.current_estimate()
-
-    def _ingest_group(self, blocks, workers: int | None) -> None:
-        """Route a validated group, then drain per-shard queues in parallel.
-
-        Routing happens up front (it is order-sensitive shared state);
-        after that each shard's assigned blocks form an independent work
-        queue consumed by one task, so no two threads ever touch the same
-        mechanism.  Failures are per-block atomic (the trees validate and
-        check capacity before consuming), per-shard fail-stop (a shard
-        stops at its first failed block), and fully reported.
-        """
-        routed = 0
-        try:
-            assignments: dict[int, list[tuple[int, MomentShard, np.ndarray, np.ndarray]]] = {}
-            for group_index, (xs, ys) in enumerate(blocks):
-                shard = self._route(xs, ys)
-                self._blocks_routed += 1
-                routed += 1
-                assignments.setdefault(shard.index, []).append(
-                    (group_index, shard, xs, ys)
-                )
-        except BaseException:
-            # A routing failure refunds the whole group: nothing ingested,
-            # so every block counted so far is a refund, not a commit.
-            self._blocks_refunded += routed
-            self._enqueued -= sum(len(ys) for _, ys in blocks)
-            raise
-
-        ingested = 0
-        failures: list[tuple[int, BaseException]] = []
-        failure_lock = threading.Lock()
-
-        def drain_queue(tasks) -> int:
-            """Ingest ONE shard's queue in order; fail-stop that shard only.
-
-            A failed block aborts the rest of *this shard's* queue (its
-            sub-stream order would otherwise gap) and reports every
-            unattempted block of the queue as failed; other shards'
-            queues are unaffected.
-            """
-            done = 0
-            for position, (group_index, shard, xs, ys) in enumerate(tasks):
-                try:
-                    shard.ingest(xs, ys, self._fast)
-                except BaseException as exc:
-                    with failure_lock:
-                        # A crashed process worker's acknowledged mass is
-                        # lost (no-op for ordinary ingest failures — the
-                        # shard is still alive).
-                        self._note_shard_death(shard)
-                        failures.append((group_index, exc))
-                        failures.extend(
-                            (later_index, exc)
-                            for later_index, _, _, _ in tasks[position + 1 :]
-                        )
-                    return done
-                done += len(ys)
-            return done
-
-        def drain_bucket(bucket) -> int:
-            return sum(drain_queue(tasks) for tasks in bucket)
-
-        queues = list(assignments.values())
-        width = min(workers or len(queues), len(queues))
-        if width == 1:
-            ingested = drain_bucket(queues)
-        else:
-            # Bucket whole per-shard queues onto `width` threads of the
-            # persistent pool.  Buckets hold queues (never flattened), so
-            # per-shard order — and with it tree-release bit-identity — is
-            # preserved, and one shard's failure stops only its own queue.
-            buckets: list[list] = [[] for _ in range(width)]
-            for i, tasks in enumerate(queues):
-                buckets[i % width].append(tasks)
-            ingested = sum(self._group_pool().map(drain_bucket, buckets))
-        self._processed += ingested
-        if failures:
-            failures.sort(key=lambda pair: pair[0])
-            lost = sum(
-                len(blocks[group_index][1]) for group_index, _ in failures
-            )
-            self._enqueued -= lost
-            # Every failed block — the one that raised and the unattempted
-            # fail-stop casualties behind it — was refunded above; without
-            # this the routing stats would overcount commits on partial
-            # failure (blocks_routed − blocks_refunded == blocks committed).
-            self._blocks_refunded += len(failures)
-            raise GroupIngestionError(
-                f"{len(failures)} of {len(blocks)} group blocks failed to "
-                f"ingest ({lost} points refunded); first error: "
-                f"{failures[0][1]}",
-                failures=failures,
-            ) from failures[0][1]
-
-    def flush(self) -> ServedEstimate:
-        """Drain pending ingestion and solve through everything processed.
-
-        Blocks until every enqueued block has been processed (async mode
-        waits on the worker; manual mode pumps inline), then — if any mass
-        arrived since the last refresh — runs a final merge + solve so the
-        returned (and cached) estimate covers the full processed stream.
-        """
-        self._raise_if_unusable()
-        if self.mode == "manual":
-            self.pump()
-        elif self.mode == "async":
-            self._join_queue()
-        self._raise_if_unusable()
-        with self._lock:
-            if self._processed > self._last_refresh_t:
-                self._refresh()
-        return self.current_served()
-
-    def _join_queue(self) -> None:
-        """``Queue.join`` with a worker-liveness probe (bounded waits).
-
-        A bare ``join()`` parks on ``task_done`` calls that can never come
-        if the async worker thread died between ``get()`` and
-        ``task_done()`` — the flush would hang forever.  Waiting in
-        bounded slices on the queue's ``all_tasks_done`` condition and
-        probing the worker's ``is_alive()`` between them turns that hang
-        into a typed :class:`~repro.exceptions.ServingError`; the live
-        path is unchanged (the ``task_done`` notify wakes the wait early).
-        """
-        q = self._queue
-        with q.all_tasks_done:
-            while q.unfinished_tasks:
-                worker = self._worker
-                if worker is None or not worker.is_alive():
-                    raise ServingError(
-                        f"async ingestion worker is dead with "
-                        f"{q.unfinished_tasks} queued block(s) unprocessed; "
-                        f"the queue can never drain, so the stream cannot "
-                        f"be flushed"
-                    )
-                q.all_tasks_done.wait(timeout=0.05)
-
-    def pump(self, max_blocks: int | None = None) -> int:
-        """Process up to ``max_blocks`` queued blocks inline (manual mode).
-
-        Returns the number of blocks processed.  The test suite uses this
-        to enumerate queue interleavings deterministically.
-        """
-        if self.mode != "manual":
-            raise ServingError("pump() is only available in mode='manual'")
-        self._raise_if_unusable()
-        processed = 0
-        while max_blocks is None or processed < max_blocks:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            self._process_block(*item)
-            processed += 1
-        return processed
-
-    def close(self) -> None:
-        """Flush, stop every worker, and refuse further ingestion.
-
-        Workers are reclaimed even when the final flush raises (e.g. a
-        poisoned server): shutdown must never leak the async thread, the
-        group pool, or — under ``transport="process"`` — the shard worker
-        processes.
-
-        Idempotent under concurrency: all of close runs under a dedicated
-        lock (a bare ``_closed`` check-then-act would let two concurrent
-        closers both run the teardown — double ``_CLOSE`` sentinels, a
-        ``join`` on a reset ``_worker``, double executor shutdown), so a
-        second caller blocks until the first finishes, then returns.
-        """
-        with self._close_lock:
-            self._close_locked()
-
-    def _close_locked(self) -> None:
-        if self._closed:
+    def _solve(self) -> None:
+        """Merge the shard releases and run one solve; publish to the cache."""
+        merged = self._merge()
+        covered = merged[0].covered_steps
+        if covered == 0:
+            # Nothing covered (e.g. every surviving shard is empty): there
+            # is no objective to solve; the previous estimate stands.
             return
-        # Stop the health-check loop first: an auto-restart racing the
-        # teardown would re-boot workers close is about to reap.
-        self._heartbeat_stop.set()
-        try:
-            if self._error is None:
-                self.flush()
-        finally:
-            self._closed = True
-            if self._heartbeat_thread is not None:
-                # Bounded: the loop might be mid-ping on a wedged worker
-                # (daemon thread — safe to abandon past the deadline).
-                self._heartbeat_thread.join(timeout=5.0)
-                self._heartbeat_thread = None
-            if self._worker is not None:
-                self._queue.put(_CLOSE)
-                self._worker.join()
-                self._worker = None
-            if self._group_executor is not None:
-                self._group_executor.shutdown(wait=True)
-                self._group_executor = None
-            for shard in self._shards:
-                shard.shutdown()
-            if self._owns_listener:
-                self._listener.close()
-            # Release parked wait_for_version callers (no further publish
-            # can ever satisfy them); served entries stay readable.
-            self._hub.close()
+        # Decayed / windowed shards cover an *effective weight* different
+        # from their raw step count — that weight is the logical sample
+        # count the solver must size its Lipschitz constant from.  Plain
+        # shards report weight == covered exactly (float vs int compares
+        # exact for counts), so the historical integer path — and its
+        # bit-identical solves — is preserved.
+        weight = merged[0].covered_weight
+        t_solve = weight if weight != covered else covered
+        if self.bundle_names == ("cross", "gram"):
+            cross, gram = merged
+            theta = self.solver.refresh_from_released(t_solve, gram.value, cross.value)
+        else:
+            theta = self.solver.refresh_from_bundle(
+                t_solve, dict(zip(self.bundle_names, merged))
+            )
+        self._hub.publish(
+            theta,
+            self.solver.estimate_version,
+            timestep=self._processed,
+            covered_steps=covered,
+        )
 
-    def __enter__(self) -> "ShardedStream":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Reads
-    # ------------------------------------------------------------------
-
-    def current_estimate(self) -> np.ndarray:
-        """The cached parameter — one lock-free read-only pointer read.
-
-        The anonymous shared read: thread-safe from any number of
-        readers, touches no shared mutable state, keeps no statistics.
-        Readers that want per-reader stats, the snapshot fast path, or
-        blocking waits should hold a :meth:`reader` handle instead.
-        """
-        return self.cache.get().theta
-
-    def current_served(self) -> ServedEstimate:
-        """The cached estimate with version/coverage metadata (lock-free)."""
-        return self.cache.get()
-
-    def reader(self) -> ReaderHandle:
-        """A per-reader fan-out handle (one per reader thread).
-
-        Handles hold a private snapshot with a version fast-path check —
-        between refreshes a read returns the reader's own reference
-        without touching shared state — and keep per-reader read counts
-        that :meth:`read_stats` aggregates on demand.  Usable as a
-        context manager; ``close()`` (or stream close) retires it.
-        """
-        return self._hub.reader()
-
-    def subscribe(self, callback) -> Subscription:
-        """Fire ``callback(entry)`` on every publish (pub-sub invalidation).
-
-        Callbacks run on the publishing thread after the new entry is
-        visible to readers; exceptions are isolated per subscription
-        (counted on ``Subscription.errors``, never propagated to the
-        refresh path).  Returns the :class:`Subscription`; call its
-        ``unsubscribe()`` to stop.
-        """
-        return self._hub.subscribe(callback)
-
-    def wait_for_version(
-        self, version: int, timeout: float | None = None
-    ) -> ServedEstimate:
-        """Block until a solve with ``version`` (or newer) is published.
-
-        The poller-to-waiter conversion: built on the cache's condition
-        variable, woken by the publish that satisfies it (or by
-        :meth:`close`, with a :class:`~repro.exceptions.ServingError`).
-        Raises :class:`~repro.exceptions.WaitTimeoutError` on timeout.
-        """
-        return self._hub.wait_for_version(version, timeout=timeout)
-
-    def read_stats(self) -> ReadStats:
-        """One consistent snapshot of the read fan-out (aggregated on demand)."""
-        return self._hub.read_stats()
-
-    @property
-    def estimate_version(self) -> int:
-        """Number of completed solves published to the cache (lock-free)."""
-        return self.cache.version
-
-    @property
-    def steps_ingested(self) -> int:
-        """Points fully processed into shard mechanisms (logical ``t``)."""
-        return self._processed
-
-    @property
-    def steps_enqueued(self) -> int:
-        """Points accepted at the API boundary (≥ ``steps_ingested``)."""
-        return self._enqueued
-
-    @property
-    def blocks_routed(self) -> int:
-        """Blocks assigned a shard so far (monotone — feeds the callable
-        router's ``block_index``, so refunds never reuse an index)."""
-        return self._blocks_routed
-
-    @property
-    def blocks_refunded(self) -> int:
-        """Routed blocks whose ingestion failed or was never attempted
-        (fail-stop casualties); their reservations were refunded, so
-        ``blocks_routed − blocks_refunded`` counts committed blocks."""
-        return self._blocks_refunded
-
-    def shard_states(self) -> list[dict]:
-        """Per-shard liveness and load snapshot (diagnostics)."""
-        with self._lock:
-            return [
-                {"index": s.index, "alive": s.alive, "steps": s.steps}
-                for s in self._shards
-            ]
-
-    def heartbeat_stats(self) -> dict:
-        """Counters from the health-check loop (one consistent snapshot).
-
-        ``pings`` (successful probes), ``deaths_detected`` (probes that
-        found a dead/stuck worker and booked its loss),
-        ``restarts`` (``restart_policy="auto"`` recoveries), ``errors``
-        (probe or restart failures that were neither — e.g. a refused
-        restart under basic composition).  All zero when
-        ``heartbeat_every`` is unset.
-        """
-        with self._lock:
-            return dict(self._heartbeat)
-
-    def _heartbeat_loop(self) -> None:
-        """The health-check daemon: ping every live shard, book deaths.
-
-        Shares the ingestion lock, so probes are serialized with real
-        traffic — a ping can never interleave mid-RPC on a worker's wire.
-        With a ``request_timeout`` a *stuck* worker fails its ping within
-        the deadline; without one the probe only catches *crashed*
-        workers (pipe/socket EOF fails fast).  Under
-        ``restart_policy="auto"`` any dead shard found is restarted on
-        the spot with :meth:`restart_shard` semantics (reentrant — the
-        ingestion lock is an RLock).
-        """
-        while not self._heartbeat_stop.wait(self.heartbeat_every):
-            with self._lock:
-                if self._closed:
-                    return
-                for shard in self._shards:
-                    if not shard.alive:
-                        continue
-                    probe = getattr(shard, "ping", None)
-                    try:
-                        if probe is not None:
-                            probe()
-                        self._heartbeat["pings"] += 1
-                    except ShardUnavailableError:
-                        self._heartbeat["deaths_detected"] += 1
-                        self._note_shard_death(shard)
-                    except Exception:  # pragma: no cover - defensive
-                        self._heartbeat["errors"] += 1
-                if self.restart_policy == "auto":
-                    for index in range(self.shards_count):
-                        if self._shards[index].alive:
-                            continue
-                        try:
-                            self.restart_shard(index)
-                            self._heartbeat["restarts"] += 1
-                        except Exception:
-                            # e.g. budget refusal under basic composition:
-                            # the shard stays dead, merges stay partial.
-                            self._heartbeat["errors"] += 1
-
-    def memory_floats(self) -> int:
-        """Floats held by the shard mechanisms (plus the shared ``Φ``).
-
-        ``K · O(moment_dim² log T)`` — under ``backend="projected"`` that
-        is ``K·O(m² log T) + m·d`` (one shared projection, counted once),
-        versus the moment backend's ``K·O(d² log T)``; the quantity
-        ``bench_projected_serving.py`` records.
-        """
-        with self._lock:
-            total = 0
-            for shard in self._shards:
-                try:
-                    total += shard.memory_floats()
-                except ShardUnavailableError:
-                    # Crash detected by the diagnostic itself: a dead
-                    # worker holds nothing, and its mass is booked lost.
-                    self._note_shard_death(shard)
-        if self.projection is not None:
-            total += int(self.projection.matrix.size)
-        return total
+    def _merge(self) -> tuple[MergedRelease, ...]:
+        handles = [self._released_handles(s) for s in self._shards]
+        return tuple(
+            merge_released(
+                [None if h is None else h[slot] for h in handles], strict=False
+            )
+            for slot in range(len(self.bundle_names))
+        )
 
     def merged_moments(self) -> tuple[MergedRelease, ...]:
         """The merged released moments right now, in bundle order.
@@ -1366,258 +1423,30 @@ class ShardedStream:
         with self._lock:
             return dict(zip(self.bundle_names, self._merge()))
 
-    # ------------------------------------------------------------------
-    # Shard lifecycle (fault injection / recovery)
-    # ------------------------------------------------------------------
+    def memory_floats(self) -> int:
+        """Floats held by the shard mechanisms (plus the shared ``Φ``).
 
-    def kill_shard(self, index: int) -> None:
-        """Simulate a shard worker dying: its mechanisms (and mass) are lost.
-
-        Under ``transport="process"`` this SIGKILLs the worker process —
-        a real crash, not a graceful stop.  Idempotent.  Subsequent merges
-        degrade to partial coverage — see the module docstring for the
-        contract.
+        ``K · O(moment_dim² log T)`` — under ``backend="projected"`` that
+        is ``K·O(m² log T) + m·d`` (one shared projection, counted once),
+        versus the moment backend's ``K·O(d² log T)``.
         """
-        index = check_int("index", index, minimum=0)
-        if index >= self.shards_count:
-            raise ValidationError(
-                f"shard index {index} out of range [0, {self.shards_count})"
-            )
-        with self._lock:
-            shard = self._shards[index]
-            shard.kill()
-            self._note_shard_death(shard)
-
-    def restart_shard(self, index: int) -> None:
-        """Bring a dead shard back with fresh mechanisms over a fresh sub-stream.
-
-        Under ``composition="parallel"`` the restarted shard's new
-        mechanisms cover only points routed after the restart — still a
-        partition of the logical stream, so the parallel-composition
-        privacy argument is unchanged and the restart is free.  Under
-        ``composition="basic"`` disjointness is exactly what could not be
-        certified, so the replacement mechanisms' ``(ε/K, δ/K)`` budget is
-        charged to the accountant — which raises
-        :class:`~repro.exceptions.PrivacyBudgetError` when the ledger has
-        no headroom left (the evenly-split default consumes the whole
-        budget up front, so such restarts are refused).  The mass the dead
-        shard had ingested stays lost (and reported) either way.
-        """
-        index = check_int("index", index, minimum=0)
-        if index >= self.shards_count:
-            raise ValidationError(
-                f"shard index {index} out of range [0, {self.shards_count})"
-            )
-        with self._lock:
-            old = self._shards[index]
-            if old.alive:
-                raise ServingError(
-                    f"shard {index} is alive; kill_shard() before restarting"
-                )
-            # The replacement removes the dead worker from every later
-            # sweep, so its loss must be booked here if no other path got
-            # to it first (e.g. a crash first noticed by a worker-level
-            # diagnostic, restarted before any merge ran).
-            self._note_shard_death(old)
-            entries = len(self.bundle_names)
-            if self.composition == "basic":
-                # One atomic charge for the replacement bundle's
-                # mechanisms; PrivacyAccountant.charge rolls itself back
-                # on refusal.  (For the default bundle this is the
-                # historical halved pair, count=2.)
-                self.accountant.charge(
-                    f"shard{index}:moments(restart)",
-                    bundle_budgets(old.budget, (1.0,) * entries)[0],
-                    count=entries,
-                )
-            rngs = self._rng.spawn(entries)
-            self._shards[index] = self._make_shard(index, old.budget, rngs)
+        total = super().memory_floats()
+        if self.projection is not None:
+            total += int(self.projection.matrix.size)
+        return total
 
     # ------------------------------------------------------------------
-    # Internals
+    # Reads
     # ------------------------------------------------------------------
 
-    def _raise_if_unusable(self) -> None:
-        if self._closed:
-            raise ServingError("ShardedStream is closed")
-        if self._error is not None:
-            raise ServingError(
-                f"asynchronous ingestion failed: {self._error}"
-            ) from self._error
+    def _cached(self) -> np.ndarray:
+        return self.current_estimate()
 
-    def _route(self, xs: np.ndarray, ys: np.ndarray) -> MomentShard:
-        """Pick the target shard for the next block (skipping dead shards)."""
-        if callable(self._router):
-            start = int(self._router(self._blocks_routed, xs, ys)) % self.shards_count
-        else:
-            start = self._next_shard
-            self._next_shard = (self._next_shard + 1) % self.shards_count
-        for offset in range(self.shards_count):
-            shard = self._shards[(start + offset) % self.shards_count]
-            if shard.alive:
-                return shard
-        raise ShardUnavailableError("every shard is dead; nothing can ingest")
+    def _served(self) -> ServedEstimate:
+        return self.current_served()
 
-    def _process_block(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        """Ingest one routed block under the lock, then run any due refresh.
-
-        The single definition of the failure semantics every ingestion
-        mode (sync, pump, worker) shares: an *ingest* failure leaves the
-        block unconsumed — routing raises before any tree advances, and
-        the trees validate and check capacity before consuming anything —
-        so the block's horizon reservation is released here and a retry is
-        safe.  A *refresh* failure happens after the block is committed to
-        the shard trees — its capacity must stay consumed (re-ingesting
-        the same points would exceed the noise calibration), and only the
-        solve is retried (``flush`` re-runs it because ``_last_refresh_t``
-        only advances on success).
-        """
-        with self._lock:
-            try:
-                self._ingest_block(xs, ys)
-            except BaseException:
-                self._enqueued -= len(ys)
-                raise
-            if self._should_refresh():
-                self._refresh()
-
-    def _ingest_block(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        shard = self._route(xs, ys)
-        self._blocks_routed += 1
-        try:
-            shard.ingest(xs, ys, self._fast)
-        except ShardUnavailableError:
-            # A process worker crashed under the block, or the shard's
-            # bundle tore mid-block (BundlePartialCommitError — a later
-            # bundle entry failed after an earlier one committed; thread
-            # shards raise nothing else from ingest): the shard's
-            # previously acknowledged mass is lost; the block itself was
-            # not acknowledged and is refunded by the caller, so a retry
-            # routes to a live shard.
-            self._note_shard_death(shard)
-            self._blocks_refunded += 1
-            raise
-        except BaseException:
-            # Any other ingest failure (capacity, validation) also leaves
-            # the block unconsumed and refundable — the routing stat must
-            # not count it as committed.
-            self._blocks_refunded += 1
-            raise
-        self._processed += len(ys)
-
-    def _should_refresh(self) -> bool:
-        if self.refresh_every is None:
-            return True
-        if self.horizon is not None and self._processed >= self.horizon:
-            return True
-        return (
-            self._processed // self.refresh_every
-            > self._last_refresh_t // self.refresh_every
-        )
-
-    def _note_shard_death(self, shard) -> None:
-        """Credit a dead worker's acknowledged mass to ``lost_steps`` — once.
-
-        The single definition of the loss-accounting rule, so every path
-        that can *observe* a death (commanded kill, crash detected during
-        ingest, a bundle torn mid-block, during a merge, or by a
-        diagnostic) funnels through the same once-only ledger update and
-        no detection order can drop or double-count mass.  ``steps`` only
-        advances on fully committed bundles, so a torn bundle's partial
-        block is never counted into the loss.  No-op while the shard is
-        alive or after its loss is already booked.
-        """
-        if not shard.alive and not shard.lost_accounted:
-            shard.lost_accounted = True
-            self.lost_steps += shard.steps
-
-    def _released_handles(self, shard):
-        """One shard's merge handles in bundle order, or all-``None`` if dead.
-
-        A process worker found dead *here* (crashed since its last
-        acknowledgement) is folded into the partial-coverage path on the
-        spot: its mass is accounted as lost and the merge proceeds over
-        the survivors, instead of failing the refresh.  Deaths detected
-        earlier by paths that could not account them (e.g. a diagnostic
-        RPC) are swept up here too — every served estimate is preceded by
-        a merge, so the books are settled before coverage is reported.
-        """
-        if not shard.alive:
-            self._note_shard_death(shard)
-            return tuple(None for _ in self.bundle_names)
-        try:
-            return shard.released()
-        except ShardUnavailableError:
-            self._note_shard_death(shard)
-            return tuple(None for _ in self.bundle_names)
-
-    def _merge(self) -> tuple[MergedRelease, ...]:
-        handles = [self._released_handles(s) for s in self._shards]
-        return tuple(
-            merge_released(
-                [per_shard[slot] for per_shard in handles], strict=False
-            )
-            for slot in range(len(self.bundle_names))
-        )
-
-    def _refresh(self) -> None:
-        """Merge the shard releases and run one solve; publish to the cache.
-
-        ``_last_refresh_t`` advances only once the refresh completes (or
-        there is provably nothing to solve), so a failed solve leaves the
-        stream marked stale and the next ``flush``/scheduled refresh
-        retries it instead of silently serving an outdated estimate.
-        """
-        merged = self._merge()
-        covered = merged[0].covered_steps
-        if covered == 0:
-            # Nothing covered (e.g. every surviving shard is empty): there
-            # is no objective to solve; the previous estimate stands.
-            self._last_refresh_t = self._processed
-            return
-        # Decayed / windowed shards cover an *effective weight* different
-        # from their raw step count — that weight is the logical sample
-        # count the solver must size its Lipschitz constant from.  Plain
-        # shards report weight == covered exactly (float vs int compares
-        # exact for counts), so the historical integer path — and its
-        # bit-identical solves — is preserved.
-        weight = merged[0].covered_weight
-        t_solve = weight if weight != covered else covered
-        if self.bundle_names == ("cross", "gram"):
-            cross, gram = merged
-            theta = self.solver.refresh_from_released(
-                t_solve, gram.value, cross.value
-            )
-        else:
-            theta = self.solver.refresh_from_bundle(
-                t_solve, dict(zip(self.bundle_names, merged))
-            )
-        self._hub.publish(
-            theta,
-            self.solver.estimate_version,
-            timestep=self._processed,
-            covered_steps=covered,
-        )
-        self._last_refresh_t = self._processed
-
-    def _worker_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            try:
-                if item is _CLOSE:
-                    return
-                if self._error is None:
-                    try:
-                        self._process_block(*item)
-                    except BaseException as exc:  # surfaced on the next API call
-                        self._error = exc
-                else:
-                    # A poisoned worker drops the block; refund its horizon
-                    # reservation so the books match what was ingested.
-                    with self._lock:
-                        self._enqueued -= len(item[1])
-            finally:
-                self._queue.task_done()
+    def _close_reads(self) -> None:
+        self._hub.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

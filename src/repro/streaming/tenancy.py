@@ -11,9 +11,9 @@ times: ``k·(d² + d)`` tree floats, ``k`` Gram noise draws per step, and a
 ``k²``.  :class:`MultiTenantStream` privatizes it **once**:
 
 * each shard is a :class:`~repro.streaming.serving.TenantShard` — one
-  shared Gram tree at ``(ε/2, δ/2)`` (independent of ``k``) plus one cheap
-  ``(d,)`` cross tree per tenant at an equal slot of the other half
-  (:func:`~repro.privacy.parameters.tenant_budgets`);
+  moment bundle holding a shared Gram entry at ``(ε/2, δ/2)`` (independent
+  of ``k``) plus one cheap ``(d,)`` cross entry per tenant at an equal
+  slot of the other half (:func:`~repro.privacy.parameters.tenant_budgets`);
 * :meth:`MultiTenantStream.observe_batch` routes each
   ``(x, y^{(1)}..y^{(k)})`` block through the shared Gram exactly once and
   fans the outcomes out to the per-tenant cross trees;
@@ -45,13 +45,10 @@ transports (``tests/test_tenancy.py``, ``tests/test_sharded_equivalence.py``).
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .._validation import (
     check_int,
-    check_rng,
     check_unit_xy_domain,
     check_vector,
     check_xy_block,
@@ -61,17 +58,15 @@ from ..exceptions import (
     PrivacyBudgetError,
     ServingError,
     ShardUnavailableError,
-    StreamExhaustedError,
     ValidationError,
 )
 from ..geometry.base import ConvexSet
-from ..privacy.accountant import PrivacyAccountant
 from ..privacy.parameters import PrivacyParams, tenant_budgets
 from ..privacy.tree import MergedRelease, merge_released
-from .readers import EstimateHub, ReaderHandle, Subscription
-from .serving import ServedEstimate, TenantShard, _check_decay_groups
-from .netserve import ShardAddress, ShardHostListener, TcpShardWorker
-from .transport import ProcessShardWorker, ShardSpec
+from .readers import EstimateHub, HubReads
+from .serving import ServedEstimate, ShardFront, TenantShard
+from .serving.validation import _check_group, _check_tenants
+from .transport import ShardSpec
 
 __all__ = ["MultiTenantStream", "TenantView"]
 
@@ -84,7 +79,7 @@ def _cross_label(name: str) -> str:
     return f"tenant:{name}:cross-moments"
 
 
-class TenantView:
+class TenantView(HubReads):
     """One tenant's read surface over a :class:`MultiTenantStream`.
 
     A thin, cheap facade bound to the tenant's own
@@ -102,42 +97,11 @@ class TenantView:
         self._hub = hub
         self.cache = hub.cache
 
-    def current_estimate(self) -> np.ndarray:
-        """The tenant's cached parameter — one lock-free pointer read."""
-        return self.cache.get().theta
-
-    def current_served(self) -> ServedEstimate:
-        """The cached estimate with version/coverage metadata (lock-free)."""
-        return self.cache.get()
-
-    def reader(self) -> ReaderHandle:
-        """A per-reader fan-out handle (one per reader thread)."""
-        return self._hub.reader()
-
-    def subscribe(self, callback) -> Subscription:
-        """Fire ``callback(entry)`` on every publish for this tenant."""
-        return self._hub.subscribe(callback)
-
-    def wait_for_version(
-        self, version: int, timeout: float | None = None
-    ) -> ServedEstimate:
-        """Block until this tenant publishes ``version`` (or newer)."""
-        return self._hub.wait_for_version(version, timeout=timeout)
-
-    def read_stats(self):
-        """One consistent snapshot of this tenant's read fan-out."""
-        return self._hub.read_stats()
-
-    @property
-    def estimate_version(self) -> int:
-        """Completed solves published for this tenant (lock-free)."""
-        return self.cache.version
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TenantView(name={self.name!r}, version={self.cache.version})"
 
 
-class MultiTenantStream:
+class MultiTenantStream(ShardFront):
     """The PRIMO serving front: ``k`` tenant models over one shared stream.
 
     Routes each incoming ``(x, y^{(1)}..y^{(k)})`` block round-robin to
@@ -150,10 +114,12 @@ class MultiTenantStream:
     :class:`~repro.streaming.serving.ShardedStream` fronts pay
     (``benchmarks/bench_primo_serving.py`` measures the gap).
 
-    Synchronous by design: multi-tenant ingestion is the batch-heavy
-    production path, and the async/manual queue modes of the
-    single-tenant front add nothing per tenant (reads are already
-    decoupled through the per-tenant hubs).
+    Everything that is not tenant-specific — routing, horizon reservation,
+    the ``mode`` queue, group ingestion, refresh cadence, heartbeats and
+    auto-restart, kill/restart, close, and the loss books — is
+    :class:`~repro.streaming.serving.ShardFront`'s, shared with
+    :class:`~repro.streaming.serving.ShardedStream`; the knobs below mean
+    exactly what they mean there.
 
     Parameters
     ----------
@@ -201,6 +167,11 @@ class MultiTenantStream:
     ingest:
         ``"exact"`` (bit-identical tier) or ``"fast"`` (distributional
         BLAS tier) — the same two tiers as the single-tenant front.
+    mode:
+        ``"sync"``, ``"async"`` (enqueue and return; a worker thread
+        ingests and refreshes) or ``"manual"`` (:meth:`pump`).
+        :meth:`add_tenant` / :meth:`remove_tenant` first ingest every
+        queued block, under the tenant set it was validated against.
     transport:
         ``"thread"`` (in-process shards), ``"process"`` (one
         interpreter per shard behind a pipe), or ``"tcp"`` (shards
@@ -218,6 +189,10 @@ class MultiTenantStream:
         Shard host listener addresses (``transport="tcp"`` only); shard
         ``i`` connects to ``addresses[i % len(addresses)]``.  ``None``
         boots a private loopback listener owned by this stream.
+    heartbeat_every, restart_policy:
+        The health-check loop and ``"auto"`` restarts; a restarted shard
+        comes back with the *current* tenants (fresh entries over a fresh
+        sub-stream, like :meth:`restart_shard`).
     shard_horizon:
         Tree capacity per shard; defaults to ``horizon`` so any routing
         imbalance fits.
@@ -227,7 +202,8 @@ class MultiTenantStream:
     rng:
         Seed or Generator.  Shard ``i``'s tenant trees use child ``2i``
         of ``rng.spawn(2K)`` (tenant 0) plus its spawned siblings
-        (tenants 1..k-1), and its Gram tree uses child ``2i+1``; each
+        (tenants 1..k-1), and its Gram trees use child ``2i+1`` (group 0)
+        plus its spawned siblings (groups 1..G-1); each
         tenant's solver then spawns one child in tenant order.  For
         ``k = 1`` this is exactly the single-tenant front's consumption,
         which is what makes the one-tenant stream bit-identical to
@@ -247,38 +223,18 @@ class MultiTenantStream:
         tenant_decays=None,
         refresh_every: int | None = None,
         ingest: str = "exact",
+        mode: str = "sync",
         transport: str = "thread",
         request_timeout: float | None = None,
         addresses=None,
+        heartbeat_every: float | None = None,
+        restart_policy: str = "never",
         shard_horizon: int | None = None,
         beta: float = 0.05,
         fidelity: str = "fast",
         iteration_cap: int = 400,
         rng: np.random.Generator | int | None = None,
     ) -> None:
-        if ingest not in ("exact", "fast"):
-            raise ValidationError(f"ingest must be 'exact' or 'fast', got {ingest!r}")
-        if transport not in ("thread", "process", "tcp"):
-            raise ValidationError(
-                f"transport must be 'thread', 'process', or 'tcp', got "
-                f"{transport!r}"
-            )
-        if request_timeout is not None:
-            if transport == "thread":
-                raise ValidationError(
-                    "request_timeout needs a wire to deadline "
-                    "(transport='process' or 'tcp'); in-process shard "
-                    "calls are plain method calls"
-                )
-            if not request_timeout > 0:
-                raise ValidationError(
-                    f"request_timeout must be positive (seconds) or None, "
-                    f"got {request_timeout!r}"
-                )
-        if addresses is not None and transport != "tcp":
-            raise ValidationError(
-                "addresses only applies to transport='tcp'"
-            )
         if horizon is None:
             raise ValidationError(
                 "MultiTenantStream needs a horizon (tenant shards are tree "
@@ -286,175 +242,94 @@ class MultiTenantStream:
             )
         if isinstance(tenants, (int, np.integer)) and not isinstance(tenants, bool):
             count = check_int("tenants", tenants, minimum=1)
-            names = tuple(f"tenant-{i}" for i in range(count))
-        else:
-            names = tuple(str(name) for name in tenants)
-        if not names:
-            raise ValidationError("tenants must name at least one tenant")
-        if len(set(names)) != len(names):
-            raise ValidationError(f"tenant names must be unique, got {names!r}")
-        if any(not name for name in names):
-            raise ValidationError("tenant names must be non-empty")
-        self.decays = _check_decay_groups(decays)
-        if tenant_decays is None:
-            tenant_decays = tuple(self.decays[0] for _ in names)
-        tenant_decays = tuple(float(g) for g in tenant_decays)
-        if len(tenant_decays) != len(names):
-            raise ValidationError(
-                f"need one decay per tenant: {len(names)} tenants, "
-                f"{len(tenant_decays)} tenant_decays"
-            )
-        for g in tenant_decays:
-            if g not in self.decays:
-                raise ValidationError(
-                    f"tenant_decays entry {g!r} is not a declared γ group "
-                    f"(decays={self.decays!r})"
-                )
-
-        self.constraint = constraint
-        self.params = params
-        self.dim = constraint.dim
-        self.shards_count = check_int("shards", shards, minimum=1)
-        self.horizon = check_int("horizon", horizon, minimum=1)
-        self.tenant_capacity = check_int(
-            "tenant_capacity",
-            len(names) if tenant_capacity is None else tenant_capacity,
-            minimum=len(names),
+            tenants = tuple(f"tenant-{i}" for i in range(count))
+        names, self.tenant_capacity, self.decays, tenant_decays = _check_tenants(
+            tenants, tenant_capacity, decays, tenant_decays
         )
-        self.refresh_every = (
-            None
-            if refresh_every is None
-            else check_int("refresh_every", refresh_every, minimum=1)
-        )
-        self.ingest = ingest
-        self.transport = transport
-        self.request_timeout = request_timeout
-        self._listener: ShardHostListener | None = None
-        self._owns_listener = False
-        if transport == "tcp":
-            if addresses is None:
-                self._listener = ShardHostListener()
-                self._owns_listener = True
-                addresses = [self._listener.address]
-            self.addresses = tuple(
-                ShardAddress.coerce(address) for address in addresses
-            )
-        else:
-            self.addresses = None
-        self.shard_horizon = (
-            self.horizon
-            if shard_horizon is None
-            else check_int("shard_horizon", shard_horizon, minimum=1)
-        )
-        self._rng = check_rng(rng)
-        self._fast = ingest == "fast"
-        self._beta = beta
-        self._fidelity = fidelity
-        self._iteration_cap = iteration_cap
-
+        #: Tenant → γ group, in slot (merge) order.
+        self._tenant_decays: dict[str, float] = dict(zip(names, tenant_decays))
         # The per-slot budget every tenant (initial or added later) runs
         # at; the gram half is spent once, jointly, independent of k.
-        gram_budget, slot_budgets = tenant_budgets(params, self.tenant_capacity)
-        self._slot_budget = slot_budgets[0]
-        #: Tenant → γ group (refreshes solve against the matching Gram).
-        self._tenant_decays: dict[str, float] = dict(zip(names, tenant_decays))
+        self._gram_budget, slots = tenant_budgets(params, self.tenant_capacity)
+        self._slot_budget = slots[0]
+        super().__init__(
+            constraint,
+            params,
+            shards,
+            horizon=horizon,
+            refresh_every=refresh_every,
+            ingest=ingest,
+            mechanism="tree",
+            composition="parallel",
+            router="round_robin",
+            mode=mode,
+            transport=transport,
+            request_timeout=request_timeout,
+            addresses=addresses,
+            heartbeat_every=heartbeat_every,
+            restart_policy=restart_policy,
+            shard_horizon=shard_horizon,
+            beta=beta,
+            fidelity=fidelity,
+            iteration_cap=iteration_cap,
+            rng=rng,
+        )
 
-        k = len(names)
-        children = self._rng.spawn(2 * self.shards_count)
-        shard_list: list = []
-        try:
-            for i in range(self.shards_count):
-                # Tenant 0 consumes child 2i itself — the exact child the
-                # single-tenant front hands its cross tree — and tenants
-                # 1..k-1 consume its spawned siblings (spawning advances
-                # the child's spawn counter, never its bit stream, so
-                # tenant 0 stays bit-identical at any k).
-                base = children[2 * i]
-                extras = tuple(base.spawn(k - 1)) if k > 1 else ()
-                shard_list.append(
-                    self._make_shard(
-                        i,
-                        (base,) + extras,
-                        children[2 * i + 1],
-                        names,
-                        tenant_decays,
-                    )
-                )
-        except BaseException:
-            for shard in shard_list:
-                shard.shutdown()
-            if self._owns_listener:
-                self._listener.close()
-            raise
-        self._shards = shard_list
+    # ------------------------------------------------------------------
+    # Front hooks
+    # ------------------------------------------------------------------
 
-        # Ledger: the shared Gram is one parallel-composition charge; each
-        # active tenant holds one refundable slot charge.  Fully occupied,
-        # the ledger sums back to `params`.
-        self.accountant = PrivacyAccountant(params, mode="basic")
-        self.accountant.charge(_GRAM_LABEL, gram_budget)
-        for name in names:
+    def _declare(self, beta: float) -> int:
+        # Two children per shard: the tenant child 2i and the Gram child
+        # 2i+1 — exactly the single-tenant front's (cross, gram) spawn.
+        return 2
+
+    def _shard_spec(self, index: int, budget: PrivacyParams, rngs) -> ShardSpec:
+        """A tenant shard over the current tenant set.
+
+        Tenant 0 consumes the shard's first child itself — the exact child
+        the single-tenant front hands its cross tree — and later tenants
+        its spawned siblings; Gram group 0 consumes the second child and
+        later groups its spawned siblings (spawning advances a child's
+        spawn counter, never its bit stream, so tenant 0 and group 0 stay
+        bit-identical at any k and G).
+        """
+        tenant_child, gram_child = rngs
+        names = tuple(self._tenant_decays)
+        tenant_rngs = (tenant_child, *tenant_child.spawn(max(len(names) - 1, 0)))
+        gram_rngs = (gram_child, *gram_child.spawn(len(self.decays) - 1))
+        return ShardSpec(
+            index=index,
+            dim=self.dim,
+            budget=budget,
+            rngs=tenant_rngs[: len(names)] + gram_rngs,
+            config=dict(
+                tenants=names,
+                tenant_capacity=self.tenant_capacity,
+                decays=self.decays,
+                tenant_decays=tuple(self._tenant_decays.values()),
+            ),
+            shard_horizon=self.shard_horizon,
+            shard_type=TenantShard,
+        )
+
+    def _charge_ledger(self) -> None:
+        # The shared Gram is one parallel-composition charge; each active
+        # tenant holds one refundable slot charge.  Fully occupied, the
+        # ledger sums back to `params`.
+        self.accountant.charge(_GRAM_LABEL, self._gram_budget)
+        for name in self._tenant_decays:
             self.accountant.charge(_cross_label(name), self._slot_budget)
 
+    def _attach_solvers(self, beta: float, fidelity: str, iteration_cap: int) -> None:
         # Per-tenant solve + publish state, keyed in tenant (slot) order —
-        # the order every shard's released() tuple is indexed by.
+        # the order every shard's cross entries are indexed by.
+        self._solver_knobs = dict(beta=beta, fidelity=fidelity, iteration_cap=iteration_cap)
         self._solvers: dict[str, PrivIncReg1] = {}
         self._hubs: dict[str, EstimateHub] = {}
         self._views: dict[str, TenantView] = {}
-        for name in names:
+        for name in self._tenant_decays:
             self._attach_tenant_state(name)
-
-        self._lock = threading.RLock()
-        self._close_lock = threading.Lock()
-        self._processed = 0
-        self._enqueued = 0
-        self._next_shard = 0
-        self._last_refresh_t = 0
-        self.lost_steps = 0
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-
-    def _make_shard(self, index, tenant_rngs, gram_rng, names, tenant_decays):
-        """One tenant shard on the configured transport (full budget each)."""
-        if self.transport in ("process", "tcp"):
-            spec = ShardSpec(
-                index=index,
-                dim=self.dim,
-                budget=self.params,
-                gram_rng=gram_rng,
-                mechanism="tree",
-                shard_horizon=self.shard_horizon,
-                backend="tenant",
-                tenants=tuple(names),
-                tenant_rngs=tuple(tenant_rngs),
-                tenant_capacity=self.tenant_capacity,
-                decays=self.decays,
-                tenant_decays=tuple(tenant_decays),
-            )
-            if self.transport == "tcp":
-                return TcpShardWorker(
-                    spec,
-                    self.addresses[index % len(self.addresses)],
-                    request_timeout=self.request_timeout,
-                )
-            return ProcessShardWorker(
-                spec, request_timeout=self.request_timeout
-            )
-        return TenantShard(
-            index=index,
-            dim=self.dim,
-            budget=self.params,
-            tenant_rngs=tenant_rngs,
-            gram_rng=gram_rng,
-            tenants=names,
-            tenant_capacity=self.tenant_capacity,
-            shard_horizon=self.shard_horizon,
-            decays=self.decays,
-            tenant_decays=tuple(tenant_decays),
-        )
 
     def _attach_tenant_state(self, name: str) -> None:
         """Create one tenant's solver + hub + view and publish version 0."""
@@ -462,10 +337,8 @@ class MultiTenantStream:
             horizon=self.horizon,
             constraint=self.constraint,
             params=self.params,
-            beta=self._beta,
-            fidelity=self._fidelity,
-            iteration_cap=self._iteration_cap,
             rng=self._rng.spawn(1)[0],
+            **self._solver_knobs,
         )
         hub = EstimateHub()
         hub.publish(
@@ -477,6 +350,90 @@ class MultiTenantStream:
         self._solvers[name] = solver
         self._hubs[name] = hub
         self._views[name] = TenantView(name, hub)
+
+    def _validate_block(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+        """``(n, d)`` covariates and an ``(n, k)`` outcome block.
+
+        One column per active tenant, in :meth:`tenants` order (a 1-D
+        ``ys`` is accepted when there is exactly one tenant); one domain
+        sweep covers all k columns: ``‖x‖ ≤ 1`` once, ``|y| ≤ 1`` over the
+        flattened outcome block.
+        """
+        k = len(self._solvers)
+        if k == 0:
+            raise ServingError("no active tenants; add_tenant() before observing")
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2:
+            raise ValidationError(f"X must be a 2-D (n, d) block, got shape {xs.shape}")
+        Y = np.asarray(ys, dtype=float)
+        if Y.ndim == 1 and k == 1:
+            Y = Y[:, None]
+        if Y.shape != (xs.shape[0], k):
+            raise ValidationError(
+                f"ys must be an ({xs.shape[0]}, {k}) outcome block — one "
+                f"column per active tenant — got shape {np.shape(ys)}"
+            )
+        xs, _ = check_xy_block(xs, Y[:, 0], dim=self.dim)
+        if not np.all(np.isfinite(Y)):
+            raise ValidationError("batch must contain only finite entries")
+        check_unit_xy_domain("MultiTenantStream", xs, Y.ravel())
+        return xs, Y
+
+    def _solve(self) -> None:
+        """Merge the shared Gram once per γ group, solve every tenant.
+
+        The PRIMO merge economy: one ``(d, d)`` Gram merge serves all the
+        group's solves; each tenant only merges its own ``(d,)`` crosses.
+        A tenant added mid-stream has cross coverage behind the Gram's;
+        its solve rescales the merged Gram to the tenant's own covered
+        mass (the unbiased second-moment estimate over its window).  The
+        rescale is skipped — not applied with factor 1.0 — whenever the
+        coverages agree, which keeps from-the-start tenants (and with
+        them the ``k = 1`` stream) bit-identical to the single-tenant
+        path.  Tenants with zero coverage keep their previous estimate.
+        """
+        merged = self._merged_slots()
+        groups = len(self.decays)
+        grams = {g: merged(slot) for slot, g in enumerate(self.decays)}
+        for j, (name, solver) in enumerate(self._solvers.items()):
+            cross = merged(groups + j)
+            covered = cross.covered_steps
+            if covered == 0:
+                continue
+            gram = grams[self._tenant_decays[name]]
+            gram_value = gram.value
+            weight = cross.covered_weight
+            if weight != gram.covered_weight:
+                gram_value = gram_value * (weight / gram.covered_weight)
+            t_solve = weight if weight != covered else covered
+            theta = solver.refresh_from_released(t_solve, gram_value, cross.value)
+            self._hubs[name].publish(
+                theta,
+                solver.estimate_version,
+                timestep=self._processed,
+                covered_steps=covered,
+            )
+
+    def _merged_slots(self):
+        """``slot -> MergedRelease`` over every shard's current handles.
+
+        Slots follow the tenant bundle's order: one Gram entry per γ
+        group, then one cross entry per tenant in :meth:`tenants` order.
+        """
+        handles = [self._released_handles(shard) for shard in self._shards]
+        return lambda slot: merge_released(
+            [None if h is None else h[slot] for h in handles], strict=False
+        )
+
+    def _cached(self) -> dict[str, np.ndarray]:
+        return self.estimates()
+
+    def _served(self) -> dict[str, ServedEstimate]:
+        return {name: view.current_served() for name, view in self._views.items()}
+
+    def _close_reads(self) -> None:
+        for hub in self._hubs.values():
+            hub.close()
 
     # ------------------------------------------------------------------
     # Tenant lifecycle
@@ -496,12 +453,13 @@ class MultiTenantStream:
     def add_tenant(self, name: str, decay: float | None = None) -> TenantView:
         """Attach a new tenant to a free capacity slot, mid-stream.
 
-        The new tenant's cross trees start empty: its estimates cover
-        only elements observed after the add (the merge rescales the
-        shared Gram to the tenant's own coverage).  ``decay`` assigns the
-        tenant to one of the stream's declared γ groups (default: the
-        primary group); groups are fixed at construction.  Charges the
-        tenant's slot on the ledger; raises
+        The new tenant's cross entries start empty: its estimates cover
+        only elements ingested after the add (the merge rescales the
+        shared Gram to the tenant's own coverage); blocks queued before
+        the add are ingested first, under the old tenant set.  ``decay``
+        assigns the tenant to one of the stream's declared γ groups
+        (default: the primary group); groups are fixed at construction.
+        Charges the tenant's slot on the ledger; raises
         :class:`~repro.exceptions.PrivacyBudgetError` when every slot is
         occupied — capacity is a privacy bound, not a sizing hint.
         """
@@ -509,14 +467,9 @@ class MultiTenantStream:
         if not name:
             raise ValidationError("tenant names must be non-empty")
         g = self.decays[0] if decay is None else float(decay)
-        if g not in self.decays:
-            raise ValidationError(
-                f"decay {g!r} is not a declared γ group "
-                f"(decays={self.decays!r}); declare every served γ up "
-                f"front — the gram budget is split across the groups"
-            )
+        _check_group(g, self.decays)
         with self._lock:
-            self._raise_if_closed()
+            self._raise_if_unusable()
             if name in self._views:
                 raise ValidationError(f"tenant {name!r} already exists")
             if len(self._views) >= self.tenant_capacity:
@@ -524,28 +477,25 @@ class MultiTenantStream:
                     f"all {self.tenant_capacity} tenant slots are occupied; "
                     f"remove a tenant before adding {name!r}"
                 )
+            self._drain_queue()
             self.accountant.charge(_cross_label(name), self._slot_budget)
             # One fresh child per shard slot, spawned regardless of
             # liveness so the rng consumption (and with it every later
             # tenant's noise) never depends on failure history.
             shard_rngs = self._rng.spawn(self.shards_count)
             for shard, shard_rng in zip(self._shards, shard_rngs):
-                if not shard.alive:
-                    continue
-                try:
-                    shard.add_tenant(name, shard_rng, decay=g)
-                except ShardUnavailableError:
-                    self._note_shard_death(shard)
+                self._on_live_shard(shard, lambda s: s.add_tenant(name, shard_rng, decay=g))
             self._tenant_decays[name] = g
             self._attach_tenant_state(name)
             return self._views[name]
 
     def remove_tenant(self, name: str) -> None:
-        """Retire a tenant: drop its trees, refund its slot on the ledger.
+        """Retire a tenant: drop its entries, refund its slot on the ledger.
 
-        The refund is sound because the removed tenant's trees never
-        ingest again — the ledger tracks the worst-case per-element loss
-        of the stream *going forward* (see
+        Blocks queued before the removal are ingested first, under the old
+        tenant set.  The refund is sound because the removed tenant's
+        entries never ingest again — the ledger tracks the worst-case
+        per-element loss of the stream *going forward* (see
         :meth:`~repro.privacy.accountant.PrivacyAccountant.refund`).  The
         tenant's :class:`TenantView` stays readable (cached estimates and
         stats survive) but receives no further publishes; parked
@@ -554,24 +504,29 @@ class MultiTenantStream:
         """
         name = str(name)
         with self._lock:
-            self._raise_if_closed()
+            self._raise_if_unusable()
             if name not in self._views:
                 raise ValidationError(f"unknown tenant {name!r}")
+            self._drain_queue()
             self.accountant.refund(_cross_label(name))
             for shard in self._shards:
-                if not shard.alive:
-                    continue
-                try:
-                    shard.remove_tenant(name)
-                except ShardUnavailableError:
-                    self._note_shard_death(shard)
+                self._on_live_shard(shard, lambda s: s.remove_tenant(name))
             self._solvers.pop(name)
             self._hubs.pop(name).close()
             self._views.pop(name)
-            self._tenant_decays.pop(name, None)
+            self._tenant_decays.pop(name)
+
+    def _on_live_shard(self, shard, action) -> None:
+        """Apply a tenant change to one live shard; book a death it reveals."""
+        if not shard.alive:
+            return
+        try:
+            action(shard)
+        except ShardUnavailableError:
+            self._note_shard_death(shard)
 
     # ------------------------------------------------------------------
-    # Ingestion
+    # Ingestion and reads
     # ------------------------------------------------------------------
 
     def observe(self, x: np.ndarray, ys) -> dict[str, np.ndarray]:
@@ -587,159 +542,9 @@ class MultiTenantStream:
         row = check_vector("ys", ys, dim=len(self._views))
         return self.observe_batch(x[None, :], row[None, :])
 
-    def observe_batch(self, xs: np.ndarray, ys: np.ndarray) -> dict[str, np.ndarray]:
-        """Ingest a block: ``(n, d)`` covariates, ``(n, k)`` outcomes.
-
-        One column per active tenant, in :meth:`tenants` order (a 1-D
-        ``ys`` is accepted when there is exactly one tenant).  The block
-        is validated and reserved against the horizon atomically, routed
-        whole to one shard — which advances the shared Gram tree once and
-        every tenant's cross tree — then any due refresh solves all
-        tenants off the same merged Gram.  Returns the cached per-tenant
-        estimates.
-        """
-        self._raise_if_closed()
-        with self._lock:
-            k = len(self._views)
-            if k == 0:
-                raise ServingError(
-                    "no active tenants; add_tenant() before observing"
-                )
-            xs2 = np.asarray(xs, dtype=float)
-            if xs2.ndim != 2:
-                raise ValidationError(
-                    f"X must be a 2-D (n, d) block, got shape {xs2.shape}"
-                )
-            Y = np.asarray(ys, dtype=float)
-            if Y.ndim == 1 and k == 1:
-                Y = Y[:, None]
-            if Y.shape != (xs2.shape[0], k):
-                raise ValidationError(
-                    f"ys must be an ({xs2.shape[0]}, {k}) outcome block — one "
-                    f"column per active tenant — got shape {np.shape(ys)}"
-                )
-            xs2, _ = check_xy_block(xs2, Y[:, 0], dim=self.dim)
-            if not np.all(np.isfinite(Y)):
-                raise ValidationError("batch must contain only finite entries")
-            # One domain sweep covers all k columns: ‖x‖ ≤ 1 once, |y| ≤ 1
-            # over the flattened outcome block.
-            check_unit_xy_domain("MultiTenantStream", xs2, Y.ravel())
-            n = xs2.shape[0]
-            if self._enqueued + n > self.horizon:
-                raise StreamExhaustedError(
-                    f"MultiTenantStream configured for horizon {self.horizon} "
-                    f"received a block of {n} points at logical step "
-                    f"{self._enqueued}"
-                )
-            self._enqueued += n
-            try:
-                self._ingest_block(xs2, Y)
-            except BaseException:
-                self._enqueued -= n
-                raise
-            if self._should_refresh():
-                self._refresh()
-        return self.estimates()
-
-    def _ingest_block(self, xs: np.ndarray, Y: np.ndarray) -> None:
-        shard = self._route()
-        try:
-            shard.ingest(xs, Y, self._fast)
-        except ShardUnavailableError:
-            self._note_shard_death(shard)
-            raise
-        self._processed += xs.shape[0]
-
-    def _route(self):
-        """Round-robin over live shards (same rule as the single-tenant front)."""
-        start = self._next_shard
-        self._next_shard = (self._next_shard + 1) % self.shards_count
-        for offset in range(self.shards_count):
-            shard = self._shards[(start + offset) % self.shards_count]
-            if shard.alive:
-                return shard
-        raise ShardUnavailableError("every shard is dead; nothing can ingest")
-
-    def _should_refresh(self) -> bool:
-        if self.refresh_every is None:
-            return True
-        if self._processed >= self.horizon:
-            return True
-        return (
-            self._processed // self.refresh_every
-            > self._last_refresh_t // self.refresh_every
-        )
-
-    # ------------------------------------------------------------------
-    # Merge + solve
-    # ------------------------------------------------------------------
-
-    def _released_pairs(self):
-        """Per-shard (cross tuple, gram) handles; dead shards as (None, None)."""
-        pairs = []
-        for shard in self._shards:
-            if not shard.alive:
-                self._note_shard_death(shard)
-                pairs.append((None, None))
-                continue
-            try:
-                pairs.append(shard.released())
-            except ShardUnavailableError:
-                self._note_shard_death(shard)
-                pairs.append((None, None))
-        return pairs
-
-    def _refresh(self) -> None:
-        """Merge the shared Gram once, solve every tenant against it.
-
-        The PRIMO merge economy: one ``(d, d)`` Gram merge serves all
-        ``k`` solves; each tenant only merges its own ``(d,)`` crosses.
-        A tenant added mid-stream has cross coverage behind the Gram's;
-        its solve rescales the merged Gram to the tenant's own covered
-        mass (the unbiased second-moment estimate over its window).  The
-        rescale is skipped — not applied with factor 1.0 — whenever the
-        coverages agree, which keeps from-the-start tenants (and with
-        them the ``k = 1`` stream) bit-identical to the single-tenant
-        path.  Tenants with zero coverage keep their previous estimate.
-        """
-        pairs = self._released_pairs()
-        # One Gram merge per declared γ group, each reused by every tenant
-        # assigned to that group — the PRIMO economy, now per weighting.
-        grams = {
-            g: merge_released(
-                [gr[gi] if gr is not None else None for _, gr in pairs],
-                strict=False,
-            )
-            for gi, g in enumerate(self.decays)
-        }
-        for j, (name, solver) in enumerate(self._solvers.items()):
-            cross = merge_released(
-                [c[j] if c is not None else None for c, _ in pairs],
-                strict=False,
-            )
-            covered = cross.covered_steps
-            if covered == 0:
-                continue
-            gram = grams[self._tenant_decays[name]]
-            gram_value = gram.value
-            # Coverage (and under γ < 1, effective weight) can differ
-            # between a mid-stream tenant's crosses and the shared Gram;
-            # rescale to the tenant's own weight.  Skipped — not applied
-            # with factor 1.0 — whenever the weights agree, which keeps
-            # from-the-start tenants bit-identical to the single-tenant
-            # path.
-            weight = cross.covered_weight
-            if weight != gram.covered_weight:
-                gram_value = gram_value * (weight / gram.covered_weight)
-            t_solve = weight if weight != covered else covered
-            theta = solver.refresh_from_released(t_solve, gram_value, cross.value)
-            self._hubs[name].publish(
-                theta,
-                solver.estimate_version,
-                timestep=self._processed,
-                covered_steps=covered,
-            )
-        self._last_refresh_t = self._processed
+    def estimates(self) -> dict[str, np.ndarray]:
+        """Every tenant's cached parameter (lock-free reads, no solve)."""
+        return {name: view.current_estimate() for name, view in self._views.items()}
 
     def merged_moments(self, name: str) -> tuple[MergedRelease, MergedRelease]:
         """One tenant's merged (cross, gram) releases right now.
@@ -752,124 +557,10 @@ class MultiTenantStream:
         with self._lock:
             if name not in self._views:
                 raise ValidationError(f"unknown tenant {name!r}")
-            j = list(self._views).index(name)
-            gi = self.decays.index(self._tenant_decays[name])
-            pairs = self._released_pairs()
-            cross = merge_released(
-                [c[j] if c is not None else None for c, _ in pairs],
-                strict=False,
-            )
-            gram = merge_released(
-                [g[gi] if g is not None else None for _, g in pairs],
-                strict=False,
-            )
+            merged = self._merged_slots()
+            cross = merged(len(self.decays) + list(self._views).index(name))
+            gram = merged(self.decays.index(self._tenant_decays[name]))
             return cross, gram
-
-    # ------------------------------------------------------------------
-    # Reads / lifecycle
-    # ------------------------------------------------------------------
-
-    def estimates(self) -> dict[str, np.ndarray]:
-        """Every tenant's cached parameter (lock-free reads, no solve)."""
-        return {name: view.current_estimate() for name, view in self._views.items()}
-
-    def flush(self) -> dict[str, ServedEstimate]:
-        """Solve through everything processed; return per-tenant estimates."""
-        self._raise_if_closed()
-        with self._lock:
-            if self._processed > self._last_refresh_t:
-                self._refresh()
-            return {
-                name: view.current_served() for name, view in self._views.items()
-            }
-
-    def close(self) -> None:
-        """Flush, stop every shard worker, and refuse further ingestion.
-
-        Idempotent under concurrency (the whole teardown runs under a
-        dedicated lock).  Tenant views stay readable after close; parked
-        waiters are released with a
-        :class:`~repro.exceptions.ServingError`.
-        """
-        with self._close_lock:
-            if self._closed:
-                return
-            try:
-                self.flush()
-            finally:
-                self._closed = True
-                for shard in self._shards:
-                    shard.shutdown()
-                if self._owns_listener:
-                    self._listener.close()
-                for hub in self._hubs.values():
-                    hub.close()
-
-    def __enter__(self) -> "MultiTenantStream":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def _raise_if_closed(self) -> None:
-        if self._closed:
-            raise ServingError("MultiTenantStream is closed")
-
-    @property
-    def steps_ingested(self) -> int:
-        """Points fully processed into shard mechanisms (logical ``t``)."""
-        return self._processed
-
-    @property
-    def steps_enqueued(self) -> int:
-        """Points accepted at the API boundary (sync front: == ingested)."""
-        return self._enqueued
-
-    def shard_states(self) -> list[dict]:
-        """Per-shard liveness and load snapshot (diagnostics)."""
-        with self._lock:
-            return [
-                {"index": s.index, "alive": s.alive, "steps": s.steps}
-                for s in self._shards
-            ]
-
-    def memory_floats(self) -> int:
-        """Floats held by the shard mechanisms: ``K·O((d² + k·d) log T)``.
-
-        The PRIMO memory economy — ``k`` independent sharded fronts hold
-        ``k·K·O(d² log T)`` instead; ``bench_primo_serving.py`` records
-        both.
-        """
-        with self._lock:
-            total = 0
-            for shard in self._shards:
-                try:
-                    total += shard.memory_floats()
-                except ShardUnavailableError:
-                    self._note_shard_death(shard)
-            return total
-
-    def kill_shard(self, index: int) -> None:
-        """Simulate a shard worker dying (its mass is lost; merges degrade).
-
-        Same partial-coverage contract as the single-tenant front; the
-        loss applies to *every* tenant at once, because the shard held
-        one sub-stream shared by all of them.
-        """
-        index = check_int("index", index, minimum=0)
-        if index >= self.shards_count:
-            raise ValidationError(
-                f"shard index {index} out of range [0, {self.shards_count})"
-            )
-        with self._lock:
-            shard = self._shards[index]
-            shard.kill()
-            self._note_shard_death(shard)
-
-    def _note_shard_death(self, shard) -> None:
-        if not shard.alive and not shard.lost_accounted:
-            shard.lost_accounted = True
-            self.lost_steps += shard.steps
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -79,7 +79,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,10 +120,12 @@ class ShardSpec:
     *rebuilds* its :class:`~repro.streaming.serving.MomentShard` from this
     spec inside the child interpreter, consuming the shipped rng children
     exactly as the in-process transport would — which is what keeps the
-    two transports' noise streams identical.  For ``backend="projected"``
-    the spec carries the front-drawn shared projection object itself, so
-    every spawned worker (and any restart) re-attaches to the *same*
-    ``Φ`` — the one invariant Algorithm 3's sharding adds.
+    transports' noise streams identical.  The spec ships the backend
+    *name* (statistic rules are closures and do not pickle; the worker
+    looks the declaration up in :data:`~repro.streaming.backends.BACKENDS`)
+    and that backend's shard ``config`` — for the projected backends the
+    front-drawn shared ``Φ`` itself, so every spawned worker (and any
+    restart) re-attaches to the *same* ``Φ``.
 
     Mirrors the pickling discipline of
     :class:`~repro.streaming.fleet.ReplicateSpec`: every field must be
@@ -133,114 +135,39 @@ class ShardSpec:
     index: int
     dim: int
     budget: PrivacyParams
-    cross_rng: "np.random.Generator | None" = None
-    gram_rng: "np.random.Generator | None" = None
+    #: One child generator per bundle entry, in entry order.
+    rngs: "tuple[np.random.Generator, ...]"
+    backend: str = "moment"
+    config: dict = field(default_factory=dict)
     mechanism: str = "tree"
     shard_horizon: int | None = None
-    backend: str = "moment"
-    projection: object | None = None
     #: Non-stationarity knobs (mutually exclusive): forgetting factor
-    #: ``γ ∈ (0, 1]`` or sliding window ``W`` — shipped verbatim so the
-    #: worker-side :func:`~repro.privacy.release.make_release_mechanism`
-    #: builds the same decayed/windowed mechanisms the in-process
-    #: transport would.
+    #: ``γ ∈ (0, 1]`` or sliding window ``W``.
     decay: float | None = None
     window: "int | float | None" = None
-    #: Multi-tenant (PRIMO) shards: active tenant names, one spawned rng
-    #: per tenant (the front computes them, so both transports consume
-    #: randomness identically), and the slot capacity.  ``cross_rng`` is
-    #: unused for tenant shards — the per-tenant rngs replace it.
-    #: ``decays`` declares the shared-Gram γ groups, ``tenant_decays``
-    #: assigns each initial tenant to one of them.
-    tenants: "tuple[str, ...] | None" = None
-    tenant_rngs: "tuple[np.random.Generator, ...] | None" = None
-    tenant_capacity: int | None = None
-    decays: "tuple[float, ...] | None" = None
-    tenant_decays: "tuple[float, ...] | None" = None
-    #: Bundle-generic payload: the number of instrument columns (IV
-    #: backend) and the per-statistic rng children in bundle order.  The
-    #: legacy ``cross_rng``/``gram_rng`` pair remains the wire format for
-    #: two-entry bundles; ``rngs`` carries wider bundles without growing
-    #: a field per statistic.
-    instruments: int | None = None
-    rngs: "tuple[np.random.Generator, ...] | None" = None
+    #: The shard class to build: ``None`` for
+    #: :class:`~repro.streaming.serving.MomentShard`, or a subclass with the
+    #: same constructor (the multi-tenant front ships ``TenantShard``).
+    shard_type: type | None = None
+
+    @property
+    def projection(self):
+        """The shared projection shipped in the config (or ``None``)."""
+        return self.config.get("projection")
 
     def build(self):
         """Construct the shard worker this spec describes (child side)."""
         # Imported here, not at module top: the parent-side transport layer
-        # must stay importable from serving.py without a cycle, and the
-        # child pays the serving import only once, at build time.
-        from .serving import (
-            IVMomentShard,
-            MomentShard,
-            ProjectedMomentShard,
-            SketchShard,
-            TenantShard,
-        )
+        # must stay importable from the serving package without a cycle.
+        from .serving.shards import MomentShard
 
-        if self.backend == "tenant":
-            if self.tenants is None or self.tenant_rngs is None:
-                raise ValidationError(
-                    "ShardSpec(backend='tenant') requires the tenant names "
-                    "and per-tenant rngs in the spawn payload"
-                )
-            return TenantShard(
-                index=self.index,
-                dim=self.dim,
-                budget=self.budget,
-                tenant_rngs=self.tenant_rngs,
-                gram_rng=self.gram_rng,
-                tenants=self.tenants,
-                tenant_capacity=self.tenant_capacity,
-                mechanism=self.mechanism,
-                shard_horizon=self.shard_horizon,
-                decays=self.decays,
-                tenant_decays=self.tenant_decays,
-            )
-        if self.backend == "iv":
-            if self.instruments is None or self.rngs is None:
-                raise ValidationError(
-                    "ShardSpec(backend='iv') requires the instrument count "
-                    "and per-statistic rngs in the spawn payload"
-                )
-            return IVMomentShard(
-                index=self.index,
-                dim=self.dim,
-                budget=self.budget,
-                rngs=self.rngs,
-                instruments=self.instruments,
-                mechanism=self.mechanism,
-                shard_horizon=self.shard_horizon,
-                decay=self.decay,
-                window=self.window,
-            )
-        if self.backend in ("projected", "sketch"):
-            if self.projection is None:
-                raise ValidationError(
-                    f"ShardSpec(backend={self.backend!r}) requires the shared "
-                    "projection in the spawn payload"
-                )
-            shard_cls = (
-                SketchShard if self.backend == "sketch" else ProjectedMomentShard
-            )
-            return shard_cls(
-                index=self.index,
-                dim=self.dim,
-                budget=self.budget,
-                cross_rng=self.cross_rng,
-                gram_rng=self.gram_rng,
-                projection=self.projection,
-                mechanism=self.mechanism,
-                shard_horizon=self.shard_horizon,
-                decay=self.decay,
-                window=self.window,
-            )
-        return MomentShard(
-            index=self.index,
-            dim=self.dim,
-            budget=self.budget,
-            cross_rng=self.cross_rng,
-            gram_rng=self.gram_rng,
+        return (self.shard_type or MomentShard)(
+            self.index,
+            self.dim,
+            self.budget,
+            self.rngs,
+            backend=self.backend,
+            config=self.config,
             mechanism=self.mechanism,
             shard_horizon=self.shard_horizon,
             decay=self.decay,
@@ -296,25 +223,10 @@ def dispatch_command(shard, command: str, payload):
         shard.ingest(xs, ys, fast)
         return shard.steps
     if command == "released":
-        # Snapshot, never the live mechanisms: the wire carries the
-        # released statistic (O(m)/O(m²)), not the tree (O(m² log T)
-        # plus generator state).  One slot per bundle statistic, in
-        # bundle order — two for the default (cross, gram) bundle,
-        # three for the IV (zz, zx, zy) bundle.  A tenant shard's slot
-        # may itself be a tuple (one release per tenant, or one
-        # shared-Gram handle per γ group) — same snapshot type, same
-        # wire format, just k of them.
-        snapshots = []
-        for handle in shard.released():
-            if isinstance(handle, tuple):
-                snapshots.append(
-                    tuple(
-                        mechanism.released_moments() for mechanism in handle
-                    )
-                )
-            else:
-                snapshots.append(handle.released_moments())
-        return tuple(snapshots)
+        # Snapshots, never the live mechanisms: the wire carries the
+        # released statistics (O(m)/O(m²)), not the trees (O(m² log T)
+        # plus generator state) — one per bundle entry, in bundle order.
+        return tuple(handle.released_moments() for handle in shard.released())
     if command == "tenant":
         action, name, extra = payload
         if action == "add":

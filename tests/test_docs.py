@@ -52,16 +52,49 @@ def test_canonical_docs_exist_and_are_linked_from_readme():
         assert page in readme, f"README does not link {page}"
 
 
-def _undocumented_ctor_knobs(cls) -> list[str]:
-    """Constructor parameters of ``cls`` not backticked in SERVING.md."""
+#: A markdown file named in code, docstrings or data files.
+_MD_NAME = re.compile(r"[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md\b")
+
+
+def test_code_names_only_existing_markdown_files():
+    """Every ``*.md`` file named under src/, benchmarks/ or examples/
+    exists — at the repo root, under docs/, or beside the naming file."""
+    dangling = []
+    for directory in ("src", "benchmarks", "examples"):
+        for path in sorted((REPO_ROOT / directory).rglob("*")):
+            if not path.is_file() or path.suffix not in (".py", ".md", ".txt"):
+                continue
+            for name in _MD_NAME.findall(path.read_text()):
+                candidates = (REPO_ROOT / name, REPO_ROOT / "docs" / name, path.parent / name)
+                if not any(candidate.exists() for candidate in candidates):
+                    dangling.append(f"{path.relative_to(REPO_ROOT)}: {name}")
+    assert not dangling, f"references to missing markdown files: {dangling}"
+
+
+def _undocumented_ctor_knobs(cls, section: str | None = None) -> list[str]:
+    """Constructor parameters of ``cls`` not backticked in SERVING.md.
+
+    ``section`` narrows the search to one ``## `` section of the manual,
+    so a front's own knob table must name the knob.  A ``**kwargs``
+    parameter counts as undocumented: knobs forwarded through it would
+    escape this gate, so a front must name every knob it accepts.
+    """
     import inspect
 
     serving_doc = (REPO_ROOT / "docs" / "SERVING.md").read_text()
+    if section is not None:
+        heading = f"\n## {section}\n"
+        assert heading in serving_doc, f"SERVING.md has no section {section!r}"
+        serving_doc = serving_doc.split(heading, 1)[1].split("\n## ", 1)[0]
     signature = inspect.signature(cls.__init__)
     return [
-        name
-        for name in signature.parameters
-        if name != "self" and f"`{name}`" not in serving_doc
+        name if parameter.kind is not parameter.VAR_KEYWORD else f"**{name}"
+        for name, parameter in signature.parameters.items()
+        if name != "self"
+        and (
+            parameter.kind is parameter.VAR_KEYWORD
+            or f"`{name}`" not in serving_doc
+        )
     ]
 
 
@@ -82,10 +115,14 @@ def test_docs_cover_the_serving_contract_surface():
 
 def test_docs_cover_the_tenancy_contract_surface():
     """Same honesty gate for the multi-tenant front: every public
-    MultiTenantStream constructor knob must appear in SERVING.md."""
+    MultiTenantStream constructor knob must appear in SERVING.md's
+    multi-tenant section — the lifecycle knobs it shares with
+    ShardedStream included, so the tenant table cannot silently lag."""
     from repro import MultiTenantStream
 
-    undocumented = _undocumented_ctor_knobs(MultiTenantStream)
+    undocumented = _undocumented_ctor_knobs(
+        MultiTenantStream, section="Multi-tenant serving (PRIMO)"
+    )
     assert not undocumented, (
         f"docs/SERVING.md tenant knob table is missing: {undocumented}"
     )
@@ -106,10 +143,12 @@ def test_docs_cover_the_iv_solver_surface():
 def test_docs_cover_every_backend_and_mechanism_value():
     """Accepted enum values are contract surface too: every shard
     ``backend`` and every release-mechanism family the factory accepts
-    must appear (quoted) in SERVING.md — a new backend cannot land
-    undocumented."""
+    must appear (quoted) in SERVING.md — a new backend declaration cannot
+    land undocumented."""
+    from repro.streaming.backends import BACKENDS
+
     serving_doc = (REPO_ROOT / "docs" / "SERVING.md").read_text()
-    backends = ("moment", "projected", "sketch", "iv")
+    backends = tuple(BACKENDS)
     mechanisms = ("tree", "hybrid", "sketch")
     missing = [
         value

@@ -21,7 +21,7 @@ refactor introduced:
 import numpy as np
 import pytest
 
-from repro import L2Ball, PrivacyParams, ShardedStream, merge_released
+from repro import GaussianProjection, L2Ball, PrivacyParams, ShardedStream, merge_released
 from repro.data import make_dense_stream
 from repro.exceptions import (
     BundlePartialCommitError,
@@ -30,8 +30,8 @@ from repro.exceptions import (
 )
 from repro.privacy import bundle_budgets, make_release_mechanism
 from repro.streaming import MomentBundle, MomentShard
+from repro.streaming.backends import BACKENDS
 from repro.streaming.moments import (
-    bundle_names,
     cross_statistic,
     gram_statistic,
     iv_statistics,
@@ -64,12 +64,8 @@ def _legacy_pair(seed, mechanism="tree", horizon=T, decay=None, window=None):
 
 def _shard(seed, **kwargs):
     front = np.random.default_rng(seed)
-    cross_rng, gram_rng = front.spawn(2)
     kwargs.setdefault("shard_horizon", T)
-    return MomentShard(
-        index=0, dim=DIM, budget=PARAMS,
-        cross_rng=cross_rng, gram_rng=gram_rng, **kwargs,
-    )
+    return MomentShard(0, DIM, PARAMS, front.spawn(2), **kwargs)
 
 
 class TestDefaultBundleBitIdentity:
@@ -145,10 +141,11 @@ class TestBundleBudgets:
 
 class TestBundleApi:
     def test_bundle_names_mapping(self):
-        assert bundle_names("moment") == ("cross", "gram")
-        assert bundle_names("projected") == ("cross", "gram")
-        assert bundle_names("sketch") == ("cross", "gram")
-        assert bundle_names("iv") == ("zz", "zx", "zy")
+        config = {"projection": GaussianProjection(DIM, 2, rng=0), "instruments": 3}
+        assert BACKENDS["moment"].names(DIM, config) == ("cross", "gram")
+        assert BACKENDS["projected"].names(DIM, config) == ("cross", "gram")
+        assert BACKENDS["sketch"].names(DIM, config) == ("cross", "gram")
+        assert BACKENDS["iv"].names(DIM, config) == ("zz", "zx", "zy")
 
     def test_iv_statistic_shapes_and_rules(self):
         zz, zx, zy = iv_statistics(3, 2)

@@ -35,7 +35,6 @@ from repro import (
     L2Ball,
     PrivacyParams,
     PrivIncReg2,
-    ProjectedMomentShard,
     ServingError,
     ShardedStream,
     SparseProjection,
@@ -50,6 +49,7 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.sketching import GaussianProjection
+from repro.streaming.backends import BACKENDS
 
 PARAMS = PrivacyParams(4.0, 1e-6)
 DIM = 8
@@ -139,7 +139,8 @@ class TestSharedPhiMerge:
     def test_every_shard_and_the_solver_share_one_phi(self, k):
         server = _make_server(k, seed=5)
         for shard in server._shards:
-            assert isinstance(shard, ProjectedMomentShard)
+            assert shard.backend == "projected"
+            assert BACKENDS[shard.backend].release_family is None
             assert shard.projection is server.projection
             assert shard.moment_dim == M
         assert server.solver.projection is server.projection

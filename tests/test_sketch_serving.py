@@ -43,7 +43,7 @@ from repro import (
 from repro.core.projected_regression import projected_sizing
 from repro.data import make_dense_stream
 from repro.exceptions import StreamExhaustedError, ValidationError
-from repro.streaming.serving import SketchShard
+from repro.streaming.backends import BACKENDS
 
 PARAMS = PrivacyParams(4.0, 1e-6)
 DIM = 3
@@ -242,7 +242,7 @@ class TestSketchKnobValidation:
         server = _sketch_server(2, seed=2)
         assert server.mechanism == "tree"
         shard = server._shards[0]
-        assert isinstance(shard, SketchShard)
+        assert BACKENDS[shard.backend].release_family == "sketch"
         assert shard.backend == "sketch"
         assert shard.mechanism == "tree"
         assert isinstance(shard.cross, SketchNoiseMechanism)

@@ -87,13 +87,11 @@ def _feed(server, stream, blocks=BLOCKS):
 
 
 def _spec(index=0, seed=0):
-    cross_rng, gram_rng = np.random.default_rng(seed).spawn(2)
     return ShardSpec(
         index=index,
         dim=DIM,
         budget=PARAMS,
-        cross_rng=cross_rng,
-        gram_rng=gram_rng,
+        rngs=tuple(np.random.default_rng(seed).spawn(2)),
         shard_horizon=T,
     )
 
@@ -448,6 +446,18 @@ class TestTcpFaults:
         server.close()
         assert all(not shard.alive for shard in server._shards)
         assert server._listener.closed
+
+    def test_close_of_a_self_hosted_stream_is_prompt(self, stream):
+        """Regression: closing the listening socket alone left the accept
+        thread parked in accept(), so every listener close waited out the
+        full join timeout (5 s)."""
+        server = _server(2, seed=15)
+        _feed(server, stream, BLOCKS[:2])
+        accept_thread = server._listener._accept_thread
+        start = time.monotonic()
+        server.close()
+        assert time.monotonic() - start < 1.0
+        assert not accept_thread.is_alive()
 
     def test_explicit_listener_is_not_closed_by_the_stream(self, stream):
         with ShardHostListener() as listener:

@@ -585,19 +585,22 @@ class TestTenancyValidation:
         rngs = tuple(np.random.default_rng(0).spawn(2))
         gram_rng = np.random.default_rng(1)
         with pytest.raises(ValidationError):
-            TenantShard(0, DIM, PARAMS, rngs, gram_rng, ("a", "a"),
-                        shard_horizon=T)
+            TenantShard(0, DIM, PARAMS, rngs + (gram_rng,),
+                        config=dict(tenants=("a", "a")), shard_horizon=T)
         with pytest.raises(ValidationError):
-            TenantShard(0, DIM, PARAMS, rngs, gram_rng, (), shard_horizon=T)
+            TenantShard(0, DIM, PARAMS, rngs + (gram_rng,),
+                        config=dict(tenants=()), shard_horizon=T)
         with pytest.raises(ValidationError):
-            TenantShard(0, DIM, PARAMS, rngs[:1], gram_rng, ("a", "b"),
-                        shard_horizon=T)
+            TenantShard(0, DIM, PARAMS, rngs[:1] + (gram_rng,),
+                        config=dict(tenants=("a", "b")), shard_horizon=T)
         with pytest.raises(ValidationError):
-            TenantShard(0, DIM, PARAMS, rngs, gram_rng, ("a", "b"),
+            TenantShard(0, DIM, PARAMS, rngs + (gram_rng,),
+                        config=dict(tenants=("a", "b")),
                         mechanism="hybrid", shard_horizon=T)
         with pytest.raises(ValidationError):
-            TenantShard(0, DIM, PARAMS, rngs, gram_rng, ("a", "b"),
-                        tenant_capacity=1, shard_horizon=T)
+            TenantShard(0, DIM, PARAMS, rngs + (gram_rng,),
+                        config=dict(tenants=("a", "b"), tenant_capacity=1),
+                        shard_horizon=T)
 
     def test_tenant_shard_block_atomicity_on_overflow(self, stream, outcomes):
         """A block overflowing the shared Gram's capacity consumes nothing
@@ -605,9 +608,8 @@ class TestTenancyValidation:
         fails before any cross tree mutates)."""
         shard = TenantShard(
             0, DIM, PARAMS,
-            tuple(np.random.default_rng(0).spawn(2)),
-            np.random.default_rng(1),
-            ("a", "b"),
+            tuple(np.random.default_rng(0).spawn(2)) + (np.random.default_rng(1),),
+            config=dict(tenants=("a", "b")),
             shard_horizon=4,
         )
         shard.ingest(stream.xs[:3], outcomes[:3, :2], False)
@@ -619,3 +621,132 @@ class TestTenancyValidation:
         # The refused block is retryable at a fitting size.
         shard.ingest(stream.xs[3:4], outcomes[3:4, :2], False)
         assert shard.steps == 4
+
+
+# ---------------------------------------------------------------------------
+# (e) Shared lifecycle: modes, heartbeats, restarts, routing books
+# ---------------------------------------------------------------------------
+
+
+class TestTenantFrontLifecycle:
+    """Tenant fronts run on the same lifecycle as the single-tenant front."""
+
+    @pytest.mark.parametrize("k", TENANT_COUNTS)
+    def test_async_flush_equals_sync_flush_bit_for_bit(self, stream, outcomes, k):
+        sync = _make_stream(k, seed=47, refresh_every=8)
+        lazy = _make_stream(k, seed=47, refresh_every=8, mode="async")
+        try:
+            _feed(sync, stream, outcomes, k)
+            _feed(lazy, stream, outcomes, k)
+            served_sync = sync.flush()
+            served_async = lazy.flush()
+            assert lazy.steps_ingested == sync.steps_ingested == T
+            for name in sync.tenants():
+                np.testing.assert_array_equal(
+                    served_sync[name].theta, served_async[name].theta
+                )
+                assert served_sync[name].version == served_async[name].version
+                cs, gs = sync.merged_moments(name)
+                ca, ga = lazy.merged_moments(name)
+                np.testing.assert_array_equal(cs.value, ca.value)
+                np.testing.assert_array_equal(gs.value, ga.value)
+        finally:
+            sync.close()
+            lazy.close()
+
+    @pytest.mark.parametrize("mode", ["manual", "async"])
+    def test_add_tenant_ingests_queued_blocks_under_the_old_tenant_set(
+        self, stream, outcomes, mode
+    ):
+        server = _make_stream(["a"], seed=53, tenant_capacity=2, mode=mode)
+        try:
+            # Queued with one outcome column each, before "b" exists.
+            server.observe_batch(stream.xs[:5], outcomes[:5, 0])
+            server.observe_batch(stream.xs[5:13], outcomes[5:13, 0])
+            server.add_tenant("b")
+            assert server.steps_ingested == 13  # drained before the add
+            server.observe_batch(stream.xs[13:26], outcomes[13:26, :2])
+            served = server.flush()
+            assert served["a"].covered_steps == 26
+            assert served["b"].covered_steps == 13
+            assert server.blocks_refunded == 0
+        finally:
+            server.close()
+
+    def test_remove_tenant_ingests_queued_blocks_under_the_old_tenant_set(
+        self, stream, outcomes
+    ):
+        server = _make_stream(["a", "b"], seed=53, mode="manual")
+        try:
+            server.observe_batch(stream.xs[:13], outcomes[:13, :2])
+            server.remove_tenant("b")
+            assert server.steps_ingested == 13
+            server.observe_batch(stream.xs[13:26], outcomes[13:26, 0])
+            assert server.flush()["a"].covered_steps == 26
+        finally:
+            server.close()
+
+    def test_restart_shard_rebuilds_with_the_current_tenants(self, stream, outcomes):
+        server = _make_stream(["a"], seed=59, tenant_capacity=3)
+        try:
+            server.observe_batch(stream.xs[:5], outcomes[:5, 0])
+            server.add_tenant("b")
+            server.kill_shard(0)
+            server.restart_shard(0)
+            assert server._shards[0].tenants() == server.tenants() == ("a", "b")
+            assert server._shards[0].steps == 0  # fresh entries
+            server.observe_batch(stream.xs[5:13], outcomes[5:13, :2])
+            server.observe_batch(stream.xs[13:20], outcomes[13:20, :2])
+            served = server.flush()
+            assert server.lost_steps == 5
+            assert served["a"].covered_steps == 20 - 5
+            assert served["b"].covered_steps == 15
+        finally:
+            server.close()
+
+    def test_heartbeat_auto_restart_recovers_a_killed_process_shard(
+        self, stream, outcomes
+    ):
+        import time
+
+        server = _make_stream(
+            2, seed=61, transport="process", request_timeout=5.0,
+            heartbeat_every=0.1, restart_policy="auto",
+        )
+        try:
+            server.observe_batch(stream.xs[:5], outcomes[:5, :2])
+            server.observe_batch(stream.xs[5:13], outcomes[5:13, :2])
+            server._shards[1]._process.kill()  # uncommanded crash
+            deadline = time.monotonic() + 30.0
+            while server.heartbeat_stats()["restarts"] < 1:
+                assert time.monotonic() < deadline, server.heartbeat_stats()
+                time.sleep(0.05)
+            assert server.heartbeat_stats()["deaths_detected"] >= 1
+            assert server._shards[1].alive
+            assert server._shards[1].tenants() == server.tenants()
+            server.observe_batch(stream.xs[13:20], outcomes[13:20, :2])
+            server.observe_batch(stream.xs[20:26], outcomes[20:26, :2])
+            served = server.flush()
+            assert server.lost_steps == 8
+            for name in server.tenants():
+                assert served[name].covered_steps == T - server.lost_steps
+        finally:
+            server.close()
+
+    def test_routing_books_hold_on_tenant_fronts(self, stream, outcomes):
+        server = _make_stream(2, seed=67, shard_horizon=8)
+        try:
+            server.observe_batch(stream.xs[:6], outcomes[:6, :2])  # shard 0
+            server.observe_batch(stream.xs[6:12], outcomes[6:12, :2])  # shard 1
+            with pytest.raises(StreamExhaustedError):
+                server.observe_batch(stream.xs[12:18], outcomes[12:18, :2])
+            server.observe_group(
+                [(stream.xs[12:14], outcomes[12:14, :2]),
+                 (stream.xs[14:16], outcomes[14:16, :2])]
+            )
+            assert server.blocks_routed == 5
+            assert server.blocks_refunded == 1
+            assert server.steps_ingested == server.steps_enqueued == 16
+            assert server.blocks_routed - server.blocks_refunded == 4
+        finally:
+            server.close()
