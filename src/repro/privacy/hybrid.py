@@ -88,6 +88,8 @@ class HybridMechanism:
         self._completed_epochs = 0
 
     def _new_tree(self) -> TreeMechanism:
+        """The next epoch's tree; it takes a fresh node-noise key from the
+        parent generator as it is built."""
         horizon = 2**self._epoch_index
         if self.decay != 1.0:
             # Imported here to avoid a module cycle (release.py imports
@@ -132,21 +134,18 @@ class HybridMechanism:
         if self._current_tree.steps_taken >= self._current_tree.horizon:
             self._roll_epoch()
         tree_release = self._current_tree.observe(array)
-        if self.decay == 1.0:
-            release = self._frozen_total + tree_release
-        else:
-            release = self._frozen_fade() * self._frozen_total + tree_release
         self.steps_taken += 1
-        return release
+        return self._frozen_fade() * self._frozen_total + tree_release
 
     def observe_batch(self, values: np.ndarray) -> np.ndarray:
         """Ingest a block of consecutive elements; return all noisy prefix sums.
 
         The block is split along epoch boundaries and each piece is fed to
         the corresponding epoch tree's
-        :meth:`~repro.privacy.tree.TreeMechanism.observe_batch`, so the rng
-        consumption, epoch rollovers, and releases are bit-identical to the
-        same elements arriving one at a time.
+        :meth:`~repro.privacy.tree.TreeMechanism.observe_batch`.  Epoch
+        trees are built at the same rollovers either way and their node
+        noise is keyed, so the releases are bit-identical to the same
+        elements arriving one at a time.
         """
         # Validate the whole block before any epoch piece is consumed: a
         # failure inside a later piece must not leave earlier pieces
@@ -162,16 +161,13 @@ class HybridMechanism:
             stop = min(start + capacity, k)
             elapsed0 = self._current_tree.steps_taken
             piece = self._current_tree.observe_batch(array[start:stop])
-            if self.decay == 1.0:
-                pieces.append(self._frozen_total + piece)
-            else:
-                # Each row fades the frozen epochs by its own elapsed
-                # length inside the live epoch.
-                fades = self.decay ** np.arange(
-                    elapsed0 + 1, elapsed0 + (stop - start) + 1, dtype=float
-                )
-                fades = fades.reshape((stop - start,) + (1,) * len(self.shape))
-                pieces.append(fades * self._frozen_total + piece)
+            # Each row fades the frozen epochs by its own elapsed length
+            # inside the live epoch (exactly 1.0 at γ = 1).
+            fades = self.decay ** np.arange(
+                elapsed0 + 1, elapsed0 + (stop - start) + 1, dtype=float
+            )
+            fades = fades.reshape((stop - start,) + (1,) * len(self.shape))
+            pieces.append(fades * self._frozen_total + piece)
             start = stop
         self.steps_taken += k
         return np.concatenate(pieces, axis=0)
@@ -183,8 +179,8 @@ class HybridMechanism:
         :meth:`~repro.privacy.tree.TreeMechanism.advance_batch`): the block
         is split along epoch boundaries and each piece advances the
         corresponding epoch tree without materializing interior releases.
-        Rng consumption and the returned release are bit-identical to
-        :meth:`observe_batch`'s final row.
+        The returned release is bit-identical to :meth:`observe_batch`'s
+        final row.
         """
         array = coerce_stream_block(values, self.shape)
         k = array.shape[0]
@@ -196,39 +192,28 @@ class HybridMechanism:
             capacity = self._current_tree.horizon - self._current_tree.steps_taken
             stop = min(start + capacity, k)
             tree_release = self._current_tree.advance_batch(array[start:stop])
-            if self.decay == 1.0:
-                release = self._frozen_total + tree_release
-            else:
-                release = self._frozen_fade() * self._frozen_total + tree_release
+            release = self._frozen_fade() * self._frozen_total + tree_release
             start = stop
         self.steps_taken += k
         return release
 
     def _roll_epoch(self) -> None:
         """Freeze the finished epoch's final noisy total and double."""
-        if self.decay == 1.0:
-            self._frozen_total = self._frozen_total + self._current_tree.current_sum()
-            self._frozen_noise_variance += self._current_tree.release_noise_variance()
-        else:
-            # The previous frozen total was decayed to the *previous* roll;
-            # fade it across the epoch that just finished before folding in
-            # that epoch's (already internally decayed) final total.
-            fade = self._frozen_fade()
-            self._frozen_total = (
-                fade * self._frozen_total + self._current_tree.current_sum()
-            )
-            self._frozen_noise_variance = (
-                fade * fade * self._frozen_noise_variance
-                + self._current_tree.release_noise_variance()
-            )
+        # The previous frozen total was decayed to the *previous* roll;
+        # fade it across the epoch that just finished before folding in
+        # that epoch's (already internally decayed) final total.
+        fade = self._frozen_fade()
+        self._frozen_total = fade * self._frozen_total + self._current_tree.current_sum()
+        self._frozen_noise_variance = (
+            fade * fade * self._frozen_noise_variance
+            + self._current_tree.release_noise_variance()
+        )
         self._completed_epochs += 1
         self._epoch_index += 1
         self._current_tree = self._new_tree()
 
     def current_sum(self) -> np.ndarray:
         """The most recent noisy prefix sum (post-processing, free)."""
-        if self.decay == 1.0:
-            return self._frozen_total + self._current_tree.current_sum()
         return self._frozen_fade() * self._frozen_total + self._current_tree.current_sum()
 
     def release_noise_variance(self) -> float:
@@ -243,11 +228,6 @@ class HybridMechanism:
         with the live epoch's elapsed length ``e`` (noise scaled by ``c``
         has variance scaled by ``c²``).
         """
-        if self.decay == 1.0:
-            return (
-                self._frozen_noise_variance
-                + self._current_tree.release_noise_variance()
-            )
         fade = self._frozen_fade()
         return (
             fade * fade * self._frozen_noise_variance

@@ -18,9 +18,9 @@ implementations behind it for **non-stationary** streams:
   inside its node, at most ``γ⁰·Δ₂ = Δ₂`` — so the per-node ``σ`` and the
   whole ``(ε, δ)`` ledger of Algorithm 4 carry over unchanged, while the
   *released* noise variance **shrinks** to ``Σ_j γ^{2(t−b_j)}·σ²_node``.
-  At ``γ = 1`` every weight is exactly ``1.0`` and the mechanism runs the
-  plain :class:`~repro.privacy.tree.TreeMechanism` code paths, so it is
-  bit-identical to the unweighted tree under one seed.
+  Only the prefix fold and the node-noise fade are weighted; at ``γ = 1``
+  every weight is exactly ``1.0``, so it is bit-identical to the
+  unweighted tree under one seed.
 
 * :class:`SlidingWindowMechanism` — hard-expiry private sums over the
   last ``W`` elements, as a ring of disjoint chunk sub-trees.  Each chunk
@@ -157,11 +157,13 @@ class DecayedTreeMechanism(TreeMechanism):
     released noise variance is ``Σ_{j active} γ^{2(t−b_j)} σ²_node ≤
     popcount(t)·σ²_node``.
 
-    ``decay = 1.0`` runs the parent's unweighted code paths — including
-    the vectorized batch kernels — so it is **bit-identical** to
-    :class:`~repro.privacy.tree.TreeMechanism` under one seed; both
-    configurations draw noise in the same order, so they may be compared
-    stream-for-stream.
+    Only the prefix fold and the node-noise fade are weighted; the
+    ingest paths, the keyed node noise and the commit are the parent's.
+    :meth:`advance_sum` takes the block total decayed to the block end,
+    ``Σ_i γ^{k−1−i} υ_i`` (one weighted BLAS product upstream).  At
+    ``decay = 1.0`` every weight is exactly ``1.0``, so the mechanism is
+    **bit-identical** to :class:`~repro.privacy.tree.TreeMechanism` under
+    one seed.
 
     Parameters
     ----------
@@ -184,148 +186,31 @@ class DecayedTreeMechanism(TreeMechanism):
         super().__init__(horizon, shape, l2_sensitivity, params, rng)
 
     # ------------------------------------------------------------------
-    # Weighted state transitions (γ < 1); γ = 1 delegates to the parent
-    # so the unweighted fast paths stay bit-identical.
+    # The γ prefix fold and the γ node-noise fade; every ingest path and
+    # read is the plain tree's, so γ = 1 is bit-identical to it.
     # ------------------------------------------------------------------
 
-    def _noise_fade(self, level: int, t: int) -> float:
-        """``γ^{t − b}`` for the level's active node (closed at ``b``)."""
-        # The level-j node active at t closed at (t >> j) << j, so the
-        # elapsed age is the j low bits of t.
-        return self.decay ** (t & ((1 << level) - 1))
+    def _fade(self, steps: int) -> float:
+        """``γ^steps``: a node's noise fades with its sub-sum."""
+        return self.decay**steps
 
-    def observe(self, value: np.ndarray | float) -> np.ndarray:
-        if self.decay == 1.0:
-            return super().observe(value)
-        if self.steps_taken >= self.horizon:
-            raise StreamExhaustedError(
-                f"DecayedTreeMechanism configured for horizon {self.horizon} "
-                f"received element {self.steps_taken + 1}"
-            )
-        flat = self._coerce(value)
-        eta = self._ensure_eta()
-        self.steps_taken += 1
-        t = self.steps_taken
-        self._prefix = self.decay * self._prefix + flat
-        i = (t & -t).bit_length() - 1
-        self._active[:i] = False
-        eta[i] = self._rng.normal(0.0, self.sigma_node, size=self._flat_dim)
-        self._active[i] = True
-        return self._release_current()
+    def _fold(self, rows: np.ndarray) -> np.ndarray:
+        prefix = self._prefix
+        for row in rows:
+            prefix = self.decay * prefix + row
+        return prefix
 
-    def observe_batch(self, values: np.ndarray) -> np.ndarray:
-        if self.decay == 1.0:
-            return super().observe_batch(values)
-        flat = self._coerce_batch(values)
-        k = flat.shape[0]
-        if self.steps_taken + k > self.horizon:
-            raise StreamExhaustedError(
-                f"DecayedTreeMechanism configured for horizon {self.horizon} "
-                f"received a block of {k} elements at step {self.steps_taken}"
-            )
-        eta = self._ensure_eta()
-        # One draw for the whole block, consumed row-by-row as each node
-        # closes — the same bit-stream usage as k sequential observes.
-        noise = self._rng.normal(0.0, self.sigma_node, size=(k, self._flat_dim))
-        releases = np.empty((k, self._flat_dim))
-        for r in range(k):
-            self.steps_taken += 1
-            t = self.steps_taken
-            self._prefix = self.decay * self._prefix + flat[r]
-            i = (t & -t).bit_length() - 1
-            self._active[:i] = False
-            eta[i] = noise[r]
-            self._active[i] = True
-            release = self._prefix.copy()
-            for j in range(self.levels):
-                if self._active[j]:
-                    release += self._noise_fade(j, t) * eta[j]
-            releases[r] = release
-        self._last_release = releases[-1].copy()
-        return releases.reshape((k,) + self.shape)
-
-    def advance_batch(self, values: np.ndarray) -> np.ndarray:
-        if self.decay == 1.0:
-            return super().advance_batch(values)
-        flat = self._coerce_batch(values)
-        k = flat.shape[0]
-        if self.steps_taken + k > self.horizon:
-            raise StreamExhaustedError(
-                f"DecayedTreeMechanism configured for horizon {self.horizon} "
-                f"received a block of {k} elements at step {self.steps_taken}"
-            )
-        eta = self._ensure_eta()
-        noise = self._rng.normal(0.0, self.sigma_node, size=(k, self._flat_dim))
-        for r in range(k):
-            self.steps_taken += 1
-            t = self.steps_taken
-            self._prefix = self.decay * self._prefix + flat[r]
-            i = (t & -t).bit_length() - 1
-            self._active[:i] = False
-            eta[i] = noise[r]
-            self._active[i] = True
-        return self._release_current()
-
-    def advance_sum(self, total: np.ndarray | float, count: int) -> np.ndarray:
-        """Advance ``count`` steps given the block's **γ-weighted** sum.
-
-        The caller owns the contract that ``total`` equals
-        ``Σ_i γ^{count−1−i} υ_i`` over the block — the block sum decayed
-        to the block end (the serving shard computes it with one weighted
-        BLAS product).  The running prefix fades by ``γ^count`` before the
-        total folds in, which is exactly the sequential recursion
-        telescoped over the block.
-        """
-        if self.decay == 1.0:
-            return super().advance_sum(total, count)
-        total_flat = self._coerce(total)
-        count = check_int("count", count, minimum=1)
-        if self.steps_taken + count > self.horizon:
-            raise StreamExhaustedError(
-                f"DecayedTreeMechanism configured for horizon {self.horizon} "
-                f"received a block of {count} elements at step {self.steps_taken}"
-            )
-        eta = self._ensure_eta()
-        t0 = self.steps_taken
-        t_end = t0 + count
-        self._prefix = self.decay**count * self._prefix + total_flat
-        for j in range(self.levels):
-            if (t_end >> j) & 1:
-                closed_at = (t_end >> j) << j
-                if closed_at > t0:
-                    eta[j] = self._rng.normal(
-                        0.0, self.sigma_node, size=self._flat_dim
-                    )
-                self._active[j] = True
-            else:
-                self._active[j] = False
-        self.steps_taken = t_end
-        return self._release_current()
-
-    # ------------------------------------------------------------------
-    # Weighted reads
-    # ------------------------------------------------------------------
-
-    def _release_current(self) -> np.ndarray:
-        if self.decay == 1.0:
-            return super()._release_current()
-        release = self._prefix.copy()
-        t = self.steps_taken
-        for j in range(self.levels):
-            if self._active[j]:
-                release += self._noise_fade(j, t) * self._eta[j]
-        self._last_release = release
-        return release.reshape(self.shape)
+    def _fold_total(self, total: np.ndarray, count: int) -> np.ndarray:
+        # advance_sum's total is the block sum decayed to the block end,
+        # Σ_i γ^{count−1−i} υ_i: the prefix fades by γ^count before it
+        # folds in — the sequential recursion telescoped over the block.
+        return self.decay**count * self._prefix + total
 
     def release_noise_variance(self) -> float:
-        if self.decay == 1.0:
-            return super().release_noise_variance()
+        """``Σ_{j active} γ^{2(t−b_j)} σ²_node`` (``popcount(t)·σ²_node`` at γ=1)."""
         t = self.steps_taken
-        variance = 0.0
-        for j in range(self.levels):
-            if self._active[j]:
-                variance += self._noise_fade(j, t) ** 2 * self.sigma_node**2
-        return variance
+        fades = [self._fade(t & ((1 << j) - 1)) for j in range(self.levels) if self._active[j]]
+        return sum(fade * fade for fade in fades) * self.sigma_node**2
 
     @property
     def effective_weight(self) -> float:
@@ -408,14 +293,6 @@ class SlidingWindowMechanism:
                     "expiring window is one tree over the full stream"
                 )
             self.chunk = self.horizon
-            self._frozen: deque[tuple[np.ndarray, float]] = deque()
-            self._current_tree = TreeMechanism(
-                horizon=self.horizon,
-                shape=self.shape,
-                l2_sensitivity=self.l2_sensitivity,
-                params=self.params,
-                rng=self._rng,
-            )
         else:
             if chunk is None:
                 chunk = max(1, int(self.window) // 4)
@@ -424,13 +301,15 @@ class SlidingWindowMechanism:
                 raise ValidationError(
                     f"chunk ({self.chunk}) cannot exceed window ({self.window})"
                 )
-            self._frozen = deque()
-            self._current_tree = self._new_chunk_tree()
+        self._frozen: deque[tuple[np.ndarray, float]] = deque()
+        self._current_tree = self._new_chunk_tree()
         self._frozen_total = np.zeros(self._flat_dim)
         self._frozen_variance = 0.0
         self.expired_steps = 0
 
     def _new_chunk_tree(self) -> TreeMechanism:
+        """The next chunk's tree; it takes a fresh node-noise key from the
+        parent generator as it is built."""
         return TreeMechanism(
             horizon=self.chunk,
             shape=self.shape,
@@ -546,10 +425,9 @@ class SlidingWindowMechanism:
     def observe_batch(self, values: np.ndarray) -> np.ndarray:
         """Ingest a block; return all ``k`` noisy windowed sums.
 
-        Split along chunk boundaries (like the Hybrid mechanism's epoch
-        split), so rng consumption and chunk rollovers are identical to
-        the same elements arriving one at a time.  Expiry is applied per
-        sub-piece, so every returned row reflects the window at its step.
+        Element at a time, so chunk rollovers (and the chunk trees' keys)
+        and expiry happen exactly as for the same elements arriving one at
+        a time, and every returned row reflects the window at its step.
         """
         if math.isinf(self.window):
             releases = self._current_tree.observe_batch(values)
@@ -558,11 +436,6 @@ class SlidingWindowMechanism:
         array = coerce_stream_block(values, self.shape)
         k = array.shape[0]
         self._check_capacity(k)
-        # Element-at-a-time: each returned row must reflect the window *at
-        # its own step* (expiry can trigger on any element, not just at
-        # chunk boundaries).  Rng consumption still matches any batched
-        # split — the chunk trees' batch and sequential paths consume the
-        # bit stream identically.
         releases = np.empty((k, self._flat_dim))
         for r in range(k):
             releases[r] = np.asarray(
@@ -597,11 +470,12 @@ class SlidingWindowMechanism:
     def advance_sum(self, total: np.ndarray | float, count: int) -> np.ndarray:
         """Refused: block totals cannot be split at chunk boundaries.
 
-        The sampled-noise fast tier hands the mechanism one pre-reduced
-        block total; a finite window must attribute each element to its
-        chunk sub-tree, which a single total cannot be decomposed into.
-        Use the exact/batched tiers (``observe_batch``/``advance_batch``)
-        with windowed mechanisms.
+        A finite window must attribute each element to its chunk sub-tree,
+        and one pre-reduced block total cannot be split at a chunk
+        boundary.  This is about the data, not the noise (every chunk
+        tree's noise is keyed by node).  Use ``observe_batch`` /
+        ``advance_batch`` (``ingest="exact"``) with finite windows;
+        ``window = inf`` is one tree and accepts block totals.
         """
         if math.isinf(self.window):
             release = self._current_tree.advance_sum(total, count)

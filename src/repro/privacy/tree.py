@@ -44,10 +44,15 @@ Implementation notes
   one frozen noise vector per active level.  The released distribution is
   identical to the pseudocode's (same nodes, same noise, same reuse of
   frozen node releases), the state is slightly smaller
-  (``(levels+1)·d`` instead of ``2·levels·d`` floats), and — crucially for
-  :meth:`TreeMechanism.observe_batch` — the update becomes a cumulative
-  sum plus a per-level gather, which vectorizes over a block of stream
-  elements while reproducing the sequential path **bit for bit**.
+  (``(levels+1)·d`` instead of ``2·levels·d`` floats), and a block of
+  stream elements becomes one prefix fold plus one noise draw per node
+  that closed inside the block and is still active at its end.
+* Every node's noise is a pure function of its **address**: node
+  ``(j, n)`` — level ``j``, index ``n = t >> j`` — draws
+  ``N(0, σ²_node I)`` from ``Philox(key, counter=[0, 0, n, j])``, where
+  the two-word ``key`` is drawn once from the mechanism's ``rng`` at
+  construction.  This is Algorithm 4's one Gaussian draw per node; it
+  does not depend on the order in which nodes are reached.
 * The active-level mask is maintained incrementally (after step ``t`` the
   active levels are exactly the set bits of ``t``); releases never
   recompute the set-bit list from scratch.
@@ -61,14 +66,24 @@ Implementation notes
 
 Batched ingestion contract
 --------------------------
-:meth:`TreeMechanism.observe_batch` consumes a block of ``k`` consecutive
-stream elements and returns all ``k`` noisy prefix sums.  Under a shared
-rng discipline (one generator, one Gaussian draw per node, nodes closed in
-stream order) the batched path draws *the same* noise as ``k`` sequential
-:meth:`TreeMechanism.observe` calls — ``Generator.normal(size=(k, d))``
-consumes the underlying bit stream exactly like ``k`` draws of size ``d``
-— and performs the same floating-point additions in the same order, so the
-two paths produce bit-identical releases and may be freely interleaved.
+Every ingest path is one *commit*: validate and capacity-check the block,
+advance the clean prefix, then give each node that is active at the block
+end and closed inside the block its keyed noise.  Because node noise is
+addressed, not drawn in sequence, :meth:`TreeMechanism.observe`,
+:meth:`~TreeMechanism.observe_batch`, :meth:`~TreeMechanism.advance_batch`
+and :meth:`~TreeMechanism.advance_sum` release the same noise for the same
+node, under any block split, and may be freely interleaved.  They differ
+only in how the clean prefix is summed: the first three fold the elements
+in one at a time (``prefix += v``, bit-identical to per-point ingestion);
+``advance_sum`` adds a pre-reduced block total (one BLAS product
+upstream), which equals the fold up to float summation order.
+
+Three rules carry the privacy argument.  A node's noise is a pure
+function of its address.  The prefix is append-only and a block is
+validated and capacity-checked before anything commits, so no node is
+ever released over two different data sums.  And every new mechanism
+(a restarted shard, a new tenant, a new window chunk or hybrid epoch)
+draws a fresh key from its own generator.
 
 The picklable release contract (``ReleasedMoments``)
 ----------------------------------------------------
@@ -194,7 +209,7 @@ def coerce_stream_element(value: np.ndarray | float, shape: tuple[int, ...]) -> 
         raise ValidationError(
             f"stream element has shape {array.shape}, expected {tuple(shape)}"
         )
-    if not np.all(np.isfinite(array)):
+    if not np.isfinite(array).all():
         raise ValidationError("stream element must contain only finite entries")
     return array
 
@@ -215,7 +230,7 @@ def coerce_stream_block(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarra
         )
     if array.shape[0] == 0:
         raise ValidationError("stream block must contain at least one element")
-    if not np.all(np.isfinite(array)):
+    if not np.isfinite(array).all():
         raise ValidationError("stream block must contain only finite entries")
     return array
 
@@ -282,7 +297,9 @@ class TreeMechanism:
         self.params = params
         self.levels = tree_levels(self.horizon)
         self.sigma_node = _node_sigma(self.levels, self.l2_sensitivity, params)
-        self._rng = check_rng(rng)
+        # The node-noise key: every node's noise is a pure function of it
+        # and the node's address (see _node_noise).
+        self._key = check_rng(rng).bit_generator.random_raw(2)
         self._flat_dim = int(np.prod(self.shape)) if self.shape else 1
         # Running clean prefix sum and one frozen noise vector per active
         # node (level j's node covers the dyadic range ending at the most
@@ -290,20 +307,48 @@ class TreeMechanism:
         # Algorithm 4's a/b arrays: b[j] would be the level-j slice of the
         # prefix plus eta[j].
         self._prefix = np.zeros(self._flat_dim)
-        # Allocated lazily on first ingestion: an instance that never
-        # ingests (e.g. the serving front's solver, which reuses only the
-        # solve pipeline and error bounds) then holds O(d) instead of
-        # O(d log T).
+        # Allocated lazily on first ingestion, with the Philox generator
+        # the node noise is drawn from: an instance that never ingests
+        # (e.g. the serving front's solver, which reuses only the solve
+        # pipeline and error bounds) then holds O(d) instead of O(d log T)
+        # and never pays for building a bit generator.
         self._eta: np.ndarray | None = None
-        self._active = np.zeros(self.levels, dtype=bool)
+        self._active = [False] * self.levels
         self.steps_taken = 0
         self._last_release: np.ndarray | None = None
 
     def _ensure_eta(self) -> np.ndarray:
-        """The per-level frozen-noise store, allocated on first use."""
+        """The per-level frozen-noise store and the node-noise generator,
+        built on first use."""
         if self._eta is None:
             self._eta = np.zeros((self.levels, self._flat_dim))
+            self._counter = np.zeros(4, dtype=np.uint64)
+            self._node_state = {
+                "bit_generator": "Philox",
+                "state": {"counter": self._counter, "key": self._key},
+                "buffer": np.zeros(4, dtype=np.uint64),
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            self._noise_gen = np.random.Generator(np.random.Philox(key=self._key))
         return self._eta
+
+    def _node_noise(self, level: int, index: int) -> np.ndarray:
+        """The noise of node ``(level, index)``, a pure function of its address.
+
+        ``N(0, σ²_node I)`` drawn from ``Philox(key, counter=[0, 0, index,
+        level])`` — the same values ``normal(0, σ_node)`` on a fresh
+        ``Philox`` with that key and counter gives.  The draw advances only
+        the low counter word, so no two nodes share bits.
+        """
+        self._ensure_eta()
+        self._counter[2] = index
+        self._counter[3] = level
+        self._noise_gen.bit_generator.state = self._node_state
+        noise = self._noise_gen.standard_normal(self._flat_dim)
+        noise *= self.sigma_node
+        return noise
 
     # ------------------------------------------------------------------
     # Core streaming API
@@ -311,6 +356,8 @@ class TreeMechanism:
 
     def observe(self, value: np.ndarray | float) -> np.ndarray:
         """Ingest the next stream element; return the noisy prefix sum.
+
+        The one-element case of :meth:`observe_batch`.
 
         Raises
         ------
@@ -320,43 +367,15 @@ class TreeMechanism:
         ValidationError
             If the element has the wrong shape or non-finite entries.
         """
-        if self.steps_taken >= self.horizon:
-            raise StreamExhaustedError(
-                f"TreeMechanism configured for horizon {self.horizon} "
-                f"received element {self.steps_taken + 1}"
-            )
-        flat = self._coerce(value)
-        eta = self._ensure_eta()
-        self.steps_taken += 1
-        t = self.steps_taken
-
-        self._prefix = self._prefix + flat
-        # Lowest set bit of t = the level whose partial sum closes now; the
-        # nodes at the levels below it merge into it and are discarded.
-        i = (t & -t).bit_length() - 1
-        self._active[:i] = False
-        # Fresh noise for the newly closed node (its one and only release).
-        eta[i] = self._rng.normal(0.0, self.sigma_node, size=self._flat_dim)
-        self._active[i] = True
-
-        # s_t = exact prefix + noise of the active nodes (= set bits of t),
-        # accumulated level-ascending so the batched path can match it
-        # addition for addition.
-        release = self._prefix.copy()
-        for j in range(self.levels):
-            if self._active[j]:
-                release += self._eta[j]
-        self._last_release = release
-        return release.reshape(self.shape)
+        return self.observe_batch(coerce_stream_element(value, self.shape)[None])[0]
 
     def observe_batch(self, values: np.ndarray) -> np.ndarray:
         """Ingest a block of consecutive stream elements; return all releases.
 
-        Equivalent to ``k`` successive :meth:`observe` calls — same rng
-        consumption, same noise per node, bit-identical releases — but the
-        dyadic bookkeeping is vectorized: one cumulative sum over the block,
-        one Gaussian draw for all ``k`` nodes, and one gather-accumulate per
-        tree level instead of per step.
+        Each element is one commit of :meth:`advance_batch` — the same
+        keyed node noise and the same sequential prefix additions — so the
+        releases are bit-identical to ``k`` successive :meth:`observe`
+        calls and the methods may be interleaved freely on one instance.
 
         Parameters
         ----------
@@ -379,108 +398,45 @@ class TreeMechanism:
             entries.
         """
         flat = self._coerce_batch(values)
-        k = flat.shape[0]
-        if self.steps_taken + k > self.horizon:
-            raise StreamExhaustedError(
-                f"TreeMechanism configured for horizon {self.horizon} "
-                f"received a block of {k} elements at step {self.steps_taken}"
-            )
-        self._ensure_eta()
-        t0 = self.steps_taken
-        t_arr = np.arange(t0 + 1, t0 + k + 1, dtype=np.int64)
-
-        # One draw for every node closed in the block.  Generator.normal
-        # fills C-order, so this consumes the bit stream exactly like k
-        # sequential draws of size flat_dim.
-        noise = self._rng.normal(0.0, self.sigma_node, size=(k, self._flat_dim))
-
-        # Clean prefix sums chained from the running prefix: cumsum
-        # accumulates strictly left-to-right, reproducing the sequential
-        # `prefix += v` additions bit for bit.
-        chained = np.cumsum(
-            np.concatenate([self._prefix[None, :], flat], axis=0), axis=0
-        )[1:]
-
-        # Releases: prefix plus the noise of each step's active nodes.  The
-        # node at level j active at time t closed at step (t >> j) << j —
-        # inside the block it is a row of `noise`, before the block it is
-        # the frozen self._eta[j].  Accumulating level-ascending matches the
-        # sequential loop's addition order exactly.
-        releases = chained.copy()
-        for j in range(self.levels):
-            bit_set = ((t_arr >> j) & 1).astype(bool)
-            if not bit_set.any():
-                continue
-            closed_at = (t_arr[bit_set] >> j) << j
-            rows = np.empty((int(bit_set.sum()), self._flat_dim))
-            in_block = closed_at > t0
-            rows[in_block] = noise[closed_at[in_block] - t0 - 1]
-            rows[~in_block] = self._eta[j]
-            releases[bit_set] += rows
-
-        self._commit_block_state(t0, k, noise, chained[-1].copy())
-        self._last_release = releases[-1].copy()
-        return releases.reshape((k,) + self.shape)
+        self._check_room(flat.shape[0])
+        releases = np.empty_like(flat)
+        for r in range(flat.shape[0]):
+            self._commit(self._fold(flat[r : r + 1]), 1)
+            releases[r] = self._last_release
+        return releases.reshape(flat.shape[:1] + self.shape)
 
     # ------------------------------------------------------------------
-    # Serving fast paths (block ingestion without per-step releases)
+    # Serving paths (block ingestion without per-step releases)
     # ------------------------------------------------------------------
 
     def advance_batch(self, values: np.ndarray) -> np.ndarray:
         """Ingest a block; release **only** the final noisy prefix sum.
 
-        The serving layer's exact ingest path: identical rng consumption,
-        state evolution, and floating-point addition order as
-        :meth:`observe_batch` (one ``(k, d)`` Gaussian draw, one sequential
-        cumulative sum), but the ``k − 1`` interior releases are never
-        materialized — no per-level gather over the block, so the cost
-        drops from ``O(k·levels·d)`` to ``O(k·d)`` beyond the draw.  The
-        returned release is bit-identical to ``observe_batch(values)[-1]``,
-        and the two methods (and :meth:`observe`) may be interleaved
-        freely on one instance.
+        One commit: the prefix folds the block's elements in sequentially
+        (the additions :meth:`observe` performs, so the release is
+        bit-identical to ``observe_batch(values)[-1]``), then the nodes
+        active at the block end that closed inside it get their keyed
+        noise.  Nodes that close and merge inside the block are never
+        released, so their noise is never drawn: at most ``levels`` draws
+        per block instead of ``k``.
 
         Privacy is unchanged: the mechanism *may* release every prefix; a
         front that reads only block-boundary sums is post-processing that
         discards outputs.
         """
         flat = self._coerce_batch(values)
-        k = flat.shape[0]
-        if self.steps_taken + k > self.horizon:
-            raise StreamExhaustedError(
-                f"TreeMechanism configured for horizon {self.horizon} "
-                f"received a block of {k} elements at step {self.steps_taken}"
-            )
-        self._ensure_eta()
-        t0 = self.steps_taken
-        noise = self._rng.normal(0.0, self.sigma_node, size=(k, self._flat_dim))
-        # Sequential left-to-right accumulation (cumsum), as in observe_batch,
-        # keeps the committed prefix bit-identical to per-point ingestion.
-        chained = np.cumsum(
-            np.concatenate([self._prefix[None, :], flat], axis=0), axis=0
-        )[1:]
-        self._commit_block_state(t0, k, noise, chained[-1].copy())
-        return self._release_current()
+        self._check_room(flat.shape[0])
+        return self._commit(self._fold(flat), flat.shape[0])
 
     def advance_sum(self, total: np.ndarray | float, count: int) -> np.ndarray:
         """Advance ``count`` steps given only the block's element **sum**.
 
-        The serving layer's sampled-noise ingest path.  Only the clean
-        prefix (which needs just the block total — computable with one BLAS
-        product upstream) and the noise of the nodes still active at the
-        block end are maintained; interior nodes that close *and* are
-        discarded within the block never have their noise drawn.  Per
-        block, at most ``levels`` Gaussian vectors are drawn instead of
-        ``count``.
-
-        Privacy and the released distribution are unchanged — every node
-        value that is ever released is its exact dyadic-range sum plus a
-        fresh ``N(0, σ²_node I)`` draw; nodes whose noise is skipped are
-        exactly the nodes never included in any released query.  The rng
-        *stream* differs from :meth:`observe`/:meth:`observe_batch`
-        (fewer draws, in level-ascending order), so releases match those
-        paths in distribution, not bit-for-bit; :func:`tests
-        <merge_released>` and the variance accounting below are unaffected
-        because the active-node count at any timestep is identical.
+        The same commit as :meth:`advance_batch`, with the prefix advanced
+        by a pre-reduced total (one BLAS product upstream) instead of a
+        sequential fold.  The noise is the same keyed node noise, so the
+        release differs from :meth:`advance_batch` only by the float
+        summation order of the clean prefix — bit-identical whenever the
+        block sums exactly (e.g. small integers).
 
         The caller owns the contract that ``total`` equals the sum of the
         ``count`` ingested elements (the serving shard computes it as
@@ -488,53 +444,62 @@ class TreeMechanism:
         """
         total_flat = self._coerce(total)
         count = check_int("count", count, minimum=1)
+        self._check_room(count)
+        return self._commit(self._fold_total(total_flat, count), count)
+
+    def _check_room(self, count: int) -> None:
         if self.steps_taken + count > self.horizon:
             raise StreamExhaustedError(
-                f"TreeMechanism configured for horizon {self.horizon} "
+                f"{type(self).__name__} configured for horizon {self.horizon} "
                 f"received a block of {count} elements at step {self.steps_taken}"
             )
-        self._ensure_eta()
+
+    def _fold(self, rows: np.ndarray) -> np.ndarray:
+        """The clean prefix after adding ``rows`` one at a time, in order."""
+        prefix = self._prefix.copy()
+        for row in rows:
+            prefix += row
+        return prefix
+
+    def _fold_total(self, total: np.ndarray, count: int) -> np.ndarray:
+        """The clean prefix after adding a pre-reduced block total."""
+        return self._prefix + total
+
+    def _fade(self, steps: int) -> float:
+        """Weight a node's noise keeps ``steps`` elements after it closed."""
+        return 1.0
+
+    def _commit(self, prefix: np.ndarray, count: int) -> np.ndarray:
+        """Commit ``count`` validated steps ending at clean prefix ``prefix``.
+
+        After step ``t`` the active nodes are the set bits of ``t``; the
+        level-``j`` one closed at ``(t >> j) << j``.  Only the levels below
+        the highest bit in which ``t0`` and ``t_end`` differ change, and
+        every node active there closed inside the block, so each gets its
+        keyed noise; the levels above keep their nodes and their noise.
+        """
+        eta = self._ensure_eta()
         t0 = self.steps_taken
         t_end = t0 + count
-        prefix = self._prefix + total_flat
-        # Draw noise only for the nodes alive at the block end that closed
-        # inside the block, level-ascending (a fixed, documented order).
         self._prefix = prefix
-        for j in range(self.levels):
-            if (t_end >> j) & 1:
-                closed_at = (t_end >> j) << j
-                if closed_at > t0:
-                    self._eta[j] = self._rng.normal(
-                        0.0, self.sigma_node, size=self._flat_dim
-                    )
-                self._active[j] = True
-            else:
-                self._active[j] = False
+        for j in range((t0 ^ t_end).bit_length()):
+            index = t_end >> j
+            self._active[j] = bool(index & 1)
+            if self._active[j]:
+                eta[j] = self._node_noise(j, index)
         self.steps_taken = t_end
         return self._release_current()
-
-    def _commit_block_state(
-        self, t0: int, k: int, noise: np.ndarray, prefix: np.ndarray
-    ) -> None:
-        """Commit post-block state: prefix, per-level frozen noise, mask."""
-        t_end = t0 + k
-        self._prefix = prefix
-        for j in range(self.levels):
-            if (t_end >> j) & 1:
-                closed_at = (t_end >> j) << j
-                if closed_at > t0:
-                    self._eta[j] = noise[closed_at - t0 - 1]
-                self._active[j] = True
-            else:
-                self._active[j] = False
-        self.steps_taken = t_end
 
     def _release_current(self) -> np.ndarray:
         """Release at the current step: prefix + active noise, level-ascending."""
         release = self._prefix.copy()
+        t = self.steps_taken
         for j in range(self.levels):
             if self._active[j]:
-                release += self._eta[j]
+                # The level-j node closed at (t >> j) << j: its age is the
+                # j low bits of t.
+                fade = self._fade(t & ((1 << j) - 1))
+                release += self._eta[j] if fade == 1.0 else fade * self._eta[j]
         self._last_release = release
         return release.reshape(self.shape)
 

@@ -8,8 +8,8 @@ kernel methods will bring their own shapes.  This module is the one
 generalization point:
 
 * :class:`MomentStatistic` — one named statistic: a shape, a per-element
-  accumulation rule (the exact tier), a pre-reduced block-total rule (the
-  fast tier), and a budget weight.
+  accumulation rule (``ingest="exact"``), a pre-reduced block-total rule
+  (``ingest="fast"``), and a budget weight.
 * :class:`MomentBundle` — an *ordered* set of statistics, each backed by
   its own release mechanism from
   :func:`~repro.privacy.release.make_release_mechanism`, advanced in
@@ -289,8 +289,9 @@ class MomentBundle:
         """
         k = rows.shape[0]
         if fast:
-            # One BLAS product per statistic; mechanisms draw only
-            # surviving-node noise (distributional tier).  A decayed entry
+            # One BLAS product per statistic; the mechanisms add the
+            # totals and draw the same keyed node noise as the sequential
+            # fold below.  A decayed entry
             # gets γ-weighted block totals — ``advance_sum``'s contract is
             # ``Σ γ^{k−1−i} v_i`` so the mechanism's internal fold
             # ``γ^k·prefix + total`` reproduces the sequential recursion.

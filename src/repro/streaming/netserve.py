@@ -30,7 +30,7 @@ Why the analyses survive this boundary too
 ------------------------------------------
 Nothing privacy- or correctness-relevant is transport-shaped.  The
 worker builds its mechanisms from the same spawned rng children every
-other transport ships, so randomness is consumed identically (``K = 1``
+other transport ships, so they draw the same node-noise keys (``K = 1``
 under ``ingest="exact"`` stays bit-identical to the plain batched path,
 and thread ≡ process ≡ tcp merged releases under one seed —
 ``tests/test_tcp_serving.py``).  The wire carries the released statistic

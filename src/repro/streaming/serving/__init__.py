@@ -78,19 +78,22 @@ the single-tree one (:func:`repro.privacy.parameters.shard_budgets`).
   (:meth:`ShardedStream.subscribe`, ``wait_for_version``) turns pollers
   into waiters — see :mod:`repro.streaming.readers`.
 
-Ingest tiers (mirroring the batched-API contract):
+Ingest summation order (``ingest``).  Tree node noise is addressed by
+node — a pure function of the mechanism's key and the node's (level,
+index) — so both settings release the same noise for the same node; they
+differ only in how each block's clean moment sum is added up:
 
-* ``ingest="exact"`` (default) — shards ingest via the mechanisms'
-  ``advance_batch``: same rng consumption and addition order as per-point
-  ingestion, so merged releases (and hence served estimates) are
-  **bit-identical** to a replay of the per-shard trees, and a ``K=1``
-  server matches the plain batched path bit for bit.
-* ``ingest="fast"`` — shards compute block moment totals with one BLAS
-  product per bundle statistic (``Xᵀy`` / ``XᵀX``) and the trees draw
-  noise only for the nodes alive at block boundaries
-  (``TreeMechanism.advance_sum``).  Releases are **distributionally
-  identical** (same active-node count, same per-node σ), not
-  bit-identical; this is the high-throughput production path.
+* ``ingest="exact"`` (default) — shards fold each element into the
+  prefix one at a time (the mechanisms' ``advance_batch``), the additions
+  per-point ingestion performs, so merged releases (and hence served
+  estimates) are **bit-identical** to a replay of the per-shard trees,
+  and a ``K=1`` server matches the plain batched path bit for bit.
+* ``ingest="fast"`` — shards compute each block's moment totals with one
+  BLAS product per bundle statistic (``Xᵀy`` / ``XᵀX``) and add them to
+  the prefix (``TreeMechanism.advance_sum``).  Releases equal the exact
+  setting's up to float summation order.  A pre-reduced total cannot be
+  split at a window chunk or hybrid epoch boundary, so a finite
+  ``window`` and ``mechanism="hybrid"`` accept only ``"exact"``.
 
 Fault semantics: :meth:`ShardedStream.kill_shard` drops a shard's
 mechanisms (under the process transport it SIGKILLs the worker process);

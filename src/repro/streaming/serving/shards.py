@@ -53,8 +53,9 @@ class MomentShard:
         ``mechanism`` while the knob itself keeps its value.
 
     ``ingest`` maps the routed block through the declaration's row
-    transform, then advances the bundle (``advance_batch`` exact tier, or
-    one BLAS block total per statistic + ``advance_sum`` fast tier).
+    transform, then advances the bundle (``advance_batch`` under
+    ``ingest="exact"``, or one BLAS block total per statistic +
+    ``advance_sum`` under ``ingest="fast"``).
     Sensitivity is Δ₂ = 2 for every declared statistic, so the budget
     split, the noise calibration, and the merge rule are backend-agnostic.
     """

@@ -135,9 +135,11 @@ class ShardFront:
                 "set heartbeat_every"
             )
         if ingest == "fast" and mechanism != "tree":
+            # About the data, not the noise: a pre-reduced block total
+            # cannot be split at a hybrid epoch boundary.
             raise ValidationError(
-                "ingest='fast' needs tree shards (advance_sum is a "
-                "TreeMechanism serving path)"
+                "ingest='fast' needs tree shards: a pre-reduced block total "
+                "(advance_sum) cannot be split at hybrid epoch boundaries"
             )
         if mechanism == "tree" and horizon is None:
             raise ValidationError(
@@ -1009,8 +1011,12 @@ class ShardedStream(ShardFront, HubReads):
         multiple of this (and at the horizon); ``None`` (default)
         refreshes after every processed block.  Post-processing only.
     ingest:
-        ``"exact"`` (bit-identical tier) or ``"fast"`` (distributional
-        tier, tree shards only) — see the module docstring.
+        The summation order of each block's clean moment sum: ``"exact"``
+        (elements folded in one at a time, bit-identical to per-point
+        ingestion) or ``"fast"`` (one BLAS block total per statistic;
+        equal up to float summation order, tree shards only).  Node
+        noise is addressed by node, so both release the same noise — see
+        the module docstring.
     mechanism:
         ``"tree"`` (known horizon) or ``"hybrid"`` (horizon-free shards).
     decay:
@@ -1020,15 +1026,15 @@ class ShardedStream(ShardFront, HubReads):
         ``(1−γ^t)/(1−γ)`` to the solver — recent points dominate the
         served estimate on drifting streams.  ``γ = 1`` is bit-identical
         to the plain front.  Mutually exclusive with ``window``; works
-        with both ingest tiers (the fast tier computes γ-weighted block
+        with both summation orders (``"fast"`` computes γ-weighted block
         totals with one weighted BLAS product).
     window:
         Optional sliding window ``W``: shard mechanisms become chunked
         :class:`~repro.privacy.release.SlidingWindowMechanism` rings that
         hard-expire elements older than ``W`` steps.  Finite windows are
         horizon-free (pair with ``mechanism="hybrid"`` for unbounded
-        recency serving) but need ``ingest="exact"`` — pre-reduced fast
-        totals cannot be split at expiry boundaries.  ``window=inf`` is
+        recency serving) but need ``ingest="exact"`` — a pre-reduced
+        block total cannot be split at a chunk boundary.  ``window=inf`` is
         the degenerate never-expiring ring, bit-identical to the plain
         tree front.  Mutually exclusive with ``decay``.
     composition:
@@ -1057,7 +1063,7 @@ class ShardedStream(ShardFront, HubReads):
         released moments back as picklable
         :class:`~repro.privacy.tree.ReleasedMoments` snapshots.  All
         transports build the same mechanisms from the same rng children,
-        so the ingest tiers, merge rule, and fault semantics are
+        so the ingest contract, merge rule, and fault semantics are
         transport-independent (``tests/test_process_serving.py``,
         ``tests/test_tcp_serving.py``); a custom ``projection`` or
         router must be picklable-compatible (the projection ships in the
@@ -1241,6 +1247,8 @@ class ShardedStream(ShardFront, HubReads):
                 "a horizon"
             )
         if window is not None and not math.isinf(window) and ingest == "fast":
+            # About the data, not the noise: a pre-reduced block total
+            # cannot be split at a chunk boundary.
             raise ValidationError(
                 "ingest='fast' cannot serve a finite window: the "
                 "pre-reduced block totals advance_sum consumes cannot be "

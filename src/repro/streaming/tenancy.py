@@ -165,8 +165,10 @@ class MultiTenantStream(ShardFront):
         Merge + solve whenever the processed count crosses a multiple of
         this (and at the horizon); ``None`` refreshes every block.
     ingest:
-        ``"exact"`` (bit-identical tier) or ``"fast"`` (distributional
-        BLAS tier) — the same two tiers as the single-tenant front.
+        The summation order of each block's clean moment sums, as on the
+        single-tenant front: ``"exact"`` (sequential, bit-identical to
+        per-point ingestion) or ``"fast"`` (BLAS block totals).  Node
+        noise is addressed by node, so both release the same noise.
     mode:
         ``"sync"``, ``"async"`` (enqueue and return; a worker thread
         ingests and refreshes) or ``"manual"`` (:meth:`pump`).

@@ -29,11 +29,11 @@ each shard's released sum, noise variance, step count, and shape — all
 frozen losslessly into the snapshot (``float64`` pickles exactly), so a
 merge over pipe-shipped snapshots is bit-identical to a merge over the
 live mechanisms.  Each worker builds its mechanisms from the same spawned
-rng children the in-process transport would use, so the two transports
-consume randomness identically: under ``ingest="exact"`` a ``K = 1``
-process server stays bit-identical to the plain batched path, and thread
-and process servers under one seed produce identical merged releases
-(``tests/test_process_serving.py``).  Privacy needs even less: each
+rng children the in-process transport would use, so they draw the same
+node-noise keys and release the same noise: under ``ingest="exact"`` a
+``K = 1`` process server stays bit-identical to the plain batched path,
+and thread and process servers under one seed produce identical merged
+releases (``tests/test_process_serving.py``).  Privacy needs even less: each
 shard's tree is a complete ``(ε, δ)`` mechanism on its own sub-stream,
 and everything the parent does with the snapshots is post-processing.
 

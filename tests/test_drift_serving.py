@@ -121,9 +121,25 @@ class TestDecayedServing:
     def test_decayed_runs_on_both_ingest_tiers(self):
         exact = _run(decay=DECAY)
         fast = _run(decay=DECAY, ingest="fast")
-        # Same γ-weighted clean prefix on both tiers (different noise
-        # draw order, so moments differ; the weight must not).
+        # Same γ-weighted clean prefix under both summation orders; the
+        # weight must match exactly.
         assert exact[3] == fast[3]
+
+    def test_exact_and_fast_release_the_same_decayed_noise(self, stream):
+        """Node-addressed noise under γ: the ``ingest`` settings differ
+        only in the float summation order of the γ-weighted block sums."""
+        exact = _server(decay=DECAY)
+        fast = _server(decay=DECAY, ingest="fast")
+        try:
+            _feed(exact, stream)
+            _feed(fast, stream)
+            for m_exact, m_fast in zip(exact.merged_moments(), fast.merged_moments()):
+                np.testing.assert_allclose(m_fast.value, m_exact.value, rtol=1e-12, atol=1e-12)
+                assert m_fast.noise_variance == m_exact.noise_variance
+                assert m_fast.covered_weight == m_exact.covered_weight
+        finally:
+            exact.close()
+            fast.close()
 
     def test_windowed_serving_covers_the_ring(self):
         _, _, _, weight = _run(window=12)

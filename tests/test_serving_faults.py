@@ -24,6 +24,7 @@ from serving_backends import serve_backend_kwargs, serve_backend_replay
 from repro import (
     EstimateCache,
     L2Ball,
+    MultiTenantStream,
     PrivacyParams,
     ServingError,
     ShardedStream,
@@ -231,6 +232,47 @@ class TestShardRestart:
             served = server.flush()
         assert served.covered_steps == T - server.lost_steps
         assert served.covered_steps + server.lost_steps == server.steps_ingested
+
+
+class TestReplacementsDrawFreshKeys:
+    """Tree node noise is a pure function of the mechanism's key and the
+    node's address, so every replacement mechanism must draw a fresh key:
+    otherwise the same node noise would be released over different data.
+    Runs in-process (the mechanisms are read directly), on tree shards."""
+
+    def test_restarted_shard_has_fresh_node_noise(self, stream):
+        server = ShardedStream(
+            L2Ball(DIM), PARAMS, shards=2, horizon=T, transport="thread", rng=55
+        )
+        try:
+            server.observe_batch(stream.xs[:4], stream.ys[:4])
+            old = server._shards[0]
+            before = [old.cross._node_noise(0, 1), old.gram._node_noise(0, 1)]
+            server.kill_shard(0)
+            server.restart_shard(0)
+            new = server._shards[0]
+            after = [new.cross._node_noise(0, 1), new.gram._node_noise(0, 1)]
+            for noise_before, noise_after in zip(before, after):
+                assert not np.array_equal(noise_before, noise_after)
+        finally:
+            server.close()
+
+    def test_re_added_tenant_has_fresh_node_noise(self, stream):
+        server = MultiTenantStream(
+            L2Ball(DIM), PARAMS, tenants=2, shards=2, horizon=T,
+            transport="thread", rng=55,
+        )
+        try:
+            Y = np.stack([stream.ys[:4], -stream.ys[:4]], axis=1)
+            server.observe_batch(stream.xs[:4], Y)
+            before = [shard.cross["tenant-1"]._node_noise(0, 1) for shard in server._shards]
+            server.remove_tenant("tenant-1")
+            server.add_tenant("tenant-1")
+            after = [shard.cross["tenant-1"]._node_noise(0, 1) for shard in server._shards]
+            for noise_before, noise_after in zip(before, after):
+                assert not np.array_equal(noise_before, noise_after)
+        finally:
+            server.close()
 
 
 class TestCloseAndFlushLiveness:

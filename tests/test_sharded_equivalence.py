@@ -233,8 +233,7 @@ class TestMergeCorrectness:
 
         The merged release is (exact logical sum) + (Gaussian noise of
         per-coordinate variance ``MergedRelease.noise_variance``); both
-        ingest tiers must match it — the fast tier draws different bits
-        but the same distribution.
+        ``ingest`` summation orders must match it.
         """
         trials = 300
         length, dim = 12, 2
@@ -291,6 +290,28 @@ class TestMergeCorrectness:
         assert ce.noise_variance == pytest.approx(cf.noise_variance)
         assert ge.noise_variance == pytest.approx(gf.noise_variance)
         assert ce.coverage == cf.coverage
+
+    @pytest.mark.skipif(
+        SERVE_BACKEND == "sketch",
+        reason="sketch shards draw per-block noise, not per-tree-node noise",
+    )
+    @pytest.mark.parametrize("k", SHARD_COUNTS)
+    def test_exact_and_fast_release_the_same_noise(self, stream, k):
+        """Node-addressed noise: the two ``ingest`` settings differ only in
+        the float summation order of the clean block sums."""
+        exact = _make_server(k, seed=21, ingest="exact")
+        fast = _make_server(k, seed=21, ingest="fast")
+        try:
+            for s, e in RAGGED_BLOCKS:
+                exact.observe_batch(stream.xs[s:e], stream.ys[s:e])
+                fast.observe_batch(stream.xs[s:e], stream.ys[s:e])
+            for m_exact, m_fast in zip(exact.merged_moments(), fast.merged_moments()):
+                np.testing.assert_allclose(m_fast.value, m_exact.value, rtol=1e-12, atol=1e-12)
+                assert m_fast.noise_variance == m_exact.noise_variance
+                assert m_fast.coverage == m_exact.coverage
+        finally:
+            exact.close()
+            fast.close()
 
 
 # ---------------------------------------------------------------------------

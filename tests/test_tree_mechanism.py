@@ -166,9 +166,10 @@ class TestActiveMaskRegression:
 
     def _reference_releases(self, data, horizon, sigma, seed):
         """Direct model: exact prefix + per-node noise at the set bits of t,
-        with one Gaussian draw per closed node, replayed independently of
-        the TreeMechanism implementation."""
-        rng = np.random.default_rng(seed)
+        each node's noise drawn from a fresh Philox keyed by two raw words
+        of the seed's generator at counter [0, 0, node index, level],
+        replayed independently of the TreeMechanism implementation."""
+        key = np.random.default_rng(seed).bit_generator.random_raw(2)
         levels = horizon.bit_length()
         dim = data.shape[1]
         eta = np.zeros((levels, dim))
@@ -177,7 +178,8 @@ class TestActiveMaskRegression:
         for t in range(1, len(data) + 1):
             prefix = prefix + data[t - 1]
             closed_level = (t & -t).bit_length() - 1
-            eta[closed_level] = rng.normal(0.0, sigma, size=dim)
+            node = np.random.Philox(key=key, counter=[0, 0, t >> closed_level, closed_level])
+            eta[closed_level] = np.random.Generator(node).normal(0.0, sigma, size=dim)
             release = prefix.copy()
             for j in range(levels):
                 if (t >> j) & 1:

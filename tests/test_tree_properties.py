@@ -10,8 +10,15 @@ depend on, independent of any specific stream:
 * noise is independent of the data: the released error sequence (release
   minus exact prefix) is identical for any two streams processed under the
   same seed — the property that makes the privacy proof a pure
-  sensitivity-times-calibration argument.
+  sensitivity-times-calibration argument;
+* node noise is addressed by node, so every ingest path releases the same
+  noise for the same node under any block split: on small-integer streams
+  (where every float sum is exact) sequential ``observe``,
+  ``observe_batch``, ``advance_batch`` and ``advance_sum`` agree bit for
+  bit.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import HybridMechanism, PrivacyParams, TreeMechanism
 from repro.exceptions import StreamExhaustedError
+from repro.privacy import DecayedTreeMechanism, SlidingWindowMechanism
 
 HUGE_EPS = PrivacyParams(1e12, 0.5)
 NORMAL = PrivacyParams(1.0, 1e-6)
@@ -200,3 +208,100 @@ class TestBatchedExactnessProperty:
             axis=0,
         )
         np.testing.assert_allclose(released, np.cumsum(stacked, axis=0), atol=1e-6)
+
+
+# Small integers keep every prefix (and, at γ = 0.5, every γ-weighted
+# prefix of up to 40 elements) exactly representable, so any two summation
+# orders give the same bits and only the noise can tell the paths apart.
+int_streams = st.lists(
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=2),
+    min_size=1,
+    max_size=40,
+).map(lambda rows: np.array(rows, dtype=float))
+block_sizes = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=40)
+
+
+def _cut(data, sizes):
+    """Consecutive blocks of ``data`` with the given sizes (the rest last)."""
+    blocks, start = [], 0
+    for size in sizes:
+        if start >= len(data):
+            break
+        blocks.append(data[start : start + size])
+        start += size
+    if start < len(data):
+        blocks.append(data[start:])
+    return blocks
+
+
+TREE_FAMILIES = {
+    "tree": lambda n: TreeMechanism(n, (2,), 2.0, NORMAL, rng=5),
+    "decayed-1": lambda n: DecayedTreeMechanism(n, (2,), 2.0, NORMAL, rng=5, decay=1.0),
+    "decayed-0.5": lambda n: DecayedTreeMechanism(n, (2,), 2.0, NORMAL, rng=5, decay=0.5),
+    "window-inf": lambda n: SlidingWindowMechanism(math.inf, (2,), 2.0, NORMAL, rng=5, horizon=n),
+}
+
+SPLIT_FAMILIES = {
+    "hybrid": lambda n: HybridMechanism((2,), 2.0, NORMAL, rng=5),
+    "hybrid-0.5": lambda n: HybridMechanism((2,), 2.0, NORMAL, rng=5, decay=0.5),
+    "window-4": lambda n: SlidingWindowMechanism(4, (2,), 2.0, NORMAL, rng=5),
+    "window-7": lambda n: SlidingWindowMechanism(7, (2,), 2.0, NORMAL, rng=5, chunk=3),
+}
+
+
+def _sequential(make, data):
+    mech = make(len(data))
+    return np.stack([mech.observe(v) for v in data])
+
+
+def _block_ends(blocks):
+    return np.cumsum([len(b) for b in blocks]) - 1
+
+
+class TestOneNoiseStreamProperty:
+    @pytest.mark.parametrize("family", sorted(TREE_FAMILIES))
+    @given(data=int_streams, sizes=block_sizes)
+    @settings(max_examples=30, deadline=None)
+    def test_every_ingest_path_releases_the_same_bits(self, family, data, sizes):
+        make = TREE_FAMILIES[family]
+        blocks = _cut(data, sizes)
+        ends = _block_ends(blocks)
+        sequential = _sequential(make, data)
+
+        batched = make(len(data))
+        np.testing.assert_array_equal(
+            np.concatenate([batched.observe_batch(b) for b in blocks]), sequential
+        )
+
+        advanced = make(len(data))
+        np.testing.assert_array_equal(
+            np.stack([advanced.advance_batch(b) for b in blocks]), sequential[ends]
+        )
+
+        summed = make(len(data))
+        gamma = getattr(summed, "decay", 1.0)
+        releases = []
+        for block in blocks:
+            weights = gamma ** np.arange(len(block) - 1, -1, -1, dtype=float)
+            releases.append(summed.advance_sum(weights @ block, len(block)))
+        np.testing.assert_array_equal(np.stack(releases), sequential[ends])
+        assert summed.release_noise_variance() == advanced.release_noise_variance()
+
+    @pytest.mark.parametrize("family", sorted(SPLIT_FAMILIES))
+    @given(data=int_streams, sizes=block_sizes)
+    @settings(max_examples=30, deadline=None)
+    def test_split_mechanisms_release_the_same_bits(self, family, data, sizes):
+        make = SPLIT_FAMILIES[family]
+        blocks = _cut(data, sizes)
+        sequential = _sequential(make, data)
+
+        batched = make(len(data))
+        np.testing.assert_array_equal(
+            np.concatenate([batched.observe_batch(b) for b in blocks]), sequential
+        )
+
+        advanced = make(len(data))
+        np.testing.assert_array_equal(
+            np.stack([advanced.advance_batch(b) for b in blocks]),
+            sequential[_block_ends(blocks)],
+        )
