@@ -59,13 +59,13 @@ from .._validation import (
     check_vector,
     check_xy_block,
 )
-from ..erm.noisy_pgd import NoisyProjectedGradient, noisy_pgd_iterations
+from ..erm.noisy_pgd import noisy_pgd_iterations
 from ..exceptions import DomainViolationError, ValidationError
 from ..geometry.base import ConvexSet
 from ..privacy.accountant import PrivacyAccountant
 from ..privacy.parameters import PrivacyParams
 from ..privacy.release import SlidingWindowMechanism, make_release_mechanism
-from .private_gradient import PrivateGradientFunction
+from .private_gradient import PrivateGradientFunction, solve_released
 
 __all__ = ["PrivIncReg1", "solve_schedule"]
 
@@ -198,6 +198,16 @@ class PrivIncReg1:
         self.accountant.charge("tree:cross-moments", half)
         self.accountant.charge("tree:second-moments", half)
 
+        # Lemma 4.1's α, fixed here: both trees' error bounds are
+        # configuration constants (see ``error_bound`` in
+        # privacy/release.py), so every refresh reuses one value.
+        share = self.beta / 2.0
+        self._alpha = PrivateGradientFunction.moment_error_bound(
+            self._tree_gram.error_bound_spectral(share),
+            self._tree_cross.error_bound(share),
+            constraint.diameter(),
+        )
+
         self.steps_taken = 0
         self.estimate_version = 0
         self._theta = constraint.project(np.zeros(self.dim))
@@ -212,14 +222,9 @@ class PrivIncReg1:
         ``‖ΔQ‖₂`` via its Proposition A.1 — the spectral norm of a Gaussian
         matrix is ``O(√d)``, a ``√d`` factor below Frobenius, which is how
         Theorem 4.2 lands on ``√d`` rather than ``d``), each at confidence
-        ``β/2``.
+        ``β/2``.  Computed once at construction.
         """
-        share = self.beta / 2.0
-        gram_error = self._tree_gram.error_bound_spectral(share)
-        cross_error = self._tree_cross.error_bound(share)
-        return PrivateGradientFunction.moment_error_bound(
-            gram_error, cross_error, self.constraint.diameter()
-        )
+        return self._alpha
 
     def _prefix_lipschitz(self, t: float) -> float:
         """Lipschitz bound of ``L(·; Γ_t)`` over ``C``: ``2t(‖C‖ + 1)``."""
@@ -316,18 +321,15 @@ class PrivIncReg1:
         self, t: float, noisy_gram: np.ndarray, noisy_cross: np.ndarray
     ) -> None:
         """One PGD refresh against the released moments at logical ``t``."""
-        # Symmetrize: the true moment matrix is symmetric; averaging with the
-        # transpose is post-processing and only reduces the error.
-        noisy_gram = 0.5 * (noisy_gram + noisy_gram.T)
-        alpha = self.gradient_error()
-        gradient_fn = PrivateGradientFunction(noisy_gram, noisy_cross, alpha)
-        pgd = NoisyProjectedGradient(
+        self._theta = solve_released(
             self.constraint,
+            noisy_gram,
+            noisy_cross,
+            alpha=self._alpha,
             lipschitz=self._prefix_lipschitz(t),
-            gradient_error=alpha,
-            iterations=self._iterations(t, alpha),
+            iterations=self._iterations(t, self._alpha),
+            start=self._theta,
         )
-        self._theta = pgd.run(gradient_fn, start=self._theta)
         self.estimate_version += 1
 
     def refresh_from_released(

@@ -30,8 +30,10 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import check_matrix, check_non_negative, check_vector
+from ..erm.noisy_pgd import NoisyProjectedGradient
+from ..geometry.base import ConvexSet
 
-__all__ = ["PrivateGradientFunction"]
+__all__ = ["PrivateGradientFunction", "solve_released"]
 
 
 class PrivateGradientFunction:
@@ -74,6 +76,20 @@ class PrivateGradientFunction:
         theta = np.asarray(theta, dtype=float)
         return 2.0 * (self.noisy_gram @ theta - self.noisy_cross)
 
+    def into(self, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Evaluate ``g(θ)`` into the caller's buffer ``out`` and return it.
+
+        The allocation-free form :class:`~repro.erm.noisy_pgd.NoisyProjectedGradient`
+        iterates with: ``theta`` and ``out`` must be distinct float64
+        vectors of length ``dim``.  Bit-identical to :meth:`__call__` —
+        ``dot`` runs the same BLAS ``gemv`` as ``@`` and each in-place
+        step is one of the call's roundings.
+        """
+        self.noisy_gram.dot(theta, out)
+        out -= self.noisy_cross
+        out *= 2.0
+        return out
+
     @staticmethod
     def moment_error_bound(
         gram_error: float, cross_error: float, constraint_diameter: float
@@ -86,3 +102,29 @@ class PrivateGradientFunction:
         cross_error = check_non_negative("cross_error", cross_error)
         constraint_diameter = check_non_negative("constraint_diameter", constraint_diameter)
         return 2.0 * (gram_error * constraint_diameter + cross_error)
+
+
+def solve_released(
+    constraint: ConvexSet,
+    noisy_gram: np.ndarray,
+    noisy_cross: np.ndarray,
+    *,
+    alpha: float,
+    lipschitz: float,
+    iterations: int,
+    start: np.ndarray,
+) -> np.ndarray:
+    """One PGD refresh against released moments (Steps 2–3 of Algorithm 2).
+
+    Symmetrizes the released Gram — the true moment matrix is symmetric,
+    and averaging with the transpose is post-processing that only reduces
+    the error — forms ``g(θ) = 2(Qθ − q)`` with error bound ``α`` and runs
+    ``NOISYPROJGRAD`` over ``constraint`` from the warm start ``start``.
+    The shared refresh of every moment-based estimator.
+    """
+    noisy_gram = 0.5 * (noisy_gram + noisy_gram.T)
+    gradient_fn = PrivateGradientFunction(noisy_gram, noisy_cross, alpha)
+    pgd = NoisyProjectedGradient(
+        constraint, lipschitz=lipschitz, gradient_error=alpha, iterations=iterations
+    )
+    return pgd.run(gradient_fn, start=start)

@@ -48,7 +48,7 @@ from .._validation import (
     check_vector,
     check_xy_block,
 )
-from ..erm.noisy_pgd import NoisyProjectedGradient, noisy_pgd_iterations
+from ..erm.noisy_pgd import noisy_pgd_iterations
 from ..exceptions import DomainViolationError, ValidationError
 from ..geometry.base import ConvexSet, PointSet
 from ..privacy.accountant import PrivacyAccountant
@@ -59,7 +59,7 @@ from ..sketching.gordon import gordon_dimension
 from ..sketching.lifting import lift
 from ..sketching.projected_set import ProjectedConvexSet
 from .incremental_regression import MOMENT_SENSITIVITY, solve_schedule
-from .private_gradient import PrivateGradientFunction
+from .private_gradient import PrivateGradientFunction, solve_released
 
 __all__ = ["PrivIncReg2", "projected_sizing"]
 
@@ -251,6 +251,17 @@ class PrivIncReg2:
         self.accountant.charge("tree:projected-cross-moments", half)
         self.accountant.charge("tree:projected-second-moments", half)
 
+        # The projected α, fixed here: the trees' error bounds are
+        # configuration constants (see ``error_bound`` in
+        # privacy/release.py).  Under the Gordon event the projected set's
+        # diameter is (1+γ)‖C‖.
+        share = self.beta / 2.0
+        self._alpha = PrivateGradientFunction.moment_error_bound(
+            self._tree_gram.error_bound_spectral(share),
+            self._tree_cross.error_bound(share),
+            (1.0 + self.gamma) * constraint.diameter(),
+        )
+
         self.steps_taken = 0
         self.estimate_version = 0
         self._vartheta = self.projected_constraint.project(np.zeros(m))
@@ -263,16 +274,9 @@ class PrivIncReg2:
 
         As in Algorithm 2, the gram tree's error enters through the
         spectral norm of its Gaussian noise matrix (``O(√m)``), not the
-        Frobenius norm (``O(m)``).
+        Frobenius norm (``O(m)``).  Computed once at construction.
         """
-        share = self.beta / 2.0
-        gram_error = self._tree_gram.error_bound_spectral(share)
-        cross_error = self._tree_cross.error_bound(share)
-        # Under the Gordon event the projected set's diameter is (1+γ)‖C‖.
-        projected_diameter = (1.0 + self.gamma) * self.constraint.diameter()
-        return PrivateGradientFunction.moment_error_bound(
-            gram_error, cross_error, projected_diameter
-        )
+        return self._alpha
 
     def _prefix_lipschitz(self, t: float) -> float:
         """Lipschitz bound of the projected loss: ``2t((1+γ)‖C‖ + 1)``."""
@@ -365,16 +369,15 @@ class PrivIncReg2:
         self, t: float, noisy_gram: np.ndarray, noisy_cross: np.ndarray
     ) -> None:
         """Steps 7-9 against the released projected moments at logical ``t``."""
-        noisy_gram = 0.5 * (noisy_gram + noisy_gram.T)
-        alpha = self.gradient_error()
-        gradient_fn = PrivateGradientFunction(noisy_gram, noisy_cross, alpha)
-        pgd = NoisyProjectedGradient(
+        self._vartheta = solve_released(
             self.projected_constraint,
+            noisy_gram,
+            noisy_cross,
+            alpha=self._alpha,
             lipschitz=self._prefix_lipschitz(t),
-            gradient_error=alpha,
-            iterations=self._iterations(t, alpha),
+            iterations=self._iterations(t, self._alpha),
+            start=self._vartheta,
         )
-        self._vartheta = pgd.run(gradient_fn, start=self._vartheta)
 
         lifted = lift(self.projection.matrix, self._vartheta, self.constraint)
         # Numerical safety: the paper argues gauge(θ) ≤ 1 exactly; we

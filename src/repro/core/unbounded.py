@@ -30,13 +30,13 @@ from .._validation import (
     check_vector,
     check_xy_block,
 )
-from ..erm.noisy_pgd import NoisyProjectedGradient, noisy_pgd_iterations
+from ..erm.noisy_pgd import noisy_pgd_iterations
 from ..exceptions import DomainViolationError
 from ..geometry.base import ConvexSet
 from ..privacy.parameters import PrivacyParams
 from ..privacy.release import SlidingWindowMechanism, make_release_mechanism
 from .incremental_regression import MOMENT_SENSITIVITY
-from .private_gradient import PrivateGradientFunction
+from .private_gradient import PrivateGradientFunction, solve_released
 
 __all__ = ["UnboundedPrivIncReg"]
 
@@ -232,18 +232,22 @@ class UnboundedPrivIncReg:
     def _solve_at(
         self, t: float, noisy_gram: np.ndarray, noisy_cross: np.ndarray
     ) -> None:
-        """One PGD refresh against the released moments at logical ``t``."""
-        noisy_gram = 0.5 * (noisy_gram + noisy_gram.T)
+        """One PGD refresh against the released moments at logical ``t``.
+
+        ``α`` is recomputed per refresh: the hybrid bound grows with the
+        epochs seen so far.
+        """
         alpha = self.gradient_error()
-        gradient_fn = PrivateGradientFunction(noisy_gram, noisy_cross, alpha)
         lipschitz = 2.0 * t * (self.constraint.diameter() + 1.0)
-        pgd = NoisyProjectedGradient(
+        self._theta = solve_released(
             self.constraint,
+            noisy_gram,
+            noisy_cross,
+            alpha=alpha,
             lipschitz=lipschitz,
-            gradient_error=alpha,
             iterations=noisy_pgd_iterations(lipschitz, alpha, cap=self.iteration_cap),
+            start=self._theta,
         )
-        self._theta = pgd.run(gradient_fn, start=self._theta)
         self.estimate_version += 1
 
     def refresh_from_released(

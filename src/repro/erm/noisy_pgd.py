@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .._validation import check_int, check_non_negative, check_positive
+from ..exceptions import ValidationError
 from ..geometry.base import ConvexSet
 
 __all__ = ["NoisyProjectedGradient", "noisy_pgd_iterations"]
@@ -119,25 +120,60 @@ class NoisyProjectedGradient:
     ) -> np.ndarray:
         """Run ``r`` projected steps against the oracle; return ``θ̄``.
 
+        One check per solve: ``start`` goes through the checked
+        :meth:`~repro.geometry.base.ConvexSet.project` once, and the loop
+        then steps in place, through the unchecked ``_project``.  One
+        scalar test per step (``z·z`` finite, for the point ``z`` about to
+        be projected) stands in for the per-iterate check, so a non-finite
+        gradient or iterate still raises
+        :class:`~repro.exceptions.ValidationError` before it reaches a
+        projection, exactly as a checked ``project`` would.  The result is
+        bit-identical to the unbuffered loop
+        ``θ ← P_C(θ − η·g(θ))``.
+
         Parameters
         ----------
         gradient_oracle:
             The private gradient function ``g`` — any callable mapping a
             feasible ``θ`` to an approximate gradient.  Post-processing of a
-            private release, so evaluations are privacy-free.
+            private release, so evaluations are privacy-free.  The ``θ``
+            it receives is a solver buffer reused by later steps, so an
+            oracle that keeps it must copy it.  An oracle with an
+            ``into(theta, out)`` method (as
+            :class:`~repro.core.private_gradient.PrivateGradientFunction`
+            has) is evaluated into a buffer instead.
         start:
             Optional feasible starting point ``θ_1`` (defaults to
             ``P_C(0)``; the Appendix-B analysis permits any ``θ_1 ∈ C``).
         """
-        if start is None:
-            theta = self.constraint.project(np.zeros(self.constraint.dim))
-        else:
-            theta = self.constraint.project(np.asarray(start, dtype=float))
+        constraint = self.constraint
+        theta = constraint.project(np.zeros(constraint.dim) if start is None else start)
+        project = constraint._project
+        evaluate = getattr(gradient_oracle, "into", None)
+        if evaluate is None:
+            def evaluate(theta, out):
+                return gradient_oracle(theta)
+        step_size = self.step_size
+        step = np.empty_like(theta)
         iterate_sum = np.zeros_like(theta)
         for _ in range(self.iterations):
-            theta = self.constraint.project(theta - self.step_size * gradient_oracle(theta))
+            # θ ← θ − η·g(θ) in place, the same two roundings as the
+            # unbuffered expression (a positional ``out`` skips keyword
+            # parsing).  ``theta`` is always the solver's own array: the
+            # checked ``project`` copied ``start``, and ``_project``
+            # returns its argument or a fresh array.
+            np.multiply(evaluate(theta, step), step_size, step)
+            np.subtract(theta, step, theta)
+            if not math.isfinite(theta.dot(theta)):
+                # Non-finite, or finite but overflowing the square: the
+                # full check tells the two apart.
+                constraint._check_point("point", theta)
+            theta = project(theta)
             iterate_sum += theta
-        return iterate_sum / self.iterations
+        average = iterate_sum / self.iterations
+        if not np.all(np.isfinite(average)):
+            raise ValidationError("noisy PGD produced a non-finite average iterate")
+        return average
 
     def risk_bound(self) -> float:
         """Proposition B.1's guarantee ``(α+L)‖C‖/√r + α‖C‖``."""

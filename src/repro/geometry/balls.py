@@ -65,12 +65,15 @@ class L2Ball(ConvexSet):
         point = self._check_point("point", point)
         return float(np.linalg.norm(point)) <= self.radius + tol
 
-    def project(self, point: np.ndarray) -> np.ndarray:
-        point = self._check_point("point", point)
-        norm = float(np.linalg.norm(point))
+    def _project(self, point: np.ndarray) -> np.ndarray:
+        # ``sqrt(x·x)`` is how ``np.linalg.norm`` computes a 1-D float64
+        # norm, without the wrapper's cost; scaling in place keeps it
+        # bit-identical to ``point * (radius / norm)``.
+        norm = math.sqrt(point.dot(point))
         if norm <= self.radius:
-            return point.copy()
-        return point * (self.radius / norm)
+            return point
+        point *= self.radius / norm
+        return point
 
     def gauge(self, point: np.ndarray) -> float:
         point = self._check_point("point", point)
@@ -106,8 +109,7 @@ class L1Ball(ConvexSet):
         point = self._check_point("point", point)
         return float(np.abs(point).sum()) <= self.radius + tol
 
-    def project(self, point: np.ndarray) -> np.ndarray:
-        point = self._check_point("point", point)
+    def _project(self, point: np.ndarray) -> np.ndarray:
         return project_onto_l1_ball(point, self.radius)
 
     def gauge(self, point: np.ndarray) -> float:
@@ -146,9 +148,8 @@ class LinfBall(ConvexSet):
         point = self._check_point("point", point)
         return float(np.abs(point).max()) <= self.radius + tol
 
-    def project(self, point: np.ndarray) -> np.ndarray:
-        point = self._check_point("point", point)
-        return np.clip(point, -self.radius, self.radius)
+    def _project(self, point: np.ndarray) -> np.ndarray:
+        return np.clip(point, -self.radius, self.radius, out=point)
 
     def gauge(self, point: np.ndarray) -> float:
         point = self._check_point("point", point)
@@ -214,10 +215,9 @@ class LpBall(ConvexSet):
             low = np.where(too_big, low, mid)
         return 0.5 * (low + high)
 
-    def project(self, point: np.ndarray) -> np.ndarray:
-        point = self._check_point("point", point)
+    def _project(self, point: np.ndarray) -> np.ndarray:
         if self._pnorm(point) <= self.radius:
-            return point.copy()
+            return point
         magnitudes = np.abs(point)
         # Outer bisection on λ: ‖u(λ)‖_p is decreasing in λ.
         lam_low, lam_high = 0.0, 1.0

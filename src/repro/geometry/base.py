@@ -82,14 +82,30 @@ class ConvexSet(PointSet):
     group-L1 balls) implements this interface.
     """
 
-    @abc.abstractmethod
     def project(self, point: np.ndarray) -> np.ndarray:
         """Euclidean projection ``P_C(z) = argmin_{θ∈C} ‖θ − z‖``.
+
+        The one checked entry point: ``point`` must be a finite vector of
+        length ``dim`` (else :class:`~repro.exceptions.ValidationError`),
+        and the caller's array is never modified or returned.  Subclasses
+        implement :meth:`_project`.
 
         Projection is non-expansive (``‖P(a) − P(b)‖ ≤ ‖a − b‖``), the
         property the Appendix-B convergence proof relies on; the property
         tests in ``tests/test_geometry_properties.py`` verify it for every
         implementation.
+        """
+        return self._project(self._check_point("point", point).copy())
+
+    @abc.abstractmethod
+    def _project(self, point: np.ndarray) -> np.ndarray:
+        """The projection itself, on an already validated point.
+
+        ``point`` is a finite float64 vector of length ``dim`` that the
+        caller hands over: the implementation may overwrite it and return
+        it, or return a fresh array, but never an array it keeps.  Solvers
+        that validate once and then iterate (``NoisyProjectedGradient``)
+        call this directly.
         """
 
     @abc.abstractmethod

@@ -50,10 +50,9 @@ class Ellipsoid(ConvexSet):
         point = self._check_point("point", point)
         return self._quadratic(point) <= 1.0 + tol
 
-    def project(self, point: np.ndarray) -> np.ndarray:
-        point = self._check_point("point", point)
+    def _project(self, point: np.ndarray) -> np.ndarray:
         if self._quadratic(point) <= 1.0:
-            return point.copy()
+            return point
 
         def gauge_sq_at(lam: float) -> float:
             scaled = point * self._axes_sq / (self._axes_sq + lam)

@@ -71,11 +71,10 @@ class GroupL1Ball(ConvexSet):
     def contains(self, point: np.ndarray, tol: float = 1e-9) -> bool:
         return self.norm(point) <= self.radius + tol
 
-    def project(self, point: np.ndarray) -> np.ndarray:
-        point = self._check_point("point", point)
+    def _project(self, point: np.ndarray) -> np.ndarray:
         norms = self.block_norms(point)
         if norms.sum() <= self.radius:
-            return point.copy()
+            return point
         new_norms = project_onto_l1_ball(norms, self.radius)
         result = np.zeros_like(point)
         for block_slice, old, new in zip(self._slices, norms, new_norms):

@@ -67,9 +67,8 @@ class Polytope(ConvexSet):
         projected = self.project(point)
         return float(np.linalg.norm(projected - point)) <= max(tol, 1e-6)
 
-    def project(self, point: np.ndarray) -> np.ndarray:
+    def _project(self, point: np.ndarray) -> np.ndarray:
         """FISTA on ``min_w ‖Vᵀw − z‖²`` over the weight simplex."""
-        point = self._check_point("point", point)
         n_vertices = self._vertices.shape[0]
         weights = np.full(n_vertices, 1.0 / n_vertices)
         momentum = weights.copy()

@@ -46,8 +46,7 @@ class Simplex(ConvexSet):
         point = self._check_point("point", point)
         return bool(np.all(point >= -tol) and abs(point.sum() - 1.0) <= tol)
 
-    def project(self, point: np.ndarray) -> np.ndarray:
-        point = self._check_point("point", point)
+    def _project(self, point: np.ndarray) -> np.ndarray:
         return project_onto_simplex(point)
 
     def gauge(self, point: np.ndarray) -> float:

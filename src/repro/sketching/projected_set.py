@@ -66,7 +66,9 @@ class ProjectedConvexSet(ConvexSet):
 
     def preimage_project(self, target: np.ndarray) -> np.ndarray:
         """``argmin_{θ∈C} ‖Φθ − target‖²`` via warm-started FISTA."""
-        target = self._check_point("target", target)
+        return self._preimage(self._check_point("target", target))
+
+    def _preimage(self, target: np.ndarray) -> np.ndarray:
         lipschitz = 2.0 * self._spectral_norm**2 + 1e-12
         step = 1.0 / lipschitz
         theta = self._warm_theta
@@ -74,16 +76,16 @@ class ProjectedConvexSet(ConvexSet):
         t_prev = 1.0
         for _ in range(self.solver_iterations):
             gradient = 2.0 * self.phi.T @ (self.phi @ momentum - target)
-            new_theta = self.base.project(momentum - step * gradient)
+            new_theta = self.base._project(momentum - step * gradient)
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev))
             momentum = new_theta + ((t_prev - 1.0) / t_next) * (new_theta - theta)
             theta, t_prev = new_theta, t_next
         self._warm_theta = theta
         return theta
 
-    def project(self, point: np.ndarray) -> np.ndarray:
+    def _project(self, point: np.ndarray) -> np.ndarray:
         """``P_{ΦC}(z) = Φ · argmin_{θ∈C} ‖Φθ − z‖²``."""
-        return self.phi @ self.preimage_project(point)
+        return self.phi @ self._preimage(point)
 
     def contains(self, point: np.ndarray, tol: float = 1e-6) -> bool:
         point = self._check_point("point", point)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import GroupL1Ball, L1Ball, L2Ball, LinfBall, LpBall, Simplex
+from repro.exceptions import ValidationError
 
 DIM = 5
 
@@ -115,3 +116,57 @@ class TestSupportProperties:
     def test_support_bounded_by_diameter(self, convex_set, g):
         """h_C(g) ≤ ‖C‖·‖g‖ (Cauchy-Schwarz through the diameter)."""
         assert convex_set.support(g) <= convex_set.diameter() * np.linalg.norm(g) + 1e-6
+
+
+def _every_convex_set():
+    """One instance of each ``ConvexSet`` in the library, in ``R^DIM``."""
+    from repro import GaussianProjection, Polytope
+    from repro.geometry import Ellipsoid
+    from repro.sketching.projected_set import ProjectedConvexSet
+
+    rng = np.random.default_rng(7)
+    phi = GaussianProjection(DIM + 2, DIM, rng=1).matrix
+    return SETS + [
+        Ellipsoid(np.array([0.5, 1.0, 1.5, 0.8, 1.2])),
+        Polytope(rng.normal(size=(7, DIM))),
+        ProjectedConvexSet(phi, L1Ball(DIM + 2)),
+    ]
+
+
+ALL_SETS = _every_convex_set()
+ALL_SET_IDS = [type(s).__name__ for s in ALL_SETS]
+
+
+@pytest.mark.parametrize("convex_set", ALL_SETS, ids=ALL_SET_IDS)
+class TestProjectValidates:
+    """``project`` is the one checked entry point of every set.
+
+    Subclasses implement an unchecked ``_project``; these tests pin that
+    the check moved into the shared wrapper rather than disappearing.
+    """
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, convex_set, bad):
+        point = np.full(DIM, 0.1)
+        point[2] = bad
+        with pytest.raises(ValidationError):
+            convex_set.project(point)
+
+    @pytest.mark.parametrize("dim", [DIM - 1, DIM + 1])
+    def test_rejects_wrong_dimension(self, convex_set, dim):
+        with pytest.raises(ValidationError):
+            convex_set.project(np.full(dim, 0.1))
+
+    def test_rejects_matrix(self, convex_set):
+        with pytest.raises(ValidationError):
+            convex_set.project(np.full((DIM, 1), 0.1))
+
+    @pytest.mark.parametrize("scale", [0.01, 10.0])
+    def test_never_touches_the_callers_array(self, convex_set, scale):
+        """Inside or outside the set, the result is a fresh array and the
+        argument is unchanged (``_project`` may work in place)."""
+        point = scale * np.linspace(-1.0, 1.0, DIM)
+        before = point.copy()
+        projected = convex_set.project(point)
+        assert projected is not point
+        np.testing.assert_array_equal(point, before)

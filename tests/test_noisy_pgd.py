@@ -3,8 +3,21 @@
 import numpy as np
 import pytest
 
-from repro import L1Ball, L2Ball, NoisyProjectedGradient
+from repro import (
+    GaussianProjection,
+    GroupL1Ball,
+    L1Ball,
+    L2Ball,
+    LinfBall,
+    LpBall,
+    NoisyProjectedGradient,
+    Polytope,
+    PrivateGradientFunction,
+    Simplex,
+)
 from repro.erm.noisy_pgd import noisy_pgd_iterations
+from repro.geometry import Ellipsoid
+from repro.sketching.projected_set import ProjectedConvexSet
 from repro.exceptions import ValidationError
 
 
@@ -92,3 +105,147 @@ class TestConvergence:
         pgd.run(oracle)
         pgd.run(oracle)
         assert len(oracle_calls) == 14  # evaluation count is unbounded & harmless
+
+
+def reference_run(pgd, gradient_oracle, start=None):
+    """The unbuffered loop ``run`` replaced, kept verbatim as the reference:
+    a fresh temporary per step and a checked ``project`` per iterate."""
+    if start is None:
+        theta = pgd.constraint.project(np.zeros(pgd.constraint.dim))
+    else:
+        theta = pgd.constraint.project(np.asarray(start, dtype=float))
+    iterate_sum = np.zeros_like(theta)
+    for _ in range(pgd.iterations):
+        theta = pgd.constraint.project(theta - pgd.step_size * gradient_oracle(theta))
+        iterate_sum += theta
+    return iterate_sum / pgd.iterations
+
+
+GOLDEN_DIM = 6
+
+
+def _make_set(name):
+    """A fresh instance per call: ProjectedConvexSet carries a warm start
+    that each projection advances, so the two runs under comparison must
+    not share one."""
+    rng = np.random.default_rng(11)
+    if name == "L2Ball":
+        return L2Ball(GOLDEN_DIM, radius=0.8)
+    if name == "L1Ball":
+        return L1Ball(GOLDEN_DIM, radius=0.9)
+    if name == "LinfBall":
+        return LinfBall(GOLDEN_DIM, radius=0.3)
+    if name == "LpBall":
+        return LpBall(GOLDEN_DIM, p=1.5, radius=0.7)
+    if name == "Simplex":
+        return Simplex(GOLDEN_DIM)
+    if name == "GroupL1Ball":
+        return GroupL1Ball(GOLDEN_DIM, block_size=4, radius=0.9)
+    if name == "Ellipsoid":
+        return Ellipsoid(np.linspace(0.3, 1.2, GOLDEN_DIM))
+    if name == "Polytope":
+        return Polytope(rng.normal(size=(9, GOLDEN_DIM)), projection_iterations=60)
+    if name == "ProjectedConvexSet":
+        phi = GaussianProjection(GOLDEN_DIM + 3, GOLDEN_DIM, rng=2).matrix
+        return ProjectedConvexSet(phi, L1Ball(GOLDEN_DIM + 3), solver_iterations=40)
+    raise AssertionError(name)
+
+
+SET_NAMES = [
+    "L2Ball", "L1Ball", "LinfBall", "LpBall", "Simplex",
+    "GroupL1Ball", "Ellipsoid", "Polytope", "ProjectedConvexSet",
+]
+
+
+def _random_problem(seed):
+    """Random released moments (G, q), a start and a step schedule."""
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(40, GOLDEN_DIM))
+    gram = xs.T @ xs + rng.normal(scale=2.0, size=(GOLDEN_DIM, GOLDEN_DIM))
+    gram = 0.5 * (gram + gram.T)
+    cross = xs.T @ rng.normal(size=40)
+    start = rng.normal(scale=2.0, size=GOLDEN_DIM)
+    lipschitz = float(2.0 * np.linalg.norm(gram, 2))
+    return gram, cross, start, lipschitz
+
+
+class TestBufferedKernelIsBitIdentical:
+    """``run`` against the reference loop, bit for bit, on every set."""
+
+    @pytest.mark.parametrize("name", SET_NAMES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_private_gradient_oracle(self, name, seed):
+        gram, cross, start, lipschitz = _random_problem(seed)
+        oracle = PrivateGradientFunction(gram, cross, error_bound=0.5)
+        runs = []
+        for kernel in (reference_run, NoisyProjectedGradient.run):
+            pgd = NoisyProjectedGradient(_make_set(name), lipschitz, 0.5, iterations=12)
+            runs.append(kernel(pgd, oracle, start))
+        np.testing.assert_array_equal(runs[1], runs[0])
+
+    @pytest.mark.parametrize("name", SET_NAMES)
+    def test_plain_callable_oracle_and_default_start(self, name):
+        """An oracle without ``into`` takes the unbuffered evaluation."""
+        gram, cross, _, lipschitz = _random_problem(3)
+
+        def oracle(theta):
+            return 2.0 * (gram @ theta - cross)
+
+        runs = []
+        for kernel in (reference_run, NoisyProjectedGradient.run):
+            pgd = NoisyProjectedGradient(_make_set(name), lipschitz, 0.5, iterations=12)
+            runs.append(kernel(pgd, oracle))
+        np.testing.assert_array_equal(runs[1], runs[0])
+
+    def test_start_is_left_untouched(self):
+        gram, cross, start, lipschitz = _random_problem(4)
+        before = start.copy()
+        pgd = NoisyProjectedGradient(L2Ball(GOLDEN_DIM), lipschitz, 0.5, iterations=5)
+        pgd.run(PrivateGradientFunction(gram, cross, 0.5), start=start)
+        np.testing.assert_array_equal(start, before)
+
+    def test_into_matches_call(self):
+        gram, cross, start, _ = _random_problem(5)
+        oracle = PrivateGradientFunction(gram, cross, 0.5)
+        out = np.empty(GOLDEN_DIM)
+        assert oracle.into(start, out) is out
+        np.testing.assert_array_equal(out, oracle(start))
+
+    def test_l2_projection_matches_linalg_norm(self):
+        """``sqrt(z·z)`` is the 1-D float64 ``np.linalg.norm``, bit for bit."""
+        rng = np.random.default_rng(6)
+        ball = L2Ball(32, radius=0.8)
+        for _ in range(200):
+            point = rng.normal(scale=rng.uniform(0.01, 3.0), size=32)
+            norm = float(np.linalg.norm(point))
+            expected = point.copy() if norm <= 0.8 else point * (0.8 / norm)
+            np.testing.assert_array_equal(ball.project(point), expected)
+
+
+class TestNonFiniteOracle:
+    """A non-finite gradient raises ``ValidationError``, as the per-iterate
+    check did before the loop went unchecked (on the L1 ball an unchecked
+    NaN would surface as an ``IndexError`` inside the projection)."""
+
+    @pytest.mark.parametrize("ball", [L2Ball(3), L1Ball(3), LinfBall(3)],
+                             ids=["L2Ball", "L1Ball", "LinfBall"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at_step", [0, 3])
+    def test_raises_validation_error(self, ball, bad, at_step):
+        calls = []
+
+        def oracle(theta):
+            calls.append(None)
+            gradient = 2.0 * theta - 0.3
+            if len(calls) > at_step:
+                gradient[1] = bad
+            return gradient
+
+        pgd = NoisyProjectedGradient(ball, 2.0, 0.1, iterations=8)
+        with pytest.raises(ValidationError):
+            pgd.run(oracle)
+
+    def test_non_finite_start_raises(self):
+        pgd = NoisyProjectedGradient(L1Ball(3), 2.0, 0.1, iterations=4)
+        with pytest.raises(ValidationError):
+            pgd.run(lambda theta: theta, start=np.array([0.1, np.nan, 0.0]))
