@@ -11,6 +11,10 @@ vertex weights; we solve it with accelerated projected gradient (FISTA) using
 the exact simplex projection, which converges at ``O(1/k²)`` and needs no
 external solver.  The gauge is a small linear program solved with
 ``scipy.optimize.linprog``.
+
+scipy is imported inside the functions that call it, never at module
+level: ``import repro`` (which every spawned shard worker pays before it
+serves) stays numpy-only — ``tests/test_import_graph.py`` checks.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 
 from .._validation import check_matrix
 from ..exceptions import NotSupportedError
@@ -90,6 +93,8 @@ class Polytope(ConvexSet):
         exactly the smallest dilation factor.  Returns ``+∞`` when ``point``
         is outside the conic hull of the vertices.
         """
+        from scipy import optimize
+
         point = self._check_point("point", point)
         n_vertices = self._vertices.shape[0]
         result = optimize.linprog(

@@ -13,6 +13,10 @@ paper uses we additionally provide deterministic values:
 * ``E ‖g‖₁ = d √(2/π)`` — exact (L∞ balls);
 * ``E max_i |g_i|`` and ``E max_i g_i`` — exact 1-D integrals evaluated with
   ``scipy`` quadrature (L1 balls and the simplex).
+
+scipy is imported inside the functions that call it, never at module
+level: ``import repro`` (which every spawned shard worker pays before it
+serves) stays numpy-only — ``tests/test_import_graph.py`` checks.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
 
 from .._validation import check_int, check_rng
 
@@ -40,6 +43,8 @@ def expected_gaussian_norm(dim: int) -> float:
     This is the exact Gaussian width of the unit L2 ball; it satisfies
     ``d/√(d+1) ≤ E‖g‖ ≤ √d``.
     """
+    from scipy import special
+
     dim = check_int("dim", dim, minimum=1)
     # Use log-gamma for numerical stability at large d.
     log_ratio = special.gammaln((dim + 1) / 2.0) - special.gammaln(dim / 2.0)
@@ -47,6 +52,8 @@ def expected_gaussian_norm(dim: int) -> float:
 
 
 def _std_normal_cdf(x: np.ndarray | float) -> np.ndarray | float:
+    from scipy import special
+
     return 0.5 * (1.0 + special.erf(np.asarray(x) / math.sqrt(2.0)))
 
 
@@ -57,6 +64,8 @@ def expected_max_abs_gaussian(dim: int) -> float:
     ``P(max |g_i| > x) = 1 − (2Φ(x) − 1)^d``, evaluated by quadrature.
     Asymptotically ``≈ √(2 ln d)``, the ``Θ(√log d)`` the paper quotes.
     """
+    from scipy import integrate
+
     dim = check_int("dim", dim, minimum=1)
 
     def tail(x: float) -> float:
@@ -73,6 +82,8 @@ def expected_max_gaussian(dim: int) -> float:
 
     ``E M = ∫₀^∞ (1 − Φ(x)^d) dx − ∫₀^∞ Φ(−x)^d dx``.
     """
+    from scipy import integrate
+
     dim = check_int("dim", dim, minimum=1)
     if dim == 1:
         return 0.0

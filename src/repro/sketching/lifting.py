@@ -23,6 +23,10 @@ The program's structure depends on ``C``:
   (:func:`lift`'s generic branch).
 
 :func:`lift` dispatches on the set type so Algorithm 3 code stays generic.
+
+scipy is imported inside the functions that call it, never at module
+level: ``import repro`` (which every spawned shard worker pays before it
+serves) stays numpy-only — ``tests/test_import_graph.py`` checks.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
 
 from .._validation import check_matrix, check_vector
 from ..exceptions import LiftingError
@@ -66,6 +69,8 @@ def lift_l1_basis_pursuit(phi: np.ndarray, target: np.ndarray) -> np.ndarray:
     LiftingError
         If the LP reports infeasibility or numerical failure.
     """
+    from scipy import optimize
+
     phi = check_matrix("phi", phi)
     target = check_vector("target", target, dim=phi.shape[0])
     m, d = phi.shape
@@ -94,6 +99,8 @@ def lift_polytope(phi: np.ndarray, target: np.ndarray, vertices: np.ndarray) -> 
     LiftingError
         If the LP is infeasible (``ϑ`` outside the projected conic hull).
     """
+    from scipy import optimize
+
     phi = check_matrix("phi", phi)
     vertices = check_matrix("vertices", vertices)
     target = check_vector("target", target, dim=phi.shape[0])

@@ -101,9 +101,10 @@ DEFAULT_START_METHOD = "spawn"
 
 #: Deadline on the ready handshake (worker boot).  Distinct from (and far
 #: above) any sensible ``request_timeout``: boot pays interpreter spawn
-#: plus the numpy/scipy imports, which on a loaded host can take seconds —
-#: a per-command deadline tuned to steady-state RPCs would false-kill
-#: every worker at startup.
+#: plus ``import repro`` (numpy and the library; scipy is imported on
+#: first use only, never at boot), which on a loaded host can take
+#: seconds — a per-command deadline tuned to steady-state RPCs would
+#: false-kill every worker at startup.
 BOOT_TIMEOUT = 120.0
 
 #: Default bound on the graceful-close handshake.  ``shutdown()`` must
@@ -515,7 +516,7 @@ class ProcessShardWorker(ShardRpcClient):
             else:
                 status, payload = self._conn.recv()
         except (EOFError, OSError) as exc:
-            self._reap()
+            self.kill()
             raise ShardUnavailableError(
                 f"shard {self.index} worker process died during startup"
             ) from exc
@@ -603,7 +604,11 @@ class ProcessShardWorker(ShardRpcClient):
             else:
                 status, result = self._conn.recv()
         except (EOFError, OSError) as exc:
-            self._reap()
+            # A broken pipe does not prove the worker exited: it may be
+            # alive mid-command behind a closed parent end.  Kill before
+            # reaping, as on the timeout path — dead-and-refunded is the
+            # only safe state, and the reap must not wait on a live child.
+            self.kill()
             raise ShardUnavailableError(
                 f"shard {self.index} worker process died (command "
                 f"{command!r}); merges degrade to partial coverage until "
@@ -629,6 +634,9 @@ class ProcessShardWorker(ShardRpcClient):
     def _reap(self) -> None:
         """Mark dead and release OS resources (join + close pipe).
 
+        The join is bounded by ``shutdown_timeout``; callers that cannot
+        prove the worker exited kill it first.
+
         Idempotent, and race-safe when a crash detection and an explicit
         ``kill()`` reap concurrently: the whole handle teardown is
         serialized under ``_reap_lock`` because
@@ -645,7 +653,7 @@ class ProcessShardWorker(ShardRpcClient):
             if process is not None:
                 try:
                     if process.is_alive():
-                        process.join(timeout=5.0)
+                        process.join(timeout=self.shutdown_timeout)
                     if not process.is_alive():
                         process.close()
                         self._process = None

@@ -33,6 +33,7 @@ The generic serving contracts are re-proven over tcp by running
 with ``SERVE_TRANSPORT=tcp`` (the CI transport axis).
 """
 
+import os
 import socket
 import threading
 import time
@@ -384,6 +385,21 @@ class TestDeadlines:
         worker.shutdown()  # close handshake deadline → fall through to kill
         assert time.monotonic() - started < 5.0
         assert not worker.alive and worker._process is None
+
+    def test_broken_pipe_to_a_wedged_worker_kills_it_promptly(self):
+        """A pipe failure does not prove the worker exited: detection
+        kills it and returns well inside ``shutdown_timeout``."""
+        worker = ProcessShardWorker(_spec(), shutdown_timeout=0.5)
+        pid = worker.describe()["pid"]
+        _wedge(worker, seconds=8.0)
+        worker._conn.close()  # the parent's end breaks mid-command
+        started = time.monotonic()
+        with pytest.raises(ShardUnavailableError):
+            worker.ping()
+        assert time.monotonic() - started < 1.0
+        assert not worker.alive and worker._process is None
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(pid, 0)
 
     def test_concurrent_kills_are_race_safe(self):
         """kill() racing crash detection (post-_reap handle close) must
