@@ -112,7 +112,8 @@ class MultiTenantStream(ShardFront):
     tenant's solve, so ingest and merge cost grow like ``d² + k·d``
     instead of the ``k·d²`` that ``k`` independent
     :class:`~repro.streaming.serving.ShardedStream` fronts pay
-    (``benchmarks/bench_primo_serving.py`` measures the gap).
+    (the ``primo`` scenario of ``benchmarks/bench_serving.py`` measures
+    the gap).
 
     Everything that is not tenant-specific — routing, horizon reservation,
     the ``mode`` queue, group ingestion, refresh cadence, heartbeats and

@@ -204,6 +204,11 @@ def _safe_send(conn, message) -> bool:
             return False
 
 
+def _snapshot(handle):
+    """A live mechanism's wire snapshot (``None`` stays ``None``: killed)."""
+    return None if handle is None else handle.released_moments()
+
+
 def dispatch_command(shard, command: str, payload):
     """Execute one worker command against a built shard; return the result.
 
@@ -238,6 +243,17 @@ def dispatch_command(shard, command: str, payload):
         elif action != "list":
             raise ValidationError(f"unknown tenant action {action!r}")
         return shard.tenants()
+    if command == "statistic":
+        # Diagnostics: the shard's own named view, so a remote ``cross`` /
+        # ``gram`` resolves exactly as the in-process attribute does (a
+        # tenant shard's ``cross`` is a tenant → statistic dict; the iv
+        # bundle declares neither name).
+        if payload not in ("cross", "gram"):
+            raise ValidationError(f"unknown shard statistic {payload!r}")
+        view = getattr(shard, payload)
+        if isinstance(view, dict):
+            return {name: _snapshot(handle) for name, handle in view.items()}
+        return _snapshot(view)
     if command == "memory":
         return shard.memory_floats()
     if command == "ping":
@@ -379,14 +395,19 @@ class ShardRpcClient:
         return tuple(self._request("released", None))
 
     @property
-    def cross(self) -> ReleasedMoments:
-        """Snapshot of the cross-moment release (diagnostics; one RPC)."""
-        return self.released()[0]
+    def cross(self):
+        """Snapshot of the shard's ``cross`` statistic (diagnostics; one RPC).
+
+        Resolved by name on the worker, so it matches the in-process
+        shard's attribute: one release, or a tenant → release dict on a
+        tenant shard.
+        """
+        return self._request("statistic", "cross")
 
     @property
-    def gram(self) -> ReleasedMoments:
-        """Snapshot of the second-moment release (diagnostics; one RPC)."""
-        return self.released()[1]
+    def gram(self):
+        """Snapshot of the shard's ``gram`` statistic (diagnostics; one RPC)."""
+        return self._request("statistic", "gram")
 
     def add_tenant(
         self,

@@ -71,6 +71,31 @@ def test_code_names_only_existing_markdown_files():
     assert not dangling, f"references to missing markdown files: {dangling}"
 
 
+#: A benchmark module or committed benchmark artifact named in prose or code.
+_BENCH_NAME = re.compile(r"\b(?:bench_\w+\.py|BENCH_\w+\.json)")
+
+
+def test_docs_and_ci_name_only_existing_benchmark_files():
+    """Every ``bench_*.py`` / ``BENCH_*.json`` named in the README, docs/,
+    src/, examples/, benchmarks/ or the CI workflow exists under
+    benchmarks/."""
+    sources = [
+        REPO_ROOT / "README.md",
+        REPO_ROOT / ".github" / "workflows" / "ci.yml",
+        *(REPO_ROOT / "docs").glob("*.md"),
+        *(REPO_ROOT / "src").rglob("*.py"),
+        *(REPO_ROOT / "examples").rglob("*.py"),
+        *(REPO_ROOT / "benchmarks").glob("*.py"),
+    ]
+    dangling = [
+        f"{path.relative_to(REPO_ROOT)}: {name}"
+        for path in sources
+        for name in _BENCH_NAME.findall(path.read_text())
+        if not (REPO_ROOT / "benchmarks" / name).exists()
+    ]
+    assert not dangling, f"references to missing benchmark files: {dangling}"
+
+
 def _undocumented_ctor_knobs(cls, section: str | None = None) -> list[str]:
     """Constructor parameters of ``cls`` not backticked in SERVING.md.
 

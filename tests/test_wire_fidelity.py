@@ -12,7 +12,9 @@ that payload crossing the wire *bit-identically*:
 * the projection matrix re-attaches with the same bits, on spawn AND on
   restart — every worker generation of a server shares one ``Φ``;
 * a spec round-trips through pickle unchanged, and two builds of the
-  same spec produce mechanisms with identical noise.
+  same spec produce mechanisms with identical noise;
+* a remote shard's ``cross`` / ``gram`` diagnostics name the same
+  statistic as the in-process shard's attributes.
 """
 
 import pickle
@@ -23,6 +25,7 @@ import pytest
 from repro import (
     GaussianProjection,
     L2Ball,
+    MultiTenantStream,
     PrivacyParams,
     PrivIncReg2,
     ShardedStream,
@@ -30,7 +33,7 @@ from repro import (
     SparseProjection,
     TreeMechanism,
 )
-from repro.data import make_dense_stream
+from repro.data import make_dense_stream, make_iv_stream
 from repro.exceptions import ValidationError
 from repro.streaming.backends import BACKENDS
 from repro.streaming.transport import ShardSpec
@@ -189,3 +192,73 @@ class TestShardSpecPickle:
                 )
             )
         np.testing.assert_array_equal(thetas[0], thetas[1])
+
+
+def _front(kind, transport):
+    """A small front of ``kind`` with the same seed on every transport."""
+    common = dict(horizon=T, iteration_cap=10, transport=transport, rng=31)
+    if kind == "tenant":
+        return MultiTenantStream(L2Ball(DIM), PARAMS, tenants=2, shards=2, **common)
+    if kind == "iv":
+        return ShardedStream(
+            L2Ball(DIM), PARAMS, 2, backend="iv", instruments=DIM + 1, **common
+        )
+    return ShardedStream(L2Ball(DIM), PARAMS, 2, **common)
+
+
+def _feed(front, kind):
+    if kind == "iv":
+        iv = make_iv_stream(T, DIM, DIM + 1, rng=5)
+        front.observe_batch(iv.stacked()[:8], iv.ys[:8])
+        return
+    data = make_dense_stream(T, DIM, noise_std=0.05, rng=903)
+    ys = np.stack([data.ys, -data.ys], axis=1) if kind == "tenant" else data.ys
+    front.observe_batch(data.xs[:8], ys[:8])
+
+
+def _statistic(shard, name):
+    """``(shape, current_sum)`` of a shard attribute, per tenant on a dict;
+    the exception type when the shard declares no such statistic."""
+    try:
+        view = getattr(shard, name)
+    except KeyError:
+        return KeyError
+    if isinstance(view, dict):
+        return {key: _statistic_value(handle) for key, handle in view.items()}
+    return _statistic_value(view)
+
+
+def _statistic_value(handle):
+    return tuple(handle.shape), handle.current_sum()
+
+
+class TestRemoteShardDiagnostics:
+    """``cross`` / ``gram`` on a remote shard resolve by statistic name,
+    not by bundle position: a tenant bundle declares its Gram groups
+    before its cross entries, so positional resolution swapped them, and
+    on an iv shard it served ``zz`` as ``cross``."""
+
+    @pytest.mark.parametrize("kind", ["moment", "tenant", "iv"])
+    @pytest.mark.parametrize("transport", ["thread", "process", "tcp"])
+    def test_remote_statistics_match_the_in_process_shard(self, kind, transport):
+        local, remote = _front(kind, "thread"), _front(kind, transport)
+        try:
+            for front in (local, remote):
+                _feed(front, kind)
+            for name in ("cross", "gram"):
+                expected = _statistic(local._shards[0], name)
+                got = _statistic(remote._shards[0], name)
+                if expected is KeyError:
+                    assert got is KeyError, name
+                    continue
+                if isinstance(expected, dict):
+                    assert got.keys() == expected.keys(), name
+                    pairs = [(got[key], expected[key]) for key in expected]
+                else:
+                    pairs = [(got, expected)]
+                for (shape, value), (want_shape, want_value) in pairs:
+                    assert shape == want_shape, name
+                    np.testing.assert_array_equal(value, want_value)
+        finally:
+            local.close()
+            remote.close()
