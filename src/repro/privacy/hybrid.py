@@ -242,7 +242,7 @@ class HybridMechanism:
         return (1.0 - self.decay**self.steps_taken) / (1.0 - self.decay)
 
     def released_moments(self):
-        """Snapshot the current release as a picklable ``ReleasedMoments``.
+        """Snapshot the current release as a ``ReleasedMoments``.
 
         Same contract as :meth:`TreeMechanism.released_moments
         <repro.privacy.tree.TreeMechanism.released_moments>`: the frozen

@@ -509,7 +509,7 @@ class SlidingWindowMechanism:
         return self._frozen_variance + self._current_tree.release_noise_variance()
 
     def released_moments(self):
-        """Snapshot the current windowed release (picklable wire format)."""
+        """Snapshot the current windowed release (the shard wire format)."""
         return _snapshot_released(self)
 
     def _max_ring_trees(self) -> int:
@@ -696,7 +696,7 @@ class SketchNoiseMechanism:
         return float(self.noise_draws) * self.sigma_block**2
 
     def released_moments(self):
-        """Snapshot the current release (picklable wire format)."""
+        """Snapshot the current release (the shard wire format)."""
         return _snapshot_released(self)
 
     @property

@@ -85,8 +85,8 @@ ever released over two different data sums.  And every new mechanism
 (a restarted shard, a new tenant, a new window chunk or hybrid epoch)
 draws a fresh key from its own generator.
 
-The picklable release contract (``ReleasedMoments``)
-----------------------------------------------------
+The wire release contract (``ReleasedMoments``)
+-----------------------------------------------
 A sharded server that runs its shard mechanisms in other *processes*
 cannot hand live mechanisms to :func:`merge_released` — only bytes cross
 the pipe.  :meth:`TreeMechanism.released_moments` (and the Hybrid
@@ -94,7 +94,9 @@ mechanism's method of the same name) therefore snapshots everything the
 merge rule consumes into a :class:`ReleasedMoments` value object: the
 current released sum, its per-coordinate noise variance, the step count,
 and the element shape.  The snapshot is a plain frozen dataclass of
-``float64`` arrays and scalars, so pickling it is lossless — a merge over
+``float64`` arrays and scalars, so shipping it is lossless (the wire codec
+of :mod:`repro.streaming.wire` sends the raw ``float64`` bytes; pickling
+works too) — a merge over
 snapshots is **bit-identical** to a merge over the live mechanisms they
 were taken from — and compact: ``O(d)``/``O(d²)`` per shard per refresh
 (the released statistic), never ``O(d log T)`` (the tree).  This is the
@@ -538,7 +540,7 @@ class TreeMechanism:
         return float(self.steps_taken)
 
     def released_moments(self) -> "ReleasedMoments":
-        """Snapshot the current release as a picklable :class:`ReleasedMoments`.
+        """Snapshot the current release as a :class:`ReleasedMoments`.
 
         Post-processing of an already-released value — free privacy-wise,
         like :meth:`current_sum`.  The snapshot merges interchangeably with
@@ -601,20 +603,21 @@ class TreeMechanism:
 
 
 # ---------------------------------------------------------------------------
-# The picklable released-moments snapshot (the shard wire format)
+# The released-moments snapshot (what the shard wire carries)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class ReleasedMoments:
-    """A mechanism's current release as a compact, picklable value object.
+    """A mechanism's current release as a compact value object.
 
     Everything :func:`merge_released` reads off a live mechanism, frozen at
     snapshot time: the released prefix sum, its per-coordinate noise
     variance, the step count, and the element shape.  Snapshots are what a
-    process shard worker ships back over its pipe at refresh points
-    (:mod:`repro.streaming.transport`) — ``float64`` round-trips pickling
-    losslessly, so merging snapshots is bit-identical to merging the live
+    remote shard worker ships back at refresh points
+    (:mod:`repro.streaming.wire` frames, raw ``float64`` bytes; the class
+    also pickles) — both round-trip losslessly, so merging snapshots is
+    bit-identical to merging the live
     mechanisms, and the payload is the *released statistic*
     (``O(prod(shape))``), never the tree state (``O(d log T)``).
 
@@ -791,7 +794,7 @@ def merge_released(
     mechanisms:
         Per-shard mechanisms (``TreeMechanism`` or
         :class:`~repro.privacy.hybrid.HybridMechanism`) and/or their
-        picklable :class:`ReleasedMoments` snapshots — the two are
+        :class:`ReleasedMoments` snapshots — the two are
         interchangeable (snapshots freeze exactly the read surface this
         function consumes, so a merge over snapshots is bit-identical to a
         merge over the mechanisms they were taken from; process shard

@@ -64,6 +64,22 @@ def step4_rescale_block(projection, xs: np.ndarray) -> np.ndarray:
     return projected * scale[:, None]
 
 
+def checked_matrix(matrix: np.ndarray) -> np.ndarray:
+    """A validated float copy of an ``m × d`` (``m, d ≥ 1``) finite ``Φ``.
+
+    The check every projection's ``from_matrix`` constructor runs.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
+        raise ValidationError(
+            f"projection matrix must be (m, d) with m, d >= 1, "
+            f"got shape {matrix.shape}"
+        )
+    if not np.all(np.isfinite(matrix)):
+        raise ValidationError("projection matrix must be finite")
+    return matrix.copy()
+
+
 class GaussianProjection:
     """An ``m × d`` Gaussian JL map with Algorithm-3 rescaling helpers.
 
@@ -100,23 +116,15 @@ class GaussianProjection:
 
         The Φ hand-off constructor: a serving front that spawns projected
         shard workers in other processes ships the front-drawn matrix in
-        the picklable spawn payload, and the worker re-attaches to the
-        *same* map through this (Algorithm 3's guarantee needs every shard
+        the spawn payload, and the worker re-attaches to the *same* map
+        through this (Algorithm 3's guarantee needs every shard
         and the solver to share one fixed ``Φ``; privacy needs nothing of
         ``Φ`` at all).  Also the way to restore a persisted ``Φ``.  The
         matrix is copied; entries are validated finite.
         """
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
-            raise ValidationError(
-                f"projection matrix must be (m, d) with m, d >= 1, "
-                f"got shape {matrix.shape}"
-            )
-        if not np.all(np.isfinite(matrix)):
-            raise ValidationError("projection matrix must be finite")
         self = cls.__new__(cls)
-        self.projected_dim, self.original_dim = (int(s) for s in matrix.shape)
-        self.matrix = matrix.copy()
+        self.matrix = checked_matrix(matrix)
+        self.projected_dim, self.original_dim = (int(s) for s in self.matrix.shape)
         return self
 
     def apply(self, vector: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .._validation import check_int, check_rng
 from ..exceptions import ValidationError
-from .gaussian import step4_rescale, step4_rescale_block
+from .gaussian import checked_matrix, step4_rescale, step4_rescale_block
 
 __all__ = ["SparseProjection"]
 
@@ -68,6 +68,21 @@ class SparseProjection:
         uniform = generator.uniform(size=shape)
         signs = np.where(generator.uniform(size=shape) < 0.5, -1.0, 1.0)
         self.matrix = np.where(uniform < 1.0 / self.sparsity_factor, signs * scale, 0.0)
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray, sparsity_factor: int = 3) -> "SparseProjection":
+        """Rebuild a projection around an existing ``m × d`` matrix.
+
+        The Φ hand-off constructor, as
+        :meth:`~repro.sketching.gaussian.GaussianProjection.from_matrix`:
+        a remote shard re-attaches to the front-drawn matrix through this.
+        The matrix is copied; entries are validated finite.
+        """
+        self = cls.__new__(cls)
+        self.matrix = checked_matrix(matrix)
+        self.projected_dim, self.original_dim = (int(s) for s in self.matrix.shape)
+        self.sparsity_factor = check_int("sparsity_factor", sparsity_factor, minimum=1)
+        return self
 
     def nonzero_fraction(self) -> float:
         """Realized fraction of non-zero entries (≈ ``1/s``)."""

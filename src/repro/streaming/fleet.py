@@ -34,9 +34,10 @@ picklable.  Use module-level factory functions or :func:`functools.partial`
 over module-level callables (closures and lambdas only work with
 ``workers=0`` inline execution).  The serving layer's process transport
 (:mod:`repro.streaming.transport`) follows the same spec-plumbing pattern:
-a frozen picklable recipe (:class:`~repro.streaming.transport.ShardSpec`)
-crosses the process boundary and the worker rebuilds its objects from it —
-never the live objects themselves.
+a frozen recipe (:class:`~repro.streaming.transport.ShardSpec`) crosses
+the process boundary and the worker rebuilds its objects from it — never
+the live objects themselves — though the shard recipe travels as a typed
+:mod:`repro.streaming.wire` frame, not a pickle.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """The TCP shard transport: serving shard workers across host boundaries.
 
 :mod:`repro.streaming.transport` established the command/response
-protocol (picklable :class:`~repro.streaming.transport.ShardSpec` spawn
-payloads down, :class:`~repro.privacy.tree.ReleasedMoments` snapshots
-up, ``(command, payload)`` → ``("ok" | "err", result)`` framing) over a
-``multiprocessing`` pipe.  This module serves the *same* protocol over
-**length-prefixed pickled frames on a TCP socket**, so shards can run in
-a different process on a different host:
+protocol (:class:`~repro.streaming.transport.ShardSpec` spawn payloads
+down, :class:`~repro.privacy.tree.ReleasedMoments` snapshots up,
+``(command, payload)`` → ``("ok" | "err", result)`` framing) over a
+``multiprocessing`` pipe.  This module serves the *same* protocol, in the
+same typed frames (:mod:`repro.streaming.wire`), **length-prefixed on a
+TCP socket**, so shards can run in a different process on a different
+host:
 
 * :class:`ShardHostListener` — the remote end.  Accepts connections,
   reads a :class:`~repro.streaming.transport.ShardSpec` as the first
@@ -34,16 +35,16 @@ other transport ships, so they draw the same node-noise keys (``K = 1``
 under ``ingest="exact"`` stays bit-identical to the plain batched path,
 and thread ≡ process ≡ tcp merged releases under one seed —
 ``tests/test_tcp_serving.py``).  The wire carries the released statistic
-(``O(m²)`` floats, ``float64`` pickles exactly), never tree state, and
+(``O(m²)`` raw ``float64`` bytes, exact), never tree state, and
 everything the parent does with the snapshots is post-processing.
 
 Fault semantics
 ---------------
 Identical to the pipe transport, because the failure surface is the
-same three cases: a **command-level error** pickles back as an
-``("err", exc)`` frame and the shard keeps serving (block-atomic
-rejection holds across the socket); a **dead peer** (connection reset,
-listener host down) surfaces as
+same three cases: a **command-level error** travels back as an
+``("err", exc)`` frame (class name plus message) and the shard keeps
+serving (block-atomic rejection holds across the socket); a **dead
+peer** (connection reset, listener host down) surfaces as
 :class:`~repro.exceptions.ShardUnavailableError` on the next frame
 exchange; a **stuck peer** misses the ``request_timeout`` deadline and
 is folded into the dead-peer path via
@@ -55,15 +56,20 @@ remote shards.
 
 Security note
 -------------
-Frames are **pickles**: unpickling attacker-controlled bytes is code
-execution.  This transport is for trusted networks only (the same trust
-model as ``multiprocessing.connection``) — bind listeners to loopback
-or a private interface, never the open internet.
+Frames are typed data (:mod:`repro.streaming.wire`), never pickles: a
+peer cannot make the other end execute code, and a malformed or hostile
+frame is refused with a :class:`~repro.exceptions.ValidationError`
+without allocating more than the bytes it sent.  There is still **no
+authentication and no encryption** — anyone who can reach a listener can
+build shards on it and feed them data, and anyone on the path can read
+the released statistics.  Bind listeners to loopback or a private
+interface, never the open internet.
 """
 
 from __future__ import annotations
 
-import pickle
+# Bound but never called: perfbench's tracer wraps ``netserve.pickle``.
+import pickle  # noqa: F401
 import socket
 import struct
 import threading
@@ -82,6 +88,7 @@ from .transport import (
     ShardSpec,
     dispatch_command,
 )
+from . import wire
 
 __all__ = [
     "ShardAddress",
@@ -102,13 +109,19 @@ MAX_FRAME_BYTES = 8 << 30
 
 
 def send_frame(sock: socket.socket, obj) -> None:
-    """Pickle ``obj`` and write it as one length-prefixed frame."""
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    """Encode ``obj`` (:func:`repro.streaming.wire.encode`) as one
+    length-prefixed frame and write it."""
+    payload = wire.encode(obj)
     sock.sendall(_HEADER.pack(len(payload)) + payload)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes or raise (``EOFError`` on clean close)."""
+    """Read exactly ``n`` bytes or raise (``EOFError`` on clean close).
+
+    Reads in chunks of at most 1 MiB and never allocates ahead of the
+    bytes that arrived: a header may claim up to :data:`MAX_FRAME_BYTES`,
+    but only a peer that really sends them costs that much memory.
+    """
     chunks = []
     remaining = n
     while remaining:
@@ -125,12 +138,14 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def recv_frame(sock: socket.socket):
-    """Read one length-prefixed frame and unpickle it.
+    """Read one length-prefixed frame and decode it
+    (:func:`repro.streaming.wire.decode`).
 
     Raises ``EOFError`` on a clean peer close between frames,
     ``ConnectionResetError`` on a close mid-frame, ``socket.timeout``
     when the socket carries a deadline, and ``ValidationError`` on a
-    header that fails the :data:`MAX_FRAME_BYTES` sanity cap.
+    header that fails the :data:`MAX_FRAME_BYTES` sanity cap or a frame
+    that does not decode.
     """
     (length,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
     if length > MAX_FRAME_BYTES:
@@ -138,7 +153,7 @@ def recv_frame(sock: socket.socket):
             f"frame header claims {length} bytes (> {MAX_FRAME_BYTES}); "
             "corrupt stream or untrusted peer"
         )
-    return pickle.loads(_recv_exact(sock, length))
+    return wire.decode(_recv_exact(sock, length))
 
 
 def _safe_send_frame(sock: socket.socket, message) -> bool:
@@ -213,7 +228,7 @@ class ShardAddress:
 class ShardHostListener:
     """Serve :class:`ShardSpec`-built shards to TCP peers (the remote end).
 
-    Protocol per connection: the first frame is a pickled
+    Protocol per connection: the first frame is an encoded
     :class:`~repro.streaming.transport.ShardSpec`; the listener builds
     the shard and replies ``("ok", index)`` (the ready handshake — or
     ``("err", exc)`` if construction failed), then serves
@@ -319,13 +334,20 @@ class ShardHostListener:
                 return
             while True:
                 try:
-                    command, payload = recv_frame(conn)
+                    message = recv_frame(conn)
                 except (EOFError, OSError):
                     return  # parent vanished: tear down in finally
-                if command == "close":
-                    _safe_send_frame(conn, ("ok", None))
+                except ValidationError as exc:
+                    # A malformed frame or an oversized header: refuse it
+                    # and hang up (after a bad header the stream is out of
+                    # step); the finally clause tears the shard down.
+                    _safe_send_frame(conn, ("err", exc))
                     return
                 try:
+                    command, payload = message
+                    if command == "close":
+                        _safe_send_frame(conn, ("ok", None))
+                        return
                     if worker is not None:
                         result = worker._request(command, payload)
                     else:
@@ -410,8 +432,8 @@ class TcpShardWorker(ShardRpcClient):
     Parameters
     ----------
     spec:
-        The picklable shard recipe; shipped as the first frame, built on
-        the listener's side of the wire.
+        The shard recipe; shipped as the first frame, built on the
+        listener's side of the wire.
     address:
         Where the listener is (:class:`ShardAddress` or ``(host, port)``).
     request_timeout:
@@ -468,6 +490,9 @@ class TcpShardWorker(ShardRpcClient):
                 f"shard {self.index} listener at {address} dropped the "
                 f"connection during startup"
             ) from exc
+        except ValidationError:  # the spec or the handshake reply
+            self.kill()
+            raise
         if status == "err":
             self.kill()
             raise payload

@@ -41,8 +41,8 @@ the single-tree one (:func:`repro.privacy.parameters.shard_budgets`).
   in their **own interpreter** (``transport="process"``: a
   :class:`~repro.streaming.transport.ProcessShardWorker` drives the same
   ``MomentShard`` over a ``multiprocessing`` pipe, shipping released
-  moments back as picklable
-  :class:`~repro.privacy.tree.ReleasedMoments` snapshots).  The two
+  moments back as :class:`~repro.privacy.tree.ReleasedMoments` snapshots
+  in typed :mod:`repro.streaming.wire` frames).  The two
   transports build identical mechanisms from identical rng children, so
   everything below — tiers, merge rule, fault semantics — holds verbatim
   for both; see :mod:`repro.streaming.transport`.

@@ -147,8 +147,8 @@ class MomentShard:
 
         One handle per bundle entry, in bundle order.  In-process shards
         hand over their **live** mechanisms (zero-copy); the remote
-        transports ship picklable
-        :class:`~repro.privacy.tree.ReleasedMoments` snapshots of the same
+        transports ship :class:`~repro.privacy.tree.ReleasedMoments`
+        snapshots of the same
         handles, and ``merge_released`` accepts both interchangeably.
         """
         return self.bundle.released()

@@ -27,6 +27,7 @@ from ...geometry.base import ConvexSet, PointSet
 from ...privacy.accountant import PrivacyAccountant
 from ...privacy.parameters import PrivacyParams, bundle_budgets, shard_budgets
 from ...privacy.tree import MergedRelease, merge_released
+from .. import wire
 from ..backends import BACKEND_KNOBS, backend_declaration
 from ..netserve import ShardAddress, ShardHostListener, TcpShardWorker
 from ..transport import ProcessShardWorker, ShardSpec
@@ -226,9 +227,9 @@ class ShardFront:
                     self._make_shard(i, budgets[i], children[n * i : n * (i + 1)])
                 )
         except BaseException:
-            # A failed shard (e.g. a process worker whose spawn payload
-            # would not pickle) must not leak the workers already booted,
-            # nor the self-hosted tcp listener.
+            # A failed shard (e.g. a worker that fails to boot) must not
+            # leak the workers already booted, nor the self-hosted tcp
+            # listener.
             for shard in self._shards:
                 shard.shutdown()
             if self._owns_listener:
@@ -1059,15 +1060,19 @@ class ShardedStream(ShardFront, HubReads):
         :class:`~repro.streaming.netserve.ShardHostListener` over
         length-prefixed frames
         (:class:`~repro.streaming.netserve.TcpShardWorker`), which is
-        how shards run on separate hosts.  Remote transports ship
-        released moments back as picklable
-        :class:`~repro.privacy.tree.ReleasedMoments` snapshots.  All
-        transports build the same mechanisms from the same rng children,
-        so the ingest contract, merge rule, and fault semantics are
-        transport-independent (``tests/test_process_serving.py``,
-        ``tests/test_tcp_serving.py``); a custom ``projection`` or
-        router must be picklable-compatible (the projection ships in the
-        spawn payload; the router always runs in the parent).
+        how shards run on separate hosts.  Remote transports speak the
+        typed frames of :mod:`repro.streaming.wire` and ship released
+        moments back as :class:`~repro.privacy.tree.ReleasedMoments`
+        snapshots.  All transports build the same mechanisms from the
+        same rng children, so the ingest contract, merge rule, and fault
+        semantics are transport-independent
+        (``tests/test_process_serving.py``, ``tests/test_tcp_serving.py``).
+        Remote transports accept only the built-in projections
+        (:class:`~repro.sketching.gaussian.GaussianProjection`,
+        :class:`~repro.sketching.sparse_jl.SparseProjection`): ``Φ``
+        ships in the spawn payload as its kind plus its matrix, and any
+        other ``projection`` is refused here with a ``ValidationError``.
+        A custom router is fine anywhere (it always runs in the parent).
         Orthogonal to ``mode``.
     request_timeout:
         Deadline in seconds on every shard RPC (remote transports only).
@@ -1136,7 +1141,8 @@ class ShardedStream(ShardFront, HubReads):
     projection:
         Optional pre-built shared projection (anything exposing
         ``matrix``/``apply``/``projected_dim``, e.g. a
-        :class:`~repro.sketching.sparse_jl.SparseProjection`); drawn
+        :class:`~repro.sketching.sparse_jl.SparseProjection`; one of the
+        two built-ins under a remote ``transport``); drawn
         internally from ``rng`` when omitted — Gaussian under
         ``backend="projected"``, sparse-JL under ``backend="sketch"``.
         Privacy is unaffected by the choice — the Step-4 rescaling pins
@@ -1292,6 +1298,8 @@ class ShardedStream(ShardFront, HubReads):
             self.backend, self, dict(self._knobs, beta=beta)
         )
         self.projection = self.config.get("projection")
+        if self.projection is not None and self.transport != "thread":
+            wire.check_projection(self.projection)
         self.projected_dim = getattr(self.projection, "projected_dim", None)
         self.sparsity_factor = getattr(self.projection, "sparsity_factor", None)
         self.instruments = self.config.get("instruments")

@@ -10,10 +10,10 @@ command/response pipe, so shard ingestion runs on real cores.
 
 What crosses the pipe — and what never does
 -------------------------------------------
-* **Down** (parent → worker): a one-time picklable :class:`ShardSpec`
-  (budget, rng children, mechanism/backend configuration, and — for the
-  projected backend — the front-drawn shared ``Φ``), then routed data
-  blocks as commands.
+* **Down** (parent → worker): a one-time :class:`ShardSpec` (budget, rng
+  children, mechanism/backend configuration, and — for the projected
+  backends — the front-drawn shared ``Φ``), then routed data blocks as
+  commands.
 * **Up** (worker → parent): at refresh points, the shard's released
   moments as compact :class:`~repro.privacy.tree.ReleasedMoments`
   snapshots — the released statistic (``O(m)`` / ``O(m²)`` floats) with
@@ -26,10 +26,11 @@ Why the privacy and serving analyses survive the boundary
 ---------------------------------------------------------
 The merge rule (:func:`~repro.privacy.tree.merge_released`) consumes only
 each shard's released sum, noise variance, step count, and shape — all
-frozen losslessly into the snapshot (``float64`` pickles exactly), so a
-merge over pipe-shipped snapshots is bit-identical to a merge over the
-live mechanisms.  Each worker builds its mechanisms from the same spawned
-rng children the in-process transport would use, so they draw the same
+frozen losslessly into the snapshot (``float64`` crosses the wire as its
+raw bytes), so a merge over pipe-shipped snapshots is bit-identical to a
+merge over the live mechanisms.  Each worker builds its mechanisms from
+the same spawned rng children the in-process transport would use, so
+they draw the same
 node-noise keys and release the same noise: under ``ingest="exact"`` a
 ``K = 1`` process server stays bit-identical to the plain batched path,
 and thread and process servers under one seed produce identical merged
@@ -65,13 +66,17 @@ transport-agnostic: :mod:`repro.streaming.netserve` serves the same
 commands over length-prefixed TCP frames, so shards can run on separate
 hosts behind the same :class:`ShardRpcClient` surface.
 
-Pickling requirements mirror :mod:`repro.streaming.fleet`'s process-pool
-spec plumbing: everything in the spawn payload must be picklable
-(budgets, numpy Generators, and the built-in projection types all are; a
-custom ``projection`` object must be too).  Workers default to the
-``"spawn"`` start method — fork-safety of a threaded parent (async mode,
-group pools) is exactly the kind of thing this transport must not gamble
-on.
+Wire requirements: every message — the spawn payload included — crosses
+the pipe as a typed frame of :mod:`repro.streaming.wire`
+(``Connection.send_bytes``/``recv_bytes``; no message is pickled — the
+``spawn`` start method hands the child only the encoded spec bytes and
+its pipe end).  The spec's rngs travel as bit-generator name plus state,
+``Φ`` as its kind plus its matrix, so a remote shard accepts only the two
+built-in projections (:class:`~repro.sketching.gaussian.GaussianProjection`,
+:class:`~repro.sketching.sparse_jl.SparseProjection`); the serving front
+refuses any other when it is built.  Workers default to the ``"spawn"``
+start method — fork-safety of a threaded parent (async mode, group pools)
+is exactly the kind of thing this transport must not gamble on.
 """
 
 from __future__ import annotations
@@ -90,6 +95,7 @@ from ..exceptions import (
 )
 from ..privacy.parameters import PrivacyParams
 from ..privacy.tree import ReleasedMoments
+from . import wire
 
 __all__ = ["ProcessShardWorker", "ShardRpcClient", "ShardSpec", "dispatch_command"]
 
@@ -115,22 +121,23 @@ SHUTDOWN_TIMEOUT = 5.0
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """Picklable recipe for one shard worker (the spawn payload).
+    """Recipe for one shard worker (the spawn payload).
 
-    The process transport never pickles a live mechanism: the worker
+    The remote transports never ship a live mechanism: the worker
     *rebuilds* its :class:`~repro.streaming.serving.MomentShard` from this
     spec inside the child interpreter, consuming the shipped rng children
     exactly as the in-process transport would — which is what keeps the
     transports' noise streams identical.  The spec ships the backend
-    *name* (statistic rules are closures and do not pickle; the worker
+    *name* (statistic rules are closures and cannot travel; the worker
     looks the declaration up in :data:`~repro.streaming.backends.BACKENDS`)
     and that backend's shard ``config`` — for the projected backends the
     front-drawn shared ``Φ`` itself, so every spawned worker (and any
     restart) re-attaches to the *same* ``Φ``.
 
-    Mirrors the pickling discipline of
-    :class:`~repro.streaming.fleet.ReplicateSpec`: every field must be
-    picklable (all library types used here are).
+    On the wire it is a typed frame (:mod:`repro.streaming.wire`): the
+    budget as ``(ε, δ)``, each rng as its bit-generator name plus state,
+    ``Φ`` as one of the two built-in projection kinds plus its matrix,
+    the scalar config as typed values and the shard type by name.
     """
 
     index: int
@@ -177,7 +184,7 @@ class ShardSpec:
 
 
 def _safe_send(conn, message) -> bool:
-    """Send a reply, degrading unpicklable payloads to a stringified error.
+    """Send a reply frame, degrading an unencodable one to an error reply.
 
     Returns ``False`` when not even the degraded error reply could be
     delivered (broken pipe, parent gone): the *fallback* send used to be
@@ -187,16 +194,18 @@ def _safe_send(conn, message) -> bool:
     treat ``False`` as "stop serving".
     """
     try:
-        conn.send(message)
+        conn.send_bytes(wire.encode(message))
         return True
     except Exception as exc:
         try:
-            conn.send(
-                (
-                    "err",
-                    ShardUnavailableError(
-                        f"worker reply could not be serialized: {exc}"
-                    ),
+            conn.send_bytes(
+                wire.encode(
+                    (
+                        "err",
+                        ShardUnavailableError(
+                            f"worker reply could not be serialized: {exc}"
+                        ),
+                    )
                 )
             )
             return True
@@ -285,18 +294,25 @@ def dispatch_command(shard, command: str, payload):
     raise ValidationError(f"unknown worker command {command!r}")
 
 
-def _shard_worker_main(spec: ShardSpec, conn) -> None:
+def _shard_worker_main(spec_frame: bytes, conn) -> None:
     """The worker process: build the shard, then serve pipe commands.
 
     Top-level (not a closure) so the ``"spawn"`` start method can import
-    it.  Protocol: the parent sends ``(command, payload)`` tuples and the
-    worker replies ``("ok", result)`` or ``("err", exception)``; command
-    failures never kill the worker — the shard's block-atomic rejection
-    semantics make a retry safe, exactly as in-process.  A reply that
-    cannot be delivered at all ends the loop cleanly (the parent is gone
-    or the pipe is broken — there is no one left to serve).
+    it.  ``spec_frame`` is the :mod:`~repro.streaming.wire` encoding of the
+    :class:`ShardSpec`.  Protocol: the parent sends ``(command, payload)``
+    frames and the worker replies ``("ok", result)`` or ``("err",
+    exception)`` frames; command failures (and frames that do not decode)
+    never kill the worker — the shard's block-atomic rejection semantics
+    make a retry safe, exactly as in-process.  A reply that cannot be
+    delivered at all ends the loop cleanly (the parent is gone or the
+    pipe is broken — there is no one left to serve).
     """
     try:
+        spec = wire.decode(spec_frame)
+        if not isinstance(spec, ShardSpec):
+            raise ValidationError(
+                f"the boot frame must be a ShardSpec, got {type(spec).__name__}"
+            )
         shard = spec.build()
     except BaseException as exc:
         _safe_send(conn, ("err", exc))
@@ -307,14 +323,15 @@ def _shard_worker_main(spec: ShardSpec, conn) -> None:
         return
     while True:
         try:
-            command, payload = conn.recv()
+            frame = conn.recv_bytes()
         except (EOFError, OSError):
             return  # parent vanished; daemonic exit
-        if command == "close":
-            _safe_send(conn, ("ok", None))
-            conn.close()
-            return
         try:
+            command, payload = wire.decode(frame)
+            if command == "close":
+                _safe_send(conn, ("ok", None))
+                conn.close()
+                return
             result = dispatch_command(shard, command, payload)
         except BaseException as exc:
             reply = ("err", exc)
@@ -337,8 +354,9 @@ class ShardRpcClient:
     updated from ingest acknowledgements, which is what keeps the
     lost-mass accounting exact even after the worker is gone.
 
-    Subclasses own the wire: :class:`ProcessShardWorker` (a
-    ``multiprocessing`` pipe to a spawned process) and
+    Subclasses own the wire — both speak :mod:`repro.streaming.wire`
+    frames: :class:`ProcessShardWorker` (a ``multiprocessing`` pipe to a
+    spawned process) and
     :class:`~repro.streaming.netserve.TcpShardWorker` (length-prefixed
     frames to a shard host listener) implement :meth:`_request` plus the
     lifecycle pair :meth:`kill` / :meth:`shutdown`; everything here is
@@ -417,7 +435,8 @@ class ShardRpcClient:
     ) -> None:
         """Attach a tenant cross tree on the worker (tenant backend only).
 
-        The generator crosses the wire by pickle, so the worker-side tree
+        The generator crosses the wire as its bit-generator name plus
+        state (:mod:`repro.streaming.wire`), so the worker-side tree
         consumes exactly the stream this generator would produce locally —
         the same bit-identity contract as initial construction.  ``decay``
         assigns the tenant to one of the shard's declared γ groups.
@@ -477,7 +496,8 @@ class ProcessShardWorker(ShardRpcClient):
     Parameters
     ----------
     spec:
-        The picklable worker recipe (see :class:`ShardSpec`).
+        The worker recipe (see :class:`ShardSpec`); shipped to the child
+        as one encoded frame.
     start_method:
         ``multiprocessing`` start method; defaults to
         :data:`DEFAULT_START_METHOD` (``"spawn"``).
@@ -506,25 +526,27 @@ class ProcessShardWorker(ShardRpcClient):
         self._init_mirror(spec, request_timeout)
         self.shutdown_timeout = float(shutdown_timeout)
         self._reap_lock = threading.Lock()
+        # Encoded before any resource exists: a spec the wire refuses (a
+        # custom projection) raises here and leaks nothing.
+        spec_frame = wire.encode(spec)
         ctx = mp.get_context(start_method or DEFAULT_START_METHOD)
         self._conn, child_conn = ctx.Pipe(duplex=True)
         self._process = ctx.Process(
             target=_shard_worker_main,
-            args=(spec, child_conn),
+            args=(spec_frame, child_conn),
             name=f"repro-shard-{spec.index}",
             daemon=True,
         )
         try:
             self._process.start()
         except BaseException:
-            # A start() failure (e.g. the spec refuses to pickle under
-            # spawn) must not leak the pipe fds.
+            # A start() failure must not leak the pipe fds.
             child_conn.close()
             self._reap()
             raise
         child_conn.close()
         # Ready handshake: surfaces child-side construction errors (bad
-        # spec, unpicklable projection) eagerly, in the constructor.
+        # spec) eagerly, in the constructor.
         # Bounded by BOOT_TIMEOUT, not request_timeout: boot pays spawn
         # plus the numpy imports, so a steady-state deadline would
         # false-kill every worker at startup.
@@ -535,7 +557,7 @@ class ProcessShardWorker(ShardRpcClient):
             if not self._conn.poll(BOOT_TIMEOUT):
                 boot_timed_out = True
             else:
-                status, payload = self._conn.recv()
+                frame = self._conn.recv_bytes()
         except (EOFError, OSError) as exc:
             self.kill()
             raise ShardUnavailableError(
@@ -547,6 +569,11 @@ class ProcessShardWorker(ShardRpcClient):
                 f"shard {self.index} worker did not complete the ready "
                 f"handshake within {BOOT_TIMEOUT}s"
             )
+        try:
+            status, payload = wire.decode(frame)
+        except ValidationError:
+            self.kill()
+            raise
         if status == "err":
             self._reap()
             raise payload
@@ -583,12 +610,12 @@ class ProcessShardWorker(ShardRpcClient):
         """
         if self.alive:
             try:
-                self._conn.send(("close", None))
+                self._conn.send_bytes(wire.encode(("close", None)))
                 # "ok" — worker is draining out.  poll() before recv():
                 # a wedged worker never replies, and an unbounded recv
                 # here is exactly the hang shutdown() must not have.
                 if self._conn.poll(self.shutdown_timeout):
-                    self._conn.recv()
+                    self._conn.recv_bytes()
             except (EOFError, OSError):
                 pass
         process = self._process
@@ -615,15 +642,18 @@ class ProcessShardWorker(ShardRpcClient):
         # TimeoutError is an OSError, so raising it inside would feed it
         # straight into the except clause below and launder the timeout
         # into a generic unavailability.
+        # Encoded before the send: a request the wire refuses raises here
+        # and leaves the worker alive and the pipe in step.
+        request = wire.encode((command, payload))
         timed_out = False
         try:
-            self._conn.send((command, payload))
+            self._conn.send_bytes(request)
             if self.request_timeout is not None and not self._conn.poll(
                 self.request_timeout
             ):
                 timed_out = True
             else:
-                status, result = self._conn.recv()
+                frame = self._conn.recv_bytes()
         except (EOFError, OSError) as exc:
             # A broken pipe does not prove the worker exited: it may be
             # alive mid-command behind a closed parent end.  Kill before
@@ -648,6 +678,7 @@ class ProcessShardWorker(ShardRpcClient):
                 f"worker killed, merges degrade to partial coverage until "
                 f"restart_shard({self.index})"
             )
+        status, result = wire.decode(frame)
         if status == "err":
             raise result
         return result

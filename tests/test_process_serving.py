@@ -4,9 +4,10 @@ The process transport's whole claim is *transparency*: moving a shard
 worker into its own interpreter must change throughput characteristics and
 nothing else.  Four contracts pin that down:
 
-(a) **Wire fidelity** — ``ReleasedMoments`` snapshots pickle losslessly
-    and merge interchangeably with the live mechanisms they were taken
-    from (bit-identical value, identical variance accounting).
+(a) **Wire fidelity** — ``ReleasedMoments`` snapshots cross the wire
+    codec (and pickle) losslessly and merge interchangeably with the live
+    mechanisms they were taken from (bit-identical value, identical
+    variance accounting).
 
 (b) **Transport equivalence** — a thread server and a process server under
     one seed produce bit-identical merged releases and served estimates
@@ -48,6 +49,7 @@ from repro import (
 )
 from repro.data import make_dense_stream
 from repro.exceptions import ShardUnavailableError, ValidationError
+from repro.streaming import wire
 
 PARAMS = PrivacyParams(4.0, 1e-6)
 DIM = 3
@@ -144,6 +146,60 @@ class TestWireSnapshots:
         registry[later] = "shard-0@t6"
         assert len(registry) == 2  # unequal snapshots coexist as keys
         assert registry[pickle.loads(pickle.dumps(later))] == "shard-0@t6"
+
+    # The same contracts through the wire codec, which is what the process
+    # and tcp transports actually ship (a ``released`` reply frame).
+
+    @staticmethod
+    def _via_codec(*snapshots):
+        status, wired = wire.decode(wire.encode(("ok", snapshots)))
+        assert status == "ok" and len(wired) == len(snapshots)
+        return wired if len(wired) > 1 else wired[0]
+
+    def test_released_moments_cross_the_codec_losslessly(self):
+        mech = TreeMechanism(T, (DIM,), 2.0, PARAMS.halve(), rng=3)
+        mech.observe_batch(np.full((5, DIM), 0.1))
+        snapshot = mech.released_moments()
+        wired = self._via_codec(snapshot)
+        assert isinstance(wired, ReleasedMoments)
+        assert wired == snapshot
+        np.testing.assert_array_equal(wired.value, mech.current_sum())
+        assert wired.release_noise_variance() == mech.release_noise_variance()
+        assert wired.steps_taken == mech.steps_taken == 5
+        assert wired.shape == (DIM,)
+        assert wired.weight is None
+        # The decoded snapshot is validated and frozen like any other.
+        with pytest.raises((ValueError, RuntimeError)):
+            wired.value[0] = 0.0
+        weighted = ReleasedMoments(
+            value=np.eye(DIM), noise_variance=0.5, steps=4, shape=(DIM, DIM), weight=2.5
+        )
+        assert self._via_codec(weighted).effective_weight == 2.5
+        assert self._via_codec(weighted) == weighted
+
+    def test_codec_snapshots_merge_interchangeably_with_live_mechanisms(self):
+        half = PARAMS.halve()
+        a = TreeMechanism(T, (DIM,), 2.0, half, rng=1)
+        b = TreeMechanism(T, (DIM,), 2.0, half, rng=2)
+        a.observe_batch(np.full((3, DIM), 0.2))
+        b.observe_batch(np.full((7, DIM), -0.1))
+        live = merge_released([a, b])
+        snapped = merge_released(
+            list(self._via_codec(a.released_moments(), b.released_moments()))
+        )
+        np.testing.assert_array_equal(snapped.value, live.value)
+        assert snapped.noise_variance == live.noise_variance
+        assert snapped.coverage == live.coverage
+
+    def test_codec_snapshots_are_hashable_dict_keys(self):
+        mech = TreeMechanism(T, (DIM,), 2.0, PARAMS.halve(), rng=3)
+        mech.observe_batch(np.full((5, DIM), 0.1))
+        snapshot = mech.released_moments()
+        wired = self._via_codec(snapshot)
+        assert hash(snapshot) == hash(wired)
+        registry = {snapshot: "shard-0"}
+        assert registry[wired] == "shard-0"
+        assert len({snapshot, wired}) == 1
 
 
 class TestTransportEquivalence:

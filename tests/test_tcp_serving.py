@@ -2,9 +2,9 @@
 
 Five contracts pin down this layer:
 
-(a) **Frame fidelity** — length-prefixed pickled frames round-trip
-    arbitrary protocol payloads, reject corrupt headers eagerly, and
-    surface peer closes as clean EOF.
+(a) **Frame fidelity** — length-prefixed typed frames
+    (:mod:`repro.streaming.wire`) round-trip the protocol's messages,
+    reject corrupt headers eagerly, and surface peer closes as clean EOF.
 
 (b) **Transport equivalence** — a ``K = 1`` tcp server with
     ``ingest="exact"`` is bit-identical to the plain batched path (the
@@ -58,6 +58,7 @@ from repro.exceptions import (
     ShardUnavailableError,
     ValidationError,
 )
+from repro.streaming import wire
 from repro.streaming.netserve import recv_frame, send_frame
 from repro.streaming.transport import ProcessShardWorker, ShardSpec
 
@@ -108,18 +109,20 @@ def _wedge(shard, seconds=WEDGE):
     if isinstance(shard, TcpShardWorker):
         send_frame(shard._sock, ("sleep", seconds))
     else:
-        shard._conn.send(("sleep", seconds))
+        shard._conn.send_bytes(wire.encode(("sleep", seconds)))
 
 
 class TestFrameProtocol:
     def test_frames_round_trip_protocol_payloads(self):
         a, b = socket.socketpair()
         try:
+            rows = (3 << 20) // (8 * DIM) + 1
             payloads = [
                 ("ingest", (np.zeros((4, DIM)), np.zeros(4), False)),
                 ("ok", None),
                 _spec(),
-                ("blob", b"x" * (3 << 20)),  # multi-chunk recv path
+                # > 3 MiB: the multi-chunk recv path.
+                ("ingest", (np.full((rows, DIM), 0.5), np.ones(rows), True)),
             ]
             for sent in payloads:
                 # Concurrent sender: a frame larger than the kernel buffer
@@ -130,8 +133,9 @@ class TestFrameProtocol:
                 sender.join(timeout=10.0)
                 assert not sender.is_alive()
                 assert type(received) is type(sent)
-                if isinstance(sent, tuple) and sent[0] == "blob":
-                    assert received[1] == sent[1]
+                if isinstance(sent, tuple) and sent[0] == "ingest":
+                    for got, want in zip(received[1], sent[1]):
+                        np.testing.assert_array_equal(got, want)
             a.close()
             with pytest.raises(EOFError):
                 recv_frame(b)
@@ -189,10 +193,28 @@ class TestListenerLifecycle:
                 (listener.address.host, listener.address.port), timeout=5.0
             )
             try:
-                send_frame(conn, ("ingest", None))
+                send_frame(conn, ("ingest", (np.zeros((1, DIM)), np.zeros(1), False)))
                 status, payload = recv_frame(conn)
                 assert status == "err"
                 assert isinstance(payload, ValidationError)
+            finally:
+                conn.close()
+
+    def test_malformed_frame_is_refused_and_the_connection_dropped(self):
+        with ShardHostListener() as listener:
+            conn = socket.create_connection(
+                (listener.address.host, listener.address.port), timeout=5.0
+            )
+            try:
+                send_frame(conn, _spec())
+                assert recv_frame(conn) == ("ok", 0)
+                garbage = bytes([wire.INGEST]) + b"\xff" * 7
+                conn.sendall(len(garbage).to_bytes(8, "big") + garbage)
+                status, payload = recv_frame(conn)
+                assert status == "err"
+                assert isinstance(payload, ValidationError)
+                with pytest.raises(EOFError):
+                    recv_frame(conn)
             finally:
                 conn.close()
 

@@ -1,6 +1,6 @@
 """Wire-fidelity suite for shard spawn payloads.
 
-The remote transports never pickle a live mechanism — a worker rebuilds
+The remote transports never ship a live mechanism — a worker rebuilds
 its shard from a :class:`~repro.streaming.transport.ShardSpec` inside the
 child interpreter.  For the projected and sketch backends the spec
 carries the front-drawn shared ``Φ`` itself, and the whole equivalence
@@ -11,13 +11,12 @@ that payload crossing the wire *bit-identically*:
   child as in-process);
 * the projection matrix re-attaches with the same bits, on spawn AND on
   restart — every worker generation of a server shares one ``Φ``;
-* a spec round-trips through pickle unchanged, and two builds of the
-  same spec produce mechanisms with identical noise;
+* a spec round-trips through the wire codec (:mod:`repro.streaming.wire`)
+  unchanged, and two builds of the same spec produce mechanisms with
+  identical noise;
 * a remote shard's ``cross`` / ``gram`` diagnostics name the same
   statistic as the in-process shard's attributes.
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from repro import (
 )
 from repro.data import make_dense_stream, make_iv_stream
 from repro.exceptions import ValidationError
+from repro.streaming import wire
 from repro.streaming.backends import BACKENDS
 from repro.streaming.transport import ShardSpec
 
@@ -108,7 +108,12 @@ class TestSpawnPayloadFidelity:
             server.close()
 
 
-class TestShardSpecPickle:
+def _over_the_wire(spec):
+    """The spec a remote worker rebuilds: encoded and decoded by the codec."""
+    return wire.decode(wire.encode(spec))
+
+
+class TestShardSpecWire:
     def _spec(self, backend, projection, seed=17):
         return ShardSpec(
             index=0,
@@ -126,7 +131,7 @@ class TestShardSpecPickle:
     )
     def test_spec_round_trips_bit_identically(self, backend, projection_cls):
         spec = self._spec(backend, projection_cls(DIM, 2, rng=5))
-        clone = pickle.loads(pickle.dumps(spec))
+        clone = _over_the_wire(spec)
         assert (clone.backend, clone.mechanism) == (backend, "tree")
         assert clone.shard_horizon == T
         np.testing.assert_array_equal(
@@ -135,11 +140,11 @@ class TestShardSpecPickle:
 
     def test_two_builds_of_one_spec_produce_identical_noise(self, stream):
         """The shipped rng children carry exact generator state: building
-        the spec here and in a child (simulated by pickling first) yields
+        the spec here and in a child (simulated by a codec round trip) yields
         shards whose mechanisms release the same bits for the same block."""
         spec = self._spec("sketch", SparseProjection(DIM, 2, rng=5))
         local = spec.build()
-        remote = pickle.loads(pickle.dumps(spec)).build()
+        remote = _over_the_wire(spec).build()
         assert local.backend == "sketch"
         assert BACKENDS[local.backend].release_family == "sketch"
         assert isinstance(local.cross, SketchNoiseMechanism)
@@ -166,13 +171,13 @@ class TestShardSpecPickle:
             spec.build()
 
     def test_sketch_shard_solver_replay_from_rebuilt_spec(self, stream):
-        """End-to-end over the pickled payload: moments ingested by a
+        """End-to-end over the encoded payload: moments ingested by a
         rebuilt shard refresh a ``PrivIncReg2`` twin to the same θ as the
         original — the spec loses nothing the solver can see."""
         projection = SparseProjection(DIM, DIM, rng=5)
         spec = self._spec("sketch", projection)
         local = spec.build()
-        remote = pickle.loads(pickle.dumps(spec)).build()
+        remote = _over_the_wire(spec).build()
         for shard in (local, remote):
             shard.ingest(stream.xs, stream.ys, fast=False)
         thetas = []
@@ -262,3 +267,39 @@ class TestRemoteShardDiagnostics:
         finally:
             local.close()
             remote.close()
+
+
+class TestRemoteTransportsNeedBuiltInProjections:
+    """``Φ`` crosses the wire as its kind plus its matrix, so only the two
+    built-in projection types can serve remotely; anything else is refused
+    when the front is built, before a worker or listener starts."""
+
+    class Relabelled(GaussianProjection):
+        pass
+
+    def _front(self, projection, transport):
+        return ShardedStream(
+            L2Ball(DIM),
+            PARAMS,
+            shards=2,
+            horizon=T,
+            backend="projected",
+            x_domain=L2Ball(DIM),
+            projection=projection,
+            transport=transport,
+            rng=3,
+        )
+
+    @pytest.mark.parametrize("transport", ["process", "tcp"])
+    def test_custom_projection_is_refused_at_construction(self, transport):
+        custom = self.Relabelled.from_matrix(GaussianProjection(DIM, 2, rng=1).matrix)
+        with pytest.raises(ValidationError, match="built-in projections"):
+            self._front(custom, transport)
+
+    def test_custom_projection_still_serves_in_process(self):
+        custom = self.Relabelled.from_matrix(GaussianProjection(DIM, 2, rng=1).matrix)
+        server = self._front(custom, "thread")
+        try:
+            assert server.projection is custom
+        finally:
+            server.close()
