@@ -62,6 +62,19 @@ def check_int(name: str, value: int, *, minimum: int | None = None) -> int:
     return value
 
 
+def check_sample_weight(name: str, value: "int | float") -> "int | float":
+    """Return a positive logical sample count: an ``int`` step count as
+    ``int``, a weighted count (the γ-series, a covered window) as ``float``.
+
+    A ``bool`` is refused rather than read as ``1``.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be a positive number, got {value!r}")
+    if isinstance(value, (int, np.integer)):
+        return check_int(name, value, minimum=1)
+    return check_positive(name, value)
+
+
 def check_vector(name: str, value: Sequence[float] | np.ndarray, *, dim: int | None = None) -> np.ndarray:
     """Return ``value`` as a 1-D float array, optionally of fixed dimension."""
     array = np.asarray(value, dtype=float)

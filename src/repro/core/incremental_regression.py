@@ -51,10 +51,10 @@ import numpy as np
 from .._validation import (
     check_int,
     check_matrix,
-    check_positive,
     check_probability,
     check_release_knobs,
     check_rng,
+    check_sample_weight,
     check_unit_xy_domain,
     check_vector,
     check_xy_block,
@@ -73,20 +73,316 @@ __all__ = ["PrivIncReg1", "solve_schedule"]
 MOMENT_SENSITIVITY = 2.0
 
 
-def solve_schedule(t0: int, t1: int, solve_every: int, horizon: int) -> list[int]:
+def solve_schedule(
+    t0: int, t1: int, solve_every: int, horizon: int | None
+) -> list[int]:
     """Timesteps in ``(t0, t1]`` at which an amortized PGD refresh runs.
 
     The single definition of the ``solve_every`` schedule shared by the
     batched paths of Algorithms 2 and 3: every multiple of ``solve_every``
-    plus the horizon itself, so a sequential run with the same knob solves
-    at exactly the same steps.
+    plus the horizon itself (if there is one), so a sequential run with the
+    same knob solves at exactly the same steps.
     """
     return [
         t for t in range(t0 + 1, t1 + 1) if t % solve_every == 0 or t == horizon
     ]
 
 
-class PrivIncReg1:
+class _MomentRegression:
+    """The moment-regression skeleton Algorithms 2 and 3 and the
+    horizon-free variant share.
+
+    Two ``(ε/2, δ/2)`` release mechanisms — each on its own child generator
+    spawned from ``rng`` — track the cross moments ``Σ r_t y_t`` and second
+    moments ``Σ r_t r_tᵀ`` of the rows ``r_t``; every scheduled refresh runs
+    NOISYPROJGRAD against their releases.  Subclasses declare only what
+    differs:
+
+    * ``_family`` — the mechanism family (``"tree"`` or ``"hybrid"``);
+    * ``_ledger_labels`` — the accountant labels of the two charges;
+    * ``_transform_row`` / ``_transform_block`` — the covariate-to-row map
+      (identity here);
+    * ``_chunks`` — cuts of a block whose pieces ingest as one unit;
+    * ``_solve_at`` — the refresh itself (PGD over ``C`` here);
+    * ``gradient_error`` — Lemma 4.1's ``α`` (fixed at construction here).
+
+    :meth:`__init__` is :meth:`_check_knobs` then :meth:`_build_moments`; a
+    subclass that draws randomness before the mechanisms spawn (Algorithm
+    3's ``Φ``) calls the two itself with its draws in between.
+    """
+
+    _family = "tree"
+    _ledger_labels = ("tree:cross-moments", "tree:second-moments")
+
+    def __init__(
+        self,
+        horizon: int | None,
+        constraint: ConvexSet,
+        params: PrivacyParams,
+        beta: float = 0.05,
+        fidelity: str = "fast",
+        iteration_cap: int = 400,
+        solve_every: int = 1,
+        decay: float | None = None,
+        window: int | float | None = None,
+        rng: np.random.Generator | int | None = None,
+    ) -> None:
+        self._check_knobs(
+            horizon, constraint, params, beta, fidelity, iteration_cap,
+            solve_every, decay, window, rng,
+        )
+        self._build_moments(self.dim, constraint.diameter())
+
+    def _check_knobs(
+        self, horizon, constraint, params, beta, fidelity, iteration_cap,
+        solve_every, decay, window, rng,
+    ) -> None:
+        """Validate and store the shared knobs; no randomness is drawn."""
+        if fidelity not in ("paper", "fast"):
+            raise ValidationError(f"fidelity must be 'paper' or 'fast', got {fidelity!r}")
+        # Trees need the stream length; the hybrid family runs without one.
+        self.horizon = (
+            None if self._family == "hybrid" else check_int("horizon", horizon, minimum=1)
+        )
+        self.constraint = constraint
+        self.params = params
+        self.beta = check_probability("beta", beta)
+        self.fidelity = fidelity
+        self.iteration_cap = check_int("iteration_cap", iteration_cap, minimum=1)
+        self.solve_every = check_int("solve_every", solve_every, minimum=1)
+        self.decay, self.window = check_release_knobs(decay, window)
+        self._rng = check_rng(rng)
+        self.dim = constraint.dim
+
+    def _build_moments(self, moment_dim: int, radius: float) -> None:
+        """Spawn the two moment mechanisms over ``moment_dim``-wide rows,
+        charge the ledger and, for trees, fix Lemma 4.1's ``α``.
+
+        ``radius`` bounds ``‖θ‖`` over the set the PGD solves in: it sizes
+        ``α`` and the prefix Lipschitz constant ``2t(radius + 1)``.
+        """
+        self._moment_dim = moment_dim
+        self._radius = radius
+        # Step 1 of Algorithm 2: ε' = ε/2, δ' = δ/2 for each mechanism.
+        # Independent child generators mean their draws never interleave
+        # on a shared stream — the discipline that lets observe_batch
+        # (cross block, then gram block) reproduce the sequential
+        # draw-per-step order exactly.
+        half = self.params.halve()
+        cross_rng, gram_rng = self._rng.spawn(2)
+        self._tree_cross, self._tree_gram = (
+            make_release_mechanism(
+                shape=shape,
+                l2_sensitivity=MOMENT_SENSITIVITY,
+                params=half,
+                rng=child,
+                mechanism=self._family,
+                horizon=self.horizon,
+                decay=self.decay,
+                window=self.window,
+            )
+            for shape, child in (((moment_dim,), cross_rng), ((moment_dim,) * 2, gram_rng))
+        )
+        self.accountant = PrivacyAccountant(self.params, mode="basic")
+        for label in self._ledger_labels:
+            self.accountant.charge(label, half)
+        if self._family == "tree":
+            # A tree's error bounds are configuration constants (see
+            # ``error_bound`` in privacy/release.py), so every refresh
+            # reuses one α.
+            spectral = self._tree_gram.error_bound_spectral(self.beta / 2.0)
+            self._alpha = self._moment_alpha(spectral)
+        self.steps_taken = 0
+        self.estimate_version = 0
+        self._theta = self.constraint.project(np.zeros(self.dim))
+
+    def _moment_alpha(self, gram_error: float) -> float:
+        """Lemma 4.1's ``α`` from the gram error and the cross tree's
+        radius, each at confidence ``β/2``."""
+        return PrivateGradientFunction.moment_error_bound(
+            gram_error, self._tree_cross.error_bound(self.beta / 2.0), self._radius
+        )
+
+    def gradient_error(self) -> float:
+        """Lemma 4.1's ``α``: uniform gradient-error bound over ``C``.
+
+        Combines the cross tree's Proposition C.1 radius with the gram
+        tree's **spectral** radius (the paper bounds ``‖ΔQ·θ‖`` through
+        ``‖ΔQ‖₂`` via its Proposition A.1 — the spectral norm of a Gaussian
+        matrix is ``O(√d)``, a ``√d`` factor below Frobenius, which is how
+        Theorem 4.2 lands on ``√d`` rather than ``d``), each at confidence
+        ``β/2``.  Computed once at construction.  In Algorithm 3 the same
+        bound lives in the projected space (``√m``, radius ``(1+γ)‖C‖``).
+        """
+        return self._alpha
+
+    def _prefix_lipschitz(self, t: float) -> float:
+        """Lipschitz bound of ``L(·; Γ_t)`` over the solve set:
+        ``2t(radius + 1)``."""
+        return 2.0 * t * (self._radius + 1.0)
+
+    def _logical_t(self, t: int) -> int | float:
+        """The effective sample weight at stream position ``t``.
+
+        The quantity the PGD refresh should size its Lipschitz constant
+        (and hence its iteration schedule) from: ``t`` itself for the
+        plain mechanism, the γ-series ``(1−γ^t)/(1−γ)`` under decay, and
+        the covered count under a window.  Pure arithmetic in ``t`` so the
+        batched path's interior solves agree bit-for-bit with the
+        sequential path.
+        """
+        if self.window is not None:
+            return max(
+                SlidingWindowMechanism.covered_at(
+                    t, self.window, self._tree_cross.chunk
+                ),
+                1,
+            )
+        if self.decay is not None and self.decay != 1.0:
+            return (1.0 - self.decay**t) / (1.0 - self.decay)
+        return t
+
+    def _iterations(self, t: float, alpha: float) -> int:
+        if self.fidelity == "paper":
+            # Algorithm 2 Step 1: r = Θ((1 + T‖C‖/α′)²), horizon-based.
+            horizon_lipschitz = self._prefix_lipschitz(self.horizon)
+            return noisy_pgd_iterations(horizon_lipschitz, alpha, cap=None)
+        return noisy_pgd_iterations(self._prefix_lipschitz(t), alpha, cap=self.iteration_cap)
+
+    def _transform_row(self, x: np.ndarray) -> np.ndarray:
+        """The moment row of one checked covariate (identity here)."""
+        return x
+
+    def _transform_block(self, xs: np.ndarray) -> np.ndarray:
+        """The moment rows of a checked covariate block (identity here)."""
+        return xs
+
+    def _chunks(self, t0: int, t1: int) -> list[tuple[int, int]]:
+        """Pieces of the block ``(t0, t1]`` that ingest as one unit."""
+        return [(t0, t1)]
+
+    def observe(self, x: np.ndarray, y: float) -> np.ndarray:
+        """Process ``(x_t, y_t)``; release ``θ_t^priv``.
+
+        Raises
+        ------
+        DomainViolationError
+            If the point violates the unit normalization the sensitivity
+            analysis depends on.
+        """
+        x = check_vector("x", x, dim=self.dim)
+        y = float(y)
+        if np.linalg.norm(x) > 1.0 + 1e-9 or abs(y) > 1.0 + 1e-9:
+            raise DomainViolationError(
+                f"{type(self).__name__} requires ‖x‖ ≤ 1 and |y| ≤ 1 (privacy calibration)"
+            )
+        row = self._transform_row(x)
+        # Commit ordering: the mechanisms ingest first, the counter bumps
+        # after (matching observe_batch) — so a rejected point (horizon
+        # overrun, validation) caught by the caller leaves the estimator's
+        # counter in agreement with its mechanisms and a retry/continue is
+        # safe.  Only the refresh below is amortized by solve_every.
+        noisy_cross = self._tree_cross.observe(row * y)
+        noisy_gram = self._tree_gram.observe(np.outer(row, row))
+        self.steps_taken += 1
+        t = self.steps_taken
+        if t % self.solve_every == 0 or t == self.horizon:
+            self._solve_at(self._logical_t(t), noisy_gram, noisy_cross)
+        return self._theta.copy()
+
+    def observe_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Process a block of points; release ``θ`` after the final one.
+
+        The two moment mechanisms ingest each piece of the block (see
+        ``_chunks``) with vectorized updates (the privacy-relevant part
+        still advances element by element inside them), then the PGD
+        refreshes scheduled inside the piece by ``solve_every`` run against
+        the matching per-step releases.  Bit-identical to feeding the same
+        points one at a time through :meth:`observe` whenever the row
+        transform is (always, but for Algorithm 3's ``ΦXᵀ`` product).
+
+        Parameters
+        ----------
+        xs, ys:
+            Covariates ``(k, d)`` and responses ``(k,)`` with ``k ≥ 1``.
+
+        Returns
+        -------
+        numpy.ndarray
+            The parameter released at the final step of the block.
+        """
+        xs, ys = check_xy_block(xs, ys, dim=self.dim)
+        check_unit_xy_domain(type(self).__name__, xs, ys)
+        rows = self._transform_block(xs)
+        t0 = self.steps_taken
+        for start, stop in self._chunks(t0, t0 + rows.shape[0]):
+            piece, piece_y = rows[start - t0:stop - t0], ys[start - t0:stop - t0]
+            cross_all = self._tree_cross.observe_batch(piece * piece_y[:, None])
+            gram_all = self._tree_gram.observe_batch(piece[:, :, None] * piece[:, None, :])
+            self.steps_taken = stop
+            for t in solve_schedule(start, stop, self.solve_every, self.horizon):
+                idx = t - start - 1
+                self._solve_at(self._logical_t(t), gram_all[idx], cross_all[idx])
+        return self._theta.copy()
+
+    def _pgd(self, constraint, t, noisy_gram, noisy_cross, start) -> np.ndarray:
+        """NOISYPROJGRAD over ``constraint`` at logical ``t`` from ``start``."""
+        alpha = self.gradient_error()
+        return solve_released(
+            constraint,
+            noisy_gram,
+            noisy_cross,
+            alpha=alpha,
+            lipschitz=self._prefix_lipschitz(t),
+            iterations=self._iterations(t, alpha),
+            start=start,
+        )
+
+    def _solve_at(
+        self, t: float, noisy_gram: np.ndarray, noisy_cross: np.ndarray
+    ) -> None:
+        """One PGD refresh against the released moments at logical ``t``."""
+        self._theta = self._pgd(self.constraint, t, noisy_gram, noisy_cross, self._theta)
+        self.estimate_version += 1
+
+    def refresh_from_released(
+        self, t: int | float, noisy_gram: np.ndarray, noisy_cross: np.ndarray
+    ) -> np.ndarray:
+        """Serve-mode hook: one refresh against *external* released moments.
+
+        A serving front (e.g. :class:`~repro.streaming.serving.ShardedStream`)
+        ingests the stream through its own per-shard mechanisms and hands
+        the merged released moments here; this runs the same refresh as
+        :meth:`observe` — same warm start, Lipschitz sizing, and iteration
+        schedule at logical timestep ``t`` — and bumps
+        ``estimate_version``.  The moments live in the estimator's own row
+        space (``m × m`` / ``m`` for Algorithm 3, whose front shares its
+        ``Φ``).  Pure post-processing of already-released statistics:
+        privacy is untouched regardless of how the moments were assembled.
+        Returns the refreshed parameter.
+
+        ``t`` may be a positive float: a front serving *weighted* moments
+        (``decay`` / ``window``) passes the mechanisms' effective weight —
+        the γ-series ``Σ γ^{t−i}`` or the covered window count — as the
+        logical sample count the Lipschitz sizing uses.
+        """
+        t = check_sample_weight("t", t)
+        m = self._moment_dim
+        noisy_gram = check_matrix("noisy_gram", noisy_gram, shape=(m, m))
+        noisy_cross = check_vector("noisy_cross", noisy_cross, dim=m)
+        self._solve_at(t, noisy_gram, noisy_cross)
+        return self._theta.copy()
+
+    def current_estimate(self) -> np.ndarray:
+        """The most recently released parameter (post-processing, free)."""
+        return self._theta.copy()
+
+    def memory_floats(self) -> int:
+        """Floats held by the mechanism: ``O(d² log T)`` (paper §4)."""
+        return self._tree_cross.memory_floats() + self._tree_gram.memory_floats() + self.dim
+
+
+class PrivIncReg1(_MomentRegression):
     """Private incremental linear regression via the Tree Mechanism (Alg. 2).
 
     Parameters
@@ -140,233 +436,6 @@ class PrivIncReg1:
     >>> theta.shape
     (2,)
     """
-
-    def __init__(
-        self,
-        horizon: int,
-        constraint: ConvexSet,
-        params: PrivacyParams,
-        beta: float = 0.05,
-        fidelity: str = "fast",
-        iteration_cap: int = 400,
-        solve_every: int = 1,
-        decay: float | None = None,
-        window: int | float | None = None,
-        rng: np.random.Generator | int | None = None,
-    ) -> None:
-        if fidelity not in ("paper", "fast"):
-            raise ValidationError(f"fidelity must be 'paper' or 'fast', got {fidelity!r}")
-        self.horizon = check_int("horizon", horizon, minimum=1)
-        self.constraint = constraint
-        self.params = params
-        self.beta = check_probability("beta", beta)
-        self.fidelity = fidelity
-        self.iteration_cap = check_int("iteration_cap", iteration_cap, minimum=1)
-        self.solve_every = check_int("solve_every", solve_every, minimum=1)
-        self.decay, self.window = check_release_knobs(decay, window)
-        self._rng = check_rng(rng)
-        self.dim = constraint.dim
-
-        # Step 1 of Algorithm 2: ε' = ε/2, δ' = δ/2 for each tree.  The
-        # trees get independent child generators so their draws never
-        # interleave on a shared stream — the discipline that lets
-        # observe_batch (cross block, then gram block) reproduce the
-        # sequential draw-per-step order exactly.
-        half = params.halve()
-        cross_rng, gram_rng = self._rng.spawn(2)
-        self._tree_cross = make_release_mechanism(
-            shape=(self.dim,),
-            l2_sensitivity=MOMENT_SENSITIVITY,
-            params=half,
-            rng=cross_rng,
-            mechanism="tree",
-            horizon=self.horizon,
-            decay=self.decay,
-            window=self.window,
-        )
-        self._tree_gram = make_release_mechanism(
-            shape=(self.dim, self.dim),
-            l2_sensitivity=MOMENT_SENSITIVITY,
-            params=half,
-            rng=gram_rng,
-            mechanism="tree",
-            horizon=self.horizon,
-            decay=self.decay,
-            window=self.window,
-        )
-        self.accountant = PrivacyAccountant(params, mode="basic")
-        self.accountant.charge("tree:cross-moments", half)
-        self.accountant.charge("tree:second-moments", half)
-
-        # Lemma 4.1's α, fixed here: both trees' error bounds are
-        # configuration constants (see ``error_bound`` in
-        # privacy/release.py), so every refresh reuses one value.
-        share = self.beta / 2.0
-        self._alpha = PrivateGradientFunction.moment_error_bound(
-            self._tree_gram.error_bound_spectral(share),
-            self._tree_cross.error_bound(share),
-            constraint.diameter(),
-        )
-
-        self.steps_taken = 0
-        self.estimate_version = 0
-        self._theta = constraint.project(np.zeros(self.dim))
-
-    # ------------------------------------------------------------------
-
-    def gradient_error(self) -> float:
-        """Lemma 4.1's ``α``: uniform gradient-error bound over ``C``.
-
-        Combines the cross tree's Proposition C.1 radius with the gram
-        tree's **spectral** radius (the paper bounds ``‖ΔQ·θ‖`` through
-        ``‖ΔQ‖₂`` via its Proposition A.1 — the spectral norm of a Gaussian
-        matrix is ``O(√d)``, a ``√d`` factor below Frobenius, which is how
-        Theorem 4.2 lands on ``√d`` rather than ``d``), each at confidence
-        ``β/2``.  Computed once at construction.
-        """
-        return self._alpha
-
-    def _prefix_lipschitz(self, t: float) -> float:
-        """Lipschitz bound of ``L(·; Γ_t)`` over ``C``: ``2t(‖C‖ + 1)``."""
-        return 2.0 * t * (self.constraint.diameter() + 1.0)
-
-    def _logical_t(self, t: int) -> int | float:
-        """The effective sample weight at stream position ``t``.
-
-        The quantity the PGD refresh should size its Lipschitz constant
-        (and hence its iteration schedule) from: ``t`` itself for the
-        plain mechanism, the γ-series ``(1−γ^t)/(1−γ)`` under decay, and
-        the covered count under a window.  Pure arithmetic in ``t`` so the
-        batched path's interior solves agree bit-for-bit with the
-        sequential path.
-        """
-        if self.window is not None:
-            return max(
-                SlidingWindowMechanism.covered_at(
-                    t, self.window, self._tree_cross.chunk
-                ),
-                1,
-            )
-        if self.decay is not None and self.decay != 1.0:
-            return (1.0 - self.decay**t) / (1.0 - self.decay)
-        return t
-
-    def _iterations(self, t: float, alpha: float) -> int:
-        if self.fidelity == "paper":
-            # Algorithm 2 Step 1: r = Θ((1 + T‖C‖/α′)²), horizon-based.
-            horizon_lipschitz = self._prefix_lipschitz(self.horizon)
-            return noisy_pgd_iterations(horizon_lipschitz, alpha, cap=None)
-        return noisy_pgd_iterations(self._prefix_lipschitz(t), alpha, cap=self.iteration_cap)
-
-    def observe(self, x: np.ndarray, y: float) -> np.ndarray:
-        """Process ``(x_t, y_t)``; release ``θ_t^priv``.
-
-        Raises
-        ------
-        DomainViolationError
-            If the point violates the unit normalization the sensitivity
-            analysis depends on.
-        """
-        x = check_vector("x", x, dim=self.dim)
-        y = float(y)
-        if np.linalg.norm(x) > 1.0 + 1e-9 or abs(y) > 1.0 + 1e-9:
-            raise DomainViolationError(
-                "PrivIncReg1 requires ‖x‖ ≤ 1 and |y| ≤ 1 (privacy calibration)"
-            )
-        # Commit ordering: the trees ingest first, the counter bumps after
-        # (matching observe_batch) — so a rejected point (horizon overrun,
-        # validation) caught by the caller leaves the estimator's counter in
-        # agreement with its trees and a retry/continue is safe.
-        noisy_cross = self._tree_cross.observe(x * y)
-        noisy_gram = self._tree_gram.observe(np.outer(x, x))
-        self.steps_taken += 1
-        t = self.steps_taken
-        if t % self.solve_every == 0 or t == self.horizon:
-            self._solve_at(self._logical_t(t), noisy_gram, noisy_cross)
-        return self._theta.copy()
-
-    def observe_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Process a block of points; release ``θ`` after the final one.
-
-        The two moment trees ingest the whole block with vectorized dyadic
-        updates (the privacy-relevant part still advances element by
-        element inside the trees), then the PGD refreshes scheduled inside
-        the block by ``solve_every`` run against the matching per-step tree
-        releases.  Bit-identical to feeding the same points one at a time
-        through :meth:`observe`.
-
-        Parameters
-        ----------
-        xs, ys:
-            Covariates ``(k, d)`` and responses ``(k,)`` with ``k ≥ 1``.
-
-        Returns
-        -------
-        numpy.ndarray
-            The parameter released at the final step of the block.
-        """
-        xs, ys = check_xy_block(xs, ys, dim=self.dim)
-        check_unit_xy_domain("PrivIncReg1", xs, ys)
-        k = xs.shape[0]
-        cross_all = self._tree_cross.observe_batch(xs * ys[:, None])
-        gram_all = self._tree_gram.observe_batch(xs[:, :, None] * xs[:, None, :])
-        t0 = self.steps_taken
-        self.steps_taken = t0 + k
-        for t in solve_schedule(t0, t0 + k, self.solve_every, self.horizon):
-            idx = t - t0 - 1
-            self._solve_at(self._logical_t(t), gram_all[idx], cross_all[idx])
-        return self._theta.copy()
-
-    def _solve_at(
-        self, t: float, noisy_gram: np.ndarray, noisy_cross: np.ndarray
-    ) -> None:
-        """One PGD refresh against the released moments at logical ``t``."""
-        self._theta = solve_released(
-            self.constraint,
-            noisy_gram,
-            noisy_cross,
-            alpha=self._alpha,
-            lipschitz=self._prefix_lipschitz(t),
-            iterations=self._iterations(t, self._alpha),
-            start=self._theta,
-        )
-        self.estimate_version += 1
-
-    def refresh_from_released(
-        self, t: int | float, noisy_gram: np.ndarray, noisy_cross: np.ndarray
-    ) -> np.ndarray:
-        """Serve-mode hook: one PGD refresh against *external* released moments.
-
-        A serving front (e.g. :class:`~repro.streaming.serving.ShardedStream`)
-        ingests the stream through its own per-shard trees and hands the
-        merged released moments here; this runs the same Steps 2–3 pipeline
-        as :meth:`observe` — same warm start, Lipschitz sizing, and
-        iteration schedule at logical timestep ``t`` — and bumps
-        ``estimate_version``.  Pure post-processing of already-released
-        statistics: privacy is untouched regardless of how the moments were
-        assembled.  Returns the refreshed parameter.
-
-        ``t`` may be a positive float: a front serving *weighted* moments
-        (``decay`` / ``window``) passes the mechanisms' effective weight —
-        the γ-series ``Σ γ^{t−i}`` or the covered window count — as the
-        logical sample count the Lipschitz sizing uses.
-        """
-        if isinstance(t, (int, np.integer)) and not isinstance(t, bool):
-            t = check_int("t", t, minimum=1)
-        else:
-            t = check_positive("t", t)
-        noisy_gram = check_matrix("noisy_gram", noisy_gram, shape=(self.dim, self.dim))
-        noisy_cross = check_vector("noisy_cross", noisy_cross, dim=self.dim)
-        self._solve_at(t, noisy_gram, noisy_cross)
-        return self._theta.copy()
-
-    def current_estimate(self) -> np.ndarray:
-        """The most recently released parameter (post-processing, free)."""
-        return self._theta.copy()
-
-    def memory_floats(self) -> int:
-        """Floats held by the mechanism: ``O(d² log T)`` (paper §4)."""
-        return self._tree_cross.memory_floats() + self._tree_gram.memory_floats() + self.dim
 
     def excess_risk_bound(self) -> float:
         """Theorem 4.2's guarantee shape (a reference value for benchmarks).

@@ -42,8 +42,9 @@ single-equation mechanisms allow.
 
 Served operation: :class:`~repro.streaming.serving.ShardedStream` with
 ``backend="iv"`` ingests stacked ``[z | x]`` blocks into per-shard
-(zz, zx, zy) bundles (:class:`~repro.streaming.serving.IVMomentShard`) on
-any transport and hands the merged bundle to
+(zz, zx, zy) bundles (a :class:`~repro.streaming.serving.MomentShard`
+under the ``iv`` declaration in :data:`~repro.streaming.backends.BACKENDS`)
+on any transport and hands the merged bundle to
 :meth:`PrivIncIV.refresh_from_bundle`.
 """
 
@@ -58,6 +59,7 @@ from .._validation import (
     check_positive,
     check_probability,
     check_rng,
+    check_sample_weight,
     check_unit_iv_domain,
     check_vector,
 )
@@ -174,9 +176,9 @@ class PrivIncIV:
     rng:
         Seed or Generator.  The three moment trees receive the first
         three spawned children — in (zz, zx, zy) order, the same slice
-        discipline :class:`~repro.streaming.serving.IVMomentShard` uses,
-        so a ``K = 1`` served stream builds bit-identical trees — and the
-        stage solvers spawn after them.
+        discipline an ``iv`` :class:`~repro.streaming.serving.MomentShard`
+        uses, so a ``K = 1`` served stream builds bit-identical trees — and
+        the stage solvers spawn after them.
     """
 
     def __init__(
@@ -221,7 +223,7 @@ class PrivIncIV:
         p, d = self.instruments, self.dim
         # One tree per bundle statistic at a third of the budget — the
         # same split, sensitivity, and child-generator discipline
-        # IVMomentShard applies, so a K=1 served stream under one seed
+        # an iv MomentShard applies, so a K=1 served stream under one seed
         # builds byte-identical mechanisms.
         thirds = bundle_budgets(params, (1.0, 1.0, 1.0))
         zz_rng, zx_rng, zy_rng = self._rng.spawn(3)
@@ -346,10 +348,7 @@ class PrivIncIV:
         float, as in
         :meth:`~repro.core.incremental_regression.PrivIncReg1.refresh_from_released`).
         """
-        if isinstance(t, (int, np.integer)) and not isinstance(t, bool):
-            t = check_int("t", t, minimum=1)
-        else:
-            t = check_positive("t", t)
+        t = check_sample_weight("t", t)
         p, d = self.instruments, self.dim
         missing = [name for name in ("zz", "zx", "zy") if name not in moments]
         if missing:
@@ -386,7 +385,7 @@ class PrivIncIV:
         )
 
     # ------------------------------------------------------------------
-    # Standalone ingestion (the serving path uses IVMomentShard instead)
+    # Standalone ingestion (the serving path uses an iv MomentShard instead)
     # ------------------------------------------------------------------
 
     def observe(self, z: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:

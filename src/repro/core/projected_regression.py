@@ -37,29 +37,15 @@ import math
 
 import numpy as np
 
-from .._validation import (
-    check_int,
-    check_matrix,
-    check_positive,
-    check_probability,
-    check_release_knobs,
-    check_rng,
-    check_unit_xy_domain,
-    check_vector,
-    check_xy_block,
-)
-from ..erm.noisy_pgd import noisy_pgd_iterations
-from ..exceptions import DomainViolationError, ValidationError
+from .._validation import check_int, check_probability
+from ..exceptions import ValidationError
 from ..geometry.base import ConvexSet, PointSet
-from ..privacy.accountant import PrivacyAccountant
 from ..privacy.parameters import PrivacyParams
-from ..privacy.release import SlidingWindowMechanism, make_release_mechanism
 from ..sketching.gaussian import GaussianProjection, step4_rescale_block
 from ..sketching.gordon import gordon_dimension
 from ..sketching.lifting import lift
 from ..sketching.projected_set import ProjectedConvexSet
-from .incremental_regression import MOMENT_SENSITIVITY, solve_schedule
-from .private_gradient import PrivateGradientFunction, solve_released
+from .incremental_regression import _MomentRegression
 
 __all__ = ["PrivIncReg2", "projected_sizing"]
 
@@ -96,8 +82,11 @@ def projected_sizing(
     return total_width, gamma, projected_dim
 
 
-class PrivIncReg2:
+class PrivIncReg2(_MomentRegression):
     """Private incremental regression with random projections (Alg. 3).
+
+    Algorithm 2's skeleton over Step-4-rescaled projected rows ``Φx̃_t``,
+    solving in ``ΦC`` and lifting each refresh back to ``C``.
 
     Parameters
     ----------
@@ -157,6 +146,8 @@ class PrivIncReg2:
         Seed or Generator.
     """
 
+    _ledger_labels = ("tree:projected-cross-moments", "tree:projected-second-moments")
+
     def __init__(
         self,
         horizon: int,
@@ -175,23 +166,15 @@ class PrivIncReg2:
         window: int | float | None = None,
         rng: np.random.Generator | int | None = None,
     ) -> None:
-        if fidelity not in ("paper", "fast"):
-            raise ValidationError(f"fidelity must be 'paper' or 'fast', got {fidelity!r}")
         if x_domain.dim != constraint.dim:
             raise ValidationError(
                 f"x_domain dim ({x_domain.dim}) != constraint dim ({constraint.dim})"
             )
-        self.horizon = check_int("horizon", horizon, minimum=1)
-        self.constraint = constraint
+        self._check_knobs(
+            horizon, constraint, params, beta, fidelity, iteration_cap,
+            solve_every, decay, window, rng,
+        )
         self.x_domain = x_domain
-        self.params = params
-        self.beta = check_probability("beta", beta)
-        self.fidelity = fidelity
-        self.iteration_cap = check_int("iteration_cap", iteration_cap, minimum=1)
-        self.solve_every = check_int("solve_every", solve_every, minimum=1)
-        self.decay, self.window = check_release_knobs(decay, window)
-        self._rng = check_rng(rng)
-        self.dim = constraint.dim
 
         # -- Step 1: geometric sizing (shared with the serving front) -----
         self.total_width, self.gamma, sized_dim = projected_sizing(
@@ -208,7 +191,7 @@ class PrivIncReg2:
             projected_dim = sized_dim
         self.projected_dim = check_int("projected_dim", projected_dim, minimum=1)
 
-        # -- Step 2: draw Φ once ------------------------------------------
+        # -- Step 2: draw Φ once, before the moment trees spawn -----------
         if projection is not None:
             self.projection = projection
         else:
@@ -221,197 +204,36 @@ class PrivIncReg2:
             ),
         )
 
-        # -- Steps 5-6 plumbing: two trees over the projected moments -----
-        # Independent child generators per tree (see PrivIncReg1): batched
-        # and sequential ingestion then draw identical noise.
-        half = params.halve()
-        m = self.projected_dim
-        cross_rng, gram_rng = self._rng.spawn(2)
-        self._tree_cross = make_release_mechanism(
-            shape=(m,),
-            l2_sensitivity=MOMENT_SENSITIVITY,
-            params=half,
-            rng=cross_rng,
-            mechanism="tree",
-            horizon=self.horizon,
-            decay=self.decay,
-            window=self.window,
-        )
-        self._tree_gram = make_release_mechanism(
-            shape=(m, m),
-            l2_sensitivity=MOMENT_SENSITIVITY,
-            params=half,
-            rng=gram_rng,
-            mechanism="tree",
-            horizon=self.horizon,
-            decay=self.decay,
-            window=self.window,
-        )
-        self.accountant = PrivacyAccountant(params, mode="basic")
-        self.accountant.charge("tree:projected-cross-moments", half)
-        self.accountant.charge("tree:projected-second-moments", half)
+        # -- Steps 5-6 plumbing: two trees over the projected moments.
+        # Under the Gordon event the projected set's radius is (1+γ)‖C‖.
+        self._build_moments(self.projected_dim, (1.0 + self.gamma) * constraint.diameter())
+        self._vartheta = self.projected_constraint.project(np.zeros(self.projected_dim))
 
-        # The projected α, fixed here: the trees' error bounds are
-        # configuration constants (see ``error_bound`` in
-        # privacy/release.py).  Under the Gordon event the projected set's
-        # diameter is (1+γ)‖C‖.
-        share = self.beta / 2.0
-        self._alpha = PrivateGradientFunction.moment_error_bound(
-            self._tree_gram.error_bound_spectral(share),
-            self._tree_cross.error_bound(share),
-            (1.0 + self.gamma) * constraint.diameter(),
-        )
+    def _transform_row(self, x: np.ndarray) -> np.ndarray:
+        """Step 4: rescale so that ``‖Φx̃‖ = ‖x‖`` (pins the sensitivity)."""
+        return self.projection.rescale_covariate(x)[1]
 
-        self.steps_taken = 0
-        self.estimate_version = 0
-        self._vartheta = self.projected_constraint.project(np.zeros(m))
-        self._theta = constraint.project(np.zeros(self.dim))
-
-    # ------------------------------------------------------------------
-
-    def gradient_error(self) -> float:
-        """Projected-space analog of Lemma 4.1's ``α`` (scales with ``√m``).
-
-        As in Algorithm 2, the gram tree's error enters through the
-        spectral norm of its Gaussian noise matrix (``O(√m)``), not the
-        Frobenius norm (``O(m)``).  Computed once at construction.
-        """
-        return self._alpha
-
-    def _prefix_lipschitz(self, t: float) -> float:
-        """Lipschitz bound of the projected loss: ``2t((1+γ)‖C‖ + 1)``."""
-        return 2.0 * t * ((1.0 + self.gamma) * self.constraint.diameter() + 1.0)
-
-    def _logical_t(self, t: int) -> int | float:
-        """Effective sample weight at stream position ``t``.
-
-        ``t`` when plain, the γ-series under ``decay``, the covered count
-        under ``window`` — pure arithmetic in ``t`` (see
-        :meth:`PrivIncReg1._logical_t
-        <repro.core.incremental_regression.PrivIncReg1._logical_t>`).
-        """
-        if self.window is not None:
-            return max(
-                SlidingWindowMechanism.covered_at(
-                    t, self.window, self._tree_cross.chunk
-                ),
-                1,
-            )
-        if self.decay is not None and self.decay != 1.0:
-            return (1.0 - self.decay**t) / (1.0 - self.decay)
-        return t
-
-    def _iterations(self, t: float, alpha: float) -> int:
-        if self.fidelity == "paper":
-            return noisy_pgd_iterations(self._prefix_lipschitz(self.horizon), alpha, cap=None)
-        return noisy_pgd_iterations(self._prefix_lipschitz(t), alpha, cap=self.iteration_cap)
-
-    def observe(self, x: np.ndarray, y: float) -> np.ndarray:
-        """Process ``(x_t, y_t)``; release the lifted ``θ_t^priv``."""
-        x = check_vector("x", x, dim=self.dim)
-        y = float(y)
-        if np.linalg.norm(x) > 1.0 + 1e-9 or abs(y) > 1.0 + 1e-9:
-            raise DomainViolationError(
-                "PrivIncReg2 requires ‖x‖ ≤ 1 and |y| ≤ 1 (privacy calibration)"
-            )
-        # Step 4: rescale so that ‖Φx̃‖ = ‖x‖ (pins the sensitivity).
-        _, projected_x = self.projection.rescale_covariate(x)
-
-        # Steps 5-6: advance the projected moment trees (every step — this
-        # is the privacy-relevant part and cannot be amortized).  The step
-        # counter bumps only after both trees consumed the point, matching
-        # observe_batch's commit ordering, so a rejected point never
-        # desyncs the counter from the trees' state.
-        noisy_cross = self._tree_cross.observe(projected_x * y)
-        noisy_gram = self._tree_gram.observe(np.outer(projected_x, projected_x))
-        self.steps_taken += 1
-        t = self.steps_taken
-
-        # Steps 7-9 are post-processing of the released moments and may be
-        # amortized across a solve_every-window (staleness ≤ solve_every
-        # points, as in Mechanism 1's τ-window argument).
-        if t % self.solve_every == 0 or t == self.horizon:
-            self._solve_at(self._logical_t(t), noisy_gram, noisy_cross)
-        return self._theta.copy()
-
-    def observe_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Process a block of points; release the lifted ``θ`` after it.
-
-        Step 4's covariate rescaling is applied to the whole block with one
-        matrix product, the two projected-moment trees ingest the block via
-        their vectorized batch path, and the projected-space solves + lifts
-        scheduled inside the block by ``solve_every`` run against the
-        matching per-step releases.  Matches point-by-point :meth:`observe`
-        up to BLAS reduction order in the ``ΦXᵀ`` product (the trees
-        themselves are rng-matched), so released parameters agree to
-        floating-point accuracy rather than bit-for-bit.
-        """
-        xs, ys = check_xy_block(xs, ys, dim=self.dim)
-        check_unit_xy_domain("PrivIncReg2", xs, ys)
-        k = xs.shape[0]
-        # Step 4, vectorized: x̃ = (‖x‖/‖Φx‖)·x so that ‖Φx̃‖ = ‖x‖ — the
-        # shared helper the projected serving shards apply to their routed
-        # blocks, so both paths build identical moment streams from one Φ.
-        projected = step4_rescale_block(self.projection, xs)
-
-        cross_all = self._tree_cross.observe_batch(projected * ys[:, None])
-        gram_all = self._tree_gram.observe_batch(
-            projected[:, :, None] * projected[:, None, :]
-        )
-        t0 = self.steps_taken
-        self.steps_taken = t0 + k
-        for t in solve_schedule(t0, t0 + k, self.solve_every, self.horizon):
-            idx = t - t0 - 1
-            self._solve_at(self._logical_t(t), gram_all[idx], cross_all[idx])
-        return self._theta.copy()
+    def _transform_block(self, xs: np.ndarray) -> np.ndarray:
+        """Step 4 on a block with one ``ΦXᵀ`` product — the helper the
+        projected serving shards apply to their routed blocks, so both
+        paths build identical moment streams from one ``Φ``.  Agrees with
+        :meth:`_transform_row` only up to BLAS reduction order, so
+        :meth:`observe_batch` matches :meth:`observe` to floating-point
+        accuracy rather than bit-for-bit."""
+        return step4_rescale_block(self.projection, xs)
 
     def _solve_at(
         self, t: float, noisy_gram: np.ndarray, noisy_cross: np.ndarray
     ) -> None:
         """Steps 7-9 against the released projected moments at logical ``t``."""
-        self._vartheta = solve_released(
-            self.projected_constraint,
-            noisy_gram,
-            noisy_cross,
-            alpha=self._alpha,
-            lipschitz=self._prefix_lipschitz(t),
-            iterations=self._iterations(t, self._alpha),
-            start=self._vartheta,
+        self._vartheta = self._pgd(
+            self.projected_constraint, t, noisy_gram, noisy_cross, self._vartheta
         )
-
         lifted = lift(self.projection.matrix, self._vartheta, self.constraint)
         # Numerical safety: the paper argues gauge(θ) ≤ 1 exactly; we
         # project to absorb LP/solver round-off.
         self._theta = self.constraint.project(lifted)
         self.estimate_version += 1
-
-    def refresh_from_released(
-        self, t: int | float, noisy_gram: np.ndarray, noisy_cross: np.ndarray
-    ) -> np.ndarray:
-        """Serve-mode hook: Steps 7–9 against external *projected* moments.
-
-        The moments must live in the projected space (``m × m`` / ``m``) —
-        a sharded front serving Algorithm 3 shares one ``Φ`` across shards
-        and merges the per-shard projected-moment trees before calling
-        this.  Post-processing only; bumps ``estimate_version`` and
-        returns the refreshed lifted parameter.  ``t`` may be a positive
-        float: a front serving weighted (``decay``/``window``) moments
-        passes the mechanisms' effective weight as the logical sample
-        count.
-        """
-        if isinstance(t, (int, np.integer)) and not isinstance(t, bool):
-            t = check_int("t", t, minimum=1)
-        else:
-            t = check_positive("t", t)
-        m = self.projected_dim
-        noisy_gram = check_matrix("noisy_gram", noisy_gram, shape=(m, m))
-        noisy_cross = check_vector("noisy_cross", noisy_cross, dim=m)
-        self._solve_at(t, noisy_gram, noisy_cross)
-        return self._theta.copy()
-
-    def current_estimate(self) -> np.ndarray:
-        """The most recently released (lifted) parameter."""
-        return self._theta.copy()
 
     def memory_floats(self) -> int:
         """Floats held: ``O(m² log T)`` for trees + ``m·d`` for ``Φ``.
@@ -420,13 +242,7 @@ class PrivIncReg2:
         from a logarithmic-size seed; we store it explicitly and report
         both terms.
         """
-        return (
-            self._tree_cross.memory_floats()
-            + self._tree_gram.memory_floats()
-            + self.projection.matrix.size
-            + self.projected_dim
-            + self.dim
-        )
+        return super().memory_floats() + self.projection.matrix.size + self.projected_dim
 
     def excess_risk_bound(self, opt: float = 0.0) -> float:
         """Theorem 5.7's guarantee shape (reference value for benchmarks).

@@ -59,6 +59,35 @@ def _block_ends(length, batch):
     return [stop - 1 for _, stop in _blocks(length, batch)]
 
 
+#: Extra inputs for the estimators: each release knob × a solve cadence
+#: finer than most blocks, so interior solves run at weighted logical t.
+RELEASE_KNOBS = [
+    pytest.param(knob, solve_every, id=f"{name}-every{solve_every}")
+    for name, knob in [("decay", {"decay": 0.9}), ("window", {"window": 7})]
+    for solve_every in (1, 3)
+]
+
+
+def _random_blocks(length, seed):
+    """Random contiguous block split of ``range(length)`` (sizes 1-6)."""
+    sizes = np.random.default_rng(seed).integers(1, 7, size=length)
+    edges = np.minimum(np.concatenate([[0], np.cumsum(sizes)]), length)
+    edges = np.unique(edges)
+    return list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+
+
+def _knob_thetas(make, stream, seed):
+    """Sequential thetas at the block ends of a random split, and the
+    thetas the batched path releases on that split."""
+    blocks = _random_blocks(stream.length, seed)
+    reference = _sequential_thetas(make(), stream)
+    estimator = make()
+    released = np.stack(
+        [estimator.observe_batch(stream.xs[s:e], stream.ys[s:e]) for s, e in blocks]
+    )
+    return reference[[e - 1 for _, e in blocks]], released
+
+
 # ---------------------------------------------------------------------------
 # Mechanisms: bit-identical releases
 # ---------------------------------------------------------------------------
@@ -175,6 +204,20 @@ class TestPrivIncReg1Equivalence:
         released = _batched_thetas(make(), stream, batch)
         np.testing.assert_array_equal(reference[_block_ends(T, batch)], released)
 
+    @pytest.mark.parametrize("knob, solve_every", RELEASE_KNOBS)
+    def test_bit_identical_with_release_knobs(self, stream, knob, solve_every):
+        make = lambda: PrivIncReg1(  # noqa: E731
+            horizon=T,
+            constraint=L2Ball(DIM),
+            params=PARAMS,
+            iteration_cap=25,
+            solve_every=solve_every,
+            rng=7,
+            **knob,
+        )
+        reference, released = _knob_thetas(make, stream, seed=solve_every)
+        np.testing.assert_array_equal(reference, released)
+
 
 class TestUnboundedEquivalence:
     @pytest.mark.parametrize("batch", BATCH_SIZES)
@@ -199,6 +242,20 @@ class TestUnboundedEquivalence:
         reference = _sequential_thetas(make(), long_stream)
         released = _batched_thetas(make(), long_stream, 7)
         np.testing.assert_array_equal(reference[_block_ends(length, 7)], released)
+
+    @pytest.mark.parametrize("knob, solve_every", RELEASE_KNOBS)
+    def test_bit_identical_with_release_knobs(self, knob, solve_every):
+        long_stream = make_dense_stream(21, DIM, noise_std=0.05, rng=400)
+        make = lambda: UnboundedPrivIncReg(  # noqa: E731
+            L2Ball(DIM),
+            PARAMS,
+            iteration_cap=20,
+            solve_every=solve_every,
+            rng=19,
+            **knob,
+        )
+        reference, released = _knob_thetas(make, long_stream, seed=solve_every)
+        np.testing.assert_array_equal(reference, released)
 
 
 class TestPrivIncERMEquivalence:
@@ -277,6 +334,22 @@ class TestPrivIncReg2Equivalence:
         np.testing.assert_allclose(
             reference[_block_ends(T, batch)], released, rtol=1e-8, atol=1e-10
         )
+
+    @pytest.mark.parametrize("knob, solve_every", RELEASE_KNOBS)
+    def test_floating_point_equal_with_release_knobs(self, knob, solve_every):
+        sparse_stream = make_sparse_stream(T, DIM, sparsity=2, rng=200)
+        make = lambda: PrivIncReg2(  # noqa: E731
+            horizon=T,
+            constraint=L1Ball(DIM),
+            x_domain=SparseVectors(DIM, 2),
+            params=PARAMS,
+            iteration_cap=20,
+            solve_every=solve_every,
+            rng=31,
+            **knob,
+        )
+        reference, released = _knob_thetas(make, sparse_stream, seed=solve_every)
+        np.testing.assert_allclose(reference, released, rtol=1e-8, atol=1e-10)
 
 
 class TestRobustEquivalence:

@@ -183,3 +183,51 @@ def test_docs_cover_every_backend_and_mechanism_value():
     assert not missing, (
         f"docs/SERVING.md does not document the accepted values: {missing}"
     )
+
+
+#: A Sphinx cross-reference role: ``:class:`~repro.x.Y```, or the titled
+#: form ``:meth:`title <repro.x.Y.z>```.  Role bodies may wrap lines.
+_XREF = re.compile(r":(?:class|func|meth|mod|data|attr|exc):`([^`]+)`")
+
+
+def _xref_targets():
+    """Every ``repro.``-rooted cross-reference target under src/repro."""
+    targets = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for body in _XREF.findall(path.read_text()):
+            titled = re.search(r"<([^>]+)>\s*$", body)
+            target = (titled.group(1) if titled else body).strip().lstrip("~!")
+            if target.startswith("repro."):
+                targets.append((path.relative_to(REPO_ROOT).as_posix(), target))
+    return targets
+
+
+def _resolve(target: str):
+    """Import the longest importable module prefix, then ``getattr`` the rest."""
+    import importlib
+
+    parts = target.removesuffix("()").split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for name in parts[split:]:
+            obj = getattr(obj, name)
+        return obj
+    raise ImportError(target)
+
+
+def test_docstring_cross_references_resolve():
+    """Every ``:class:``/``:func:``/``:meth:``/``:mod:``/``:data:``/
+    ``:attr:``/``:exc:`` target rooted at ``repro.`` names something that
+    exists — a rename or deletion cannot leave docstrings pointing at it."""
+    targets = _xref_targets()
+    assert len(targets) > 250, "cross-reference scan found too few targets"
+    broken = []
+    for where, target in targets:
+        try:
+            _resolve(target)
+        except (ImportError, AttributeError):
+            broken.append(f"{where}: {target}")
+    assert not broken, f"unresolvable docstring cross-references: {broken}"

@@ -67,6 +67,17 @@ class TestBehavior:
                 errors.append(mech.gradient_error())
         assert errors[1] / errors[0] < 8.0  # polylog growth in prefix length
 
+    def test_ledger_charges_both_moment_mechanisms(self):
+        mech = UnboundedPrivIncReg(L2Ball(2), NORMAL, rng=8)
+        for x, y in make_dense_stream(20, 2, rng=9):
+            mech.observe(x, y)
+        charges = mech.accountant.charges
+        assert [c.label for c in charges] == ["tree:cross-moments", "tree:second-moments"]
+        assert mech.accountant.within_budget()
+        spent = mech.accountant.spent()
+        assert spent.epsilon == pytest.approx(NORMAL.epsilon)
+        assert spent.delta == pytest.approx(NORMAL.delta)
+
     def test_deterministic_with_seed(self):
         stream = make_dense_stream(10, 2, rng=6)
 

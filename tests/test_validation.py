@@ -11,6 +11,7 @@ from repro._validation import (
     check_positive,
     check_probability,
     check_rng,
+    check_sample_weight,
     check_vector,
 )
 from repro.exceptions import ValidationError
@@ -143,3 +144,68 @@ class TestRngCheck:
     def test_rejects_string(self):
         with pytest.raises(ValidationError):
             check_rng("seed")
+
+
+class TestSampleWeightCheck:
+    def test_int_count_stays_int(self):
+        assert check_sample_weight("t", np.int64(5)) == 5
+        assert type(check_sample_weight("t", 5)) is int
+
+    def test_weighted_count_is_float(self):
+        assert check_sample_weight("t", 2.5) == 2.5
+
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_rejects_bool(self, value):
+        with pytest.raises(ValidationError, match="positive number"):
+            check_sample_weight("t", value)
+
+    @pytest.mark.parametrize("value", [0, -3, 0.0, float("nan"), None])
+    def test_rejects_non_positive_or_missing(self, value):
+        with pytest.raises(ValidationError):
+            check_sample_weight("t", value)
+
+
+def _moment_estimators():
+    from repro import (
+        L1Ball,
+        L2Ball,
+        PrivacyParams,
+        PrivIncReg1,
+        PrivIncReg2,
+        SparseVectors,
+        UnboundedPrivIncReg,
+    )
+
+    params = PrivacyParams(1.0, 1e-6)
+    return [
+        PrivIncReg1(horizon=8, constraint=L2Ball(2), params=params, rng=0),
+        PrivIncReg2(
+            horizon=8, constraint=L1Ball(2), x_domain=SparseVectors(2, 1),
+            params=params, projected_dim=2, rng=0,
+        ),
+        UnboundedPrivIncReg(L2Ball(2), params, rng=0),
+    ]
+
+
+class TestRefreshRejectsBoolTimestep:
+    """A bool ``t`` is a caller bug, not the sample count 1: every
+    serve-mode refresh hook refuses it before solving."""
+
+    @pytest.mark.parametrize("index", [0, 1, 2], ids=["reg1", "reg2", "unbounded"])
+    def test_moment_estimators(self, index):
+        estimator = _moment_estimators()[index]
+        with pytest.raises(ValidationError):
+            estimator.refresh_from_released(True, np.eye(2), np.ones(2))
+        assert estimator.estimate_version == 0
+
+    def test_priv_inc_iv(self):
+        from repro import L2Ball, PrivacyParams, PrivIncIV
+
+        mech = PrivIncIV(
+            horizon=8, constraint=L2Ball(2), instruments=2,
+            params=PrivacyParams(1.0, 1e-6), rng=0,
+        )
+        bundle = {"zz": np.eye(2), "zx": np.eye(2), "zy": np.ones(2)}
+        with pytest.raises(ValidationError):
+            mech.refresh_from_bundle(True, bundle)
+        assert mech.estimate_version == 0
