@@ -40,8 +40,11 @@ everything the parent does with the snapshots is post-processing.
 
 Fault semantics
 ---------------
-Identical to the pipe transport, because the failure surface is the
-same three cases: a **command-level error** travels back as an
+Identical to the pipe transport, because it is the same code: the
+listener serves through :func:`~repro.streaming.transport._serve` and the
+proxy requests through ``ShardRpcClient._exchange``, here over a socket
+*link* (``_SocketLink``: one ``put``/``take`` pair on the frames below).
+Three cases: a **command-level error** travels back as an
 ``("err", exc)`` frame (class name plus message) and the shard keeps
 serving (block-atomic rejection holds across the socket); a **dead
 peer** (connection reset, listener host down) surfaces as
@@ -52,7 +55,8 @@ is folded into the dead-peer path via
 models a crash by severing the socket abruptly — the listener sees EOF
 and tears the shard down (killing its subprocess under
 ``isolation="process"``), so an uncommanded parent death never leaks
-remote shards.
+remote shards.  A frame that does not decode is refused with an
+``("err", exc)`` reply and the connection is dropped.
 
 Security note
 -------------
@@ -75,18 +79,15 @@ import struct
 import threading
 from dataclasses import dataclass
 
-from ..exceptions import (
-    ShardTimeoutError,
-    ShardUnavailableError,
-    ValidationError,
-)
+from ..exceptions import ShardUnavailableError, ValidationError
 from .transport import (
     BOOT_TIMEOUT,
     SHUTDOWN_TIMEOUT,
     ProcessShardWorker,
     ShardRpcClient,
     ShardSpec,
-    dispatch_command,
+    _build_handler,
+    _serve,
 )
 from . import wire
 
@@ -156,29 +157,29 @@ def recv_frame(sock: socket.socket):
     return wire.decode(_recv_exact(sock, length))
 
 
-def _safe_send_frame(sock: socket.socket, message) -> bool:
-    """Frame-layer twin of transport._safe_send: degrade, never raise.
+class _SocketLink:
+    """One end of a tcp shard connection: length-prefixed frames on a socket.
 
-    Returns ``False`` when not even the degraded error reply could be
-    delivered — the caller must treat that as "stop serving".
+    The pair :class:`~repro.streaming.transport._PipeLink` is on a pipe:
+    :meth:`put` writes one message, :meth:`take` reads one within
+    ``timeout`` seconds (``None`` waits forever).  Both call this module's
+    :func:`send_frame`/:func:`recv_frame` by name at call time, so a
+    tracer that swaps those names sees every frame, and the socket
+    timeout is set only when the deadline changes.
     """
-    try:
-        send_frame(sock, message)
-        return True
-    except Exception as exc:
-        try:
-            send_frame(
-                sock,
-                (
-                    "err",
-                    ShardUnavailableError(
-                        f"shard reply could not be serialized: {exc}"
-                    ),
-                ),
-            )
-            return True
-        except Exception:  # peer vanished mid-reply; stop serving
-            return False
+
+    __slots__ = ("sock",)
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+
+    def put(self, message) -> None:
+        send_frame(self.sock, message)
+
+    def take(self, timeout: float | None = None):
+        if self.sock.gettimeout() != timeout:
+            self.sock.settimeout(timeout)
+        return recv_frame(self.sock)
 
 
 @dataclass(frozen=True)
@@ -228,10 +229,11 @@ class ShardAddress:
 class ShardHostListener:
     """Serve :class:`ShardSpec`-built shards to TCP peers (the remote end).
 
-    Protocol per connection: the first frame is an encoded
-    :class:`~repro.streaming.transport.ShardSpec`; the listener builds
-    the shard and replies ``("ok", index)`` (the ready handshake — or
-    ``("err", exc)`` if construction failed), then serves
+    Each connection runs the pipe worker's loop,
+    :func:`~repro.streaming.transport._serve`: the first frame is an
+    encoded :class:`~repro.streaming.transport.ShardSpec`; the listener
+    builds the shard and replies ``("ok", index)`` (the ready handshake —
+    or ``("err", exc)`` if construction failed), then serves
     ``(command, payload)`` frames through
     :func:`~repro.streaming.transport.dispatch_command` until a
     ``"close"`` command or EOF.  EOF without a close is treated as a
@@ -251,11 +253,6 @@ class ShardHostListener:
         :class:`~repro.streaming.transport.ProcessShardWorker`
         subprocess, so shards on one host ingest on real cores — the
         configuration the cross-host scaling story needs.
-    request_timeout:
-        Deadline the ``isolation="process"`` wrapper applies to its own
-        pipe RPCs (listener → local subprocess).  Usually left ``None``:
-        the *client-side* deadline on :class:`TcpShardWorker` already
-        bounds the full round trip end to end.
     """
 
     def __init__(
@@ -263,14 +260,12 @@ class ShardHostListener:
         host: str = "127.0.0.1",
         port: int = 0,
         isolation: str = "thread",
-        request_timeout: float | None = None,
     ) -> None:
         if isolation not in ("thread", "process"):
             raise ValidationError(
                 f"isolation must be 'thread' or 'process', got {isolation!r}"
             )
         self.isolation = isolation
-        self.request_timeout = request_timeout
         self._lock = threading.Lock()
         self._conns: set[socket.socket] = set()
         self._closed = False
@@ -308,65 +303,24 @@ class ShardHostListener:
             ).start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        """One connection = one shard: handshake, then the command loop."""
-        worker = None  # ProcessShardWorker under isolation="process"
-        shard = None
+        """One connection = one shard: :func:`_serve` on the socket link."""
+        worker = None  # the subprocess under isolation="process"
+
+        def host(spec: ShardSpec):
+            nonlocal worker
+            if self.isolation == "thread":
+                return _build_handler(spec)
+            worker = ProcessShardWorker(spec)
+            return worker._request
+
         try:
-            try:
-                spec = recv_frame(conn)
-                if not isinstance(spec, ShardSpec):
-                    raise ValidationError(
-                        f"first frame must be a ShardSpec, got "
-                        f"{type(spec).__name__}"
-                    )
-                if self.isolation == "process":
-                    worker = ProcessShardWorker(
-                        spec, request_timeout=self.request_timeout
-                    )
-                else:
-                    shard = spec.build()
-            except EOFError:
-                return  # peer connected and left; nothing to serve
-            except BaseException as exc:
-                _safe_send_frame(conn, ("err", exc))
-                return
-            if not _safe_send_frame(conn, ("ok", spec.index)):  # ready
-                return
-            while True:
-                try:
-                    message = recv_frame(conn)
-                except (EOFError, OSError):
-                    return  # parent vanished: tear down in finally
-                except ValidationError as exc:
-                    # A malformed frame or an oversized header: refuse it
-                    # and hang up (after a bad header the stream is out of
-                    # step); the finally clause tears the shard down.
-                    _safe_send_frame(conn, ("err", exc))
-                    return
-                try:
-                    command, payload = message
-                    if command == "close":
-                        _safe_send_frame(conn, ("ok", None))
-                        return
-                    if worker is not None:
-                        result = worker._request(command, payload)
-                    else:
-                        result = dispatch_command(shard, command, payload)
-                except BaseException as exc:
-                    reply = ("err", exc)
-                else:
-                    reply = ("ok", result)
-                if not _safe_send_frame(conn, reply):
-                    return
+            _serve(_SocketLink(conn), host)
         finally:
             if worker is not None:
                 # Graceful if the subprocess is healthy, kill otherwise —
-                # shutdown() is bounded now, so this cannot hang the
-                # handler thread on a wedged subprocess.
-                try:
-                    worker.shutdown()
-                except Exception:  # pragma: no cover - defensive
-                    worker.kill()
+                # shutdown() is bounded, so this cannot hang the handler
+                # thread on a wedged subprocess.
+                worker.shutdown()
             with self._lock:
                 self._conns.discard(conn)
             conn.close()
@@ -435,7 +389,9 @@ class TcpShardWorker(ShardRpcClient):
         The shard recipe; shipped as the first frame, built on the
         listener's side of the wire.
     address:
-        Where the listener is (:class:`ShardAddress` or ``(host, port)``).
+        Where the listener is, in any shape :meth:`ShardAddress.coerce`
+        accepts: a :class:`ShardAddress`, a ``"host:port"`` string or a
+        ``(host, port)`` pair.
     request_timeout:
         Deadline in seconds on every round trip, enforced with the
         socket's own timeout.  A missed deadline severs the connection
@@ -444,12 +400,14 @@ class TcpShardWorker(ShardRpcClient):
         mark-dead-then-raise contract as the pipe transport, covering
         stuck *and* unreachable peers with one knob.  ``None`` (default)
         waits forever.
-    boot_timeout:
-        Deadline on connect plus the ready handshake (remote build pays
-        mechanism construction, and subprocess spawn under
-        ``isolation="process"``), distinct from the steady-state
-        ``request_timeout`` for the same reason the pipe transport's
-        :data:`~repro.streaming.transport.BOOT_TIMEOUT` is.
+    shutdown_timeout:
+        Bound on the graceful-close handshake; a wedged peer falls
+        through to the abrupt sever after this many seconds.
+
+    Connect and the ready handshake are bounded by
+    :data:`~repro.streaming.transport.BOOT_TIMEOUT` instead: the remote
+    build pays mechanism construction, and subprocess spawn under
+    ``isolation="process"``.
     """
 
     def __init__(
@@ -457,83 +415,24 @@ class TcpShardWorker(ShardRpcClient):
         spec: ShardSpec,
         address,
         request_timeout: float | None = None,
-        boot_timeout: float = BOOT_TIMEOUT,
         shutdown_timeout: float = SHUTDOWN_TIMEOUT,
     ) -> None:
-        self._init_mirror(spec, request_timeout)
-        if not isinstance(address, ShardAddress):
-            host, port = address
-            address = ShardAddress(host=host, port=int(port))
-        self.address = address
-        self.shutdown_timeout = float(shutdown_timeout)
+        self._init_mirror(spec, request_timeout, shutdown_timeout)
+        self.address = ShardAddress.coerce(address)
         try:
             self._sock = socket.create_connection(
-                (address.host, address.port), timeout=boot_timeout
+                (self.address.host, self.address.port), timeout=BOOT_TIMEOUT
             )
         except OSError as exc:
             raise ShardUnavailableError(
-                f"shard {self.index}: no listener at {address}"
+                f"shard {self.index}: no listener at {self.address}"
             ) from exc
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        try:
-            send_frame(self._sock, spec)
-            status, payload = recv_frame(self._sock)
-        except socket.timeout as exc:
-            self.kill()
-            raise ShardTimeoutError(
-                f"shard {self.index} listener at {address} did not complete "
-                f"the ready handshake within {boot_timeout}s"
-            ) from exc
-        except (EOFError, OSError) as exc:
-            self.kill()
-            raise ShardUnavailableError(
-                f"shard {self.index} listener at {address} dropped the "
-                f"connection during startup"
-            ) from exc
-        except ValidationError:  # the spec or the handshake reply
-            self.kill()
-            raise
-        if status == "err":
-            self.kill()
-            raise payload
-        # Steady state: the per-request deadline replaces the boot one.
-        self._sock.settimeout(request_timeout)
-        self.alive = True
-
-    # ------------------------------------------------------------------
-    # Wire
-    # ------------------------------------------------------------------
-
-    def _request(self, command: str, payload):
-        if not self.alive:
-            raise ShardUnavailableError(
-                f"shard {self.index} tcp worker is dead"
-            )
-        try:
-            send_frame(self._sock, (command, payload))
-            status, result = recv_frame(self._sock)
-        except socket.timeout:
-            # Must precede the OSError clause (socket.timeout subclasses
-            # it).  Deadline missed: sever the connection before raising
-            # so the late reply can never pair with a future request —
-            # and so the listener sees EOF and reaps the remote shard.
-            self.kill()
-            raise ShardTimeoutError(
-                f"shard {self.index} at {self.address} missed the "
-                f"{self.request_timeout}s deadline (command {command!r}); "
-                f"connection severed, merges degrade to partial coverage "
-                f"until restart_shard({self.index})"
-            ) from None
-        except (EOFError, OSError) as exc:
-            self.kill()
-            raise ShardUnavailableError(
-                f"shard {self.index} at {self.address} is unreachable "
-                f"(command {command!r}); merges degrade to partial "
-                f"coverage until restart_shard({self.index})"
-            ) from exc
-        if status == "err":
-            raise result
-        return result
+        self._link = _SocketLink(self._sock)
+        self._boot()
+        # Steady state: the per-request deadline replaces the boot one
+        # here, so the first request's send is bounded by it too.
+        self._sock.settimeout(self.request_timeout)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -569,12 +468,5 @@ class TcpShardWorker(ShardRpcClient):
         The close acknowledgement is bounded by ``shutdown_timeout`` —
         a wedged peer falls through to the abrupt sever.
         """
-        sock = self._sock
-        if self.alive and sock is not None:
-            try:
-                sock.settimeout(self.shutdown_timeout)
-                send_frame(sock, ("close", None))
-                recv_frame(sock)  # "ok" — listener is tearing down
-            except (EOFError, OSError, ValidationError):
-                pass
+        self._close_handshake()
         self.kill()

@@ -11,6 +11,7 @@ import numpy as np
 
 from ..._validation import (
     check_int,
+    check_positive,
     check_release_knobs,
     check_rng,
     check_vector,
@@ -113,11 +114,7 @@ class ShardFront:
                     "(transport='process' or 'tcp'); in-process shard "
                     "calls are plain method calls"
                 )
-            if not request_timeout > 0:
-                raise ValidationError(
-                    f"request_timeout must be positive (seconds) or None, "
-                    f"got {request_timeout!r}"
-                )
+            request_timeout = check_positive("request_timeout", request_timeout)
         if addresses is not None and transport != "tcp":
             raise ValidationError("addresses only applies to transport='tcp'")
         if restart_policy not in ("never", "auto"):
@@ -125,11 +122,8 @@ class ShardFront:
                 f"restart_policy must be 'never' or 'auto', got "
                 f"{restart_policy!r}"
             )
-        if heartbeat_every is not None and not heartbeat_every > 0:
-            raise ValidationError(
-                f"heartbeat_every must be positive (seconds) or None, got "
-                f"{heartbeat_every!r}"
-            )
+        if heartbeat_every is not None:
+            heartbeat_every = check_positive("heartbeat_every", heartbeat_every)
         if restart_policy == "auto" and heartbeat_every is None:
             raise ValidationError(
                 "restart_policy='auto' is driven by the health-check loop; "

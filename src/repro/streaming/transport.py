@@ -60,27 +60,32 @@ identical partial-coverage accounting.  Command-level failures
 the exception back, and keeps serving — the tree's block-atomic
 rejection guarantees hold unchanged across the pipe.
 
-The command/response protocol itself (the ``(command, payload)`` →
-``("ok" | "err", result)`` framing served by :func:`dispatch_command`) is
-transport-agnostic: :mod:`repro.streaming.netserve` serves the same
-commands over length-prefixed TCP frames, so shards can run on separate
-hosts behind the same :class:`ShardRpcClient` surface.
+The command/response protocol itself (a :class:`ShardSpec` first frame
+answered by ``("ok", index)``, then ``(command, payload)`` →
+``("ok" | "err", result)`` replies to :func:`dispatch_command`) is
+transport-agnostic and written once: :func:`_serve` runs it on the worker
+side and :meth:`ShardRpcClient._exchange` on the parent side, over a
+*link* — :class:`_PipeLink` here, ``netserve._SocketLink`` for the
+length-prefixed TCP frames of :mod:`repro.streaming.netserve`, so shards
+can run on separate hosts behind the same :class:`ShardRpcClient`
+surface.
 
-Wire requirements: every message — the spawn payload included — crosses
-the pipe as a typed frame of :mod:`repro.streaming.wire`
+Wire requirements: every message — the spec included — crosses the pipe
+as a typed frame of :mod:`repro.streaming.wire`
 (``Connection.send_bytes``/``recv_bytes``; no message is pickled — the
-``spawn`` start method hands the child only the encoded spec bytes and
-its pipe end).  The spec's rngs travel as bit-generator name plus state,
-``Φ`` as its kind plus its matrix, so a remote shard accepts only the two
-built-in projections (:class:`~repro.sketching.gaussian.GaussianProjection`,
+``spawn`` start method hands the child only its pipe end).  The spec's
+rngs travel as bit-generator name plus state, ``Φ`` as its kind plus its
+matrix, so a remote shard accepts only the two built-in projections
+(:class:`~repro.sketching.gaussian.GaussianProjection`,
 :class:`~repro.sketching.sparse_jl.SparseProjection`); the serving front
-refuses any other when it is built.  Workers default to the ``"spawn"``
-start method — fork-safety of a threaded parent (async mode, group pools)
-is exactly the kind of thing this transport must not gamble on.
+refuses any other when it is built.  Workers use the ``"spawn"`` start
+method — fork-safety of a threaded parent (async mode, group pools) is
+exactly the kind of thing this transport must not gamble on.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
 import threading
 import time
@@ -88,6 +93,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._validation import check_positive
 from ..exceptions import (
     ShardTimeoutError,
     ShardUnavailableError,
@@ -98,12 +104,6 @@ from ..privacy.tree import ReleasedMoments
 from . import wire
 
 __all__ = ["ProcessShardWorker", "ShardRpcClient", "ShardSpec", "dispatch_command"]
-
-#: Default multiprocessing start method for shard workers.  ``"spawn"`` is
-#: slower to boot but safe under threaded parents on every platform; pass
-#: ``start_method="fork"`` to :class:`ProcessShardWorker` on POSIX when
-#: boot latency matters more.
-DEFAULT_START_METHOD = "spawn"
 
 #: Deadline on the ready handshake (worker boot).  Distinct from (and far
 #: above) any sensible ``request_timeout``: boot pays interpreter spawn
@@ -183,33 +183,50 @@ class ShardSpec:
         )
 
 
-def _safe_send(conn, message) -> bool:
-    """Send a reply frame, degrading an unencodable one to an error reply.
+class _PipeLink:
+    """One end of a pipe shard connection: typed frames on a ``Connection``.
 
-    Returns ``False`` when not even the degraded error reply could be
-    delivered (broken pipe, parent gone): the *fallback* send used to be
-    unguarded, so a reply failure after the parent vanished raised out of
-    the worker loop and killed the worker with a traceback instead of the
-    clean daemonic exit every other parent-gone path takes.  Callers must
-    treat ``False`` as "stop serving".
+    :meth:`put` encodes and writes one message; :meth:`take` reads and
+    decodes one, raising ``TimeoutError`` when ``timeout`` seconds pass
+    first (``None`` waits forever) and ``EOFError``/``OSError`` when the
+    peer is gone.  ``netserve._SocketLink`` is the same pair on a socket.
+    """
+
+    __slots__ = ("conn",)
+
+    def __init__(self, conn) -> None:
+        self.conn = conn
+
+    def put(self, message) -> None:
+        self.conn.send_bytes(wire.encode(message))
+
+    def take(self, timeout: float | None = None):
+        if timeout is not None and not self.conn.poll(timeout):
+            raise TimeoutError
+        return wire.decode(self.conn.recv_bytes())
+
+
+def _reply(link, message) -> bool:
+    """Send a reply, degrading an unencodable one to an error reply.
+
+    Returns ``False`` when not even the degraded reply could be delivered
+    (broken link, peer gone): the caller must stop serving.
     """
     try:
-        conn.send_bytes(wire.encode(message))
+        link.put(message)
         return True
     except Exception as exc:
         try:
-            conn.send_bytes(
-                wire.encode(
-                    (
-                        "err",
-                        ShardUnavailableError(
-                            f"worker reply could not be serialized: {exc}"
-                        ),
-                    )
+            link.put(
+                (
+                    "err",
+                    ShardUnavailableError(
+                        f"shard reply could not be serialized: {exc}"
+                    ),
                 )
             )
             return True
-        except Exception:  # parent vanished mid-reply; exit cleanly
+        except Exception:  # peer vanished mid-reply; stop serving
             return False
 
 
@@ -222,12 +239,11 @@ def dispatch_command(shard, command: str, payload):
     """Execute one worker command against a built shard; return the result.
 
     The single definition of the command protocol, shared by every
-    transport that serves shards remotely — the ``multiprocessing`` pipe
-    worker below and the TCP listener in
+    transport that serves shards remotely — :func:`_serve` runs it for
+    the ``multiprocessing`` pipe worker below and for the TCP listener in
     :mod:`repro.streaming.netserve` — so a shard behaves identically
     behind a pipe and behind a socket.  ``close`` is *not* handled here:
-    connection teardown belongs to the serving loop that owns the
-    connection.
+    connection teardown belongs to the serving loop.
 
     Raising is the error path: the loop ships the exception back as an
     ``("err", exc)`` reply and keeps serving (command failures are not
@@ -294,52 +310,71 @@ def dispatch_command(shard, command: str, payload):
     raise ValidationError(f"unknown worker command {command!r}")
 
 
-def _shard_worker_main(spec_frame: bytes, conn) -> None:
-    """The worker process: build the shard, then serve pipe commands.
+def _serve(link, host) -> None:
+    """Serve one shard connection on either link: boot, then commands.
 
-    Top-level (not a closure) so the ``"spawn"`` start method can import
-    it.  ``spec_frame`` is the :mod:`~repro.streaming.wire` encoding of the
-    :class:`ShardSpec`.  Protocol: the parent sends ``(command, payload)``
-    frames and the worker replies ``("ok", result)`` or ``("err",
-    exception)`` frames; command failures (and frames that do not decode)
-    never kill the worker — the shard's block-atomic rejection semantics
-    make a retry safe, exactly as in-process.  A reply that cannot be
-    delivered at all ends the loop cleanly (the parent is gone or the
-    pipe is broken — there is no one left to serve).
+    The first frame must be a :class:`ShardSpec`; ``host(spec)`` builds
+    the shard and returns its command handler, ``handler(command,
+    payload) -> result``.  The ready reply is ``("ok", spec.index)``, or
+    ``("err", exc)`` when the spec is refused or the build fails.  Each
+    ``(command, payload)`` frame then gets one ``("ok", result)`` or
+    ``("err", exc)`` reply; a failed command is not a fault (the shard's
+    block-atomic rejection makes a retry safe), so the loop keeps
+    serving.  The loop ends after ``close`` (answered ``("ok", None)``),
+    on EOF, on a reply that cannot be delivered, and on a frame that does
+    not decode: that one is refused with an ``err`` reply and the link is
+    hung up, since after a bad frame the stream may be out of step.
     """
     try:
-        spec = wire.decode(spec_frame)
+        try:
+            spec = link.take()
+        except (EOFError, OSError):
+            return  # the peer connected and left
         if not isinstance(spec, ShardSpec):
             raise ValidationError(
-                f"the boot frame must be a ShardSpec, got {type(spec).__name__}"
+                f"the first frame must be a ShardSpec, got {type(spec).__name__}"
             )
-        shard = spec.build()
+        handler = host(spec)
     except BaseException as exc:
-        _safe_send(conn, ("err", exc))
-        conn.close()
+        _reply(link, ("err", exc))
         return
-    if not _safe_send(conn, ("ok", spec.index)):  # ready handshake
-        conn.close()
+    if not _reply(link, ("ok", spec.index)):
         return
     while True:
         try:
-            frame = conn.recv_bytes()
+            message = link.take()
         except (EOFError, OSError):
-            return  # parent vanished; daemonic exit
+            return  # peer vanished; the caller tears the shard down
+        except ValidationError as exc:
+            _reply(link, ("err", exc))
+            return
         try:
-            command, payload = wire.decode(frame)
+            command, payload = message
             if command == "close":
-                _safe_send(conn, ("ok", None))
-                conn.close()
+                _reply(link, ("ok", None))
                 return
-            result = dispatch_command(shard, command, payload)
+            reply = ("ok", handler(command, payload))
         except BaseException as exc:
             reply = ("err", exc)
-        else:
-            reply = ("ok", result)
-        if not _safe_send(conn, reply):
-            conn.close()
+        if not _reply(link, reply):
             return
+
+
+def _build_handler(spec: ShardSpec):
+    """Build ``spec``'s shard in this process; return its command handler."""
+    return functools.partial(dispatch_command, spec.build())
+
+
+def _shard_worker_main(conn) -> None:
+    """The worker process: serve one shard on its pipe end, then exit.
+
+    Top-level (not a closure) so the ``"spawn"`` start method can import
+    it; the spec arrives as the first frame, as on a tcp connection.
+    """
+    try:
+        _serve(_PipeLink(conn), _build_handler)
+    finally:
+        conn.close()
 
 
 class ShardRpcClient:
@@ -354,32 +389,34 @@ class ShardRpcClient:
     updated from ingest acknowledgements, which is what keeps the
     lost-mass accounting exact even after the worker is gone.
 
-    Subclasses own the wire — both speak :mod:`repro.streaming.wire`
-    frames: :class:`ProcessShardWorker` (a ``multiprocessing`` pipe to a
-    spawned process) and
-    :class:`~repro.streaming.netserve.TcpShardWorker` (length-prefixed
-    frames to a shard host listener) implement :meth:`_request` plus the
-    lifecycle pair :meth:`kill` / :meth:`shutdown`; everything here is
-    transport-independent post-processing of ``(status, result)`` replies.
+    Every round trip, the ready handshake included, goes through
+    :meth:`_exchange` on the subclass's ``_link``, so the fault rules live
+    here once.  Subclasses own only the link's lifecycle — spawn or
+    connect in the constructor, :meth:`kill`, :meth:`shutdown`:
+    :class:`ProcessShardWorker` (a ``multiprocessing`` pipe to a spawned
+    process) and :class:`~repro.streaming.netserve.TcpShardWorker`
+    (length-prefixed frames to a shard host listener).
 
     Not thread-safe on its own: the serving front serializes all wire
     access per worker (its ingestion lock, or one drain task per shard in
     group mode, with the heartbeat loop taking the same lock).
     """
 
-    def _init_mirror(self, spec: ShardSpec, request_timeout: float | None) -> None:
+    def _init_mirror(
+        self, spec: ShardSpec, request_timeout: float | None, shutdown_timeout: float
+    ) -> None:
         """Initialize the parent-side mirror fields (subclass constructors)."""
-        if request_timeout is not None and not request_timeout > 0:
-            raise ValidationError(
-                f"request_timeout must be positive (seconds) or None, got "
-                f"{request_timeout!r}"
-            )
+        self.request_timeout = (
+            None
+            if request_timeout is None
+            else check_positive("request_timeout", request_timeout)
+        )
+        self.shutdown_timeout = float(shutdown_timeout)
         self.spec = spec
         self.index = spec.index
         self.budget = spec.budget
         self.backend = spec.backend
         self.mechanism = spec.mechanism
-        self.request_timeout = request_timeout
         self.steps = 0
         self.alive = False
         # Set by the serving front once this worker's mass is credited to
@@ -471,8 +508,77 @@ class ShardRpcClient:
         """
         return int(self._request("ping", None))
 
+    # ------------------------------------------------------------------
+    # The protocol, parent side
+    # ------------------------------------------------------------------
+
+    def _exchange(self, message, timeout: float | None, what: str):
+        """One round trip on the link; returns the ``ok`` result.
+
+        ``what`` names the round trip in error messages (the command, or
+        ``"boot"``).
+
+        ``TimeoutError`` (the reply missed ``timeout``) kills the worker
+        *before* raising :class:`~repro.exceptions.ShardTimeoutError`: left
+        running, a stuck worker's late reply would pair with the next
+        request.  ``EOFError``/``OSError`` (the peer is gone, or a broken
+        link to a worker that may still be alive) kills it too and raises
+        :class:`~repro.exceptions.ShardUnavailableError` — dead-and-refunded
+        is the only safe state.  An ``("err", exc)`` reply raises ``exc``
+        with the worker left alive: command failures are not faults.
+        """
+        try:
+            self._link.put(message)
+            status, result = self._link.take(timeout)
+        except TimeoutError:
+            self.kill()
+            raise ShardTimeoutError(
+                f"shard {self.index} missed the {timeout}s deadline on "
+                f"{what!r} and was stopped"
+            ) from None
+        except (EOFError, OSError) as exc:
+            self.kill()
+            raise ShardUnavailableError(
+                f"shard {self.index} is unreachable on {what!r} and was stopped"
+            ) from exc
+        if status == "err":
+            raise result
+        return result
+
+    def _boot(self) -> None:
+        """The ready handshake: ship the spec, await ``("ok", index)``.
+
+        Bounded by :data:`BOOT_TIMEOUT`, not ``request_timeout``: boot pays
+        the remote build (and, for a spawned worker, interpreter start plus
+        ``import repro``), so a steady-state deadline would false-kill every
+        worker at startup.  Any failure — a refused spec, a failed build,
+        a dead or silent peer — stops the worker and raises.
+        """
+        try:
+            self._exchange(self.spec, BOOT_TIMEOUT, "boot")
+        except BaseException:
+            self.kill()
+            raise
+        self.alive = True
+
     def _request(self, command: str, payload):
-        raise NotImplementedError
+        """One command round trip under ``request_timeout``."""
+        if not self.alive:
+            raise ShardUnavailableError(f"shard {self.index} worker is dead")
+        return self._exchange((command, payload), self.request_timeout, command)
+
+    def _close_handshake(self) -> None:
+        """The graceful close handshake, bounded by ``shutdown_timeout``.
+
+        Never raises: a wedged worker cannot answer, and :meth:`shutdown`
+        falls through to a kill after the deadline instead of hanging.
+        """
+        if self.alive:
+            try:
+                self._link.put(("close", None))
+                self._link.take(self.shutdown_timeout)  # "ok": tearing down
+            except (EOFError, OSError, ValidationError):
+                pass
 
     def kill(self) -> None:
         raise NotImplementedError
@@ -496,11 +602,8 @@ class ProcessShardWorker(ShardRpcClient):
     Parameters
     ----------
     spec:
-        The worker recipe (see :class:`ShardSpec`); shipped to the child
-        as one encoded frame.
-    start_method:
-        ``multiprocessing`` start method; defaults to
-        :data:`DEFAULT_START_METHOD` (``"spawn"``).
+        The worker recipe (see :class:`ShardSpec`); shipped to the spawned
+        child as the first frame on its pipe.
     request_timeout:
         Deadline in seconds on every parent→worker round trip, enforced
         with ``conn.poll(timeout)`` before the reply ``recv``.  A missed
@@ -519,65 +622,28 @@ class ProcessShardWorker(ShardRpcClient):
     def __init__(
         self,
         spec: ShardSpec,
-        start_method: str | None = None,
         request_timeout: float | None = None,
         shutdown_timeout: float = SHUTDOWN_TIMEOUT,
     ) -> None:
-        self._init_mirror(spec, request_timeout)
-        self.shutdown_timeout = float(shutdown_timeout)
+        self._init_mirror(spec, request_timeout, shutdown_timeout)
         self._reap_lock = threading.Lock()
-        # Encoded before any resource exists: a spec the wire refuses (a
-        # custom projection) raises here and leaks nothing.
-        spec_frame = wire.encode(spec)
-        ctx = mp.get_context(start_method or DEFAULT_START_METHOD)
+        ctx = mp.get_context("spawn")
         self._conn, child_conn = ctx.Pipe(duplex=True)
+        self._link = _PipeLink(self._conn)
         self._process = ctx.Process(
             target=_shard_worker_main,
-            args=(spec_frame, child_conn),
+            args=(child_conn,),
             name=f"repro-shard-{spec.index}",
             daemon=True,
         )
         try:
             self._process.start()
         except BaseException:
-            # A start() failure must not leak the pipe fds.
+            self._reap()  # a start() failure must not leak the pipe fds
+            raise
+        finally:
             child_conn.close()
-            self._reap()
-            raise
-        child_conn.close()
-        # Ready handshake: surfaces child-side construction errors (bad
-        # spec) eagerly, in the constructor.
-        # Bounded by BOOT_TIMEOUT, not request_timeout: boot pays spawn
-        # plus the numpy imports, so a steady-state deadline would
-        # false-kill every worker at startup.
-        # As in _request: ShardTimeoutError is an OSError, so its raise
-        # must live outside the try that catches pipe failures.
-        boot_timed_out = False
-        try:
-            if not self._conn.poll(BOOT_TIMEOUT):
-                boot_timed_out = True
-            else:
-                frame = self._conn.recv_bytes()
-        except (EOFError, OSError) as exc:
-            self.kill()
-            raise ShardUnavailableError(
-                f"shard {self.index} worker process died during startup"
-            ) from exc
-        if boot_timed_out:
-            self.kill()
-            raise ShardTimeoutError(
-                f"shard {self.index} worker did not complete the ready "
-                f"handshake within {BOOT_TIMEOUT}s"
-            )
-        try:
-            status, payload = wire.decode(frame)
-        except ValidationError:
-            self.kill()
-            raise
-        if status == "err":
-            self._reap()
-            raise payload
-        self.alive = True
+        self._boot()
 
     def kill(self) -> None:
         """SIGKILL the worker — the crash-injection path.
@@ -605,89 +671,17 @@ class ProcessShardWorker(ShardRpcClient):
         close handshake and the exit join are both bounded by
         ``shutdown_timeout``: a worker wedged mid-command cannot answer
         the close command, so after the deadline the shutdown falls
-        through to a kill instead of hanging forever (the bug class this
-        PR removes from every blocking path).
+        through to a kill instead of hanging forever.
         """
-        if self.alive:
-            try:
-                self._conn.send_bytes(wire.encode(("close", None)))
-                # "ok" — worker is draining out.  poll() before recv():
-                # a wedged worker never replies, and an unbounded recv
-                # here is exactly the hang shutdown() must not have.
-                if self._conn.poll(self.shutdown_timeout):
-                    self._conn.recv_bytes()
-            except (EOFError, OSError):
-                pass
-        process = self._process
-        if process is not None:
-            try:
-                if process.is_alive():
-                    process.join(timeout=self.shutdown_timeout)
-                    if process.is_alive():  # wedged: fall through to kill
-                        process.kill()
-            except ValueError:  # pragma: no cover - concurrently reaped
-                pass
-        self._reap()
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _request(self, command: str, payload):
-        if not self.alive:
-            raise ShardUnavailableError(
-                f"shard {self.index} process worker is dead"
-            )
-        # The timeout raise lives OUTSIDE the try: ShardTimeoutError is a
-        # TimeoutError is an OSError, so raising it inside would feed it
-        # straight into the except clause below and launder the timeout
-        # into a generic unavailability.
-        # Encoded before the send: a request the wire refuses raises here
-        # and leaves the worker alive and the pipe in step.
-        request = wire.encode((command, payload))
-        timed_out = False
-        try:
-            self._conn.send_bytes(request)
-            if self.request_timeout is not None and not self._conn.poll(
-                self.request_timeout
-            ):
-                timed_out = True
-            else:
-                frame = self._conn.recv_bytes()
-        except (EOFError, OSError) as exc:
-            # A broken pipe does not prove the worker exited: it may be
-            # alive mid-command behind a closed parent end.  Kill before
-            # reaping, as on the timeout path — dead-and-refunded is the
-            # only safe state, and the reap must not wait on a live child.
-            self.kill()
-            raise ShardUnavailableError(
-                f"shard {self.index} worker process died (command "
-                f"{command!r}); merges degrade to partial coverage until "
-                f"restart_shard({self.index})"
-            ) from exc
-        if timed_out:
-            # Deadline missed: the worker is alive but stuck.  Kill it
-            # *before* raising — if it were left running, its late reply
-            # would still be queued in the pipe and would pair with the
-            # *next* command's recv, silently corrupting the protocol.
-            # Dead-and-refunded is the only safe state.
-            self.kill()
-            raise ShardTimeoutError(
-                f"shard {self.index} worker missed the "
-                f"{self.request_timeout}s deadline (command {command!r}); "
-                f"worker killed, merges degrade to partial coverage until "
-                f"restart_shard({self.index})"
-            )
-        status, result = wire.decode(frame)
-        if status == "err":
-            raise result
-        return result
+        self._close_handshake()
+        self._reap()  # bounded join: a worker that said "ok" exits
+        self.kill()  # wedged past the join (a no-op once reaped)
 
     def _reap(self) -> None:
         """Mark dead and release OS resources (join + close pipe).
 
-        The join is bounded by ``shutdown_timeout``; callers that cannot
-        prove the worker exited kill it first.
+        The join is bounded by ``shutdown_timeout``; a worker still
+        running after it keeps its handle for a following :meth:`kill`.
 
         Idempotent, and race-safe when a crash detection and an explicit
         ``kill()`` reap concurrently: the whole handle teardown is

@@ -1,6 +1,6 @@
 """Conformance suite for the TCP shard transport and RPC deadlines.
 
-Five contracts pin down this layer:
+Six contracts pin down this layer:
 
 (a) **Frame fidelity** — length-prefixed typed frames
     (:mod:`repro.streaming.wire`) round-trip the protocol's messages,
@@ -27,6 +27,10 @@ Five contracts pin down this layer:
 (e) **Heartbeats** — the health-check loop detects dead/stuck workers
     with no traffic flowing, and ``restart_policy="auto"`` brings them
     back.
+
+(f) **One serve loop** — the pipe worker and the tcp listener run the
+    same command loop, so a frame that does not decode, a message of the
+    wrong shape and ``close`` get the same replies on both links.
 
 The generic serving contracts are re-proven over tcp by running
 ``tests/test_sharded_equivalence.py`` / ``tests/test_serving_faults.py``
@@ -58,8 +62,9 @@ from repro.exceptions import (
     ShardUnavailableError,
     ValidationError,
 )
-from repro.streaming import wire
+from repro.streaming import netserve, transport, wire
 from repro.streaming.netserve import recv_frame, send_frame
+from repro.streaming.serving import stream as front_module
 from repro.streaming.transport import ProcessShardWorker, ShardSpec
 
 PARAMS = PrivacyParams(4.0, 1e-6)
@@ -152,6 +157,45 @@ class TestFrameProtocol:
         finally:
             a.close()
             b.close()
+
+    def test_worker_accepts_a_host_port_string(self):
+        with ShardHostListener() as listener:
+            worker = TcpShardWorker(_spec(), str(listener.address))
+            try:
+                assert worker.address == listener.address
+                assert worker.ping() == 0
+            finally:
+                worker.shutdown()
+
+    def test_ping_goes_through_the_module_frame_functions(self, monkeypatch):
+        """perfbench's tracer swaps ``netserve.send_frame``/``recv_frame``
+        by name; a client round trip must call the swapped ones."""
+        calls = []
+
+        def counting(name, original):
+            def wrapper(sock, *args):
+                calls.append((name, sock))
+                return original(sock, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            netserve, "send_frame", counting("send", netserve.send_frame)
+        )
+        monkeypatch.setattr(
+            netserve, "recv_frame", counting("recv", netserve.recv_frame)
+        )
+        with ShardHostListener() as listener:
+            worker = TcpShardWorker(_spec(), listener.address)
+            try:
+                sock = worker._sock
+                before = [name for name, used in calls if used is sock]
+                assert before == ["send", "recv"]  # the ready handshake
+                assert worker.ping() == 0
+                after = [name for name, used in calls if used is sock]
+                assert after[len(before):] == ["send", "recv"]
+            finally:
+                worker.shutdown()
 
     def test_shard_address_parse_and_coerce(self):
         address = ShardAddress.parse("10.0.0.7:9000")
@@ -566,3 +610,98 @@ class TestHeartbeat:
             _server(1, seed=1, request_timeout=-1.0)
         with pytest.raises(ValidationError):
             _server(1, seed=1, heartbeat_every=0.0)
+
+
+class TestInfiniteDeadlines:
+    """An infinite deadline is refused before any worker boots: it used
+    to pass the ``> 0`` checks and then overflow ``poll``/``settimeout``
+    (``request_timeout``) or kill the health-check thread
+    (``heartbeat_every``)."""
+
+    @pytest.fixture
+    def no_boot(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker or listener was started")
+
+        for name in ("ProcessShardWorker", "TcpShardWorker", "ShardHostListener"):
+            monkeypatch.setattr(front_module, name, refuse)
+        monkeypatch.setattr(transport.mp, "get_context", refuse)
+        monkeypatch.setattr(netserve.socket, "create_connection", refuse)
+
+    @pytest.mark.parametrize("knob", ["request_timeout", "heartbeat_every"])
+    @pytest.mark.parametrize("remote", ["process", "tcp"])
+    @pytest.mark.parametrize("front", ["sharded", "tenants"])
+    def test_fronts_refuse_an_infinite_knob(self, no_boot, front, remote, knob):
+        kwargs = dict(horizon=T, transport=remote, rng=1, **{knob: float("inf")})
+        with pytest.raises(ValidationError, match=knob):
+            if front == "sharded":
+                ShardedStream(L2Ball(DIM), PARAMS, shards=2, **kwargs)
+            else:
+                MultiTenantStream(L2Ball(DIM), PARAMS, 2, 2, **kwargs)
+
+    def test_process_worker_refuses_an_infinite_request_timeout(self, no_boot):
+        with pytest.raises(ValidationError, match="request_timeout"):
+            ProcessShardWorker(_spec(), request_timeout=float("inf"))
+
+    def test_tcp_worker_refuses_an_infinite_request_timeout(self, no_boot):
+        with pytest.raises(ValidationError, match="request_timeout"):
+            TcpShardWorker(_spec(), ("127.0.0.1", 1), request_timeout=float("inf"))
+
+
+@pytest.fixture(params=["pipe", "socket"])
+def raw_wire(request):
+    """A booted worker on each link, plus raw frame I/O on its wire.
+
+    ``write`` puts raw frame bytes on the link (behind the client's back);
+    ``read`` takes one decoded frame within 5 s (``EOFError`` once the
+    worker hung up).
+    """
+    if request.param == "pipe":
+        worker = ProcessShardWorker(_spec())
+        conn = worker._conn
+
+        def read():
+            assert conn.poll(5.0), "the worker neither replied nor hung up"
+            return wire.decode(conn.recv_bytes())
+
+        try:
+            yield conn.send_bytes, read
+        finally:
+            worker.shutdown()
+    else:
+        with ShardHostListener() as listener:
+            worker = TcpShardWorker(_spec(), listener.address, request_timeout=5.0)
+            sock = worker._sock
+
+            def write(frame):
+                sock.sendall(len(frame).to_bytes(8, "big") + frame)
+
+            try:
+                yield write, lambda: recv_frame(sock)
+            finally:
+                worker.shutdown()
+
+
+class TestOneServeLoop:
+    def test_undecodable_frame_gets_an_err_reply_then_eof(self, raw_wire):
+        write, read = raw_wire
+        write(bytes([wire.INGEST]) + b"\xff" * 7)
+        status, payload = read()
+        assert status == "err" and isinstance(payload, ValidationError)
+        with pytest.raises(EOFError):
+            read()
+
+    def test_wrong_shape_gets_an_err_reply_and_serving_goes_on(self, raw_wire):
+        write, read = raw_wire
+        write(wire.encode(_spec()))  # decodes, but is no (command, payload)
+        status, payload = read()
+        assert status == "err" and isinstance(payload, TypeError)
+        write(wire.encode(("ping", None)))
+        assert read() == ("ok", 0)
+
+    def test_close_gets_ok_then_eof(self, raw_wire):
+        write, read = raw_wire
+        write(wire.encode(("close", None)))
+        assert read() == ("ok", None)
+        with pytest.raises(EOFError):
+            read()

@@ -10,7 +10,8 @@ Usage::
 
 Prints the count of each package (a file counts toward the directory two
 levels below ``PATH``, e.g. ``src/repro/core``, or toward its own directory
-when it sits higher), then the total.
+when it sits higher), then the total.  A file ``PATH`` is counted as that
+one file; a ``PATH`` that does not exist is an error (exit status 2).
 """
 
 from __future__ import annotations
@@ -62,7 +63,12 @@ def count_file(path: Path) -> int:
 
 
 def count_tree(root: Path) -> Counter:
-    """Code lines per package, keyed by the package path under ``root``."""
+    """Code lines per package, keyed by the package path under ``root``.
+
+    A file ``root`` is one entry, keyed by the empty path.
+    """
+    if root.is_file():
+        return Counter({Path(): count_file(root)})
     counts: Counter = Counter()
     for path in sorted(root.rglob("*.py")):
         package = path.relative_to(root).parent.parts[:2]
@@ -71,7 +77,12 @@ def count_tree(root: Path) -> Counter:
 
 
 def main(argv: list[str]) -> int:
-    for root in map(Path, argv or ["src"]):
+    roots = [Path(arg) for arg in argv or ["src"]]
+    missing = [str(root) for root in roots if not root.exists()]
+    if missing:
+        print(f"code_lines: no such path: {', '.join(missing)}", file=sys.stderr)
+        return 2
+    for root in roots:
         counts = count_tree(root)
         for package, lines in sorted(counts.items()):
             print(f"{lines:>7,}  {root / package}")
