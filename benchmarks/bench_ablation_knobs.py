@@ -15,8 +15,11 @@ each engineering shortcut is measured, not assumed:
   Ablation: risk under 50/50 vs gram-favoring splits.
 """
 
+from dataclasses import replace
 
-from repro import L1Ball, L2Ball, PrivacyParams, PrivIncReg1, PrivIncReg2, SparseVectors
+import pytest
+
+from repro import L1Ball, L2Ball, PrivIncReg1, PrivIncReg2, SparseVectors
 from repro.data import make_dense_stream, make_sparse_stream
 
 from common import bench_budget, measure_excess, record
@@ -105,31 +108,19 @@ def test_ablation_budget_split(benchmark):
     total = bench_budget()
 
     def run(gram_fraction: float) -> float:
-        # Reconstruct PrivIncReg1's internals with an uneven split by
-        # running two mechanisms' worth of budget arithmetic: we emulate by
-        # scaling ε; δ is split in proportion.
+        # The split is the statistics' budget weights, so the trees, the
+        # ledger and Lemma 4.1's α all see it.
         class UnevenReg1(PrivIncReg1):
-            def __init__(self):
-                super().__init__(
-                    horizon=HORIZON, constraint=constraint, params=total, rng=2
-                )
-                from repro.privacy.tree import TreeMechanism
-
-                cross_share = PrivacyParams(
-                    total.epsilon * (1 - gram_fraction),
-                    total.delta * (1 - gram_fraction),
-                )
-                gram_share = PrivacyParams(
-                    total.epsilon * gram_fraction, total.delta * gram_fraction
-                )
-                self._tree_cross = TreeMechanism(
-                    HORIZON, (DIM,), 2.0, cross_share, rng=2
-                )
-                self._tree_gram = TreeMechanism(
-                    HORIZON, (DIM, DIM), 2.0, gram_share, rng=3
+            def _statistics(self, moment_dim):
+                cross, gram = super()._statistics(moment_dim)
+                return (
+                    replace(cross, budget_weight=1.0 - gram_fraction),
+                    replace(gram, budget_weight=gram_fraction),
                 )
 
-        mech = UnevenReg1()
+        mech = UnevenReg1(horizon=HORIZON, constraint=constraint, params=total, rng=2)
+        spent = {c.label: c.params.epsilon for c in mech.accountant.charges}
+        assert spent["tree:second-moments"] == pytest.approx(total.epsilon * gram_fraction)
         return measure_excess(mech, stream, constraint, eval_every=64)["mean_excess"]
 
     even = run(0.5)

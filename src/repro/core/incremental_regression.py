@@ -63,14 +63,12 @@ from ..erm.noisy_pgd import noisy_pgd_iterations
 from ..exceptions import DomainViolationError, ValidationError
 from ..geometry.base import ConvexSet
 from ..privacy.accountant import PrivacyAccountant
-from ..privacy.parameters import PrivacyParams
-from ..privacy.release import SlidingWindowMechanism, make_release_mechanism
+from ..privacy.parameters import PrivacyParams, bundle_budgets
+from ..privacy.release import SlidingWindowMechanism
+from .moments import MomentBundle, cross_statistic, gram_statistic
 from .private_gradient import PrivateGradientFunction, solve_released
 
 __all__ = ["PrivIncReg1", "solve_schedule"]
-
-#: L2-sensitivity of both moment streams under the unit normalization.
-MOMENT_SENSITIVITY = 2.0
 
 
 def solve_schedule(
@@ -89,22 +87,24 @@ def solve_schedule(
 
 
 class _MomentRegression:
-    """The moment-regression skeleton Algorithms 2 and 3 and the
-    horizon-free variant share.
+    """The moment-regression skeleton Algorithms 2 and 3, the
+    horizon-free variant and private 2SLS share.
 
-    Two ``(ε/2, δ/2)`` release mechanisms — each on its own child generator
-    spawned from ``rng`` — track the cross moments ``Σ r_t y_t`` and second
-    moments ``Σ r_t r_tᵀ`` of the rows ``r_t``; every scheduled refresh runs
-    NOISYPROJGRAD against their releases.  Subclasses declare only what
-    differs:
+    A :class:`~repro.core.moments.MomentBundle` — one release mechanism
+    per statistic, each on its own child generator spawned from ``rng`` —
+    privatizes the running moments of the rows ``r_t``: by default the
+    cross moments ``Σ r_t y_t`` and second moments ``Σ r_t r_tᵀ`` at
+    ``(ε/2, δ/2)`` each.  Every scheduled refresh runs against their
+    releases.  Subclasses declare only what differs:
 
     * ``_family`` — the mechanism family (``"tree"`` or ``"hybrid"``);
-    * ``_ledger_labels`` — the accountant labels of the two charges;
+    * ``_statistics`` — the bundle's statistics (cross, gram here);
+    * ``_ledger_labels`` — the accountant labels, one per statistic;
     * ``_transform_row`` / ``_transform_block`` — the covariate-to-row map
       (identity here);
     * ``_chunks`` — cuts of a block whose pieces ingest as one unit;
     * ``_solve_at`` — the refresh itself (PGD over ``C`` here);
-    * ``gradient_error`` — Lemma 4.1's ``α`` (fixed at construction here).
+    * ``gradient_error`` — Lemma 4.1's ``α`` (fixed per configuration here).
 
     :meth:`__init__` is :meth:`_check_knobs` then :meth:`_build_moments`; a
     subclass that draws randomness before the mechanisms spawn (Algorithm
@@ -154,47 +154,51 @@ class _MomentRegression:
         self._rng = check_rng(rng)
         self.dim = constraint.dim
 
+    def _statistics(self, moment_dim: int) -> tuple:
+        """The bundle's statistics over ``moment_dim``-wide rows."""
+        return (cross_statistic(moment_dim), gram_statistic(moment_dim))
+
     def _build_moments(self, moment_dim: int, radius: float) -> None:
-        """Spawn the two moment mechanisms over ``moment_dim``-wide rows,
-        charge the ledger and, for trees, fix Lemma 4.1's ``α``.
+        """Spawn the moment bundle over ``moment_dim``-wide rows and charge
+        the ledger.
 
         ``radius`` bounds ``‖θ‖`` over the set the PGD solves in: it sizes
         ``α`` and the prefix Lipschitz constant ``2t(radius + 1)``.
         """
         self._moment_dim = moment_dim
         self._radius = radius
-        # Step 1 of Algorithm 2: ε' = ε/2, δ' = δ/2 for each mechanism.
-        # Independent child generators mean their draws never interleave
-        # on a shared stream — the discipline that lets observe_batch
-        # (cross block, then gram block) reproduce the sequential
-        # draw-per-step order exactly.
-        half = self.params.halve()
-        cross_rng, gram_rng = self._rng.spawn(2)
-        self._tree_cross, self._tree_gram = (
-            make_release_mechanism(
-                shape=shape,
-                l2_sensitivity=MOMENT_SENSITIVITY,
-                params=half,
-                rng=child,
-                mechanism=self._family,
-                horizon=self.horizon,
-                decay=self.decay,
-                window=self.window,
-            )
-            for shape, child in (((moment_dim,), cross_rng), ((moment_dim,) * 2, gram_rng))
+        # Step 1 of Algorithm 2: the budget splits by the statistics'
+        # weights (ε/2, δ/2 each by default).  Independent child
+        # generators mean the mechanisms' draws never interleave on a
+        # shared stream.
+        statistics = self._statistics(moment_dim)
+        budgets = bundle_budgets(self.params, [s.budget_weight for s in statistics])
+        self._moments = MomentBundle(
+            statistics,
+            budgets,
+            self._rng.spawn(len(statistics)),
+            mechanism=self._family,
+            horizon=self.horizon,
+            decay=self.decay,
+            window=self.window,
         )
         self.accountant = PrivacyAccountant(self.params, mode="basic")
-        for label in self._ledger_labels:
-            self.accountant.charge(label, half)
-        if self._family == "tree":
-            # A tree's error bounds are configuration constants (see
-            # ``error_bound`` in privacy/release.py), so every refresh
-            # reuses one α.
-            spectral = self._tree_gram.error_bound_spectral(self.beta / 2.0)
-            self._alpha = self._moment_alpha(spectral)
+        for label, budget in zip(self._ledger_labels, budgets):
+            self.accountant.charge(label, budget)
+        self._alpha = None
         self.steps_taken = 0
         self.estimate_version = 0
         self._theta = self.constraint.project(np.zeros(self.dim))
+
+    @property
+    def _tree_cross(self):
+        """The cross-moment mechanism (a read-only view into the bundle)."""
+        return self._moments.get("cross")
+
+    @property
+    def _tree_gram(self):
+        """The second-moment mechanism (a read-only view into the bundle)."""
+        return self._moments.get("gram")
 
     def _moment_alpha(self, gram_error: float) -> float:
         """Lemma 4.1's ``α`` from the gram error and the cross tree's
@@ -211,9 +215,14 @@ class _MomentRegression:
         ``‖ΔQ‖₂`` via its Proposition A.1 — the spectral norm of a Gaussian
         matrix is ``O(√d)``, a ``√d`` factor below Frobenius, which is how
         Theorem 4.2 lands on ``√d`` rather than ``d``), each at confidence
-        ``β/2``.  Computed once at construction.  In Algorithm 3 the same
-        bound lives in the projected space (``√m``, radius ``(1+γ)‖C‖``).
+        ``β/2``.  A tree's error bounds are configuration constants, so
+        the first refresh computes ``α`` and every later one reuses it.  In
+        Algorithm 3 the same bound lives in the projected space (``√m``,
+        radius ``(1+γ)‖C‖``).
         """
+        if self._alpha is None:
+            spectral = self._tree_gram.error_bound_spectral(self.beta / 2.0)
+            self._alpha = self._moment_alpha(spectral)
         return self._alpha
 
     def _prefix_lipschitz(self, t: float) -> float:
@@ -276,26 +285,14 @@ class _MomentRegression:
             raise DomainViolationError(
                 f"{type(self).__name__} requires ‖x‖ ≤ 1 and |y| ≤ 1 (privacy calibration)"
             )
-        row = self._transform_row(x)
-        # Commit ordering: the mechanisms ingest first, the counter bumps
-        # after (matching observe_batch) — so a rejected point (horizon
-        # overrun, validation) caught by the caller leaves the estimator's
-        # counter in agreement with its mechanisms and a retry/continue is
-        # safe.  Only the refresh below is amortized by solve_every.
-        noisy_cross = self._tree_cross.observe(row * y)
-        noisy_gram = self._tree_gram.observe(np.outer(row, row))
-        self.steps_taken += 1
-        t = self.steps_taken
-        if t % self.solve_every == 0 or t == self.horizon:
-            self._solve_at(self._logical_t(t), noisy_gram, noisy_cross)
-        return self._theta.copy()
+        return self._ingest(self._transform_row(x)[None, :], np.array([y]))
 
     def observe_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Process a block of points; release ``θ`` after the final one.
 
-        The two moment mechanisms ingest each piece of the block (see
+        The moment bundle ingests each piece of the block (see
         ``_chunks``) with vectorized updates (the privacy-relevant part
-        still advances element by element inside them), then the PGD
+        still advances element by element inside its mechanisms), then the
         refreshes scheduled inside the piece by ``solve_every`` run against
         the matching per-step releases.  Bit-identical to feeding the same
         points one at a time through :meth:`observe` whenever the row
@@ -313,16 +310,27 @@ class _MomentRegression:
         """
         xs, ys = check_xy_block(xs, ys, dim=self.dim)
         check_unit_xy_domain(type(self).__name__, xs, ys)
-        rows = self._transform_block(xs)
+        return self._ingest(self._transform_block(xs), ys)
+
+    def _ingest(self, rows: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Feed checked moment rows to the bundle and run the scheduled
+        refreshes; release ``θ`` after the final row.
+
+        Commit ordering: the bundle ingests a piece first and the counter
+        bumps after, so a rejected piece (horizon overrun, validation)
+        leaves the estimator's counter in agreement with its mechanisms
+        and a retry is safe.  Only the refreshes are amortized by
+        ``solve_every``.
+        """
         t0 = self.steps_taken
         for start, stop in self._chunks(t0, t0 + rows.shape[0]):
-            piece, piece_y = rows[start - t0:stop - t0], ys[start - t0:stop - t0]
-            cross_all = self._tree_cross.observe_batch(piece * piece_y[:, None])
-            gram_all = self._tree_gram.observe_batch(piece[:, :, None] * piece[:, None, :])
+            releases = self._moments.observe_batch(
+                rows[start - t0:stop - t0], ys[start - t0:stop - t0]
+            )
             self.steps_taken = stop
             for t in solve_schedule(start, stop, self.solve_every, self.horizon):
                 idx = t - start - 1
-                self._solve_at(self._logical_t(t), gram_all[idx], cross_all[idx])
+                self._solve_at(self._logical_t(t), *(r[idx] for r in releases))
         return self._theta.copy()
 
     def _pgd(self, constraint, t, noisy_gram, noisy_cross, start) -> np.ndarray:
@@ -339,9 +347,10 @@ class _MomentRegression:
         )
 
     def _solve_at(
-        self, t: float, noisy_gram: np.ndarray, noisy_cross: np.ndarray
+        self, t: float, noisy_cross: np.ndarray, noisy_gram: np.ndarray
     ) -> None:
-        """One PGD refresh against the released moments at logical ``t``."""
+        """One PGD refresh against the released moments at logical ``t``
+        (the releases in bundle order)."""
         self._theta = self._pgd(self.constraint, t, noisy_gram, noisy_cross, self._theta)
         self.estimate_version += 1
 
@@ -370,7 +379,7 @@ class _MomentRegression:
         m = self._moment_dim
         noisy_gram = check_matrix("noisy_gram", noisy_gram, shape=(m, m))
         noisy_cross = check_vector("noisy_cross", noisy_cross, dim=m)
-        self._solve_at(t, noisy_gram, noisy_cross)
+        self._solve_at(t, noisy_cross, noisy_gram)
         return self._theta.copy()
 
     def current_estimate(self) -> np.ndarray:
@@ -379,7 +388,7 @@ class _MomentRegression:
 
     def memory_floats(self) -> int:
         """Floats held by the mechanism: ``O(d² log T)`` (paper §4)."""
-        return self._tree_cross.memory_floats() + self._tree_gram.memory_floats() + self.dim
+        return self._moments.memory_floats() + self.dim
 
 
 class PrivIncReg1(_MomentRegression):

@@ -1,31 +1,35 @@
 """Moment bundles: named sets of privatized running statistics.
 
-The serving stack reduces every estimator it fronts to *privatized running
-moment statistics* over routed blocks.  Historically exactly two were
-hardcoded at every layer — a ``(m,)`` cross vector and a ``(m, m)`` Gram
-matrix — but two-stage least squares needs three (ZᵀZ, ZᵀX, Zᵀy) and
-kernel methods will bring their own shapes.  This module is the one
-generalization point:
+Every moment estimator in the library reduces its stream to *privatized
+running moment statistics*: Step 1 of Algorithm 2 feeds ``Σ x y`` and
+``Σ x xᵀ`` through one release mechanism each, two-stage least squares
+needs three (ZᵀZ, ZᵀX, Zᵀy), and the multi-tenant shard one cross entry
+per tenant.  This module is the one place rows become those releases:
 
 * :class:`MomentStatistic` — one named statistic: a shape, a per-element
-  accumulation rule (``ingest="exact"``), a pre-reduced block-total rule
-  (``ingest="fast"``), and a budget weight.
+  accumulation rule (per-step releases and ``ingest="exact"``), a
+  pre-reduced block-total rule (``ingest="fast"``), and a budget weight.
 * :class:`MomentBundle` — an *ordered* set of statistics, each backed by
   its own release mechanism from
   :func:`~repro.privacy.release.make_release_mechanism`, advanced in
-  lockstep over the shard's sub-stream.
+  lockstep over one (sub-)stream.
 
-Which statistics a shard's bundle holds is a backend declaration
-(:mod:`repro.streaming.backends`): the default two-entry (cross, gram)
-bundle — built with the same factory arguments, the same rng children,
-and the same float expressions as the historical inline pair, so it is
-bit-identical under one seed — or the three-entry (zz, zx, zy) bundle
-:class:`~repro.core.priv_inc_iv.PrivIncIV` consumes.  The multi-tenant
-shard keeps one Gram entry per γ group plus one cross entry per tenant.
+The standalone estimators hold one bundle
+(:class:`~repro.core.incremental_regression.PrivIncReg1` and its
+siblings the default (cross, gram) pair,
+:class:`~repro.core.priv_inc_iv.PrivIncIV` the (zz, zx, zy) triple) and
+read every step's releases through :meth:`MomentBundle.observe_batch`.
+A serving shard holds the bundle its backend declares
+(:mod:`repro.streaming.backends`) and advances it block by block through
+:meth:`MomentBundle.ingest`; the multi-tenant shard keeps one Gram entry
+per γ group plus one cross entry per tenant.  Both paths build the same
+mechanisms from the same rng children and the same float expressions, so
+a ``K = 1`` served stream replays its standalone estimator bit for bit.
 
 Fault semantics (the per-bundle accounting rule)
 ------------------------------------------------
-:meth:`MomentBundle.ingest` materializes *every* statistic's input before
+:meth:`MomentBundle.ingest` and :meth:`MomentBundle.observe_batch`
+materialize *every* statistic's input before
 any mechanism advances, so all failures the library can raise
 (validation, capacity) happen on the **first** entry, before anything is
 consumed — the block-atomic no-consumption guarantee the front's refund
@@ -47,18 +51,21 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.incremental_regression import MOMENT_SENSITIVITY
-from ..exceptions import BundlePartialCommitError, ValidationError
 from .._validation import check_release_knobs
+from ..exceptions import BundlePartialCommitError, ValidationError
 from ..privacy.release import make_release_mechanism
 
 __all__ = [
+    "MOMENT_SENSITIVITY",
     "MomentBundle",
     "MomentStatistic",
     "cross_statistic",
     "gram_statistic",
     "iv_statistics",
 ]
+
+#: L2-sensitivity of every moment stream under the unit normalization.
+MOMENT_SENSITIVITY = 2.0
 
 
 @dataclass(frozen=True)
@@ -73,8 +80,9 @@ class MomentStatistic:
     shape:
         Element shape of the statistic (the release mechanism's shape).
     values:
-        Exact-tier rule ``(rows, ys) -> (k, *shape)``: the per-element
-        moment values a mechanism ``advance_batch`` consumes.
+        Per-element rule ``(rows, ys) -> (k, *shape)``: the moment values
+        a mechanism's ``observe_batch`` (per-step releases) or
+        ``advance_batch`` (the exact serving tier) consumes.
     total:
         Fast-tier rule ``(rows, ys, weights) -> shape``: the pre-reduced
         block total ``advance_sum`` consumes.  ``weights`` is the
@@ -311,13 +319,26 @@ class MomentBundle:
             inputs = [stat.values(rows, ys) for stat in self.statistics]
             self._advance(inputs, lambda mech, values: mech.advance_batch(values))
 
-    def _advance(self, inputs, advance) -> None:
+    def observe_batch(self, rows: np.ndarray, ys) -> tuple:
+        """Advance every entry with one block; return its per-step releases.
+
+        One ``(k, *shape)`` array per entry, in declaration order: row
+        ``i`` is the entry's release after the block's ``i``-th element
+        (each mechanism's own ``observe_batch``).  The fault rule is
+        :meth:`ingest`'s: a first-entry failure consumes nothing, a
+        later-entry failure tears the bundle.
+        """
+        inputs = [stat.values(rows, ys) for stat in self.statistics]
+        return self._advance(inputs, lambda mech, values: mech.observe_batch(values))
+
+    def _advance(self, inputs, advance) -> tuple:
         mechanisms = self._mechanisms
         if mechanisms is None:
             raise ValidationError("cannot ingest into a killed moment bundle")
+        outputs = []
         for position, (stat, payload) in enumerate(zip(self.statistics, inputs)):
             try:
-                advance(mechanisms[stat.name], payload)
+                outputs.append(advance(mechanisms[stat.name], payload))
             except BaseException as exc:
                 if position == 0:
                     # Nothing consumed: block-atomic, retry-safe.
@@ -329,6 +350,7 @@ class MomentBundle:
                     f"block; the bundle is torn and its mechanisms were "
                     f"discarded"
                 ) from exc
+        return tuple(outputs)
 
     def released(self) -> tuple:
         """The per-entry merge handles, in declaration order.

@@ -15,10 +15,12 @@ squares (2SLS) estimator is a pure function of three running moments:
    ``X̂ᵀX̂ = BᵀZᵀZ B`` and ``X̂ᵀy = BᵀZᵀy``.
 
 Everything is a function of ``(ZᵀZ, ZᵀX, Zᵀy)`` — so the private
-incremental version feeds exactly those three statistics through tree
-mechanisms (one third of the budget each, basic composition; Δ₂ = 2 under
-``‖z‖ ≤ 1, ‖x‖ ≤ 1, |y| ≤ 1``) and runs both stages as **post-processing**
-of the released sums:
+incremental version is the moment-regression skeleton of Algorithm 2 over
+the three-statistic bundle
+:func:`~repro.core.moments.iv_statistics` (one tree per statistic at one
+third of the budget, basic composition; Δ₂ = 2 under
+``‖z‖ ≤ 1, ‖x‖ ≤ 1, |y| ≤ 1``), ingesting stacked ``[z | x]`` rows, and
+runs both stages as **post-processing** of the released sums:
 
 * stage 1 either solves its normal equations exactly (``stage1="exact"``,
   the default — a pseudo-inverse against the released ``ZᵀZ``), or runs
@@ -57,8 +59,6 @@ from .._validation import (
     check_matrix,
     check_non_negative,
     check_positive,
-    check_probability,
-    check_rng,
     check_sample_weight,
     check_unit_iv_domain,
     check_vector,
@@ -66,14 +66,9 @@ from .._validation import (
 from ..exceptions import ValidationError
 from ..geometry import L2Ball
 from ..geometry.base import ConvexSet
-from ..privacy.accountant import PrivacyAccountant
-from ..privacy.parameters import PrivacyParams, bundle_budgets
-from ..privacy.release import make_release_mechanism
-from .incremental_regression import (
-    MOMENT_SENSITIVITY,
-    PrivIncReg1,
-    solve_schedule,
-)
+from ..privacy.parameters import PrivacyParams
+from .incremental_regression import PrivIncReg1, _MomentRegression
+from .moments import iv_statistics
 
 __all__ = ["PrivIncIV", "two_stage_least_squares"]
 
@@ -129,7 +124,7 @@ def two_stage_least_squares(
     return np.linalg.pinv(0.5 * (gram2 + gram2.T), hermitian=True) @ cross2
 
 
-class PrivIncIV:
+class PrivIncIV(_MomentRegression):
     """Private incremental two-stage least squares over a (zz, zx, zy) bundle.
 
     Parameters
@@ -181,6 +176,8 @@ class PrivIncIV:
         the stage solvers spawn after them.
     """
 
+    _ledger_labels = ("tree:zz-moments", "tree:zx-moments", "tree:zy-moments")
+
     def __init__(
         self,
         horizon: int,
@@ -200,9 +197,10 @@ class PrivIncIV:
             raise ValidationError(
                 f"stage1 must be 'exact' or 'pgd', got {stage1!r}"
             )
-        self.horizon = check_int("horizon", horizon, minimum=1)
-        self.constraint = constraint
-        self.dim = constraint.dim
+        self._check_knobs(
+            horizon, constraint, params, beta, fidelity, iteration_cap,
+            solve_every, None, None, rng,
+        )
         self.instruments = check_int("instruments", instruments, minimum=1)
         if self.instruments < self.dim:
             raise ValidationError(
@@ -210,96 +208,45 @@ class PrivIncIV:
                 f"instruments cannot identify {self.dim} structural "
                 f"coefficients"
             )
-        self.params = params
-        self.beta = check_probability("beta", beta)
-        self.fidelity = fidelity
-        self.iteration_cap = check_int("iteration_cap", iteration_cap, minimum=1)
-        self.solve_every = check_int("solve_every", solve_every, minimum=1)
         self.ridge = check_non_negative("ridge", ridge)
         self.stage1 = stage1
         self.stage1_radius = check_positive("stage1_radius", stage1_radius)
-        self._rng = check_rng(rng)
-
         p, d = self.instruments, self.dim
-        # One tree per bundle statistic at a third of the budget — the
-        # same split, sensitivity, and child-generator discipline
-        # an iv MomentShard applies, so a K=1 served stream under one seed
-        # builds byte-identical mechanisms.
-        thirds = bundle_budgets(params, (1.0, 1.0, 1.0))
-        zz_rng, zx_rng, zy_rng = self._rng.spawn(3)
-        self._tree_zz = make_release_mechanism(
-            shape=(p, p),
-            l2_sensitivity=MOMENT_SENSITIVITY,
-            params=thirds[0],
-            rng=zz_rng,
-            mechanism="tree",
-            horizon=self.horizon,
-        )
-        self._tree_zx = make_release_mechanism(
-            shape=(p, d),
-            l2_sensitivity=MOMENT_SENSITIVITY,
-            params=thirds[1],
-            rng=zx_rng,
-            mechanism="tree",
-            horizon=self.horizon,
-        )
-        self._tree_zy = make_release_mechanism(
-            shape=(p,),
-            l2_sensitivity=MOMENT_SENSITIVITY,
-            params=thirds[2],
-            rng=zy_rng,
-            mechanism="tree",
-            horizon=self.horizon,
-        )
-        self.accountant = PrivacyAccountant(params, mode="basic")
-        self.accountant.charge("tree:zz-moments", thirds[0])
-        self.accountant.charge("tree:zx-moments", thirds[1])
-        self.accountant.charge("tree:zy-moments", thirds[2])
+        self._build_moments(p + d, constraint.diameter())
 
         # Stage 2 is a full Algorithm-2 solver over the reconstructed
         # (X̂ᵀX̂, X̂ᵀy) pair; its own trees never ingest — it contributes
         # only refresh_from_released post-processing (warm start, Lipschitz
         # sizing, iteration schedule).
-        stage2_rng = self._rng.spawn(1)[0]
+        solver = dict(
+            horizon=self.horizon, params=params, beta=beta,
+            fidelity=fidelity, iteration_cap=iteration_cap,
+        )
         self._stage2 = PrivIncReg1(
-            horizon=self.horizon,
-            constraint=constraint,
-            params=params,
-            beta=beta,
-            fidelity=fidelity,
-            iteration_cap=iteration_cap,
-            rng=stage2_rng,
+            constraint=constraint, rng=self._rng.spawn(1)[0], **solver
         )
         # Stage-1 PGD solvers (one per covariate column, over the
         # instrument space) are only built when asked for: the exact
         # stage needs no solver state at all.
         self._stage1_solvers: list[PrivIncReg1] | None = None
         if stage1 == "pgd":
-            stage1_rngs = self._rng.spawn(d)
             ball = L2Ball(p, radius=self.stage1_radius)
             self._stage1_solvers = [
-                PrivIncReg1(
-                    horizon=self.horizon,
-                    constraint=ball,
-                    params=params,
-                    beta=beta,
-                    fidelity=fidelity,
-                    iteration_cap=iteration_cap,
-                    rng=stage1_rngs[j],
-                )
-                for j in range(d)
+                PrivIncReg1(constraint=ball, rng=child, **solver)
+                for child in self._rng.spawn(d)
             ]
 
-        self.steps_taken = 0
-        self.estimate_version = 0
+    def _statistics(self, moment_dim: int) -> tuple:
+        """The (zz, zx, zy) bundle over stacked ``[z | x]`` rows."""
+        return iv_statistics(self.instruments, self.dim)
 
     # ------------------------------------------------------------------
     # The two-stage solve (pure post-processing of released moments)
     # ------------------------------------------------------------------
 
-    def _solve_two_stage(
+    def _solve_at(
         self, t: int | float, zz: np.ndarray, zx: np.ndarray, zy: np.ndarray
-    ) -> np.ndarray:
+    ) -> None:
         """Both 2SLS stages against one released (zz, zx, zy) triple."""
         p = self.instruments
         zz = 0.5 * (zz + zz.T)
@@ -329,9 +276,8 @@ class PrivIncIV:
         # quadratic and the refresh barely moves.  The trace is itself a
         # released statistic, so this re-weighting is post-processing.
         t_eff = max(float(np.trace(gram2)), np.finfo(float).tiny)
-        theta = self._stage2.refresh_from_released(t_eff, gram2, cross2)
+        self._theta = self._stage2.refresh_from_released(t_eff, gram2, cross2)
         self.estimate_version += 1
-        return theta
 
     def refresh_from_bundle(self, t: int | float, moments: dict) -> np.ndarray:
         """Serve-mode hook: one two-stage solve from a merged moment bundle.
@@ -364,7 +310,13 @@ class PrivIncIV:
         zy = check_vector(
             "zy", getattr(moments["zy"], "value", moments["zy"]), dim=p
         )
-        return self._solve_two_stage(t, zz, zx, zy)
+        self._solve_at(t, zz, zx, zy)
+        return self._theta.copy()
+
+    def refresh_from_released(self, t, noisy_gram, noisy_cross):
+        """Not a 2SLS hook: the three-statistic bundle refreshes through
+        :meth:`refresh_from_bundle`."""
+        raise ValidationError("PrivIncIV refreshes from a (zz, zx, zy) bundle")
 
     def refresh(self) -> np.ndarray:
         """Re-run the two-stage solve from the trees' current releases.
@@ -377,12 +329,10 @@ class PrivIncIV:
             raise ValidationError(
                 "nothing to refresh: no points observed yet"
             )
-        return self._solve_two_stage(
-            self.steps_taken,
-            self._tree_zz.current_sum(),
-            self._tree_zx.current_sum(),
-            self._tree_zy.current_sum(),
+        self._solve_at(
+            self.steps_taken, *(m.current_sum() for m in self._moments.released())
         )
+        return self._theta.copy()
 
     # ------------------------------------------------------------------
     # Standalone ingestion (the serving path uses an iv MomentShard instead)
@@ -408,47 +358,25 @@ class PrivIncIV:
     ) -> np.ndarray:
         """Process a block of points; release ``θ`` after the final one.
 
-        The three moment trees ingest the whole block with vectorized
-        dyadic updates, then the two-stage refreshes scheduled inside the
-        block by ``solve_every`` run against the matching per-step tree
-        releases — the same commit ordering as
-        :meth:`~repro.core.incremental_regression.PrivIncReg1.observe_batch`.
+        The moment bundle ingests the stacked ``[z | x]`` rows, then the
+        two-stage refreshes scheduled inside the block by ``solve_every``
+        run against the matching per-step releases — Algorithm 2's
+        ingest path (:meth:`PrivIncReg1.observe_batch
+        <repro.core.incremental_regression.PrivIncReg1.observe_batch>`).
+
+        Raises
+        ------
+        StreamExhaustedError
+            If the block would pass the horizon; nothing is consumed.
         """
         zs, xs, ys = _check_iv_block(
             zs, xs, ys, instruments=self.instruments, dim=self.dim
         )
-        k = zs.shape[0]
-        if self.steps_taken + k > self.horizon:
-            raise ValidationError(
-                f"PrivIncIV configured for horizon {self.horizon} received "
-                f"a block of {k} points at logical step {self.steps_taken}"
-            )
-        zz_all = self._tree_zz.observe_batch(zs[:, :, None] * zs[:, None, :])
-        zx_all = self._tree_zx.observe_batch(zs[:, :, None] * xs[:, None, :])
-        zy_all = self._tree_zy.observe_batch(zs * ys[:, None])
-        t0 = self.steps_taken
-        self.steps_taken = t0 + k
-        for t in solve_schedule(t0, t0 + k, self.solve_every, self.horizon):
-            idx = t - t0 - 1
-            self._solve_two_stage(t, zz_all[idx], zx_all[idx], zy_all[idx])
-        return self.current_estimate()
-
-    # ------------------------------------------------------------------
-    # Reads / diagnostics
-    # ------------------------------------------------------------------
-
-    def current_estimate(self) -> np.ndarray:
-        """The most recently released structural parameter (free)."""
-        return self._stage2.current_estimate()
+        return self._ingest(np.hstack([zs, xs]), ys)
 
     def memory_floats(self) -> int:
         """Floats held: three trees (``O((p² + pd) log T)``) + the solvers."""
-        total = (
-            self._tree_zz.memory_floats()
-            + self._tree_zx.memory_floats()
-            + self._tree_zy.memory_floats()
-            + self._stage2.memory_floats()
+        solvers = [self._stage2, *(self._stage1_solvers or ())]
+        return self._moments.memory_floats() + sum(
+            solver.memory_floats() for solver in solvers
         )
-        if self._stage1_solvers is not None:
-            total += sum(s.memory_floats() for s in self._stage1_solvers)
-        return total

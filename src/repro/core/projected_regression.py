@@ -223,7 +223,7 @@ class PrivIncReg2(_MomentRegression):
         return step4_rescale_block(self.projection, xs)
 
     def _solve_at(
-        self, t: float, noisy_gram: np.ndarray, noisy_cross: np.ndarray
+        self, t: float, noisy_cross: np.ndarray, noisy_gram: np.ndarray
     ) -> None:
         """Steps 7-9 against the released projected moments at logical ``t``."""
         self._vartheta = self._pgd(

@@ -83,10 +83,14 @@ class RobustPrivIncReg:
         """Feed ``(x, y)`` if ``x ∈ G``, else the neutral ``(0, 0)``."""
         x = check_vector("x", x, dim=self.dim)
         if self.membership_oracle(x):
+            theta = self.inner.observe(x, float(y))
+            # Count only after the inner mechanism accepted the point, as
+            # observe_batch does.
             self.accepted += 1
-            return self.inner.observe(x, float(y))
+            return theta
+        theta = self.inner.observe(np.zeros(self.dim), 0.0)
         self.substituted += 1
-        return self.inner.observe(np.zeros(self.dim), 0.0)
+        return theta
 
     def observe_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Filter a block through the oracle, then batch-feed the inner mechanism.

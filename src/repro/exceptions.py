@@ -94,7 +94,7 @@ class ShardTimeoutError(ShardUnavailableError, TimeoutError):
 class BundlePartialCommitError(ShardUnavailableError):
     """A moment bundle tore mid-block: some entries committed, some did not.
 
-    Raised by :meth:`~repro.streaming.moments.MomentBundle.ingest` when a
+    Raised by :meth:`~repro.core.moments.MomentBundle.ingest` when a
     statistic *after the first* fails to advance: the earlier entries have
     already consumed the block, so the bundle's streams disagree by one
     block and no later merge over them would be coverage-consistent.  The

@@ -112,13 +112,18 @@ class HybridMechanism:
             rng=self._rng,
         )
 
-    def _frozen_fade(self) -> float:
-        """``γ^e`` for ``e`` elements ingested since the last epoch roll.
+    def _frozen_fade(self, elapsed: int | None = None) -> float:
+        """``γ^e`` for ``e`` elements ingested since the last epoch roll
+        (``elapsed``, default: the live epoch's length so far).
 
         The frozen epochs' total is decayed *to the roll time*; reading it
         at the current step fades it by the live epoch's elapsed length.
+        Every fade is this one scalar power, so the per-element and block
+        paths release the same bits.
         """
-        return self.decay**self._current_tree.steps_taken
+        if elapsed is None:
+            elapsed = self._current_tree.steps_taken
+        return self.decay**elapsed
 
     def observe(self, value: np.ndarray | float) -> np.ndarray:
         """Ingest the next element; return the noisy prefix sum over all epochs.
@@ -163,8 +168,8 @@ class HybridMechanism:
             piece = self._current_tree.observe_batch(array[start:stop])
             # Each row fades the frozen epochs by its own elapsed length
             # inside the live epoch (exactly 1.0 at γ = 1).
-            fades = self.decay ** np.arange(
-                elapsed0 + 1, elapsed0 + (stop - start) + 1, dtype=float
+            fades = np.array(
+                [self._frozen_fade(e) for e in range(elapsed0 + 1, elapsed0 + stop - start + 1)]
             )
             fades = fades.reshape((stop - start,) + (1,) * len(self.shape))
             pieces.append(fades * self._frozen_total + piece)

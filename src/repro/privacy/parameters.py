@@ -142,7 +142,7 @@ def bundle_budgets(
 ) -> tuple[PrivacyParams, ...]:
     """Per-statistic budgets for one shard's moment bundle.
 
-    A :class:`~repro.streaming.moments.MomentBundle` runs one release
+    A :class:`~repro.core.moments.MomentBundle` runs one release
     mechanism per named statistic over the *same* sub-stream, so the
     pieces compose sequentially: piece ``i`` receives
     ``(ε·wᵢ/Σw, δ·wᵢ/Σw)`` via :meth:`PrivacyParams.split_weighted` and

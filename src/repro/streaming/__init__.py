@@ -30,7 +30,7 @@ from .metrics import ExcessRiskTrace, ReadStats
 from .runner import IncrementalRunner, RunResult
 from .fleet import FleetResult, FleetRunner, ReplicateResult, ReplicateSpec
 from .backends import BACKENDS, Backend
-from .moments import MomentBundle, MomentStatistic
+from ..core.moments import MomentBundle, MomentStatistic
 from .readers import EstimateHub, ReaderHandle, Subscription
 from .serving import (
     EstimateCache,

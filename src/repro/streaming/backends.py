@@ -4,7 +4,7 @@ Everything the serving stack needs to know about a workload lives in its
 declaration, and nowhere else:
 
 * which named statistics a shard's moment bundle holds
-  (:class:`~repro.streaming.moments.MomentStatistic` rules);
+  (:class:`~repro.core.moments.MomentStatistic` rules);
 * how a routed block's rows are transformed before the statistics see
   them, how wide a block row is, and which unit domain bounds it;
 * which release family the statistics run (``None`` defers to the
@@ -30,13 +30,13 @@ from typing import Callable
 
 from .._validation import check_int, check_unit_iv_domain, check_unit_xy_domain
 from ..core.incremental_regression import PrivIncReg1
+from ..core.moments import cross_statistic, gram_statistic, iv_statistics
 from ..core.priv_inc_iv import PrivIncIV
 from ..core.projected_regression import PrivIncReg2, projected_sizing
 from ..core.unbounded import UnboundedPrivIncReg
 from ..exceptions import ValidationError
 from ..sketching.gaussian import GaussianProjection, step4_rescale_block
 from ..sketching.sparse_jl import SparseProjection
-from .moments import cross_statistic, gram_statistic, iv_statistics
 
 __all__ = ["BACKENDS", "BACKEND_KNOBS", "Backend", "backend_declaration"]
 

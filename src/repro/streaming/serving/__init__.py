@@ -15,7 +15,7 @@ the single-tree one (:func:`repro.privacy.parameters.shard_budgets`).
 
 * **Routing** — incoming blocks go round-robin (or via a caller-supplied
   key router) to ``K`` :class:`MomentShard` workers, each owning an
-  independent *moment bundle* (:class:`~repro.streaming.moments.MomentBundle`
+  independent *moment bundle* (:class:`~repro.core.moments.MomentBundle`
   — an ordered set of named statistics, each behind its own release
   mechanism: ``Σ x y`` and ``Σ x xᵀ`` trees for the default backends, or
   Hybrid mechanisms for horizon-free serving) over its sub-stream.

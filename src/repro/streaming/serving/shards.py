@@ -3,7 +3,7 @@
 :class:`MomentShard` is the one shard class.  What it ingests is a backend
 declaration (:mod:`repro.streaming.backends`): the declaration names the
 bundle's statistics and the row transform, and the shard owns the
-:class:`~repro.streaming.moments.MomentBundle` — an ordered set of named
+:class:`~repro.core.moments.MomentBundle` — an ordered set of named
 release mechanisms advanced in lockstep — plus the step/liveness books
 the serving front's loss accounting reads.  :class:`TenantShard` is the
 same shard over the PRIMO bundle: one shared Gram entry per γ group plus
@@ -25,7 +25,7 @@ from ...exceptions import (
 )
 from ...privacy.parameters import PrivacyParams, bundle_budgets, tenant_budgets
 from ..backends import backend_declaration
-from ..moments import MomentBundle, cross_statistic, gram_statistic
+from ...core.moments import MomentBundle, cross_statistic, gram_statistic
 from .validation import _check_group, _check_tenants
 
 __all__ = ["MomentShard", "TenantShard"]

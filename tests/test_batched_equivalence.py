@@ -148,14 +148,16 @@ class TestTreeMechanismEquivalence:
 class TestHybridMechanismEquivalence:
     @pytest.mark.parametrize("shape", [(), (2,), (2, 2)])
     @pytest.mark.parametrize("batch", [1, 3, 7, 21])
-    def test_bit_identical_across_epochs(self, shape, batch):
-        length = 21  # crosses the 1, 2, 4, 8 epoch boundaries
+    # 21 crosses the 1, 2, 4, 8 epoch boundaries; the decayed streams run
+    # long enough for the frozen-epoch fades to reach float rounding.
+    @pytest.mark.parametrize("decay, length", [(1.0, 21), (0.9, 64), (0.99, 64)])
+    def test_bit_identical_across_epochs(self, shape, batch, decay, length):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(length,) + shape) * 0.1
-        sequential = HybridMechanism(shape, 2.0, PARAMS, rng=13)
+        sequential = HybridMechanism(shape, 2.0, PARAMS, rng=13, decay=decay)
         reference = np.stack([np.asarray(sequential.observe(v)) for v in data])
 
-        batched = HybridMechanism(shape, 2.0, PARAMS, rng=13)
+        batched = HybridMechanism(shape, 2.0, PARAMS, rng=13, decay=decay)
         released = np.concatenate(
             [batched.observe_batch(data[s:e]) for s, e in _blocks(length, batch)],
             axis=0,
@@ -243,9 +245,14 @@ class TestUnboundedEquivalence:
         released = _batched_thetas(make(), long_stream, 7)
         np.testing.assert_array_equal(reference[_block_ends(length, 7)], released)
 
-    @pytest.mark.parametrize("knob, solve_every", RELEASE_KNOBS)
+    # γ = 0.99 over 40 points: every frozen-epoch fade must be the same
+    # float on both paths, or the interior solves drift by an ulp.
+    @pytest.mark.parametrize(
+        "knob, solve_every",
+        RELEASE_KNOBS + [pytest.param({"decay": 0.99}, 3, id="decay99-every3")],
+    )
     def test_bit_identical_with_release_knobs(self, knob, solve_every):
-        long_stream = make_dense_stream(21, DIM, noise_std=0.05, rng=400)
+        long_stream = make_dense_stream(40, DIM, noise_std=0.05, rng=400)
         make = lambda: UnboundedPrivIncReg(  # noqa: E731
             L2Ball(DIM),
             PARAMS,
@@ -256,7 +263,6 @@ class TestUnboundedEquivalence:
         )
         reference, released = _knob_thetas(make, long_stream, seed=solve_every)
         np.testing.assert_array_equal(reference, released)
-
 
 class TestPrivIncERMEquivalence:
     @pytest.mark.parametrize("batch", BATCH_SIZES)

@@ -34,7 +34,11 @@ from repro import (
     two_stage_least_squares,
 )
 from repro.data import make_iv_stream
-from repro.exceptions import DomainViolationError, ValidationError
+from repro.exceptions import (
+    DomainViolationError,
+    StreamExhaustedError,
+    ValidationError,
+)
 from repro.privacy import bundle_budgets, make_release_mechanism, shard_budgets
 
 PARAMS = PrivacyParams(4.0, 1e-6)
@@ -138,6 +142,26 @@ class TestPrivIncIVStandalone:
         with pytest.raises(DomainViolationError):
             mech.observe(2.0 * np.ones(INSTRUMENTS), iv_stream.xs[0], 0.5)
 
+    def test_block_past_horizon_is_refused_and_consumes_nothing(self, iv_stream):
+        """Past the horizon PrivIncIV raises the documented
+        StreamExhaustedError, like every other estimator, and the refused
+        block leaves the step counter and every bundle entry untouched."""
+        mech = PrivIncIV(
+            horizon=T, constraint=L2Ball(DIM), instruments=INSTRUMENTS,
+            params=PARAMS, rng=0,
+        )
+        mech.observe_batch(iv_stream.zs[:-2], iv_stream.xs[:-2], iv_stream.ys[:-2])
+        before = [m.current_sum().copy() for m in mech._moments.released()]
+        with pytest.raises(StreamExhaustedError):
+            mech.observe_batch(iv_stream.zs[:3], iv_stream.xs[:3], iv_stream.ys[:3])
+        assert mech.steps_taken == T - 2
+        for mechanism, value in zip(mech._moments.released(), before):
+            assert mechanism.steps_taken == T - 2
+            np.testing.assert_array_equal(mechanism.current_sum(), value)
+        # The two points that still fit are accepted afterwards.
+        mech.observe_batch(iv_stream.zs[-2:], iv_stream.xs[-2:], iv_stream.ys[-2:])
+        assert mech.steps_taken == T
+
     def test_stage1_pgd_variant_runs(self, iv_stream):
         mech = PrivIncIV(
             horizon=T, constraint=L2Ball(DIM), instruments=INSTRUMENTS,
@@ -156,11 +180,11 @@ class TestPrivIncIVStandalone:
         )
         mech.observe_batch(iv_stream.zs, iv_stream.xs, iv_stream.ys)
         spent = mech.accountant.spent()
-        zz_before = mech._tree_zz.current_sum().copy()
+        zz_before = mech._moments.get("zz").current_sum().copy()
         version = mech.estimate_version
         mech.refresh()
         assert mech.accountant.spent() == spent
-        np.testing.assert_array_equal(mech._tree_zz.current_sum(), zz_before)
+        np.testing.assert_array_equal(mech._moments.get("zz").current_sum(), zz_before)
         assert mech.estimate_version == version + 1
 
     def test_memory_floats_positive_and_refresh_requires_data(self):

@@ -1,7 +1,7 @@
 """Moment-bundle refactor regression suite.
 
 The refactor's core claim: the shard classes are now thin *bundle
-declarations* over :class:`repro.streaming.moments.MomentBundle`, and the
+declarations* over :class:`repro.core.moments.MomentBundle`, and the
 default two-entry (cross, gram) bundle is **bit-identical** to the
 pre-refactor inline pair — same factory arguments, same rng children,
 same float expressions, same budget split.  This suite pins that claim
@@ -9,6 +9,9 @@ directly (shard vs. hand-built mechanism pair under one seed, exact and
 fast tiers, decayed and windowed), plus the bundle-generic pieces the
 refactor introduced:
 
+* :meth:`~repro.core.moments.MomentBundle.observe_batch` — the path the
+  standalone estimators ingest through — releases each entry's per-step
+  sums exactly as the entry's own mechanism would;
 * :func:`~repro.privacy.parameters.bundle_budgets` reproduces the
   historical ``halve()`` split bit for bit at equal two-way weights;
 * the per-bundle fault rule — a statistic failing *after* an earlier
@@ -31,7 +34,7 @@ from repro.exceptions import (
 from repro.privacy import bundle_budgets, make_release_mechanism
 from repro.streaming import MomentBundle, MomentShard
 from repro.streaming.backends import BACKENDS
-from repro.streaming.moments import (
+from repro.core.moments import (
     cross_statistic,
     gram_statistic,
     iv_statistics,
@@ -68,22 +71,38 @@ def _shard(seed, **kwargs):
     return MomentShard(0, DIM, PARAMS, front.spawn(2), **kwargs)
 
 
+def _feed(shard, xs, ys, path):
+    """One block through the shard's serving tiers or the bundle's
+    per-step path (``observe_batch`` returns the per-entry releases)."""
+    if path == "observe_batch":
+        return shard.bundle.observe_batch(xs, ys)
+    shard.ingest(xs, ys, path == "fast")
+
+
 class TestDefaultBundleBitIdentity:
     """The acceptance gate: bundle shards replay the pre-refactor pair."""
 
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_exact_and_fast_tiers_replay_inline_pair(self, stream, fast):
+    @pytest.mark.parametrize("path", ["exact", "fast", "observe_batch"])
+    def test_every_path_replays_inline_pair(self, stream, path):
         shard = _shard(11)
         cross_ref, gram_ref = _legacy_pair(11)
         for s, e in BLOCKS:
             xs, ys = stream.xs[s:e], stream.ys[s:e]
-            shard.ingest(xs, ys, fast)
-            if fast:
+            releases = _feed(shard, xs, ys, path)
+            if path == "fast":
                 cross_ref.advance_sum(ys @ xs, e - s)
                 gram_ref.advance_sum(xs.T @ xs, e - s)
-            else:
+            elif path == "exact":
                 cross_ref.advance_batch(xs * ys[:, None])
                 gram_ref.advance_batch(xs[:, :, None] * xs[:, None, :])
+            else:
+                cross_all, gram_all = releases
+                np.testing.assert_array_equal(
+                    cross_all, cross_ref.observe_batch(xs * ys[:, None])
+                )
+                np.testing.assert_array_equal(
+                    gram_all, gram_ref.observe_batch(xs[:, :, None] * xs[:, None, :])
+                )
         np.testing.assert_array_equal(shard.cross.current_sum(), cross_ref.current_sum())
         np.testing.assert_array_equal(shard.gram.current_sum(), gram_ref.current_sum())
 
@@ -187,6 +206,9 @@ class TestPartialCommitFaults:
         """Make one entry's mechanism fail on its next advance."""
 
         class Poisoned:
+            def observe_batch(self, values):
+                raise RuntimeError("poisoned mechanism")
+
             def advance_batch(self, values):
                 raise RuntimeError("poisoned mechanism")
 
@@ -195,28 +217,32 @@ class TestPartialCommitFaults:
 
         bundle._mechanisms[name] = Poisoned()
 
-    def test_first_entry_failure_is_block_atomic(self, stream):
+    @pytest.mark.parametrize("path", ["exact", "observe_batch"])
+    def test_first_entry_failure_is_block_atomic(self, stream, path):
         """Guard-entry failure consumes nothing: shard alive, retry safe."""
         shard = _shard(17)
         self._poison(shard.bundle, "cross")
         with pytest.raises(RuntimeError, match="poisoned"):
-            shard.ingest(stream.xs[:4], stream.ys[:4], False)
+            _feed(shard, stream.xs[:4], stream.ys[:4], path)
         assert shard.alive
         assert shard.steps == 0
-        assert shard.bundle.get("gram") is not None  # bundle not torn
+        assert shard.bundle.get("gram").steps_taken == 0  # not torn, not advanced
 
-    def test_later_entry_failure_tears_the_bundle(self, stream):
-        """ISSUE satellite: a shard dying mid-bundle is a typed death."""
+    @pytest.mark.parametrize("path", ["exact", "observe_batch"])
+    def test_later_entry_failure_tears_the_bundle(self, stream, path):
+        """A bundle failing mid-block is a typed death of the bundle."""
         shard = _shard(18)
-        shard.ingest(stream.xs[:4], stream.ys[:4], False)  # one committed block
+        _feed(shard, stream.xs[:4], stream.ys[:4], path)  # one committed block
         self._poison(shard.bundle, "gram")
         with pytest.raises(BundlePartialCommitError) as excinfo:
-            shard.ingest(stream.xs[4:8], stream.ys[4:8], False)
+            _feed(shard, stream.xs[4:8], stream.ys[4:8], path)
         assert isinstance(excinfo.value, ShardUnavailableError)
-        assert not shard.alive
-        assert shard.steps == 4  # only the committed block counts
         assert shard.released() == (None, None)
         assert shard.memory_floats() == 0
+        if path == "exact":
+            # The owning shard dies with it; only the committed block counts.
+            assert not shard.alive
+            assert shard.steps == 4
 
     def test_front_counts_only_committed_blocks(self, stream):
         """Through the serving front: torn block refunded, committed mass lost."""

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import GaussianProjection, PrivacyParams, PrivIncReg1, PrivIncReg2, L1Ball, L2Ball, SparseVectors
-from repro.core.incremental_regression import MOMENT_SENSITIVITY
+from repro.core.moments import MOMENT_SENSITIVITY
 from repro.streaming import replace_point
 from repro.data import make_dense_stream, make_sparse_stream
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro import L1Ball, PrivacyParams, RobustPrivIncReg, SparseVectors
 from repro.data import make_mixed_width_stream
+from repro.exceptions import DomainViolationError, StreamExhaustedError
 
 NORMAL = PrivacyParams(1.0, 1e-6)
 
@@ -61,6 +62,24 @@ class TestFiltering:
         mech.observe(sparse_x, 0.2)
         assert len(calls) == 1
         assert mech.accepted == 1
+
+    def test_refused_points_are_not_counted(self):
+        """A point the inner mechanism refuses moves no counter: past the
+        horizon, and with |y| > 1."""
+        dim = 24
+        sparse_x = np.zeros(dim)
+        sparse_x[0] = 0.9
+        mech = _mechanism(horizon=2)
+        mech.observe(sparse_x, 0.1)
+        mech.observe(sparse_x, 0.1)
+        with pytest.raises(StreamExhaustedError):
+            mech.observe(sparse_x, 0.1)
+        assert (mech.accepted, mech.substituted, mech.steps_taken) == (2, 0, 2)
+
+        mech = _mechanism()
+        with pytest.raises(DomainViolationError):
+            mech.observe(sparse_x, 1.5)
+        assert (mech.accepted, mech.substituted, mech.steps_taken) == (0, 0, 0)
 
     def test_width_sized_by_good_domain(self):
         """The projection must be sized by w(G), not by the full √d width."""
