@@ -17,9 +17,12 @@ What is being amortized, layer by layer:
   equivalence suite pins down (batched blocks of ``k`` ≡ sequential
   ``solve_every = k``).
 
-Measured wall-clock numbers are written to ``BENCH_batched_engine.json``
-next to this file so the speedup claim is recorded with the configuration
-that produced it.  ``BENCH_BATCH_T`` / ``BENCH_BATCH_DIM`` shrink the
+The gate times ``PAIRS`` interleaved (sequential, batched) runs and
+checks the **median** per-pair ratio, so drift of the host between two
+single runs cannot flip it.  Measured wall-clock numbers — every pair and
+the medians — are written to ``BENCH_batched_engine.json`` next to this
+file so the speedup claim is recorded with the configuration that
+produced it.  ``BENCH_BATCH_T`` / ``BENCH_BATCH_DIM`` shrink the
 stream for smoke runs (CI); the committed JSON is produced at full scale.
 """
 
@@ -27,6 +30,7 @@ import functools
 import json
 import os
 import pathlib
+import statistics
 import time
 
 from repro import FleetRunner, IncrementalRunner, L2Ball, PrivIncReg1, ReplicateSpec
@@ -39,6 +43,7 @@ DIM = int(os.environ.get("BENCH_BATCH_DIM", "32"))
 DEFAULT_BATCH = 64
 EVAL_EVERY = 2000
 ITERATION_CAP = 40
+PAIRS = 3
 RESULTS_PATH = pathlib.Path(__file__).parent / "BENCH_batched_engine.json"
 
 
@@ -62,6 +67,14 @@ def _timed_run(batch_size: int, solve_every: int) -> float:
     return time.perf_counter() - start
 
 
+def _interleaved_pairs(batch: int) -> list[tuple[float, float]]:
+    """``PAIRS`` (sequential, batched) timings, each pair back to back."""
+    return [
+        (_timed_run(batch_size=1, solve_every=1), _timed_run(batch_size=batch, solve_every=batch))
+        for _ in range(PAIRS)
+    ]
+
+
 def _stream_factory(rng, length=T, dim=DIM):
     return make_dense_stream(length, dim, rng=rng)
 
@@ -78,20 +91,18 @@ def _estimator_factory(rng, length=T, dim=DIM):
 
 
 def test_batched_engine_speedup(benchmark, bench_batch_size):
-    """batch_size=64 must beat batch_size=1 by ≥5× on T=20k, d=32."""
+    """batch_size=64 must beat batch_size=1 by ≥5× on T=20k, d=32 (the
+    median ratio of ``PAIRS`` interleaved pairs)."""
     batch = bench_batch_size or DEFAULT_BATCH
 
-    sequential_seconds = _timed_run(batch_size=1, solve_every=1)
-    batched_seconds = benchmark.pedantic(
-        lambda: _timed_run(batch_size=batch, solve_every=batch),
-        rounds=1,
-        iterations=1,
-    )
-    speedup = sequential_seconds / batched_seconds
+    pairs = benchmark.pedantic(_interleaved_pairs, args=(batch,), rounds=1, iterations=1)
+    sequential_seconds = statistics.median(seq for seq, _ in pairs)
+    batched_seconds = statistics.median(bat for _, bat in pairs)
+    speedup = statistics.median(seq / bat for seq, bat in pairs)
 
     record(
         "N.batch engine throughput",
-        engine="sequential (batch=1)",
+        engine=f"sequential (batch=1, median of {PAIRS})",
         T=T,
         d=DIM,
         seconds=sequential_seconds,
@@ -99,7 +110,7 @@ def test_batched_engine_speedup(benchmark, bench_batch_size):
     )
     record(
         "N.batch engine throughput",
-        engine=f"batched (batch={batch})",
+        engine=f"batched (batch={batch}, median of {PAIRS})",
         T=T,
         d=DIM,
         seconds=batched_seconds,
@@ -107,7 +118,7 @@ def test_batched_engine_speedup(benchmark, bench_batch_size):
     )
     record(
         "N.batch engine throughput",
-        engine="speedup",
+        engine=f"speedup (median of {PAIRS} pairs)",
         T=T,
         d=DIM,
         seconds=speedup,
@@ -125,10 +136,16 @@ def test_batched_engine_speedup(benchmark, bench_batch_size):
             "batch_size": batch,
             "eval_every": EVAL_EVERY,
             "iteration_cap": ITERATION_CAP,
+            "pairs": PAIRS,
             "estimator": "PrivIncReg1",
             "epsilon": bench_budget().epsilon,
             "delta": bench_budget().delta,
         },
+        "gate": "median speedup over interleaved (sequential, batched) pairs >= 5",
+        "pair_runs": [
+            {"sequential_seconds": seq, "batched_seconds": bat, "speedup": seq / bat}
+            for seq, bat in pairs
+        ],
         "sequential_seconds": sequential_seconds,
         "batched_seconds": batched_seconds,
         "speedup": speedup,
@@ -139,8 +156,8 @@ def test_batched_engine_speedup(benchmark, bench_batch_size):
         RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     assert speedup >= 5.0, (
-        f"batched engine speedup {speedup:.2f}x below the 5x acceptance bar "
-        f"(sequential {sequential_seconds:.2f}s, batched {batched_seconds:.2f}s)"
+        f"batched engine median speedup {speedup:.2f}x below the 5x acceptance bar "
+        f"(pairs (sequential s, batched s): {pairs})"
     )
 
 

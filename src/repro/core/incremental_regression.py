@@ -64,7 +64,6 @@ from ..exceptions import DomainViolationError, ValidationError
 from ..geometry.base import ConvexSet
 from ..privacy.accountant import PrivacyAccountant
 from ..privacy.parameters import PrivacyParams, bundle_budgets
-from ..privacy.release import SlidingWindowMechanism
 from .moments import MomentBundle, cross_statistic, gram_statistic
 from .private_gradient import PrivateGradientFunction, solve_released
 
@@ -241,12 +240,7 @@ class _MomentRegression:
         sequential path.
         """
         if self.window is not None:
-            return max(
-                SlidingWindowMechanism.covered_at(
-                    t, self.window, self._tree_cross.chunk
-                ),
-                1,
-            )
+            return max(self._tree_cross.schedule.covered_at(t), 1)
         if self.decay is not None and self.decay != 1.0:
             return (1.0 - self.decay**t) / (1.0 - self.decay)
         return t
@@ -398,7 +392,7 @@ class PrivIncReg1(_MomentRegression):
     ----------
     horizon:
         The stream length ``T`` (known in advance; the paper's footnote 13
-        trick — our :class:`~repro.privacy.hybrid.HybridMechanism` — lifts
+        trick — our :class:`~repro.privacy.chunked.HybridMechanism` — lifts
         this, see :class:`PrivIncReg1` docs for the variant).
     constraint:
         The convex constraint set ``C`` the regression parameter lives in.
@@ -417,7 +411,7 @@ class PrivIncReg1(_MomentRegression):
         Post-processing only — privacy is unchanged.
     decay:
         Optional forgetting factor ``γ ∈ (0, 1]``: the moment trees become
-        :class:`~repro.privacy.release.DecayedTreeMechanism` instances
+        :class:`~repro.privacy.tree.DecayedTreeMechanism` instances
         tracking the γ-weighted moments ``Σ γ^{t−i} x_i y_i`` etc., and
         the PGD refresh sizes its Lipschitz constant from the *effective*
         sample weight ``(1−γ^t)/(1−γ)`` instead of ``t``.  Privacy is
@@ -426,7 +420,7 @@ class PrivIncReg1(_MomentRegression):
         the paper exactly.
     window:
         Optional sliding window ``W`` (elements): the moment trees become
-        :class:`~repro.privacy.release.SlidingWindowMechanism` rings whose
+        :class:`~repro.privacy.chunked.SlidingWindowMechanism` rings whose
         releases cover only the last ``≤ W`` elements.  Mutually
         exclusive with ``decay``.
     rng:

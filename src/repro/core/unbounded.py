@@ -8,9 +8,9 @@ not affected".
 
 :class:`UnboundedPrivIncReg` is that variant: Algorithm 2 with each
 :class:`~repro.privacy.tree.TreeMechanism` replaced by a
-:class:`~repro.privacy.hybrid.HybridMechanism`.  The stream may run forever;
+:class:`~repro.privacy.chunked.HybridMechanism`.  The stream may run forever;
 every prefix of the output sequence satisfies the same ``(ε, δ)`` guarantee
-(each point lives in exactly one epoch tree, so the per-epoch guarantee is
+(each point lives in exactly one chunk tree, so the per-chunk guarantee is
 also the global one), and the per-step gradient-error bound adapts to the
 epochs seen so far.
 """
@@ -52,7 +52,7 @@ class UnboundedPrivIncReg(_MomentRegression):
         with ``window``.
     window:
         Optional **finite** sliding window ``W``: the moment mechanisms
-        become :class:`~repro.privacy.release.SlidingWindowMechanism`
+        become :class:`~repro.privacy.chunked.SlidingWindowMechanism`
         rings, which need no horizon at all — a natural pairing with the
         unbounded stream.  Mutually exclusive with ``decay``.
     rng:
@@ -99,22 +99,14 @@ class UnboundedPrivIncReg(_MomentRegression):
         """
         return self._moment_alpha(self._tree_gram.error_bound(self.beta / 2.0))
 
-    @staticmethod
-    def _chunks(t0: int, t1: int) -> list[tuple[int, int]]:
-        """Cut ``(t0, t1]`` at the epoch-full steps ``2^e − 1``.
+    def _chunks(self, t0: int, t1: int) -> list[tuple[int, int]]:
+        """Cut ``(t0, t1]`` where the moment mechanisms' live chunk is full.
 
-        The hybrid mechanism rolls an epoch lazily at the step *after* the
-        epoch fills, so the error bound (and hence ``α``) is constant on
-        each interval ``(2^e − 1, 2^{e+1} − 1]``; chunks never straddle one
-        of those boundaries, so a solve inside a block of
-        :meth:`observe_batch` sees exactly the epoch state the sequential
+        The chunk schedule rolls lazily, at the step *after* a chunk fills,
+        so the error bound (and hence ``α``) is constant between two chunk
+        ends; pieces never straddle one, so a solve inside a block of
+        :meth:`observe_batch` sees exactly the chunk state the sequential
         path would — bit-identical to ``k`` :meth:`observe` calls.
         """
-        cuts = []
-        e = 1
-        while 2**e - 1 < t1:
-            if t0 < 2**e - 1:
-                cuts.append(2**e - 1)
-            e += 1
-        edges = [t0] + cuts + [t1]
+        edges = [t0, *self._tree_gram.schedule.ends(t0, t1), t1]
         return list(zip(edges[:-1], edges[1:]))

@@ -10,14 +10,17 @@ differential-privacy literature:
   (Theorem A.4) composition, plus the inverse splits used by Mechanism 1.
 * :mod:`repro.privacy.accountant` — a ledger that tracks budget spending.
 * :mod:`repro.privacy.tree` — the Tree Mechanism (Algorithm 4 / Appendix C)
-  for continual private release of vector sums.
-* :mod:`repro.privacy.hybrid` — the Hybrid Mechanism of Chan et al. removing
-  the known-horizon assumption.
+  for continual private release of vector sums, and its exponentially
+  forgetting :class:`DecayedTreeMechanism`.
+* :mod:`repro.privacy.chunked` — one chunked-tree mechanism: a run of chunk
+  trees declared by a :class:`ChunkSchedule`.  The Hybrid Mechanism of
+  Chan et al. (doubling chunks, removing the known-horizon assumption) and
+  :class:`SlidingWindowMechanism` (fixed chunks with hard expiry) are its
+  two declarations.
 * :mod:`repro.privacy.release` — the :class:`ReleaseMechanism` protocol the
-  serving layer programs against, plus the non-stationary members of the
-  family: :class:`DecayedTreeMechanism` (exponential forgetting) and
-  :class:`SlidingWindowMechanism` (hard expiry), and the tree-free
-  :class:`SketchNoiseMechanism` (per-block sketch-side noise).
+  serving layer programs against, the tree-free
+  :class:`SketchNoiseMechanism` (per-block sketch-side noise), and the
+  :func:`make_release_mechanism` factory.
 """
 
 from .parameters import (
@@ -48,12 +51,11 @@ from .tree import (
     tree_error_bound_spectral,
     tree_levels,
 )
-from .hybrid import HybridMechanism
+from .chunked import HybridMechanism, SlidingWindowMechanism
 from .release import (
     DecayedTreeMechanism,
     ReleaseMechanism,
     SketchNoiseMechanism,
-    SlidingWindowMechanism,
     make_release_mechanism,
 )
 from .rdp import RdpAccountant, gaussian_rdp, rdp_to_dp

@@ -116,12 +116,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .._validation import check_int, check_positive, check_rng
+from .._validation import check_decay, check_int, check_positive, check_rng
 from ..exceptions import ShardUnavailableError, StreamExhaustedError, ValidationError
 from .parameters import PrivacyParams
 
 __all__ = [
     "TreeMechanism",
+    "DecayedTreeMechanism",
     "MergedRelease",
     "ReleasedMoments",
     "merge_released",
@@ -237,6 +238,24 @@ def coerce_stream_block(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarra
     return array
 
 
+def _check_square(shape: tuple[int, ...]) -> int:
+    """The side of a square-matrix element shape (spectral bounds need one)."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValidationError(f"spectral error bound needs a square matrix shape, got {shape}")
+    return shape[0]
+
+
+def _check_room(mechanism, count: int) -> None:
+    """Refuse a block of ``count`` elements that would overrun a
+    mechanism's ``horizon`` (``None``: no cap) before any state moves."""
+    horizon, steps = mechanism.horizon, mechanism.steps_taken
+    if horizon is not None and steps + count > horizon:
+        raise StreamExhaustedError(
+            f"{type(mechanism).__name__} configured for horizon {horizon} "
+            f"received a block of {count} elements at step {steps}"
+        )
+
+
 def _node_sigma(levels: int, l2_sensitivity: float, params: PrivacyParams) -> float:
     """Per-node Gaussian noise scale: ``levels · Δ₂ · sqrt(2 ln(2/δ)) / ε``."""
     return (
@@ -254,7 +273,7 @@ class TreeMechanism:
     ----------
     horizon:
         The stream length ``T``, known in advance (use
-        :class:`repro.privacy.hybrid.HybridMechanism` when it is not).
+        :class:`repro.privacy.chunked.HybridMechanism` when it is not).
     shape:
         Shape of each stream element; scalars use ``()``, the paper's
         Algorithm 2 uses ``(d,)`` for the ``x_i y_i`` stream and ``(d, d)``
@@ -275,6 +294,10 @@ class TreeMechanism:
         The per-node Gaussian noise standard deviation.
     steps_taken:
         Number of stream elements observed so far.
+    decay:
+        The forgetting factor ``γ``: exactly ``1.0`` here, below 1 on
+        :class:`DecayedTreeMechanism`.  Only the prefix fold and the
+        node-noise fade read it.
 
     Examples
     --------
@@ -284,6 +307,8 @@ class TreeMechanism:
     >>> noisy_sum.shape
     (3,)
     """
+
+    decay: float = 1.0
 
     def __init__(
         self,
@@ -400,7 +425,7 @@ class TreeMechanism:
             entries.
         """
         flat = self._coerce_batch(values)
-        self._check_room(flat.shape[0])
+        _check_room(self, flat.shape[0])
         releases = np.empty_like(flat)
         for r in range(flat.shape[0]):
             self._commit(self._fold(flat[r : r + 1]), 1)
@@ -427,7 +452,7 @@ class TreeMechanism:
         discards outputs.
         """
         flat = self._coerce_batch(values)
-        self._check_room(flat.shape[0])
+        _check_room(self, flat.shape[0])
         return self._commit(self._fold(flat), flat.shape[0])
 
     def advance_sum(self, total: np.ndarray | float, count: int) -> np.ndarray:
@@ -446,30 +471,37 @@ class TreeMechanism:
         """
         total_flat = self._coerce(total)
         count = check_int("count", count, minimum=1)
-        self._check_room(count)
+        _check_room(self, count)
         return self._commit(self._fold_total(total_flat, count), count)
 
-    def _check_room(self, count: int) -> None:
-        if self.steps_taken + count > self.horizon:
-            raise StreamExhaustedError(
-                f"{type(self).__name__} configured for horizon {self.horizon} "
-                f"received a block of {count} elements at step {self.steps_taken}"
-            )
-
     def _fold(self, rows: np.ndarray) -> np.ndarray:
-        """The clean prefix after adding ``rows`` one at a time, in order."""
+        """The clean prefix after adding ``rows`` one at a time, in order;
+        under ``γ < 1`` the prefix fades by ``γ`` before each row."""
         prefix = self._prefix.copy()
-        for row in rows:
-            prefix += row
+        if self.decay == 1.0:
+            for row in rows:
+                prefix += row
+        else:
+            for row in rows:
+                prefix *= self.decay
+                prefix += row
         return prefix
 
     def _fold_total(self, total: np.ndarray, count: int) -> np.ndarray:
-        """The clean prefix after adding a pre-reduced block total."""
-        return self._prefix + total
+        """The clean prefix after adding a pre-reduced block total.
+
+        Under ``γ < 1`` the total is the block sum decayed to the block end,
+        ``Σ_i γ^{count−1−i} υ_i``, and the prefix fades by ``γ^count``
+        first — the sequential recursion telescoped over the block.
+        """
+        if self.decay == 1.0:
+            return self._prefix + total
+        return self.decay**count * self._prefix + total
 
     def _fade(self, steps: int) -> float:
-        """Weight a node's noise keeps ``steps`` elements after it closed."""
-        return 1.0
+        """``γ^steps``: the weight a node's noise keeps ``steps`` elements
+        after it closed (its sub-sum fades by the same power)."""
+        return self.decay**steps
 
     def _commit(self, prefix: np.ndarray, count: int) -> np.ndarray:
         """Commit ``count`` validated steps ending at clean prefix ``prefix``.
@@ -498,10 +530,12 @@ class TreeMechanism:
         t = self.steps_taken
         for j in range(self.levels):
             if self._active[j]:
-                # The level-j node closed at (t >> j) << j: its age is the
-                # j low bits of t.
-                fade = self._fade(t & ((1 << j) - 1))
-                release += self._eta[j] if fade == 1.0 else fade * self._eta[j]
+                if self.decay == 1.0:
+                    release += self._eta[j]
+                else:
+                    # The level-j node closed at (t >> j) << j: its age is
+                    # the j low bits of t.
+                    release += self._fade(t & ((1 << j) - 1)) * self._eta[j]
         self._last_release = release
         return release.reshape(self.shape)
 
@@ -521,23 +555,29 @@ class TreeMechanism:
         The release at step ``t`` sums the exact prefix and one frozen
         ``N(0, σ²_node I)`` vector per **active** node — one per set bit of
         ``t`` — so its noise is Gaussian with per-coordinate variance
-        ``popcount(t) · σ²_node``.  This is the per-shard term of the merge
-        rule's variance accounting (see :func:`merge_released`).
+        ``popcount(t) · σ²_node``; under ``γ < 1`` each active node's
+        term fades to ``γ^{2(t−b_j)} σ²_node`` (``b_j`` the step it closed).
+        This is the per-shard term of the merge rule's variance accounting
+        (see :func:`merge_released`).
         """
-        return int(self.steps_taken).bit_count() * self.sigma_node**2
+        t = self.steps_taken
+        if self.decay == 1.0:
+            return t.bit_count() * self.sigma_node**2
+        fades = [self._fade(t & ((1 << j) - 1)) for j in range(self.levels) if self._active[j]]
+        return sum(fade * fade for fade in fades) * self.sigma_node**2
 
     @property
     def effective_weight(self) -> float:
         """Total weight of the elements in the current sum.
 
-        For the plain (unweighted) tree every ingested element carries
-        weight 1, so this equals ``steps_taken``.  Decayed and windowed
-        mechanisms override it — ``Σ γ^{t−i}`` and the covered window
-        count respectively — and it is what the estimators use as the
-        logical ``t`` when consuming weighted moments
-        (``refresh_from_released``).
+        ``Σ_{i≤t} γ^{t−i} = (1 − γ^t)/(1 − γ)``, which is ``steps_taken``
+        itself for the plain tree (every element carries weight 1).  It is
+        what the estimators use as the logical ``t`` when consuming
+        weighted moments (``refresh_from_released``).
         """
-        return float(self.steps_taken)
+        if self.decay == 1.0:
+            return float(self.steps_taken)
+        return (1.0 - self.decay**self.steps_taken) / (1.0 - self.decay)
 
     def released_moments(self) -> "ReleasedMoments":
         """Snapshot the current release as a :class:`ReleasedMoments`.
@@ -567,12 +607,8 @@ class TreeMechanism:
         ValidationError
             If the element shape is not a square matrix.
         """
-        if len(self.shape) != 2 or self.shape[0] != self.shape[1]:
-            raise ValidationError(
-                f"spectral error bound needs a square matrix shape, got {self.shape}"
-            )
         return tree_error_bound_spectral(
-            self.horizon, self.shape[0], self.l2_sensitivity, self.params, beta
+            self.horizon, _check_square(self.shape), self.l2_sensitivity, self.params, beta
         )
 
     def memory_floats(self) -> int:
@@ -596,10 +632,53 @@ class TreeMechanism:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"TreeMechanism(horizon={self.horizon}, shape={self.shape}, "
-            f"sensitivity={self.l2_sensitivity}, params={self.params}, "
+            f"{type(self).__name__}(horizon={self.horizon}, shape={self.shape}, "
+            f"decay={self.decay}, sensitivity={self.l2_sensitivity}, params={self.params}, "
             f"levels={self.levels}, sigma_node={self.sigma_node:.4g})"
         )
+
+
+class DecayedTreeMechanism(TreeMechanism):
+    """Continual private **γ-decayed** sums ``Σ_{i≤t} γ^{t−i} υ_i``.
+
+    A drop-in :class:`TreeMechanism` whose running sum forgets
+    exponentially.  The prefix-plus-frozen-noise decomposition survives the
+    weighting: every observation first fades the clean prefix by ``γ``, and
+    every *frozen* node noise ``η_j`` (attached when its node closed at
+    step ``b_j``) is read back scaled by ``γ^{t−b_j}`` — exactly the factor
+    its node's decayed sub-sum carries inside the decayed prefix at time
+    ``t``, so the telescoping identity of Algorithm 4 holds verbatim.
+
+    Privacy: each stream element still touches at most ``levels`` nodes,
+    and its weight inside any node is ``γ^{b−i} ≤ 1``, so the per-node L2
+    sensitivity is at most ``Δ₂`` and the plain tree's per-node ``σ`` and
+    ``(ε, δ)`` accounting apply unchanged (the decay only ever *shrinks*
+    sensitivity, never grows it).  Utility improves correspondingly: the
+    released noise variance is ``Σ_{j active} γ^{2(t−b_j)} σ²_node ≤
+    popcount(t)·σ²_node``.
+
+    The class only sets :attr:`~TreeMechanism.decay`; the fold, the fade
+    and every ingest path are :class:`TreeMechanism`'s.
+    :meth:`~TreeMechanism.advance_sum` takes the block total decayed to the
+    block end, ``Σ_i γ^{k−1−i} υ_i`` (one weighted BLAS product upstream).
+    At ``decay = 1.0`` the mechanism is **bit-identical** to
+    :class:`TreeMechanism` under one seed.
+
+    Parameters
+    ----------
+    decay:
+        The forgetting factor ``γ ∈ (0, 1]``.
+    horizon, shape, l2_sensitivity, params, rng:
+        As in :class:`TreeMechanism`.
+    """
+
+    def __init__(
+        self, horizon: int, shape: tuple[int, ...], l2_sensitivity: float,
+        params: PrivacyParams, rng: np.random.Generator | int | None = None,
+        decay: float = 1.0,
+    ) -> None:
+        self.decay = check_decay("decay", decay)
+        super().__init__(horizon, shape, l2_sensitivity, params, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +872,7 @@ def merge_released(
     ----------
     mechanisms:
         Per-shard mechanisms (``TreeMechanism`` or
-        :class:`~repro.privacy.hybrid.HybridMechanism`) and/or their
+        :class:`~repro.privacy.chunked.HybridMechanism`) and/or their
         :class:`ReleasedMoments` snapshots — the two are
         interchangeable (snapshots freeze exactly the read surface this
         function consumes, so a merge over snapshots is bit-identical to a

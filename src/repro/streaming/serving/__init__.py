@@ -91,9 +91,9 @@ differ only in how each block's clean moment sum is added up:
 * ``ingest="fast"`` — shards compute each block's moment totals with one
   BLAS product per bundle statistic (``Xᵀy`` / ``XᵀX``) and add them to
   the prefix (``TreeMechanism.advance_sum``).  Releases equal the exact
-  setting's up to float summation order.  A pre-reduced total cannot be
-  split at a window chunk or hybrid epoch boundary, so a finite
-  ``window`` and ``mechanism="hybrid"`` accept only ``"exact"``.
+  setting's up to float summation order.  Fast ingest needs a one-chunk
+  release: a pre-reduced total cannot be split at a chunk boundary, so
+  ``mechanism="hybrid"`` and a finite ``window`` accept only ``"exact"``.
 
 Fault semantics: :meth:`ShardedStream.kill_shard` drops a shard's
 mechanisms (under the process transport it SIGKILLs the worker process);

@@ -26,6 +26,7 @@ from ...exceptions import (
 )
 from ...geometry.base import ConvexSet, PointSet
 from ...privacy.accountant import PrivacyAccountant
+from ...privacy.chunked import one_chunk
 from ...privacy.parameters import PrivacyParams, bundle_budgets, shard_budgets
 from ...privacy.tree import MergedRelease, merge_released
 from .. import wire
@@ -128,13 +129,6 @@ class ShardFront:
             raise ValidationError(
                 "restart_policy='auto' is driven by the health-check loop; "
                 "set heartbeat_every"
-            )
-        if ingest == "fast" and mechanism != "tree":
-            # About the data, not the noise: a pre-reduced block total
-            # cannot be split at a hybrid epoch boundary.
-            raise ValidationError(
-                "ingest='fast' needs tree shards: a pre-reduced block total "
-                "(advance_sum) cannot be split at hybrid epoch boundaries"
             )
         if mechanism == "tree" and horizon is None:
             raise ValidationError(
@@ -1025,7 +1019,7 @@ class ShardedStream(ShardFront, HubReads):
         totals with one weighted BLAS product).
     window:
         Optional sliding window ``W``: shard mechanisms become chunked
-        :class:`~repro.privacy.release.SlidingWindowMechanism` rings that
+        :class:`~repro.privacy.chunked.SlidingWindowMechanism` rings that
         hard-expire elements older than ``W`` steps.  Finite windows are
         horizon-free (pair with ``mechanism="hybrid"`` for unbounded
         recency serving) but need ``ingest="exact"`` — a pre-reduced
@@ -1246,13 +1240,11 @@ class ShardedStream(ShardFront, HubReads):
                 "tree over the full stream): it needs mechanism='tree' and "
                 "a horizon"
             )
-        if window is not None and not math.isinf(window) and ingest == "fast":
-            # About the data, not the noise: a pre-reduced block total
-            # cannot be split at a chunk boundary.
+        if ingest == "fast" and not one_chunk(mechanism, window):
             raise ValidationError(
-                "ingest='fast' cannot serve a finite window: the "
-                "pre-reduced block totals advance_sum consumes cannot be "
-                "split at chunk expiry boundaries; use ingest='exact'"
+                "ingest='fast' needs a one-chunk release: a pre-reduced block "
+                "total (advance_sum) cannot be split at the chunk boundaries of "
+                "mechanism='hybrid' or a finite window; use ingest='exact'"
             )
         self.backend = backend
         self._declaration = declaration

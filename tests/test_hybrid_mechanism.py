@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import HybridMechanism, PrivacyParams
-from repro.exceptions import ValidationError
+from repro.exceptions import NotSupportedError, ValidationError
 
 HUGE_EPS = PrivacyParams(1e9, 0.5)
 NORMAL = PrivacyParams(1.0, 1e-6)
@@ -68,6 +68,17 @@ class TestDiscipline:
         mech = HybridMechanism((2,), 1.0, NORMAL, rng=0)
         mech.observe(np.ones(2) * 0.3)
         np.testing.assert_array_equal(mech.current_sum(), mech.current_sum())
+
+    def test_advance_sum_refused(self):
+        """Doubling chunks cannot take a pre-reduced block total: the
+        refusal is typed and leaves the state untouched."""
+        mech = HybridMechanism((2,), 1.0, NORMAL, rng=0)
+        mech.observe_batch(np.ones((3, 2)))
+        before = mech.current_sum()
+        with pytest.raises(NotSupportedError, match="advance_sum"):
+            mech.advance_sum(np.ones(2), 4)
+        assert mech.steps_taken == 3
+        np.testing.assert_array_equal(mech.current_sum(), before)
 
     def test_deterministic_with_seed(self):
         def run(seed):

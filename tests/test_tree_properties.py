@@ -290,6 +290,25 @@ class TestOneNoiseStreamProperty:
     @pytest.mark.parametrize("family", sorted(SPLIT_FAMILIES))
     @given(data=int_streams, sizes=block_sizes)
     @settings(max_examples=30, deadline=None)
+    def test_schedule_closed_forms_track_the_live_mechanism(self, family, data, sizes):
+        """After every block of a random split, the chunk schedule's closed
+        forms name the live mechanism's chunk, its start and the covered
+        count (doubling at γ = 1 and 0.5; fixed chunks whose expiry fires
+        inside a live chunk)."""
+        mech = SPLIT_FAMILIES[family](len(data))
+        schedule = mech.schedule
+        for i, block in enumerate(_cut(data, sizes)):
+            (mech.observe_batch if i % 2 else mech.advance_batch)(block)
+            t = mech.steps_taken
+            index = schedule.index_at(t)
+            assert mech._epoch_index == index
+            assert mech._current_tree.horizon == schedule.length(index)
+            assert t - mech._current_tree.steps_taken == ([0] + schedule.ends(0, t))[-1]
+            assert mech.covered_steps == schedule.covered_at(t)
+
+    @pytest.mark.parametrize("family", sorted(SPLIT_FAMILIES))
+    @given(data=int_streams, sizes=block_sizes)
+    @settings(max_examples=30, deadline=None)
     def test_split_mechanisms_release_the_same_bits(self, family, data, sizes):
         make = SPLIT_FAMILIES[family]
         blocks = _cut(data, sizes)
