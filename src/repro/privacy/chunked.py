@@ -46,25 +46,35 @@ from .._validation import check_decay, check_int, check_positive, check_rng, che
 from ..exceptions import NotSupportedError, ValidationError
 from .parameters import PrivacyParams
 from .tree import (
-    DecayedTreeMechanism, _check_room, _check_square, _snapshot_released, coerce_stream_block,
-    coerce_stream_element, tree_error_bound, tree_error_bound_spectral,
+    DecayedTreeMechanism,
+    _check_room,
+    _check_square,
+    _snapshot_released,
+    coerce_stream_block,
+    coerce_stream_element,
+    tree_error_bound,
+    tree_error_bound_spectral,
 )
 
 __all__ = [
-    "ChunkSchedule", "ChunkedTreeMechanism", "HybridMechanism", "SlidingWindowMechanism",
+    "ChunkSchedule",
+    "ChunkedTreeMechanism",
+    "HybridMechanism",
+    "SlidingWindowMechanism",
     "one_chunk",
 ]
 
 
-def one_chunk(mechanism: str, window: int | float | None) -> bool:
-    """Whether the ``mechanism`` / ``window`` knobs select a one-chunk release.
+def one_chunk(doubling: bool, window: int | float | None) -> bool:
+    """Whether a release is one chunk tree: chunks that do not double and
+    never expire (``window`` ``None`` or ``inf``).
 
     Only a one-chunk release can ingest a pre-reduced block total
     (``advance_sum``): a doubling or expiring schedule must attribute each
     element to its chunk, and one block total cannot be split at a chunk
     boundary.  This is about the data, not the noise.
     """
-    return mechanism != "hybrid" and (window is None or math.isinf(window))
+    return not doubling and (window is None or math.isinf(window))
 
 
 @dataclass(frozen=True)
@@ -94,9 +104,7 @@ class ChunkSchedule:
 
     def index_at(self, t: int) -> int:
         """The live chunk after ``t`` elements."""
-        t = int(t)
-        if t <= 0:
-            return 0
+        t = max(int(t), 1)
         return t.bit_length() - 1 if self.chunk is None else (t - 1) // self.chunk
 
     def ends(self, t0: int, t1: int) -> list[int]:
@@ -109,13 +117,12 @@ class ChunkSchedule:
 
     def covered_at(self, t: int) -> int:
         """Elements the release covers after ``t`` elements (``≤ W``)."""
-        t = int(t)
-        if math.isinf(self.window) or t <= 0:
-            return max(t, 0)
-        index = self.index_at(t)
-        live = t - self.start(index)
-        kept = min(index, (int(self.window) - live) // self.chunk)
-        return kept * self.chunk + live
+        t = max(int(t), 0)
+        if math.isinf(self.window):
+            return t
+        # Whole frozen chunks fill what the live chunk leaves of W.
+        live = t - self.start(self.index_at(t))
+        return min(t, live + (int(self.window) - live) // self.chunk * self.chunk)
 
 
 class ChunkedTreeMechanism:
@@ -141,9 +148,14 @@ class ChunkedTreeMechanism:
     """
 
     def __init__(
-        self, schedule: ChunkSchedule, shape: tuple[int, ...], l2_sensitivity: float,
-        params: PrivacyParams, rng: np.random.Generator | int | None = None,
-        decay: float = 1.0, horizon: int | None = None,
+        self,
+        schedule: ChunkSchedule,
+        shape: tuple[int, ...],
+        l2_sensitivity: float,
+        params: PrivacyParams,
+        rng: np.random.Generator | int | None = None,
+        decay: float = 1.0,
+        horizon: int | None = None,
     ) -> None:
         self.schedule = schedule
         self.shape = tuple(int(s) for s in shape)
@@ -232,11 +244,8 @@ class ChunkedTreeMechanism:
         while self._room() < 1:
             self._frozen.popleft()
             self.expired_steps += self.schedule.chunk
-        total, variance = np.zeros(self.shape), 0.0
-        for value, var in self._frozen:
-            total = total + value
-            variance += var
-        self._frozen_total, self._frozen_variance = total, variance
+        self._frozen_total = sum((value for value, _ in self._frozen), np.zeros(self.shape))
+        self._frozen_variance = sum((variance for _, variance in self._frozen), 0.0)
 
     def _ingest(self, values: np.ndarray, rows: bool) -> list[np.ndarray]:
         """Feed a block to the chunk trees, one piece per chunk and expiry.
@@ -304,13 +313,13 @@ class ChunkedTreeMechanism:
     def advance_sum(self, total: np.ndarray | float, count: int) -> np.ndarray:
         """Ingest a pre-reduced block total — one-chunk mechanisms only.
 
-        Refused with :class:`~repro.exceptions.NotSupportedError` when the
-        stream can outgrow the first chunk: each element must go to its
-        chunk tree, and one block total cannot be split at a chunk
-        boundary (see :func:`one_chunk`).  Use ``observe_batch`` /
-        ``advance_batch`` (``ingest="exact"``).
+        Refused with :class:`~repro.exceptions.NotSupportedError` unless
+        the schedule is one chunk (:func:`one_chunk`): each element must
+        go to its chunk tree, and one block total cannot be split at a
+        chunk boundary.  Use ``observe_batch`` / ``advance_batch``
+        (``ingest="exact"``).
         """
-        if self.horizon is None or self.schedule.length(0) < self.horizon:
+        if not one_chunk(self.schedule.chunk is None, self.schedule.window):
             raise NotSupportedError(
                 f"{type(self).__name__} cannot ingest pre-reduced block totals "
                 "(advance_sum): its chunks must split elements at chunk "
@@ -420,8 +429,12 @@ class HybridMechanism(ChunkedTreeMechanism):
     """
 
     def __init__(
-        self, shape: tuple[int, ...], l2_sensitivity: float, params: PrivacyParams,
-        rng: np.random.Generator | int | None = None, decay: float = 1.0,
+        self,
+        shape: tuple[int, ...],
+        l2_sensitivity: float,
+        params: PrivacyParams,
+        rng: np.random.Generator | int | None = None,
+        decay: float = 1.0,
     ) -> None:
         super().__init__(ChunkSchedule(), shape, l2_sensitivity, params, rng, decay)
 
@@ -460,9 +473,14 @@ class SlidingWindowMechanism(ChunkedTreeMechanism):
     """
 
     def __init__(
-        self, window: int | float, shape: tuple[int, ...], l2_sensitivity: float,
-        params: PrivacyParams, rng: np.random.Generator | int | None = None,
-        horizon: int | None = None, chunk: int | None = None,
+        self,
+        window: int | float,
+        shape: tuple[int, ...],
+        l2_sensitivity: float,
+        params: PrivacyParams,
+        rng: np.random.Generator | int | None = None,
+        horizon: int | None = None,
+        chunk: int | None = None,
     ) -> None:
         self.window = check_window("window", window)
         if math.isinf(self.window):

@@ -494,8 +494,6 @@ class TreeMechanism:
         ``Σ_i γ^{count−1−i} υ_i``, and the prefix fades by ``γ^count``
         first — the sequential recursion telescoped over the block.
         """
-        if self.decay == 1.0:
-            return self._prefix + total
         return self.decay**count * self._prefix + total
 
     def _fade(self, steps: int) -> float:
@@ -673,8 +671,12 @@ class DecayedTreeMechanism(TreeMechanism):
     """
 
     def __init__(
-        self, horizon: int, shape: tuple[int, ...], l2_sensitivity: float,
-        params: PrivacyParams, rng: np.random.Generator | int | None = None,
+        self,
+        horizon: int,
+        shape: tuple[int, ...],
+        l2_sensitivity: float,
+        params: PrivacyParams,
+        rng: np.random.Generator | int | None = None,
         decay: float = 1.0,
     ) -> None:
         self.decay = check_decay("decay", decay)

@@ -1240,7 +1240,7 @@ class ShardedStream(ShardFront, HubReads):
                 "tree over the full stream): it needs mechanism='tree' and "
                 "a horizon"
             )
-        if ingest == "fast" and not one_chunk(mechanism, window):
+        if ingest == "fast" and not one_chunk(mechanism == "hybrid", window):
             raise ValidationError(
                 "ingest='fast' needs a one-chunk release: a pre-reduced block "
                 "total (advance_sum) cannot be split at the chunk boundaries of "
