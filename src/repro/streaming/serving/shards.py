@@ -16,8 +16,11 @@ is bit-identical under one seed on every transport.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
+from ..._validation import check_decay, check_int
 from ...exceptions import (
     BundlePartialCommitError,
     PrivacyBudgetError,
@@ -26,9 +29,8 @@ from ...exceptions import (
 from ...privacy.parameters import PrivacyParams, bundle_budgets, tenant_budgets
 from ..backends import backend_declaration
 from ...core.moments import MomentBundle, cross_statistic, gram_statistic
-from .validation import _check_group, _check_tenants
 
-__all__ = ["MomentShard", "TenantShard"]
+__all__ = ["MomentShard", "TenantLayout", "TenantShard"]
 
 
 class MomentShard:
@@ -177,160 +179,226 @@ def _decay_knob(g: float) -> float | None:
     return None if g == 1.0 else g
 
 
-class TenantShard(MomentShard):
-    """One multi-tenant shard: **shared** Gram entries + per-tenant crosses.
+class TenantLayout:
+    """The PRIMO bundle layout, defined once for the shard and the front.
 
-    The PRIMO shard (*Private Regression in Multiple Outcomes*): when
-    ``k`` outcome streams share one covariate stream, the expensive
-    ``(d, d)`` second-moment statistic is identical for every tenant, so
-    this shard privatizes it **once** per declared γ group — at an equal
-    split of ``(ε/2, δ/2)``, independent of the tenant count — and keeps
-    only a cheap ``(d,)`` cross entry per tenant, each at a
-    ``(ε/(2·cap), δ/(2·cap))`` slot of the other half
-    (:func:`~repro.privacy.parameters.tenant_budgets`).  Ingesting
-    ``(x, y_1..y_k)`` advances every Gram entry once and tenant ``j``'s
-    cross entry with ``x·y_j``, so the per-element privacy loss is at most
-    ``ε/2 + cap·ε/(2·cap) = ε``.
+    *Private Regression in Multiple Outcomes*: when ``k`` outcome streams
+    share one covariate stream, the ``(d, d)`` second-moment statistic is
+    the same for every tenant.  The layout privatizes it **once** per
+    declared γ group and keeps one cheap ``(d,)`` cross entry per tenant:
 
-    ``config`` carries ``tenants`` (names), ``tenant_capacity`` (default:
-    the tenant count), ``decays`` (γ groups, default ``(1.0,)``) and
-    ``tenant_decays`` (each tenant's group, default the first); ``rngs``
-    holds one generator per tenant followed by one per γ group.  The Gram
-    entries are declared first, so — never behind any cross entry in
-    step count — they are the bundle's capacity guard, and the bundle's
-    torn-bundle fault rule covers tenants too.
+    * entries, in bundle (advance and merge) order: ``gram:{γ}`` per group,
+      then ``cross:{name}`` per tenant in slot order — the Gram entries
+      lead, so they are the bundle's capacity guard;
+    * budgets: :func:`~repro.privacy.parameters.tenant_budgets` gives the
+      Gram half ``(ε/2, δ/2)``, independent of the tenant count, split
+      evenly across the groups (every element enters every group:
+      sequential composition), and one ``(ε/(2·cap), δ/(2·cap))`` slot
+      per tenant — the per-element loss is at most
+      ``ε/2 + cap·ε/(2·cap) = ε``, and slot reuse is sound because a
+      removed tenant's entry never ingests again;
+    * each entry's γ: a Gram entry its group's, a cross entry its tenant's
+      group's, so a tenant's merged moments are consistently weighted.
 
-    Slot reuse is sound because a removed tenant's entry never ingests
-    again.  For a single tenant both budget pieces equal
-    ``budget.halve()`` bit-exactly and every entry's arithmetic is
-    :class:`MomentShard`'s, which makes a ``k = 1`` multi-tenant stream
-    bit-identical to the plain sharded path under the same rng children.
+    The constructor and :meth:`admit` hold every tenant check.  ``tenants``
+    is a count ``k`` (named ``tenant-0..tenant-{k-1}``) or unique non-empty
+    names; ``tenant_capacity`` defaults to the tenant count, ``decays`` to
+    ``(1.0,)`` and ``tenant_decays`` to the first group.  For one tenant
+    both budget pieces equal ``budget.halve()`` bit-exactly, which makes a
+    ``k = 1`` multi-tenant stream bit-identical to the plain sharded path.
     """
 
     def __init__(
         self,
-        index: int,
-        dim: int,
         budget: PrivacyParams,
-        rngs,
-        *,
-        config: dict | None = None,
-        mechanism: str = "tree",
-        **knobs,
+        tenants,
+        tenant_capacity: int | None = None,
+        decays=None,
+        tenant_decays=None,
     ) -> None:
-        if mechanism != "tree":
+        if isinstance(tenants, (int, np.integer)) and not isinstance(tenants, bool):
+            tenants = [f"tenant-{i}" for i in range(check_int("tenants", tenants, minimum=1))]
+        elif isinstance(tenants, (str, bytes)) or not isinstance(tenants, Iterable):
             raise ValidationError(
-                "TenantShard requires mechanism='tree' (the PRIMO serving "
-                "layer assumes a known horizon)"
+                f"tenants must be a tenant count or a sequence of names, got {tenants!r}"
             )
-        config = dict(config or {})
-        names, self.tenant_capacity, self.decays, tenant_decays = _check_tenants(
-            config.get("tenants", ()),
-            config.get("tenant_capacity"),
-            config.get("decays"),
-            config.get("tenant_decays"),
+        names = tuple(str(name) for name in tenants)
+        if not names:
+            raise ValidationError("tenants must name at least one tenant")
+        if len(set(names)) != len(names):
+            raise ValidationError(f"tenant names must be unique, got {names!r}")
+        if any(not name for name in names):
+            raise ValidationError("tenant names must be non-empty")
+        # One shared Gram entry per group, so a repeated γ would spend
+        # Gram budget twice on the same weighting.
+        groups = (1.0,) if decays is None else decays
+        self.decays = tuple(check_decay(f"decays[{i}]", g) for i, g in enumerate(groups))
+        if not self.decays:
+            raise ValidationError("decays must declare at least one γ group")
+        if len(set(self.decays)) != len(self.decays):
+            raise ValidationError(f"decays entries must be distinct, got {self.decays!r}")
+        if tenant_decays is None:
+            tenant_decays = (self.decays[0],) * len(names)
+        tenant_decays = tuple(self._group(g) for g in tenant_decays)
+        if len(tenant_decays) != len(names):
+            raise ValidationError(
+                f"need one decay per tenant: {len(names)} tenants, "
+                f"{len(tenant_decays)} tenant_decays"
+            )
+        self.capacity = check_int(
+            "tenant_capacity",
+            len(names) if tenant_capacity is None else tenant_capacity,
+            minimum=len(names),
         )
-        #: Tenant → γ group, in the order merges index the cross entries.
+        #: Tenant → γ group, in slot (merge) order.
         self.tenant_decay: dict[str, float] = dict(zip(names, tenant_decays))
-        super().__init__(
-            index, dim, budget, rngs, config=config, mechanism=mechanism, **knobs
+        self.gram_budget, slots = tenant_budgets(budget, self.capacity)
+        #: Every slot carries the same budget, so later adds reuse it.
+        self.slot_budget = slots[0]
+
+    def _group(self, decay) -> float:
+        g = float(decay)
+        if g not in self.decays:
+            raise ValidationError(
+                f"decay {g!r} is not a declared γ group (decays={self.decays!r}); "
+                f"groups are fixed at construction — the gram budget is split "
+                f"across them"
+            )
+        return g
+
+    def config(self) -> dict:
+        """The layout as a shard config (what a spec ships; restores it)."""
+        return dict(
+            tenants=self.tenants(),
+            tenant_capacity=self.capacity,
+            decays=self.decays,
+            tenant_decays=tuple(self.tenant_decay.values()),
         )
 
-    def _build_bundle(self, rngs, decay, window) -> MomentBundle:
-        """Gram entries per γ group first, then one cross entry per tenant."""
-        names = tuple(self.tenant_decay)
+    def tenants(self) -> tuple[str, ...]:
+        """Active tenant names, in slot (merge) order."""
+        return tuple(self.tenant_decay)
+
+    def names(self) -> tuple[str, ...]:
+        """The bundle's entry names, in bundle order."""
+        grams = tuple(f"gram:{g}" for g in self.decays)
+        return grams + tuple(f"cross:{name}" for name in self.tenant_decay)
+
+    def reads(self, name: str) -> dict[str, str]:
+        """The entries one tenant's solve reads, keyed ``cross`` and ``gram``."""
+        return {"cross": f"cross:{name}", "gram": f"gram:{self.tenant_decay[name]}"}
+
+    def known(self, name) -> str:
+        """``name`` as an active tenant's name (raises on unknown names)."""
+        name = str(name)
+        if name not in self.tenant_decay:
+            raise ValidationError(f"unknown tenant {name!r}")
+        return name
+
+    def admit(self, name, decay=None) -> tuple[str, float]:
+        """Check one tenant add; return its ``(name, γ)`` without adding it.
+
+        ``decay`` picks one of the declared groups (default: the first);
+        a full layout raises :class:`~repro.exceptions.PrivacyBudgetError`
+        — capacity is a privacy bound, not a sizing hint.
+        """
+        name = str(name)
+        if not name:
+            raise ValidationError("tenant names must be non-empty")
+        g = self._group(self.decays[0] if decay is None else decay)
+        if name in self.tenant_decay:
+            raise ValidationError(f"tenant {name!r} already exists")
+        if len(self.tenant_decay) >= self.capacity:
+            raise PrivacyBudgetError(
+                f"all {self.capacity} tenant slots are occupied; "
+                f"remove a tenant before adding {name!r} (the slot budgets "
+                f"are what keep the per-element loss within the total)"
+            )
+        return name, g
+
+    def add(self, name, decay=None) -> str:
+        """Admit a tenant into the next slot; return its name."""
+        name, g = self.admit(name, decay)
+        self.tenant_decay[name] = g
+        return name
+
+    def remove(self, name) -> str:
+        """Retire a tenant, freeing its slot; return its name."""
+        name = self.known(name)
+        del self.tenant_decay[name]
+        return name
+
+    def cross(self, dim: int, name: str, rng) -> tuple:
+        """One tenant's cross entry as :meth:`MomentBundle.add` arguments."""
+        stat = cross_statistic(dim, name=f"cross:{name}", outcome=name)
+        return stat, self.slot_budget, rng, _decay_knob(self.tenant_decay[name])
+
+    def bundle(self, dim: int, rngs, mechanism: str, horizon: int | None) -> MomentBundle:
+        """The bundle over ``rngs``: one per tenant, then one per γ group."""
+        if mechanism != "tree":
+            raise ValidationError(
+                "tenant shards require mechanism='tree' (the PRIMO serving "
+                "layer assumes a known horizon)"
+            )
+        names = self.tenants()
         if len(rngs) != len(names) + len(self.decays):
             raise ValidationError(
                 f"need one rng per tenant and per γ group: {len(names)} "
                 f"tenants, {len(self.decays)} groups, {len(rngs)} rngs"
             )
-        gram_budget, slot_budgets = tenant_budgets(self.budget, self.tenant_capacity)
-        #: Every slot carries the same budget; kept for later adds.
-        self._slot_budget = slot_budgets[0]
-        # Every element enters every group, so the groups compose
-        # sequentially — split(1) leaves the single plain group at the
-        # historical budget bit-exactly.
-        group_budgets = gram_budget.split(len(self.decays))
-        group_rngs = rngs[len(names):]
-        first = self.decays[0]
-        bundle = MomentBundle(
-            [gram_statistic(self.dim, name=f"gram:{first}")],
-            group_budgets[:1],
-            group_rngs[:1],
-            horizon=self.shard_horizon,
-            decay=_decay_knob(first),
-        )
-        for g, g_budget, g_rng in zip(self.decays[1:], group_budgets[1:], group_rngs[1:]):
-            bundle.add(gram_statistic(self.dim, name=f"gram:{g}"), g_budget, g_rng, _decay_knob(g))
-        self.bundle = bundle
-        for name, rng in zip(names, rngs):
-            self._add_cross(name, rng)
+        group_budgets = self.gram_budget.split(len(self.decays))
+        grams = [
+            (gram_statistic(dim, name=f"gram:{g}"), budget, rng, _decay_knob(g))
+            for g, budget, rng in zip(self.decays, group_budgets, rngs[len(names):])
+        ]
+        (stat, budget, rng, decay), *later = grams
+        bundle = MomentBundle([stat], [budget], [rng], horizon=horizon, decay=decay)
+        for entry in later + [self.cross(dim, n, r) for n, r in zip(names, rngs)]:
+            bundle.add(*entry)
         return bundle
 
-    def _add_cross(self, name: str, rng) -> None:
-        self.bundle.add(
-            cross_statistic(self.dim, name=f"cross:{name}", outcome=name),
-            self._slot_budget,
-            rng,
-            _decay_knob(self.tenant_decay[name]),
-        )
+
+class TenantShard(MomentShard):
+    """One multi-tenant shard: a :class:`MomentShard` over a :class:`TenantLayout`.
+
+    ``config`` is the layout's (:meth:`TenantLayout.config`); ``rngs``
+    holds one generator per tenant followed by one per γ group.  Ingesting
+    ``(x, y_1..y_k)`` advances every Gram entry once and tenant ``j``'s
+    cross entry with ``x·y_j``; the bundle's torn-bundle fault rule covers
+    the tenants too.
+    """
+
+    def _build_bundle(self, rngs, decay, window) -> MomentBundle:
+        self.layout = TenantLayout(self.budget, **self.config)
+        return self.layout.bundle(self.dim, rngs, self.mechanism, self.shard_horizon)
 
     @property
     def gram(self):
         """The primary (group-0) shared Gram mechanism, or ``None`` if killed."""
-        return self.bundle.get(f"gram:{self.decays[0]}")
+        return self.bundle.get(f"gram:{self.layout.decays[0]}")
 
     @property
     def cross(self) -> dict:
         """Tenant → cross mechanism (diagnostics; values ``None`` once killed)."""
-        return {name: self.bundle.get(f"cross:{name}") for name in self.tenant_decay}
+        return {name: self.bundle.get(f"cross:{name}") for name in self.layout.tenant_decay}
 
     def tenants(self) -> tuple[str, ...]:
         """Active tenant names, in the order merges index them."""
-        return tuple(self.tenant_decay)
+        return self.layout.tenants()
 
     def add_tenant(self, name: str, rng: np.random.Generator, decay: float | None = None) -> None:
-        """Occupy a free capacity slot with a fresh cross entry for ``name``.
-
-        ``decay`` assigns the tenant to one of the shard's declared γ
-        groups (default: the primary group); its cross entry uses the same
-        weighting, so the tenant's merged moments stay consistent.
-        """
-        name = str(name)
-        if name in self.tenant_decay:
-            raise ValidationError(f"tenant {name!r} already exists")
-        if len(self.tenant_decay) >= self.tenant_capacity:
-            raise PrivacyBudgetError(
-                f"all {self.tenant_capacity} tenant slots are occupied; "
-                f"remove a tenant before adding {name!r} (the slot budgets "
-                f"are what keep the per-element loss within the total)"
-            )
-        g = self.decays[0] if decay is None else float(decay)
-        _check_group(g, self.decays)
-        self.tenant_decay[name] = g
-        self._add_cross(name, rng)
+        """Occupy a free capacity slot with a fresh cross entry for ``name``."""
+        self.bundle.add(*self.layout.cross(self.dim, self.layout.add(name, decay), rng))
 
     def remove_tenant(self, name: str) -> None:
         """Retire ``name``'s cross entry, freeing its capacity slot."""
-        name = str(name)
-        if name not in self.tenant_decay:
-            raise ValidationError(f"unknown tenant {name!r}")
-        self.bundle.remove(f"cross:{name}")
-        del self.tenant_decay[name]
+        self.bundle.remove(f"cross:{self.layout.remove(name)}")
 
     def ingest(self, xs: np.ndarray, ys, fast: bool) -> None:
         """Feed a routed block: every Gram entry once, each tenant's cross once.
 
-        ``ys`` is the ``(n, k)`` outcome matrix, one column per active
-        tenant in :meth:`tenants` order.
+        ``ys`` is the front-validated ``(n, k)`` outcome matrix, one column
+        per active tenant in :meth:`tenants` order.
         """
-        Y = np.asarray(ys, dtype=float)
-        if Y.ndim == 1:
-            Y = Y[:, None]
-        k = len(self.tenant_decay)
-        if Y.shape != (xs.shape[0], k):
-            raise ValidationError(
-                f"outcome block must have shape ({xs.shape[0]}, {k}) — one "
-                f"column per active tenant — got {Y.shape}"
-            )
-        super().ingest(xs, dict(zip(self.tenant_decay, Y.T)), fast)
+        columns = np.asarray(ys, dtype=float).reshape(len(xs), -1).T
+        super().ingest(xs, dict(zip(self.layout.tenant_decay, columns)), fast)

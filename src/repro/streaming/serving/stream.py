@@ -6,6 +6,7 @@ import math
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +42,18 @@ __all__ = ["ShardFront", "ShardedStream", "_CLOSE"]
 _CLOSE = object()  # queue sentinel
 
 
+class _Model(NamedTuple):
+    """One served model: its solver, its hub, and the merged entries it reads.
+
+    ``reads`` maps the solver's statistic names to bundle entry names, in
+    bundle order; the first entry's coverage sizes the solve.
+    """
+
+    solver: object
+    hub: EstimateHub
+    reads: dict
+
+
 class ShardFront:
     """The shard lifecycle every serving front shares.
 
@@ -52,19 +65,28 @@ class ShardFront:
     refresh cadence, heartbeats and auto-restart, kill/restart, close, and
     the ``lost_steps`` / ``blocks_routed`` / ``blocks_refunded`` books.
 
+    It also owns the one merge-and-solve path (:meth:`_solve`): every
+    bundle entry is merged once by name, then each served model — a
+    solver, its :class:`~repro.streaming.readers.EstimateHub`, and the
+    entry names it reads — is solved and published in registration order.
+    :class:`ShardedStream` serves one model over its whole bundle; a
+    multi-tenant front serves one model per tenant, each reading its own
+    ``cross:{name}`` entry and its γ group's shared ``gram:{γ}`` entry.
+
     A front subclass declares only what it serves, through these hooks:
 
     * ``_declare(beta)`` — configure the shard payload; returns the number
       of rng children each shard takes from the front's spawn;
+    * ``bundle_names`` — every shard bundle's entry names, in bundle order;
     * ``_shard_spec(index, budget, rngs)`` — one shard's spawn payload;
-    * ``_charge_ledger()`` / ``_attach_solvers(beta, fidelity,
-      iteration_cap)`` — the budget ledger and the solve/publish state;
+    * ``_charge_ledger()`` — the budget ledger;
+    * ``_attach_solvers(beta, fidelity, iteration_cap)`` — register the
+      served models (:meth:`_serve`);
     * ``_validate_block(xs, ys)`` — shape and unit-domain checks of a
       block (run under the ingestion lock, so a block is validated against
       the state it is ingested under);
-    * ``_solve()`` — merge the shard releases and publish;
-    * ``_cached()`` / ``_served()`` / ``_close_reads()`` — what
-      ``observe_batch`` / ``flush`` return, and the read-side teardown.
+    * ``_cached()`` / ``_served()`` — what ``observe_batch`` / ``flush``
+      return.
 
     See :class:`ShardedStream` for the lifecycle knobs' semantics.
     """
@@ -228,6 +250,7 @@ class ShardFront:
         # per privatized statistic.
         self.accountant = PrivacyAccountant(params, mode="basic")
         self._charge_ledger()
+        self._models: dict = {}
         self._attach_solvers(beta, fidelity, iteration_cap)
 
         self._lock = threading.RLock()
@@ -627,7 +650,8 @@ class ShardFront:
                 self._listener.close()
             # Release parked wait_for_version callers (no further publish
             # can ever satisfy them); served entries stay readable.
-            self._close_reads()
+            for model in self._models.values():
+                model.hub.close()
 
     def __enter__(self):
         return self
@@ -878,6 +902,75 @@ class ShardFront:
             self._processed // self.refresh_every
             > self._last_refresh_t // self.refresh_every
         )
+
+    def _serve(self, key, solver, reads: dict) -> EstimateHub:
+        """Register one served model; publish its initial estimate.
+
+        The hub is the model's single publish path (cache swap + waiter
+        wakeup + subscriber fan-out); publishing the solver's initial
+        parameter means reads never block.
+        """
+        hub = EstimateHub()
+        hub.publish(
+            solver.current_estimate(),
+            solver.estimate_version,
+            timestep=0,
+            covered_steps=0,
+        )
+        self._models[key] = _Model(solver, hub, reads)
+        return hub
+
+    def _merge(self) -> dict[str, MergedRelease]:
+        """Every bundle entry's merged release, by name (one merge each)."""
+        handles = [self._released_handles(shard) for shard in self._shards]
+        return {
+            name: merge_released(
+                [None if h is None else h[slot] for h in handles], strict=False
+            )
+            for slot, name in enumerate(self.bundle_names)
+        }
+
+    def _solve(self) -> None:
+        """Merge every entry once, then solve and publish each served model.
+
+        A model whose lead entry covers nothing (e.g. every surviving
+        shard is empty, or a tenant added since the last ingest) keeps its
+        previous estimate.  Decayed / windowed entries cover an *effective
+        weight* different from their raw step count — that weight is the
+        logical sample count the solver sizes its Lipschitz constant from;
+        plain entries report weight == covered exactly (float vs int
+        compares exact for counts), which keeps the integer path and its
+        bit-identical solves.  A ``(cross, gram)`` model whose Gram covers
+        a different weight than its cross entry (a tenant added
+        mid-stream shares a Gram that saw more of the stream) solves on
+        the Gram rescaled to the cross entry's weight — the unbiased
+        second-moment estimate over its own window.  The rescale is
+        skipped, not applied with factor 1.0, whenever the weights agree:
+        single-model fronts never differ, so their bits cannot move.
+        """
+        merged = self._merge()
+        for solver, hub, reads in self._models.values():
+            moments = {key: merged[name] for key, name in reads.items()}
+            lead = next(iter(moments.values()))
+            covered = lead.covered_steps
+            if covered == 0:
+                continue
+            weight = lead.covered_weight
+            t_solve = weight if weight != covered else covered
+            if tuple(moments) == ("cross", "gram"):
+                gram = moments["gram"]
+                gram_value = gram.value
+                if weight != gram.covered_weight:
+                    gram_value = gram_value * (weight / gram.covered_weight)
+                theta = solver.refresh_from_released(t_solve, gram_value, lead.value)
+            else:
+                theta = solver.refresh_from_bundle(t_solve, moments)
+            hub.publish(
+                theta,
+                solver.estimate_version,
+                timestep=self._processed,
+                covered_steps=covered,
+            )
 
     def _refresh(self) -> None:
         """Merge + solve + publish (``_solve``), then mark the stream fresh.
@@ -1336,18 +1429,10 @@ class ShardedStream(ShardFront, HubReads):
             self.solver = self._declaration.solver(
                 self, self.config, self._rng.spawn(1)[0], beta, fidelity, iteration_cap
             )
-        # The hub is the single publish path (cache swap + waiter wakeup +
-        # subscriber fan-out); `self.cache` stays exposed for read-only
-        # inspection and the conformance suites.  Publish the solver's
-        # initial parameter so reads never block.
-        self._hub = EstimateHub()
+        # One model over the whole bundle; `self.cache` stays exposed for
+        # read-only inspection and the conformance suites.
+        self._hub = self._serve(None, self.solver, {n: n for n in self.bundle_names})
         self.cache = self._hub.cache
-        self._hub.publish(
-            self.solver.current_estimate(),
-            self.solver.estimate_version,
-            timestep=0,
-            covered_steps=0,
-        )
 
     def _validate_block(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
         """Shape + the backend's unit-domain check for one block."""
@@ -1365,45 +1450,6 @@ class ShardedStream(ShardFront, HubReads):
         x = check_vector("x", x, dim=self._block_dim)
         return self.observe_batch(x[None, :], np.asarray([float(y)]))
 
-    def _solve(self) -> None:
-        """Merge the shard releases and run one solve; publish to the cache."""
-        merged = self._merge()
-        covered = merged[0].covered_steps
-        if covered == 0:
-            # Nothing covered (e.g. every surviving shard is empty): there
-            # is no objective to solve; the previous estimate stands.
-            return
-        # Decayed / windowed shards cover an *effective weight* different
-        # from their raw step count — that weight is the logical sample
-        # count the solver must size its Lipschitz constant from.  Plain
-        # shards report weight == covered exactly (float vs int compares
-        # exact for counts), so the historical integer path — and its
-        # bit-identical solves — is preserved.
-        weight = merged[0].covered_weight
-        t_solve = weight if weight != covered else covered
-        if self.bundle_names == ("cross", "gram"):
-            cross, gram = merged
-            theta = self.solver.refresh_from_released(t_solve, gram.value, cross.value)
-        else:
-            theta = self.solver.refresh_from_bundle(
-                t_solve, dict(zip(self.bundle_names, merged))
-            )
-        self._hub.publish(
-            theta,
-            self.solver.estimate_version,
-            timestep=self._processed,
-            covered_steps=covered,
-        )
-
-    def _merge(self) -> tuple[MergedRelease, ...]:
-        handles = [self._released_handles(s) for s in self._shards]
-        return tuple(
-            merge_released(
-                [None if h is None else h[slot] for h in handles], strict=False
-            )
-            for slot in range(len(self.bundle_names))
-        )
-
     def merged_moments(self) -> tuple[MergedRelease, ...]:
         """The merged released moments right now, in bundle order.
 
@@ -1414,7 +1460,7 @@ class ShardedStream(ShardFront, HubReads):
         against per-shard replays.
         """
         with self._lock:
-            return self._merge()
+            return tuple(self._merge().values())
 
     def merged_bundle(self) -> dict[str, MergedRelease]:
         """The merged released moments keyed by statistic name.
@@ -1423,7 +1469,7 @@ class ShardedStream(ShardFront, HubReads):
         mapping solver ``refresh_from_bundle`` hooks consume.
         """
         with self._lock:
-            return dict(zip(self.bundle_names, self._merge()))
+            return self._merge()
 
     def memory_floats(self) -> int:
         """Floats held by the shard mechanisms (plus the shared ``Φ``).
@@ -1446,9 +1492,6 @@ class ShardedStream(ShardFront, HubReads):
 
     def _served(self) -> ServedEstimate:
         return self.current_served()
-
-    def _close_reads(self) -> None:
-        self._hub.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -10,21 +10,20 @@ times: ``k·(d² + d)`` tree floats, ``k`` Gram noise draws per step, and a
 ``k``-way budget split that inflates every tenant's noise variance by
 ``k²``.  :class:`MultiTenantStream` privatizes it **once**:
 
-* each shard is a :class:`~repro.streaming.serving.TenantShard` — one
-  moment bundle holding a shared Gram entry at ``(ε/2, δ/2)`` (independent
-  of ``k``) plus one cheap ``(d,)`` cross entry per tenant at an equal
-  slot of the other half (:func:`~repro.privacy.parameters.tenant_budgets`);
+* one :class:`~repro.streaming.serving.TenantLayout` names the bundle —
+  a shared Gram entry per γ group at ``(ε/2, δ/2)`` (independent of
+  ``k``), then one cheap ``(d,)`` cross entry per tenant at an equal slot
+  of the other half — and both the front and every
+  :class:`~repro.streaming.serving.TenantShard` read it;
 * :meth:`MultiTenantStream.observe_batch` routes each
   ``(x, y^{(1)}..y^{(k)})`` block through the shared Gram exactly once and
   fans the outcomes out to the per-tenant cross trees;
-* every tenant keeps its own solver and its own
-  :class:`~repro.streaming.readers.EstimateHub`, so the whole read-side
-  surface — ``reader()`` / ``subscribe()`` / ``wait_for_version()`` —
-  works unchanged *per tenant* (:meth:`MultiTenantStream.tenant`);
-* merges reuse :func:`~repro.privacy.tree.merge_released` and
-  :class:`~repro.privacy.tree.ReleasedMoments` unchanged — the process
-  transport ships a tenant shard's releases as the same snapshots the
-  single-tenant path ships, just ``k`` of them per shard.
+* every tenant is one served model of the front's single merge-and-solve
+  path (:class:`~repro.streaming.serving.ShardFront`): its own solver and
+  :class:`~repro.streaming.readers.EstimateHub`, reading its own cross
+  entry and its group's Gram entry, so the whole read-side surface —
+  ``reader()`` / ``subscribe()`` / ``wait_for_version()`` — works
+  unchanged *per tenant* (:meth:`MultiTenantStream.tenant`).
 
 Privacy is per-element composition over the *slot capacity*: one element
 is ingested by the Gram tree once (``ε/2``) and by at most ``capacity``
@@ -47,25 +46,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import (
-    check_int,
-    check_unit_xy_domain,
-    check_vector,
-    check_xy_block,
-)
+from .._validation import check_unit_xy_domain, check_vector, check_xy_block
 from ..core.incremental_regression import PrivIncReg1
-from ..exceptions import (
-    PrivacyBudgetError,
-    ServingError,
-    ShardUnavailableError,
-    ValidationError,
-)
+from ..exceptions import ServingError, ShardUnavailableError, ValidationError
 from ..geometry.base import ConvexSet
-from ..privacy.parameters import PrivacyParams, tenant_budgets
-from ..privacy.tree import MergedRelease, merge_released
+from ..privacy.parameters import PrivacyParams
+from ..privacy.tree import MergedRelease
+# Bound but never called here (the one merge lives in ShardFront):
+# perfbench's tracer patches ``tenancy.merge_released`` by name.
+from ..privacy.tree import merge_released  # noqa: F401
 from .readers import EstimateHub, HubReads
-from .serving import ServedEstimate, ShardFront, TenantShard
-from .serving.validation import _check_group, _check_tenants
+from .serving import ServedEstimate, ShardFront, TenantLayout
 from .transport import ShardSpec
 
 __all__ = ["MultiTenantStream", "TenantView"]
@@ -243,18 +234,11 @@ class MultiTenantStream(ShardFront):
                 "MultiTenantStream needs a horizon (tenant shards are tree "
                 "shards; there is no horizon-free PRIMO serving path)"
             )
-        if isinstance(tenants, (int, np.integer)) and not isinstance(tenants, bool):
-            count = check_int("tenants", tenants, minimum=1)
-            tenants = tuple(f"tenant-{i}" for i in range(count))
-        names, self.tenant_capacity, self.decays, tenant_decays = _check_tenants(
-            tenants, tenant_capacity, decays, tenant_decays
-        )
-        #: Tenant → γ group, in slot (merge) order.
-        self._tenant_decays: dict[str, float] = dict(zip(names, tenant_decays))
-        # The per-slot budget every tenant (initial or added later) runs
-        # at; the gram half is spent once, jointly, independent of k.
-        self._gram_budget, slots = tenant_budgets(params, self.tenant_capacity)
-        self._slot_budget = slots[0]
+        # The bundle layout, its tenant checks and its budgets: the same
+        # definition every shard builds its bundle from.
+        self._layout = TenantLayout(params, tenants, tenant_capacity, decays, tenant_decays)
+        self.tenant_capacity = self._layout.capacity
+        self.decays = self._layout.decays
         super().__init__(
             constraint,
             params,
@@ -298,44 +282,40 @@ class MultiTenantStream(ShardFront):
         bit-identical at any k and G).
         """
         tenant_child, gram_child = rngs
-        names = tuple(self._tenant_decays)
-        tenant_rngs = (tenant_child, *tenant_child.spawn(max(len(names) - 1, 0)))
+        k = len(self._layout.tenant_decay)
+        tenant_rngs = (tenant_child, *tenant_child.spawn(max(k - 1, 0)))
         gram_rngs = (gram_child, *gram_child.spawn(len(self.decays) - 1))
         return ShardSpec(
             index=index,
             dim=self.dim,
             budget=budget,
-            rngs=tenant_rngs[: len(names)] + gram_rngs,
-            config=dict(
-                tenants=names,
-                tenant_capacity=self.tenant_capacity,
-                decays=self.decays,
-                tenant_decays=tuple(self._tenant_decays.values()),
-            ),
+            rngs=tenant_rngs[:k] + gram_rngs,
+            config=self._layout.config(),
             shard_horizon=self.shard_horizon,
-            shard_type=TenantShard,
         )
+
+    @property
+    def bundle_names(self) -> tuple[str, ...]:
+        """Every shard bundle's entry names, in bundle (merge) order."""
+        return self._layout.names()
 
     def _charge_ledger(self) -> None:
         # The shared Gram is one parallel-composition charge; each active
         # tenant holds one refundable slot charge.  Fully occupied, the
         # ledger sums back to `params`.
-        self.accountant.charge(_GRAM_LABEL, self._gram_budget)
-        for name in self._tenant_decays:
-            self.accountant.charge(_cross_label(name), self._slot_budget)
+        self.accountant.charge(_GRAM_LABEL, self._layout.gram_budget)
+        for name in self._layout.tenant_decay:
+            self.accountant.charge(_cross_label(name), self._layout.slot_budget)
 
     def _attach_solvers(self, beta: float, fidelity: str, iteration_cap: int) -> None:
-        # Per-tenant solve + publish state, keyed in tenant (slot) order —
-        # the order every shard's cross entries are indexed by.
+        # One served model per tenant, in tenant (slot) order.
         self._solver_knobs = dict(beta=beta, fidelity=fidelity, iteration_cap=iteration_cap)
-        self._solvers: dict[str, PrivIncReg1] = {}
-        self._hubs: dict[str, EstimateHub] = {}
         self._views: dict[str, TenantView] = {}
-        for name in self._tenant_decays:
-            self._attach_tenant_state(name)
+        for name in self._layout.tenant_decay:
+            self._attach_tenant(name)
 
-    def _attach_tenant_state(self, name: str) -> None:
-        """Create one tenant's solver + hub + view and publish version 0."""
+    def _attach_tenant(self, name: str) -> None:
+        """Serve one tenant: a solver reading its (cross, gram) entries, a view."""
         solver = PrivIncReg1(
             horizon=self.horizon,
             constraint=self.constraint,
@@ -343,15 +323,7 @@ class MultiTenantStream(ShardFront):
             rng=self._rng.spawn(1)[0],
             **self._solver_knobs,
         )
-        hub = EstimateHub()
-        hub.publish(
-            solver.current_estimate(),
-            solver.estimate_version,
-            timestep=0,
-            covered_steps=0,
-        )
-        self._solvers[name] = solver
-        self._hubs[name] = hub
+        hub = self._serve(name, solver, self._layout.reads(name))
         self._views[name] = TenantView(name, hub)
 
     def _validate_block(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -362,7 +334,7 @@ class MultiTenantStream(ShardFront):
         sweep covers all k columns: ``‖x‖ ≤ 1`` once, ``|y| ≤ 1`` over the
         flattened outcome block.
         """
-        k = len(self._solvers)
+        k = len(self._models)
         if k == 0:
             raise ServingError("no active tenants; add_tenant() before observing")
         xs = np.asarray(xs, dtype=float)
@@ -382,61 +354,11 @@ class MultiTenantStream(ShardFront):
         check_unit_xy_domain("MultiTenantStream", xs, Y.ravel())
         return xs, Y
 
-    def _solve(self) -> None:
-        """Merge the shared Gram once per γ group, solve every tenant.
-
-        The PRIMO merge economy: one ``(d, d)`` Gram merge serves all the
-        group's solves; each tenant only merges its own ``(d,)`` crosses.
-        A tenant added mid-stream has cross coverage behind the Gram's;
-        its solve rescales the merged Gram to the tenant's own covered
-        mass (the unbiased second-moment estimate over its window).  The
-        rescale is skipped — not applied with factor 1.0 — whenever the
-        coverages agree, which keeps from-the-start tenants (and with
-        them the ``k = 1`` stream) bit-identical to the single-tenant
-        path.  Tenants with zero coverage keep their previous estimate.
-        """
-        merged = self._merged_slots()
-        groups = len(self.decays)
-        grams = {g: merged(slot) for slot, g in enumerate(self.decays)}
-        for j, (name, solver) in enumerate(self._solvers.items()):
-            cross = merged(groups + j)
-            covered = cross.covered_steps
-            if covered == 0:
-                continue
-            gram = grams[self._tenant_decays[name]]
-            gram_value = gram.value
-            weight = cross.covered_weight
-            if weight != gram.covered_weight:
-                gram_value = gram_value * (weight / gram.covered_weight)
-            t_solve = weight if weight != covered else covered
-            theta = solver.refresh_from_released(t_solve, gram_value, cross.value)
-            self._hubs[name].publish(
-                theta,
-                solver.estimate_version,
-                timestep=self._processed,
-                covered_steps=covered,
-            )
-
-    def _merged_slots(self):
-        """``slot -> MergedRelease`` over every shard's current handles.
-
-        Slots follow the tenant bundle's order: one Gram entry per γ
-        group, then one cross entry per tenant in :meth:`tenants` order.
-        """
-        handles = [self._released_handles(shard) for shard in self._shards]
-        return lambda slot: merge_released(
-            [None if h is None else h[slot] for h in handles], strict=False
-        )
-
     def _cached(self) -> dict[str, np.ndarray]:
         return self.estimates()
 
     def _served(self) -> dict[str, ServedEstimate]:
         return {name: view.current_served() for name, view in self._views.items()}
-
-    def _close_reads(self) -> None:
-        for hub in self._hubs.values():
-            hub.close()
 
     # ------------------------------------------------------------------
     # Tenant lifecycle
@@ -444,10 +366,11 @@ class MultiTenantStream(ShardFront):
 
     def tenants(self) -> tuple[str, ...]:
         """Active tenant names, in slot (merge) order."""
-        return tuple(self._views)
+        return self._layout.tenants()
 
     def tenant(self, name: str) -> TenantView:
         """The read surface for one tenant (raises on unknown names)."""
+        # One dict read: lock-free, and never torn by a concurrent remove.
         try:
             return self._views[str(name)]
         except KeyError:
@@ -466,30 +389,19 @@ class MultiTenantStream(ShardFront):
         :class:`~repro.exceptions.PrivacyBudgetError` when every slot is
         occupied — capacity is a privacy bound, not a sizing hint.
         """
-        name = str(name)
-        if not name:
-            raise ValidationError("tenant names must be non-empty")
-        g = self.decays[0] if decay is None else float(decay)
-        _check_group(g, self.decays)
         with self._lock:
             self._raise_if_unusable()
-            if name in self._views:
-                raise ValidationError(f"tenant {name!r} already exists")
-            if len(self._views) >= self.tenant_capacity:
-                raise PrivacyBudgetError(
-                    f"all {self.tenant_capacity} tenant slots are occupied; "
-                    f"remove a tenant before adding {name!r}"
-                )
+            name, g = self._layout.admit(name, decay)
             self._drain_queue()
-            self.accountant.charge(_cross_label(name), self._slot_budget)
+            self.accountant.charge(_cross_label(name), self._layout.slot_budget)
             # One fresh child per shard slot, spawned regardless of
             # liveness so the rng consumption (and with it every later
             # tenant's noise) never depends on failure history.
             shard_rngs = self._rng.spawn(self.shards_count)
             for shard, shard_rng in zip(self._shards, shard_rngs):
                 self._on_live_shard(shard, lambda s: s.add_tenant(name, shard_rng, decay=g))
-            self._tenant_decays[name] = g
-            self._attach_tenant_state(name)
+            self._layout.add(name, g)
+            self._attach_tenant(name)
             return self._views[name]
 
     def remove_tenant(self, name: str) -> None:
@@ -505,19 +417,16 @@ class MultiTenantStream(ShardFront):
         ``wait_for_version`` callers are released with a
         :class:`~repro.exceptions.ServingError`.
         """
-        name = str(name)
         with self._lock:
             self._raise_if_unusable()
-            if name not in self._views:
-                raise ValidationError(f"unknown tenant {name!r}")
+            name = self._layout.known(name)
             self._drain_queue()
             self.accountant.refund(_cross_label(name))
             for shard in self._shards:
                 self._on_live_shard(shard, lambda s: s.remove_tenant(name))
-            self._solvers.pop(name)
-            self._hubs.pop(name).close()
+            self._models.pop(name).hub.close()
             self._views.pop(name)
-            self._tenant_decays.pop(name)
+            self._layout.remove(name)
 
     def _on_live_shard(self, shard, action) -> None:
         """Apply a tenant change to one live shard; book a death it reveals."""
@@ -542,7 +451,7 @@ class MultiTenantStream(ShardFront):
         x = check_vector("x", x, dim=self.dim)
         if np.isscalar(ys) or getattr(ys, "ndim", None) == 0:
             ys = [float(ys)]
-        row = check_vector("ys", ys, dim=len(self._views))
+        row = check_vector("ys", ys, dim=len(self._models))
         return self.observe_batch(x[None, :], row[None, :])
 
     def estimates(self) -> dict[str, np.ndarray]:
@@ -556,18 +465,14 @@ class MultiTenantStream(ShardFront):
         conformance suite compares these against per-shard replays and
         against the single-tenant front's merges.
         """
-        name = str(name)
         with self._lock:
-            if name not in self._views:
-                raise ValidationError(f"unknown tenant {name!r}")
-            merged = self._merged_slots()
-            cross = merged(len(self.decays) + list(self._views).index(name))
-            gram = merged(self.decays.index(self._tenant_decays[name]))
-            return cross, gram
+            reads = self._layout.reads(self._layout.known(name))
+            merged = self._merge()
+            return merged[reads["cross"]], merged[reads["gram"]]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"MultiTenantStream(tenants={len(self._views)}/"
+            f"MultiTenantStream(tenants={len(self._models)}/"
             f"{self.tenant_capacity}, shards={self.shards_count}, "
             f"dim={self.dim}, horizon={self.horizon}, t={self._processed})"
         )

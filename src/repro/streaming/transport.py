@@ -137,7 +137,9 @@ class ShardSpec:
     On the wire it is a typed frame (:mod:`repro.streaming.wire`): the
     budget as ``(ε, δ)``, each rng as its bit-generator name plus state,
     ``Φ`` as one of the two built-in projection kinds plus its matrix,
-    the scalar config as typed values and the shard type by name.
+    and the scalar config as typed values.  A config naming ``tenants``
+    (a :meth:`~repro.streaming.serving.TenantLayout.config`) builds a
+    :class:`~repro.streaming.serving.TenantShard`.
     """
 
     index: int
@@ -153,10 +155,6 @@ class ShardSpec:
     #: ``γ ∈ (0, 1]`` or sliding window ``W``.
     decay: float | None = None
     window: "int | float | None" = None
-    #: The shard class to build: ``None`` for
-    #: :class:`~repro.streaming.serving.MomentShard`, or a subclass with the
-    #: same constructor (the multi-tenant front ships ``TenantShard``).
-    shard_type: type | None = None
 
     @property
     def projection(self):
@@ -167,9 +165,10 @@ class ShardSpec:
         """Construct the shard worker this spec describes (child side)."""
         # Imported here, not at module top: the parent-side transport layer
         # must stay importable from the serving package without a cycle.
-        from .serving.shards import MomentShard
+        from .serving.shards import MomentShard, TenantShard
 
-        return (self.shard_type or MomentShard)(
+        shard_class = TenantShard if "tenants" in self.config else MomentShard
+        return shard_class(
             self.index,
             self.dim,
             self.budget,

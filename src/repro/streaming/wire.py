@@ -141,7 +141,6 @@ _SPEC_FIELDS = (
     "shard_horizon",
     "decay",
     "window",
-    "shard_type",
 )
 
 
@@ -359,11 +358,6 @@ def _encode_spec(spec) -> bytes:
             projection.matrix,
             getattr(projection, "sparsity_factor", None),
         )
-    shard_type = None if spec.shard_type is None else spec.shard_type.__name__
-    if shard_type is not None and _shard_types().get(shard_type) is not spec.shard_type:
-        raise ValidationError(
-            f"remote shards are MomentShard or TenantShard, got {shard_type}"
-        )
     fields = (
         spec.index,
         spec.dim,
@@ -376,7 +370,6 @@ def _encode_spec(spec) -> bytes:
         spec.shard_horizon,
         spec.decay,
         spec.window,
-        shard_type,
     )
     return _cold(SPEC, dict(zip(_SPEC_FIELDS, fields)))
 
@@ -660,13 +653,6 @@ def _error_from_wire(value) -> BaseException:
     return cls(message)
 
 
-def _shard_types() -> dict:
-    """The shard classes a spec may name (imported late: no import cycle)."""
-    from .serving.shards import MomentShard, TenantShard
-
-    return {cls.__name__: cls for cls in (MomentShard, TenantShard)}
-
-
 def _spec_from_wire(value):
     from .backends import BACKENDS
     from .transport import ShardSpec
@@ -677,10 +663,6 @@ def _spec_from_wire(value):
         raise _malformed("a spec's index and dim are integers")
     if value["backend"] not in BACKENDS:
         raise _malformed(f"unknown backend {value['backend']!r}")
-    shard_types = _shard_types()
-    shard_type = value["shard_type"]
-    if shard_type is not None and shard_type not in shard_types:
-        raise _malformed(f"unknown shard type {shard_type!r}")
     config, rngs = value["config"], value["rngs"]
     if type(config) is not dict or type(rngs) is not tuple:
         raise _malformed("a spec's config is a dict and its rngs a tuple")
@@ -701,7 +683,6 @@ def _spec_from_wire(value):
         shard_horizon=value["shard_horizon"],
         decay=value["decay"],
         window=value["window"],
-        shard_type=None if shard_type is None else shard_types[shard_type],
     )
 
 

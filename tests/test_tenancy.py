@@ -422,6 +422,40 @@ class TestTenantLifecycle:
         finally:
             server.close()
 
+    @pytest.mark.parametrize(
+        "decays, ingest",
+        [((1.0,), "exact"), ((1.0, 0.9), "exact"), ((1.0, 0.9), "fast")],
+    )
+    def test_mid_stream_tenant_solves_on_the_gram_rescaled_to_its_window(
+        self, stream, outcomes, decays, ingest
+    ):
+        """A late tenant's solve reads the shared Gram rescaled to its own
+        covered weight, and its own weight as the logical sample count."""
+        server = _make_stream(
+            ["a"], seed=31, tenant_capacity=2, refresh_every=T,
+            decays=decays, ingest=ingest,
+        )
+        try:
+            server.observe_batch(stream.xs[:13], outcomes[:13, 0])
+            server.add_tenant("b", decay=decays[-1])
+            server.observe_batch(stream.xs[13:26], outcomes[13:26, :2])
+            served = server.flush()["b"]
+            cross, gram = server.merged_moments("b")
+        finally:
+            server.close()
+        w_b, w_gram = cross.covered_weight, gram.covered_weight
+        assert cross.covered_steps == served.covered_steps == 13
+        assert w_b != w_gram  # the rescale is live, not a factor of 1.0
+        t = w_b if w_b != cross.covered_steps else cross.covered_steps
+        replay = PrivIncReg1(
+            horizon=T, constraint=L2Ball(DIM), params=PARAMS,
+            iteration_cap=20, rng=0,
+        )
+        expected = replay.refresh_from_released(
+            t, gram.value * (w_b / w_gram), cross.value
+        )
+        np.testing.assert_array_equal(served.theta, expected)
+
     def test_mid_stream_add_matches_across_transports(self, stream, outcomes):
         results = {}
         for transport in ("thread", "process"):
@@ -538,6 +572,11 @@ class TestTenancyValidation:
             )
         with pytest.raises(ValidationError):
             _make_stream(4, seed=1, tenant_capacity=2)  # below tenant count
+        # A bare name is not a tenant list (it would iterate per character),
+        # and a non-integer, non-iterable value is neither a count nor names.
+        for bad in ("alice", True, 2.0, None):
+            with pytest.raises(ValidationError, match="tenants"):
+                _make_stream(bad, seed=1)
 
     def test_rejects_bad_outcome_blocks(self, stream, outcomes):
         server = _make_stream(2, seed=1)

@@ -244,7 +244,7 @@ class TestRoundTrips:
         clone = _round_trip(spec)
         assert isinstance(clone, ShardSpec)
         for field in ("index", "dim", "budget", "backend", "mechanism",
-                      "shard_horizon", "decay", "window", "shard_type"):
+                      "shard_horizon", "decay", "window"):
             assert getattr(clone, field) == getattr(spec, field)
         for mine, theirs in zip(spec.rngs, clone.rngs):
             np.testing.assert_array_equal(mine.random(4), theirs.random(4))
@@ -257,19 +257,19 @@ class TestRoundTrips:
                 spec.projection, "sparsity_factor", None
             )
 
-    def test_tenant_spec_ships_its_shard_type_by_name(self):
+    def test_tenant_spec_builds_a_tenant_shard_from_its_config(self):
         spec = _spec(
             rngs=tuple(np.random.default_rng(2).spawn(3)),
             config=dict(
                 tenants=("a", "b"), tenant_capacity=3, decays=(1.0,),
                 tenant_decays=(1.0, 1.0),
             ),
-            shard_type=TenantShard,
         )
         clone = _round_trip(spec)
-        assert clone.shard_type is TenantShard
         assert clone.config == spec.config
-        assert clone.build().tenants() == ("a", "b")
+        shard = clone.build()
+        assert isinstance(shard, TenantShard)
+        assert shard.tenants() == ("a", "b")
 
 
 class TestEncoderRefusals:
@@ -281,13 +281,6 @@ class TestEncoderRefusals:
         for value in (object(), {1: "int key"}, np.zeros(2, dtype=np.int8), [1, 2]):
             with pytest.raises(ValidationError):
                 wire.encode(("ok", value))
-
-    def test_custom_shard_type(self):
-        class Custom(TenantShard):
-            pass
-
-        with pytest.raises(ValidationError, match="MomentShard or TenantShard"):
-            wire.encode(_spec(shard_type=Custom))
 
     def test_custom_projection(self):
         class Custom(GaussianProjection):
