@@ -8,6 +8,7 @@ subclass) with the offending name and value in the message.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import Sequence
 
 import numpy as np
@@ -100,14 +101,16 @@ def check_matrix(name: str, value: np.ndarray, *, shape: tuple[int, int] | None 
 
 
 def check_xy_block(
-    xs: np.ndarray, ys: np.ndarray, *, dim: int | None = None
+    xs: np.ndarray, ys: np.ndarray, *, dim: int | None = None, outcomes: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validate a covariate/response block for ``observe_batch`` entry points.
 
     Returns ``(xs, ys)`` as float arrays of shapes ``(n, d)`` and ``(n,)``
     with ``n ≥ 1`` and finite entries; raises :class:`ValidationError`
     otherwise (including for the empty block, which every batched API in
-    the library rejects).
+    the library rejects).  With ``outcomes=k`` the responses are an
+    ``(n, k)`` outcome block, one column per outcome (a 1-D ``ys`` is
+    that one column when ``k = 1``).
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -115,15 +118,30 @@ def check_xy_block(
         raise ValidationError(f"X must be a 2-D (n, d) block, got shape {xs.shape}")
     if dim is not None and xs.shape[1] != dim:
         raise ValidationError(f"X must have dimension {dim}, got {xs.shape[1]}")
-    if ys.shape != (xs.shape[0],):
-        raise ValidationError(
-            f"y must have shape ({xs.shape[0]},), got {ys.shape}"
-        )
+    shape = (xs.shape[0],) if outcomes is None else (xs.shape[0], outcomes)
+    if outcomes == 1 and ys.ndim == 1:
+        ys = ys[:, None]
+    if ys.shape != shape:
+        raise ValidationError(f"y must have shape {shape}, got {ys.shape}")
     if xs.shape[0] == 0:
         raise ValidationError("batch must contain at least one point")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise ValidationError("batch must contain only finite entries")
     return xs, ys
+
+
+def check_sequence(name: str, value, *, empty: bool = True) -> tuple:
+    """Return a sequence knob as a tuple (non-empty unless ``empty``).
+
+    A bare string or scalar is refused with the knob named, never iterated
+    per character or left to fail deep inside the caller.
+    """
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise ValidationError(f"{name} must be a sequence, got {value!r}")
+    value = tuple(value)
+    if not (value or empty):
+        raise ValidationError(f"{name} must not be empty")
+    return value
 
 
 def check_unit_xy_domain(name: str, xs: np.ndarray, ys: np.ndarray) -> None:

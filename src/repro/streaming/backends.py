@@ -95,9 +95,9 @@ class Backend:
         the front's default solver.
     configure:
         ``(name, front, knobs) -> config``: validates the backend knobs
-        (a dict over :data:`BACKEND_KNOBS` plus ``beta``) and returns the
-        shard config, drawing from ``front._rng`` if the backend needs
-        shared randomness.
+        (the front's knob mapping, read at :data:`BACKEND_KNOBS` and
+        ``beta``) and returns the shard config, drawing from
+        ``front._rng`` if the backend needs shared randomness.
     transform:
         ``(config, xs) -> rows``: the rows the statistics are built from.
     block_width:

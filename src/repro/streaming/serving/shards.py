@@ -16,11 +16,9 @@ is bit-identical under one seed on every transport.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
-from ..._validation import check_decay, check_int
+from ..._validation import check_decay, check_int, check_sequence
 from ...exceptions import (
     BundlePartialCommitError,
     PrivacyBudgetError,
@@ -202,10 +200,12 @@ class TenantLayout:
 
     The constructor and :meth:`admit` hold every tenant check.  ``tenants``
     is a count ``k`` (named ``tenant-0..tenant-{k-1}``) or unique non-empty
-    names; ``tenant_capacity`` defaults to the tenant count, ``decays`` to
-    ``(1.0,)`` and ``tenant_decays`` to the first group.  For one tenant
-    both budget pieces equal ``budget.halve()`` bit-exactly, which makes a
-    ``k = 1`` multi-tenant stream bit-identical to the plain sharded path.
+    names (none only beside an explicit ``tenant_capacity``, the layout of
+    a stream whose last tenant left); ``tenant_capacity`` defaults to the
+    tenant count, ``decays`` to ``(1.0,)`` and ``tenant_decays`` to the
+    first group.  For one tenant both budget pieces equal
+    ``budget.halve()`` bit-exactly, which makes a ``k = 1`` multi-tenant
+    stream bit-identical to the plain sharded path.
     """
 
     def __init__(
@@ -218,12 +218,10 @@ class TenantLayout:
     ) -> None:
         if isinstance(tenants, (int, np.integer)) and not isinstance(tenants, bool):
             tenants = [f"tenant-{i}" for i in range(check_int("tenants", tenants, minimum=1))]
-        elif isinstance(tenants, (str, bytes)) or not isinstance(tenants, Iterable):
-            raise ValidationError(
-                f"tenants must be a tenant count or a sequence of names, got {tenants!r}"
-            )
-        names = tuple(str(name) for name in tenants)
-        if not names:
+        names = tuple(str(name) for name in check_sequence("tenants", tenants))
+        # A named capacity lets a stream whose last tenant left rebuild a
+        # shard over its Gram entries alone (the front's config names one).
+        if not names and tenant_capacity is None:
             raise ValidationError("tenants must name at least one tenant")
         if len(set(names)) != len(names):
             raise ValidationError(f"tenant names must be unique, got {names!r}")
@@ -231,15 +229,13 @@ class TenantLayout:
             raise ValidationError("tenant names must be non-empty")
         # One shared Gram entry per group, so a repeated γ would spend
         # Gram budget twice on the same weighting.
-        groups = (1.0,) if decays is None else decays
+        groups = (1.0,) if decays is None else check_sequence("decays", decays, empty=False)
         self.decays = tuple(check_decay(f"decays[{i}]", g) for i, g in enumerate(groups))
-        if not self.decays:
-            raise ValidationError("decays must declare at least one γ group")
         if len(set(self.decays)) != len(self.decays):
             raise ValidationError(f"decays entries must be distinct, got {self.decays!r}")
         if tenant_decays is None:
             tenant_decays = (self.decays[0],) * len(names)
-        tenant_decays = tuple(self._group(g) for g in tenant_decays)
+        tenant_decays = tuple(map(self._group, check_sequence("tenant_decays", tenant_decays)))
         if len(tenant_decays) != len(names):
             raise ValidationError(
                 f"need one decay per tenant: {len(names)} tenants, "
@@ -248,7 +244,7 @@ class TenantLayout:
         self.capacity = check_int(
             "tenant_capacity",
             len(names) if tenant_capacity is None else tenant_capacity,
-            minimum=len(names),
+            minimum=max(len(names), 1),
         )
         #: Tenant → γ group, in slot (merge) order.
         self.tenant_decay: dict[str, float] = dict(zip(names, tenant_decays))

@@ -15,6 +15,7 @@ from ..._validation import (
     check_positive,
     check_release_knobs,
     check_rng,
+    check_sequence,
     check_vector,
     check_xy_block,
 )
@@ -37,9 +38,21 @@ from ..transport import ProcessShardWorker, ShardSpec
 from ..readers import EstimateHub, HubReads
 from .cache import ServedEstimate
 
-__all__ = ["ShardFront", "ShardedStream", "_CLOSE"]
+__all__ = ["KNOB_VALUES", "ShardFront", "ShardedStream", "_CLOSE"]
 
 _CLOSE = object()  # queue sentinel
+
+#: The enumerated knobs of both fronts and their allowed values, the
+#: public default first; every other knob rule is one ``if`` in
+#: :class:`ShardFront`.
+KNOB_VALUES = {
+    "ingest": ("exact", "fast"),
+    "mechanism": ("tree", "hybrid"),
+    "mode": ("sync", "async", "manual"),
+    "transport": ("thread", "process", "tcp"),
+    "restart_policy": ("never", "auto"),
+    "fidelity": ("fast", "paper"),
+}
 
 
 class _Model(NamedTuple):
@@ -73,15 +86,23 @@ class ShardFront:
     multi-tenant front serves one model per tenant, each reading its own
     ``cross:{name}`` entry and its γ group's shared ``gram:{γ}`` entry.
 
-    A front subclass declares only what it serves, through these hooks:
+    Knobs arrive as one mapping, ``knobs``: a public constructor hands
+    over its own arguments by name (``dict(locals())`` on entry), so a
+    lifecycle knob is written in the public signatures and in one rule
+    here — an enumerated knob is one row of :data:`KNOB_VALUES`, checked
+    in one loop, and a cross-knob rule is one ``if`` in ``__init__``.
+    The front reads the knobs it owns and passes the mapping on to the
+    hooks.  A front subclass declares only what it serves, through these
+    hooks:
 
-    * ``_declare(beta)`` — configure the shard payload; returns the number
-      of rng children each shard takes from the front's spawn;
+    * ``_declare(knobs)`` — configure the shard payload from the knobs;
+      returns the number of rng children each shard takes from the
+      front's spawn;
     * ``bundle_names`` — every shard bundle's entry names, in bundle order;
     * ``_shard_spec(index, budget, rngs)`` — one shard's spawn payload;
     * ``_charge_ledger()`` — the budget ledger;
-    * ``_attach_solvers(beta, fidelity, iteration_cap)`` — register the
-      served models (:meth:`_serve`);
+    * ``_attach_solvers(knobs)`` — register the served models
+      (:meth:`_serve`);
     * ``_validate_block(xs, ys)`` — shape and unit-domain checks of a
       block (run under the ingestion lock, so a block is validated against
       the state it is ingested under);
@@ -92,76 +113,51 @@ class ShardFront:
     """
 
     def __init__(
-        self,
-        constraint: ConvexSet,
-        params: PrivacyParams,
-        shards: int,
-        *,
-        horizon: int | None,
-        refresh_every: int | None,
-        ingest: str,
-        mechanism: str,
-        composition: str,
-        router,
-        mode: str,
-        transport: str,
-        request_timeout: float | None,
-        addresses,
-        heartbeat_every: float | None,
-        restart_policy: str,
-        shard_horizon: int | None,
-        beta: float,
-        fidelity: str,
-        iteration_cap: int,
-        rng,
+        self, constraint: ConvexSet, params: PrivacyParams, shards: int, knobs: dict
     ) -> None:
-        if ingest not in ("exact", "fast"):
-            raise ValidationError(f"ingest must be 'exact' or 'fast', got {ingest!r}")
-        if mechanism not in ("tree", "hybrid"):
-            raise ValidationError(
-                f"mechanism must be 'tree' or 'hybrid', got {mechanism!r}"
-            )
-        if mode not in ("sync", "async", "manual"):
-            raise ValidationError(
-                f"mode must be 'sync', 'async', or 'manual', got {mode!r}"
-            )
-        if transport not in ("thread", "process", "tcp"):
-            raise ValidationError(
-                f"transport must be 'thread', 'process', or 'tcp', got "
-                f"{transport!r}"
-            )
-        if request_timeout is not None:
-            if transport == "thread":
+        for knob, allowed in KNOB_VALUES.items():
+            if knobs[knob] not in allowed:
+                raise ValidationError(
+                    f"{knob} must be one of {', '.join(map(repr, allowed))}, "
+                    f"got {knobs[knob]!r}"
+                )
+            setattr(self, knob, knobs[knob])
+        self.request_timeout = knobs["request_timeout"]
+        if self.request_timeout is not None:
+            if self.transport == "thread":
                 raise ValidationError(
                     "request_timeout needs a wire to deadline "
                     "(transport='process' or 'tcp'); in-process shard "
                     "calls are plain method calls"
                 )
-            request_timeout = check_positive("request_timeout", request_timeout)
-        if addresses is not None and transport != "tcp":
-            raise ValidationError("addresses only applies to transport='tcp'")
-        if restart_policy not in ("never", "auto"):
-            raise ValidationError(
-                f"restart_policy must be 'never' or 'auto', got "
-                f"{restart_policy!r}"
-            )
-        if heartbeat_every is not None:
-            heartbeat_every = check_positive("heartbeat_every", heartbeat_every)
-        if restart_policy == "auto" and heartbeat_every is None:
+            self.request_timeout = check_positive("request_timeout", self.request_timeout)
+        self.addresses = knobs["addresses"]
+        if self.addresses is not None:
+            if self.transport != "tcp":
+                raise ValidationError("addresses only applies to transport='tcp'")
+            addresses = check_sequence("addresses", self.addresses, empty=False)
+            self.addresses = tuple(map(ShardAddress.coerce, addresses))
+        self.heartbeat_every = knobs["heartbeat_every"]
+        if self.heartbeat_every is not None:
+            self.heartbeat_every = check_positive("heartbeat_every", self.heartbeat_every)
+        if self.restart_policy == "auto" and self.heartbeat_every is None:
             raise ValidationError(
                 "restart_policy='auto' is driven by the health-check loop; "
                 "set heartbeat_every"
             )
-        if mechanism == "tree" and horizon is None:
+        horizon = knobs["horizon"]
+        if self.mechanism == "tree" and horizon is None:
             raise ValidationError(
                 "mechanism='tree' needs a horizon (use mechanism='hybrid' "
                 "for horizon-free serving)"
             )
+        self._router = router = knobs["router"]
         if router != "round_robin" and not callable(router):
             raise ValidationError(
                 f"router must be 'round_robin' or a callable, got {router!r}"
             )
-        if callable(router) and composition == "parallel":
+        self.composition = knobs["composition"]
+        if callable(router) and self.composition == "parallel":
             # A data-dependent router breaks the disjointness argument the
             # full-budget parallel mode relies on: a neighboring stream can
             # re-route a block, changing TWO shards' transcripts.  The
@@ -173,7 +169,8 @@ class ShardFront:
                 "neighboring streams; use composition='basic' (per-shard "
                 "(ε/K, δ/K)) with custom routing"
             )
-        if shard_horizon is not None and mechanism != "tree":
+        shard_horizon = knobs["shard_horizon"]
+        if shard_horizon is not None and self.mechanism != "tree":
             raise ValidationError(
                 "shard_horizon only applies to mechanism='tree' (hybrid "
                 "shards are horizon-free)"
@@ -185,49 +182,36 @@ class ShardFront:
         self.horizon = (
             None if horizon is None else check_int("horizon", horizon, minimum=1)
         )
+        refresh_every = knobs["refresh_every"]
         self.refresh_every = (
             None
             if refresh_every is None
             else check_int("refresh_every", refresh_every, minimum=1)
         )
-        self.ingest = ingest
-        self.mechanism = mechanism
-        self.composition = composition
-        self.mode = mode
-        self.transport = transport
-        self.request_timeout = request_timeout
-        self.heartbeat_every = heartbeat_every
-        self.restart_policy = restart_policy
-        if mechanism != "tree":
+        if self.mechanism != "tree":
             self.shard_horizon = None
         elif shard_horizon is None:
             self.shard_horizon = self.horizon
         else:
             self.shard_horizon = check_int("shard_horizon", shard_horizon, minimum=1)
-        self._router = router
-        self._rng = check_rng(rng)
-        self._fast = ingest == "fast"
+        self._rng = check_rng(knobs["rng"])
+        self._fast = self.ingest == "fast"
 
         # One independent child generator per bundle entry per shard —
         # shard i consumes the contiguous slice [n·i, n·(i+1)).  For the
         # default two-entry bundle this is the historical spawn(2K) with
         # children 2i/2i+1, byte-for-byte.
-        self._entries = self._declare(beta)
-        budgets = shard_budgets(params, self.shards_count, composition)
+        self._entries = self._declare(knobs)
+        budgets = shard_budgets(params, self.shards_count, self.composition)
         # transport="tcp" with no addresses: boot a private loopback
         # listener owned (and closed) by this front — single-host tcp
         # with zero setup.  Explicit addresses mean the listeners are
         # someone else's lifecycle (other hosts); we only connect.
         self._listener: ShardHostListener | None = None
-        self._owns_listener = transport == "tcp" and addresses is None
-        self.addresses = None
-        if transport == "tcp":
-            if self._owns_listener:
-                self._listener = ShardHostListener()
-                addresses = [self._listener.address]
-            self.addresses = tuple(
-                ShardAddress.coerce(address) for address in addresses
-            )
+        self._owns_listener = self.transport == "tcp" and self.addresses is None
+        if self._owns_listener:
+            self._listener = ShardHostListener()
+            self.addresses = (self._listener.address,)
         children = self._rng.spawn(self._entries * self.shards_count)
         n = self._entries
         self._shards: list = []
@@ -251,7 +235,7 @@ class ShardFront:
         self.accountant = PrivacyAccountant(params, mode="basic")
         self._charge_ledger()
         self._models: dict = {}
-        self._attach_solvers(beta, fidelity, iteration_cap)
+        self._attach_solvers(knobs)
 
         self._lock = threading.RLock()
         self._queue: queue.Queue = queue.Queue()
@@ -270,7 +254,7 @@ class ShardFront:
         self._close_lock = threading.Lock()
         self._group_executor: ThreadPoolExecutor | None = None
         self._worker: threading.Thread | None = None
-        if mode == "async":
+        if self.mode == "async":
             self._worker = threading.Thread(
                 target=self._worker_loop, name="sharded-stream-worker", daemon=True
             )
@@ -285,7 +269,7 @@ class ShardFront:
         }
         self._heartbeat_stop = threading.Event()
         self._heartbeat_thread: threading.Thread | None = None
-        if heartbeat_every is not None:
+        if self.heartbeat_every is not None:
             self._heartbeat_thread = threading.Thread(
                 target=self._heartbeat_loop,
                 name="sharded-stream-heartbeat",
@@ -803,7 +787,8 @@ class ShardFront:
         budget up front, so such restarts are refused).  The mass the dead
         shard had ingested stays lost (and reported) either way.  The
         replacement is built from the front's *current* state (a
-        multi-tenant shard comes back with the current tenants).
+        multi-tenant shard comes back with the current tenants — on a
+        parked stream, with its Gram entries alone).
         """
         index = self._shard_index(index)
         with self._lock:
@@ -1254,7 +1239,10 @@ class ShardedStream(ShardFront, HubReads):
         ``backend="iv"``) whose own trees never ingest; it contributes
         only the post-tree post-processing.
     beta, fidelity, iteration_cap:
-        Forwarded to the default solver.
+        Forwarded to the default solver.  ``fidelity`` (``"fast"`` or
+        ``"paper"``) is checked on every configuration, even where the
+        solver does not read it (a custom ``solver``, or the horizon-free
+        default).
     rng:
         Seed or Generator.  Under ``backend="projected"`` (and
         ``"sketch"``) the shared ``Φ`` is drawn from it first (exactly
@@ -1302,15 +1290,8 @@ class ShardedStream(ShardFront, HubReads):
         iteration_cap: int = 400,
         rng: np.random.Generator | int | None = None,
     ) -> None:
+        knobs = dict(locals())
         declaration = backend_declaration(backend)
-        knobs = dict(
-            instruments=instruments,
-            x_domain=x_domain,
-            projection=projection,
-            projected_dim=projected_dim,
-            gamma=gamma,
-            sparsity_factor=sparsity_factor,
-        )
         for knob in BACKEND_KNOBS:
             if knobs[knob] is not None and knob not in declaration.knobs:
                 raise ValidationError(
@@ -1341,41 +1322,17 @@ class ShardedStream(ShardFront, HubReads):
             )
         self.backend = backend
         self._declaration = declaration
-        self._knobs = knobs
         self.decay = decay
         self.window = window
         self.x_domain = x_domain
         self.gamma = gamma
         self.solver = solver
-        super().__init__(
-            constraint,
-            params,
-            shards,
-            horizon=horizon,
-            refresh_every=refresh_every,
-            ingest=ingest,
-            mechanism=mechanism,
-            composition=composition,
-            router=router,
-            mode=mode,
-            transport=transport,
-            request_timeout=request_timeout,
-            addresses=addresses,
-            heartbeat_every=heartbeat_every,
-            restart_policy=restart_policy,
-            shard_horizon=shard_horizon,
-            beta=beta,
-            fidelity=fidelity,
-            iteration_cap=iteration_cap,
-            rng=rng,
-        )
+        super().__init__(constraint, params, shards, knobs)
 
-    def _declare(self, beta: float) -> int:
+    def _declare(self, knobs: dict) -> int:
         """Configure the backend (draws a shared ``Φ`` first, if any)."""
         declaration = self._declaration
-        self.config = declaration.configure(
-            self.backend, self, dict(self._knobs, beta=beta)
-        )
+        self.config = declaration.configure(self.backend, self, knobs)
         self.projection = self.config.get("projection")
         if self.projection is not None and self.transport != "thread":
             wire.check_projection(self.projection)
@@ -1424,10 +1381,11 @@ class ShardedStream(ShardFront, HubReads):
             for name, piece in zip(self.bundle_names, pieces):
                 self.accountant.charge(f"shard{shard.index}:{name}-moments", piece)
 
-    def _attach_solvers(self, beta: float, fidelity: str, iteration_cap: int) -> None:
+    def _attach_solvers(self, knobs: dict) -> None:
         if self.solver is None:
             self.solver = self._declaration.solver(
-                self, self.config, self._rng.spawn(1)[0], beta, fidelity, iteration_cap
+                self, self.config, self._rng.spawn(1)[0],
+                knobs["beta"], knobs["fidelity"], knobs["iteration_cap"],
             )
         # One model over the whole bundle; `self.cache` stays exposed for
         # read-only inspection and the conformance suites.

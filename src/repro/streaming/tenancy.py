@@ -229,44 +229,29 @@ class MultiTenantStream(ShardFront):
         iteration_cap: int = 400,
         rng: np.random.Generator | int | None = None,
     ) -> None:
+        knobs = dict(locals(), mechanism="tree", composition="parallel", router="round_robin")
         if horizon is None:
             raise ValidationError(
                 "MultiTenantStream needs a horizon (tenant shards are tree "
                 "shards; there is no horizon-free PRIMO serving path)"
             )
-        # The bundle layout, its tenant checks and its budgets: the same
-        # definition every shard builds its bundle from.
-        self._layout = TenantLayout(params, tenants, tenant_capacity, decays, tenant_decays)
-        self.tenant_capacity = self._layout.capacity
-        self.decays = self._layout.decays
-        super().__init__(
-            constraint,
-            params,
-            shards,
-            horizon=horizon,
-            refresh_every=refresh_every,
-            ingest=ingest,
-            mechanism="tree",
-            composition="parallel",
-            router="round_robin",
-            mode=mode,
-            transport=transport,
-            request_timeout=request_timeout,
-            addresses=addresses,
-            heartbeat_every=heartbeat_every,
-            restart_policy=restart_policy,
-            shard_horizon=shard_horizon,
-            beta=beta,
-            fidelity=fidelity,
-            iteration_cap=iteration_cap,
-            rng=rng,
-        )
+        super().__init__(constraint, params, shards, knobs)
 
     # ------------------------------------------------------------------
     # Front hooks
     # ------------------------------------------------------------------
 
-    def _declare(self, beta: float) -> int:
+    def _declare(self, knobs: dict) -> int:
+        # The bundle layout, its tenant checks and its budgets: the same
+        # definition every shard builds its bundle from.
+        self._layout = TenantLayout(
+            self.params, knobs["tenants"], knobs["tenant_capacity"], knobs["decays"],
+            knobs["tenant_decays"],
+        )
+        if not self._layout.tenant_decay:
+            raise ValidationError("tenants must name at least one tenant")
+        self.tenant_capacity = self._layout.capacity
+        self.decays = self._layout.decays
         # Two children per shard: the tenant child 2i and the Gram child
         # 2i+1 — exactly the single-tenant front's (cross, gram) spawn.
         return 2
@@ -307,9 +292,9 @@ class MultiTenantStream(ShardFront):
         for name in self._layout.tenant_decay:
             self.accountant.charge(_cross_label(name), self._layout.slot_budget)
 
-    def _attach_solvers(self, beta: float, fidelity: str, iteration_cap: int) -> None:
+    def _attach_solvers(self, knobs: dict) -> None:
         # One served model per tenant, in tenant (slot) order.
-        self._solver_knobs = dict(beta=beta, fidelity=fidelity, iteration_cap=iteration_cap)
+        self._solver_knobs = {k: knobs[k] for k in ("beta", "fidelity", "iteration_cap")}
         self._views: dict[str, TenantView] = {}
         for name in self._layout.tenant_decay:
             self._attach_tenant(name)
@@ -337,22 +322,9 @@ class MultiTenantStream(ShardFront):
         k = len(self._models)
         if k == 0:
             raise ServingError("no active tenants; add_tenant() before observing")
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2:
-            raise ValidationError(f"X must be a 2-D (n, d) block, got shape {xs.shape}")
-        Y = np.asarray(ys, dtype=float)
-        if Y.ndim == 1 and k == 1:
-            Y = Y[:, None]
-        if Y.shape != (xs.shape[0], k):
-            raise ValidationError(
-                f"ys must be an ({xs.shape[0]}, {k}) outcome block — one "
-                f"column per active tenant — got shape {np.shape(ys)}"
-            )
-        xs, _ = check_xy_block(xs, Y[:, 0], dim=self.dim)
-        if not np.all(np.isfinite(Y)):
-            raise ValidationError("batch must contain only finite entries")
-        check_unit_xy_domain("MultiTenantStream", xs, Y.ravel())
-        return xs, Y
+        xs, ys = check_xy_block(xs, ys, dim=self.dim, outcomes=k)
+        check_unit_xy_domain("MultiTenantStream", xs, ys.ravel())
+        return xs, ys
 
     def _cached(self) -> dict[str, np.ndarray]:
         return self.estimates()

@@ -167,17 +167,20 @@ def test_docs_cover_the_iv_solver_surface():
 
 def test_docs_cover_every_backend_and_mechanism_value():
     """Accepted enum values are contract surface too: every shard
-    ``backend`` and every release-mechanism family the factory accepts
-    must appear (quoted) in SERVING.md — a new backend declaration cannot
-    land undocumented."""
+    ``backend``, every release-mechanism family the factory accepts and
+    every value of the fronts' knob table must appear (quoted) in
+    SERVING.md — a new backend declaration or knob value cannot land
+    undocumented."""
     from repro.streaming.backends import BACKENDS
+    from repro.streaming.serving.stream import KNOB_VALUES
 
     serving_doc = (REPO_ROOT / "docs" / "SERVING.md").read_text()
     backends = tuple(BACKENDS)
     mechanisms = ("tree", "hybrid", "sketch")
+    knob_values = {value for allowed in KNOB_VALUES.values() for value in allowed}
     missing = [
         value
-        for value in sorted(set(backends) | set(mechanisms))
+        for value in sorted(set(backends) | set(mechanisms) | knob_values)
         if f'"{value}"' not in serving_doc
     ]
     assert not missing, (

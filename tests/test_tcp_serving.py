@@ -610,6 +610,17 @@ class TestHeartbeat:
             _server(1, seed=1, request_timeout=-1.0)
         with pytest.raises(ValidationError):
             _server(1, seed=1, heartbeat_every=0.0)
+        # A sequence knob refuses an empty list and a bare string (which
+        # would be iterated per character) before any worker boots.
+        for bad in ([], "127.0.0.1:7000"):
+            with pytest.raises(ValidationError, match="addresses"):
+                _server(1, seed=1, addresses=bad)
+        # fidelity is checked on every configuration, not only by the
+        # default solvers that take it.
+        with pytest.raises(ValidationError, match="fidelity"):
+            _server(1, seed=1, transport="thread", mechanism="hybrid", fidelity="x")
+        with pytest.raises(ValidationError, match="fidelity"):
+            _server(1, seed=1, transport="thread", solver=object(), fidelity="x")
 
 
 class TestInfiniteDeadlines:

@@ -577,6 +577,15 @@ class TestTenancyValidation:
         for bad in ("alice", True, 2.0, None):
             with pytest.raises(ValidationError, match="tenants"):
                 _make_stream(bad, seed=1)
+        # The other sequence knobs refuse a scalar or a string the same way.
+        for knob, bad in (("decays", 0.9), ("decays", "0.9"), ("tenant_decays", 1.0)):
+            with pytest.raises(ValidationError, match=knob):
+                _make_stream(2, seed=1, **{knob: bad})
+        for bad in ([], "127.0.0.1:7000"):
+            with pytest.raises(ValidationError, match="addresses"):
+                _make_stream(2, seed=1, transport="tcp", addresses=bad)
+        with pytest.raises(ValidationError, match="fidelity"):
+            _make_stream(2, seed=1, fidelity="x")
 
     def test_rejects_bad_outcome_blocks(self, stream, outcomes):
         server = _make_stream(2, seed=1)
@@ -769,6 +778,59 @@ class TestTenantFrontLifecycle:
             assert server.lost_steps == 8
             for name in server.tenants():
                 assert served[name].covered_steps == T - server.lost_steps
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("transport", ["thread", "process"])
+    def test_restart_on_a_parked_stream_serves_the_next_tenant(
+        self, stream, outcomes, transport
+    ):
+        server = _make_stream(["a"], seed=71, transport=transport)
+        try:
+            server.observe_batch(stream.xs[:5], outcomes[:5, 0])  # shard 0
+            server.remove_tenant("a")
+            server.kill_shard(0)
+            server.restart_shard(0)  # over the Gram entries only
+            assert server._shards[0].alive
+            assert server._shards[0].tenants() == ()
+            server.add_tenant("b")
+            assert server._shards[0].tenants() == ("b",)
+            server.observe_batch(stream.xs[5:13], outcomes[5:13, 0])  # shard 1
+            server.observe_batch(stream.xs[13:20], outcomes[13:20, 0])  # shard 0
+            served = server.flush()
+            assert server.lost_steps == 5
+            assert served["b"].covered_steps == 15
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("transport", ["thread", "process"])
+    def test_auto_restart_on_a_parked_stream_counts_no_errors(
+        self, stream, outcomes, transport
+    ):
+        import time
+
+        server = _make_stream(
+            ["a"], seed=73, transport=transport, heartbeat_every=0.05,
+            restart_policy="auto",
+        )
+        try:
+            server.observe_batch(stream.xs[:5], outcomes[:5, 0])  # shard 0
+            server.remove_tenant("a")
+            server.kill_shard(0)
+            deadline = time.monotonic() + 30.0
+            while server.heartbeat_stats()["restarts"] < 1:
+                assert time.monotonic() < deadline, server.heartbeat_stats()
+                time.sleep(0.05)
+            pings = server.heartbeat_stats()["pings"]
+            while server.heartbeat_stats()["pings"] < pings + 4:  # two more periods
+                assert time.monotonic() < deadline, server.heartbeat_stats()
+                time.sleep(0.05)
+            assert server.heartbeat_stats()["errors"] == 0
+            server.add_tenant("b")
+            server.observe_batch(stream.xs[5:13], outcomes[5:13, 0])  # shard 1
+            server.observe_batch(stream.xs[13:20], outcomes[13:20, 0])  # shard 0
+            assert server.flush()["b"].covered_steps == 15
+            assert server.heartbeat_stats()["errors"] == 0
         finally:
             server.close()
 
