@@ -8,8 +8,9 @@ sequential reference.
 
 What is being amortized, layer by layer:
 
-* the moment trees ingest blocks with one cumulative sum + one Gaussian
-  draw per block instead of per-step Python dispatch;
+* the moment trees ingest a block in one call: the elements fold into
+  the clean prefix in order, and keyed Gaussian noise is drawn once per
+  tree node that closes inside the block, not once per step;
 * ``observe_batch`` updates the risk statistics with one BLAS ``XᵀX``
   per block instead of ``k`` outer products;
 * the PGD refresh runs once per block (``solve_every = batch``) instead of

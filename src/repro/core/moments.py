@@ -126,10 +126,17 @@ def cross_statistic(
 
 
 def gram_statistic(moment_dim: int, name: str = "gram") -> MomentStatistic:
-    """The ``Σ x_i x_iᵀ`` statistic (``(m, m)``) of the default bundle."""
+    """The ``Σ x_i x_iᵀ`` statistic (``(m, m)``) of the default bundle.
+
+    The per-element outer products (here and in :func:`iv_statistics`)
+    are one ``einsum``: one IEEE product per entry, like a broadcast
+    multiply at about twice its speed.  Only an exact zero's sign can
+    differ (``einsum`` writes ``0 + a·b``), and a sum of additions started
+    from the ``+0`` prefix is never ``−0``, so no plain (γ = 1) sum sees it.
+    """
 
     def values(rows, ys):
-        return rows[:, :, None] * rows[:, None, :]
+        return np.einsum("ij,ik->ijk", rows, rows)
 
     def total(rows, ys, weights):
         if weights is not None:
@@ -154,7 +161,7 @@ def iv_statistics(instruments: int, dim: int) -> tuple[MomentStatistic, ...]:
 
     def zz_values(rows, ys):
         z = rows[:, :p]
-        return z[:, :, None] * z[:, None, :]
+        return np.einsum("ij,ik->ijk", z, z)
 
     def zz_total(rows, ys, weights):
         z = rows[:, :p]
@@ -163,7 +170,7 @@ def iv_statistics(instruments: int, dim: int) -> tuple[MomentStatistic, ...]:
         return z.T @ z
 
     def zx_values(rows, ys):
-        return rows[:, :p, None] * rows[:, None, p:]
+        return np.einsum("ij,ik->ijk", rows[:, :p], rows[:, p:])
 
     def zx_total(rows, ys, weights):
         z, x = rows[:, :p], rows[:, p:]

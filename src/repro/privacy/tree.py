@@ -74,7 +74,9 @@ addressed, not drawn in sequence, :meth:`TreeMechanism.observe`,
 and :meth:`~TreeMechanism.advance_sum` release the same noise for the same
 node, under any block split, and may be freely interleaved.  They differ
 only in how the clean prefix is summed: the first three fold the elements
-in one at a time (``prefix += v``, bit-identical to per-point ingestion);
+in one at a time (``prefix += v``; a plain-tree block of vector elements
+is one axis-0 reduction, the same additions in the same order), which is
+bit-identical to per-point ingestion;
 ``advance_sum`` adds a pre-reduced block total (one BLAS product
 upstream), which equals the fold up to float summation order.
 
@@ -217,13 +219,17 @@ def coerce_stream_element(value: np.ndarray | float, shape: tuple[int, ...]) -> 
     return array
 
 
-def coerce_stream_block(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def coerce_stream_block(
+    values: np.ndarray, shape: tuple[int, ...], finite: bool = True
+) -> np.ndarray:
     """Validate a block of stream elements for batched ingestion.
 
     The single definition of the block contract shared by the Tree and
     Hybrid mechanisms: shape ``(k, *shape)`` with ``k ≥ 1`` and finite
     entries, returned as a float array.  Validating the whole block before
     any element is consumed is what makes batched rejection atomic.
+    ``finite=False`` skips the finiteness scan, for a caller that checks
+    its folded result instead (:meth:`TreeMechanism.advance_batch`).
     """
     array = np.asarray(values, dtype=float)
     if array.ndim == 0 or array.shape[1:] != tuple(shape):
@@ -233,7 +239,7 @@ def coerce_stream_block(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarra
         )
     if array.shape[0] == 0:
         raise ValidationError("stream block must contain at least one element")
-    if not np.isfinite(array).all():
+    if finite and not np.isfinite(array).all():
         raise ValidationError("stream block must contain only finite entries")
     return array
 
@@ -447,13 +453,24 @@ class TreeMechanism:
         released, so their noise is never drawn: at most ``levels`` draws
         per block instead of ``k``.
 
+        Finiteness is checked on the folded prefix, not on every entry: a
+        non-finite entry stays non-finite under fading and addition, so a
+        finite prefix proves the block finite.  Only a non-finite prefix
+        pays the full scan, which rejects a bad block and accepts a finite
+        one that overflowed.  Both checks precede the capacity check and
+        every state change.
+
         Privacy is unchanged: the mechanism *may* release every prefix; a
         front that reads only block-boundary sums is post-processing that
         discards outputs.
         """
-        flat = self._coerce_batch(values)
+        flat = self._coerce_batch(values, finite=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            prefix = self._fold(flat)
+        if not np.isfinite(prefix).all():
+            self._coerce_batch(values)
         _check_room(self, flat.shape[0])
-        return self._commit(self._fold(flat), flat.shape[0])
+        return self._commit(prefix, flat.shape[0])
 
     def advance_sum(self, total: np.ndarray | float, count: int) -> np.ndarray:
         """Advance ``count`` steps given only the block's element **sum**.
@@ -476,7 +493,17 @@ class TreeMechanism:
 
     def _fold(self, rows: np.ndarray) -> np.ndarray:
         """The clean prefix after adding ``rows`` one at a time, in order;
-        under ``γ < 1`` the prefix fades by ``γ`` before each row."""
+        under ``γ < 1`` the prefix fades by ``γ`` before each row.
+
+        At ``γ = 1`` a block of vector rows is one axis-0 reduction over
+        ``[prefix; rows]``, the same additions in the same order: numpy
+        reduces a non-contiguous axis row after row, elementwise, and sums
+        pairwise only along the contiguous axis — which one-entry elements
+        would reduce along, so they keep the loop, as do single rows (the
+        one-row loop is the cheaper call).
+        """
+        if self.decay == 1.0 and self._flat_dim > 1 and rows.shape[0] > 1:
+            return np.add.reduce(np.concatenate((self._prefix[None], rows)), axis=0)
         prefix = self._prefix.copy()
         if self.decay == 1.0:
             for row in rows:
@@ -624,8 +651,8 @@ class TreeMechanism:
     def _coerce(self, value: np.ndarray | float) -> np.ndarray:
         return coerce_stream_element(value, self.shape).reshape(self._flat_dim)
 
-    def _coerce_batch(self, values: np.ndarray) -> np.ndarray:
-        array = coerce_stream_block(values, self.shape)
+    def _coerce_batch(self, values: np.ndarray, finite: bool = True) -> np.ndarray:
+        array = coerce_stream_block(values, self.shape, finite)
         return array.reshape(array.shape[0], self._flat_dim)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -44,7 +44,9 @@ def serve_backend_kwargs(dim):
     }
 
 
-def serve_backend_replay(k, seed, dim, horizon, params, sensitivity=2.0):
+def serve_backend_replay(
+    k, seed, dim, horizon, params, sensitivity=2.0, mechanism="tree", window=None
+):
     """Replay twins of a ``ShardedStream(rng=seed)``'s shard mechanisms.
 
     Mirrors the front's documented rng discipline: under the projected and
@@ -54,7 +56,9 @@ def serve_backend_replay(k, seed, dim, horizon, params, sensitivity=2.0):
     ``spawn(2k)`` at half the per-shard budget.  Returns
     ``(cross, gram, transform)`` where ``transform`` maps a raw covariate
     block to the rows the moment streams are built from (identity for the
-    moment backend, Step-4 rescaled ``Φx̃`` rows otherwise).
+    moment backend, Step-4 rescaled ``Φx̃`` rows otherwise).  ``mechanism``
+    and ``window`` are the front's release knobs (the sketch backend
+    ignores ``mechanism``).
     """
     from repro import GaussianProjection, SparseProjection, step4_rescale_block
     from repro.privacy import make_release_mechanism
@@ -76,7 +80,7 @@ def serve_backend_replay(k, seed, dim, horizon, params, sensitivity=2.0):
 
     children = front.spawn(2 * k)
     half = params.halve()
-    family = "sketch" if SERVE_BACKEND == "sketch" else "tree"
+    family = "sketch" if SERVE_BACKEND == "sketch" else mechanism
     cross = [
         make_release_mechanism(
             shape=(dim,),
@@ -85,6 +89,7 @@ def serve_backend_replay(k, seed, dim, horizon, params, sensitivity=2.0):
             rng=children[2 * i],
             mechanism=family,
             horizon=horizon,
+            window=window,
         )
         for i in range(k)
     ]
@@ -96,6 +101,7 @@ def serve_backend_replay(k, seed, dim, horizon, params, sensitivity=2.0):
             rng=children[2 * i + 1],
             mechanism=family,
             horizon=horizon,
+            window=window,
         )
         for i in range(k)
     ]

@@ -31,6 +31,7 @@ Ragged shard loads (uneven block sizes, K not dividing the block count)
 are exercised throughout.
 """
 
+import math
 import os
 import threading
 
@@ -45,6 +46,7 @@ from repro import (
     PrivIncReg2,
     ServingError,
     ShardedStream,
+    UnboundedPrivIncReg,
     merge_released,
     step4_rescale_block,
 )
@@ -99,6 +101,34 @@ def _replay_shard_trees(k, seed, blocks, stream):
     return cross, gram
 
 
+#: Release knobs the exact-tier per-point replay runs under.
+RELEASE_KNOBS = {
+    "tree": {},
+    "hybrid": {"mechanism": "hybrid", "horizon": None},
+    "window-7": {"window": 7},
+    "window-inf": {"window": math.inf},
+}
+
+
+def _solver_twin(server, horizon):
+    """A standalone solver that refreshes like the server's default one."""
+    if SERVE_BACKEND != "moment":
+        return PrivIncReg2(
+            horizon=T,
+            constraint=L2Ball(DIM),
+            x_domain=L2Ball(DIM),
+            params=PARAMS,
+            iteration_cap=20,
+            projection=server.projection,
+            rng=0,
+        )
+    if horizon is None:
+        return UnboundedPrivIncReg(L2Ball(DIM), PARAMS, iteration_cap=20, rng=0)
+    return PrivIncReg1(
+        horizon=T, constraint=L2Ball(DIM), params=PARAMS, iteration_cap=20, rng=0
+    )
+
+
 # ---------------------------------------------------------------------------
 # (a) Merge correctness
 # ---------------------------------------------------------------------------
@@ -148,6 +178,56 @@ class TestMergeCorrectness:
         cross_m, gram_m = server.merged_moments()
         np.testing.assert_array_equal(cross_m.value, single_cross.current_sum())
         np.testing.assert_array_equal(gram_m.value, single_gram.current_sum())
+
+    @pytest.mark.skipif(
+        SERVE_BACKEND == "sketch",
+        reason="sketch noise is one draw per ingested block, so a per-point "
+        "replay draws other noise",
+    )
+    @pytest.mark.parametrize("k", SHARD_COUNTS)
+    @pytest.mark.parametrize("knobs", sorted(RELEASE_KNOBS))
+    def test_exact_tier_is_byte_identical_to_per_point_replay(self, stream, k, knobs):
+        """The exact tier's block fold releases the bytes of per-point
+        ingestion: merged releases, their variances and weights, and the
+        served θ, for plain, hybrid and windowed shards."""
+        knobs = RELEASE_KNOBS[knobs]
+        if SERVE_BACKEND != "moment" and knobs.get("mechanism") == "hybrid":
+            pytest.skip("the projected backend needs tree shards")
+        horizon = knobs.get("horizon", T)
+        server = _make_server(k, seed=41, ingest="exact", refresh_every=T, **knobs)
+        try:
+            for s, e in RAGGED_BLOCKS:
+                server.observe_batch(stream.xs[s:e], stream.ys[s:e])
+            served = server.flush()
+            live = server.merged_moments()
+        finally:
+            server.close()
+        cross, gram, transform = serve_backend_replay(
+            k,
+            41,
+            DIM,
+            horizon,
+            PARAMS,
+            mechanism=knobs.get("mechanism", "tree"),
+            window=knobs.get("window"),
+        )
+        for index, (s, e) in enumerate(RAGGED_BLOCKS):
+            for row, y in zip(transform(stream.xs[s:e]), stream.ys[s:e]):
+                cross[index % k].observe(row * y)
+                gram[index % k].observe(np.outer(row, row))
+        replayed = (merge_released(cross), merge_released(gram))
+        for served_moment, replay in zip(live, replayed):
+            assert served_moment.value.tobytes() == replay.value.tobytes()
+            assert served_moment.noise_variance == replay.noise_variance
+            assert served_moment.covered_weight == replay.covered_weight
+        cross_m, gram_m = replayed
+        t = cross_m.covered_weight
+        if t == cross_m.covered_steps:
+            t = cross_m.covered_steps
+        theta = _solver_twin(server, horizon).refresh_from_released(
+            t, gram_m.value, cross_m.value
+        )
+        assert served.theta.tobytes() == theta.tobytes()
 
     @pytest.mark.skipif(
         SERVE_BACKEND != "moment",

@@ -1,13 +1,19 @@
 """Tests for the Tree Mechanism (Algorithm 4)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from repro import PrivacyParams, TreeMechanism
+from repro import HybridMechanism, PrivacyParams, TreeMechanism
 from repro.exceptions import StreamExhaustedError, ValidationError
-from repro.privacy import tree_error_bound, tree_levels
+from repro.privacy import (
+    DecayedTreeMechanism,
+    SlidingWindowMechanism,
+    tree_error_bound,
+    tree_levels,
+)
 
 HUGE_EPS = PrivacyParams(1e9, 0.5)  # effectively zero noise
 NORMAL = PrivacyParams(1.0, 1e-6)
@@ -131,6 +137,101 @@ class TestStreamDiscipline:
     def test_current_sum_before_any_observation(self):
         mech = TreeMechanism(4, (2,), 1.0, NORMAL, rng=0)
         np.testing.assert_array_equal(mech.current_sum(), np.zeros(2))
+
+
+BLOCK_FAMILIES = {
+    "tree": lambda: TreeMechanism(16, (3,), 2.0, NORMAL, rng=8),
+    "decayed": lambda: DecayedTreeMechanism(16, (3,), 2.0, NORMAL, rng=8, decay=0.5),
+    "hybrid": lambda: HybridMechanism((3,), 2.0, NORMAL, rng=8),
+    "window": lambda: SlidingWindowMechanism(5, (3,), 2.0, NORMAL, rng=8, horizon=16),
+}
+
+GOOD = np.linspace(-0.3, 0.3, 30).reshape(10, 3)
+
+
+def _bad_block(entries):
+    """A finite 4-row block with the given ``(row, column): value`` entries."""
+    block = GOOD[:4].copy()
+    for (row, column), value in entries.items():
+        block[row, column] = value
+    return block
+
+
+BAD_BLOCKS = {
+    "nan-first": _bad_block({(0, 0): math.nan}),
+    "nan-last": _bad_block({(3, 2): math.nan}),
+    "inf-middle": _bad_block({(1, 1): math.inf}),
+    "neg-inf-last": _bad_block({(3, 0): -math.inf}),
+    # inf − inf: the fold of this block raises the invalid-operation flag.
+    "inf-and-neg-inf": _bad_block({(1, 2): math.inf, (2, 2): -math.inf}),
+    # The fold overflows before it meets the NaN.
+    "overflow-then-nan": _bad_block({(0, 1): 1e308, (1, 1): 1e308, (3, 1): math.nan}),
+}
+
+
+def _state(mech):
+    """Everything a rejected block must leave as it was, as bytes."""
+    tree = getattr(mech, "_current_tree", mech)
+    return (
+        mech.steps_taken,
+        tree._prefix.tobytes(),
+        mech.current_sum().tobytes(),
+        np.float64(mech.release_noise_variance()).tobytes(),
+    )
+
+
+class TestBlockRejection:
+    """A block with a non-finite entry is refused whole, before any state
+    moves and without a RuntimeWarning, on every ingest path."""
+
+    @pytest.mark.parametrize("method", ["advance_batch", "observe_batch"])
+    @pytest.mark.parametrize("bad", sorted(BAD_BLOCKS))
+    @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+    def test_non_finite_block_is_rejected_atomically(self, family, bad, method):
+        mech = BLOCK_FAMILIES[family]()
+        mech.advance_batch(GOOD[:3])
+        before = _state(mech)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValidationError, match="stream block must contain only finite entries"
+            ):
+                getattr(mech, method)(BAD_BLOCKS[bad])
+        assert _state(mech) == before
+        # The mechanism goes on exactly like a twin that never saw the block.
+        twin = BLOCK_FAMILIES[family]()
+        twin.advance_batch(GOOD[:3])
+        assert mech.advance_batch(GOOD[3:9]).tobytes() == twin.advance_batch(GOOD[3:9]).tobytes()
+
+    @pytest.mark.parametrize("family", ["tree", "decayed", "window"])
+    def test_non_finite_block_past_the_horizon_is_a_validation_error(self, family):
+        mech = BLOCK_FAMILIES[family]()
+        mech.advance_batch(np.tile(GOOD, (2, 1))[:14])
+        before = _state(mech)
+        block = GOOD[:4].copy()
+        block[2, 1] = math.nan
+        with pytest.raises(ValidationError):
+            mech.advance_batch(block)
+        assert _state(mech) == before
+
+    @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+    def test_finite_overflowing_block_is_accepted(self, family):
+        mech = BLOCK_FAMILIES[family]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            release = mech.advance_batch(np.full((8, 3), 1e308))
+        assert mech.steps_taken == 8
+        assert not np.isfinite(release).all()
+
+    @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
+    def test_read_only_block_is_ingested_and_left_unchanged(self, family):
+        raw = GOOD[:6].tobytes()
+        block = np.frombuffer(raw, dtype=float).reshape(6, 3)
+        assert not block.flags.writeable
+        mech = BLOCK_FAMILIES[family]()
+        twin = BLOCK_FAMILIES[family]()
+        assert mech.advance_batch(block).tobytes() == twin.advance_batch(GOOD[:6].copy()).tobytes()
+        assert block.tobytes() == raw
 
 
 class TestMemory:

@@ -15,10 +15,17 @@ depend on, independent of any specific stream:
   noise for the same node under any block split: on small-integer streams
   (where every float sum is exact) sequential ``observe``,
   ``observe_batch``, ``advance_batch`` and ``advance_sum`` agree bit for
-  bit.
+  bit;
+* the plain tree's one-reduction block fold performs the per-row
+  additions in their order: on streams whose sums depend on the order
+  (exact ``±0``, subnormals, cancelling magnitudes) ``advance_batch``
+  releases the bytes of per-row ``observe``, and the moment statistics'
+  ``einsum`` outer products release the bytes of the broadcast products
+  they replaced.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +33,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import HybridMechanism, PrivacyParams, TreeMechanism
 from repro.exceptions import StreamExhaustedError
-from repro.privacy import DecayedTreeMechanism, SlidingWindowMechanism
+from repro.privacy import DecayedTreeMechanism, SlidingWindowMechanism, make_release_mechanism
+from repro.streaming.backends import BACKENDS
 
 HUGE_EPS = PrivacyParams(1e12, 0.5)
 NORMAL = PrivacyParams(1.0, 1e-6)
@@ -324,3 +332,120 @@ class TestOneNoiseStreamProperty:
             np.stack([advanced.advance_batch(b) for b in blocks]),
             sequential[_block_ends(blocks)],
         )
+
+
+# Entries whose sums depend on the order of the additions: exact ±0 (the
+# sign of a zero sum), subnormals, and magnitudes that cancel — left to
+# right, ``1e16 + 1 + 1 − 1e16`` is 0, while ``1e16 + (1 + 1) − 1e16`` is 2.
+ORDER_SENSITIVE = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, -1.0, 1.0, 0.1, 1e16, -1e16]
+order_floats = st.one_of(
+    st.sampled_from(ORDER_SENSITIVE),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+)
+
+
+@st.composite
+def order_streams(draw, shape):
+    """A stream of 1–40 elements of ``shape`` built from order-sensitive entries."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    size = n * math.prod(shape)
+    entries = draw(st.lists(order_floats, min_size=size, max_size=size))
+    return np.array(entries, dtype=float).reshape((n, *shape))
+
+
+def _state_bytes(mech):
+    """The bytes a release depends on: release, clean prefix, variance."""
+    return (
+        mech.current_sum().tobytes(),
+        mech._prefix.tobytes(),
+        np.float64(mech.release_noise_variance()).tobytes(),
+    )
+
+
+class TestAxisZeroFoldProperty:
+    @pytest.mark.parametrize("shape", [(), (3,), (4, 4)], ids=str)
+    @given(data=st.data(), sizes=block_sizes)
+    @settings(max_examples=40, deadline=None)
+    def test_advance_batch_is_byte_identical_to_per_row_observe(self, shape, data, sizes):
+        stream = data.draw(order_streams(shape))
+        per_row = TreeMechanism(len(stream), shape, 2.0, NORMAL, rng=3)
+        blocked = TreeMechanism(len(stream), shape, 2.0, NORMAL, rng=3)
+        for block in _cut(stream, sizes):
+            for row in block:
+                per_row.observe(row)
+            release = blocked.advance_batch(block)
+            assert release.tobytes() == per_row.current_sum().tobytes()
+            assert _state_bytes(blocked) == _state_bytes(per_row)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (4, 4)], ids=str)
+    def test_cancelling_block_folds_left_to_right(self, shape):
+        """One block where a pairwise sum differs from the left-to-right
+        fold in every entry: the release must be the fold's."""
+        column = np.array([1e16, 1.0, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0])
+        # Guard the fixture: numpy's pairwise sum of [prefix; column] (a
+        # contiguous reduction) is 5, not the fold's 4.
+        assert np.add.reduce(np.concatenate(([0.0], column))) != 4.0
+        block = np.broadcast_to(column.reshape((8,) + (1,) * len(shape)), (8, *shape))
+        per_row = TreeMechanism(8, shape, 2.0, NORMAL, rng=4)
+        for row in block:
+            per_row.observe(row)
+        blocked = TreeMechanism(8, shape, 2.0, NORMAL, rng=4)
+        blocked.advance_batch(block)
+        assert np.all(blocked._prefix == 4.0)
+        assert _state_bytes(blocked) == _state_bytes(per_row)
+
+
+#: The broadcast outer products the statistics' ``values`` rules used
+#: before ``einsum``, by statistic name (``p``: the instrument count).
+BROADCAST_VALUES = {
+    "cross": lambda rows, ys, p: rows * ys[:, None],
+    "gram": lambda rows, ys, p: rows[:, :, None] * rows[:, None, :],
+    "zz": lambda rows, ys, p: rows[:, :p, None] * rows[:, None, :p],
+    "zx": lambda rows, ys, p: rows[:, :p, None] * rows[:, None, p:],
+    "zy": lambda rows, ys, p: rows[:, :p] * ys[:, None],
+}
+
+#: Per backend: its shard config and the width of the rows its statistics
+#: read (projected rows are ``m = 4`` wide; iv rows are ``[z | x]``).
+INSTRUMENTS = 2
+BACKEND_ROWS = {
+    "moment": (None, 3),
+    "projected": ({"projection": SimpleNamespace(projected_dim=4)}, 4),
+    "sketch": ({"projection": SimpleNamespace(projected_dim=4)}, 4),
+    "iv": ({"instruments": INSTRUMENTS}, INSTRUMENTS + 3),
+}
+
+
+class TestEinsumValuesProperty:
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    @given(data=st.data(), sizes=block_sizes)
+    @settings(max_examples=20, deadline=None)
+    def test_releases_match_the_broadcast_rules_byte_for_byte(self, backend, data, sizes):
+        config, width = BACKEND_ROWS[backend]
+        declaration = BACKENDS[backend]
+        n = data.draw(st.integers(min_value=1, max_value=24))
+        rows = np.array(
+            data.draw(st.lists(order_floats, min_size=n * width, max_size=n * width))
+        ).reshape(n, width)
+        ys = np.array(data.draw(st.lists(order_floats, min_size=n, max_size=n)))
+        for stat in declaration.statistics(3, config):
+            twins = [
+                make_release_mechanism(
+                    shape=stat.shape,
+                    l2_sensitivity=2.0,
+                    params=NORMAL,
+                    rng=7,
+                    mechanism=declaration.release_family or "tree",
+                    horizon=n,
+                )
+                for _ in range(2)
+            ]
+            old = BROADCAST_VALUES[stat.name]
+            for block in _cut(np.arange(n), sizes):
+                new_values = stat.values(rows[block], ys[block])
+                old_values = old(rows[block], ys[block], INSTRUMENTS)
+                np.testing.assert_array_equal(new_values, old_values)
+                new_release = twins[0].advance_batch(new_values)
+                old_release = twins[1].advance_batch(old_values)
+                assert new_release.tobytes() == old_release.tobytes(), stat.name
+            assert twins[0].release_noise_variance() == twins[1].release_noise_variance()
