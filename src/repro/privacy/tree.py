@@ -496,14 +496,19 @@ class TreeMechanism:
         under ``γ < 1`` the prefix fades by ``γ`` before each row.
 
         At ``γ = 1`` a block of vector rows is one axis-0 reduction over
-        ``[prefix; rows]``, the same additions in the same order: numpy
-        reduces a non-contiguous axis row after row, elementwise, and sums
-        pairwise only along the contiguous axis — which one-entry elements
-        would reduce along, so they keep the loop, as do single rows (the
-        one-row loop is the cheaper call).
+        a C-ordered ``[prefix; rows]``, the same additions in the same
+        order: numpy reduces a non-contiguous axis row after row,
+        elementwise, and sums pairwise only along the contiguous axis.  So
+        the buffer is built C-ordered whatever the caller's layout (a
+        Fortran-ordered block would make axis 0 contiguous), and one-entry
+        elements, whose only axis is contiguous, keep the loop, as do
+        single rows (the one-row loop is the cheaper call).
         """
         if self.decay == 1.0 and self._flat_dim > 1 and rows.shape[0] > 1:
-            return np.add.reduce(np.concatenate((self._prefix[None], rows)), axis=0)
+            stacked = np.empty((rows.shape[0] + 1, self._flat_dim))
+            stacked[0] = self._prefix
+            stacked[1:] = rows
+            return np.add.reduce(stacked, axis=0)
         prefix = self._prefix.copy()
         if self.decay == 1.0:
             for row in rows:

@@ -184,12 +184,16 @@ class TestMergeCorrectness:
         reason="sketch noise is one draw per ingested block, so a per-point "
         "replay draws other noise",
     )
+    @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("k", SHARD_COUNTS)
     @pytest.mark.parametrize("knobs", sorted(RELEASE_KNOBS))
-    def test_exact_tier_is_byte_identical_to_per_point_replay(self, stream, k, knobs):
+    def test_exact_tier_is_byte_identical_to_per_point_replay(
+        self, stream, k, knobs, layout
+    ):
         """The exact tier's block fold releases the bytes of per-point
         ingestion: merged releases, their variances and weights, and the
-        served θ, for plain, hybrid and windowed shards."""
+        served θ, for plain, hybrid and windowed shards, whether the
+        caller's blocks are row-major or column-major."""
         knobs = RELEASE_KNOBS[knobs]
         if SERVE_BACKEND != "moment" and knobs.get("mechanism") == "hybrid":
             pytest.skip("the projected backend needs tree shards")
@@ -197,7 +201,7 @@ class TestMergeCorrectness:
         server = _make_server(k, seed=41, ingest="exact", refresh_every=T, **knobs)
         try:
             for s, e in RAGGED_BLOCKS:
-                server.observe_batch(stream.xs[s:e], stream.ys[s:e])
+                server.observe_batch(np.array(stream.xs[s:e], order=layout), stream.ys[s:e])
             served = server.flush()
             live = server.merged_moments()
         finally:

@@ -368,12 +368,13 @@ class TestAxisZeroFoldProperty:
     @settings(max_examples=40, deadline=None)
     def test_advance_batch_is_byte_identical_to_per_row_observe(self, shape, data, sizes):
         stream = data.draw(order_streams(shape))
+        fortran = data.draw(st.booleans())
         per_row = TreeMechanism(len(stream), shape, 2.0, NORMAL, rng=3)
         blocked = TreeMechanism(len(stream), shape, 2.0, NORMAL, rng=3)
         for block in _cut(stream, sizes):
             for row in block:
                 per_row.observe(row)
-            release = blocked.advance_batch(block)
+            release = blocked.advance_batch(np.asfortranarray(block) if fortran else block)
             assert release.tobytes() == per_row.current_sum().tobytes()
             assert _state_bytes(blocked) == _state_bytes(per_row)
 
@@ -393,6 +394,26 @@ class TestAxisZeroFoldProperty:
         blocked.advance_batch(block)
         assert np.all(blocked._prefix == 4.0)
         assert _state_bytes(blocked) == _state_bytes(per_row)
+
+    def test_fortran_ordered_block_folds_left_to_right(self):
+        """The cancelling block laid out column-major, where axis 0 is the
+        contiguous axis numpy would sum pairwise: the fold is still left
+        to right, and the caller's block is left as it was."""
+        column = np.array([1e16, 1.0, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0])
+        block = np.asfortranarray(np.repeat(column[:, None], 3, axis=1))
+        # Guard the fixture: a column-major [prefix; block] reduces pairwise.
+        stacked = np.asfortranarray(np.vstack((np.zeros((1, 3)), block)))
+        assert np.all(np.add.reduce(stacked, axis=0) != 4.0)
+        before = block.tobytes(order="A")
+        per_row = TreeMechanism(8, (3,), 2.0, NORMAL, rng=4)
+        for row in block:
+            per_row.observe(row)
+        blocked = TreeMechanism(8, (3,), 2.0, NORMAL, rng=4)
+        release = blocked.advance_batch(block)
+        assert release.tobytes() == per_row.current_sum().tobytes()
+        assert np.all(blocked._prefix == 4.0)
+        assert _state_bytes(blocked) == _state_bytes(per_row)
+        assert block.flags.f_contiguous and block.tobytes(order="A") == before
 
 
 #: The broadcast outer products the statistics' ``values`` rules used
