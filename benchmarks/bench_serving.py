@@ -34,7 +34,7 @@ from repro import (L2Ball, MultiTenantStream, PrivacyParams, PrivIncIV, PrivIncR
                    ShardedStream, two_stage_least_squares)
 from repro.data import make_dense_stream, make_drift_stream, make_iv_stream
 from repro.exceptions import NoEstimateError
-from repro.streaming.netserve import send_frame
+from repro.streaming import netserve
 
 from common import BENCH_EPSILON, DELTA, bench_budget, record
 
@@ -361,28 +361,53 @@ def _detection_latencies(stream, cfg: dict) -> list[float]:
     (tick alignment + the ping's own deadline + kill + booking).  The wait
     is bounded by the wedge itself; a hang still undetected when the wedge
     ends is recorded as a latency ≥ ``WEDGE_SECONDS`` and ends the rounds.
+
+    The hang is injected on the stream's own in-process listener: its
+    shard handlers are built through a wrapped ``netserve._build_handler``
+    that holds each command while the shard's gate is closed.
     """
-    server = ShardedStream(L2Ball(cfg["d"]), bench_budget(), shards=2, horizon=cfg["T"],
-                           transport="tcp", request_timeout=REQUEST_TIMEOUT,
-                           heartbeat_every=HEARTBEAT_EVERY, iteration_cap=ITERATION_CAP, rng=1)
+    gates = {}  # shard index -> the gate of its current connection
+    build = netserve._build_handler
+
+    def gated_build(spec):
+        handler = build(spec)
+        gate = gates[spec.index] = threading.Event()
+        gate.set()
+
+        def gated(command, payload):
+            gate.wait(WEDGE_SECONDS)
+            return handler(command, payload)
+
+        return gated
+
+    netserve._build_handler = gated_build
     latencies = []
     try:
-        _feed(server, stream.xs[: 2 * BATCH], stream.ys[: 2 * BATCH])
-        for round_index in range(cfg["fault_rounds"]):
-            victim = server._shards[round_index % 2]
-            # Wedge the worker mid-command behind the server's back: long
-            # enough to outlive detection, short enough that the
-            # listener-side handler drains between rounds.
-            send_frame(victim._sock, ("sleep", WEDGE_SECONDS))
-            wedged_at = time.perf_counter()
-            while victim.alive and time.perf_counter() - wedged_at < WEDGE_SECONDS:
-                time.sleep(0.002)
-            latencies.append(time.perf_counter() - wedged_at)
-            if victim.alive:
-                break
-            server.restart_shard(victim.index)
+        server = ShardedStream(L2Ball(cfg["d"]), bench_budget(), shards=2, horizon=cfg["T"],
+                               transport="tcp", request_timeout=REQUEST_TIMEOUT,
+                               heartbeat_every=HEARTBEAT_EVERY, iteration_cap=ITERATION_CAP,
+                               rng=1)
+        try:
+            _feed(server, stream.xs[: 2 * BATCH], stream.ys[: 2 * BATCH])
+            for round_index in range(cfg["fault_rounds"]):
+                victim = server._shards[round_index % 2]
+                # Wedge the worker behind the server's back: long enough to
+                # outlive detection; opened again once detected, so the
+                # listener-side handler drains between rounds.
+                gate = gates[victim.index]
+                gate.clear()
+                wedged_at = time.perf_counter()
+                while victim.alive and time.perf_counter() - wedged_at < WEDGE_SECONDS:
+                    time.sleep(0.002)
+                latencies.append(time.perf_counter() - wedged_at)
+                gate.set()
+                if victim.alive:
+                    break
+                server.restart_shard(victim.index)
+        finally:
+            server.close()
     finally:
-        server.close()
+        netserve._build_handler = build
     return latencies
 
 

@@ -85,6 +85,7 @@ from .erm import (
 )
 from .sketching import (
     GaussianProjection,
+    Projection,
     SparseProjection,
     gordon_dimension,
     lift,
@@ -195,6 +196,7 @@ __all__ = [
     "PrivateFrankWolfe",
     # sketching
     "GaussianProjection",
+    "Projection",
     "SparseProjection",
     "gordon_dimension",
     "lift",

@@ -41,7 +41,8 @@ from .._validation import check_int, check_probability
 from ..exceptions import ValidationError
 from ..geometry.base import ConvexSet, PointSet
 from ..privacy.parameters import PrivacyParams
-from ..sketching.gaussian import GaussianProjection, step4_rescale_block
+from ..sketching.gaussian import GaussianProjection
+from ..sketching.projection import Projection, step4_rescale_block
 from ..sketching.gordon import gordon_dimension
 from ..sketching.lifting import lift
 from ..sketching.projected_set import ProjectedConvexSet
@@ -120,19 +121,17 @@ class PrivIncReg2(_MomentRegression):
         FISTA budget inside each projection onto ``ΦC`` (warm-started
         between queries, so modest values track well).
     projection:
-        Optional pre-built projection object (anything exposing
-        ``matrix``, ``apply`` and ``rescale_covariate`` — e.g. a
-        :class:`~repro.sketching.sparse_jl.SparseProjection`, the paper's
-        footnote-16 alternative).  When given, its dimensions override
+        Optional pre-built :class:`~repro.sketching.projection.Projection`
+        (e.g. a :class:`~repro.sketching.sparse_jl.SparseProjection`, the
+        paper's footnote-16 alternative, or ``Projection(matrix)`` around
+        a persisted ``Φ``).  When given, its dimensions override
         ``projected_dim``.  Privacy is unaffected by the choice: the
         Step-4 rescaling pins the sensitivity at 2 for *any* fixed ``Φ``.
         This is also the Φ hand-off seam the serving fronts use: a
         projected ``ShardedStream`` passes its single front-drawn ``Φ``
         here so ``refresh_from_released`` receives merged moments living
-        in the solver's own projected space, and process shard workers
-        re-attach to the same map from its shipped matrix
-        (:meth:`~repro.sketching.gaussian.GaussianProjection.from_matrix`
-        rebuilds a projection around an existing matrix).
+        in the solver's own projected space; its shards receive the same
+        ``Φ`` as a matrix.
     decay:
         Optional forgetting factor ``γ ∈ (0, 1]`` for non-stationary
         streams (distinct from ``gamma``, the projection distortion):
@@ -161,7 +160,7 @@ class PrivIncReg2(_MomentRegression):
         iteration_cap: int = 400,
         solve_every: int = 1,
         projected_solver_iterations: int = 80,
-        projection: GaussianProjection | None = None,
+        projection: Projection | None = None,
         decay: float | None = None,
         window: int | float | None = None,
         rng: np.random.Generator | int | None = None,

@@ -25,13 +25,13 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import check_int, check_rng
-from ..sketching.gaussian import GaussianProjection
+from ..sketching.projection import Projection
 
 __all__ = ["adaptive_null_space_points", "adaptive_sparse_points"]
 
 
 def adaptive_null_space_points(
-    projection: GaussianProjection, count: int = 1
+    projection: Projection, count: int = 1
 ) -> np.ndarray:
     """Unit vectors (rows) in or nearest to the kernel of ``Φ``.
 
@@ -47,7 +47,7 @@ def adaptive_null_space_points(
 
 
 def adaptive_sparse_points(
-    projection: GaussianProjection,
+    projection: Projection,
     sparsity: int,
     count: int = 1,
     candidates: int = 200,

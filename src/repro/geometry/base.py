@@ -117,13 +117,3 @@ class ConvexSet(PointSet):
         contains ``point`` (possible when ``C`` is not symmetric, e.g. the
         simplex).
         """
-
-    def interpolate_toward(self, point: np.ndarray, target: np.ndarray, step: float) -> np.ndarray:
-        """Convenience: ``P_C(point + step · (target − point))``.
-
-        Used by Frank-Wolfe style updates; kept here so solvers do not need
-        to re-implement the pattern.
-        """
-        point = self._check_point("point", point)
-        target = self._check_point("target", target)
-        return self.project(point + step * (target - point))

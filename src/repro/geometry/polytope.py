@@ -54,11 +54,6 @@ class Polytope(ConvexSet):
         gram = vertices @ vertices.T
         self._lipschitz = 2.0 * float(np.linalg.norm(gram, 2)) + 1e-12
 
-    @property
-    def vertex_array(self) -> np.ndarray:
-        """A read-only copy of the vertex matrix (shape ``(l, d)``)."""
-        return self._vertices.copy()
-
     def vertices(self) -> np.ndarray:
         """Alias used by Frank-Wolfe solvers."""
         return self._vertices.copy()

@@ -2,9 +2,11 @@
 
 Three pieces:
 
-* :mod:`repro.sketching.gaussian` — the Gaussian random matrix
-  ``Φ ∈ R^{m×d}`` with i.i.d. ``N(0, 1/m)`` entries, plus the covariate
-  rescaling ``x̃ = (‖x‖/‖Φx‖)·x`` from Algorithm 3's Step 4.
+* :mod:`repro.sketching.projection` — a fixed ``Φ ∈ R^{m×d}`` and the
+  covariate rescaling ``x̃ = (‖x‖/‖Φx‖)·x`` from Algorithm 3's Step 4;
+  :mod:`repro.sketching.gaussian` (i.i.d. ``N(0, 1/m)`` entries) and
+  :mod:`repro.sketching.sparse_jl` (footnote 16's sparse sampling) only
+  draw the matrix.
 * :mod:`repro.sketching.gordon` — the embedding-dimension calculator from
   Gordon's theorem (paper Theorem 5.1): ``m ≥ (C/γ²)·max{w(S)², ln(1/β)}``
   preserves norms over the *whole set* ``S``, which is what defeats the
@@ -14,14 +16,16 @@ Three pieces:
   estimator), specialized per constraint-set family.
 """
 
-from .gaussian import GaussianProjection, step4_rescale, step4_rescale_block
+from .gaussian import GaussianProjection
 from .gordon import gordon_dimension, gordon_distortion
 from .lifting import lift, lift_l1_basis_pursuit, lift_least_norm, lift_polytope
 from .projected_set import ProjectedConvexSet
+from .projection import Projection, step4_rescale, step4_rescale_block
 from .sparse_jl import SparseProjection
 
 __all__ = [
     "GaussianProjection",
+    "Projection",
     "SparseProjection",
     "ProjectedConvexSet",
     "gordon_dimension",

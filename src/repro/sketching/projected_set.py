@@ -64,10 +64,6 @@ class ProjectedConvexSet(ConvexSet):
 
     # ------------------------------------------------------------------
 
-    def preimage_project(self, target: np.ndarray) -> np.ndarray:
-        """``argmin_{θ∈C} ‖Φθ − target‖²`` via warm-started FISTA."""
-        return self._preimage(self._check_point("target", target))
-
     def _preimage(self, target: np.ndarray) -> np.ndarray:
         lipschitz = 2.0 * self._spectral_norm**2 + 1e-12
         step = 1.0 / lipschitz

@@ -11,7 +11,8 @@ declaration, and nowhere else:
   front's ``mechanism`` knob);
 * which backend knobs it reads, which release knobs it refuses, whether
   it needs tree shards, and how the front turns the knobs into the shard
-  config (the spawn payload — e.g. the shared ``Φ``);
+  config (the spawn payload — plain data, e.g. the shared ``Φ`` as its
+  matrix);
 * the default solver the front refreshes through.
 
 :class:`~repro.streaming.serving.ShardedStream`, the shard class, and the
@@ -35,7 +36,8 @@ from ..core.priv_inc_iv import PrivIncIV
 from ..core.projected_regression import PrivIncReg2, projected_sizing
 from ..core.unbounded import UnboundedPrivIncReg
 from ..exceptions import ValidationError
-from ..sketching.gaussian import GaussianProjection, step4_rescale_block
+from ..sketching.gaussian import GaussianProjection
+from ..sketching.projection import Projection, step4_rescale_block
 from ..sketching.sparse_jl import SparseProjection
 
 __all__ = ["BACKENDS", "BACKEND_KNOBS", "Backend", "backend_declaration"]
@@ -97,7 +99,9 @@ class Backend:
         ``(name, front, knobs) -> config``: validates the backend knobs
         (the front's knob mapping, read at :data:`BACKEND_KNOBS` and
         ``beta``) and returns the shard config, drawing from
-        ``front._rng`` if the backend needs shared randomness.
+        ``front._rng`` if the backend needs shared randomness.  A
+        projected backend also sets ``front.projection``, the ``Φ`` its
+        solver shares; its shards get only the matrix (``config["phi"]``).
     transform:
         ``(config, xs) -> rows``: the rows the statistics are built from.
     block_width:
@@ -159,12 +163,13 @@ def _moment_statistics(dim, config):
 
 
 def _projection_statistics(dim, config):
-    m = _required(config, "projection").projected_dim
+    # Checks a Φ that arrived in a spawn payload: a finite (m, d) matrix.
+    m = Projection(_required(config, "phi")).projected_dim
     return (cross_statistic(m), gram_statistic(m))
 
 
 def _projected_rows(config, xs):
-    return step4_rescale_block(config["projection"], xs)
+    return step4_rescale_block(config["phi"], xs)
 
 
 def _projected_solver(front, config, rng, beta, fidelity, iteration_cap):
@@ -180,7 +185,7 @@ def _projected_solver(front, config, rng, beta, fidelity, iteration_cap):
         gamma=front.gamma,
         fidelity=fidelity,
         iteration_cap=iteration_cap,
-        projection=config["projection"],
+        projection=front.projection,
         rng=rng,
     )
 
@@ -226,7 +231,8 @@ def _configure_projection(draw, name, front, knobs) -> dict:
                 f"projection maps from dim {projection.original_dim}, "
                 f"expected {front.dim}"
             )
-        return {"projection": projection}
+        front.projection = projection
+        return {"phi": projection.matrix}
     m = knobs["projected_dim"]
     if m is None:
         if x_domain is None:
@@ -242,7 +248,8 @@ def _configure_projection(draw, name, front, knobs) -> dict:
             gamma=knobs["gamma"],
         )
     m = check_int("projected_dim", m, minimum=1)
-    return {"projection": draw(front, m, sparsity)}
+    front.projection = draw(front, m, sparsity)
+    return {"phi": front.projection.matrix}
 
 
 def _iv_statistics(dim, config):

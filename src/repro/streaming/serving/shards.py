@@ -44,9 +44,9 @@ class MomentShard:
     rngs:
         One child generator per bundle entry, in entry order.
     backend, config:
-        The backend declaration's name and its shard config (e.g. the
-        shared ``Φ`` of the projected/sketch backends, the instrument
-        count of the iv backend).
+        The backend declaration's name and its shard config — plain data
+        (e.g. the shared ``Φ`` matrix of the projected/sketch backends,
+        the instrument count of the iv backend).
     mechanism, shard_horizon, decay, window:
         Release-mechanism knobs of every entry; the declaration's
         ``release_family`` (the sketch backend's ``"sketch"``) overrides
@@ -88,7 +88,6 @@ class MomentShard:
         self.lost_accounted = False
         self._declaration = backend_declaration(backend)
         self.bundle = self._build_bundle(tuple(rngs), decay, window)
-        self.moment_dim = self.bundle.statistics[0].shape[0]
 
     def _build_bundle(self, rngs, decay, window) -> MomentBundle:
         """The declared bundle, one factory call per statistic."""
@@ -103,21 +102,6 @@ class MomentShard:
             decay=decay,
             window=window,
         )
-
-    @property
-    def projection(self):
-        """The shared projection ``Φ`` of the projected backends (or ``None``)."""
-        return self.config.get("projection")
-
-    @property
-    def cross(self):
-        """The cross-moment mechanism (``None`` once killed; diagnostics)."""
-        return self.bundle.get("cross")
-
-    @property
-    def gram(self):
-        """The second-moment mechanism (``None`` once killed; diagnostics)."""
-        return self.bundle.get("gram")
 
     def ingest(self, xs: np.ndarray, ys, fast: bool) -> None:
         """Feed a routed block to the moment bundle.
@@ -156,8 +140,8 @@ class MomentShard:
     def memory_floats(self) -> int:
         """Floats held by this shard's mechanisms (0 once killed).
 
-        ``O(moment_dim² log T)`` per shard — ``m² log T`` instead of
-        ``d² log T`` under the projected backends.
+        ``O(D² log T)`` per shard for ``D``-wide moments — ``m² log T``
+        instead of ``d² log T`` under the projected backends.
         """
         if not self.alive:
             return 0
@@ -368,20 +352,6 @@ class TenantShard(MomentShard):
         self.layout = TenantLayout(self.budget, **self.config)
         return self.layout.bundle(self.dim, rngs, self.mechanism, self.shard_horizon)
 
-    @property
-    def gram(self):
-        """The primary (group-0) shared Gram mechanism, or ``None`` if killed."""
-        return self.bundle.get(f"gram:{self.layout.decays[0]}")
-
-    @property
-    def cross(self) -> dict:
-        """Tenant → cross mechanism (diagnostics; values ``None`` once killed)."""
-        return {name: self.bundle.get(f"cross:{name}") for name in self.layout.tenant_decay}
-
-    def tenants(self) -> tuple[str, ...]:
-        """Active tenant names, in the order merges index them."""
-        return self.layout.tenants()
-
     def add_tenant(self, name: str, rng: np.random.Generator, decay: float | None = None) -> None:
         """Occupy a free capacity slot with a fresh cross entry for ``name``."""
         self.bundle.add(*self.layout.cross(self.dim, self.layout.add(name, decay), rng))
@@ -394,7 +364,7 @@ class TenantShard(MomentShard):
         """Feed a routed block: every Gram entry once, each tenant's cross once.
 
         ``ys`` is the front-validated ``(n, k)`` outcome matrix, one column
-        per active tenant in :meth:`tenants` order.
+        per active tenant in slot order.
         """
         columns = np.asarray(ys, dtype=float).reshape(len(xs), -1).T
         super().ingest(xs, dict(zip(self.layout.tenant_decay, columns)), fast)

@@ -31,7 +31,6 @@ from ...privacy.accountant import PrivacyAccountant
 from ...privacy.chunked import one_chunk
 from ...privacy.parameters import PrivacyParams, bundle_budgets, shard_budgets
 from ...privacy.tree import MergedRelease, merge_released
-from .. import wire
 from ..backends import BACKEND_KNOBS, backend_declaration
 from ..netserve import ShardAddress, ShardHostListener, TcpShardWorker
 from ..transport import ProcessShardWorker, ShardSpec
@@ -1133,12 +1132,9 @@ class ShardedStream(ShardFront, HubReads):
         same rng children, so the ingest contract, merge rule, and fault
         semantics are transport-independent
         (``tests/test_process_serving.py``, ``tests/test_tcp_serving.py``).
-        Remote transports accept only the built-in projections
-        (:class:`~repro.sketching.gaussian.GaussianProjection`,
-        :class:`~repro.sketching.sparse_jl.SparseProjection`): ``Φ``
-        ships in the spawn payload as its kind plus its matrix, and any
-        other ``projection`` is refused here with a ``ValidationError``.
-        A custom router is fine anywhere (it always runs in the parent).
+        ``Φ`` ships in the spawn payload as its matrix, so any
+        ``projection`` serves on every transport, and a custom router is
+        fine anywhere (it always runs in the parent).
         Orthogonal to ``mode``.
     request_timeout:
         Deadline in seconds on every shard RPC (remote transports only).
@@ -1205,10 +1201,9 @@ class ShardedStream(ShardFront, HubReads):
         ``projection`` nor ``projected_dim`` is given, and by the default
         ``PrivIncReg2`` solver in any case.
     projection:
-        Optional pre-built shared projection (anything exposing
-        ``matrix``/``apply``/``projected_dim``, e.g. a
-        :class:`~repro.sketching.sparse_jl.SparseProjection`; one of the
-        two built-ins under a remote ``transport``); drawn
+        Optional pre-built shared
+        :class:`~repro.sketching.projection.Projection` (e.g. a
+        :class:`~repro.sketching.sparse_jl.SparseProjection`); drawn
         internally from ``rng`` when omitted — Gaussian under
         ``backend="projected"``, sparse-JL under ``backend="sketch"``.
         Privacy is unaffected by the choice — the Step-4 rescaling pins
@@ -1222,10 +1217,10 @@ class ShardedStream(ShardFront, HubReads):
     sparsity_factor:
         Sparsity ``s`` of the internally drawn sparse-JL ``Φ``
         (``backend="sketch"`` only; default 3): each entry is non-zero
-        with probability ``1/s``, so per-block ingest costs ``~1/s`` of
-        the dense product.  Refused with a pre-built ``projection`` —
-        pass ``SparseProjection(..., sparsity_factor=s)`` directly
-        instead.
+        with probability ``1/s``.  The matrix is still applied as a dense
+        product, so ``s`` does not change the ingest cost.  Refused with a
+        pre-built ``projection`` — pass
+        ``SparseProjection(..., sparsity_factor=s)`` directly instead.
     solver:
         Any object with ``refresh_from_released(t, gram, cross)`` (or,
         for bundles beyond the default pair,
@@ -1332,10 +1327,8 @@ class ShardedStream(ShardFront, HubReads):
     def _declare(self, knobs: dict) -> int:
         """Configure the backend (draws a shared ``Φ`` first, if any)."""
         declaration = self._declaration
+        self.projection = None  # a projected backend's configure sets Φ
         self.config = declaration.configure(self.backend, self, knobs)
-        self.projection = self.config.get("projection")
-        if self.projection is not None and self.transport != "thread":
-            wire.check_projection(self.projection)
         self.projected_dim = getattr(self.projection, "projected_dim", None)
         self.sparsity_factor = getattr(self.projection, "sparsity_factor", None)
         self.instruments = self.config.get("instruments")
@@ -1432,9 +1425,10 @@ class ShardedStream(ShardFront, HubReads):
     def memory_floats(self) -> int:
         """Floats held by the shard mechanisms (plus the shared ``Φ``).
 
-        ``K · O(moment_dim² log T)`` — under ``backend="projected"`` that
-        is ``K·O(m² log T) + m·d`` (one shared projection, counted once),
-        versus the moment backend's ``K·O(d² log T)``.
+        ``K · O(D² log T)`` for ``D``-wide moments — under
+        ``backend="projected"`` that is ``K·O(m² log T) + m·d`` (one
+        shared projection, counted once), versus the moment backend's
+        ``K·O(d² log T)``.
         """
         total = super().memory_floats()
         if self.projection is not None:

@@ -12,8 +12,8 @@ What crosses the pipe — and what never does
 -------------------------------------------
 * **Down** (parent → worker): a one-time :class:`ShardSpec` (budget, rng
   children, mechanism/backend configuration, and — for the projected
-  backends — the front-drawn shared ``Φ``), then routed data blocks as
-  commands.
+  backends — the front-drawn shared ``Φ`` as its matrix), then routed
+  data blocks and the front's other commands.
 * **Up** (worker → parent): at refresh points, the shard's released
   moments as compact :class:`~repro.privacy.tree.ReleasedMoments`
   snapshots — the released statistic (``O(m)`` / ``O(m²)`` floats) with
@@ -74,13 +74,10 @@ Wire requirements: every message — the spec included — crosses the pipe
 as a typed frame of :mod:`repro.streaming.wire`
 (``Connection.send_bytes``/``recv_bytes``; no message is pickled — the
 ``spawn`` start method hands the child only its pipe end).  The spec's
-rngs travel as bit-generator name plus state, ``Φ`` as its kind plus its
-matrix, so a remote shard accepts only the two built-in projections
-(:class:`~repro.sketching.gaussian.GaussianProjection`,
-:class:`~repro.sketching.sparse_jl.SparseProjection`); the serving front
-refuses any other when it is built.  Workers use the ``"spawn"`` start
-method — fork-safety of a threaded parent (async mode, group pools) is
-exactly the kind of thing this transport must not gamble on.
+rngs travel as bit-generator name plus state and its config is plain
+data.  Workers use the ``"spawn"`` start method — fork-safety of a
+threaded parent (async mode, group pools) is exactly the kind of thing
+this transport must not gamble on.
 """
 
 from __future__ import annotations
@@ -88,7 +85,6 @@ from __future__ import annotations
 import functools
 import multiprocessing as mp
 import threading
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,14 +126,13 @@ class ShardSpec:
     transports' noise streams identical.  The spec ships the backend
     *name* (statistic rules are closures and cannot travel; the worker
     looks the declaration up in :data:`~repro.streaming.backends.BACKENDS`)
-    and that backend's shard ``config`` — for the projected backends the
-    front-drawn shared ``Φ`` itself, so every spawned worker (and any
-    restart) re-attaches to the *same* ``Φ``.
+    and that backend's shard ``config`` — plain data; for the projected
+    backends the front-drawn shared ``Φ`` as its matrix, so every spawned
+    worker (and any restart) applies the *same* ``Φ``.
 
     On the wire it is a typed frame (:mod:`repro.streaming.wire`): the
     budget as ``(ε, δ)``, each rng as its bit-generator name plus state,
-    ``Φ`` as one of the two built-in projection kinds plus its matrix,
-    and the scalar config as typed values.  A config naming ``tenants``
+    and the config as typed values.  A config naming ``tenants``
     (a :meth:`~repro.streaming.serving.TenantLayout.config`) builds a
     :class:`~repro.streaming.serving.TenantShard`.
     """
@@ -155,11 +150,6 @@ class ShardSpec:
     #: ``γ ∈ (0, 1]`` or sliding window ``W``.
     decay: float | None = None
     window: "int | float | None" = None
-
-    @property
-    def projection(self):
-        """The shared projection shipped in the config (or ``None``)."""
-        return self.config.get("projection")
 
     def build(self):
         """Construct the shard worker this spec describes (child side)."""
@@ -229,11 +219,6 @@ def _reply(link, message) -> bool:
             return False
 
 
-def _snapshot(handle):
-    """A live mechanism's wire snapshot (``None`` stays ``None``: killed)."""
-    return None if handle is None else handle.released_moments()
-
-
 def dispatch_command(shard, command: str, payload):
     """Execute one worker command against a built shard; return the result.
 
@@ -241,7 +226,8 @@ def dispatch_command(shard, command: str, payload):
     transport that serves shards remotely — :func:`_serve` runs it for
     the ``multiprocessing`` pipe worker below and for the TCP listener in
     :mod:`repro.streaming.netserve` — so a shard behaves identically
-    behind a pipe and behind a socket.  ``close`` is *not* handled here:
+    behind a pipe and behind a socket.  It answers exactly the commands
+    :class:`ShardRpcClient` sends; ``close`` is *not* handled here:
     connection teardown belongs to the serving loop.
 
     Raising is the error path: the loop ships the exception back as an
@@ -264,20 +250,9 @@ def dispatch_command(shard, command: str, payload):
             shard.add_tenant(name, rng, decay=decay)
         elif action == "remove":
             shard.remove_tenant(name)
-        elif action != "list":
+        else:
             raise ValidationError(f"unknown tenant action {action!r}")
-        return shard.tenants()
-    if command == "statistic":
-        # Diagnostics: the shard's own named view, so a remote ``cross`` /
-        # ``gram`` resolves exactly as the in-process attribute does (a
-        # tenant shard's ``cross`` is a tenant → statistic dict; the iv
-        # bundle declares neither name).
-        if payload not in ("cross", "gram"):
-            raise ValidationError(f"unknown shard statistic {payload!r}")
-        view = getattr(shard, payload)
-        if isinstance(view, dict):
-            return {name: _snapshot(handle) for name, handle in view.items()}
-        return _snapshot(view)
+        return None
     if command == "memory":
         return shard.memory_floats()
     if command == "ping":
@@ -285,27 +260,6 @@ def dispatch_command(shard, command: str, payload):
         # wedged worker cannot answer it, so a deadline on the ping is
         # what turns "stuck" into "dead" without waiting for real traffic.
         return shard.steps
-    if command == "sleep":
-        # Fault-injection hook for the hung-worker suites and the
-        # heartbeat benchmark: wedges the worker mid-command for
-        # ``payload`` seconds, exactly like a pathological BLAS call.
-        time.sleep(float(payload))
-        return None
-    if command == "describe":
-        projection = getattr(shard, "projection", None)
-        return {
-            "index": shard.index,
-            "backend": shard.backend,
-            "mechanism": shard.mechanism,
-            "moment_dim": shard.moment_dim,
-            "steps": shard.steps,
-            "pid": mp.current_process().pid,
-            "projection_matrix": (
-                None
-                if projection is None
-                else np.array(projection.matrix, dtype=float)
-            ),
-        }
     raise ValidationError(f"unknown worker command {command!r}")
 
 
@@ -448,21 +402,6 @@ class ShardRpcClient:
         """
         return tuple(self._request("released", None))
 
-    @property
-    def cross(self):
-        """Snapshot of the shard's ``cross`` statistic (diagnostics; one RPC).
-
-        Resolved by name on the worker, so it matches the in-process
-        shard's attribute: one release, or a tenant → release dict on a
-        tenant shard.
-        """
-        return self._request("statistic", "cross")
-
-    @property
-    def gram(self):
-        """Snapshot of the shard's ``gram`` statistic (diagnostics; one RPC)."""
-        return self._request("statistic", "gram")
-
     def add_tenant(
         self,
         name: str,
@@ -483,19 +422,11 @@ class ShardRpcClient:
         """Drop a tenant's cross tree on the worker (tenant backend only)."""
         self._request("tenant", ("remove", name, None))
 
-    def tenants(self) -> tuple[str, ...]:
-        """Active tenant names on the worker, in slot order."""
-        return tuple(self._request("tenant", ("list", None, None)))
-
     def memory_floats(self) -> int:
         """Floats held by the worker's mechanisms (0 once dead)."""
         if not self.alive:
             return 0
         return int(self._request("memory", None))
-
-    def describe(self) -> dict:
-        """Worker-side identity snapshot (backend, dims, pid, Φ matrix)."""
-        return self._request("describe", None)
 
     def ping(self) -> int:
         """One liveness round trip (the heartbeat probe); returns worker steps.

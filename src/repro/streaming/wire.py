@@ -7,9 +7,9 @@ Both remote transports — the ``multiprocessing`` pipe of
 requests and ``("ok" | "err", result)`` replies.  This module turns each
 of them into bytes and back, with no pickle anywhere: a frame decodes
 into plain values, numpy arrays, :class:`~repro.privacy.tree.ReleasedMoments`
-snapshots, generators of an allow-listed bit generator, the two built-in
-projections, or an allow-listed exception — never into an arbitrary
-object, so a peer can send data but never code.
+snapshots, generators of an allow-listed bit generator, or an
+allow-listed exception — never into an arbitrary object, so a peer can
+send data but never code.
 
 Frame layout
 ------------
@@ -30,19 +30,19 @@ little-endian; arrays are raw ``float64`` (or ``uint``) bytes decoded with
     ``<dqdBB`` (noise variance, steps, weight, has-weight, ndim), the
     dims as ``<q`` each and the C-ordered values.
 
-* **Cold kinds** (``RELEASED`` requests, ``tenant``, ``statistic``,
-  ``describe``, ``memory``, ``ping``, ``sleep``, ``close``, ``OK_VALUE``
-  replies, ``ERR`` replies and the boot ``SPEC``) carry one *typed
-  value*: a tag byte, then the value — ``N`` None, ``T``/``F`` bools,
-  ``i`` int64, ``I`` big int (``<I`` length + signed bytes), ``f``
-  float64, ``s`` UTF-8 string (``<I`` length), ``t`` tuple and ``d``
-  str-keyed dict (``<I`` count), ``a`` array (dtype code, ndim, dims,
-  bytes) and ``r`` one released snapshot (the hot snapshot layout).
+* **Cold kinds** (``RELEASED`` requests, ``tenant``, ``memory``,
+  ``ping``, ``close``, ``OK_VALUE`` replies, ``ERR`` replies and the boot
+  ``SPEC``) carry one *typed value*: a tag byte, then the value — ``N``
+  None, ``T``/``F`` bools, ``i`` int64, ``I`` big int (``<I`` length +
+  signed bytes), ``f`` float64, ``s`` UTF-8 string (``<I`` length),
+  ``t`` tuple and ``d`` str-keyed dict (``<I`` count), ``a`` array
+  (dtype code, ndim, dims, bytes) and ``r`` one released snapshot (the
+  hot snapshot layout).
 
 The schema decides where richer objects may appear: a spec's ``rngs``
 and a tenant ``add``'s generator travel as ``(bit generator name, state,
-seed sequence)`` and are rebuilt only there; a spec's projection travels
-as its kind (one of the two built-ins) plus ``Φ`` as an array; an error
+seed sequence)`` and are rebuilt only there; a spec's config is plain
+data (a backend's shared ``Φ`` is a ``float64`` array in it); an error
 travels as its class name plus its message, the class resolved from
 :mod:`repro.exceptions` or ``ValueError``/``TypeError``/``KeyError``/
 ``RuntimeError`` — any other exception is sent as a
@@ -67,16 +67,14 @@ from .. import exceptions as _exceptions
 from ..exceptions import ReproError, ValidationError
 from ..privacy.parameters import PrivacyParams
 from ..privacy.tree import ReleasedMoments
-from ..sketching.gaussian import GaussianProjection
-from ..sketching.sparse_jl import SparseProjection
 
-__all__ = ["check_projection", "decode", "encode"]
+__all__ = ["decode", "encode"]
 
 # Frame kinds: requests, replies, boot.
 INGEST = 1
 RELEASED = 2
-_COLD_COMMANDS = ("tenant", "statistic", "describe", "memory", "ping", "sleep", "close")
-#: Cold request kinds: 3 ("tenant") … 9 ("close").
+_COLD_COMMANDS = ("tenant", "memory", "ping", "close")
+#: Cold request kinds: 3 ("tenant") … 6 ("close").
 _COMMAND_KIND = {name: 3 + i for i, name in enumerate(_COLD_COMMANDS)}
 _KIND_COMMAND = {kind: name for name, kind in _COMMAND_KIND.items()}
 OK_INT = 16
@@ -125,9 +123,6 @@ _ERRORS = {
 #: Bit generators a generator may be rebuilt from.
 _BIT_GENERATORS = ("PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937")
 
-#: The projections a remote shard can rebuild: kind name ↔ class.
-_PROJECTIONS = {"gaussian": GaussianProjection, "sparse": SparseProjection}
-
 #: ShardSpec fields in wire order (the budget travels as ε, δ).
 _SPEC_FIELDS = (
     "index",
@@ -157,8 +152,7 @@ def encode(message) -> bytes:
     """One message as one frame: a ``ShardSpec``, a request or a reply.
 
     Raises :class:`~repro.exceptions.ValidationError` for a message the
-    wire cannot carry (unknown command, unsupported value type, a custom
-    projection).
+    wire cannot carry (unknown command, unsupported value type).
     """
     if type(message) is not tuple:
         return _encode_spec(message)
@@ -301,7 +295,7 @@ def _generator_to_wire(rng) -> tuple:
     name = type(bit_generator).__name__
     if name not in _BIT_GENERATORS:
         raise ValidationError(
-            f"bit generator {name} cannot cross the wire (allowed: "
+            f"bit generator {name} cannot travel on the wire (allowed: "
             f"{', '.join(_BIT_GENERATORS)})"
         )
     seed_seq = getattr(bit_generator, "seed_seq", None)
@@ -326,22 +320,6 @@ def _tenant_to_wire(payload) -> tuple:
     return (action, name, extra)
 
 
-def check_projection(projection) -> str:
-    """The wire kind of a built-in projection (``ValidationError`` otherwise).
-
-    Remote shards rebuild ``Φ`` from its matrix, so only the two built-in
-    projection types can cross the wire.
-    """
-    for kind, cls in _PROJECTIONS.items():
-        if type(projection) is cls:
-            return kind
-    raise ValidationError(
-        f"remote transports accept only the built-in projections "
-        f"(GaussianProjection, SparseProjection), got "
-        f"{type(projection).__name__}; use transport='thread' for a custom one"
-    )
-
-
 def _encode_spec(spec) -> bytes:
     from .transport import ShardSpec
 
@@ -350,14 +328,6 @@ def _encode_spec(spec) -> bytes:
             f"a frame carries a ShardSpec or a (head, body) tuple, got "
             f"{type(spec).__name__}"
         )
-    config = dict(spec.config)
-    projection = config.get("projection")
-    if projection is not None:
-        config["projection"] = (
-            check_projection(projection),
-            projection.matrix,
-            getattr(projection, "sparsity_factor", None),
-        )
     fields = (
         spec.index,
         spec.dim,
@@ -365,7 +335,7 @@ def _encode_spec(spec) -> bytes:
         spec.budget.delta,
         tuple(_generator_to_wire(rng) for rng in spec.rngs),
         spec.backend,
-        config,
+        spec.config,
         spec.mechanism,
         spec.shard_horizon,
         spec.decay,
@@ -411,7 +381,7 @@ def decode(frame):
     ) as exc:
         # A backstop: every read below is bounds-checked first, but a
         # value that decodes cleanly can still be refused by the object
-        # it builds (a generator state, a projection matrix).
+        # it builds (a generator state).
         raise _malformed(f"{type(exc).__name__}: {exc}") from None
 
 
@@ -666,12 +636,6 @@ def _spec_from_wire(value):
     config, rngs = value["config"], value["rngs"]
     if type(config) is not dict or type(rngs) is not tuple:
         raise _malformed("a spec's config is a dict and its rngs a tuple")
-    projection = config.get("projection")
-    if projection is not None:
-        kind, matrix, sparsity = projection
-        if kind not in _PROJECTIONS:
-            raise _malformed(f"unknown projection kind {kind!r}")
-        config = dict(config, projection=_projection_from_wire(kind, matrix, sparsity))
     return ShardSpec(
         index=value["index"],
         dim=value["dim"],
@@ -685,10 +649,3 @@ def _spec_from_wire(value):
         window=value["window"],
     )
 
-
-def _projection_from_wire(kind: str, matrix, sparsity):
-    if not isinstance(matrix, np.ndarray) or matrix.dtype != _F8:
-        raise _malformed("a projection matrix is a float64 array")
-    if kind == "gaussian":
-        return GaussianProjection.from_matrix(matrix)
-    return SparseProjection.from_matrix(matrix, sparsity_factor=sparsity)

@@ -111,7 +111,8 @@ def test_booted_process_worker_maps_no_scipy():
     )
     worker = ProcessShardWorker(spec)
     try:
-        pid = worker.describe()["pid"]
+        assert worker.ping() == 0  # booted and serving
+        pid = worker._process.pid
         with open(f"/proc/{pid}/maps") as maps:
             # Match the scipy package directories only: numpy wheels ship
             # their own BLAS as ``numpy.libs/libscipy_openblas*.so``.

@@ -103,8 +103,9 @@ class TestDefaultBundleBitIdentity:
                 np.testing.assert_array_equal(
                     gram_all, gram_ref.observe_batch(xs[:, :, None] * xs[:, None, :])
                 )
-        np.testing.assert_array_equal(shard.cross.current_sum(), cross_ref.current_sum())
-        np.testing.assert_array_equal(shard.gram.current_sum(), gram_ref.current_sum())
+        cross, gram = shard.released()  # bundle order
+        np.testing.assert_array_equal(cross.current_sum(), cross_ref.current_sum())
+        np.testing.assert_array_equal(gram.current_sum(), gram_ref.current_sum())
 
     def test_decayed_fast_tier_replays_inline_weights(self, stream):
         shard = _shard(12, decay=0.9)
@@ -116,8 +117,9 @@ class TestDefaultBundleBitIdentity:
             weights = 0.9 ** np.arange(k - 1, -1, -1, dtype=float)
             cross_ref.advance_sum((weights * ys) @ xs, k)
             gram_ref.advance_sum((weights[:, None] * xs).T @ xs, k)
-        np.testing.assert_array_equal(shard.cross.current_sum(), cross_ref.current_sum())
-        np.testing.assert_array_equal(shard.gram.current_sum(), gram_ref.current_sum())
+        cross, gram = shard.released()  # bundle order
+        np.testing.assert_array_equal(cross.current_sum(), cross_ref.current_sum())
+        np.testing.assert_array_equal(gram.current_sum(), gram_ref.current_sum())
 
     def test_windowed_shard_replays_inline_pair(self, stream):
         shard = _shard(14, window=8)
@@ -126,7 +128,7 @@ class TestDefaultBundleBitIdentity:
             shard.ingest(stream.xs[s:e], stream.ys[s:e], False)
             cross_ref.advance_batch(stream.xs[s:e] * stream.ys[s:e][:, None])
         np.testing.assert_array_equal(
-            merge_released([shard.cross]).value, merge_released([cross_ref]).value
+            merge_released(shard.released()[:1]).value, merge_released([cross_ref]).value
         )
 
     def test_released_order_is_declaration_order(self, stream):
@@ -160,7 +162,7 @@ class TestBundleBudgets:
 
 class TestBundleApi:
     def test_bundle_names_mapping(self):
-        config = {"projection": GaussianProjection(DIM, 2, rng=0), "instruments": 3}
+        config = {"phi": GaussianProjection(DIM, 2, rng=0).matrix, "instruments": 3}
         assert BACKENDS["moment"].names(DIM, config) == ("cross", "gram")
         assert BACKENDS["projected"].names(DIM, config) == ("cross", "gram")
         assert BACKENDS["sketch"].names(DIM, config) == ("cross", "gram")

@@ -15,8 +15,8 @@ nothing else.  Four contracts pin that down:
     is bit-identical to the plain single-shard batched path.
 
 (c) **Shared-Φ identity** — every spawned projected worker (including
-    restarts) re-attaches to byte-for-byte the front's ``Φ``, the one
-    invariant Algorithm 3's sharding adds.
+    restarts) applies byte-for-byte the front's ``Φ``, the one invariant
+    Algorithm 3's sharding adds: it releases its thread twin's bits.
 
 (d) **Fault coverage** — a worker SIGKILLed behind the server's back is
     detected at the next pipe interaction, its acknowledged mass lands in
@@ -41,6 +41,7 @@ from repro import (
     L2Ball,
     PrivacyParams,
     PrivIncReg1,
+    Projection,
     ReleasedMoments,
     ShardedStream,
     SparseVectors,
@@ -256,7 +257,10 @@ class TestTransportEquivalence:
                 assert isinstance(wired_cross, ReleasedMoments)
                 assert isinstance(wired_gram, ReleasedMoments)
             # Snapshots fetched over the pipe carry each shard's own term...
-            per_shard = [shard.cross.release_noise_variance() for shard in server._shards]
+            cross = server.bundle_names.index("cross")
+            per_shard = [
+                shard.released()[cross].release_noise_variance() for shard in server._shards
+            ]
             assert cross_merged.noise_variance == pytest.approx(sum(per_shard))
             # ...and each term is the documented popcount(t)·σ²_node, with
             # σ_node from an identically calibrated reference tree.
@@ -272,30 +276,37 @@ class TestTransportEquivalence:
 
 class TestSharedProjection:
     def test_phi_identity_across_spawned_projected_workers(self, wide_stream):
-        """Every worker — and a restarted worker — holds the front's Φ."""
-        server = _server(
-            2,
-            seed=31,
-            constraint=L1Ball(8),
-            backend="projected",
-            x_domain=SparseVectors(8, 2),
-        )
-        try:
-            _feed(server, wide_stream, BLOCKS[:3])
-            for shard in server._shards:
-                description = shard.describe()
-                assert description["backend"] == "projected"
-                np.testing.assert_array_equal(
-                    description["projection_matrix"], server.projection.matrix
-                )
-            server.kill_shard(0)
-            server.restart_shard(0)
-            np.testing.assert_array_equal(
-                server._shards[0].describe()["projection_matrix"],
-                server.projection.matrix,
+        """Every worker — and a restarted worker — applies the front's Φ:
+        its releases equal its thread twin's after the same blocks."""
+        servers = [
+            _server(
+                2,
+                seed=31,
+                constraint=L1Ball(8),
+                backend="projected",
+                x_domain=SparseVectors(8, 2),
+                transport=transport,
             )
+            for transport in ("thread", "process")
+        ]
+
+        def assert_twins():
+            for thread_shard, shard in zip(*(server._shards for server in servers)):
+                for live, wired in zip(thread_shard.released(), shard.released()):
+                    np.testing.assert_array_equal(wired.value, live.released_moments().value)
+
+        try:
+            for server in servers:
+                _feed(server, wide_stream, BLOCKS[:3])
+            assert_twins()
+            for server in servers:
+                server.kill_shard(0)
+                server.restart_shard(0)
+                _feed(server, wide_stream, BLOCKS[3:])
+            assert_twins()
         finally:
-            server.close()
+            for server in servers:
+                server.close()
 
     def test_projected_thread_and_process_merges_bit_identical(self, wide_stream):
         results = {}
@@ -320,17 +331,17 @@ class TestSharedProjection:
             results["thread"][1].value, results["process"][1].value
         )
 
-    def test_from_matrix_rebuilds_the_same_map(self):
+    def test_projection_adopts_a_matrix_as_the_same_map(self):
         front = GaussianProjection(8, 4, rng=5)
-        rebuilt = GaussianProjection.from_matrix(front.matrix)
+        rebuilt = Projection(front.matrix)
         assert rebuilt.original_dim == 8 and rebuilt.projected_dim == 4
         np.testing.assert_array_equal(rebuilt.matrix, front.matrix)
         x = np.linspace(-0.3, 0.3, 8)
         np.testing.assert_array_equal(rebuilt.apply(x), front.apply(x))
         with pytest.raises(ValidationError):
-            GaussianProjection.from_matrix(np.zeros(3))
+            Projection(np.zeros(3))
         with pytest.raises(ValidationError):
-            GaussianProjection.from_matrix(np.full((2, 2), np.nan))
+            Projection(np.full((2, 2), np.nan))
 
 
 class TestProcessFaults:
@@ -386,7 +397,7 @@ class TestProcessFaults:
     def test_restart_after_worker_level_detection_books_the_loss(self, stream):
         """Restarting must not launder a crash out of the ledger.
 
-        A death first noticed by a *worker-level* RPC (``describe()``,
+        A death first noticed by a *worker-level* RPC (``ping()``,
         which reaps but cannot reach the server's ledger), followed by an
         immediate ``restart_shard`` — before any merge could sweep the
         dead worker — must still credit the lost mass, because the
@@ -399,7 +410,7 @@ class TestProcessFaults:
             victim._process.kill()
             victim._process.join(timeout=5.0)
             with pytest.raises(ShardUnavailableError):
-                victim.describe()
+                victim.ping()
             assert not victim.alive and server.lost_steps == 0
             server.restart_shard(0)  # books the old worker's 4 points
             assert server.lost_steps == 4

@@ -141,8 +141,9 @@ class TestSharedPhiMerge:
         for shard in server._shards:
             assert shard.backend == "projected"
             assert BACKENDS[shard.backend].release_family is None
-            assert shard.projection is server.projection
-            assert shard.moment_dim == M
+            # Shards receive Φ as its matrix: the very array the front holds.
+            assert shard.config["phi"] is server.projection.matrix
+            assert [h.shape for h in shard.released()] == [(M,), (M, M)]
         assert server.solver.projection is server.projection
 
     def test_restarted_shard_shares_the_same_phi(self, stream):
@@ -150,7 +151,7 @@ class TestSharedPhiMerge:
         server.observe_batch(stream.xs[:4], stream.ys[:4])
         server.kill_shard(0)
         server.restart_shard(0)
-        assert server._shards[0].projection is server.projection
+        assert server._shards[0].config["phi"] is server.projection.matrix
         for s, e in [(4, 13), (13, T)]:
             server.observe_batch(stream.xs[s:e], stream.ys[s:e])
         cross_m, gram_m = server.merged_moments()
@@ -335,7 +336,8 @@ class TestProjectedNoiseDistribution:
         # Shared Φ counted once; every per-shard tree term shrinks d² → m².
         assert projected.memory_floats() < plain.memory_floats()
         per_shard = projected._shards[0].memory_floats()
-        levels = projected._shards[0].gram.levels
+        gram = projected._shards[0].released()[projected.bundle_names.index("gram")]
+        levels = gram.levels
         assert per_shard == (levels + 1) * (M * M + M)
 
 

@@ -192,9 +192,10 @@ class TestShardRestart:
             server.observe_batch(stream.xs[s:e], stream.ys[s:e])
         cross_m, _ = server.merged_moments()
         expected = 0.0
+        cross = server.bundle_names.index("cross")
         with server._lock:
             for shard in server._shards:
-                expected += shard.cross.release_noise_variance()
+                expected += shard.released()[cross].release_noise_variance()
         assert cross_m.noise_variance == pytest.approx(expected)
 
     def test_empty_cache_read_raises_typed_no_estimate_error(self):
@@ -246,12 +247,10 @@ class TestReplacementsDrawFreshKeys:
         )
         try:
             server.observe_batch(stream.xs[:4], stream.ys[:4])
-            old = server._shards[0]
-            before = [old.cross._node_noise(0, 1), old.gram._node_noise(0, 1)]
+            before = [m._node_noise(0, 1) for m in server._shards[0].released()]
             server.kill_shard(0)
             server.restart_shard(0)
-            new = server._shards[0]
-            after = [new.cross._node_noise(0, 1), new.gram._node_noise(0, 1)]
+            after = [m._node_noise(0, 1) for m in server._shards[0].released()]
             for noise_before, noise_after in zip(before, after):
                 assert not np.array_equal(noise_before, noise_after)
         finally:
@@ -265,10 +264,14 @@ class TestReplacementsDrawFreshKeys:
         try:
             Y = np.stack([stream.ys[:4], -stream.ys[:4]], axis=1)
             server.observe_batch(stream.xs[:4], Y)
-            before = [shard.cross["tenant-1"]._node_noise(0, 1) for shard in server._shards]
+            def tenant_1_noise():
+                entry = server.bundle_names.index("cross:tenant-1")
+                return [shard.released()[entry]._node_noise(0, 1) for shard in server._shards]
+
+            before = tenant_1_noise()
             server.remove_tenant("tenant-1")
             server.add_tenant("tenant-1")
-            after = [shard.cross["tenant-1"]._node_noise(0, 1) for shard in server._shards]
+            after = tenant_1_noise()
             for noise_before, noise_after in zip(before, after):
                 assert not np.array_equal(noise_before, noise_after)
         finally:

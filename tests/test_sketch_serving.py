@@ -245,8 +245,8 @@ class TestSketchKnobValidation:
         assert BACKENDS[shard.backend].release_family == "sketch"
         assert shard.backend == "sketch"
         assert shard.mechanism == "tree"
-        assert isinstance(shard.cross, SketchNoiseMechanism)
-        assert isinstance(shard.gram, SketchNoiseMechanism)
+        assert len(shard.released()) == len(server.bundle_names) == 2
+        assert all(isinstance(h, SketchNoiseMechanism) for h in shard.released())
 
 
 # ---------------------------------------------------------------------------

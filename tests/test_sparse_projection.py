@@ -1,9 +1,9 @@
 """Property tests for the sparse-JL projection (footnote 16).
 
-``SparseProjection`` is the sketch backend's shared ``Φ``: per-block
-ingest is one sparse pass, privacy is pinned by the Step-4 rescaling, and
-the realized matrix crosses process/tcp spawn payloads by pickle.  These
-properties keep the construction honest:
+``SparseProjection`` is the sketch backend's shared ``Φ``: only its draw
+is sparse (it is applied as a dense product), privacy is pinned by the
+Step-4 rescaling, and the realized matrix is what process/tcp spawn
+payloads carry.  These properties keep the construction honest:
 
 * ``apply`` is *exactly* the explicit matrix product, for vectors and
   row batches — no fused shortcut may change the bits the moment streams
@@ -13,8 +13,7 @@ properties keep the construction honest:
 * ``s = 1`` degenerates to the dense ±``√(1/m)`` Rademacher projection;
 * squared norms are preserved to JL distortion at Gordon-sized ``m``,
   uniformly over seeds;
-* pickle round-trips bit-identically (the wire-fidelity contract the
-  spawn payloads rely on).
+* pickle round-trips bit-identically.
 """
 
 import math
@@ -114,8 +113,8 @@ class TestDistortion:
 
 class TestPickleFidelity:
     def test_round_trip_is_bit_identical(self):
-        """The spawn-payload contract: a pickled ``Φ`` re-attaches with
-        the same dims, the same ``s``, and the same matrix bits."""
+        """A pickled ``Φ`` (e.g. a persisted one) comes back with the
+        same dims, the same ``s``, and the same matrix bits."""
         projection = SparseProjection(32, 8, sparsity_factor=3, rng=99)
         clone = pickle.loads(pickle.dumps(projection))
         assert clone.original_dim == projection.original_dim

@@ -11,8 +11,9 @@ Six contracts pin down this layer:
     same acceptance gate the pipe transport passed in PR 4), and
     thread ≡ process ≡ tcp merged releases under one seed.
 
-(c) **Deadline semantics** — a worker that is *alive but stuck* (wedged
-    mid-command by sleep injection) no longer hangs
+(c) **Deadline semantics** — a worker that is *alive but stuck* (a
+    spawned worker stopped with SIGSTOP, or an in-process listener's
+    handler held on a gate) no longer hangs
     ``observe_batch``/``flush``/``close``: the RPC misses
     ``request_timeout``, the worker is killed/disconnected *before*
     :class:`~repro.exceptions.ShardTimeoutError` is raised (no stale
@@ -38,6 +39,7 @@ with ``SERVE_TRANSPORT=tcp`` (the CI transport axis).
 """
 
 import os
+import signal
 import socket
 import threading
 import time
@@ -103,18 +105,53 @@ def _spec(index=0, seed=0):
     )
 
 
-def _wedge(shard, seconds=WEDGE):
-    """Wedge a remote worker mid-command, behind the server's back.
+@pytest.fixture
+def wedge(monkeypatch):
+    """``wedge(shard)`` makes a remote worker stuck, behind the server's back.
 
-    Injects a raw ``sleep`` command down the shard's wire without
-    awaiting the reply — the worker's serial command loop is now stuck
-    exactly as if a pathological BLAS call wedged it, and the *next*
-    command queues behind the sleep.
+    A spawned process worker is stopped with SIGSTOP.  A tcp worker served
+    by an in-process listener runs its commands through a wrapped
+    ``netserve._build_handler`` that holds each command on a gate while
+    the gate is closed (for at most :data:`WEDGE` seconds).  Either way
+    the worker's serial command loop is stuck exactly as if a
+    pathological BLAS call wedged it, and the next command queues behind
+    the wedge.  Teardown resumes every stopped worker and opens every
+    gate, so nothing outlives the test stuck.
     """
-    if isinstance(shard, TcpShardWorker):
-        send_frame(shard._sock, ("sleep", seconds))
-    else:
-        shard._conn.send_bytes(wire.encode(("sleep", seconds)))
+    gates = {}  # shard index -> the gate of its latest connection
+    opened = []
+    stopped = []
+    build = netserve._build_handler
+
+    def gated_build(spec):
+        handler = build(spec)
+        gate = gates[spec.index] = threading.Event()
+        gate.set()
+        opened.append(gate)
+
+        def gated(command, payload):
+            gate.wait(WEDGE)
+            return handler(command, payload)
+
+        return gated
+
+    monkeypatch.setattr(netserve, "_build_handler", gated_build)
+
+    def wedge_shard(shard):
+        if isinstance(shard, TcpShardWorker):
+            gates[shard.index].clear()
+        else:
+            os.kill(shard._process.pid, signal.SIGSTOP)
+            stopped.append(shard._process.pid)
+
+    yield wedge_shard
+    for pid in stopped:
+        try:
+            os.kill(pid, signal.SIGCONT)
+        except ProcessLookupError:
+            pass
+    for gate in opened:
+        gate.set()
 
 
 class TestFrameProtocol:
@@ -354,11 +391,11 @@ class TestTransportEquivalence:
 
 
 class TestDeadlines:
-    def test_stuck_process_worker_times_out_dead(self):
+    def test_stuck_process_worker_times_out_dead(self, wedge):
         worker = ProcessShardWorker(_spec(), request_timeout=0.5)
         try:
             assert worker.ping() == 0
-            _wedge(worker)
+            wedge(worker)
             started = time.monotonic()
             with pytest.raises(ShardTimeoutError):
                 worker.ping()
@@ -370,12 +407,12 @@ class TestDeadlines:
         finally:
             worker.shutdown()
 
-    def test_stuck_tcp_worker_times_out_dead(self):
+    def test_stuck_tcp_worker_times_out_dead(self, wedge):
         with ShardHostListener() as listener:
             worker = TcpShardWorker(
                 _spec(), listener.address, request_timeout=0.5
             )
-            _wedge(worker)
+            wedge(worker)
             started = time.monotonic()
             with pytest.raises(ShardTimeoutError):
                 worker.ping()
@@ -390,14 +427,20 @@ class TestDeadlines:
         """request_timeout=None keeps the legacy unbounded wait — a slow
         command under the old default must still complete, not die."""
         worker = ProcessShardWorker(_spec())
+        pid = worker._process.pid
         try:
-            assert worker._request("sleep", 0.2) is None
+            os.kill(pid, signal.SIGSTOP)
+            resume = threading.Timer(0.2, os.kill, (pid, signal.SIGCONT))
+            resume.start()
+            assert worker.ping() == 0  # answered once the worker resumes
+            resume.join()
             assert worker.alive
         finally:
+            os.kill(pid, signal.SIGCONT)
             worker.shutdown()
 
     @pytest.mark.parametrize("transport", ["process", "tcp"])
-    def test_wedged_worker_no_longer_hangs_the_server(self, stream, transport):
+    def test_wedged_worker_no_longer_hangs_the_server(self, stream, transport, wedge):
         """ISSUE 7 acceptance: observe/flush/close all stay bounded, the
         shard dies within request_timeout, mass is refunded into
         lost_steps, and restart_shard recovers — both transports."""
@@ -405,7 +448,7 @@ class TestDeadlines:
         try:
             _feed(server, stream, BLOCKS[:2])  # one block per shard
             victim = server._shards[0]
-            _wedge(victim)
+            wedge(victim)
             started = time.monotonic()
             with pytest.raises(ShardUnavailableError):
                 server.observe_batch(stream.xs[8:12], stream.ys[8:12])
@@ -426,12 +469,12 @@ class TestDeadlines:
             server.close()
             assert time.monotonic() - started < 15.0
 
-    def test_wedged_worker_detected_by_merge(self, stream):
+    def test_wedged_worker_detected_by_merge(self, stream, wedge):
         """A wedge first noticed by the merge path books the same loss."""
         server = _server(2, seed=21, request_timeout=0.5)
         try:
             _feed(server, stream, BLOCKS[:2])
-            _wedge(server._shards[1])
+            wedge(server._shards[1])
             cross_merged, _ = server.merged_moments()  # sweeps the wedge
             assert server.lost_steps == 4
             assert cross_merged.missing == (1,)
@@ -442,22 +485,22 @@ class TestDeadlines:
         finally:
             server.close()
 
-    def test_shutdown_of_wedged_worker_is_bounded(self):
+    def test_shutdown_of_wedged_worker_is_bounded(self, wedge):
         worker = ProcessShardWorker(
             _spec(), request_timeout=5.0, shutdown_timeout=0.5
         )
-        _wedge(worker)
+        wedge(worker)
         started = time.monotonic()
         worker.shutdown()  # close handshake deadline → fall through to kill
         assert time.monotonic() - started < 5.0
         assert not worker.alive and worker._process is None
 
-    def test_broken_pipe_to_a_wedged_worker_kills_it_promptly(self):
+    def test_broken_pipe_to_a_wedged_worker_kills_it_promptly(self, wedge):
         """A pipe failure does not prove the worker exited: detection
         kills it and returns well inside ``shutdown_timeout``."""
         worker = ProcessShardWorker(_spec(), shutdown_timeout=0.5)
-        pid = worker.describe()["pid"]
-        _wedge(worker, seconds=8.0)
+        pid = worker._process.pid
+        wedge(worker)
         worker._conn.close()  # the parent's end breaks mid-command
         started = time.monotonic()
         with pytest.raises(ShardUnavailableError):
@@ -555,13 +598,13 @@ class TestTcpFaults:
 
 
 class TestHeartbeat:
-    def test_heartbeat_detects_a_wedged_worker_without_traffic(self, stream):
+    def test_heartbeat_detects_a_wedged_worker_without_traffic(self, stream, wedge):
         server = _server(
             2, seed=6, request_timeout=0.5, heartbeat_every=0.1
         )
         try:
             _feed(server, stream, BLOCKS[:2])
-            _wedge(server._shards[0])
+            wedge(server._shards[0])
             deadline = time.monotonic() + 10.0
             while server.lost_steps == 0 and time.monotonic() < deadline:
                 time.sleep(0.05)  # no API traffic: only the loop can see it

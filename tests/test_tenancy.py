@@ -664,8 +664,7 @@ class TestTenancyValidation:
         with pytest.raises(StreamExhaustedError):
             shard.ingest(stream.xs[3:6], outcomes[3:6, :2], False)
         assert shard.steps == 3
-        assert shard.gram.steps_taken == 3
-        assert all(m.steps_taken == 3 for m in shard.cross.values())
+        assert all(m.steps_taken == 3 for m in shard.released())  # Gram and crosses
         # The refused block is retryable at a fitting size.
         shard.ingest(stream.xs[3:4], outcomes[3:4, :2], False)
         assert shard.steps == 4
@@ -741,7 +740,9 @@ class TestTenantFrontLifecycle:
             server.add_tenant("b")
             server.kill_shard(0)
             server.restart_shard(0)
-            assert server._shards[0].tenants() == server.tenants() == ("a", "b")
+            assert server.tenants() == ("a", "b")
+            assert server.bundle_names == ("gram:1.0", "cross:a", "cross:b")
+            assert len(server._shards[0].released()) == len(server.bundle_names)
             assert server._shards[0].steps == 0  # fresh entries
             server.observe_batch(stream.xs[5:13], outcomes[5:13, :2])
             server.observe_batch(stream.xs[13:20], outcomes[13:20, :2])
@@ -771,7 +772,7 @@ class TestTenantFrontLifecycle:
                 time.sleep(0.05)
             assert server.heartbeat_stats()["deaths_detected"] >= 1
             assert server._shards[1].alive
-            assert server._shards[1].tenants() == server.tenants()
+            assert len(server._shards[1].released()) == len(server.bundle_names)
             server.observe_batch(stream.xs[13:20], outcomes[13:20, :2])
             server.observe_batch(stream.xs[20:26], outcomes[20:26, :2])
             served = server.flush()
@@ -792,9 +793,11 @@ class TestTenantFrontLifecycle:
             server.kill_shard(0)
             server.restart_shard(0)  # over the Gram entries only
             assert server._shards[0].alive
-            assert server._shards[0].tenants() == ()
+            assert server.bundle_names == ("gram:1.0",)
+            assert len(server._shards[0].released()) == 1
             server.add_tenant("b")
-            assert server._shards[0].tenants() == ("b",)
+            assert server.bundle_names == ("gram:1.0", "cross:b")
+            assert len(server._shards[0].released()) == 2
             server.observe_batch(stream.xs[5:13], outcomes[5:13, 0])  # shard 1
             server.observe_batch(stream.xs[13:20], outcomes[13:20, 0])  # shard 0
             served = server.flush()

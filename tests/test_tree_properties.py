@@ -25,7 +25,6 @@ depend on, independent of any specific stream:
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -431,8 +430,8 @@ BROADCAST_VALUES = {
 INSTRUMENTS = 2
 BACKEND_ROWS = {
     "moment": (None, 3),
-    "projected": ({"projection": SimpleNamespace(projected_dim=4)}, 4),
-    "sketch": ({"projection": SimpleNamespace(projected_dim=4)}, 4),
+    "projected": ({"phi": np.zeros((4, 3))}, 4),
+    "sketch": ({"phi": np.zeros((4, 3))}, 4),
     "iv": ({"instruments": INSTRUMENTS}, INSTRUMENTS + 3),
 }
 

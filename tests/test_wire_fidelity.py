@@ -2,21 +2,26 @@
 
 The remote transports never ship a live mechanism — a worker rebuilds
 its shard from a :class:`~repro.streaming.transport.ShardSpec` inside the
-child interpreter.  For the projected and sketch backends the spec
-carries the front-drawn shared ``Φ`` itself, and the whole equivalence
-story (thread ≡ process ≡ tcp, replay twins, K=1 conformance) rests on
-that payload crossing the wire *bit-identically*:
+child interpreter.  For the projected and sketch backends the spec's
+config carries the front-drawn shared ``Φ`` as its matrix, and the whole
+equivalence story (thread ≡ process ≡ tcp, replay twins, K=1
+conformance) rests on that payload crossing the wire *bit-identically*:
 
 * the rng children ship with their exact state (same noise stream in the
   child as in-process);
-* the projection matrix re-attaches with the same bits, on spawn AND on
-  restart — every worker generation of a server shares one ``Φ``;
+* every remote shard releases the same bits as its thread twin after the
+  same blocks, on spawn AND after a restart — every worker generation of
+  a server applies one ``Φ``;
 * a spec round-trips through the wire codec (:mod:`repro.streaming.wire`)
   unchanged, and two builds of the same spec produce mechanisms with
   identical noise;
-* a remote shard's ``cross`` / ``gram`` diagnostics name the same
-  statistic as the in-process shard's attributes.
+* a remote shard's releases equal the in-process shard's entry by entry,
+  in ``bundle_names`` order, on every bundle layout;
+* ``Φ`` is data, so any :class:`~repro.sketching.projection.Projection`
+  serves on every transport.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -34,6 +39,7 @@ from repro import (
 )
 from repro.data import make_dense_stream, make_iv_stream
 from repro.exceptions import ValidationError
+from repro.privacy.tree import ReleasedMoments
 from repro.streaming import wire
 from repro.streaming.backends import BACKENDS
 from repro.streaming.transport import ShardSpec
@@ -48,7 +54,7 @@ def stream():
     return make_dense_stream(T, DIM, noise_std=0.05, rng=903)
 
 
-def _server(backend, transport, seed=29, k=2):
+def _server(backend, transport, seed=29, k=2, projection=None):
     return ShardedStream(
         L2Ball(DIM),
         PARAMS,
@@ -57,54 +63,72 @@ def _server(backend, transport, seed=29, k=2):
         iteration_cap=10,
         backend=backend,
         x_domain=L2Ball(DIM),
-        projected_dim=DIM,
+        projected_dim=DIM if projection is None else None,
+        projection=projection,
         transport=transport,
         rng=seed,
     )
 
 
+def _released(shard):
+    """A shard's releases as snapshots, in bundle order (any transport)."""
+    return tuple(
+        handle if isinstance(handle, ReleasedMoments) else handle.released_moments()
+        for handle in shard.released()
+    )
+
+
+def _assert_same_releases(shard, twin):
+    got, want = _released(shard), _released(twin)
+    assert len(got) == len(want)
+    for mine, theirs in zip(got, want):
+        assert mine.shape == theirs.shape
+        assert (mine.steps, mine.noise_variance) == (theirs.steps, theirs.noise_variance)
+        np.testing.assert_array_equal(mine.value, theirs.value)
+
+
 class TestSpawnPayloadFidelity:
     @pytest.mark.parametrize("backend", ["projected", "sketch"])
     @pytest.mark.parametrize("transport", ["process", "tcp"])
-    def test_every_worker_reattaches_to_the_front_phi_bit_identically(
+    def test_every_worker_releases_its_thread_twins_bits(
         self, stream, backend, transport
     ):
-        server = _server(backend, transport)
+        """Each remote shard applies the front's ``Φ``: after the same
+        blocks it releases exactly what its thread twin releases."""
+        twin, server = _server(backend, "thread"), _server(backend, transport)
         try:
-            for shard in server._shards:
-                description = shard.describe()
-                assert description["backend"] == backend
-                assert description["mechanism"] == "tree"
-                assert description["moment_dim"] == DIM
-                np.testing.assert_array_equal(
-                    description["projection_matrix"], server.projection.matrix
-                )
+            for front in (twin, server):
+                for s in range(0, 12, 3):
+                    front.observe_batch(stream.xs[s : s + 3], stream.ys[s : s + 3])
+            for shard, thread_shard in zip(server._shards, twin._shards):
+                assert shard.steps == thread_shard.steps == 6
+                _assert_same_releases(shard, thread_shard)
         finally:
+            twin.close()
             server.close()
 
     @pytest.mark.parametrize("backend", ["projected", "sketch"])
     @pytest.mark.parametrize("transport", ["process", "tcp"])
-    def test_restarted_worker_reattaches_to_the_same_phi(
+    def test_restarted_worker_applies_the_same_phi(
         self, stream, backend, transport
     ):
         """A restart spawns a fresh interpreter with fresh mechanisms —
         but the same shared ``Φ``: the one invariant every worker
-        generation of a projected/sketch server must keep."""
-        server = _server(backend, transport)
+        generation of a projected/sketch server must keep.  The restarted
+        shard releases its restarted thread twin's bits."""
+        twin, server = _server(backend, "thread"), _server(backend, transport)
         try:
-            server.observe_batch(stream.xs[:4], stream.ys[:4])
-            before = server._shards[0].describe()["projection_matrix"]
-            server.kill_shard(0)
-            server.restart_shard(0)
-            after = server._shards[0].describe()
-            assert after["steps"] == 0  # fresh mechanisms...
-            np.testing.assert_array_equal(
-                after["projection_matrix"], before
-            )  # ...same Φ
-            np.testing.assert_array_equal(
-                after["projection_matrix"], server.projection.matrix
-            )
+            for front in (twin, server):
+                front.observe_batch(stream.xs[:4], stream.ys[:4])
+                front.kill_shard(0)
+                front.restart_shard(0)
+                assert front._shards[0].steps == 0  # fresh mechanisms...
+                for s in range(4, 12, 2):
+                    front.observe_batch(stream.xs[s : s + 2], stream.ys[s : s + 2])
+            for shard, thread_shard in zip(server._shards, twin._shards):
+                _assert_same_releases(shard, thread_shard)  # ...same Φ
         finally:
+            twin.close()
             server.close()
 
 
@@ -115,6 +139,7 @@ def _over_the_wire(spec):
 
 class TestShardSpecWire:
     def _spec(self, backend, projection, seed=17):
+        config = {} if projection is None else {"phi": projection.matrix}
         return ShardSpec(
             index=0,
             dim=DIM,
@@ -123,7 +148,7 @@ class TestShardSpecWire:
             mechanism="tree",
             shard_horizon=T,
             backend=backend,
-            config={"projection": projection},
+            config=config,
         )
 
     @pytest.mark.parametrize(
@@ -134,9 +159,9 @@ class TestShardSpecWire:
         clone = _over_the_wire(spec)
         assert (clone.backend, clone.mechanism) == (backend, "tree")
         assert clone.shard_horizon == T
-        np.testing.assert_array_equal(
-            clone.projection.matrix, spec.projection.matrix
-        )
+        phi = clone.config["phi"]
+        assert isinstance(phi, np.ndarray) and phi.dtype == np.float64
+        np.testing.assert_array_equal(phi, spec.config["phi"])
 
     def test_two_builds_of_one_spec_produce_identical_noise(self, stream):
         """The shipped rng children carry exact generator state: building
@@ -147,28 +172,33 @@ class TestShardSpecWire:
         remote = _over_the_wire(spec).build()
         assert local.backend == "sketch"
         assert BACKENDS[local.backend].release_family == "sketch"
-        assert isinstance(local.cross, SketchNoiseMechanism)
+        assert all(isinstance(h, SketchNoiseMechanism) for h in local.released())
         local.ingest(stream.xs[:6], stream.ys[:6], fast=False)
         remote.ingest(stream.xs[:6], stream.ys[:6], fast=False)
-        np.testing.assert_array_equal(
-            local.cross.current_sum(), remote.cross.current_sum()
-        )
-        np.testing.assert_array_equal(
-            local.gram.current_sum(), remote.gram.current_sum()
-        )
+        assert BACKENDS["sketch"].names(DIM, spec.config) == ("cross", "gram")
+        for mine, theirs in zip(local.released(), remote.released()):
+            np.testing.assert_array_equal(mine.current_sum(), theirs.current_sum())
 
     def test_projected_spec_builds_tree_mechanisms(self):
         spec = self._spec("projected", GaussianProjection(DIM, 2, rng=5))
         shard = spec.build()
         assert shard.backend == "projected"
         assert BACKENDS[shard.backend].release_family is None
-        assert isinstance(shard.cross, TreeMechanism)
+        assert all(isinstance(h, TreeMechanism) for h in shard.released())
 
     @pytest.mark.parametrize("backend", ["projected", "sketch"])
     def test_spec_without_projection_is_refused(self, backend):
         spec = self._spec(backend, None)
-        with pytest.raises(ValidationError, match="projection"):
+        with pytest.raises(ValidationError, match="phi"):
             spec.build()
+
+    @pytest.mark.parametrize("phi", [np.zeros(DIM), np.full((2, DIM), np.nan)])
+    def test_spec_with_a_malformed_phi_is_refused(self, phi):
+        """A ``Φ`` from a spawn payload is checked when the shard builds:
+        a finite ``(m, d)`` matrix, as ``Projection`` requires."""
+        spec = dataclasses.replace(self._spec("projected", None), config={"phi": phi})
+        with pytest.raises(ValidationError, match="projection matrix"):
+            _over_the_wire(spec).build()
 
     def test_sketch_shard_solver_replay_from_rebuilt_spec(self, stream):
         """End-to-end over the encoded payload: moments ingested by a
@@ -191,10 +221,9 @@ class TestShardSpecWire:
                 projection=projection,
                 rng=0,
             )
+            cross, gram = shard.released()  # bundle order: (cross, gram)
             thetas.append(
-                twin.refresh_from_released(
-                    T, shard.gram.current_sum(), shard.cross.current_sum()
-                )
+                twin.refresh_from_released(T, gram.current_sum(), cross.current_sum())
             )
         np.testing.assert_array_equal(thetas[0], thetas[1])
 
@@ -221,27 +250,11 @@ def _feed(front, kind):
     front.observe_batch(data.xs[:8], ys[:8])
 
 
-def _statistic(shard, name):
-    """``(shape, current_sum)`` of a shard attribute, per tenant on a dict;
-    the exception type when the shard declares no such statistic."""
-    try:
-        view = getattr(shard, name)
-    except KeyError:
-        return KeyError
-    if isinstance(view, dict):
-        return {key: _statistic_value(handle) for key, handle in view.items()}
-    return _statistic_value(view)
-
-
-def _statistic_value(handle):
-    return tuple(handle.shape), handle.current_sum()
-
-
 class TestRemoteShardDiagnostics:
-    """``cross`` / ``gram`` on a remote shard resolve by statistic name,
-    not by bundle position: a tenant bundle declares its Gram groups
-    before its cross entries, so positional resolution swapped them, and
-    on an iv shard it served ``zz`` as ``cross``."""
+    """A remote shard's ``released()`` snapshots are the in-process
+    shard's entries, one per bundle name and in ``bundle_names`` order —
+    also where a tenant bundle declares its Gram groups before its cross
+    entries, and where an iv bundle declares no ``cross`` at all."""
 
     @pytest.mark.parametrize("kind", ["moment", "tenant", "iv"])
     @pytest.mark.parametrize("transport", ["thread", "process", "tcp"])
@@ -250,56 +263,37 @@ class TestRemoteShardDiagnostics:
         try:
             for front in (local, remote):
                 _feed(front, kind)
-            for name in ("cross", "gram"):
-                expected = _statistic(local._shards[0], name)
-                got = _statistic(remote._shards[0], name)
-                if expected is KeyError:
-                    assert got is KeyError, name
-                    continue
-                if isinstance(expected, dict):
-                    assert got.keys() == expected.keys(), name
-                    pairs = [(got[key], expected[key]) for key in expected]
-                else:
-                    pairs = [(got, expected)]
-                for (shape, value), (want_shape, want_value) in pairs:
-                    assert shape == want_shape, name
-                    np.testing.assert_array_equal(value, want_value)
+            assert remote.bundle_names == local.bundle_names
+            assert len(remote._shards[0].released()) == len(local.bundle_names)
+            _assert_same_releases(remote._shards[0], local._shards[0])
         finally:
             local.close()
             remote.close()
 
 
-class TestRemoteTransportsNeedBuiltInProjections:
-    """``Φ`` crosses the wire as its kind plus its matrix, so only the two
-    built-in projection types can serve remotely; anything else is refused
-    when the front is built, before a worker or listener starts."""
+class TestProjectionSubclassesServeRemotely:
+    """``Φ`` travels as its matrix, so a projection the wire knows nothing
+    about serves on every transport with the thread transport's bits."""
 
     class Relabelled(GaussianProjection):
-        pass
-
-    def _front(self, projection, transport):
-        return ShardedStream(
-            L2Ball(DIM),
-            PARAMS,
-            shards=2,
-            horizon=T,
-            backend="projected",
-            x_domain=L2Ball(DIM),
-            projection=projection,
-            transport=transport,
-            rng=3,
-        )
+        label = "custom"
 
     @pytest.mark.parametrize("transport", ["process", "tcp"])
-    def test_custom_projection_is_refused_at_construction(self, transport):
-        custom = self.Relabelled.from_matrix(GaussianProjection(DIM, 2, rng=1).matrix)
-        with pytest.raises(ValidationError, match="built-in projections"):
-            self._front(custom, transport)
-
-    def test_custom_projection_still_serves_in_process(self):
-        custom = self.Relabelled.from_matrix(GaussianProjection(DIM, 2, rng=1).matrix)
-        server = self._front(custom, "thread")
+    def test_a_gaussian_subclass_serves_with_the_thread_bits(self, stream, transport):
+        projection = self.Relabelled(DIM, 2, rng=1)
+        fronts = [
+            _server("projected", name, seed=3, projection=projection)
+            for name in ("thread", transport)
+        ]
         try:
-            assert server.projection is custom
+            for front in fronts:
+                assert front.projection is projection
+                for s in range(0, 12, 4):
+                    front.observe_batch(stream.xs[s : s + 4], stream.ys[s : s + 4])
+            thread, remote = (front.flush() for front in fronts)
+            np.testing.assert_array_equal(thread.theta, remote.theta)
+            for mine, theirs in zip(*(front.merged_moments() for front in fronts)):
+                np.testing.assert_array_equal(mine.value, theirs.value)
         finally:
-            server.close()
+            for front in fronts:
+                front.close()
