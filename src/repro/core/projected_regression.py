@@ -219,7 +219,7 @@ class PrivIncReg2(_MomentRegression):
         :meth:`_transform_row` only up to BLAS reduction order, so
         :meth:`observe_batch` matches :meth:`observe` to floating-point
         accuracy rather than bit-for-bit."""
-        return step4_rescale_block(self.projection, xs)
+        return step4_rescale_block(self.projection.matrix, xs)
 
     def _solve_at(
         self, t: float, noisy_cross: np.ndarray, noisy_gram: np.ndarray

@@ -20,7 +20,7 @@ from .gaussian import GaussianProjection
 from .gordon import gordon_dimension, gordon_distortion
 from .lifting import lift, lift_l1_basis_pursuit, lift_least_norm, lift_polytope
 from .projected_set import ProjectedConvexSet
-from .projection import Projection, step4_rescale, step4_rescale_block
+from .projection import Projection, step4_rescale_block
 from .sparse_jl import SparseProjection
 
 __all__ = [
@@ -34,6 +34,5 @@ __all__ = [
     "lift_least_norm",
     "lift_l1_basis_pursuit",
     "lift_polytope",
-    "step4_rescale",
     "step4_rescale_block",
 ]

@@ -21,38 +21,22 @@ import numpy as np
 
 from ..exceptions import ValidationError
 
-__all__ = ["Projection", "step4_rescale", "step4_rescale_block"]
+__all__ = ["Projection", "step4_rescale_block"]
 
 
-def step4_rescale(projection, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Algorithm 3 Step 4 for one covariate: ``(x̃, Φx̃)`` with ``‖Φx̃‖ = ‖x‖``.
-
-    The all-zeros covariate maps to zeros (the paper assumes ``x ≠ 0``
-    WLOG; zero covariates carry no information either way).
-    """
-    x = np.asarray(x, dtype=float)
-    projected = projection.apply(x)
-    original_norm = float(np.linalg.norm(x))
-    projected_norm = float(np.linalg.norm(projected))
-    if original_norm == 0.0 or projected_norm == 0.0:
-        return np.zeros_like(x), np.zeros(projection.projected_dim)
-    scale = original_norm / projected_norm
-    return scale * x, scale * projected
-
-
-def step4_rescale_block(projection, xs: np.ndarray) -> np.ndarray:
+def step4_rescale_block(matrix: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Algorithm 3 Step 4, vectorized: the ``(k, m)`` block of ``Φx̃`` rows.
 
-    ``projection`` is a :class:`Projection` or its ``(m, d)`` matrix (the
-    form a serving shard's config carries).  The single definition of the
-    batched rescaling shared by
+    ``matrix`` is ``Φ`` as an ``(m, d)`` array (a :class:`Projection`'s
+    ``matrix``, or the form a serving shard's config carries).  The single
+    definition of the batched rescaling shared by
+    :meth:`Projection.rescale_covariates`,
     :meth:`~repro.core.projected_regression.PrivIncReg2.observe_batch` and
     the projected serving backends' row transform
     (:mod:`repro.streaming.backends`) — one dense product for the whole
     block, then a per-row scale so every row satisfies
     ``‖Φx̃_i‖ = ‖x_i‖`` exactly.
     """
-    matrix = getattr(projection, "matrix", projection)
     xs = np.asarray(xs, dtype=float)
     norms = np.linalg.norm(xs, axis=1)
     projected = xs @ matrix.T
@@ -102,12 +86,23 @@ class Projection:
         )
 
     def rescale_covariate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Algorithm 3 Step 4: ``(x̃, Φx̃)`` with ``‖Φx̃‖ = ‖x‖``."""
-        return step4_rescale(self, x)
+        """Algorithm 3 Step 4 for one covariate: ``(x̃, Φx̃)`` with ``‖Φx̃‖ = ‖x‖``.
+
+        The all-zeros covariate maps to zeros (the paper assumes ``x ≠ 0``
+        WLOG; zero covariates carry no information either way).
+        """
+        x = np.asarray(x, dtype=float)
+        projected = self.apply(x)
+        original_norm = float(np.linalg.norm(x))
+        projected_norm = float(np.linalg.norm(projected))
+        if original_norm == 0.0 or projected_norm == 0.0:
+            return np.zeros_like(x), np.zeros(self.projected_dim)
+        scale = original_norm / projected_norm
+        return scale * x, scale * projected
 
     def rescale_covariates(self, xs: np.ndarray) -> np.ndarray:
         """Step 4 over a block: the ``(k, m)`` rows ``Φx̃_i``."""
-        return step4_rescale_block(self, xs)
+        return step4_rescale_block(self.matrix, xs)
 
     def distortion(self, points: np.ndarray) -> float:
         """Empirical max relative norm distortion over rows of ``points``.

@@ -76,7 +76,7 @@ def serve_backend_replay(
             projection = GaussianProjection(dim, dim, rng=front)
 
         def transform(xs):
-            return step4_rescale_block(projection, np.asarray(xs, dtype=float))
+            return step4_rescale_block(projection.matrix, np.asarray(xs, dtype=float))
 
     children = front.spawn(2 * k)
     half = params.halve()

@@ -96,7 +96,7 @@ def _replay_shard_trees(k, seed, blocks, stream):
     ]
     for block_index, (s, e) in enumerate(blocks):
         shard = block_index % k
-        rows = step4_rescale_block(projection, stream.xs[s:e])
+        rows = step4_rescale_block(projection.matrix, stream.xs[s:e])
         ys = stream.ys[s:e]
         cross[shard].advance_batch(rows * ys[:, None])
         gram[shard].advance_batch(rows[:, :, None] * rows[:, None, :])
@@ -297,7 +297,7 @@ class TestProjectedNoiseDistribution:
             )
             for s, e in blocks:
                 server.observe_batch(xs[s:e], ys[s:e])
-            rows = step4_rescale_block(server.projection, xs)
+            rows = step4_rescale_block(server.projection.matrix, xs)
             exact_cross = (rows * ys[:, None]).sum(axis=0)
             cross_m, _ = server.merged_moments()
             variance = cross_m.noise_variance

@@ -21,6 +21,7 @@ import ast
 import importlib.util
 import io
 import pathlib
+import re
 import tokenize
 
 import numpy as np
@@ -37,8 +38,14 @@ STREAMING = ROOT / "src" / "repro" / "streaming"
 PARAMS = PrivacyParams(4.0, 1e-6)
 DIM = 3
 
-#: Words the transport layer's code must not contain (lower-cased match).
-RETIRED = ("projection", "sparsity", "cross", "gram", "moment_dim", "describe", "sleep")
+#: Retired surfaces the transport layer's code must not name, matched as
+#: whole words of identifiers and string literals (``check_projection``
+#: and ``"cross:a"`` match; ``program`` and ``across`` do not).
+RETIRED = ("projection", "sparsity", "cross", "gram", "moment_dim", "describe")
+
+#: Retired command names, matched in string literals only (where a command
+#: name appears), so ``time.sleep`` stays free to use.
+RETIRED_COMMANDS = ("sleep",)
 
 
 def _sent_commands() -> set[str]:
@@ -142,7 +149,7 @@ class TestCommandSet:
             dispatch_command(_tenant_shard(), "tenant", ("list", None, None))
 
     def test_the_client_has_no_diagnostic_surface(self):
-        for name in ("cross", "gram", "tenants", "describe"):
+        for name in ("cross", "gram", "tenants", "describe", "sleep"):
             assert not hasattr(ShardRpcClient, name)
         assert not hasattr(transport.ShardSpec, "projection")
 
@@ -154,19 +161,40 @@ def _load_code_lines():
     return module
 
 
-def _code_mentions(source: str, words=RETIRED) -> list[tuple[int, str]]:
-    """``(line, token)`` of every code token naming one of ``words``.
+def _words(text: str) -> str:
+    """``text`` as lower-case words joined by ``_``: identifiers split at
+    underscores and camelCase humps, anything else at non-alphanumerics."""
+    text = re.sub(r"([a-z0-9])([A-Z])", r"\1_\2", text)
+    return "_" + "_".join(re.findall(r"[a-z0-9]+", text.lower())) + "_"
+
+
+def _names_a_word(text: str, words) -> bool:
+    """Whether ``text`` has one of ``words`` (or its plural) as whole words."""
+    spaced = _words(text)
+    return any(f"_{word}_" in spaced or f"_{word}s_" in spaced for word in words)
+
+
+def _code_mentions(source: str) -> list[tuple[int, str]]:
+    """``(line, token)`` of every code token naming a retired surface.
 
     Reads the source with :mod:`tokenize`, skipping comments and the
     lines of module, class and function docstrings (the rule
-    ``tools/code_lines.py`` counts code lines by).
+    ``tools/code_lines.py`` counts code lines by).  Identifiers are
+    checked against :data:`RETIRED`; string literals against it and
+    :data:`RETIRED_COMMANDS`.
     """
     docstrings = _load_code_lines()._docstring_lines(ast.parse(source))
     found = []
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
-        if token.type == tokenize.COMMENT or token.start[0] in docstrings:
+        if token.start[0] in docstrings:
             continue
-        if any(word in token.string.lower() for word in words):
+        if token.type == tokenize.NAME:
+            words = RETIRED
+        elif token.type == tokenize.STRING:
+            words = RETIRED + RETIRED_COMMANDS
+        else:
+            continue
+        if _names_a_word(token.string, words):
             found.append((token.start[0], token.string))
     return found
 
@@ -181,6 +209,21 @@ class TestTransportCodeNamesNoRetiredSurface:
             '    return ("sleep", Projection)\n'
         )
         assert _code_mentions(source) == [(5, '"sleep"'), (5, "Projection")]
+
+    def test_the_scanner_matches_whole_words_only(self):
+        source = (
+            "time.sleep(0.1)\n"
+            "program = across = histogram = 'a program across shards'\n"
+            "check_projection(_PROJECTIONS, GaussianProjection, moment_dim)\n"
+            "kind = 'cross:a'\n"
+        )
+        assert _code_mentions(source) == [
+            (3, "check_projection"),
+            (3, "_PROJECTIONS"),
+            (3, "GaussianProjection"),
+            (3, "moment_dim"),
+            (4, "'cross:a'"),
+        ]
 
     @pytest.mark.parametrize("module", ["wire.py", "transport.py", "netserve.py"])
     def test_module_code_is_free_of_retired_words(self, module):

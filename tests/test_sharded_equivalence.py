@@ -348,7 +348,7 @@ class TestMergeCorrectness:
             if server.projection is None:
                 rows = xs
             else:
-                rows = step4_rescale_block(server.projection, xs)
+                rows = step4_rescale_block(server.projection.matrix, xs)
             exact_cross = (rows * ys[:, None]).sum(axis=0)
             cross_m, _ = server.merged_moments()
             variance = cross_m.noise_variance

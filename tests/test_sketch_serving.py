@@ -277,7 +277,7 @@ class TestSketchServing:
             server.observe_batch(stream.xs[s:e], stream.ys[s:e])
         served = server.flush()
 
-        rows = step4_rescale_block(server.projection, stream.xs)
+        rows = step4_rescale_block(server.projection.matrix, stream.xs)
         exact_cross = (rows * stream.ys[:, None]).sum(axis=0)
         exact_gram = rows.T @ rows
         twin = PrivIncReg2(

@@ -51,6 +51,7 @@ from repro.exceptions import (
     StreamExhaustedError,
     ValidationError,
 )
+from repro.privacy.tree import ReleasedMoments
 
 PARAMS = PrivacyParams(4.0, 1e-6)
 DIM = 3
@@ -85,6 +86,23 @@ def _make_stream(k, seed, shards=2, **kwargs):
     return MultiTenantStream(
         L2Ball(DIM), PARAMS, tenants=k, shards=shards, rng=seed, **defaults
     )
+
+
+def _assert_same_releases(shard, twin):
+    """``shard`` releases ``twin``'s bits, entry by entry in bundle order
+    (live handles and remote snapshots alike)."""
+
+    def snapshots(s):
+        return [
+            h if isinstance(h, ReleasedMoments) else h.released_moments()
+            for h in s.released()
+        ]
+
+    got, want = snapshots(shard), snapshots(twin)
+    assert len(got) == len(want)
+    for mine, theirs in zip(got, want):
+        assert (mine.steps, mine.noise_variance) == (theirs.steps, theirs.noise_variance)
+        np.testing.assert_array_equal(mine.value, theirs.value)
 
 
 def _feed(server, stream, outcomes, k, blocks=RAGGED_BLOCKS):
@@ -734,23 +752,31 @@ class TestTenantFrontLifecycle:
             server.close()
 
     def test_restart_shard_rebuilds_with_the_current_tenants(self, stream, outcomes):
+        # The twin runs in-process, where the restarted shard's layout is
+        # readable; the stream under test must release its bits entry by
+        # entry, so a restarted worker holding the tenants out of the
+        # front's slot order (a's and b's outcomes differ) fails.
+        twin = _make_stream(["a"], seed=59, tenant_capacity=3, transport="thread")
         server = _make_stream(["a"], seed=59, tenant_capacity=3)
         try:
-            server.observe_batch(stream.xs[:5], outcomes[:5, 0])
-            server.add_tenant("b")
-            server.kill_shard(0)
-            server.restart_shard(0)
-            assert server.tenants() == ("a", "b")
+            for s in (server, twin):
+                s.observe_batch(stream.xs[:5], outcomes[:5, 0])
+                s.add_tenant("b")
+                s.kill_shard(0)
+                s.restart_shard(0)
+            assert twin._shards[0].layout.tenants() == server.tenants() == ("a", "b")
             assert server.bundle_names == ("gram:1.0", "cross:a", "cross:b")
-            assert len(server._shards[0].released()) == len(server.bundle_names)
             assert server._shards[0].steps == 0  # fresh entries
-            server.observe_batch(stream.xs[5:13], outcomes[5:13, :2])
-            server.observe_batch(stream.xs[13:20], outcomes[13:20, :2])
+            for s in (server, twin):
+                s.observe_batch(stream.xs[5:13], outcomes[5:13, :2])
+                s.observe_batch(stream.xs[13:20], outcomes[13:20, :2])  # shard 0
+            _assert_same_releases(server._shards[0], twin._shards[0])
             served = server.flush()
             assert server.lost_steps == 5
             assert served["a"].covered_steps == 20 - 5
             assert served["b"].covered_steps == 15
         finally:
+            twin.close()
             server.close()
 
     def test_heartbeat_auto_restart_recovers_a_killed_process_shard(
@@ -762,24 +788,34 @@ class TestTenantFrontLifecycle:
             2, seed=61, transport="process", request_timeout=5.0,
             heartbeat_every=0.1, restart_policy="auto",
         )
+        # An in-process twin restarted by hand: the auto-restarted worker
+        # must hold the front's tenants in slot order, so it releases the
+        # twin's bits entry by entry.
+        twin = _make_stream(2, seed=61, transport="thread")
         try:
-            server.observe_batch(stream.xs[:5], outcomes[:5, :2])
-            server.observe_batch(stream.xs[5:13], outcomes[5:13, :2])
+            for s in (server, twin):
+                s.observe_batch(stream.xs[:5], outcomes[:5, :2])
+                s.observe_batch(stream.xs[5:13], outcomes[5:13, :2])
             server._shards[1]._process.kill()  # uncommanded crash
+            twin.kill_shard(1)
+            twin.restart_shard(1)
             deadline = time.monotonic() + 30.0
             while server.heartbeat_stats()["restarts"] < 1:
                 assert time.monotonic() < deadline, server.heartbeat_stats()
                 time.sleep(0.05)
             assert server.heartbeat_stats()["deaths_detected"] >= 1
             assert server._shards[1].alive
-            assert len(server._shards[1].released()) == len(server.bundle_names)
-            server.observe_batch(stream.xs[13:20], outcomes[13:20, :2])
-            server.observe_batch(stream.xs[20:26], outcomes[20:26, :2])
+            assert twin._shards[1].layout.tenants() == server.tenants()
+            for s in (server, twin):
+                s.observe_batch(stream.xs[13:20], outcomes[13:20, :2])
+                s.observe_batch(stream.xs[20:26], outcomes[20:26, :2])  # shard 1
+            _assert_same_releases(server._shards[1], twin._shards[1])
             served = server.flush()
             assert server.lost_steps == 8
             for name in server.tenants():
                 assert served[name].covered_steps == T - server.lost_steps
         finally:
+            twin.close()
             server.close()
 
     @pytest.mark.parametrize("transport", ["thread", "process"])
@@ -787,23 +823,30 @@ class TestTenantFrontLifecycle:
         self, stream, outcomes, transport
     ):
         server = _make_stream(["a"], seed=71, transport=transport)
+        twin = _make_stream(["a"], seed=71, transport="thread")  # readable layout
         try:
-            server.observe_batch(stream.xs[:5], outcomes[:5, 0])  # shard 0
-            server.remove_tenant("a")
-            server.kill_shard(0)
-            server.restart_shard(0)  # over the Gram entries only
+            for s in (server, twin):
+                s.observe_batch(stream.xs[:5], outcomes[:5, 0])  # shard 0
+                s.remove_tenant("a")
+                s.kill_shard(0)
+                s.restart_shard(0)  # over the Gram entries only
             assert server._shards[0].alive
+            assert twin._shards[0].layout.tenants() == ()
             assert server.bundle_names == ("gram:1.0",)
             assert len(server._shards[0].released()) == 1
-            server.add_tenant("b")
+            for s in (server, twin):
+                s.add_tenant("b")
+            assert twin._shards[0].layout.tenants() == ("b",)
             assert server.bundle_names == ("gram:1.0", "cross:b")
-            assert len(server._shards[0].released()) == 2
-            server.observe_batch(stream.xs[5:13], outcomes[5:13, 0])  # shard 1
-            server.observe_batch(stream.xs[13:20], outcomes[13:20, 0])  # shard 0
+            for s in (server, twin):
+                s.observe_batch(stream.xs[5:13], outcomes[5:13, 0])  # shard 1
+                s.observe_batch(stream.xs[13:20], outcomes[13:20, 0])  # shard 0
+            _assert_same_releases(server._shards[0], twin._shards[0])
             served = server.flush()
             assert server.lost_steps == 5
             assert served["b"].covered_steps == 15
         finally:
+            twin.close()
             server.close()
 
     @pytest.mark.parametrize("transport", ["thread", "process"])
