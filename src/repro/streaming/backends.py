@@ -219,6 +219,7 @@ def _configure_projection(draw, name, front, knobs) -> dict:
         )
     projection = knobs["projection"]
     sparsity = knobs["sparsity_factor"]
+    m = knobs["projected_dim"]
     if projection is not None:
         if sparsity is not None:
             raise ValidationError(
@@ -231,9 +232,14 @@ def _configure_projection(draw, name, front, knobs) -> dict:
                 f"projection maps from dim {projection.original_dim}, "
                 f"expected {front.dim}"
             )
+        if m is not None and m != projection.projected_dim:
+            raise ValidationError(
+                f"projected_dim={m!r} contradicts the pre-built projection, "
+                f"which maps to dim {projection.projected_dim}; omit "
+                f"projected_dim or pass a projection of that size"
+            )
         front.projection = projection
         return {"phi": projection.matrix}
-    m = knobs["projected_dim"]
     if m is None:
         if x_domain is None:
             raise ValidationError(

@@ -42,8 +42,9 @@ Fault semantics
 ---------------
 Identical to the pipe transport, because it is the same code: the
 listener serves through :func:`~repro.streaming.transport._serve` and the
-proxy requests through ``ShardRpcClient._exchange``, here over a socket
-*link* (``_SocketLink``: one ``put``/``take`` pair on the frames below).
+proxy sends and awaits through ``ShardRpcClient._send``/``_await``, here
+over a socket *link* (``_SocketLink``: one ``put``/``take`` pair on the
+frames below).
 Three cases: a **command-level error** travels back as an
 ``("err", exc)`` frame (class name plus message) and the shard keeps
 serving (block-atomic rejection holds across the socket); a **dead

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import queue
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
@@ -302,6 +303,11 @@ class ShardFront:
     def _group_pool(self) -> ThreadPoolExecutor:
         """The persistent group-ingestion thread pool (lazily created).
 
+        Only in-process shards use it, and only when a group is drained
+        more than one shard wide: there the threads overlap the
+        GIL-released BLAS of different shards on real cores.  Remote
+        shards are driven from the calling thread (a pool thread would
+        only wait on a socket), so a remote-only front never creates it.
         One pool per front, reused across :meth:`observe_group` calls, so
         per-group overhead is task dispatch only — creating threads per
         group would dominate small blocks.  Sized at ``K``: there is never
@@ -354,17 +360,26 @@ class ShardFront:
         self._enqueued += points
 
     def observe_group(self, blocks, workers: int | None = None):
-        """Ingest a *group* of blocks, thread-parallel across shards.
+        """Ingest a *group* of blocks, with the shards working concurrently.
 
         Each block of the group is routed exactly as ``len(blocks)``
         successive :meth:`observe_batch` calls would route it (round-robin
-        over live shards, in group order), but the per-shard work runs
-        concurrently on a thread pool: shards are fully independent — own
-        mechanisms, own generators, a read-only shared ``Φ`` — and the
-        heavy lifting (the BLAS moment products of the ``fast`` tier, the
-        Gaussian draws) releases the GIL, so a group of ``K`` blocks
-        ingests in roughly the time of the largest single block.  One
-        merge + solve runs after the whole group (the refresh cadence
+        over live shards, in group order), but the shards work on their
+        blocks at the same time.  Shards are fully independent — own
+        mechanisms, own generators, a read-only shared ``Φ`` — so:
+
+        * in-process shards drain on a thread pool; the heavy lifting
+          (the BLAS moment products of the ``fast`` tier, the Gaussian
+          draws) releases the GIL, so a group of ``K`` blocks ingests in
+          roughly the time of the largest single block;
+        * remote shards (``transport="process"``/``"tcp"``) are driven
+          from the calling thread in two phases, with no drain thread:
+          the front sends every shard its first block, then awaits each
+          shard's ack in turn and sends that shard its next block.  Each
+          link holds at most one un-acked block, so the workers ingest
+          while the front waits on the others.
+
+        One merge + solve runs after the whole group (the refresh cadence
         still honors ``refresh_every``), so the served estimate is exactly
         the sequential route's post-group state; per-shard releases are
         bit-identical to the sequential route because each shard consumes
@@ -380,9 +395,10 @@ class ShardFront:
             validated and reserved against the horizon atomically before
             anything ingests.
         workers:
-            Thread-pool width; defaults to one thread per shard that
-            received work.  ``workers=1`` degrades to inline sequential
-            ingestion (useful as a control in benchmarks).
+            How many shards have work in flight at once; defaults to every
+            shard that received work.  ``workers=1`` degrades to inline
+            sequential ingestion, one round trip at a time on the remote
+            transports (useful as a control in benchmarks).
 
         Raises
         ------
@@ -417,14 +433,16 @@ class ShardFront:
         return self._cached()
 
     def _ingest_group(self, blocks, workers: int | None) -> None:
-        """Route a validated group, then drain per-shard queues in parallel.
+        """Route a validated group, then drain per-shard queues concurrently.
 
         Routing happens up front (it is order-sensitive shared state);
         after that each shard's assigned blocks form an independent work
-        queue consumed by one task, so no two threads ever touch the same
-        mechanism.  Failures are per-block atomic (the mechanisms validate
-        and check capacity before consuming), per-shard fail-stop (a shard
-        stops at its first failed block), and fully reported.
+        queue, consumed in order by one pool task (in-process shards) or
+        by :meth:`_drain_remote` (remote shards), so no two threads ever
+        touch the same mechanism or link.  Failures are per-block atomic
+        (the mechanisms validate and check capacity before consuming),
+        per-shard fail-stop (a shard stops at its first failed block), and
+        fully reported.
         """
         routed = 0
         try:
@@ -446,29 +464,29 @@ class ShardFront:
         failures: list[tuple[int, BaseException]] = []
         failure_lock = threading.Lock()
 
-        def drain_queue(tasks) -> int:
-            """Ingest ONE shard's queue in order; fail-stop that shard only.
+        def fail(tasks, position: int, exc: BaseException) -> None:
+            """Fail-stop one shard: its block at ``position`` raised.
 
-            A failed block aborts the rest of *this shard's* queue (its
-            sub-stream order would otherwise gap) and reports every
-            unattempted block of the queue as failed; other shards'
-            queues are unaffected.
+            The rest of *this shard's* queue is never attempted (its
+            sub-stream order would otherwise gap) and is reported failed
+            with it; other shards' queues are unaffected.  A crashed
+            remote worker's acknowledged mass is lost (no-op for ordinary
+            ingest failures — the shard is still alive).
             """
+            with failure_lock:
+                self._note_shard_death(tasks[position][1])
+                failures.extend(
+                    (group_index, exc) for group_index, _, _, _ in tasks[position:]
+                )
+
+        def drain_queue(tasks) -> int:
+            """Ingest ONE shard's queue in order; fail-stop that shard only."""
             done = 0
-            for position, (group_index, shard, xs, ys) in enumerate(tasks):
+            for position, (_, shard, xs, ys) in enumerate(tasks):
                 try:
                     shard.ingest(xs, ys, self._fast)
                 except BaseException as exc:
-                    with failure_lock:
-                        # A crashed remote worker's acknowledged mass is
-                        # lost (no-op for ordinary ingest failures — the
-                        # shard is still alive).
-                        self._note_shard_death(shard)
-                        failures.append((group_index, exc))
-                        failures.extend(
-                            (later_index, exc)
-                            for later_index, _, _, _ in tasks[position + 1 :]
-                        )
+                    fail(tasks, position, exc)
                     return done
                 done += len(ys)
             return done
@@ -478,7 +496,9 @@ class ShardFront:
 
         queues = list(assignments.values())
         width = min(workers or len(queues), len(queues))
-        if width == 1:
+        if self.transport != "thread":
+            ingested = self._drain_remote(queues, width, fail)
+        elif width == 1:
             ingested = drain_bucket(queues)
         else:
             # Bucket whole per-shard queues onto `width` threads of the
@@ -504,6 +524,50 @@ class ShardFront:
                 f"{failures[0][1]}",
                 failures=failures,
             ) from failures[0][1]
+
+    def _drain_remote(self, queues, width: int, fail) -> int:
+        """Drain remote shards' queues from this thread, split-phase.
+
+        At most ``width`` shards have a block in flight, and each link at
+        most one: a shard's next block is sent only once its previous ack
+        has been read.  The first phase sends the first block of up to
+        ``width`` queues; then the in-flight shards take turns — read the
+        ack, send the next block — and a shard that finishes or fails
+        frees its slot for a waiting queue.  A shard whose send or ack
+        fails is fail-stopped through ``fail`` and gets no further frame.
+        The loop ends only when nothing is in flight, so every frame sent
+        has had its ack read or its worker stopped (a missed deadline or
+        a lost link kills the worker): no stale ack can pair with a later
+        request.  Returns the points acknowledged.
+        """
+        waiting = deque(queues)
+        in_flight: deque = deque()  # (queue, position of its un-acked block)
+
+        def send(tasks, position: int) -> None:
+            _, shard, xs, ys = tasks[position]
+            try:
+                shard.send_ingest(xs, ys, self._fast)
+            except BaseException as exc:
+                fail(tasks, position, exc)
+            else:
+                in_flight.append((tasks, position))
+
+        done = 0
+        while True:
+            while waiting and len(in_flight) < width:
+                send(waiting.popleft(), 0)
+            if not in_flight:
+                return done
+            tasks, position = in_flight.popleft()
+            _, shard, _, ys = tasks[position]
+            try:
+                shard.await_ingest()
+            except BaseException as exc:
+                fail(tasks, position, exc)
+                continue
+            done += len(ys)
+            if position + 1 < len(tasks):
+                send(tasks, position + 1)
 
     def flush(self):
         """Drain pending ingestion and solve through everything processed.

@@ -64,11 +64,12 @@ The command/response protocol itself (a :class:`ShardSpec` first frame
 answered by ``("ok", index)``, then ``(command, payload)`` →
 ``("ok" | "err", result)`` replies to :func:`dispatch_command`) is
 transport-agnostic and written once: :func:`_serve` runs it on the worker
-side and :meth:`ShardRpcClient._exchange` on the parent side, over a
-*link* — :class:`_PipeLink` here, ``netserve._SocketLink`` for the
-length-prefixed TCP frames of :mod:`repro.streaming.netserve`, so shards
-can run on separate hosts behind the same :class:`ShardRpcClient`
-surface.
+side and :class:`ShardRpcClient`'s send and await halves
+(:meth:`~ShardRpcClient._send`, :meth:`~ShardRpcClient._await`) on the
+parent side, over a *link* — :class:`_PipeLink` here,
+``netserve._SocketLink`` for the length-prefixed TCP frames of
+:mod:`repro.streaming.netserve`, so shards can run on separate hosts
+behind the same :class:`ShardRpcClient` surface.
 
 Wire requirements: every message — the spec included — crosses the pipe
 as a typed frame of :mod:`repro.streaming.wire`
@@ -342,17 +343,21 @@ class ShardRpcClient:
     updated from ingest acknowledgements, which is what keeps the
     lost-mass accounting exact even after the worker is gone.
 
-    Every round trip, the ready handshake included, goes through
-    :meth:`_exchange` on the subclass's ``_link``, so the fault rules live
-    here once.  Subclasses own only the link's lifecycle — spawn or
-    connect in the constructor, :meth:`kill`, :meth:`shutdown`:
-    :class:`ProcessShardWorker` (a ``multiprocessing`` pipe to a spawned
-    process) and :class:`~repro.streaming.netserve.TcpShardWorker`
-    (length-prefixed frames to a shard host listener).
+    Every frame, the ready handshake included, goes out through
+    :meth:`_send` and every reply comes back through :meth:`_await` on the
+    subclass's ``_link``, so the fault rules live here once.  Subclasses
+    own only the link's lifecycle — spawn or connect in the constructor,
+    :meth:`kill`, :meth:`shutdown`: :class:`ProcessShardWorker` (a
+    ``multiprocessing`` pipe to a spawned process) and
+    :class:`~repro.streaming.netserve.TcpShardWorker` (length-prefixed
+    frames to a shard host listener).
 
-    Not thread-safe on its own: the serving front serializes all wire
-    access per worker (its ingestion lock, or one drain task per shard in
-    group mode, with the heartbeat loop taking the same lock).
+    Not thread-safe on its own: the serving front drives all wire access
+    from under its ingestion lock, which the heartbeat loop takes too.  A
+    link holds at most one un-acknowledged frame: group ingestion calls
+    :meth:`send_ingest` on several workers from one thread and then
+    :meth:`await_ingest` on each in turn, and every other request is a
+    send-then-await round trip.
     """
 
     def _init_mirror(
@@ -390,7 +395,28 @@ class ShardRpcClient:
         :class:`~repro.exceptions.ShardUnavailableError` after marking
         the shard dead (partial-coverage accounting upstream).
         """
-        self.steps = int(self._request("ingest", (xs, ys, bool(fast))))
+        self.send_ingest(xs, ys, fast)
+        self.await_ingest()
+
+    def send_ingest(self, xs: np.ndarray, ys: np.ndarray, fast: bool) -> None:
+        """The send half of :meth:`ingest`: put one block on the link.
+
+        The block is un-acknowledged until :meth:`await_ingest` reads its
+        reply, and no other request may go out on this link before that:
+        the serving front's group drain sends one block to each of
+        several shards this way, then awaits each ack in turn.  A dead
+        or broken link raises as :meth:`ingest` would.
+        """
+        self._post("ingest", (xs, ys, bool(fast)))
+
+    def await_ingest(self) -> None:
+        """The await half of :meth:`ingest`: read the sent block's ack.
+
+        Under ``request_timeout``, with :meth:`ingest`'s failure
+        semantics: an error reply raises with the worker alive, a missed
+        deadline or a lost peer stops the worker before raising.
+        """
+        self.steps = int(self._await(self.request_timeout, "ingest"))
 
     def released(self) -> tuple[ReleasedMoments, ...]:
         """The bundle's released moments, snapshotted over the wire.
@@ -442,38 +468,52 @@ class ShardRpcClient:
     # The protocol, parent side
     # ------------------------------------------------------------------
 
-    def _exchange(self, message, timeout: float | None, what: str):
-        """One round trip on the link; returns the ``ok`` result.
+    def _send(self, message, timeout: float | None, what: str) -> None:
+        """Put one frame on the link; a broken link is :meth:`_lost`.
 
-        ``what`` names the round trip in error messages (the command, or
+        ``what`` names the frame in error messages (the command, or
         ``"boot"``).
-
-        ``TimeoutError`` (the reply missed ``timeout``) kills the worker
-        *before* raising :class:`~repro.exceptions.ShardTimeoutError`: left
-        running, a stuck worker's late reply would pair with the next
-        request.  ``EOFError``/``OSError`` (the peer is gone, or a broken
-        link to a worker that may still be alive) kills it too and raises
-        :class:`~repro.exceptions.ShardUnavailableError` — dead-and-refunded
-        is the only safe state.  An ``("err", exc)`` reply raises ``exc``
-        with the worker left alive: command failures are not faults.
         """
         try:
             self._link.put(message)
+        except (EOFError, OSError) as exc:
+            self._lost(exc, timeout, what)
+
+    def _await(self, timeout: float | None, what: str):
+        """Read the reply to the frame last sent; returns the ``ok`` result.
+
+        A reply that misses ``timeout`` or a peer that is gone is
+        :meth:`_lost`.  An ``("err", exc)`` reply raises ``exc`` with the
+        worker left alive: command failures are not faults.
+        """
+        try:
             status, result = self._link.take(timeout)
-        except TimeoutError:
-            self.kill()
+        except (EOFError, OSError) as exc:
+            self._lost(exc, timeout, what)
+        if status == "err":
+            raise result
+        return result
+
+    def _lost(self, exc: BaseException, timeout: float | None, what: str):
+        """Stop the worker, then raise the fault that ``exc`` stands for.
+
+        ``TimeoutError`` (a frame or its reply missed ``timeout``) raises
+        :class:`~repro.exceptions.ShardTimeoutError`: left running, a
+        stuck worker's late reply would pair with the next request.
+        ``EOFError``/``OSError`` (the peer is gone, or a broken link to a
+        worker that may still be alive) raises
+        :class:`~repro.exceptions.ShardUnavailableError` — dead-and-refunded
+        is the only safe state.
+        """
+        self.kill()
+        if isinstance(exc, TimeoutError):
             raise ShardTimeoutError(
                 f"shard {self.index} missed the {timeout}s deadline on "
                 f"{what!r} and was stopped"
             ) from None
-        except (EOFError, OSError) as exc:
-            self.kill()
-            raise ShardUnavailableError(
-                f"shard {self.index} is unreachable on {what!r} and was stopped"
-            ) from exc
-        if status == "err":
-            raise result
-        return result
+        raise ShardUnavailableError(
+            f"shard {self.index} is unreachable on {what!r} and was stopped"
+        ) from exc
 
     def _boot(self) -> None:
         """The ready handshake: ship the spec, await ``("ok", index)``.
@@ -485,7 +525,8 @@ class ShardRpcClient:
         a dead or silent peer — stops the worker and raises.
         """
         try:
-            self._exchange(self.spec, BOOT_TIMEOUT, "boot")
+            self._send(self.spec, BOOT_TIMEOUT, "boot")
+            self._await(BOOT_TIMEOUT, "boot")
         except BaseException:
             self.kill()
             raise
@@ -493,9 +534,14 @@ class ShardRpcClient:
 
     def _request(self, command: str, payload):
         """One command round trip under ``request_timeout``."""
+        self._post(command, payload)
+        return self._await(self.request_timeout, command)
+
+    def _post(self, command: str, payload) -> None:
+        """Send one command frame to a live worker (no reply read)."""
         if not self.alive:
             raise ShardUnavailableError(f"shard {self.index} worker is dead")
-        return self._exchange((command, payload), self.request_timeout, command)
+        self._send((command, payload), self.request_timeout, command)
 
     def _close_handshake(self) -> None:
         """The graceful close handshake, bounded by ``shutdown_timeout``.

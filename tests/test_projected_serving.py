@@ -21,7 +21,9 @@ The counterpart of ``tests/test_sharded_equivalence.py`` for
 
 (d) **Group ingestion** — ``observe_group`` (thread-parallel across
     shards) produces bit-identical shard trees to the sequential
-    ``observe_batch`` route, for any worker count.
+    ``observe_batch`` route, for any worker count.  The remote
+    transports' split-phase drain is pinned in
+    ``tests/test_remote_group_ingest.py``.
 
 Ragged shard loads are exercised throughout.
 """
@@ -543,6 +545,20 @@ class TestProjectedServingValidation:
                 x_domain=L2Ball(DIM),
                 projection=GaussianProjection(DIM + 1, M, rng=0),
             )
+
+    def test_projected_dim_must_agree_with_a_prebuilt_projection(self):
+        """``projected_dim`` beside a pre-built Φ may only restate its size."""
+        kwargs = dict(
+            horizon=T,
+            backend="projected",
+            x_domain=L2Ball(DIM),
+            projection=GaussianProjection(DIM, 2, rng=0),
+        )
+        with pytest.raises(ValidationError, match="projected_dim"):
+            ShardedStream(L2Ball(DIM), PARAMS, shards=2, projected_dim=3, **kwargs)
+        server = ShardedStream(L2Ball(DIM), PARAMS, shards=2, projected_dim=2, **kwargs)
+        assert server.projection.projected_dim == 2
+        server.close()
 
     def test_gordon_sizing_is_the_privincreg2_sizing(self):
         """Omitting projected_dim sizes Φ exactly as PrivIncReg2 would."""

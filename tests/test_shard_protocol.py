@@ -50,7 +50,8 @@ RETIRED_COMMANDS = ("sleep",)
 
 def _sent_commands() -> set[str]:
     """Commands ``ShardRpcClient`` sends: ``self._request("name", …)``
-    calls and ``("name", …)`` messages put on its link."""
+    round trips, ``self._post("name", …)`` sends and ``("name", …)``
+    messages put on its link."""
     tree = ast.parse((STREAMING / "transport.py").read_text(encoding="utf-8"))
     client = next(
         node
@@ -61,7 +62,7 @@ def _sent_commands() -> set[str]:
     for node in ast.walk(client):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
-        if node.func.attr == "_request":
+        if node.func.attr in ("_request", "_post"):
             head = node.args[0]
         elif node.func.attr == "put" and isinstance(node.args[0], ast.Tuple):
             head = node.args[0].elts[0]

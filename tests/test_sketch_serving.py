@@ -232,7 +232,7 @@ class TestSketchKnobValidation:
         custom = _sketch_server(2, seed=1, sparsity_factor=2)
         assert custom.sparsity_factor == 2
         prebuilt = SparseProjection(DIM, 2, sparsity_factor=5, rng=3)
-        server = _sketch_server(2, seed=1, projection=prebuilt)
+        server = _sketch_server(2, seed=1, projection=prebuilt, projected_dim=None)
         assert server.projection is prebuilt
         assert server.sparsity_factor == 5
 
