@@ -3,8 +3,9 @@
 Every moment estimator in the library reduces its stream to *privatized
 running moment statistics*: Step 1 of Algorithm 2 feeds ``Σ x y`` and
 ``Σ x xᵀ`` through one release mechanism each, two-stage least squares
-needs three (ZᵀZ, ZᵀX, Zᵀy), and the multi-tenant shard one cross entry
-per tenant.  This module is the one place rows become those releases:
+needs three (ZᵀZ, ZᵀX, Zᵀy), and a multi-tenant shard one Gram entry per
+γ group plus one cross entry per tenant.  This module is the one place
+rows become those releases:
 
 * :class:`MomentStatistic` — one named statistic: a shape, a per-element
   accumulation rule (per-step releases and ``ingest="exact"``), a
@@ -20,9 +21,9 @@ siblings the default (cross, gram) pair,
 :class:`~repro.core.priv_inc_iv.PrivIncIV` the (zz, zx, zy) triple) and
 read every step's releases through :meth:`MomentBundle.observe_batch`.
 A serving shard holds the bundle its backend declares
-(:mod:`repro.streaming.backends`) and advances it block by block through
-:meth:`MomentBundle.ingest`; the multi-tenant shard keeps one Gram entry
-per γ group plus one cross entry per tenant.  Both paths build the same
+(:mod:`repro.streaming.backends`), laid out for the front's outcomes by
+:class:`~repro.streaming.serving.BundleLayout`, and advances it block by
+block through :meth:`MomentBundle.ingest`.  Both paths build the same
 mechanisms from the same rng children and the same float expressions, so
 a ``K = 1`` served stream replays its standalone estimator bit for bit.
 
@@ -100,32 +101,21 @@ class MomentStatistic:
     budget_weight: float = 1.0
 
 
-def cross_statistic(
-    moment_dim: int, name: str = "cross", outcome=None
-) -> MomentStatistic:
-    """The ``Σ x_i y_i`` statistic (``(m,)``) of the default bundle.
-
-    ``outcome`` selects one column from a mapping of outcome vectors (the
-    multi-tenant bundle keys each tenant's cross entry by tenant name);
-    ``None`` takes ``ys`` as the outcome vector itself.
-    """
-
-    def column(ys):
-        return ys if outcome is None else ys[outcome]
+def cross_statistic(moment_dim: int) -> MomentStatistic:
+    """The ``Σ x_i y_i`` statistic (``(m,)``) of the default bundle."""
 
     def values(rows, ys):
-        return rows * column(ys)[:, None]
+        return rows * ys[:, None]
 
     def total(rows, ys, weights):
-        ys = column(ys)
         if weights is not None:
             return (weights * ys) @ rows
         return ys @ rows
 
-    return MomentStatistic(name, (moment_dim,), values, total)
+    return MomentStatistic("cross", (moment_dim,), values, total)
 
 
-def gram_statistic(moment_dim: int, name: str = "gram") -> MomentStatistic:
+def gram_statistic(moment_dim: int) -> MomentStatistic:
     """The ``Σ x_i x_iᵀ`` statistic (``(m, m)``) of the default bundle.
 
     The per-element outer products (here and in :func:`iv_statistics`)
@@ -143,7 +133,7 @@ def gram_statistic(moment_dim: int, name: str = "gram") -> MomentStatistic:
             return (weights[:, None] * rows).T @ rows
         return rows.T @ rows
 
-    return MomentStatistic(name, (moment_dim, moment_dim), values, total)
+    return MomentStatistic("gram", (moment_dim, moment_dim), values, total)
 
 
 def iv_statistics(instruments: int, dim: int) -> tuple[MomentStatistic, ...]:

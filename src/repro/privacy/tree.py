@@ -495,29 +495,30 @@ class TreeMechanism:
         """The clean prefix after adding ``rows`` one at a time, in order;
         under ``γ < 1`` the prefix fades by ``γ`` before each row.
 
-        At ``γ = 1`` a block of vector rows is one axis-0 reduction over
-        a C-ordered ``[prefix; rows]``, the same additions in the same
-        order: numpy reduces a non-contiguous axis row after row,
-        elementwise, and sums pairwise only along the contiguous axis.  So
-        the buffer is built C-ordered whatever the caller's layout (a
-        Fortran-ordered block would make axis 0 contiguous), and one-entry
-        elements, whose only axis is contiguous, keep the loop, as do
-        single rows (the one-row loop is the cheaper call).
+        At ``γ = 1`` a multi-row block is one axis-0 pass over a C-ordered
+        ``[prefix; rows]``, the same additions in the same order: numpy
+        reduces a non-contiguous axis row after row, elementwise, and sums
+        pairwise only along the contiguous axis.  So the buffer is built
+        C-ordered whatever the caller's layout (a Fortran-ordered block
+        would make axis 0 contiguous).  One-entry elements make axis 0 the
+        contiguous one, where ``reduce`` would sum pairwise, so they take
+        ``accumulate``, which is sequential on every axis; a single row is
+        one addition.
         """
-        if self.decay == 1.0 and self._flat_dim > 1 and rows.shape[0] > 1:
-            stacked = np.empty((rows.shape[0] + 1, self._flat_dim))
-            stacked[0] = self._prefix
-            stacked[1:] = rows
-            return np.add.reduce(stacked, axis=0)
-        prefix = self._prefix.copy()
-        if self.decay == 1.0:
-            for row in rows:
-                prefix += row
-        else:
+        if self.decay != 1.0:
+            prefix = self._prefix.copy()
             for row in rows:
                 prefix *= self.decay
                 prefix += row
-        return prefix
+            return prefix
+        if rows.shape[0] == 1:
+            return self._prefix + rows[0]
+        stacked = np.empty((rows.shape[0] + 1, self._flat_dim))
+        stacked[0] = self._prefix
+        stacked[1:] = rows
+        if self._flat_dim > 1:
+            return np.add.reduce(stacked, axis=0)
+        return np.add.accumulate(stacked, axis=0)[-1]
 
     def _fold_total(self, total: np.ndarray, count: int) -> np.ndarray:
         """The clean prefix after adding a pre-reduced block total.

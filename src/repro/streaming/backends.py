@@ -4,7 +4,10 @@ Everything the serving stack needs to know about a workload lives in its
 declaration, and nowhere else:
 
 * which named statistics a shard's moment bundle holds
-  (:class:`~repro.core.moments.MomentStatistic` rules);
+  (:class:`~repro.core.moments.MomentStatistic` rules), sorted into
+  *design* statistics, which read only the rows (``gram``, the projected
+  or sketch Gram over ``Φx̃``, iv's ``zz`` and ``zx``), and *outcome*
+  statistics, which read ``y`` (``cross``, iv's ``zy``);
 * how a routed block's rows are transformed before the statistics see
   them, how wide a block row is, and which unit domain bounds it;
 * which release family the statistics run (``None`` defers to the
@@ -15,13 +18,18 @@ declaration, and nowhere else:
   matrix);
 * the default solver the front refreshes through.
 
-:class:`~repro.streaming.serving.ShardedStream`, the shard class, and the
-transports are generic over declarations: the front validates knobs and
-configures the backend through it, :class:`~repro.streaming.transport.ShardSpec`
-ships the backend *name* and its config (statistic rules are closures and
-do not pickle, so a remote shard looks the declaration up here), and
-:class:`~repro.streaming.serving.MomentShard` builds its bundle from it.
-Adding a workload is adding one entry to :data:`BACKENDS`.
+Both serving fronts, the shard class, and the transports are generic
+over declarations: the front validates knobs and configures the backend
+through it, :class:`~repro.streaming.transport.ShardSpec` ships the
+backend *name* and its config (statistic rules are closures and do not
+pickle, so a remote shard looks the declaration up here), and
+:class:`~repro.streaming.serving.MomentShard` builds its bundle from it
+through one :class:`~repro.streaming.serving.BundleLayout`, which crosses
+the statistics with the front's outcomes: the declared statistics
+themselves for one anonymous outcome, or one shared entry per design
+statistic and γ group plus one entry per outcome statistic and tenant for
+named tenants.  Adding a workload is adding one entry to :data:`BACKENDS`
+that declares its statistics and which of them are design statistics.
 """
 
 from __future__ import annotations
@@ -89,9 +97,13 @@ class Backend:
     name:
         The ``backend=`` value that selects it.
     statistics:
-        ``(dim, config) -> tuple[MomentStatistic, ...]``: the shard
-        bundle's entries, in advance order (the first is the capacity
-        guard).
+        ``(dim, config) -> tuple[MomentStatistic, ...]``: the statistics,
+        in advance order — the anonymous outcome's bundle entries (the
+        first is the capacity guard).
+    design:
+        The names of the design statistics: those whose ``values`` and
+        ``total`` read only the rows, never ``ys``.  Tenants share them;
+        every other statistic is an outcome statistic, one per tenant.
     solver:
         ``(front, config, rng, beta, fidelity, iteration_cap) -> solver``:
         the front's default solver.
@@ -123,6 +135,7 @@ class Backend:
 
     name: str
     statistics: Callable
+    design: tuple[str, ...]
     solver: Callable
     configure: Callable = _no_config
     transform: Callable = _identity
@@ -132,10 +145,6 @@ class Backend:
     knobs: tuple[str, ...] = ()
     refuses: tuple[str, ...] = ()
     needs_tree: bool = False
-
-    def names(self, dim: int, config) -> tuple[str, ...]:
-        """The statistic names a shard's bundle declares, in order."""
-        return tuple(stat.name for stat in self.statistics(dim, config))
 
 
 def _reg1_solver(front, config, rng, beta, fidelity, iteration_cap):
@@ -302,12 +311,13 @@ BACKENDS: dict[str, Backend] = {
     backend.name: backend
     for backend in (
         # Algorithm 2: raw d-dimensional moments, PrivIncReg1 solves.
-        Backend("moment", _moment_statistics, _reg1_solver),
+        Backend("moment", _moment_statistics, ("gram",), _reg1_solver),
         # Algorithm 3: Step-4 rescaled Φx̃ rows through one shared
         # Gordon-sized Gaussian Φ, PrivIncReg2 solves in the same space.
         Backend(
             "projected",
             _projection_statistics,
+            ("gram",),
             _projected_solver,
             configure=_projection_config(_gaussian),
             transform=_projected_rows,
@@ -319,6 +329,7 @@ BACKENDS: dict[str, Backend] = {
         Backend(
             "sketch",
             _projection_statistics,
+            ("gram",),
             _projected_solver,
             configure=_projection_config(_sparse),
             transform=_projected_rows,
@@ -331,6 +342,7 @@ BACKENDS: dict[str, Backend] = {
         Backend(
             "iv",
             _iv_statistics,
+            ("zz", "zx"),
             _iv_solver,
             configure=_configure_iv,
             block_width=_iv_width,

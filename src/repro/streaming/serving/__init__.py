@@ -115,10 +115,10 @@ the shard dies, only its fully committed blocks count into
 ``lost_steps``, and the torn block stays refundable.
 
 This package splits the layer by concern: :mod:`.shards` (the shard
-class and the PRIMO :class:`TenantLayout`), :mod:`.stream` (the shared
-:class:`ShardFront` lifecycle with its one merge-and-solve path, and the
-:class:`ShardedStream` front), and :mod:`.cache` (the versioned read
-slot).  The public import surface is unchanged from the
+class and the :class:`BundleLayout` both fronts build from),
+:mod:`.stream` (the shared :class:`ShardFront` lifecycle with its one
+merge-and-solve path, and the :class:`ShardedStream` front), and
+:mod:`.cache` (the versioned read slot).  The public import surface is unchanged from the
 historical single-module layout — everything below re-exports from the
 submodules.
 """
@@ -126,7 +126,7 @@ submodules.
 from ..readers import EstimateHub, ReaderHandle, Subscription
 from ..transport import ProcessShardWorker
 from .cache import EstimateCache, ServedEstimate
-from .shards import MomentShard, TenantLayout, TenantShard
+from .shards import BundleLayout, MomentShard, TenantShard
 from .stream import _CLOSE, ShardFront, ShardedStream
 
 __all__ = [
@@ -134,7 +134,7 @@ __all__ = [
     "ShardFront",
     "MomentShard",
     "TenantShard",
-    "TenantLayout",
+    "BundleLayout",
     "ProcessShardWorker",
     "EstimateCache",
     "ServedEstimate",

@@ -2,19 +2,26 @@
 
 :class:`MomentShard` is the one shard class.  What it ingests is a backend
 declaration (:mod:`repro.streaming.backends`): the declaration names the
-bundle's statistics and the row transform, and the shard owns the
+bundle's statistics, sorts them into *design* statistics (they read only
+the rows) and *outcome* statistics (they read ``y``), and gives the row
+transform.  One :class:`BundleLayout` crosses those statistics with the
+front's outcomes and γ groups: a :class:`~repro.streaming.serving.ShardedStream`
+serves one anonymous outcome, whose bundle is the declared statistics
+themselves, and a :class:`~repro.streaming.tenancy.MultiTenantStream`
+serves named tenants, who share one design entry per γ group and own one
+outcome entry each (the PRIMO bundle).  The shard owns the
 :class:`~repro.core.moments.MomentBundle` — an ordered set of named
-release mechanisms advanced in lockstep — plus the step/liveness books
-the serving front's loss accounting reads.  :class:`TenantShard` is the
-same shard over the PRIMO bundle: one shared Gram entry per γ group plus
-one cross entry per tenant, added and removed at runtime.
+release mechanisms advanced in lockstep — the layout it was built from,
+and the step/liveness books the serving front's loss accounting reads.
 
-The default bundle is built with the same factory arguments, rng children,
-and float expressions as the historical inline (cross, gram) pair, so it
-is bit-identical under one seed on every transport.
+The anonymous bundle is built with the same factory arguments, rng
+children, and float expressions as the historical inline (cross, gram)
+pair, so it is bit-identical under one seed on every transport.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -26,9 +33,9 @@ from ...exceptions import (
 )
 from ...privacy.parameters import PrivacyParams, bundle_budgets, tenant_budgets
 from ..backends import backend_declaration
-from ...core.moments import MomentBundle, cross_statistic, gram_statistic
+from ...core.moments import MomentBundle, MomentStatistic
 
-__all__ = ["MomentShard", "TenantLayout", "TenantShard"]
+__all__ = ["BundleLayout", "MomentShard", "TenantShard"]
 
 
 class MomentShard:
@@ -37,25 +44,30 @@ class MomentShard:
     Parameters
     ----------
     index, dim, budget:
-        Shard position, estimand dimension, and the shard's ``(ε, δ)``
-        (split across the bundle entries by
-        :func:`~repro.privacy.parameters.bundle_budgets`, equal weights —
-        exactly ``budget.halve()`` per entry for the default pair).
+        Shard position, estimand dimension, and the shard's ``(ε, δ)``,
+        split across the bundle entries by the :class:`BundleLayout`
+        (exactly ``budget.halve()`` per entry for the default pair).
     rngs:
-        One child generator per bundle entry, in entry order.
+        One child generator per bundle entry, in entry order
+        (:meth:`BundleLayout.rngs`).
     backend, config:
         The backend declaration's name and its shard config — plain data
         (e.g. the shared ``Φ`` matrix of the projected/sketch backends,
-        the instrument count of the iv backend).
+        the instrument count of the iv backend, and the tenant keys of
+        :meth:`BundleLayout.config` when the front serves named tenants).
     mechanism, shard_horizon, decay, window:
         Release-mechanism knobs of every entry; the declaration's
         ``release_family`` (the sketch backend's ``"sketch"``) overrides
-        ``mechanism`` while the knob itself keeps its value.
+        ``mechanism`` while the knob itself keeps its value.  Tenant
+        entries take their γ group's decay instead of ``decay``.
 
     ``ingest`` maps the routed block through the declaration's row
     transform, then advances the bundle (``advance_batch`` under
     ``ingest="exact"``, or one BLAS block total per statistic +
-    ``advance_sum`` under ``ingest="fast"``).
+    ``advance_sum`` under ``ingest="fast"``).  Its ``ys`` is the outcome
+    vector of the anonymous outcome, or the ``(n, k)`` outcome matrix with
+    one column per tenant in slot order; every design entry advances once
+    per block either way.
     Sensitivity is Δ₂ = 2 for every declared statistic, so the budget
     split, the noise calibration, and the merge rule are backend-agnostic.
     """
@@ -80,28 +92,21 @@ class MomentShard:
         self.backend = backend
         self.config = dict(config or {})
         self.mechanism = mechanism
-        self.shard_horizon = shard_horizon
         self.steps = 0
         self.alive = True
         #: Set once the front has credited this worker's ingested mass to
         #: its ``lost_steps`` ledger (see ShardedStream._note_shard_death).
         self.lost_accounted = False
-        self._declaration = backend_declaration(backend)
-        self.bundle = self._build_bundle(tuple(rngs), decay, window)
-
-    def _build_bundle(self, rngs, decay, window) -> MomentBundle:
-        """The declared bundle, one factory call per statistic."""
-        declaration = self._declaration
-        statistics = declaration.statistics(self.dim, self.config)
-        return MomentBundle(
-            statistics,
-            bundle_budgets(self.budget, tuple(s.budget_weight for s in statistics)),
-            rngs,
-            mechanism=declaration.release_family or self.mechanism,
-            horizon=self.shard_horizon,
-            decay=decay,
-            window=window,
+        self._declaration = declaration = backend_declaration(backend)
+        self.layout = BundleLayout(declaration, dim, self.config, budget, self.config)
+        family = declaration.release_family or mechanism
+        (stat, piece, rng, first), *later = self.layout.entries(tuple(rngs), decay, family)
+        self.bundle = MomentBundle(
+            [stat], [piece], [rng], mechanism=family, horizon=shard_horizon,
+            decay=first, window=window,
         )
+        for entry in later:
+            self.bundle.add(*entry)
 
     def ingest(self, xs: np.ndarray, ys, fast: bool) -> None:
         """Feed a routed block to the moment bundle.
@@ -120,11 +125,21 @@ class MomentShard:
         """
         rows = self._declaration.transform(self.config, xs)
         try:
-            self.bundle.ingest(rows, ys, fast)
+            self.bundle.ingest(rows, self.layout.columns(ys), fast)
         except BundlePartialCommitError:
             self.alive = False
             raise
         self.steps += rows.shape[0]
+
+    def add_tenant(self, name: str, rng: np.random.Generator, decay: float | None = None) -> None:
+        """Occupy a free capacity slot with fresh outcome entries for ``name``."""
+        for entry in self.layout.outcome_entries(self.layout.add(name, decay), rng):
+            self.bundle.add(*entry)
+
+    def remove_tenant(self, name: str) -> None:
+        """Retire ``name``'s outcome entries, freeing its capacity slot."""
+        for entry in self.layout.remove(name):
+            self.bundle.remove(entry)
 
     def released(self):
         """The bundle's merge handles for :func:`~repro.privacy.tree.merge_released`.
@@ -156,70 +171,117 @@ class MomentShard:
         """Transport-uniform teardown hook (nothing to release in-process)."""
 
 
+
+
 def _decay_knob(g: float) -> float | None:
     """γ = 1 builds the plain tree (not a γ=1 decayed wrapper)."""
     return None if g == 1.0 else g
 
 
-class TenantLayout:
-    """The PRIMO bundle layout, defined once for the shard and the front.
+def _family(rng: np.random.Generator, count: int) -> tuple:
+    """``count`` generators rooted at ``rng``: itself, then spawned siblings.
 
-    *Private Regression in Multiple Outcomes*: when ``k`` outcome streams
-    share one covariate stream, the ``(d, d)`` second-moment statistic is
-    the same for every tenant.  The layout privatizes it **once** per
-    declared γ group and keeps one cheap ``(d,)`` cross entry per tenant:
+    Spawning advances ``rng``'s spawn counter, never its bit stream, so the
+    first member is bit-identical whatever ``count`` is.
+    """
+    return (rng, *rng.spawn(max(count - 1, 0)))[:count]
 
-    * entries, in bundle (advance and merge) order: ``gram:{γ}`` per group,
-      then ``cross:{name}`` per tenant in slot order — the Gram entries
-      lead, so they are the bundle's capacity guard;
+
+def _for_outcome(stat: MomentStatistic, name: str) -> MomentStatistic:
+    """``stat`` over the tenant ``name``'s column of a mapping of outcomes."""
+    return dataclasses.replace(
+        stat,
+        name=f"{stat.name}:{name}",
+        values=lambda rows, ys: stat.values(rows, ys[name]),
+        total=lambda rows, ys, weights: stat.total(rows, ys[name], weights),
+    )
+
+
+class BundleLayout:
+    """The bundle layout every shard builds from and its front reads.
+
+    It crosses a backend's declared statistics with the front's outcomes
+    and γ groups, and gives the entry names, each entry's rng, the
+    budgets and each served model's reads.  ``outcomes`` is the mapping
+    that may name tenants — the front's knobs, or a shard config carrying
+    :meth:`config`.
+
+    **One anonymous outcome** (no ``tenants`` key; the
+    :class:`~repro.streaming.serving.ShardedStream` bundle): the entries
+    are the declared statistics, in declared order and under their own
+    names — ``(cross, gram)``, or iv's ``(zz, zx, zy)``; each takes one rng
+    child; budgets are :func:`~repro.privacy.parameters.bundle_budgets`'
+    split by budget weight (equal halves, or iv's exact thirds); every
+    entry runs the front's ``decay``/``window``; one served model reads
+    every entry.
+
+    **Named tenants** (PRIMO, *Private Regression in Multiple Outcomes*):
+    when ``k`` outcome streams share one covariate stream, a design
+    statistic is the same for every tenant, so it is privatized **once**
+    per declared γ group while each tenant owns its outcome entries:
+
+    * entries, in bundle (advance and merge) order: ``{design}:{γ}`` per
+      design statistic and group, then ``{outcome}:{name}`` per tenant in
+      slot order — the design entries lead, so they are the bundle's
+      capacity guard;
+    * rngs: each declared statistic's child roots its entries — the child
+      itself for the first group or tenant, spawned siblings for the rest
+      (for the moment backend, the single-outcome front's cross and gram
+      children, so tenant 0 and group 0 draw exactly the anonymous
+      bundle's noise);
     * budgets: :func:`~repro.privacy.parameters.tenant_budgets` gives the
-      Gram half ``(ε/2, δ/2)``, independent of the tenant count, split
-      evenly across the groups (every element enters every group:
-      sequential composition), and one ``(ε/(2·cap), δ/(2·cap))`` slot
-      per tenant — the per-element loss is at most
-      ``ε/2 + cap·ε/(2·cap) = ε``, and slot reuse is sound because a
-      removed tenant's entry never ingests again;
-    * each entry's γ: a Gram entry its group's, a cross entry its tenant's
-      group's, so a tenant's merged moments are consistently weighted.
+      design half ``(ε/2, δ/2)``, independent of the tenant count, split
+      evenly across the design entries (every element enters every group:
+      sequential composition), and one ``(ε/(2·cap), δ/(2·cap))`` slot per
+      tenant, split across its outcome entries — the per-element loss is
+      at most ``ε/2 + cap·ε/(2·cap) = ε``, and slot reuse is sound because
+      a removed tenant's entries never ingest again;
+    * each entry's γ: a design entry its group's, an outcome entry its
+      tenant's group's, so a tenant's merged moments are consistently
+      weighted; tenants need ``mechanism="tree"``;
+    * each tenant is one served model reading its outcome entries and its
+      group's design entries, keyed by statistic name.
 
     The constructor and :meth:`admit` hold every tenant check.  ``tenants``
     is a count ``k`` (named ``tenant-0..tenant-{k-1}``) or unique non-empty
     names (none only beside an explicit ``tenant_capacity``, the layout of
     a stream whose last tenant left); ``tenant_capacity`` defaults to the
     tenant count, ``decays`` to ``(1.0,)`` and ``tenant_decays`` to the
-    first group.  For one tenant both budget pieces equal
+    first group.  For one moment-backend tenant both budget pieces equal
     ``budget.halve()`` bit-exactly, which makes a ``k = 1`` multi-tenant
     stream bit-identical to the plain sharded path.
     """
 
-    def __init__(
-        self,
-        budget: PrivacyParams,
-        tenants,
-        tenant_capacity: int | None = None,
-        decays=None,
-        tenant_decays=None,
-    ) -> None:
+    def __init__(self, declaration, dim: int, config, budget: PrivacyParams, outcomes) -> None:
+        self.statistics = tuple(declaration.statistics(dim, config))
+        self.budget = budget
+        #: Tenant → γ group in slot (merge) order; ``None`` for the
+        #: anonymous outcome.
+        self.tenant_decay: dict[str, float] | None = None
+        tenants = outcomes.get("tenants")
+        if tenants is None:
+            self.names = tuple([s.name for s in self.statistics])
+            return
+        self._design = tuple(s for s in self.statistics if s.name in declaration.design)
+        self._outcome = tuple(s for s in self.statistics if s.name not in declaration.design)
         if isinstance(tenants, (int, np.integer)) and not isinstance(tenants, bool):
             tenants = [f"tenant-{i}" for i in range(check_int("tenants", tenants, minimum=1))]
-        names = tuple(str(name) for name in check_sequence("tenants", tenants))
         # A named capacity lets a stream whose last tenant left rebuild a
-        # shard over its Gram entries alone (the front's config names one).
-        if not names and tenant_capacity is None:
-            raise ValidationError("tenants must name at least one tenant")
-        if len(set(names)) != len(names):
-            raise ValidationError(f"tenant names must be unique, got {names!r}")
-        if any(not name for name in names):
-            raise ValidationError("tenant names must be non-empty")
-        # One shared Gram entry per group, so a repeated γ would spend
-        # Gram budget twice on the same weighting.
+        # shard over its design entries alone (the front's config names one).
+        capacity = outcomes.get("tenant_capacity")
+        tenants = check_sequence("tenants", tenants, empty=capacity is not None)
+        names = tuple(str(name) for name in tenants)
+        # One shared design entry per group, so a repeated γ would spend
+        # design budget twice on the same weighting.
+        decays = outcomes.get("decays")
         groups = (1.0,) if decays is None else check_sequence("decays", decays, empty=False)
         self.decays = tuple(check_decay(f"decays[{i}]", g) for i, g in enumerate(groups))
         if len(set(self.decays)) != len(self.decays):
             raise ValidationError(f"decays entries must be distinct, got {self.decays!r}")
+        tenant_decays = outcomes.get("tenant_decays")
         if tenant_decays is None:
             tenant_decays = (self.decays[0],) * len(names)
-        tenant_decays = tuple(map(self._group, check_sequence("tenant_decays", tenant_decays)))
+        tenant_decays = check_sequence("tenant_decays", tenant_decays)
         if len(tenant_decays) != len(names):
             raise ValidationError(
                 f"need one decay per tenant: {len(names)} tenants, "
@@ -227,27 +289,36 @@ class TenantLayout:
             )
         self.capacity = check_int(
             "tenant_capacity",
-            len(names) if tenant_capacity is None else tenant_capacity,
+            len(names) if capacity is None else capacity,
             minimum=max(len(names), 1),
         )
-        #: Tenant → γ group, in slot (merge) order.
-        self.tenant_decay: dict[str, float] = dict(zip(names, tenant_decays))
-        self.gram_budget, slots = tenant_budgets(budget, self.capacity)
+        self.design_budget, slots = tenant_budgets(budget, self.capacity)
         #: Every slot carries the same budget, so later adds reuse it.
         self.slot_budget = slots[0]
+        self.tenant_decay = {}
+        self._name_entries()
+        for name, g in zip(names, tenant_decays):
+            self.add(name, g)  # admit() refuses empty and repeated names
 
     def _group(self, decay) -> float:
         g = float(decay)
         if g not in self.decays:
             raise ValidationError(
                 f"decay {g!r} is not a declared γ group (decays={self.decays!r}); "
-                f"groups are fixed at construction — the gram budget is split "
+                f"groups are fixed at construction — the design budget is split "
                 f"across them"
             )
         return g
 
+    def _name_entries(self) -> None:
+        self.names = tuple(
+            f"{s.name}:{g}" for s in self._design for g in self.decays
+        ) + tuple(f"{s.name}:{t}" for t in self.tenant_decay for s in self._outcome)
+
     def config(self) -> dict:
-        """The layout as a shard config (what a spec ships; restores it)."""
+        """The tenant keys a shard config carries (none for the anonymous outcome)."""
+        if self.tenant_decay is None:
+            return {}
         return dict(
             tenants=self.tenants(),
             tenant_capacity=self.capacity,
@@ -255,23 +326,90 @@ class TenantLayout:
             tenant_decays=tuple(self.tenant_decay.values()),
         )
 
+    def rngs(self, children) -> tuple:
+        """One generator per entry, in entry order, from one child per statistic."""
+        if self.tenant_decay is None:
+            return tuple(children)
+        k = len(self.tenant_decay)
+        roots = {
+            s.name: _family(child, len(self.decays) if s in self._design else k)
+            for s, child in zip(self.statistics, children)
+        }
+        return tuple(rng for s in self._design for rng in roots[s.name]) + tuple(
+            roots[s.name][j] for j in range(k) for s in self._outcome
+        )
+
+    def entries(self, rngs, decay, mechanism: str) -> list:
+        """The bundle's entries as :meth:`MomentBundle.add` arguments, in order."""
+        if len(rngs) != len(self.names):
+            raise ValidationError(
+                f"need one rng per bundle entry: {len(self.names)} entries "
+                f"{self.names!r}, {len(rngs)} rngs"
+            )
+        if self.tenant_decay is None:
+            budgets = bundle_budgets(self.budget, tuple(s.budget_weight for s in self.statistics))
+            return list(zip(self.statistics, budgets, rngs, (decay,) * len(rngs)))
+        if mechanism != "tree":
+            raise ValidationError(
+                "tenant shards require mechanism='tree' (the PRIMO serving "
+                "layer assumes a known horizon)"
+            )
+        design = [(s, g) for s in self._design for g in self.decays]
+        pieces = self.design_budget.split(len(design))
+        entries = [
+            (dataclasses.replace(s, name=f"{s.name}:{g}"), piece, rng, _decay_knob(g))
+            for (s, g), piece, rng in zip(design, pieces, rngs)
+        ]
+        later = iter(rngs[len(design) :])  # each tenant takes its next entries' rngs
+        for name in self.tenant_decay:
+            entries += self._outcome_entries(name, later)
+        return entries
+
+    def outcome_entries(self, name: str, rng: np.random.Generator) -> list:
+        """A tenant's outcome entries over one fresh generator (a mid-stream add)."""
+        return self._outcome_entries(name, _family(rng, len(self._outcome)))
+
+    def _outcome_entries(self, name: str, rngs) -> list:
+        g = _decay_knob(self.tenant_decay[name])
+        pieces = self.slot_budget.split(len(self._outcome))
+        # The statistics lead the zip, so an iterator of rngs gives up
+        # exactly one per outcome statistic.
+        return [
+            (_for_outcome(s, name), piece, rng, g)
+            for s, piece, rng in zip(self._outcome, pieces, rngs)
+        ]
+
+    def columns(self, ys):
+        """``ys`` as the statistics read it: the anonymous outcome vector
+        itself, or the ``(n, k)`` matrix as one column per tenant by name."""
+        if self.tenant_decay is None:
+            return ys
+        return dict(zip(self.tenant_decay, np.asarray(ys, dtype=float).reshape(len(ys), -1).T))
+
+    def models(self) -> tuple:
+        """The served models' keys: ``None`` for the anonymous outcome, else
+        each tenant's name in slot order."""
+        return (None,) if self.tenant_decay is None else self.tenants()
+
+    def reads(self, key) -> dict[str, str]:
+        """The entries one served model reads, keyed by statistic name in
+        declared order (the first sizes the solve)."""
+        if key is None:
+            return {name: name for name in self.names}
+        g = self.tenant_decay[key]
+        return {
+            s.name: f"{s.name}:{g}" if s in self._design else f"{s.name}:{key}"
+            for s in self.statistics
+        }
+
     def tenants(self) -> tuple[str, ...]:
         """Active tenant names, in slot (merge) order."""
-        return tuple(self.tenant_decay)
-
-    def names(self) -> tuple[str, ...]:
-        """The bundle's entry names, in bundle order."""
-        grams = tuple(f"gram:{g}" for g in self.decays)
-        return grams + tuple(f"cross:{name}" for name in self.tenant_decay)
-
-    def reads(self, name: str) -> dict[str, str]:
-        """The entries one tenant's solve reads, keyed ``cross`` and ``gram``."""
-        return {"cross": f"cross:{name}", "gram": f"gram:{self.tenant_decay[name]}"}
+        return tuple(self.tenant_decay or ())
 
     def known(self, name) -> str:
         """``name`` as an active tenant's name (raises on unknown names)."""
         name = str(name)
-        if name not in self.tenant_decay:
+        if name not in (self.tenant_decay or ()):
             raise ValidationError(f"unknown tenant {name!r}")
         return name
 
@@ -282,6 +420,8 @@ class TenantLayout:
         a full layout raises :class:`~repro.exceptions.PrivacyBudgetError`
         — capacity is a privacy bound, not a sizing hint.
         """
+        if self.tenant_decay is None:
+            raise ValidationError("a bundle of one anonymous outcome has no tenants")
         name = str(name)
         if not name:
             raise ValidationError("tenant names must be non-empty")
@@ -300,71 +440,21 @@ class TenantLayout:
         """Admit a tenant into the next slot; return its name."""
         name, g = self.admit(name, decay)
         self.tenant_decay[name] = g
+        self._name_entries()
         return name
 
-    def remove(self, name) -> str:
-        """Retire a tenant, freeing its slot; return its name."""
+    def remove(self, name) -> tuple[str, ...]:
+        """Retire a tenant, freeing its slot; return its entry names."""
         name = self.known(name)
         del self.tenant_decay[name]
-        return name
-
-    def cross(self, dim: int, name: str, rng) -> tuple:
-        """One tenant's cross entry as :meth:`MomentBundle.add` arguments."""
-        stat = cross_statistic(dim, name=f"cross:{name}", outcome=name)
-        return stat, self.slot_budget, rng, _decay_knob(self.tenant_decay[name])
-
-    def bundle(self, dim: int, rngs, mechanism: str, horizon: int | None) -> MomentBundle:
-        """The bundle over ``rngs``: one per tenant, then one per γ group."""
-        if mechanism != "tree":
-            raise ValidationError(
-                "tenant shards require mechanism='tree' (the PRIMO serving "
-                "layer assumes a known horizon)"
-            )
-        names = self.tenants()
-        if len(rngs) != len(names) + len(self.decays):
-            raise ValidationError(
-                f"need one rng per tenant and per γ group: {len(names)} "
-                f"tenants, {len(self.decays)} groups, {len(rngs)} rngs"
-            )
-        group_budgets = self.gram_budget.split(len(self.decays))
-        grams = [
-            (gram_statistic(dim, name=f"gram:{g}"), budget, rng, _decay_knob(g))
-            for g, budget, rng in zip(self.decays, group_budgets, rngs[len(names):])
-        ]
-        (stat, budget, rng, decay), *later = grams
-        bundle = MomentBundle([stat], [budget], [rng], horizon=horizon, decay=decay)
-        for entry in later + [self.cross(dim, n, r) for n, r in zip(names, rngs)]:
-            bundle.add(*entry)
-        return bundle
+        self._name_entries()
+        return tuple(f"{s.name}:{name}" for s in self._outcome)
 
 
 class TenantShard(MomentShard):
-    """One multi-tenant shard: a :class:`MomentShard` over a :class:`TenantLayout`.
+    """The historical name of a :class:`MomentShard` serving named tenants.
 
-    ``config`` is the layout's (:meth:`TenantLayout.config`); ``rngs``
-    holds one generator per tenant followed by one per γ group.  Ingesting
-    ``(x, y_1..y_k)`` advances every Gram entry once and tenant ``j``'s
-    cross entry with ``x·y_j``; the bundle's torn-bundle fault rule covers
-    the tenants too.
+    Nothing builds it: :class:`MomentShard` serves every layout.  The name
+    stays importable (and patchable by perfbench's tracer) as a subclass
+    without a body.
     """
-
-    def _build_bundle(self, rngs, decay, window) -> MomentBundle:
-        self.layout = TenantLayout(self.budget, **self.config)
-        return self.layout.bundle(self.dim, rngs, self.mechanism, self.shard_horizon)
-
-    def add_tenant(self, name: str, rng: np.random.Generator, decay: float | None = None) -> None:
-        """Occupy a free capacity slot with a fresh cross entry for ``name``."""
-        self.bundle.add(*self.layout.cross(self.dim, self.layout.add(name, decay), rng))
-
-    def remove_tenant(self, name: str) -> None:
-        """Retire ``name``'s cross entry, freeing its capacity slot."""
-        self.bundle.remove(f"cross:{self.layout.remove(name)}")
-
-    def ingest(self, xs: np.ndarray, ys, fast: bool) -> None:
-        """Feed a routed block: every Gram entry once, each tenant's cross once.
-
-        ``ys`` is the front-validated ``(n, k)`` outcome matrix, one column
-        per active tenant in slot order.
-        """
-        columns = np.asarray(ys, dtype=float).reshape(len(xs), -1).T
-        super().ingest(xs, dict(zip(self.layout.tenant_decay, columns)), fast)

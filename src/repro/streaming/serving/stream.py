@@ -36,7 +36,7 @@ from ..backends import BACKEND_KNOBS, backend_declaration
 from ..netserve import ShardAddress, ShardHostListener, TcpShardWorker
 from ..transport import ProcessShardWorker, ShardSpec
 from ..readers import EstimateHub, HubReads
-from .cache import ServedEstimate
+from .shards import BundleLayout
 
 __all__ = ["KNOB_VALUES", "ShardFront", "ShardedStream", "_CLOSE"]
 
@@ -78,12 +78,17 @@ class ShardFront:
     refresh cadence, heartbeats and auto-restart, kill/restart, close, and
     the ``lost_steps`` / ``blocks_routed`` / ``blocks_refunded`` books.
 
-    It also owns the one merge-and-solve path (:meth:`_solve`): every
-    bundle entry is merged once by name, then each served model — a
-    solver, its :class:`~repro.streaming.readers.EstimateHub`, and the
-    entry names it reads — is solved and published in registration order.
-    :class:`ShardedStream` serves one model over its whole bundle; a
-    multi-tenant front serves one model per tenant, each reading its own
+    It also owns the bundle: the backend declaration's ``configure`` gives
+    the shard config, and one :class:`~repro.streaming.serving.BundleLayout`
+    over the declaration and the knobs gives the entry names
+    (:attr:`bundle_names`), each shard's per-entry rngs, and the served
+    models.  One merge-and-solve path (:meth:`_solve`) then merges every
+    bundle entry once by name and solves and publishes each served model
+    — a solver (the ``solver`` knob, or the backend's default), its
+    :class:`~repro.streaming.readers.EstimateHub`, and the entry names it
+    reads — in registration order.  :class:`ShardedStream` serves one
+    anonymous outcome, one model over its whole bundle; a multi-tenant
+    front serves one model per tenant, each reading its own
     ``cross:{name}`` entry and its γ group's shared ``gram:{γ}`` entry.
 
     Knobs arrive as one mapping, ``knobs``: a public constructor hands
@@ -91,18 +96,14 @@ class ShardFront:
     lifecycle knob is written in the public signatures and in one rule
     here — an enumerated knob is one row of :data:`KNOB_VALUES`, checked
     in one loop, and a cross-knob rule is one ``if`` in ``__init__``.
-    The front reads the knobs it owns and passes the mapping on to the
-    hooks.  A front subclass declares only what it serves, through these
-    hooks:
+    The front reads the knobs it owns (the backend's and the tenants'
+    knobs through the declaration and the layout).  A front without
+    ``backend``, ``decay``, ``window`` or ``solver`` knobs (the tenant
+    front) serves the class defaults below: the moment backend's plain
+    release with its default solver.  A front subclass declares only what
+    it serves, through these hooks:
 
-    * ``_declare(knobs)`` — configure the shard payload from the knobs;
-      returns the number of rng children each shard takes from the
-      front's spawn;
-    * ``bundle_names`` — every shard bundle's entry names, in bundle order;
-    * ``_shard_spec(index, budget, rngs)`` — one shard's spawn payload;
-    * ``_charge_ledger()`` — the budget ledger;
-    * ``_attach_solvers(knobs)`` — register the served models
-      (:meth:`_serve`);
+    * ``_charge_ledger()`` — the budget ledger and its labels;
     * ``_validate_block(xs, ys)`` — shape and unit-domain checks of a
       block (run under the ingestion lock, so a block is validated against
       the state it is ingested under);
@@ -111,6 +112,11 @@ class ShardFront:
 
     See :class:`ShardedStream` for the lifecycle knobs' semantics.
     """
+
+    backend = "moment"
+    decay = None
+    window = None
+    solver = None
 
     def __init__(
         self, constraint: ConvexSet, params: PrivacyParams, shards: int, knobs: dict
@@ -197,11 +203,19 @@ class ShardFront:
         self._rng = check_rng(knobs["rng"])
         self._fast = self.ingest == "fast"
 
-        # One independent child generator per bundle entry per shard —
-        # shard i consumes the contiguous slice [n·i, n·(i+1)).  For the
-        # default two-entry bundle this is the historical spawn(2K) with
+        # The backend (a projected one draws its shared Φ from the front
+        # rng first) and the bundle layout over its statistics.
+        self._declaration = declaration = backend_declaration(self.backend)
+        self.projection = None  # a projected backend's configure sets Φ
+        self.config = declaration.configure(self.backend, self, knobs)
+        self._layout = BundleLayout(declaration, self.dim, self.config, params, knobs)
+        # Width of an ingested block row (the stacked [z | x] width for iv).
+        self._block_dim = declaration.block_width(self.dim, self.config)
+        # One independent child generator per declared statistic per shard
+        # — shard i consumes the contiguous slice [n·i, n·(i+1)).  For the
+        # default (cross, gram) pair this is the historical spawn(2K) with
         # children 2i/2i+1, byte-for-byte.
-        self._entries = self._declare(knobs)
+        self._entries = len(self._layout.statistics)
         budgets = shard_budgets(params, self.shards_count, self.composition)
         # transport="tcp" with no addresses: boot a private loopback
         # listener owned (and closed) by this front — single-host tcp
@@ -235,7 +249,9 @@ class ShardFront:
         self.accountant = PrivacyAccountant(params, mode="basic")
         self._charge_ledger()
         self._models: dict = {}
-        self._attach_solvers(knobs)
+        self._solver_knobs = (knobs["beta"], knobs["fidelity"], knobs["iteration_cap"])
+        for key in self._layout.models():
+            self._attach(key)
 
         self._lock = threading.RLock()
         self._queue: queue.Queue = queue.Queue()
@@ -289,7 +305,18 @@ class ShardFront:
         transport builds byte-for-byte the same mechanisms and consumes
         randomness identically.
         """
-        spec = self._shard_spec(index, budget, tuple(rngs))
+        spec = ShardSpec(
+            index=index,
+            dim=self.dim,
+            budget=budget,
+            rngs=self._layout.rngs(rngs),
+            backend=self.backend,
+            config={**self.config, **self._layout.config()},
+            mechanism=self.mechanism,
+            shard_horizon=self.shard_horizon,
+            decay=self.decay,
+            window=self.window,
+        )
         if self.transport == "tcp":
             return TcpShardWorker(
                 spec,
@@ -951,13 +978,25 @@ class ShardFront:
             > self._last_refresh_t // self.refresh_every
         )
 
-    def _serve(self, key, solver, reads: dict) -> EstimateHub:
+    @property
+    def bundle_names(self) -> tuple[str, ...]:
+        """Every shard bundle's entry names, in bundle (merge) order."""
+        return self._layout.names
+
+    def _attach(self, key) -> EstimateHub:
         """Register one served model; publish its initial estimate.
 
-        The hub is the model's single publish path (cache swap + waiter
-        wakeup + subscriber fan-out); publishing the solver's initial
-        parameter means reads never block.
+        Its solver is the front's ``solver`` or a fresh default of the
+        backend (one rng child each, in model order), reading the entries
+        the layout names for ``key``.  The hub is the model's single
+        publish path (cache swap + waiter wakeup + subscriber fan-out);
+        publishing the solver's initial parameter means reads never block.
         """
+        solver = self.solver
+        if solver is None:
+            solver = self._declaration.solver(
+                self, self.config, self._rng.spawn(1)[0], *self._solver_knobs
+            )
         hub = EstimateHub()
         hub.publish(
             solver.current_estimate(),
@@ -965,7 +1004,7 @@ class ShardFront:
             timestep=0,
             covered_steps=0,
         )
-        self._models[key] = _Model(solver, hub, reads)
+        self._models[key] = _Model(solver, hub, self._layout.reads(key))
         return hub
 
     def _merge(self) -> dict[str, MergedRelease]:
@@ -1380,43 +1419,19 @@ class ShardedStream(ShardFront, HubReads):
                 "mechanism='hybrid' or a finite window; use ingest='exact'"
             )
         self.backend = backend
-        self._declaration = declaration
         self.decay = decay
         self.window = window
         self.x_domain = x_domain
         self.gamma = gamma
         self.solver = solver
         super().__init__(constraint, params, shards, knobs)
-
-    def _declare(self, knobs: dict) -> int:
-        """Configure the backend (draws a shared ``Φ`` first, if any)."""
-        declaration = self._declaration
-        self.projection = None  # a projected backend's configure sets Φ
-        self.config = declaration.configure(self.backend, self, knobs)
+        # The one model over the whole bundle; `self.cache` stays exposed
+        # for read-only inspection and the conformance suites.
+        self.solver, self._hub, _ = self._models[None]
+        self.cache = self._hub.cache
         self.projected_dim = getattr(self.projection, "projected_dim", None)
         self.sparsity_factor = getattr(self.projection, "sparsity_factor", None)
         self.instruments = self.config.get("instruments")
-        # The named statistics every shard's bundle declares, in order —
-        # everything downstream (rng spawn, ledger labels, merge slots,
-        # refresh dispatch) is keyed off this tuple.
-        self.bundle_names = declaration.names(self.dim, self.config)
-        # Width of an ingested block row (the stacked [z | x] width for iv).
-        self._block_dim = declaration.block_width(self.dim, self.config)
-        return len(self.bundle_names)
-
-    def _shard_spec(self, index: int, budget: PrivacyParams, rngs) -> ShardSpec:
-        return ShardSpec(
-            index=index,
-            dim=self.dim,
-            budget=budget,
-            rngs=rngs,
-            backend=self.backend,
-            config=self.config,
-            mechanism=self.mechanism,
-            shard_horizon=self.shard_horizon,
-            decay=self.decay,
-            window=self.window,
-        )
 
     def _charge_ledger(self) -> None:
         """One labelled charge per bundle statistic.
@@ -1437,17 +1452,6 @@ class ShardedStream(ShardFront, HubReads):
             pieces = bundle_budgets(shard.budget, weights)
             for name, piece in zip(self.bundle_names, pieces):
                 self.accountant.charge(f"shard{shard.index}:{name}-moments", piece)
-
-    def _attach_solvers(self, knobs: dict) -> None:
-        if self.solver is None:
-            self.solver = self._declaration.solver(
-                self, self.config, self._rng.spawn(1)[0],
-                knobs["beta"], knobs["fidelity"], knobs["iteration_cap"],
-            )
-        # One model over the whole bundle; `self.cache` stays exposed for
-        # read-only inspection and the conformance suites.
-        self._hub = self._serve(None, self.solver, {n: n for n in self.bundle_names})
-        self.cache = self._hub.cache
 
     def _validate_block(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
         """Shape + the backend's unit-domain check for one block."""
@@ -1503,11 +1507,8 @@ class ShardedStream(ShardFront, HubReads):
     # Reads
     # ------------------------------------------------------------------
 
-    def _cached(self) -> np.ndarray:
-        return self.current_estimate()
-
-    def _served(self) -> ServedEstimate:
-        return self.current_served()
+    _cached = HubReads.current_estimate
+    _served = HubReads.current_served
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

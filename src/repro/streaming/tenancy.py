@@ -10,11 +10,13 @@ times: ``k·(d² + d)`` tree floats, ``k`` Gram noise draws per step, and a
 ``k``-way budget split that inflates every tenant's noise variance by
 ``k²``.  :class:`MultiTenantStream` privatizes it **once**:
 
-* one :class:`~repro.streaming.serving.TenantLayout` names the bundle —
-  a shared Gram entry per γ group at ``(ε/2, δ/2)`` (independent of
-  ``k``), then one cheap ``(d,)`` cross entry per tenant at an equal slot
-  of the other half — and both the front and every
-  :class:`~repro.streaming.serving.TenantShard` read it;
+* the moment backend declares its Gram a *design* statistic (it reads
+  only the rows) and its cross statistic an *outcome* statistic, so the
+  one :class:`~repro.streaming.serving.BundleLayout` both fronts build
+  from lays the bundle out for named tenants — a shared Gram entry per γ
+  group at ``(ε/2, δ/2)`` (independent of ``k``), then one cheap ``(d,)``
+  cross entry per tenant at an equal slot of the other half — and the
+  front and every :class:`~repro.streaming.serving.MomentShard` read it;
 * :meth:`MultiTenantStream.observe_batch` routes each
   ``(x, y^{(1)}..y^{(k)})`` block through the shared Gram exactly once and
   fans the outcomes out to the per-tenant cross trees;
@@ -46,8 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_unit_xy_domain, check_vector, check_xy_block
-from ..core.incremental_regression import PrivIncReg1
+from .._validation import check_sequence, check_unit_xy_domain, check_vector, check_xy_block
 from ..exceptions import ServingError, ShardUnavailableError, ValidationError
 from ..geometry.base import ConvexSet
 from ..privacy.parameters import PrivacyParams
@@ -56,8 +57,7 @@ from ..privacy.tree import MergedRelease
 # perfbench's tracer patches ``tenancy.merge_released`` by name.
 from ..privacy.tree import merge_released  # noqa: F401
 from .readers import EstimateHub, HubReads
-from .serving import ServedEstimate, ShardFront, TenantLayout
-from .transport import ShardSpec
+from .serving import ServedEstimate, ShardFront
 
 __all__ = ["MultiTenantStream", "TenantView"]
 
@@ -96,7 +96,7 @@ class MultiTenantStream(ShardFront):
     """The PRIMO serving front: ``k`` tenant models over one shared stream.
 
     Routes each incoming ``(x, y^{(1)}..y^{(k)})`` block round-robin to
-    one of ``K`` :class:`~repro.streaming.serving.TenantShard` workers;
+    one of ``K`` :class:`~repro.streaming.serving.MomentShard` workers;
     the shard advances its **shared** Gram tree once and each active
     tenant's cross tree with that tenant's outcome column.  At refresh
     points the Gram releases are merged once and reused for every
@@ -106,12 +106,14 @@ class MultiTenantStream(ShardFront):
     (the ``primo`` scenario of ``benchmarks/bench_serving.py`` measures
     the gap).
 
-    Everything that is not tenant-specific — routing, horizon reservation,
-    the ``mode`` queue, group ingestion, refresh cadence, heartbeats and
-    auto-restart, kill/restart, close, and the loss books — is
+    Everything that is not tenant-specific — the bundle layout, shard
+    specs and served models, routing, horizon reservation, the ``mode``
+    queue, group ingestion, refresh cadence, heartbeats and auto-restart,
+    kill/restart, close, and the loss books — is
     :class:`~repro.streaming.serving.ShardFront`'s, shared with
-    :class:`~repro.streaming.serving.ShardedStream`; the knobs below mean
-    exactly what they mean there.
+    :class:`~repro.streaming.serving.ShardedStream`; this front adds the
+    tenant lifecycle, its ledger labels and its ``(n, k)`` block check.
+    The knobs below mean exactly what they mean there.
 
     Parameters
     ----------
@@ -235,81 +237,26 @@ class MultiTenantStream(ShardFront):
                 "MultiTenantStream needs a horizon (tenant shards are tree "
                 "shards; there is no horizon-free PRIMO serving path)"
             )
+        # A shard may hold no tenant (a parked stream's restart); a front
+        # starts with at least one.
+        if not isinstance(tenants, (int, np.integer)):
+            check_sequence("tenants", tenants, empty=False)
         super().__init__(constraint, params, shards, knobs)
+        self.tenant_capacity = self._layout.capacity
+        self.decays = self._layout.decays
+        self._views = {name: TenantView(name, self._models[name].hub) for name in self._models}
 
     # ------------------------------------------------------------------
     # Front hooks
     # ------------------------------------------------------------------
 
-    def _declare(self, knobs: dict) -> int:
-        # The bundle layout, its tenant checks and its budgets: the same
-        # definition every shard builds its bundle from.
-        self._layout = TenantLayout(
-            self.params, knobs["tenants"], knobs["tenant_capacity"], knobs["decays"],
-            knobs["tenant_decays"],
-        )
-        if not self._layout.tenant_decay:
-            raise ValidationError("tenants must name at least one tenant")
-        self.tenant_capacity = self._layout.capacity
-        self.decays = self._layout.decays
-        # Two children per shard: the tenant child 2i and the Gram child
-        # 2i+1 — exactly the single-tenant front's (cross, gram) spawn.
-        return 2
-
-    def _shard_spec(self, index: int, budget: PrivacyParams, rngs) -> ShardSpec:
-        """A tenant shard over the current tenant set.
-
-        Tenant 0 consumes the shard's first child itself — the exact child
-        the single-tenant front hands its cross tree — and later tenants
-        its spawned siblings; Gram group 0 consumes the second child and
-        later groups its spawned siblings (spawning advances a child's
-        spawn counter, never its bit stream, so tenant 0 and group 0 stay
-        bit-identical at any k and G).
-        """
-        tenant_child, gram_child = rngs
-        k = len(self._layout.tenant_decay)
-        tenant_rngs = (tenant_child, *tenant_child.spawn(max(k - 1, 0)))
-        gram_rngs = (gram_child, *gram_child.spawn(len(self.decays) - 1))
-        return ShardSpec(
-            index=index,
-            dim=self.dim,
-            budget=budget,
-            rngs=tenant_rngs[:k] + gram_rngs,
-            config=self._layout.config(),
-            shard_horizon=self.shard_horizon,
-        )
-
-    @property
-    def bundle_names(self) -> tuple[str, ...]:
-        """Every shard bundle's entry names, in bundle (merge) order."""
-        return self._layout.names()
-
     def _charge_ledger(self) -> None:
         # The shared Gram is one parallel-composition charge; each active
         # tenant holds one refundable slot charge.  Fully occupied, the
         # ledger sums back to `params`.
-        self.accountant.charge(_GRAM_LABEL, self._layout.gram_budget)
-        for name in self._layout.tenant_decay:
+        self.accountant.charge(_GRAM_LABEL, self._layout.design_budget)
+        for name in self._layout.tenants():
             self.accountant.charge(_cross_label(name), self._layout.slot_budget)
-
-    def _attach_solvers(self, knobs: dict) -> None:
-        # One served model per tenant, in tenant (slot) order.
-        self._solver_knobs = {k: knobs[k] for k in ("beta", "fidelity", "iteration_cap")}
-        self._views: dict[str, TenantView] = {}
-        for name in self._layout.tenant_decay:
-            self._attach_tenant(name)
-
-    def _attach_tenant(self, name: str) -> None:
-        """Serve one tenant: a solver reading its (cross, gram) entries, a view."""
-        solver = PrivIncReg1(
-            horizon=self.horizon,
-            constraint=self.constraint,
-            params=self.params,
-            rng=self._rng.spawn(1)[0],
-            **self._solver_knobs,
-        )
-        hub = self._serve(name, solver, self._layout.reads(name))
-        self._views[name] = TenantView(name, hub)
 
     def _validate_block(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
         """``(n, d)`` covariates and an ``(n, k)`` outcome block.
@@ -325,9 +272,6 @@ class MultiTenantStream(ShardFront):
         xs, ys = check_xy_block(xs, ys, dim=self.dim, outcomes=k)
         check_unit_xy_domain("MultiTenantStream", xs, ys.ravel())
         return xs, ys
-
-    def _cached(self) -> dict[str, np.ndarray]:
-        return self.estimates()
 
     def _served(self) -> dict[str, ServedEstimate]:
         return {name: view.current_served() for name, view in self._views.items()}
@@ -373,8 +317,8 @@ class MultiTenantStream(ShardFront):
             for shard, shard_rng in zip(self._shards, shard_rngs):
                 self._on_live_shard(shard, lambda s: s.add_tenant(name, shard_rng, decay=g))
             self._layout.add(name, g)
-            self._attach_tenant(name)
-            return self._views[name]
+            view = self._views[name] = TenantView(name, self._attach(name))
+            return view
 
     def remove_tenant(self, name: str) -> None:
         """Retire a tenant: drop its entries, refund its slot on the ledger.
@@ -421,14 +365,14 @@ class MultiTenantStream(ShardFront):
         Returns the cached per-tenant estimates.
         """
         x = check_vector("x", x, dim=self.dim)
-        if np.isscalar(ys) or getattr(ys, "ndim", None) == 0:
-            ys = [float(ys)]
-        row = check_vector("ys", ys, dim=len(self._models))
+        row = check_vector("ys", np.atleast_1d(ys), dim=len(self._models))
         return self.observe_batch(x[None, :], row[None, :])
 
     def estimates(self) -> dict[str, np.ndarray]:
         """Every tenant's cached parameter (lock-free reads, no solve)."""
         return {name: view.current_estimate() for name, view in self._views.items()}
+
+    _cached = estimates
 
     def merged_moments(self, name: str) -> tuple[MergedRelease, MergedRelease]:
         """One tenant's merged (cross, gram) releases right now.

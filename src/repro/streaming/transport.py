@@ -133,9 +133,8 @@ class ShardSpec:
 
     On the wire it is a typed frame (:mod:`repro.streaming.wire`): the
     budget as ``(ε, δ)``, each rng as its bit-generator name plus state,
-    and the config as typed values.  A config naming ``tenants``
-    (a :meth:`~repro.streaming.serving.TenantLayout.config`) builds a
-    :class:`~repro.streaming.serving.TenantShard`.
+    and the config as typed values, including the tenant keys of a
+    :meth:`~repro.streaming.serving.BundleLayout.config`.
     """
 
     index: int
@@ -156,10 +155,9 @@ class ShardSpec:
         """Construct the shard worker this spec describes (child side)."""
         # Imported here, not at module top: the parent-side transport layer
         # must stay importable from the serving package without a cycle.
-        from .serving.shards import MomentShard, TenantShard
+        from .serving.shards import MomentShard
 
-        shard_class = TenantShard if "tenants" in self.config else MomentShard
-        return shard_class(
+        return MomentShard(
             self.index,
             self.dim,
             self.budget,
@@ -434,18 +432,18 @@ class ShardRpcClient:
         rng: np.random.Generator,
         decay: float | None = None,
     ) -> None:
-        """Attach a tenant cross tree on the worker (tenant backend only).
+        """Attach a tenant's outcome entries on the worker (named tenants only).
 
         The generator crosses the wire as its bit-generator name plus
-        state (:mod:`repro.streaming.wire`), so the worker-side tree
-        consumes exactly the stream this generator would produce locally —
+        state (:mod:`repro.streaming.wire`), so the worker-side entries
+        consume exactly the stream this generator would produce locally —
         the same bit-identity contract as initial construction.  ``decay``
         assigns the tenant to one of the shard's declared γ groups.
         """
         self._request("tenant", ("add", name, (rng, decay)))
 
     def remove_tenant(self, name: str) -> None:
-        """Drop a tenant's cross tree on the worker (tenant backend only)."""
+        """Drop a tenant's outcome entries on the worker (named tenants only)."""
         self._request("tenant", ("remove", name, None))
 
     def memory_floats(self) -> int:

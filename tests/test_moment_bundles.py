@@ -34,6 +34,7 @@ from repro.exceptions import (
 from repro.privacy import bundle_budgets, make_release_mechanism
 from repro.streaming import MomentBundle, MomentShard
 from repro.streaming.backends import BACKENDS
+from repro.streaming.serving import BundleLayout
 from repro.core.moments import (
     cross_statistic,
     gram_statistic,
@@ -163,10 +164,13 @@ class TestBundleBudgets:
 class TestBundleApi:
     def test_bundle_names_mapping(self):
         config = {"phi": GaussianProjection(DIM, 2, rng=0).matrix, "instruments": 3}
-        assert BACKENDS["moment"].names(DIM, config) == ("cross", "gram")
-        assert BACKENDS["projected"].names(DIM, config) == ("cross", "gram")
-        assert BACKENDS["sketch"].names(DIM, config) == ("cross", "gram")
-        assert BACKENDS["iv"].names(DIM, config) == ("zz", "zx", "zy")
+        def names(backend):
+            return BundleLayout(BACKENDS[backend], DIM, config, PARAMS, {}).names
+
+        assert names("moment") == ("cross", "gram")
+        assert names("projected") == ("cross", "gram")
+        assert names("sketch") == ("cross", "gram")
+        assert names("iv") == ("zz", "zx", "zy")
 
     def test_iv_statistic_shapes_and_rules(self):
         zz, zx, zy = iv_statistics(3, 2)

@@ -30,7 +30,7 @@ import pytest
 from repro import PrivacyParams
 from repro.exceptions import ValidationError
 from repro.streaming import transport, wire
-from repro.streaming.serving import MomentShard, TenantShard
+from repro.streaming.serving import MomentShard
 from repro.streaming.transport import ShardRpcClient, dispatch_command
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -99,7 +99,7 @@ def _shard():
 
 
 def _tenant_shard():
-    return TenantShard(
+    return MomentShard(
         0,
         DIM,
         PARAMS,

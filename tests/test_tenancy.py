@@ -34,12 +34,12 @@ import pytest
 
 from repro import (
     L2Ball,
+    MomentShard,
     MultiTenantStream,
     PrivacyParams,
     PrivIncReg1,
     ServingError,
     ShardedStream,
-    TenantShard,
     TreeMechanism,
     merge_released,
     tenant_budgets,
@@ -651,20 +651,20 @@ class TestTenancyValidation:
         rngs = tuple(np.random.default_rng(0).spawn(2))
         gram_rng = np.random.default_rng(1)
         with pytest.raises(ValidationError):
-            TenantShard(0, DIM, PARAMS, rngs + (gram_rng,),
+            MomentShard(0, DIM, PARAMS, rngs + (gram_rng,),
                         config=dict(tenants=("a", "a")), shard_horizon=T)
         with pytest.raises(ValidationError):
-            TenantShard(0, DIM, PARAMS, rngs + (gram_rng,),
+            MomentShard(0, DIM, PARAMS, rngs + (gram_rng,),
                         config=dict(tenants=()), shard_horizon=T)
         with pytest.raises(ValidationError):
-            TenantShard(0, DIM, PARAMS, rngs[:1] + (gram_rng,),
+            MomentShard(0, DIM, PARAMS, rngs[:1] + (gram_rng,),
                         config=dict(tenants=("a", "b")), shard_horizon=T)
         with pytest.raises(ValidationError):
-            TenantShard(0, DIM, PARAMS, rngs + (gram_rng,),
+            MomentShard(0, DIM, PARAMS, rngs + (gram_rng,),
                         config=dict(tenants=("a", "b")),
                         mechanism="hybrid", shard_horizon=T)
         with pytest.raises(ValidationError):
-            TenantShard(0, DIM, PARAMS, rngs + (gram_rng,),
+            MomentShard(0, DIM, PARAMS, rngs + (gram_rng,),
                         config=dict(tenants=("a", "b"), tenant_capacity=1),
                         shard_horizon=T)
 
@@ -672,7 +672,7 @@ class TestTenancyValidation:
         """A block overflowing the shared Gram's capacity consumes nothing
         in ANY tree (the Gram advances first and is never behind, so it
         fails before any cross tree mutates)."""
-        shard = TenantShard(
+        shard = MomentShard(
             0, DIM, PARAMS,
             tuple(np.random.default_rng(0).spawn(2)) + (np.random.default_rng(1),),
             config=dict(tenants=("a", "b")),

@@ -361,8 +361,13 @@ def _state_bytes(mech):
     )
 
 
+#: Element shapes of the fold tests: one-entry elements (a scalar, and the
+#: ``d = 1`` cross and Gram), vectors and matrices.
+FOLD_SHAPES = [(), (1,), (1, 1), (3,), (4, 4)]
+
+
 class TestAxisZeroFoldProperty:
-    @pytest.mark.parametrize("shape", [(), (3,), (4, 4)], ids=str)
+    @pytest.mark.parametrize("shape", FOLD_SHAPES, ids=str)
     @given(data=st.data(), sizes=block_sizes)
     @settings(max_examples=40, deadline=None)
     def test_advance_batch_is_byte_identical_to_per_row_observe(self, shape, data, sizes):
@@ -377,7 +382,7 @@ class TestAxisZeroFoldProperty:
             assert release.tobytes() == per_row.current_sum().tobytes()
             assert _state_bytes(blocked) == _state_bytes(per_row)
 
-    @pytest.mark.parametrize("shape", [(), (3,), (4, 4)], ids=str)
+    @pytest.mark.parametrize("shape", FOLD_SHAPES, ids=str)
     def test_cancelling_block_folds_left_to_right(self, shape):
         """One block where a pairwise sum differs from the left-to-right
         fold in every entry: the release must be the fold's."""

@@ -32,7 +32,6 @@ from repro.exceptions import (
 from repro.privacy.tree import ReleasedMoments
 from repro.streaming import wire
 from repro.streaming.netserve import recv_frame
-from repro.streaming.serving import TenantShard
 from repro.streaming.transport import ShardSpec
 
 PARAMS = PrivacyParams(4.0, 1e-6)
@@ -257,8 +256,8 @@ class TestRoundTrips:
         clone = _round_trip(spec)
         assert clone.config == spec.config
         shard = clone.build()
-        assert isinstance(shard, TenantShard)
         assert shard.layout.tenants() == ("a", "b")
+        assert shard.bundle.names == shard.layout.names == ("gram:1.0", "cross:a", "cross:b")
 
 
 class TestEncoderRefusals:

@@ -175,7 +175,7 @@ class TestShardSpecWire:
         assert all(isinstance(h, SketchNoiseMechanism) for h in local.released())
         local.ingest(stream.xs[:6], stream.ys[:6], fast=False)
         remote.ingest(stream.xs[:6], stream.ys[:6], fast=False)
-        assert BACKENDS["sketch"].names(DIM, spec.config) == ("cross", "gram")
+        assert local.bundle.names == remote.bundle.names == ("cross", "gram")
         for mine, theirs in zip(local.released(), remote.released()):
             np.testing.assert_array_equal(mine.current_sum(), theirs.current_sum())
 
