@@ -526,7 +526,7 @@ def _publish_latency(server: ShardedStream, cfg: dict) -> dict:
     waiter that times out or wakes on a stale version stops, records why,
     and the publisher stops with it.
     """
-    hub, publishes, base = server._hub, cfg["publishes"], server.estimate_version
+    hub, publishes, base = server.cache, cfg["publishes"], server.estimate_version
     deltas, errors = [], []
     published_at = [0.0] * (publishes + 1)
     ready = threading.Event()

@@ -92,7 +92,6 @@ from .sketching import (
     step4_rescale_block,
 )
 from .streaming import (
-    EstimateCache,
     EstimateHub,
     ExcessRiskTrace,
     FleetResult,
@@ -222,7 +221,6 @@ __all__ = [
     "ShardAddress",
     "ShardHostListener",
     "TcpShardWorker",
-    "EstimateCache",
     "EstimateHub",
     "ReaderHandle",
     "Subscription",

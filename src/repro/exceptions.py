@@ -119,13 +119,13 @@ class ServingError(ReproError):
 
 
 class PublishConflictError(ServingError):
-    """An :class:`~repro.streaming.serving.EstimateCache` publish conflicted
-    with the entry already in the cache.
+    """An :class:`~repro.streaming.readers.EstimateHub` publish conflicted
+    with the entry already in the hub.
 
     Two shapes of conflict, both programming errors on the *publisher* side
     (readers are never at fault):
 
-    * a **version decrease** — the cache's version is the publisher's solve
+    * a **version decrease** — the hub's version is the publisher's solve
       counter and must be non-decreasing, otherwise a reader could observe
       an estimate older than the last completed solve;
     * an **equal-version publish with a different payload** — readers
@@ -143,7 +143,6 @@ class WaitTimeoutError(ServingError, TimeoutError):
     """A blocking wait for a published estimate version timed out.
 
     Raised by ``wait_for_version(version, timeout=...)`` on
-    :class:`~repro.streaming.serving.EstimateCache` /
     :class:`~repro.streaming.readers.EstimateHub` /
     :class:`~repro.streaming.readers.ReaderHandle` when the requested
     version was not published within the timeout.  Subclasses
@@ -152,10 +151,10 @@ class WaitTimeoutError(ServingError, TimeoutError):
 
 
 class NoEstimateError(ServingError, LookupError):
-    """A read hit an :class:`~repro.streaming.serving.EstimateCache` that has
+    """A read hit an :class:`~repro.streaming.readers.EstimateHub` that has
     never been published to.
 
-    ``EstimateCache.get`` is an O(1) pointer read; before the first solve
+    ``EstimateHub.get`` is an O(1) pointer read; before the first solve
     there is no pointer to return, and silently returning a zero parameter
     would be indistinguishable from a real estimate.  The error names the
     fix (``flush()`` forces a merge + solve over everything ingested).
@@ -165,7 +164,7 @@ class NoEstimateError(ServingError, LookupError):
 
     ``ShardedStream`` publishes its solver's initial parameter at
     construction, so its readers never see this; it surfaces only on a
-    bare ``EstimateCache`` used as a standalone component.
+    bare ``EstimateHub`` used as a standalone component.
     """
 
 

@@ -31,14 +31,8 @@ from .runner import IncrementalRunner, RunResult
 from .fleet import FleetResult, FleetRunner, ReplicateResult, ReplicateSpec
 from .backends import BACKENDS, Backend
 from ..core.moments import MomentBundle, MomentStatistic
-from .readers import EstimateHub, ReaderHandle, Subscription
-from .serving import (
-    EstimateCache,
-    MomentShard,
-    ServedEstimate,
-    ShardedStream,
-    TenantShard,
-)
+from .readers import EstimateHub, ReaderHandle, ServedEstimate, Subscription
+from .serving import MomentShard, ShardedStream, TenantShard
 from .tenancy import MultiTenantStream, TenantView
 from .transport import ProcessShardWorker, ShardRpcClient, ShardSpec
 from .netserve import ShardAddress, ShardHostListener, TcpShardWorker
@@ -70,7 +64,6 @@ __all__ = [
     "ShardAddress",
     "ShardHostListener",
     "TcpShardWorker",
-    "EstimateCache",
     "EstimateHub",
     "ReaderHandle",
     "Subscription",

@@ -1,14 +1,14 @@
-"""Read-side scaling: per-reader snapshots and pub-sub invalidation.
+"""The published-estimate slot of a served model, and its read-side fan-out.
 
 The serving front pays the differential-privacy cost of an estimate once,
 at release time; after that, serving it to many concurrent readers is pure
 post-processing and should scale with hardware.  This module is the
 fan-out layer that makes that true in practice:
 
-* :class:`~repro.streaming.serving.EstimateCache` (in ``serving.py``)
-  publishes by **atomic reference swap**, so anonymous reads
-  (``ShardedStream.current_estimate``) are single lock-free pointer loads
-  with no shared-counter mutation.
+* :class:`EstimateHub` is one served model's slot: it publishes a frozen
+  :class:`ServedEstimate` by **atomic reference swap**, so anonymous
+  reads (``ShardedStream.current_estimate``) are single lock-free pointer
+  loads with no shared-counter mutation.
 * :class:`ReaderHandle` (from :meth:`EstimateHub.reader` /
   ``ShardedStream.reader()``) gives each reader a **private snapshot**
   with a version fast-path check: between refreshes a read costs one
@@ -20,7 +20,7 @@ fan-out layer that makes that true in practice:
 * **Pub-sub invalidation** replaces polling: :meth:`EstimateHub.subscribe`
   registers a callback fired on every publish (exceptions are isolated
   per subscription), and ``wait_for_version(v, timeout)`` — built on the
-  cache's :class:`threading.Condition` — parks a poller until the publish
+  hub's :class:`threading.Condition` — parks a poller until the publish
   that satisfies it.
 
 Thread-safety contract
@@ -38,7 +38,7 @@ Staleness guarantee
 A read through any path (anonymous, handle, waiter, subscriber) can never
 observe an estimate older than the last completed publish at the moment
 the reference was loaded, and a handle's snapshot version never
-regresses: ``put`` rejects version decreases and equal-version payload
+regresses: ``publish`` rejects version decreases and equal-version payload
 changes (:class:`~repro.exceptions.PublishConflictError`), so
 ``same version ⇒ same payload`` and the fast path is exact, not
 heuristic.
@@ -48,26 +48,57 @@ from __future__ import annotations
 
 import threading
 import weakref
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .._validation import check_int
-from ..exceptions import ServingError
+from ..exceptions import (
+    NoEstimateError,
+    PublishConflictError,
+    ServingError,
+    WaitTimeoutError,
+)
 from .metrics import ReadStats
 
-__all__ = ["EstimateHub", "HubReads", "ReaderHandle", "Subscription"]
+__all__ = ["EstimateHub", "HubReads", "ReaderHandle", "ServedEstimate", "Subscription"]
+
+
+@dataclass(frozen=True)
+class ServedEstimate:
+    """One published estimate: the versioned unit of an :class:`EstimateHub`.
+
+    Attributes
+    ----------
+    version:
+        The solver's ``estimate_version`` at publication — equals the
+        number of completed solves, so readers can detect refreshes.
+    theta:
+        The released parameter, as a **read-only** array (reads share the
+        buffer; copy before mutating).
+    timestep:
+        Logical stream position (total points processed) when the solve
+        completed.
+    covered_steps:
+        Stream mass the merged moments actually covered; less than
+        ``timestep`` exactly when shards died (partial coverage).
+    """
+
+    version: int
+    theta: np.ndarray
+    timestep: int
+    covered_steps: int
 
 
 class Subscription:
     """One registered publish callback, with per-subscription accounting.
 
     Returned by :meth:`EstimateHub.subscribe`.  The callback is invoked as
-    ``callback(entry)`` with the freshly published
-    :class:`~repro.streaming.serving.ServedEstimate` on every publish, on
-    the publisher's thread, *after* the entry is visible to readers (so a
-    callback that triggers reads observes a cache at least as new as its
-    argument).
+    ``callback(entry)`` with the freshly published :class:`ServedEstimate`
+    on every publish, on the publisher's thread, *after* the entry is
+    visible to readers (so a callback that triggers reads observes an
+    entry at least as new as its argument).
 
     Exceptions raised by the callback are **isolated**: they are counted
     on :attr:`errors` (and the last one kept on :attr:`last_error`) but
@@ -126,7 +157,7 @@ class ReaderHandle:
 
     Created by :meth:`EstimateHub.reader` (or ``ShardedStream.reader()``).
     Holds a snapshot of the last entry this reader observed; the read path
-    is a **version fast-path check** — one atomic load of the cache's
+    is a **version fast-path check** — one atomic load of the hub's
     current entry, one int compare — and between refreshes it returns the
     reader's own snapshot reference without touching any shared mutable
     state.  Read counts are per-handle plain ints (no locks, no
@@ -165,17 +196,17 @@ class ReaderHandle:
         NoEstimateError
             Before the first publish (``ShardedStream`` pre-publishes its
             solver's initial parameter, so its handles never see this; it
-            surfaces on a bare hub/cache used standalone).
+            surfaces on a bare hub used standalone).
         ServingError
             If the handle was closed.
         """
         if self.closed:
             raise ServingError("this ReaderHandle is closed")
-        entry = self._hub.cache.get()
+        entry = self._hub.get()
         self._counts.reads += 1
         snapshot = self._snapshot
         if snapshot is not None and snapshot.version == entry.version:
-            # Fast path: `put` guarantees same version ⇒ same payload, so
+            # Fast path: `publish` guarantees same version ⇒ same payload, so
             # the reader's own reference is the current estimate.
             self._counts.snapshot_hits += 1
             return snapshot
@@ -245,26 +276,45 @@ class ReaderHandle:
 
 
 class EstimateHub:
-    """The publish/subscribe front over one :class:`EstimateCache`.
+    """The published-estimate slot of one served model.
 
-    The single publish path of a serving front: :meth:`publish` installs
-    the new entry in the cache (atomic swap + monotonicity checks), wakes
-    every ``wait_for_version`` waiter, and fires the subscriber callbacks
-    — in that order, so by the time a subscriber (or woken waiter) runs,
-    anonymous readers already see the new entry.
+    The read path is the point: :meth:`get` is a single attribute load of
+    the current frozen :class:`ServedEstimate` — no lock, no counter
+    mutation, no allocation — so ``current_estimate`` fan-out scales with
+    reader threads instead of serializing on a hot-path mutex.  This is
+    sound because :meth:`publish` builds a fully-frozen immutable entry
+    first and installs it with one reference assignment (atomic under the
+    GIL, and a single store on free-threaded builds), so a reader either
+    sees the old entry or the new one, never a torn mixture.  The DP cost
+    of the estimate was paid at release time; reads are pure
+    post-processing and should cost what the hardware charges for a
+    pointer load.
+
+    :meth:`publish` is the single publish path of a serving front.  Under
+    the writer lock it refuses a closed hub, checks version monotonicity
+    (the version is the publisher's solve counter, so a reader can never
+    observe an estimate older than the last completed solve) and the
+    equal-version payload (``same version ⇒ same payload`` — what the
+    per-reader snapshot fast path relies on), swaps the entry, counts the
+    write and wakes every :meth:`wait_for_version` waiter; then it fires
+    the subscriber callbacks — in that order, so by the time a subscriber
+    (or woken waiter) runs, anonymous readers already see the new entry.
 
     Hands out :class:`ReaderHandle` objects via :meth:`reader` and
     aggregates their per-reader statistics on demand via
-    :meth:`read_stats` — the replacement for the shared read counter the
-    cache used to mutate under its hot-path lock.
+    :meth:`read_stats`; publisher-side numbers come from :meth:`stats`,
+    one consistent snapshot.  Nothing is counted on the read hot path.
     """
 
-    def __init__(self, cache=None) -> None:
-        if cache is None:
-            from .serving import EstimateCache  # avoid a module-level cycle
-
-            cache = EstimateCache()
-        self.cache = cache
+    def __init__(self) -> None:
+        self._write_lock = threading.Lock()
+        # Waiters block on the writer lock (waiting is never the hot
+        # path); `publish` and `close` notify under the same lock, so no
+        # wakeup can be missed between a waiter's check and its wait().
+        self._published = threading.Condition(self._write_lock)
+        self._entry: ServedEstimate | None = None
+        self._writes = 0
+        self._closed = False
         # Guards the subscriber list and the handle registry — never taken
         # on the read hot path.
         self._registry_lock = threading.Lock()
@@ -275,15 +325,63 @@ class EstimateHub:
         self._handles: "weakref.WeakSet[ReaderHandle]" = weakref.WeakSet()
         self._retired_reads = 0
         self._retired_hits = 0
-        self._closed = False
 
     # -- publish side ---------------------------------------------------
 
-    def publish(self, theta, version: int, timestep: int, covered_steps: int):
-        """Publish through the cache, wake waiters, fire subscribers."""
-        if self._closed:
-            raise ServingError("EstimateHub is closed; nothing can publish")
-        entry = self.cache.put(theta, version, timestep, covered_steps)
+    def publish(
+        self, theta, version: int, timestep: int, covered_steps: int
+    ) -> ServedEstimate:
+        """Swap in a new estimate, wake waiters, fire subscribers.
+
+        Returns the published entry.
+
+        Raises
+        ------
+        ServingError
+            If the hub is closed.
+        PublishConflictError
+            If ``version`` is lower than the current entry's, or equal to
+            it with a *different* payload — version-based refresh
+            detection would otherwise miss a changed estimate.  An
+            identical-payload republish under the current version is an
+            idempotent no-op: the existing entry is returned (and handed
+            to the subscribers) unchanged, and the write counter does not
+            advance.
+        """
+        frozen = np.array(theta, dtype=float)
+        frozen.setflags(write=False)
+        entry = ServedEstimate(
+            version=int(version),
+            theta=frozen,
+            timestep=int(timestep),
+            covered_steps=int(covered_steps),
+        )
+        with self._write_lock:
+            if self._closed:
+                raise ServingError("EstimateHub is closed; nothing can publish")
+            current = self._entry
+            if current is not None and entry.version <= current.version:
+                if entry.version < current.version:
+                    raise PublishConflictError(
+                        f"estimate version must not decrease: {entry.version} < "
+                        f"{current.version}"
+                    )
+                if not (
+                    entry.timestep == current.timestep
+                    and entry.covered_steps == current.covered_steps
+                    and np.array_equal(entry.theta, current.theta)
+                ):
+                    raise PublishConflictError(
+                        f"duplicate publish of version {entry.version} with a "
+                        f"different payload — readers detect refreshes by "
+                        f"version, so the solve counter must advance whenever "
+                        f"the served estimate changes"
+                    )
+                entry = current
+            else:
+                self._entry = entry
+                self._writes += 1
+                self._published.notify_all()
         with self._registry_lock:
             subscriptions = list(self._subscriptions)
         for subscription in subscriptions:
@@ -305,6 +403,62 @@ class EstimateHub:
                 self._subscriptions.remove(subscription)
 
     # -- read side ------------------------------------------------------
+
+    def peek(self) -> ServedEstimate | None:
+        """The current entry, or ``None`` before the first publish.
+
+        One atomic reference load, like :meth:`get` without its empty
+        check.
+        """
+        return self._entry
+
+    def get(self) -> ServedEstimate:
+        """The current entry — one lock-free pointer read, no solver work.
+
+        Raises
+        ------
+        NoEstimateError
+            If nothing was ever published (no solve has completed).  The
+            typed subclass of :class:`~repro.exceptions.ServingError` /
+            :class:`LookupError` lets readers distinguish "no estimate
+            yet" from real serving failures.
+        """
+        entry = self._entry
+        if entry is None:
+            raise NoEstimateError(
+                "no estimate has been published to this hub yet — "
+                "ingest data and call flush() (or wait for the first "
+                "scheduled refresh) so a merge + solve can publish one"
+            )
+        return entry
+
+    @property
+    def version(self) -> int:
+        """Version of the current entry (−1 when empty) — lock-free."""
+        entry = self._entry
+        return -1 if entry is None else entry.version
+
+    @property
+    def writes(self) -> int:
+        """Completed publishes (idempotent republishes excluded)."""
+        with self._write_lock:
+            return self._writes
+
+    def stats(self) -> dict:
+        """One consistent publisher-side snapshot (version/writes/coverage).
+
+        Taken under the writer lock so ``version`` and ``writes`` can
+        never disagree mid-publish.  Reader-side counts live on the
+        handles; :meth:`read_stats` aggregates them.
+        """
+        with self._write_lock:
+            entry = self._entry
+            return {
+                "version": -1 if entry is None else entry.version,
+                "writes": self._writes,
+                "timestep": None if entry is None else entry.timestep,
+                "covered_steps": None if entry is None else entry.covered_steps,
+            }
 
     def reader(self) -> ReaderHandle:
         """A fresh per-reader handle (register it for stats aggregation)."""
@@ -330,43 +484,61 @@ class EstimateHub:
         with self._registry_lock:
             self._handles.discard(handle)
 
-    def wait_for_version(self, version: int, timeout: float | None = None):
+    def wait_for_version(
+        self, version: int, timeout: float | None = None
+    ) -> ServedEstimate:
         """Block until ``version`` (or newer) is published; return the entry.
 
-        Parks on the cache's condition variable (the same one ``put``
-        notifies); :class:`~repro.exceptions.WaitTimeoutError` on timeout.
-        A hub closed mid-wait wakes its waiters with a
+        Turns pollers into waiters: the caller parks on the hub's
+        condition variable and is woken by the publish that satisfies it.
+        Returns the entry that satisfied the wait (which may be newer than
+        ``version``).  A hub closed mid-wait wakes its waiters with a
         :class:`~repro.exceptions.ServingError` instead of leaving them
         parked for a publish that can never come.
+
+        Raises
+        ------
+        WaitTimeoutError
+            If ``timeout`` (seconds) elapses first.  ``timeout=None``
+            waits indefinitely.
         """
         version = check_int("version", version, minimum=0)
-        return self.cache.wait_for_version(
-            version, timeout=timeout, abort=self._abort_reason
-        )
-
-    def _abort_reason(self) -> str:
-        """The cache-wait abort hook: non-empty once the hub is closed."""
-        if self._closed:
-            return "EstimateHub closed while waiting for a new estimate version"
-        return ""
+        entry = self._entry  # fast path: already satisfied, skip the lock
+        if entry is not None and entry.version >= version:
+            return entry
+        with self._published:
+            self._published.wait_for(
+                lambda: self._closed or self.version >= version, timeout=timeout
+            )
+            entry = self._entry
+            if entry is not None and entry.version >= version:
+                return entry
+            if self._closed:
+                raise ServingError(
+                    "EstimateHub closed while waiting for a new estimate version"
+                )
+            raise WaitTimeoutError(
+                f"no estimate with version >= {version} was published "
+                f"within {timeout}s (current version: {self.version})"
+            )
 
     def read_stats(self) -> ReadStats:
         """Aggregate fan-out statistics on demand — the stats entry point.
 
-        Publisher-side numbers come from the cache's consistent
-        :meth:`~repro.streaming.serving.EstimateCache.stats` snapshot;
-        reader-side numbers sum the live handles' counters plus the
-        retired totals.  Nothing here is maintained on the read hot path.
+        Publisher-side numbers come from the consistent :meth:`stats`
+        snapshot; reader-side numbers sum the live handles' counters plus
+        the retired totals.  Nothing here is maintained on the read hot
+        path.
         """
-        cache_stats = self.cache.stats()
+        published = self.stats()
         with self._registry_lock:
             handles = [h for h in self._handles if not h.closed]
             reads = self._retired_reads + sum(h.reads for h in handles)
             hits = self._retired_hits + sum(h.snapshot_hits for h in handles)
             readers = len(handles)
         return ReadStats(
-            version=cache_stats["version"],
-            writes=cache_stats["writes"],
+            version=published["version"],
+            writes=published["writes"],
             readers=readers,
             reads=reads,
             snapshot_hits=hits,
@@ -378,28 +550,26 @@ class EstimateHub:
         """Refuse further publishes/readers and wake parked waiters.
 
         Waiters whose version never arrived are released with a
-        :class:`~repro.exceptions.ServingError`.  The cache itself is
-        untouched, so already-served entries remain readable (existing
-        handles and anonymous reads keep working).  Idempotent.
+        :class:`~repro.exceptions.ServingError`.  The current entry stays,
+        so already-served estimates remain readable (existing handles and
+        anonymous reads keep working).  Idempotent.
         """
-        if self._closed:
-            return
-        self._closed = True
-        # Wake every parked waiter; their abort hook re-checks the flag.
-        self.cache.wake_waiters()
+        with self._write_lock:
+            self._closed = True
+            self._published.notify_all()
 
 
 class HubReads:
     """The read surface of anything serving from one :class:`EstimateHub`.
 
     Mixed into :class:`~repro.streaming.serving.ShardedStream` and
-    :class:`~repro.streaming.tenancy.TenantView`; the host sets ``_hub``
-    and ``cache`` (the hub's cache, kept as a plain attribute so the
-    anonymous read stays one pointer chase).
+    :class:`~repro.streaming.tenancy.TenantView`; the host sets ``cache``
+    to its hub (a plain attribute, so the anonymous read stays one
+    pointer chase).
     """
 
     def current_estimate(self) -> np.ndarray:
-        """The cached parameter — one lock-free read-only pointer read.
+        """The served parameter — one lock-free read-only pointer read.
 
         The anonymous shared read: thread-safe from any number of
         readers, touches no shared mutable state, keeps no statistics.
@@ -409,7 +579,7 @@ class HubReads:
         return self.cache.get().theta
 
     def current_served(self):
-        """The cached estimate with version/coverage metadata (lock-free)."""
+        """The served estimate with version/coverage metadata (lock-free)."""
         return self.cache.get()
 
     def reader(self) -> ReaderHandle:
@@ -421,7 +591,7 @@ class HubReads:
         that :meth:`read_stats` aggregates on demand.  Usable as a
         context manager; ``close()`` (or front close) retires it.
         """
-        return self._hub.reader()
+        return self.cache.reader()
 
     def subscribe(self, callback: Callable) -> Subscription:
         """Fire ``callback(entry)`` on every publish (pub-sub invalidation).
@@ -432,23 +602,23 @@ class HubReads:
         refresh path).  Returns the :class:`Subscription`; call its
         ``unsubscribe()`` to stop.
         """
-        return self._hub.subscribe(callback)
+        return self.cache.subscribe(callback)
 
     def wait_for_version(self, version: int, timeout: float | None = None):
         """Block until a solve with ``version`` (or newer) is published.
 
-        Built on the cache's condition variable, woken by the publish that
+        Built on the hub's condition variable, woken by the publish that
         satisfies it (or by close, with a
         :class:`~repro.exceptions.ServingError`).  Raises
         :class:`~repro.exceptions.WaitTimeoutError` on timeout.
         """
-        return self._hub.wait_for_version(version, timeout=timeout)
+        return self.cache.wait_for_version(version, timeout=timeout)
 
     def read_stats(self) -> ReadStats:
         """One consistent snapshot of the read fan-out (aggregated on demand)."""
-        return self._hub.read_stats()
+        return self.cache.read_stats()
 
     @property
     def estimate_version(self) -> int:
-        """Number of completed solves published to the cache (lock-free)."""
+        """Number of completed solves published to the hub (lock-free)."""
         return self.cache.version

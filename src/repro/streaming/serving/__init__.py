@@ -67,8 +67,9 @@ the single-tree one (:func:`repro.privacy.parameters.shard_budgets`).
   down).  ``mode="manual"`` exposes the queue pump for deterministic
   interleaving tests.
 * **Cached reads, lock-free** — every completed solve publishes a
-  read-only, versioned :class:`ServedEstimate` into an
-  :class:`EstimateCache` by *atomic reference swap*;
+  read-only, versioned :class:`ServedEstimate` into the served model's
+  :class:`~repro.streaming.readers.EstimateHub` by *atomic reference
+  swap*;
   ``current_estimate`` fan-out reads are single lock-free pointer loads
   (no hot-path mutex, no shared counter) that can never observe an
   estimate older than the last completed solve.  For scaled fan-out,
@@ -115,17 +116,16 @@ the shard dies, only its fully committed blocks count into
 ``lost_steps``, and the torn block stays refundable.
 
 This package splits the layer by concern: :mod:`.shards` (the shard
-class and the :class:`BundleLayout` both fronts build from),
+class and the :class:`BundleLayout` both fronts build from) and
 :mod:`.stream` (the shared :class:`ShardFront` lifecycle with its one
-merge-and-solve path, and the :class:`ShardedStream` front), and
-:mod:`.cache` (the versioned read slot).  The public import surface is unchanged from the
-historical single-module layout — everything below re-exports from the
-submodules.
+merge-and-solve path, and the :class:`ShardedStream` front).  The
+versioned read slot, :class:`~repro.streaming.readers.EstimateHub`, and
+its :class:`ServedEstimate` live in :mod:`repro.streaming.readers` and
+are re-exported here.
 """
 
-from ..readers import EstimateHub, ReaderHandle, Subscription
+from ..readers import EstimateHub, ReaderHandle, ServedEstimate, Subscription
 from ..transport import ProcessShardWorker
-from .cache import EstimateCache, ServedEstimate
 from .shards import BundleLayout, MomentShard, TenantShard
 from .stream import _CLOSE, ShardFront, ShardedStream
 
@@ -136,7 +136,6 @@ __all__ = [
     "TenantShard",
     "BundleLayout",
     "ProcessShardWorker",
-    "EstimateCache",
     "ServedEstimate",
     "EstimateHub",
     "ReaderHandle",

@@ -989,7 +989,7 @@ class ShardFront:
         Its solver is the front's ``solver`` or a fresh default of the
         backend (one rng child each, in model order), reading the entries
         the layout names for ``key``.  The hub is the model's single
-        publish path (cache swap + waiter wakeup + subscriber fan-out);
+        publish path (entry swap + waiter wakeup + subscriber fan-out);
         publishing the solver's initial parameter means reads never block.
         """
         solver = self.solver
@@ -1425,10 +1425,8 @@ class ShardedStream(ShardFront, HubReads):
         self.gamma = gamma
         self.solver = solver
         super().__init__(constraint, params, shards, knobs)
-        # The one model over the whole bundle; `self.cache` stays exposed
-        # for read-only inspection and the conformance suites.
-        self.solver, self._hub, _ = self._models[None]
-        self.cache = self._hub.cache
+        # The one model over the whole bundle; `self.cache` is its hub.
+        self.solver, self.cache, _ = self._models[None]
         self.projected_dim = getattr(self.projection, "projected_dim", None)
         self.sparsity_factor = getattr(self.projection, "sparsity_factor", None)
         self.instruments = self.config.get("instruments")

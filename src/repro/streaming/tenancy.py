@@ -56,8 +56,8 @@ from ..privacy.tree import MergedRelease
 # Bound but never called here (the one merge lives in ShardFront):
 # perfbench's tracer patches ``tenancy.merge_released`` by name.
 from ..privacy.tree import merge_released  # noqa: F401
-from .readers import EstimateHub, HubReads
-from .serving import ServedEstimate, ShardFront
+from .readers import EstimateHub, HubReads, ServedEstimate
+from .serving import ShardFront
 
 __all__ = ["MultiTenantStream", "TenantView"]
 
@@ -85,8 +85,7 @@ class TenantView(HubReads):
 
     def __init__(self, name: str, hub: EstimateHub) -> None:
         self.name = name
-        self._hub = hub
-        self.cache = hub.cache
+        self.cache = hub
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TenantView(name={self.name!r}, version={self.cache.version})"

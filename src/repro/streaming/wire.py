@@ -20,10 +20,14 @@ little-endian; arrays are raw ``float64`` (or ``uint``) bytes decoded with
 * **Hot kinds** have a fixed :mod:`struct` layout — per-frame cost is one
   header pack/unpack plus the array bytes:
 
-  - ``INGEST`` — ``<BBBBqqq`` (kind, flags, dtype, ys ndim, n, d, k),
-    then the ``n·d`` covariates and the ``n`` (or ``n·k``) outcomes.
-    ``flags`` bit 0 is the ``fast`` tier; bits 1 and 2 mark an
-    F-ordered ``xs`` / ``ys`` (the memory layout travels with the data).
+  - ``INGEST`` — ``<BBBB4xqqq`` (kind, flags, dtype, ys ndim, four zero
+    pad bytes, n, d, k), then the ``n·d`` covariates and the ``n`` (or
+    ``n·k``) outcomes.  ``flags`` bit 0 is the ``fast`` tier; bits 1 and
+    2 mark an F-ordered ``xs`` / ``ys`` (the memory layout travels with
+    the data).  The pad makes the header 32 bytes, so the arrays decode
+    8-byte aligned: numpy sums an unaligned ``float64`` view in another
+    order, and the fast tier's block totals (``Xᵀy``, ``XᵀX``) would then
+    differ from the thread transport's in the last bits.
   - ``OK_INT`` — ``<Bq``: the integer replies (``ingest``, ``ping``,
     ``memory``).
   - ``OK_RELEASED`` — ``<BI`` (kind, count), then per snapshot
@@ -91,7 +95,7 @@ _MAX_NDIM = 8
 _MAX_DEPTH = 16
 
 _KIND = struct.Struct("<B")
-_INGEST = struct.Struct("<BBBBqqq")
+_INGEST = struct.Struct("<BBBB4xqqq")
 _OK_INT = struct.Struct("<Bq")
 _RELEASED_HEAD = struct.Struct("<BI")
 _SNAPSHOT = struct.Struct("<dqdBB")
@@ -465,6 +469,8 @@ def _decode_ingest(frame, size: int):
         raise _malformed(
             f"bad ingest header (flags {flags}, ys ndim {y_ndim}, k {k})"
         )
+    if any(frame[4:8]):
+        raise _malformed("bad ingest header (nonzero pad bytes)")
     xs, offset = _float_array(frame, _INGEST.size, (n, d), bool(flags & _XS_F), size)
     y_shape = (n,) if y_ndim == 1 else (n, k)
     ys, offset = _float_array(frame, offset, y_shape, bool(flags & _YS_F), size)

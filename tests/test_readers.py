@@ -1,14 +1,15 @@
 """Reader-semantics conformance suite for the read-side scaling layer.
 
-Pins the contracts of :mod:`repro.streaming.readers` and the lock-free
-:class:`~repro.streaming.serving.EstimateCache`:
+Pins the contracts of :mod:`repro.streaming.readers`, whose
+:class:`~repro.streaming.readers.EstimateHub` is a served model's
+lock-free published-estimate slot:
 
 (a) **Lock-free publish/read** — ``get`` is a pointer read of the frozen
-    entry ``put`` installed by atomic reference swap; no counter mutation,
-    no hot-path lock.  ``put`` rejects version decreases *and* (the PR-5
-    regression) equal-version publishes with a different payload, so
-    ``same version ⇒ same payload`` and version-based refresh detection
-    can never miss a changed estimate.
+    entry ``publish`` installed by atomic reference swap; no counter
+    mutation, no hot-path lock.  ``publish`` rejects version decreases
+    *and* (a past regression) equal-version publishes with a different
+    payload, so ``same version ⇒ same payload`` and version-based refresh
+    detection can never miss a changed estimate.
 
 (b) **Reader handles** — per-reader snapshots with a version fast-path
     check, per-reader read counts aggregated on demand
@@ -18,7 +19,8 @@ Pins the contracts of :mod:`repro.streaming.readers` and the lock-free
 (c) **Pub-sub invalidation** — subscribers fire on every publish with the
     new entry (after it is visible to readers), exceptions are isolated
     per subscription, and ``wait_for_version`` parks pollers until the
-    satisfying publish (or wakes them on timeout/hub close).
+    satisfying publish (or wakes them on timeout/hub close); ``close``
+    and ``publish`` serialize, so no publish lands after ``close``.
 
 (d) **Concurrent hammer** — N reader threads against a live publisher:
     every observed entry is identical (``is``) to a published one (no
@@ -33,6 +35,7 @@ projected/sketch shard backends too.
 
 import gc
 import os
+import sys
 import threading
 import time
 
@@ -56,7 +59,7 @@ from repro.exceptions import (
     ValidationError,
     WaitTimeoutError,
 )
-from repro.streaming import EstimateCache, EstimateHub
+from repro.streaming import EstimateHub
 from repro.streaming.metrics import ReadStats
 
 PARAMS = PrivacyParams(4.0, 1e-6)
@@ -88,89 +91,87 @@ def _make_server(k, seed, **kwargs):
 def _publish(target, version):
     """One deterministic publish: the payload encodes the version."""
     theta = np.full(DIM, float(version))
-    if isinstance(target, EstimateCache):
-        return target.put(theta, version, version, version)
     return target.publish(theta, version, version, version)
 
 
 # ---------------------------------------------------------------------------
-# (a) Lock-free cache publish/read
+# (a) Lock-free publish/read
 # ---------------------------------------------------------------------------
 
 
-class TestEstimateCacheLockFree:
+class TestHubSlotLockFree:
     def test_get_is_a_pointer_read_with_no_stat_mutation(self):
-        cache = EstimateCache()
-        entry = _publish(cache, 1)
-        assert cache.get() is entry
-        assert cache.get() is cache.get()
+        hub = EstimateHub()
+        entry = _publish(hub, 1)
+        assert hub.get() is entry
+        assert hub.get() is hub.get()
         # The hot path mutates nothing: reads leave publisher stats alone.
-        before = cache.stats()
+        before = hub.stats()
         for _ in range(50):
-            cache.get()
-        assert cache.stats() == before
+            hub.get()
+        assert hub.stats() == before
         # No shared read counter exists any more (PR-5 satellite): read
         # stats live on reader handles only.
-        assert not hasattr(cache, "reads")
+        assert not hasattr(hub, "reads")
 
-    def test_empty_cache_peek_get_version(self):
-        cache = EstimateCache()
-        assert cache.peek() is None
-        assert cache.version == -1
+    def test_empty_hub_peek_get_version(self):
+        hub = EstimateHub()
+        assert hub.peek() is None
+        assert hub.version == -1
         with pytest.raises(NoEstimateError, match=r"flush\(\)"):
-            cache.get()
+            hub.get()
 
     def test_version_decrease_rejected(self):
-        cache = EstimateCache()
-        _publish(cache, 3)
+        hub = EstimateHub()
+        _publish(hub, 3)
         with pytest.raises(PublishConflictError):
-            _publish(cache, 2)
+            _publish(hub, 2)
         # The typed error is still a ServingError for existing handlers.
         assert issubclass(PublishConflictError, ServingError)
 
     def test_equal_version_different_payload_rejected(self):
         """Regression (ISSUE 5): a duplicate version must not smuggle in a
         changed estimate past version-based refresh detection."""
-        cache = EstimateCache()
-        _publish(cache, 1)
+        hub = EstimateHub()
+        _publish(hub, 1)
         with pytest.raises(PublishConflictError, match="duplicate"):
-            cache.put(np.full(DIM, 99.0), 1, 1, 1)
+            hub.publish(np.full(DIM, 99.0), 1, 1, 1)
         # Same theta but different coverage metadata is a conflict too.
         with pytest.raises(PublishConflictError, match="duplicate"):
-            cache.put(np.full(DIM, 1.0), 1, 7, 1)
+            hub.publish(np.full(DIM, 1.0), 1, 7, 1)
         # The conflicting publish must not have replaced the entry.
-        np.testing.assert_array_equal(cache.get().theta, np.full(DIM, 1.0))
+        np.testing.assert_array_equal(hub.get().theta, np.full(DIM, 1.0))
 
     def test_equal_version_identical_payload_is_idempotent(self):
-        cache = EstimateCache()
-        first = _publish(cache, 1)
-        again = _publish(cache, 1)
+        hub = EstimateHub()
+        first = _publish(hub, 1)
+        again = _publish(hub, 1)
         assert again is first  # the existing entry, same reference
-        assert cache.stats()["writes"] == 1  # no-op: write counter untouched
+        assert hub.stats()["writes"] == 1  # no-op: write counter untouched
 
     def test_stats_snapshot_is_consistent_and_complete(self):
-        cache = EstimateCache()
-        assert cache.stats() == {
+        hub = EstimateHub()
+        assert hub.stats() == {
             "version": -1,
             "writes": 0,
             "timestep": None,
             "covered_steps": None,
         }
-        _publish(cache, 2)
-        assert cache.stats() == {
+        _publish(hub, 2)
+        assert hub.stats() == {
             "version": 2,
             "writes": 1,
             "timestep": 2,
             "covered_steps": 2,
         }
-        assert cache.writes == 1
+        assert hub.writes == 1
 
-    def test_cache_wait_for_version(self):
-        cache = EstimateCache()
-        _publish(cache, 2)
-        assert cache.wait_for_version(1).version == 2  # already satisfied
+    def test_hub_wait_for_version(self):
+        hub = EstimateHub()
+        _publish(hub, 2)
+        assert hub.wait_for_version(1).version == 2  # already satisfied
         with pytest.raises(WaitTimeoutError):
-            cache.wait_for_version(3, timeout=0.02)
+            hub.wait_for_version(3, timeout=0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +277,7 @@ class TestPubSub:
     def test_subscriber_sees_entry_already_visible_to_readers(self):
         hub = EstimateHub()
         observed = []
-        hub.subscribe(lambda entry: observed.append(hub.cache.get() is entry))
+        hub.subscribe(lambda entry: observed.append(hub.get() is entry))
         _publish(hub, 1)
         assert observed == [True]
 
@@ -384,10 +385,49 @@ class TestWaitForVersion:
         thread.join(timeout=5.0)
         assert not thread.is_alive()
         assert len(failures) == 1 and not isinstance(failures[0], WaitTimeoutError)
-        # The cache stays readable after hub close; publishes are refused.
-        assert hub.cache.get().version == 0
+        # The entry stays readable after hub close; publishes are refused.
+        assert hub.get().version == 0
         with pytest.raises(ServingError):
             _publish(hub, 1)
+
+    def test_close_racing_a_publisher_stops_every_later_publish(self):
+        """``close`` takes the publish lock: once it returns, a publisher on
+        another thread is refused and the version never advances again."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two threads densely
+        try:
+            for _ in range(20):
+                hub = EstimateHub()
+                published, refused = [], []
+                started = threading.Event()
+
+                def publisher():
+                    version = 0
+                    while True:
+                        try:
+                            published.append(_publish(hub, version))
+                        except ServingError as exc:
+                            refused.append(exc)
+                            return
+                        version += 1
+                        started.set()
+
+                thread = threading.Thread(target=publisher)
+                thread.start()
+                assert started.wait(timeout=5.0)
+                hub.close()
+                closed_at = hub.version
+                thread.join(timeout=5.0)
+                assert not thread.is_alive()
+                assert len(refused) == 1
+                assert not isinstance(refused[0], PublishConflictError)
+                assert hub.version == closed_at == published[-1].version
+                assert hub.stats()["writes"] == len(published)
+                with pytest.raises(ServingError):
+                    _publish(hub, closed_at + 1)
+                assert hub.version == closed_at
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------

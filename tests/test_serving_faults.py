@@ -22,7 +22,7 @@ import pytest
 
 from serving_backends import serve_backend_kwargs, serve_backend_replay
 from repro import (
-    EstimateCache,
+    EstimateHub,
     L2Ball,
     MultiTenantStream,
     PrivacyParams,
@@ -201,13 +201,13 @@ class TestShardRestart:
     def test_empty_cache_read_raises_typed_no_estimate_error(self):
         """A never-published cache read is a typed, actionable failure.
 
-        ``EstimateCache.get`` must raise :class:`NoEstimateError` — a
+        ``EstimateHub.get`` must raise :class:`NoEstimateError` — a
         subclass of both ``ServingError`` (serving-layer handlers) and
         ``LookupError`` (the builtin for failed lookups) — whose message
         names ``flush()`` as the fix, instead of an anonymous error the
         caller can only string-match.
         """
-        cache = EstimateCache()
+        cache = EstimateHub()
         with pytest.raises(NoEstimateError, match=r"flush\(\)"):
             cache.get()
         with pytest.raises(ServingError):

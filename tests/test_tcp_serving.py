@@ -79,9 +79,21 @@ BLOCKS = [(s, s + 4) for s in range(0, T, 4)]
 WEDGE = 20.0
 
 
+#: The cross-transport bit-identity feed: 16-row blocks, tall enough that
+#: numpy sums a fast-tier block on its BLAS path, whose order depends on
+#: the decoded block's alignment (4-row blocks sum the same either way).
+TALL_T = 96
+TALL_BLOCKS = [(s, s + 16) for s in range(0, TALL_T, 16)]
+
+
 @pytest.fixture(scope="module")
 def stream():
     return make_dense_stream(T, DIM, noise_std=0.05, rng=404)
+
+
+@pytest.fixture(scope="module")
+def tall_stream():
+    return make_dense_stream(TALL_T, DIM, noise_std=0.05, rng=404)
 
 
 def _server(k, seed, transport="tcp", **kwargs):
@@ -324,13 +336,14 @@ class TestTransportEquivalence:
         finally:
             server.close()
 
-    def test_thread_process_tcp_merges_bit_identical(self, stream):
-        """Same seed ⇒ same merged releases on every transport."""
+    @pytest.mark.parametrize("ingest", ["exact", "fast"])
+    def test_thread_process_tcp_merges_bit_identical(self, tall_stream, ingest):
+        """Same seed ⇒ same merged releases on every transport and tier."""
         results = {}
         for transport in ("thread", "process", "tcp"):
-            server = _server(3, seed=55, transport=transport)
+            server = _server(3, seed=55, transport=transport, ingest=ingest, horizon=TALL_T)
             try:
-                _feed(server, stream)
+                _feed(server, tall_stream, TALL_BLOCKS)
                 served = server.flush()
                 cross, gram = server.merged_moments()
                 results[transport] = (served, cross, gram)

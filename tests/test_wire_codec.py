@@ -149,6 +149,18 @@ class TestRoundTrips:
         assert got.flags.c_contiguous
         _same(strided, got)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_ingest_arrays_decode_aligned(self, order, k):
+        """The 32-byte header keeps the decoded arrays 8-byte aligned, so a
+        worker's BLAS sums them in the thread transport's order."""
+        xs = np.asarray(np.arange(15.0).reshape(5, DIM), order=order)
+        ys = np.arange(5.0) if k is None else np.arange(5.0 * k).reshape(5, k)
+        _, (got_xs, got_ys, _) = _round_trip(("ingest", (xs, ys, True)))
+        assert got_xs.flags.aligned and got_ys.flags.aligned
+        _same(xs, got_xs)
+        _same(ys, got_ys)
+
     def test_replies_round_trip(self):
         for reply in (
             ("ok", 0),
@@ -272,7 +284,7 @@ class TestEncoderRefusals:
 
 
 def _ingest_header(n, d, k=1, dtype=1, y_ndim=1, flags=0):
-    return struct.pack("<BBBBqqq", wire.INGEST, flags, dtype, y_ndim, n, d, k)
+    return struct.pack("<BBBB4xqqq", wire.INGEST, flags, dtype, y_ndim, n, d, k)
 
 
 class TestHostileFrames:
@@ -287,6 +299,12 @@ class TestHostileFrames:
     def test_trailing_bytes_are_refused(self, index):
         with pytest.raises(ValidationError, match="trailing"):
             wire.decode(VALID_FRAMES[index] + b"\x00")
+
+    def test_nonzero_ingest_pad_is_refused(self):
+        frame = bytearray(wire.encode(_ingest(n=4)))
+        frame[5] = 1
+        with pytest.raises(ValidationError, match="pad"):
+            wire.decode(bytes(frame))
 
     def test_unknown_kind_and_tag(self):
         for frame in (b"\x63", bytes([wire.OK_VALUE]) + b"Z", bytes([255]) * 9):
