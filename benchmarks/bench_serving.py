@@ -424,8 +424,8 @@ def _detection_latencies(stream, cfg: dict) -> list[float]:
 
 
 def transports(cfg: dict):
-    """Thread vs process vs tcp (self-hosted loopback listener,
-    ``isolation="thread"``: it prices the wire, not extra cores) through
+    """Thread vs process vs tcp (one self-hosted loopback listener, whose
+    shards share its GIL: it prices the wire, not extra cores) through
     one group-parallel front, boot timed apart from steady-state ingest;
     then the tcp heartbeat's wedge→detection latency."""
     T, d = cfg["T"], cfg["d"]

@@ -24,8 +24,10 @@ A serving shard holds the bundle its backend declares
 (:mod:`repro.streaming.backends`), laid out for the front's outcomes by
 :class:`~repro.streaming.serving.BundleLayout`, and advances it block by
 block through :meth:`MomentBundle.ingest`.  Both paths build the same
-mechanisms from the same rng children and the same float expressions, so
-a ``K = 1`` served stream replays its standalone estimator bit for bit.
+mechanisms under the same keys — the estimator's rng children, or the
+two-word keys the front draws from the same children and ships to its
+shards — and the same float expressions, so a ``K = 1`` served stream
+replays its standalone estimator bit for bit.
 
 Fault semantics (the per-bundle accounting rule)
 ------------------------------------------------
@@ -198,9 +200,10 @@ class MomentBundle:
         One :class:`~repro.privacy.parameters.PrivacyParams` per entry
         (:func:`~repro.privacy.parameters.bundle_budgets`).
     rngs:
-        One independent child generator per entry, in entry order — the
-        front spawns ``len(statistics)`` children per shard, so every
-        transport consumes randomness identically.
+        One independent child generator, or its two-word key
+        (:func:`~repro.privacy.tree.noise_key`), per entry, in entry order
+        — the front spawns ``len(statistics)`` children per shard and
+        ships their keys, so every transport builds the same mechanisms.
     mechanism, horizon, decay, window:
         Forwarded to :func:`~repro.privacy.release.make_release_mechanism`
         per entry, exactly as the historical inline pair construction.

@@ -6,8 +6,12 @@ assumption with the doubling trick the paper cites in its footnote 13, and
 a sliding window over the last ``W`` elements is the same construction
 with fixed chunks that expire.  Both are a run of *chunk trees*: each
 chunk of consecutive elements gets its own
-:class:`~repro.privacy.tree.TreeMechanism`, which draws a fresh node-noise
-key from the mechanism's generator as the chunk starts.  One live tree
+:class:`~repro.privacy.tree.TreeMechanism`, keyed as the chunk starts.
+The mechanism holds one two-word key (:func:`~repro.privacy.tree.noise_key`);
+chunk 0's tree uses it, and chunk ``c ≥ 1``'s tree uses the two words
+``Philox(key, counter=[0, 1, c, 0])`` gives — counter word 1 is 1, which no
+node draw reaches, so every chunk tree's noise is fresh and the whole
+mechanism is a pure function of its key.  One live tree
 carries the current chunk; a full chunk freezes into its final noisy total
 when the next element arrives (the roll is lazy).  The release is the
 frozen total plus the live tree's release.
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import check_decay, check_int, check_positive, check_rng, check_window
+from .._validation import check_decay, check_int, check_positive, check_window
 from ..exceptions import NotSupportedError, ValidationError
 from .parameters import PrivacyParams
 from .tree import (
@@ -52,6 +56,7 @@ from .tree import (
     _snapshot_released,
     coerce_stream_block,
     coerce_stream_element,
+    noise_key,
     tree_error_bound,
     tree_error_bound_spectral,
 )
@@ -140,7 +145,8 @@ class ChunkedTreeMechanism:
         The chunk lengths and the expiry rule.
     shape, l2_sensitivity, params, rng:
         As in :class:`~repro.privacy.tree.TreeMechanism`; every chunk tree
-        runs at the full ``params``.
+        runs at the full ``params``, keyed by ``rng``'s key (chunk 0) or a
+        key derived from it and the chunk index (see the module docstring).
     decay:
         Forgetting factor ``γ ∈ (0, 1]`` (``1.0``: unweighted sums).
     horizon:
@@ -163,7 +169,7 @@ class ChunkedTreeMechanism:
         self.params = params
         self.decay = check_decay("decay", decay)
         self.horizon = None if horizon is None else check_int("horizon", horizon, minimum=1)
-        self._rng = check_rng(rng)
+        self._key = noise_key(rng)
         self._flat_dim = int(np.prod(self.shape)) if self.shape else 1
         self.steps_taken = 0
         self.expired_steps = 0
@@ -183,12 +189,20 @@ class ChunkedTreeMechanism:
         return self._epoch_index
 
     def _new_tree(self) -> DecayedTreeMechanism:
-        """The live chunk's tree; it draws a fresh node-noise key from the
-        mechanism's generator as it is built."""
-        length = self.schedule.length(self._epoch_index)
+        """The live chunk's tree, keyed by :meth:`_chunk_key`."""
+        index = self._epoch_index
         return DecayedTreeMechanism(
-            length, self.shape, self.l2_sensitivity, self.params, self._rng, self.decay
+            self.schedule.length(index), self.shape, self.l2_sensitivity,
+            self.params, self._chunk_key(index), self.decay,
         )
+
+    def _chunk_key(self, index: int) -> np.ndarray:
+        """Chunk ``index``'s tree key: the mechanism's key for chunk 0, else
+        the first two words of ``Philox(key, counter=[0, 1, index, 0])``."""
+        if index == 0:
+            return self._key
+        counter = np.array([0, 1, index, 0], dtype=np.uint64)
+        return np.random.Philox(key=self._key, counter=counter).random_raw(2)
 
     def _fade(self, elapsed: int | None = None) -> float:
         """``γ^e``: the frozen total's weight ``e`` elements into the live

@@ -48,7 +48,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .._validation import check_int, check_positive, check_release_knobs, check_rng
+from .._validation import check_int, check_positive, check_release_knobs
 from ..exceptions import ValidationError
 from .chunked import HybridMechanism, SlidingWindowMechanism
 from .parameters import PrivacyParams
@@ -61,6 +61,7 @@ from .tree import (
     _snapshot_released,
     coerce_stream_block,
     coerce_stream_element,
+    noise_key,
 )
 
 __all__ = [
@@ -138,12 +139,16 @@ class SketchNoiseMechanism:
     (``t`` draws by step ``t``) loses to the tree's ``popcount(t)``
     nodes.  That trade is the point: serving shards ingest in blocks.
 
-    Determinism: :meth:`observe_batch` consumes the rng exactly like
-    ``k`` sequential :meth:`observe` calls (one draw per element — each
-    element is its own block), and :meth:`advance_batch` /
-    :meth:`advance_sum` draw **one** Gaussian per block each, so the
-    exact and fast serving tiers consume identical noise bits and differ
-    only in the float summation order of the exact block totals.
+    Determinism: the noise is keyed, like the tree's node noise.  Block
+    ``b`` (the ``b``-th draw, counted from 0) draws ``N(0, σ²_block I)``
+    from ``Philox(key, counter=[0, 0, b, 0])``, where ``key`` is the
+    two-word key of ``rng`` (:func:`~repro.privacy.tree.noise_key`), so the
+    mechanism is a pure function of its key and its blocks.
+    :meth:`observe_batch` makes each element its own block, exactly like
+    ``k`` sequential :meth:`observe` calls, and :meth:`advance_batch` /
+    :meth:`advance_sum` draw **one** block each, so the exact and fast
+    serving tiers release identical noise and differ only in the float
+    summation order of the exact block totals.
 
     Parameters
     ----------
@@ -165,16 +170,32 @@ class SketchNoiseMechanism:
         self.shape = tuple(int(s) for s in shape)
         self.l2_sensitivity = check_positive("l2_sensitivity", l2_sensitivity)
         self.params = params
-        self._rng = check_rng(rng)
+        self._key = noise_key(rng)
         self._flat_dim = int(np.prod(self.shape)) if self.shape else 1
         self.sigma_block = _node_sigma(1, self.l2_sensitivity, params)
         self.steps_taken = 0
         self.noise_draws = 0
         self._sum = np.zeros(self._flat_dim)
+        # One Philox generator, moved to each block's counter by a state
+        # assignment (cheaper than building a generator per block).
+        self._counter = np.zeros(4, dtype=np.uint64)
+        self._noise_state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._noise_gen = np.random.Generator(np.random.Philox(key=self._key))
 
     def _ingest_total(self, total_flat: np.ndarray) -> None:
-        """Fold one block total into the sum with one fresh noise draw."""
-        noise = self._rng.normal(0.0, self.sigma_block, size=self._flat_dim)
+        """Fold one block total into the sum with the next block's keyed
+        noise, drawn from ``Philox(key, counter=[0, 0, b, 0])``."""
+        self._counter[2] = self.noise_draws
+        self._noise_gen.bit_generator.state = self._noise_state
+        noise = self._noise_gen.standard_normal(self._flat_dim)
+        noise *= self.sigma_block
         self._sum = self._sum + total_flat + noise
         self.noise_draws += 1
 

@@ -50,9 +50,10 @@ Implementation notes
 * Every node's noise is a pure function of its **address**: node
   ``(j, n)`` — level ``j``, index ``n = t >> j`` — draws
   ``N(0, σ²_node I)`` from ``Philox(key, counter=[0, 0, n, j])``, where
-  the two-word ``key`` is drawn once from the mechanism's ``rng`` at
-  construction.  This is Algorithm 4's one Gaussian draw per node; it
-  does not depend on the order in which nodes are reached.
+  the two-word ``key`` is the mechanism's ``rng`` read through
+  :func:`noise_key` at construction.  This is Algorithm 4's one Gaussian
+  draw per node; it does not depend on the order in which nodes are
+  reached.
 * The active-level mask is maintained incrementally (after step ``t`` the
   active levels are exactly the set bits of ``t``); releases never
   recompute the set-bit list from scratch.
@@ -84,8 +85,9 @@ Three rules carry the privacy argument.  A node's noise is a pure
 function of its address.  The prefix is append-only and a block is
 validated and capacity-checked before anything commits, so no node is
 ever released over two different data sums.  And every new mechanism
-(a restarted shard, a new tenant, a new window chunk or hybrid epoch)
-draws a fresh key from its own generator.
+(a restarted shard, a new tenant) gets a fresh key from its own
+generator; a new window chunk or hybrid epoch gets a key derived from
+its mechanism's key and its chunk index.
 
 The wire release contract (``ReleasedMoments``)
 -----------------------------------------------
@@ -125,6 +127,7 @@ from .parameters import PrivacyParams
 __all__ = [
     "TreeMechanism",
     "DecayedTreeMechanism",
+    "noise_key",
     "MergedRelease",
     "ReleasedMoments",
     "merge_released",
@@ -272,6 +275,24 @@ def _node_sigma(levels: int, l2_sensitivity: float, params: PrivacyParams) -> fl
     )
 
 
+def noise_key(rng) -> np.ndarray:
+    """The two-word Philox key a keyed mechanism draws all its noise from.
+
+    A ``(2,)`` ``uint64`` array is a key already and passes through
+    unchanged; any other array is refused with
+    :class:`~repro.exceptions.ValidationError`, because keys arrive from
+    peers.  Anything :func:`~repro._validation.check_rng` accepts yields
+    its generator's next two raw words.
+    """
+    if isinstance(rng, np.ndarray):
+        if rng.shape != (2,) or rng.dtype != np.uint64:
+            raise ValidationError(
+                f"a noise key is a (2,) uint64 array, got {rng.dtype} of shape {rng.shape}"
+            )
+        return rng
+    return check_rng(rng).bit_generator.random_raw(2)
+
+
 class TreeMechanism:
     """Continual private prefix sums of a vector stream (Algorithm 4).
 
@@ -292,7 +313,8 @@ class TreeMechanism:
     params:
         Total ``(ε, δ)`` budget for the entire stream of releases.
     rng:
-        Seed or Generator for reproducible noise.
+        Seed, Generator or two-word key for reproducible noise
+        (:func:`noise_key`).
 
     Attributes
     ----------
@@ -332,7 +354,7 @@ class TreeMechanism:
         self.sigma_node = _node_sigma(self.levels, self.l2_sensitivity, params)
         # The node-noise key: every node's noise is a pure function of it
         # and the node's address (see _node_noise).
-        self._key = check_rng(rng).bit_generator.random_raw(2)
+        self._key = noise_key(rng)
         self._flat_dim = int(np.prod(self.shape)) if self.shape else 1
         # Running clean prefix sum and one frozen noise vector per active
         # node (level j's node covers the dyadic range ending at the most

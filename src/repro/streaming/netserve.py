@@ -11,13 +11,11 @@ host:
 
 * :class:`ShardHostListener` — the remote end.  Accepts connections,
   reads a :class:`~repro.streaming.transport.ShardSpec` as the first
-  frame, builds the shard it describes (in a handler thread, or wrapped
-  in a :class:`~repro.streaming.transport.ProcessShardWorker` subprocess
-  for core-parallel isolation), and serves
+  frame, builds the shard it describes in a handler thread, and serves
   :func:`~repro.streaming.transport.dispatch_command` over the socket.
-  One listener hosts many shards (one per connection) — run one per
-  host, point ``ShardedStream(transport="tcp", addresses=[...])`` at
-  the fleet.
+  One listener hosts many shards (one per connection), all under its
+  one GIL — run one listener per core (and per host), and point
+  ``ShardedStream(transport="tcp", addresses=[...])`` at the fleet.
 * :class:`TcpShardWorker` — the parent-side proxy.  A
   :class:`~repro.streaming.transport.ShardRpcClient` whose wire is the
   socket, exposing the exact ``MomentShard`` surface the serving front
@@ -30,8 +28,8 @@ host:
 Why the analyses survive this boundary too
 ------------------------------------------
 Nothing privacy- or correctness-relevant is transport-shaped.  The
-worker builds its mechanisms from the same spawned rng children every
-other transport ships, so they draw the same node-noise keys (``K = 1``
+worker builds its mechanisms from the same two-word noise keys every
+other transport builds from, so they release the same noise (``K = 1``
 under ``ingest="exact"`` stays bit-identical to the plain batched path,
 and thread ≡ process ≡ tcp merged releases under one seed —
 ``tests/test_tcp_serving.py``).  The wire carries the released statistic
@@ -54,8 +52,7 @@ exchange; a **stuck peer** misses the ``request_timeout`` deadline and
 is folded into the dead-peer path via
 :class:`~repro.exceptions.ShardTimeoutError`.  :meth:`TcpShardWorker.kill`
 models a crash by severing the socket abruptly — the listener sees EOF
-and tears the shard down (killing its subprocess under
-``isolation="process"``), so an uncommanded parent death never leaks
+and tears the shard down, so an uncommanded parent death never leaks
 remote shards.  A frame that does not decode is refused with an
 ``("err", exc)`` reply and the connection is dropped.
 
@@ -84,7 +81,6 @@ from ..exceptions import ShardUnavailableError, ValidationError
 from .transport import (
     BOOT_TIMEOUT,
     SHUTDOWN_TIMEOUT,
-    ProcessShardWorker,
     ShardRpcClient,
     ShardSpec,
     _build_handler,
@@ -238,8 +234,12 @@ class ShardHostListener:
     ``(command, payload)`` frames through
     :func:`~repro.streaming.transport.dispatch_command` until a
     ``"close"`` command or EOF.  EOF without a close is treated as a
-    parent crash: the shard is torn down (its subprocess killed under
-    ``isolation="process"``), so dead parents never leak remote shards.
+    parent crash: the shard is torn down, so dead parents never leak
+    remote shards.
+
+    Each shard is built in its connection's handler thread, so every
+    shard on one listener shares its GIL; for shards that ingest on real
+    cores, run one listener per core and list them all in ``addresses``.
 
     Parameters
     ----------
@@ -247,26 +247,9 @@ class ShardHostListener:
         Bind address.  ``port=0`` (default) picks a free port — read it
         back from :attr:`address`.  The loopback default is deliberate;
         see the module security note before binding wider.
-    isolation:
-        ``"thread"`` (default) builds each shard in its handler thread —
-        cheap, but all shards on one listener share its GIL.
-        ``"process"`` wraps each shard in a
-        :class:`~repro.streaming.transport.ProcessShardWorker`
-        subprocess, so shards on one host ingest on real cores — the
-        configuration the cross-host scaling story needs.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        isolation: str = "thread",
-    ) -> None:
-        if isolation not in ("thread", "process"):
-            raise ValidationError(
-                f"isolation must be 'thread' or 'process', got {isolation!r}"
-            )
-        self.isolation = isolation
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._lock = threading.Lock()
         self._conns: set[socket.socket] = set()
         self._closed = False
@@ -305,23 +288,9 @@ class ShardHostListener:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         """One connection = one shard: :func:`_serve` on the socket link."""
-        worker = None  # the subprocess under isolation="process"
-
-        def host(spec: ShardSpec):
-            nonlocal worker
-            if self.isolation == "thread":
-                return _build_handler(spec)
-            worker = ProcessShardWorker(spec)
-            return worker._request
-
         try:
-            _serve(_SocketLink(conn), host)
+            _serve(_SocketLink(conn), _build_handler)
         finally:
-            if worker is not None:
-                # Graceful if the subprocess is healthy, kill otherwise —
-                # shutdown() is bounded, so this cannot hang the handler
-                # thread on a wedged subprocess.
-                worker.shutdown()
             with self._lock:
                 self._conns.discard(conn)
             conn.close()
@@ -372,10 +341,7 @@ class ShardHostListener:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ShardHostListener(address={self.address}, "
-            f"isolation={self.isolation!r}, closed={self._closed})"
-        )
+        return f"ShardHostListener(address={self.address}, closed={self._closed})"
 
 
 class TcpShardWorker(ShardRpcClient):
@@ -407,8 +373,7 @@ class TcpShardWorker(ShardRpcClient):
 
     Connect and the ready handshake are bounded by
     :data:`~repro.streaming.transport.BOOT_TIMEOUT` instead: the remote
-    build pays mechanism construction, and subprocess spawn under
-    ``isolation="process"``.
+    build pays mechanism construction.
     """
 
     def __init__(
@@ -443,8 +408,7 @@ class TcpShardWorker(ShardRpcClient):
         """Sever the connection abruptly — the crash-injection path.
 
         No close command: the listener sees EOF mid-protocol, exactly
-        what a parent crash looks like, and tears the remote shard down
-        (killing its subprocess under ``isolation="process"``).
+        what a parent crash looks like, and tears the remote shard down.
         Idempotent and safe to race with a concurrent failure detection:
         the socket handle is captured locally and double-close is a
         no-op.

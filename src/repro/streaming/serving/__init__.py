@@ -43,7 +43,7 @@ the single-tree one (:func:`repro.privacy.parameters.shard_budgets`).
   ``MomentShard`` over a ``multiprocessing`` pipe, shipping released
   moments back as :class:`~repro.privacy.tree.ReleasedMoments` snapshots
   in typed :mod:`repro.streaming.wire` frames).  The two
-  transports build identical mechanisms from identical rng children, so
+  transports build identical mechanisms from identical noise keys, so
   everything below — tiers, merge rule, fault semantics — holds verbatim
   for both; see :mod:`repro.streaming.transport`.
 * **Group ingestion** — :meth:`ShardedStream.observe_group` ingests a

@@ -14,9 +14,12 @@ outcome entry each (the PRIMO bundle).  The shard owns the
 release mechanisms advanced in lockstep — the layout it was built from,
 and the step/liveness books the serving front's loss accounting reads.
 
-The anonymous bundle is built with the same factory arguments, rng
-children, and float expressions as the historical inline (cross, gram)
-pair, so it is bit-identical under one seed on every transport.
+A shard gets keys, not generators: the front reads each entry's child
+generator through :func:`~repro.privacy.tree.noise_key` and ships the
+``(n, 2)`` ``uint64`` key array (:meth:`BundleLayout.keys`).  The
+anonymous bundle is built with the same factory arguments, keys and
+float expressions as the historical inline (cross, gram) pair, so it is
+bit-identical under one seed on every transport.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from ...exceptions import (
     ValidationError,
 )
 from ...privacy.parameters import PrivacyParams, bundle_budgets, tenant_budgets
+from ...privacy.tree import noise_key
 from ..backends import backend_declaration
 from ...core.moments import MomentBundle, MomentStatistic
 
@@ -47,13 +51,13 @@ class MomentShard:
         Shard position, estimand dimension, and the shard's ``(ε, δ)``,
         split across the bundle entries by the :class:`BundleLayout`
         (exactly ``budget.halve()`` per entry for the default pair).
-    rngs:
-        One child generator per bundle entry, in entry order
-        (:meth:`BundleLayout.rngs`).
+    keys:
+        One two-word noise key per bundle entry, in entry order: the
+        ``(n, 2)`` ``uint64`` array of :meth:`BundleLayout.keys`.
     backend, config:
         The backend declaration's name and its shard config — plain data
         (e.g. the shared ``Φ`` matrix of the projected/sketch backends,
-        the instrument count of the iv backend, and the tenant keys of
+        the instrument count of the iv backend, and the tenant fields of
         :meth:`BundleLayout.config` when the front serves named tenants).
     mechanism, shard_horizon, decay, window:
         Release-mechanism knobs of every entry; the declaration's
@@ -77,7 +81,7 @@ class MomentShard:
         index: int,
         dim: int,
         budget: PrivacyParams,
-        rngs,
+        keys: np.ndarray,
         *,
         backend: str = "moment",
         config: dict | None = None,
@@ -100,9 +104,9 @@ class MomentShard:
         self._declaration = declaration = backend_declaration(backend)
         self.layout = BundleLayout(declaration, dim, self.config, budget, self.config)
         family = declaration.release_family or mechanism
-        (stat, piece, rng, first), *later = self.layout.entries(tuple(rngs), decay, family)
+        (stat, piece, key, first), *later = self.layout.entries(keys, decay, family)
         self.bundle = MomentBundle(
-            [stat], [piece], [rng], mechanism=family, horizon=shard_horizon,
+            [stat], [piece], [key], mechanism=family, horizon=shard_horizon,
             decay=first, window=window,
         )
         for entry in later:
@@ -131,9 +135,10 @@ class MomentShard:
             raise
         self.steps += rows.shape[0]
 
-    def add_tenant(self, name: str, rng: np.random.Generator, decay: float | None = None) -> None:
-        """Occupy a free capacity slot with fresh outcome entries for ``name``."""
-        for entry in self.layout.outcome_entries(self.layout.add(name, decay), rng):
+    def add_tenant(self, name: str, keys: np.ndarray, decay: float | None = None) -> None:
+        """Occupy a free capacity slot with outcome entries for ``name``,
+        one per key (:meth:`BundleLayout.outcome_keys`)."""
+        for entry in self.layout.outcome_entries(name, keys, decay):
             self.bundle.add(*entry)
 
     def remove_tenant(self, name: str) -> None:
@@ -178,13 +183,28 @@ def _decay_knob(g: float) -> float | None:
     return None if g == 1.0 else g
 
 
-def _family(rng: np.random.Generator, count: int) -> tuple:
-    """``count`` generators rooted at ``rng``: itself, then spawned siblings.
+def _family_keys(rng: np.random.Generator, count: int) -> list:
+    """The keys of ``count`` generators rooted at ``rng``: itself, then
+    spawned siblings.
 
     Spawning advances ``rng``'s spawn counter, never its bit stream, so the
-    first member is bit-identical whatever ``count`` is.
+    first key is the same whatever ``count`` is.
     """
-    return (rng, *rng.spawn(max(count - 1, 0)))[:count]
+    return [noise_key(member) for member in (rng, *rng.spawn(max(count - 1, 0)))[:count]]
+
+
+def _check_keys(keys, count: int) -> np.ndarray:
+    """``keys`` if it is ``count`` noise keys: a ``(count, 2)`` ``uint64``
+    array (keys arrive from peers)."""
+    if not (
+        isinstance(keys, np.ndarray) and keys.dtype == np.uint64 and keys.shape == (count, 2)
+    ):
+        raise ValidationError(
+            f"need one noise key per entry, a ({count}, 2) uint64 array; got "
+            f"{getattr(keys, 'dtype', type(keys).__name__)} of shape "
+            f"{getattr(keys, 'shape', None)}"
+        )
+    return keys
 
 
 def _for_outcome(stat: MomentStatistic, name: str) -> MomentStatistic:
@@ -201,7 +221,7 @@ class BundleLayout:
     """The bundle layout every shard builds from and its front reads.
 
     It crosses a backend's declared statistics with the front's outcomes
-    and γ groups, and gives the entry names, each entry's rng, the
+    and γ groups, and gives the entry names, each entry's key, the
     budgets and each served model's reads.  ``outcomes`` is the mapping
     that may name tenants — the front's knobs, or a shard config carrying
     :meth:`config`.
@@ -209,8 +229,8 @@ class BundleLayout:
     **One anonymous outcome** (no ``tenants`` key; the
     :class:`~repro.streaming.serving.ShardedStream` bundle): the entries
     are the declared statistics, in declared order and under their own
-    names — ``(cross, gram)``, or iv's ``(zz, zx, zy)``; each takes one rng
-    child; budgets are :func:`~repro.privacy.parameters.bundle_budgets`'
+    names — ``(cross, gram)``, or iv's ``(zz, zx, zy)``; each takes the key
+    of one rng child; budgets are :func:`~repro.privacy.parameters.bundle_budgets`'
     split by budget weight (equal halves, or iv's exact thirds); every
     entry runs the front's ``decay``/``window``; one served model reads
     every entry.
@@ -224,11 +244,11 @@ class BundleLayout:
       design statistic and group, then ``{outcome}:{name}`` per tenant in
       slot order — the design entries lead, so they are the bundle's
       capacity guard;
-    * rngs: each declared statistic's child roots its entries — the child
-      itself for the first group or tenant, spawned siblings for the rest
-      (for the moment backend, the single-outcome front's cross and gram
-      children, so tenant 0 and group 0 draw exactly the anonymous
-      bundle's noise);
+    * keys: each declared statistic's child roots its entries — the child
+      itself for the first group or tenant, spawned siblings for the rest,
+      each read as its key (for the moment backend, the single-outcome
+      front's cross and gram children, so tenant 0 and group 0 draw
+      exactly the anonymous bundle's noise);
     * budgets: :func:`~repro.privacy.parameters.tenant_budgets` gives the
       design half ``(ε/2, δ/2)``, independent of the tenant count, split
       evenly across the design entries (every element enters every group:
@@ -316,7 +336,7 @@ class BundleLayout:
         ) + tuple(f"{s.name}:{t}" for t in self.tenant_decay for s in self._outcome)
 
     def config(self) -> dict:
-        """The tenant keys a shard config carries (none for the anonymous outcome)."""
+        """The tenant fields a shard config carries (none for the anonymous outcome)."""
         if self.tenant_decay is None:
             return {}
         return dict(
@@ -326,29 +346,31 @@ class BundleLayout:
             tenant_decays=tuple(self.tenant_decay.values()),
         )
 
-    def rngs(self, children) -> tuple:
-        """One generator per entry, in entry order, from one child per statistic."""
+    def keys(self, children) -> np.ndarray:
+        """One noise key per entry, in entry order, from one child generator
+        per statistic: the ``(n, 2)`` ``uint64`` array a shard is built from."""
         if self.tenant_decay is None:
-            return tuple(children)
-        k = len(self.tenant_decay)
-        roots = {
-            s.name: _family(child, len(self.decays) if s in self._design else k)
-            for s, child in zip(self.statistics, children)
-        }
-        return tuple(rng for s in self._design for rng in roots[s.name]) + tuple(
-            roots[s.name][j] for j in range(k) for s in self._outcome
-        )
+            keys = [noise_key(child) for child in children]
+        else:
+            k = len(self.tenant_decay)
+            roots = {
+                s.name: _family_keys(child, len(self.decays) if s in self._design else k)
+                for s, child in zip(self.statistics, children)
+            }
+            keys = [key for s in self._design for key in roots[s.name]]
+            keys += [roots[s.name][j] for j in range(k) for s in self._outcome]
+        return np.array(keys, dtype=np.uint64).reshape(-1, 2)
 
-    def entries(self, rngs, decay, mechanism: str) -> list:
+    def outcome_keys(self, rng: np.random.Generator) -> np.ndarray:
+        """A mid-stream tenant's outcome-entry keys, from one fresh generator."""
+        return np.array(_family_keys(rng, len(self._outcome)), dtype=np.uint64)
+
+    def entries(self, keys, decay, mechanism: str) -> list:
         """The bundle's entries as :meth:`MomentBundle.add` arguments, in order."""
-        if len(rngs) != len(self.names):
-            raise ValidationError(
-                f"need one rng per bundle entry: {len(self.names)} entries "
-                f"{self.names!r}, {len(rngs)} rngs"
-            )
+        keys = _check_keys(keys, len(self.names))
         if self.tenant_decay is None:
             budgets = bundle_budgets(self.budget, tuple(s.budget_weight for s in self.statistics))
-            return list(zip(self.statistics, budgets, rngs, (decay,) * len(rngs)))
+            return list(zip(self.statistics, budgets, keys, (decay,) * len(keys)))
         if mechanism != "tree":
             raise ValidationError(
                 "tenant shards require mechanism='tree' (the PRIMO serving "
@@ -357,26 +379,29 @@ class BundleLayout:
         design = [(s, g) for s in self._design for g in self.decays]
         pieces = self.design_budget.split(len(design))
         entries = [
-            (dataclasses.replace(s, name=f"{s.name}:{g}"), piece, rng, _decay_knob(g))
-            for (s, g), piece, rng in zip(design, pieces, rngs)
+            (dataclasses.replace(s, name=f"{s.name}:{g}"), piece, key, _decay_knob(g))
+            for (s, g), piece, key in zip(design, pieces, keys)
         ]
-        later = iter(rngs[len(design) :])  # each tenant takes its next entries' rngs
+        later = iter(keys[len(design) :])  # each tenant takes its next entries' keys
         for name in self.tenant_decay:
             entries += self._outcome_entries(name, later)
         return entries
 
-    def outcome_entries(self, name: str, rng: np.random.Generator) -> list:
-        """A tenant's outcome entries over one fresh generator (a mid-stream add)."""
-        return self._outcome_entries(name, _family(rng, len(self._outcome)))
+    def outcome_entries(self, name, keys, decay=None) -> list:
+        """Admit tenant ``name`` (a mid-stream add) over its outcome
+        entries' keys; return its entries.  Bad keys admit nobody."""
+        self.admit(name, decay)  # first: an anonymous outcome has no entries
+        keys = _check_keys(keys, len(self._outcome))
+        return self._outcome_entries(self.add(name, decay), keys)
 
-    def _outcome_entries(self, name: str, rngs) -> list:
+    def _outcome_entries(self, name: str, keys) -> list:
         g = _decay_knob(self.tenant_decay[name])
         pieces = self.slot_budget.split(len(self._outcome))
-        # The statistics lead the zip, so an iterator of rngs gives up
+        # The statistics lead the zip, so an iterator of keys gives up
         # exactly one per outcome statistic.
         return [
-            (_for_outcome(s, name), piece, rng, g)
-            for s, piece, rng in zip(self._outcome, pieces, rngs)
+            (_for_outcome(s, name), piece, key, g)
+            for s, piece, key in zip(self._outcome, pieces, keys)
         ]
 
     def columns(self, ys):

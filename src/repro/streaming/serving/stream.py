@@ -81,7 +81,7 @@ class ShardFront:
     It also owns the bundle: the backend declaration's ``configure`` gives
     the shard config, and one :class:`~repro.streaming.serving.BundleLayout`
     over the declaration and the knobs gives the entry names
-    (:attr:`bundle_names`), each shard's per-entry rngs, and the served
+    (:attr:`bundle_names`), each shard's per-entry noise keys, and the served
     models.  One merge-and-solve path (:meth:`_solve`) then merges every
     bundle entry once by name and solves and publishes each served model
     — a solver (the ``solver`` knob, or the backend's default), its
@@ -229,29 +229,30 @@ class ShardFront:
         children = self._rng.spawn(self._entries * self.shards_count)
         n = self._entries
         self._shards: list = []
+        self._models: dict = {}
+        self._solver_knobs = (knobs["beta"], knobs["fidelity"], knobs["iteration_cap"])
         try:
             for i in range(self.shards_count):
                 self._shards.append(
                     self._make_shard(i, budgets[i], children[n * i : n * (i + 1)])
                 )
+            # The logical budget ledger: within `params`, one labelled
+            # charge per privatized statistic.
+            self.accountant = PrivacyAccountant(params, mode="basic")
+            self._charge_ledger()
+            # The solvers spawn their rng children after the shards' (a
+            # reordering would move every key).
+            for key in self._layout.models():
+                self._attach(key)
         except BaseException:
-            # A failed shard (e.g. a worker that fails to boot) must not
-            # leak the workers already booted, nor the self-hosted tcp
-            # listener.
+            # A failed shard (e.g. a worker that fails to boot), ledger or
+            # solver must not leak the workers already booted, nor the
+            # self-hosted tcp listener.
             for shard in self._shards:
                 shard.shutdown()
             if self._owns_listener:
                 self._listener.close()
             raise
-
-        # The logical budget ledger: within `params`, one labelled charge
-        # per privatized statistic.
-        self.accountant = PrivacyAccountant(params, mode="basic")
-        self._charge_ledger()
-        self._models: dict = {}
-        self._solver_knobs = (knobs["beta"], knobs["fidelity"], knobs["iteration_cap"])
-        for key in self._layout.models():
-            self._attach(key)
 
         self._lock = threading.RLock()
         self._queue: queue.Queue = queue.Queue()
@@ -293,23 +294,25 @@ class ShardFront:
             )
             self._heartbeat_thread.start()
 
-    def _make_shard(self, index: int, budget: PrivacyParams, rngs):
+    def _make_shard(self, index: int, budget: PrivacyParams, children):
         """Construct one shard worker on the configured transport.
 
-        Every transport builds from the same
+        ``children`` holds one rng child per declared statistic; the spec
+        carries the entries' keys drawn from them
+        (:meth:`~repro.streaming.serving.BundleLayout.keys`), never a
+        generator.  Every transport builds from the same
         :class:`~repro.streaming.transport.ShardSpec` — in-process
         (``spec.build()``), in a spawned interpreter
         (:class:`~repro.streaming.transport.ProcessShardWorker`), or behind
         the listener at ``addresses[index % len(addresses)]``
         (:class:`~repro.streaming.netserve.TcpShardWorker`) — so every
-        transport builds byte-for-byte the same mechanisms and consumes
-        randomness identically.
+        transport builds byte-for-byte the same mechanisms.
         """
         spec = ShardSpec(
             index=index,
             dim=self.dim,
             budget=budget,
-            rngs=self._layout.rngs(rngs),
+            keys=self._layout.keys(children),
             backend=self.backend,
             config={**self.config, **self._layout.config()},
             mechanism=self.mechanism,
@@ -900,8 +903,8 @@ class ShardFront:
                     bundle_budgets(old.budget, (1.0,) * self._entries)[0],
                     count=self._entries,
                 )
-            rngs = self._rng.spawn(self._entries)
-            self._shards[index] = self._make_shard(index, old.budget, rngs)
+            children = self._rng.spawn(self._entries)
+            self._shards[index] = self._make_shard(index, old.budget, children)
 
     # ------------------------------------------------------------------
     # Internals
@@ -1232,7 +1235,7 @@ class ShardedStream(ShardFront, HubReads):
         typed frames of :mod:`repro.streaming.wire` and ship released
         moments back as :class:`~repro.privacy.tree.ReleasedMoments`
         snapshots.  All transports build the same mechanisms from the
-        same rng children, so the ingest contract, merge rule, and fault
+        same noise keys, so the ingest contract, merge rule, and fault
         semantics are transport-independent
         (``tests/test_process_serving.py``, ``tests/test_tcp_serving.py``).
         ``Φ`` ships in the spawn payload as its matrix, so any
@@ -1345,8 +1348,9 @@ class ShardedStream(ShardFront, HubReads):
         Seed or Generator.  Under ``backend="projected"`` (and
         ``"sketch"``) the shared ``Φ`` is drawn from it first (exactly
         the plain ``PrivIncReg2`` consumption); then shard ``i``'s
-        bundle mechanisms use children ``[n·i, n·(i+1))`` of
-        ``rng.spawn(n·K)`` where ``n`` is the bundle size — for the
+        bundle mechanisms are keyed by children ``[n·i, n·(i+1))`` of
+        ``rng.spawn(n·K)`` where ``n`` is the bundle size (the front
+        draws each child's two-word key and ships only the keys) — for the
         default two-entry bundle that is children ``2i``/``2i+1`` of
         ``rng.spawn(2K)``, and for ``K=1`` exactly the plain estimators'
         two-child spawn, which is what makes the ``K=1`` server

@@ -37,7 +37,7 @@ The ledger mirrors this: adds charge a slot, removes refund it
 (:meth:`~repro.privacy.accountant.PrivacyAccountant.refund`).
 
 For ``k = 1`` (and the default ``tenant_capacity=1``) both budget pieces
-equal ``params.halve()`` bit-exactly, the shard rng children and solver
+equal ``params.halve()`` bit-exactly, the shard keys and solver
 spawn order match :class:`~repro.streaming.serving.ShardedStream`'s, and
 the ingest arithmetic reduces to the single-tenant shard's — so a
 one-tenant front is **bit-identical** to the plain sharded path on both
@@ -174,7 +174,7 @@ class MultiTenantStream(ShardFront):
         hosts, reachable cross-host).  Remote transports ship releases
         back as :class:`~repro.privacy.tree.ReleasedMoments` snapshots,
         ``k`` per shard; all transports build the same mechanisms from
-        the same rng children.
+        the same noise keys.
     request_timeout:
         Deadline in seconds on every shard RPC (remote transports only;
         same stuck-worker → :class:`~repro.exceptions.ShardTimeoutError`
@@ -195,10 +195,11 @@ class MultiTenantStream(ShardFront):
         Forwarded to every tenant's default
         :class:`~repro.core.incremental_regression.PrivIncReg1` solver.
     rng:
-        Seed or Generator.  Shard ``i``'s tenant trees use child ``2i``
-        of ``rng.spawn(2K)`` (tenant 0) plus its spawned siblings
-        (tenants 1..k-1), and its Gram trees use child ``2i+1`` (group 0)
-        plus its spawned siblings (groups 1..G-1); each
+        Seed or Generator.  Shard ``i``'s tenant trees are keyed by child
+        ``2i`` of ``rng.spawn(2K)`` (tenant 0) plus its spawned siblings
+        (tenants 1..k-1), and its Gram trees by child ``2i+1`` (group 0)
+        plus its spawned siblings (groups 1..G-1) — the front draws each
+        generator's two-word key and ships only the keys; each
         tenant's solver then spawns one child in tenant order.  For
         ``k = 1`` this is exactly the single-tenant front's consumption,
         which is what makes the one-tenant stream bit-identical to
@@ -311,10 +312,11 @@ class MultiTenantStream(ShardFront):
             self.accountant.charge(_cross_label(name), self._layout.slot_budget)
             # One fresh child per shard slot, spawned regardless of
             # liveness so the rng consumption (and with it every later
-            # tenant's noise) never depends on failure history.
-            shard_rngs = self._rng.spawn(self.shards_count)
-            for shard, shard_rng in zip(self._shards, shard_rngs):
-                self._on_live_shard(shard, lambda s: s.add_tenant(name, shard_rng, decay=g))
+            # tenant's noise) never depends on failure history; each
+            # shard gets the keys of the tenant's outcome entries.
+            for shard, child in zip(self._shards, self._rng.spawn(self.shards_count)):
+                keys = self._layout.outcome_keys(child)
+                self._on_live_shard(shard, lambda s: s.add_tenant(name, keys, decay=g))
             self._layout.add(name, g)
             view = self._views[name] = TenantView(name, self._attach(name))
             return view

@@ -10,8 +10,9 @@ command/response pipe, so shard ingestion runs on real cores.
 
 What crosses the pipe — and what never does
 -------------------------------------------
-* **Down** (parent → worker): a one-time :class:`ShardSpec` (budget, rng
-  children, mechanism/backend configuration, and — for the projected
+* **Down** (parent → worker): a one-time :class:`ShardSpec` (budget, one
+  two-word noise key per bundle entry, mechanism/backend configuration,
+  and — for the projected
   backends — the front-drawn shared ``Φ`` as its matrix), then routed
   data blocks and the front's other commands.
 * **Up** (worker → parent): at refresh points, the shard's released
@@ -29,9 +30,9 @@ each shard's released sum, noise variance, step count, and shape — all
 frozen losslessly into the snapshot (``float64`` crosses the wire as its
 raw bytes), so a merge over pipe-shipped snapshots is bit-identical to a
 merge over the live mechanisms.  Each worker builds its mechanisms from
-the same spawned rng children the in-process transport would use, so
-they draw the same
-node-noise keys and release the same noise: under ``ingest="exact"`` a
+the keys the in-process transport builds from — every release family is
+a pure function of its two-word key — so they release the same noise:
+under ``ingest="exact"`` a
 ``K = 1`` process server stays bit-identical to the plain batched path,
 and thread and process servers under one seed produce identical merged
 releases (``tests/test_process_serving.py``).  Privacy needs even less: each
@@ -75,10 +76,10 @@ Wire requirements: every message — the spec included — crosses the pipe
 as a typed frame of :mod:`repro.streaming.wire`
 (``Connection.send_bytes``/``recv_bytes``; no message is pickled — the
 ``spawn`` start method hands the child only its pipe end).  The spec's
-rngs travel as bit-generator name plus state and its config is plain
-data.  Workers use the ``"spawn"`` start method — fork-safety of a
-threaded parent (async mode, group pools) is exactly the kind of thing
-this transport must not gamble on.
+keys travel as one ``uint64`` array and its config is plain data; no
+generator crosses the boundary.  Workers use the ``"spawn"`` start
+method — fork-safety of a threaded parent (async mode, group pools) is
+exactly the kind of thing this transport must not gamble on.
 """
 
 from __future__ import annotations
@@ -116,32 +117,35 @@ BOOT_TIMEOUT = 120.0
 SHUTDOWN_TIMEOUT = 5.0
 
 
-@dataclass(frozen=True)
+# eq=False: a field-wise == would compare the key arrays elementwise.
+@dataclass(frozen=True, eq=False)
 class ShardSpec:
     """Recipe for one shard worker (the spawn payload).
 
     The remote transports never ship a live mechanism: the worker
     *rebuilds* its :class:`~repro.streaming.serving.MomentShard` from this
-    spec inside the child interpreter, consuming the shipped rng children
-    exactly as the in-process transport would — which is what keeps the
-    transports' noise streams identical.  The spec ships the backend
-    *name* (statistic rules are closures and cannot travel; the worker
+    spec inside the child interpreter, keying each bundle entry with its
+    shipped two-word key exactly as the in-process transport does — which
+    is what keeps the transports' noise identical.  The spec ships the
+    backend *name* (statistic rules are closures and cannot travel; the worker
     looks the declaration up in :data:`~repro.streaming.backends.BACKENDS`)
     and that backend's shard ``config`` — plain data; for the projected
     backends the front-drawn shared ``Φ`` as its matrix, so every spawned
     worker (and any restart) applies the *same* ``Φ``.
 
     On the wire it is a typed frame (:mod:`repro.streaming.wire`): the
-    budget as ``(ε, δ)``, each rng as its bit-generator name plus state,
-    and the config as typed values, including the tenant keys of a
+    budget as ``(ε, δ)``, the keys as one ``(n, 2)`` ``uint64`` array, and
+    the config as typed values, including the tenant fields of a
     :meth:`~repro.streaming.serving.BundleLayout.config`.
     """
 
     index: int
     dim: int
     budget: PrivacyParams
-    #: One child generator per bundle entry, in entry order.
-    rngs: "tuple[np.random.Generator, ...]"
+    #: One two-word noise key per bundle entry, in entry order: an
+    #: ``(n, 2)`` ``uint64`` array
+    #: (:meth:`~repro.streaming.serving.BundleLayout.keys`).
+    keys: np.ndarray
     backend: str = "moment"
     config: dict = field(default_factory=dict)
     mechanism: str = "tree"
@@ -161,7 +165,7 @@ class ShardSpec:
             self.index,
             self.dim,
             self.budget,
-            self.rngs,
+            self.keys,
             backend=self.backend,
             config=self.config,
             mechanism=self.mechanism,
@@ -239,14 +243,14 @@ def dispatch_command(shard, command: str, payload):
         return shard.steps
     if command == "released":
         # Snapshots, never the live mechanisms: the wire carries the
-        # released statistics (O(m)/O(m²)), not the trees (O(m² log T)
-        # plus generator state) — one per bundle entry, in bundle order.
+        # released statistics (O(m)/O(m²)), not the trees (O(m² log T))
+        # — one per bundle entry, in bundle order.
         return tuple(handle.released_moments() for handle in shard.released())
     if command == "tenant":
         action, name, extra = payload
         if action == "add":
-            rng, decay = extra
-            shard.add_tenant(name, rng, decay=decay)
+            keys, decay = extra
+            shard.add_tenant(name, keys, decay=decay)
         elif action == "remove":
             shard.remove_tenant(name)
         else:
@@ -426,21 +430,16 @@ class ShardRpcClient:
         """
         return tuple(self._request("released", None))
 
-    def add_tenant(
-        self,
-        name: str,
-        rng: np.random.Generator,
-        decay: float | None = None,
-    ) -> None:
+    def add_tenant(self, name: str, keys: np.ndarray, decay: float | None = None) -> None:
         """Attach a tenant's outcome entries on the worker (named tenants only).
 
-        The generator crosses the wire as its bit-generator name plus
-        state (:mod:`repro.streaming.wire`), so the worker-side entries
-        consume exactly the stream this generator would produce locally —
+        ``keys`` holds one two-word noise key per outcome entry
+        (:meth:`~repro.streaming.serving.BundleLayout.outcome_keys`), so
+        the worker-side entries draw exactly the noise local ones would —
         the same bit-identity contract as initial construction.  ``decay``
         assigns the tenant to one of the shard's declared γ groups.
         """
-        self._request("tenant", ("add", name, (rng, decay)))
+        self._request("tenant", ("add", name, (keys, decay)))
 
     def remove_tenant(self, name: str) -> None:
         """Drop a tenant's outcome entries on the worker (named tenants only)."""

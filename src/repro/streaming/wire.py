@@ -7,14 +7,13 @@ Both remote transports — the ``multiprocessing`` pipe of
 requests and ``("ok" | "err", result)`` replies.  This module turns each
 of them into bytes and back, with no pickle anywhere: a frame decodes
 into plain values, numpy arrays, :class:`~repro.privacy.tree.ReleasedMoments`
-snapshots, generators of an allow-listed bit generator, or an
-allow-listed exception — never into an arbitrary object, so a peer can
-send data but never code.
+snapshots or an allow-listed exception — never into an arbitrary object,
+so a peer can send data but never code.
 
 Frame layout
 ------------
 Every frame starts with one *kind* byte.  All integers and floats are
-little-endian; arrays are raw ``float64`` (or ``uint``) bytes decoded with
+little-endian; arrays are raw ``float64`` (or ``uint64``) bytes decoded with
 ``np.frombuffer`` straight off the received buffer.
 
 * **Hot kinds** have a fixed :mod:`struct` layout — per-frame cost is one
@@ -37,25 +36,23 @@ little-endian; arrays are raw ``float64`` (or ``uint``) bytes decoded with
 * **Cold kinds** (``RELEASED`` requests, ``tenant``, ``memory``,
   ``ping``, ``close``, ``OK_VALUE`` replies, ``ERR`` replies and the boot
   ``SPEC``) carry one *typed value*: a tag byte, then the value — ``N``
-  None, ``T``/``F`` bools, ``i`` int64, ``I`` big int (``<I`` length +
-  signed bytes), ``f`` float64, ``s`` UTF-8 string (``<I`` length),
-  ``t`` tuple and ``d`` str-keyed dict (``<I`` count), ``a`` array
-  (dtype code, ndim, dims, bytes) and ``r`` one released snapshot (the
-  hot snapshot layout).
+  None, ``T``/``F`` bools, ``i`` int64, ``f`` float64, ``s`` UTF-8 string
+  (``<I`` length), ``t`` tuple and ``d`` str-keyed dict (``<I`` count),
+  and ``a`` array (dtype code, ndim, dims, bytes).
 
-The schema decides where richer objects may appear: a spec's ``rngs``
-and a tenant ``add``'s generator travel as ``(bit generator name, state,
-seed sequence)`` and are rebuilt only there; a spec's config is plain
-data (a backend's shared ``Φ`` is a ``float64`` array in it); an error
-travels as its class name plus its message, the class resolved from
+No generator crosses the wire: every release mechanism is a pure
+function of a two-word Philox key, so a spec's ``keys`` and a tenant
+``add``'s keys travel as ``(n, 2)`` ``uint64`` arrays.  A spec's config
+is plain data (a backend's shared ``Φ`` is a ``float64`` array in it);
+an error travels as its class name plus its message, the class resolved from
 :mod:`repro.exceptions` or ``ValueError``/``TypeError``/``KeyError``/
 ``RuntimeError`` — any other exception is sent as a
 :class:`~repro.exceptions.ReproError` naming the original class.
 
 Every malformed frame — truncated, trailing bytes, an unknown kind or
 tag, a wrong dtype code, negative or overflowing dims, a shape whose
-bytes exceed what is left of the frame, a class outside the allow-list —
-raises :class:`~repro.exceptions.ValidationError`.  No length read from a
+bytes exceed what is left of the frame, a class outside the allow-list,
+spec keys that are not an ``(n, 2)`` ``uint64`` array — raises :class:`~repro.exceptions.ValidationError`.  No length read from a
 frame is trusted before it is checked against the bytes actually present,
 so decoding never allocates more than the frame it reads.
 """
@@ -89,7 +86,8 @@ SPEC = 32
 
 _F8 = np.dtype("<f8")
 #: Array dtype codes of the typed-value encoding.
-_DTYPES = {1: _F8, 2: np.dtype("<u8"), 3: np.dtype("<u4")}
+_U8 = np.dtype("<u8")
+_DTYPES = {1: _F8, 2: _U8}
 _DTYPE_CODE = {dtype: code for code, dtype in _DTYPES.items()}
 _MAX_NDIM = 8
 _MAX_DEPTH = 16
@@ -124,16 +122,13 @@ _ERRORS = {
     )
 }
 
-#: Bit generators a generator may be rebuilt from.
-_BIT_GENERATORS = ("PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937")
-
 #: ShardSpec fields in wire order (the budget travels as ε, δ).
 _SPEC_FIELDS = (
     "index",
     "dim",
     "epsilon",
     "delta",
-    "rngs",
+    "keys",
     "backend",
     "config",
     "mechanism",
@@ -183,8 +178,6 @@ def encode(message) -> bytes:
     kind = _COMMAND_KIND.get(head)
     if kind is None:
         raise ValidationError(f"unknown worker command {head!r}")
-    if head == "tenant":
-        body = _tenant_to_wire(body)
     return _cold(kind, body)
 
 
@@ -249,11 +242,9 @@ def _put(value, parts: list, depth: int) -> None:
         parts.append(b"T" if value else b"F")
     elif isinstance(value, Integral):
         value = int(value)
-        if _INT64_RANGE[0] <= value <= _INT64_RANGE[1]:
-            parts.append(b"i" + _I64.pack(value))
-        else:
-            raw = value.to_bytes((value.bit_length() + 8) // 8, "little", signed=True)
-            parts.append(b"I" + _U32.pack(len(raw)) + raw)
+        if not _INT64_RANGE[0] <= value <= _INT64_RANGE[1]:
+            raise ValidationError(f"wire integers are int64, got {value}")
+        parts.append(b"i" + _I64.pack(value))
     elif isinstance(value, (float, np.floating)):
         parts.append(b"f" + _F64.pack(value))
     elif isinstance(value, str):
@@ -275,53 +266,17 @@ def _put(value, parts: list, depth: int) -> None:
         code = _DTYPE_CODE.get(value.dtype.newbyteorder("<"))
         if code is None or value.ndim > _MAX_NDIM:
             raise ValidationError(
-                f"wire arrays are float64/uint64/uint32 with at most "
+                f"wire arrays are float64/uint64 with at most "
                 f"{_MAX_NDIM} axes, got {value.dtype} with {value.ndim}"
             )
         value = np.ascontiguousarray(value, dtype=_DTYPES[code])
         parts.append(b"a" + _ARRAY_HEAD.pack(code, value.ndim))
         parts.append(_DIMS[value.ndim].pack(*value.shape))
         parts.append(value)
-    elif isinstance(value, ReleasedMoments):
-        parts.append(b"r")
-        _pack_snapshot(value, parts)
     else:
         raise ValidationError(
             f"the wire cannot carry a {type(value).__name__}"
         )
-
-
-def _generator_to_wire(rng) -> tuple:
-    """A generator as ``(bit generator name, state, seed sequence)``."""
-    if not isinstance(rng, np.random.Generator):
-        raise ValidationError(f"expected a numpy Generator, got {type(rng).__name__}")
-    bit_generator = rng.bit_generator
-    name = type(bit_generator).__name__
-    if name not in _BIT_GENERATORS:
-        raise ValidationError(
-            f"bit generator {name} cannot travel on the wire (allowed: "
-            f"{', '.join(_BIT_GENERATORS)})"
-        )
-    seed_seq = getattr(bit_generator, "seed_seq", None)
-    if isinstance(seed_seq, np.random.SeedSequence):
-        entropy = seed_seq.entropy
-        seq = (
-            entropy if entropy is None or isinstance(entropy, Integral) else tuple(entropy),
-            tuple(seed_seq.spawn_key),
-            seed_seq.pool_size,
-            seed_seq.n_children_spawned,
-        )
-    else:
-        seq = None
-    return (name, bit_generator.state, seq)
-
-
-def _tenant_to_wire(payload) -> tuple:
-    action, name, extra = payload
-    if action == "add":
-        rng, decay = extra
-        extra = (_generator_to_wire(rng), decay)
-    return (action, name, extra)
 
 
 def _encode_spec(spec) -> bytes:
@@ -337,7 +292,7 @@ def _encode_spec(spec) -> bytes:
         spec.dim,
         spec.budget.epsilon,
         spec.budget.delta,
-        tuple(_generator_to_wire(rng) for rng in spec.rngs),
+        spec.keys,
         spec.backend,
         spec.config,
         spec.mechanism,
@@ -385,7 +340,7 @@ def decode(frame):
     ) as exc:
         # A backstop: every read below is bounds-checked first, but a
         # value that decodes cleanly can still be refused by the object
-        # it builds (a generator state).
+        # it builds (a spec's budget).
         raise _malformed(f"{type(exc).__name__}: {exc}") from None
 
 
@@ -416,11 +371,7 @@ def _decode(frame):
         _check_end(1, size)
         return "released", None
     if kind in _KIND_COMMAND:
-        command = _KIND_COMMAND[kind]
-        body = _value_of(frame, size)
-        if command == "tenant":
-            body = _tenant_from_wire(body)
-        return command, body
+        return _KIND_COMMAND[kind], _value_of(frame, size)
     if kind == OK_VALUE:
         return "ok", _value_of(frame, size)
     if kind == ERR:
@@ -538,11 +489,6 @@ def _take(frame, offset: int, size: int, depth: int):
     if tag == 0x69:  # i
         end = _need(offset, 8, size)
         return _I64.unpack_from(frame, offset)[0], end
-    if tag == 0x49:  # I
-        end = _need(offset, 4, size)
-        (length,) = _U32.unpack_from(frame, offset)
-        stop = _need(end, length, size)
-        return int.from_bytes(frame[end:stop], "little", signed=True), stop
     if tag == 0x66:  # f
         end = _need(offset, 8, size)
         return _F64.unpack_from(frame, offset)[0], end
@@ -579,44 +525,7 @@ def _take(frame, offset: int, size: int, depth: int):
         stop = _need(end, count * dtype.itemsize, size)
         array = np.frombuffer(frame, dtype=dtype, count=count, offset=end)
         return array.reshape(shape), stop
-    if tag == 0x72:  # r
-        return _snapshot_at(frame, offset, size)
     raise _malformed(f"unknown value tag {tag}")
-
-
-def _generator_from_wire(value) -> np.random.Generator:
-    try:
-        name, state, seq = value
-    except (TypeError, ValueError):
-        raise _malformed("a generator is (name, state, seed sequence)") from None
-    if name not in _BIT_GENERATORS:
-        raise _malformed(f"bit generator {name!r} is not allowed")
-    if seq is None:
-        seed_seq = None
-    else:
-        entropy, spawn_key, pool_size, children = seq
-        if not 4 <= pool_size <= 64:
-            raise _malformed(f"seed sequence pool size {pool_size}")
-        seed_seq = np.random.SeedSequence(
-            entropy,
-            spawn_key=spawn_key,
-            pool_size=pool_size,
-            n_children_spawned=children,
-        )
-    bit_generator = getattr(np.random, name)(seed_seq)
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)
-
-
-def _tenant_from_wire(body):
-    if type(body) is not tuple or len(body) != 3:
-        raise _malformed("a tenant command is (action, name, extra)")
-    action, name, extra = body
-    if action == "add":
-        if type(extra) is not tuple or len(extra) != 2:
-            raise _malformed("a tenant add carries (rng, decay)")
-        extra = (_generator_from_wire(extra[0]), extra[1])
-    return (action, name, extra)
 
 
 def _error_from_wire(value) -> BaseException:
@@ -639,14 +548,16 @@ def _spec_from_wire(value):
         raise _malformed("a spec's index and dim are integers")
     if value["backend"] not in BACKENDS:
         raise _malformed(f"unknown backend {value['backend']!r}")
-    config, rngs = value["config"], value["rngs"]
-    if type(config) is not dict or type(rngs) is not tuple:
-        raise _malformed("a spec's config is a dict and its rngs a tuple")
+    config, keys = value["config"], value["keys"]
+    if type(config) is not dict:
+        raise _malformed("a spec's config is a dict")
+    if not (type(keys) is np.ndarray and keys.dtype == _U8 and keys.shape[1:] == (2,)):
+        raise _malformed("a spec's keys are an (n, 2) uint64 array")
     return ShardSpec(
         index=value["index"],
         dim=value["dim"],
         budget=PrivacyParams(value["epsilon"], value["delta"]),
-        rngs=tuple(_generator_from_wire(rng) for rng in rngs),
+        keys=keys,
         backend=value["backend"],
         config=config,
         mechanism=value["mechanism"],

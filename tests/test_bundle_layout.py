@@ -8,7 +8,7 @@
 * **Pins** — each backend's entry names and ledger labels on
   :class:`~repro.streaming.serving.ShardedStream`, and the tenant front's
   names, labels, per-entry budgets, γ and reads.
-* **Derivations** — the per-entry rngs of a tenant layout, one shard
+* **Derivations** — the per-entry keys of a tenant layout, one shard
   class whatever the spec, and the anonymous outcome refusing tenants.
 """
 
@@ -26,6 +26,7 @@ from repro import (
 )
 from repro.exceptions import ValidationError
 from repro.privacy import bundle_budgets
+from repro.privacy.tree import noise_key
 from repro.streaming.backends import BACKENDS
 from repro.streaming.serving import BundleLayout, MomentShard
 from repro.streaming.transport import ShardSpec
@@ -151,32 +152,32 @@ class TestFrontPins:
 
 
 class TestLayoutDerivations:
-    def test_tenant_rngs_root_each_statistic_at_its_child(self):
+    def test_tenant_keys_root_each_statistic_at_its_child(self):
         layout = BundleLayout(
             BACKENDS["moment"], DIM, {}, PARAMS,
             dict(tenants=("a", "b", "c"), decays=(1.0, 0.9)),
         )
-        cross_child, gram_child = np.random.default_rng(3).spawn(2)
-        rngs = layout.rngs((cross_child, gram_child))
-        assert len(rngs) == len(layout.names) == 5
-        # Group 0 and tenant 0 take the children the anonymous bundle's
-        # gram and cross entries take; the rest are spawned siblings.
-        assert rngs[0] is gram_child and rngs[2] is cross_child
-        keys = [rng.bit_generator.seed_seq.spawn_key for rng in rngs]
-        assert keys[1] == gram_child.bit_generator.seed_seq.spawn_key + (0,)
-        assert keys[3:] == [cross_child.bit_generator.seed_seq.spawn_key + (i,) for i in (0, 1)]
+        keys = layout.keys(np.random.default_rng(3).spawn(2))
+        assert keys.dtype == np.uint64 and keys.shape == (len(layout.names), 2) == (5, 2)
+        # Group 0 and tenant 0 take the keys of the children the anonymous
+        # bundle's gram and cross entries take; the rest, spawned siblings'.
+        cross, gram = np.random.default_rng(3).spawn(2)
+        expected = [gram, *gram.spawn(1), cross, *cross.spawn(2)]
+        np.testing.assert_array_equal(keys, [noise_key(rng) for rng in expected])
 
-    def test_anonymous_rngs_are_the_children(self):
+    def test_anonymous_keys_are_the_childrens(self):
         layout = BundleLayout(BACKENDS["iv"], DIM, CONFIGS["iv"], PARAMS, {})
-        children = tuple(np.random.default_rng(3).spawn(3))
-        assert layout.rngs(children) == children
+        keys = layout.keys(np.random.default_rng(3).spawn(3))
+        expected = [noise_key(rng) for rng in np.random.default_rng(3).spawn(3)]
+        np.testing.assert_array_equal(keys, expected)
         assert layout.config() == {} and layout.models() == (None,)
 
     @pytest.mark.parametrize("config", [{}, dict(tenants=("a",), tenant_capacity=2)])
     def test_every_spec_builds_a_moment_shard(self, config):
         spec = ShardSpec(
             index=0, dim=DIM, budget=PARAMS,
-            rngs=tuple(np.random.default_rng(4).spawn(2)), config=config,
+            keys=np.array([noise_key(r) for r in np.random.default_rng(4).spawn(2)]),
+            config=config,
             shard_horizon=T,
         )
         assert type(spec.build()) is MomentShard
@@ -186,9 +187,10 @@ class TestLayoutDerivations:
         assert not [attr for attr in vars(TenantShard) if not attr.startswith("__")]
 
     def test_the_anonymous_outcome_has_no_tenants(self):
-        shard = MomentShard(0, DIM, PARAMS, np.random.default_rng(5).spawn(2), shard_horizon=T)
+        keys = np.array([noise_key(r) for r in np.random.default_rng(5).spawn(2)])
+        shard = MomentShard(0, DIM, PARAMS, keys, shard_horizon=T)
         with pytest.raises(ValidationError, match="anonymous outcome"):
-            shard.add_tenant("a", np.random.default_rng(6))
+            shard.add_tenant("a", keys[:1])
         with pytest.raises(ValidationError, match="unknown tenant"):
             shard.remove_tenant("a")
         assert shard.bundle.names == ("cross", "gram")

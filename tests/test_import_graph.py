@@ -25,6 +25,7 @@ import pytest
 
 import repro
 from repro import PrivacyParams
+from repro.privacy.tree import noise_key
 from repro.streaming.transport import ProcessShardWorker, ShardSpec
 
 SRC = os.path.dirname(os.path.dirname(repro.__file__))
@@ -106,7 +107,7 @@ def test_booted_process_worker_maps_no_scipy():
         index=0,
         dim=3,
         budget=PrivacyParams(4.0, 1e-6),
-        rngs=tuple(np.random.default_rng(0).spawn(2)),
+        keys=np.array([noise_key(r) for r in np.random.default_rng(0).spawn(2)]),
         shard_horizon=16,
     )
     worker = ProcessShardWorker(spec)

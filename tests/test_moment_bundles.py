@@ -32,6 +32,7 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.privacy import bundle_budgets, make_release_mechanism
+from repro.privacy.tree import noise_key
 from repro.streaming import MomentBundle, MomentShard
 from repro.streaming.backends import BACKENDS
 from repro.streaming.serving import BundleLayout
@@ -69,7 +70,7 @@ def _legacy_pair(seed, mechanism="tree", horizon=T, decay=None, window=None):
 def _shard(seed, **kwargs):
     front = np.random.default_rng(seed)
     kwargs.setdefault("shard_horizon", T)
-    return MomentShard(0, DIM, PARAMS, front.spawn(2), **kwargs)
+    return MomentShard(0, DIM, PARAMS, np.array([noise_key(r) for r in front.spawn(2)]), **kwargs)
 
 
 def _feed(shard, xs, ys, path):

@@ -4,7 +4,8 @@ The serving stack programs against the :class:`ReleaseMechanism`
 protocol; these tests pin the contracts the protocol members share —
 conformance, factory dispatch, the γ=1 / W=inf bit-identity escape
 hatches, decayed and windowed correctness against brute force, the
-noise-variance ledger, and up-front knob validation.
+noise-variance ledger, up-front knob validation, and keyed releases:
+every family is a pure function of one two-word key.
 """
 
 import math
@@ -26,6 +27,7 @@ from repro.exceptions import (
     StreamExhaustedError,
     ValidationError,
 )
+from repro.privacy.tree import noise_key
 
 HUGE_EPS = PrivacyParams(1e9, 0.5)
 NORMAL = PrivacyParams(1.0, 1e-6)
@@ -330,3 +332,70 @@ class TestSlidingWindow:
             SlidingWindowMechanism(4, (DIM,), 2.0, NORMAL, rng=0, chunk=5)
         with pytest.raises(ValidationError, match="chunk"):
             SlidingWindowMechanism(4, (DIM,), 2.0, NORMAL, rng=0, chunk=0)
+
+
+# ---------------------------------------------------------------------------
+# Keyed releases: every family is a pure function of its two-word key
+# ---------------------------------------------------------------------------
+
+#: Every release family, as make_release_mechanism knobs, with whether it
+#: ingests pre-reduced block totals (the fast tier; a chunked schedule
+#: does not).
+FAMILIES = {
+    "tree": (dict(mechanism="tree", horizon=64), True),
+    "decayed-tree": (dict(mechanism="tree", horizon=64, decay=0.9), True),
+    "hybrid": (dict(mechanism="hybrid"), False),
+    "decayed-hybrid": (dict(mechanism="hybrid", decay=0.9), False),
+    "window-12": (dict(mechanism="tree", window=12), False),
+    "window-inf": (dict(mechanism="tree", horizon=64, window=math.inf), True),
+    "sketch": (dict(mechanism="sketch", horizon=64), True),
+}
+
+
+def _family(name, rng):
+    knobs, _ = FAMILIES[name]
+    return make_release_mechanism(
+        shape=(DIM,), l2_sensitivity=2.0, params=NORMAL, rng=rng, **knobs
+    )
+
+
+class TestKeyedReleases:
+    @pytest.mark.parametrize(
+        "name,tier",
+        [(name, "exact") for name in FAMILIES]
+        + [(name, "fast") for name, (_, fast) in FAMILIES.items() if fast],
+    )
+    def test_a_key_releases_what_its_generator_releases(self, name, tier):
+        """A mechanism built from a key and one built from the generator
+        the key came from release the same bits on one stream, on every
+        tier the family ingests."""
+        key = noise_key(np.random.default_rng(8))
+        keyed, seeded = _family(name, key), _family(name, np.random.default_rng(8))
+        data = _stream(40, seed=3)
+        for start, stop in ((0, 1), (1, 5), (5, 17), (17, 40)):
+            for mech in (keyed, seeded):
+                if tier == "exact":
+                    mech.advance_batch(data[start:stop])
+                else:
+                    mech.advance_sum(data[start:stop].sum(axis=0), stop - start)
+            np.testing.assert_array_equal(keyed.current_sum(), seeded.current_sum())
+            assert keyed.release_noise_variance() == seeded.release_noise_variance()
+
+    def test_chunk_keys_are_fresh(self):
+        """Chunk c ≥ 1 derives its key from (key, c): distinct across
+        chunks and from the entry key, which chunk 0 uses itself."""
+        mech = HybridMechanism((DIM,), 2.0, NORMAL, rng=5)
+        keys = [tuple(mech._chunk_key(c)) for c in range(65)]
+        assert keys[0] == tuple(noise_key(np.random.default_rng(5)))
+        assert len(set(keys)) == 65
+
+    def test_noise_key_passes_keys_and_reads_generators(self):
+        key = np.array([1, 2], dtype=np.uint64)
+        assert noise_key(key) is key
+        expected = np.random.default_rng(4).bit_generator.random_raw(2)
+        np.testing.assert_array_equal(noise_key(4), expected)
+        for bad in (key.astype(np.int64), np.zeros(3, np.uint64), np.zeros((1, 2), np.uint64)):
+            with pytest.raises(ValidationError, match="noise key"):
+                noise_key(bad)
+        with pytest.raises(ValidationError):
+            noise_key("key")

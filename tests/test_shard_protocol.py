@@ -29,6 +29,7 @@ import pytest
 
 from repro import PrivacyParams
 from repro.exceptions import ValidationError
+from repro.privacy.tree import noise_key
 from repro.streaming import transport, wire
 from repro.streaming.serving import MomentShard
 from repro.streaming.transport import ShardRpcClient, dispatch_command
@@ -94,7 +95,8 @@ def _dispatched_commands() -> set[str]:
 
 def _shard():
     return MomentShard(
-        0, DIM, PARAMS, tuple(np.random.default_rng(0).spawn(2)), shard_horizon=16
+        0, DIM, PARAMS, np.array([noise_key(r) for r in np.random.default_rng(0).spawn(2)]),
+        shard_horizon=16,
     )
 
 
@@ -103,7 +105,7 @@ def _tenant_shard():
         0,
         DIM,
         PARAMS,
-        tuple(np.random.default_rng(1).spawn(2)),
+        np.array([noise_key(r) for r in np.random.default_rng(1).spawn(2)]),
         config=dict(tenants=("a",), tenant_capacity=2),
         shard_horizon=16,
     )
@@ -129,8 +131,8 @@ class TestCommandSet:
         assert len(dispatch_command(shard, "released", None)) == 2
         assert dispatch_command(shard, "memory", None) == shard.memory_floats()
         assert dispatch_command(shard, "ping", None) == 2
-        rng = np.random.default_rng(2)
-        assert dispatch_command(tenants, "tenant", ("add", "b", (rng, None))) is None
+        keys = tenants.layout.outcome_keys(np.random.default_rng(2))
+        assert dispatch_command(tenants, "tenant", ("add", "b", (keys, None))) is None
         assert len(dispatch_command(tenants, "released", None)) == 3
         assert dispatch_command(tenants, "tenant", ("remove", "b", None)) is None
         assert len(dispatch_command(tenants, "released", None)) == 2

@@ -38,6 +38,7 @@ The generic serving contracts are re-proven over tcp by running
 with ``SERVE_TRANSPORT=tcp`` (the CI transport axis).
 """
 
+import multiprocessing as mp
 import os
 import signal
 import socket
@@ -64,6 +65,7 @@ from repro.exceptions import (
     ShardUnavailableError,
     ValidationError,
 )
+from repro.privacy.tree import noise_key
 from repro.streaming import netserve, transport, wire
 from repro.streaming.netserve import recv_frame, send_frame
 from repro.streaming.serving import stream as front_module
@@ -112,7 +114,7 @@ def _spec(index=0, seed=0):
         index=index,
         dim=DIM,
         budget=PARAMS,
-        rngs=tuple(np.random.default_rng(seed).spawn(2)),
+        keys=np.array([noise_key(r) for r in np.random.default_rng(seed).spawn(2)]),
         shard_horizon=T,
     )
 
@@ -311,10 +313,6 @@ class TestListenerLifecycle:
             finally:
                 conn.close()
 
-    def test_bad_isolation_rejected(self):
-        with pytest.raises(ValidationError):
-            ShardHostListener(isolation="fiber")
-
 
 class TestTransportEquivalence:
     def test_k1_exact_tcp_equals_plain_batched_bit_for_bit(self, stream):
@@ -358,20 +356,21 @@ class TestTransportEquivalence:
             np.testing.assert_array_equal(gram.value, reference_gram.value)
             assert cross.noise_variance == reference_cross.noise_variance
 
-    def test_process_isolated_listener_is_equivalent_too(self, stream):
-        """isolation='process' on the listener changes nothing observable."""
-        with ShardHostListener(isolation="process") as listener:
-            server = _server(2, seed=88, addresses=[listener.address])
-            control = _server(2, seed=88, transport="thread")
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64])
+    def test_any_bit_generator_serves_on_every_transport(self, stream, bit_generator):
+        """Shards get keys, not generators: a front's rng may use any bit
+        generator, and every transport serves the same bits from it."""
+        thetas = {}
+        for transport in ("thread", "process", "tcp"):
+            rng = np.random.Generator(bit_generator(1))
+            server = _server(2, seed=rng, transport=transport)
             try:
                 _feed(server, stream, BLOCKS[:3])
-                _feed(control, stream, BLOCKS[:3])
-                np.testing.assert_array_equal(
-                    server.flush().theta, control.flush().theta
-                )
+                thetas[transport] = server.flush().theta
             finally:
                 server.close()
-                control.close()
+        np.testing.assert_array_equal(thetas["process"], thetas["thread"])
+        np.testing.assert_array_equal(thetas["tcp"], thetas["thread"])
 
     def test_tenancy_over_tcp_matches_thread(self, stream):
         results = {}
@@ -596,6 +595,30 @@ class TestTcpFaults:
         server.close()
         assert time.monotonic() - start < 1.0
         assert not accept_thread.is_alive()
+
+    @pytest.mark.parametrize("transport", ["process", "tcp"])
+    def test_a_front_refused_after_its_shards_boot_leaks_nothing(self, transport):
+        """Regression: the default iv solver refuses ``instruments < dim``
+        in the constructor after every shard worker booted, and the
+        workers, the self-hosted listener and its connection threads
+        outlived the refused front."""
+        def shard_threads():
+            return {t for t in threading.enumerate() if t.name.startswith("repro-shard-")}
+
+        def shard_children():
+            return [p for p in mp.active_children() if p.name.startswith("repro-shard-")]
+
+        before = shard_threads()
+        with pytest.raises(ValidationError, match="instruments"):
+            ShardedStream(
+                L2Ball(4), PrivacyParams(1.0, 1e-6), 2, horizon=64, backend="iv",
+                instruments=2, transport=transport, rng=0,
+            )
+        assert not shard_children()  # shutdown() joined them
+        deadline = time.monotonic() + 5.0  # a closed connection's thread exits
+        while shard_threads() - before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not shard_threads() - before
 
     def test_explicit_listener_is_not_closed_by_the_stream(self, stream):
         with ShardHostListener() as listener:

@@ -51,7 +51,7 @@ from repro.exceptions import (
     StreamExhaustedError,
     ValidationError,
 )
-from repro.privacy.tree import ReleasedMoments
+from repro.privacy.tree import ReleasedMoments, noise_key
 
 PARAMS = PrivacyParams(4.0, 1e-6)
 DIM = 3
@@ -648,23 +648,23 @@ class TestTenancyValidation:
             server.close()
 
     def test_tenant_shard_rejects_bad_construction(self):
-        rngs = tuple(np.random.default_rng(0).spawn(2))
-        gram_rng = np.random.default_rng(1)
+        keys = tuple(noise_key(r) for r in np.random.default_rng(0).spawn(2))
+        gram_key = noise_key(np.random.default_rng(1))
         with pytest.raises(ValidationError):
-            MomentShard(0, DIM, PARAMS, rngs + (gram_rng,),
+            MomentShard(0, DIM, PARAMS, np.array(keys + (gram_key,)),
                         config=dict(tenants=("a", "a")), shard_horizon=T)
         with pytest.raises(ValidationError):
-            MomentShard(0, DIM, PARAMS, rngs + (gram_rng,),
+            MomentShard(0, DIM, PARAMS, np.array(keys + (gram_key,)),
                         config=dict(tenants=()), shard_horizon=T)
         with pytest.raises(ValidationError):
-            MomentShard(0, DIM, PARAMS, rngs[:1] + (gram_rng,),
+            MomentShard(0, DIM, PARAMS, np.array(keys[:1] + (gram_key,)),
                         config=dict(tenants=("a", "b")), shard_horizon=T)
         with pytest.raises(ValidationError):
-            MomentShard(0, DIM, PARAMS, rngs + (gram_rng,),
+            MomentShard(0, DIM, PARAMS, np.array(keys + (gram_key,)),
                         config=dict(tenants=("a", "b")),
                         mechanism="hybrid", shard_horizon=T)
         with pytest.raises(ValidationError):
-            MomentShard(0, DIM, PARAMS, rngs + (gram_rng,),
+            MomentShard(0, DIM, PARAMS, np.array(keys + (gram_key,)),
                         config=dict(tenants=("a", "b"), tenant_capacity=1),
                         shard_horizon=T)
 
@@ -674,7 +674,8 @@ class TestTenancyValidation:
         fails before any cross tree mutates)."""
         shard = MomentShard(
             0, DIM, PARAMS,
-            tuple(np.random.default_rng(0).spawn(2)) + (np.random.default_rng(1),),
+            np.array([noise_key(r) for r in np.random.default_rng(0).spawn(2)]
+                     + [noise_key(np.random.default_rng(1))]),
             config=dict(tenants=("a", "b")),
             shard_horizon=4,
         )

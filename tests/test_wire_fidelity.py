@@ -39,7 +39,7 @@ from repro import (
 )
 from repro.data import make_dense_stream, make_iv_stream
 from repro.exceptions import ValidationError
-from repro.privacy.tree import ReleasedMoments
+from repro.privacy.tree import ReleasedMoments, noise_key
 from repro.streaming import wire
 from repro.streaming.backends import BACKENDS
 from repro.streaming.transport import ShardSpec
@@ -144,7 +144,7 @@ class TestShardSpecWire:
             index=0,
             dim=DIM,
             budget=PARAMS,
-            rngs=tuple(np.random.default_rng(seed).spawn(2)),
+            keys=np.array([noise_key(r) for r in np.random.default_rng(seed).spawn(2)]),
             mechanism="tree",
             shard_horizon=T,
             backend=backend,
@@ -159,12 +159,14 @@ class TestShardSpecWire:
         clone = _over_the_wire(spec)
         assert (clone.backend, clone.mechanism) == (backend, "tree")
         assert clone.shard_horizon == T
+        assert clone.keys.dtype == np.uint64 and clone.keys.shape == (2, 2)
+        np.testing.assert_array_equal(clone.keys, spec.keys)
         phi = clone.config["phi"]
         assert isinstance(phi, np.ndarray) and phi.dtype == np.float64
         np.testing.assert_array_equal(phi, spec.config["phi"])
 
     def test_two_builds_of_one_spec_produce_identical_noise(self, stream):
-        """The shipped rng children carry exact generator state: building
+        """The shipped keys are the mechanisms' whole randomness: building
         the spec here and in a child (simulated by a codec round trip) yields
         shards whose mechanisms release the same bits for the same block."""
         spec = self._spec("sketch", SparseProjection(DIM, 2, rng=5))
