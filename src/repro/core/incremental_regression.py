@@ -67,7 +67,7 @@ from ..privacy.parameters import PrivacyParams, bundle_budgets
 from .moments import MomentBundle, cross_statistic, gram_statistic
 from .private_gradient import PrivateGradientFunction, solve_released
 
-__all__ = ["PrivIncReg1", "solve_schedule"]
+__all__ = ["PrivIncReg1", "lockstep_plan", "refresh_lockstep", "solve_schedule"]
 
 
 def solve_schedule(
@@ -327,16 +327,22 @@ class _MomentRegression:
                 self._solve_at(self._logical_t(t), *(r[idx] for r in releases))
         return self._theta.copy()
 
+    def _pgd_plan(self, t: float) -> tuple[float, float, int]:
+        """``(α, L, r)`` of the refresh at logical ``t``: the gradient
+        error, the prefix Lipschitz bound and the iteration count."""
+        alpha = self.gradient_error()
+        return alpha, self._prefix_lipschitz(t), self._iterations(t, alpha)
+
     def _pgd(self, constraint, t, noisy_gram, noisy_cross, start) -> np.ndarray:
         """NOISYPROJGRAD over ``constraint`` at logical ``t`` from ``start``."""
-        alpha = self.gradient_error()
+        alpha, lipschitz, iterations = self._pgd_plan(t)
         return solve_released(
             constraint,
             noisy_gram,
             noisy_cross,
             alpha=alpha,
-            lipschitz=self._prefix_lipschitz(t),
-            iterations=self._iterations(t, alpha),
+            lipschitz=lipschitz,
+            iterations=iterations,
             start=start,
         )
 
@@ -383,6 +389,60 @@ class _MomentRegression:
     def memory_floats(self) -> int:
         """Floats held by the mechanism: ``O(d² log T)`` (paper §4)."""
         return self._moments.memory_floats() + self.dim
+
+
+def lockstep_plan(solver, t: int | float):
+    """What ``solver``'s refresh at logical ``t`` must share with others to
+    join one lockstep solve (:func:`refresh_lockstep`), or ``None``.
+
+    Only a refresh that is exactly one PGD over the solver's constraint
+    qualifies — :class:`PrivIncReg1`'s and
+    :class:`~repro.core.unbounded.UnboundedPrivIncReg`'s, not Algorithm 3's,
+    which lifts its projected solution.  Refreshes with equal plans run
+    the same PGD (set, ``α``, ``L``, ``r`` and hence step size), each on
+    its own cross moments.
+    """
+    if getattr(type(solver), "_solve_at", None) is not _MomentRegression._solve_at:
+        return None
+    return (id(solver.constraint), *solver._pgd_plan(t))
+
+
+def refresh_lockstep(
+    solvers, t: int | float, noisy_gram: np.ndarray, noisy_crosses
+) -> np.ndarray:
+    """``refresh_from_released`` of every solver against one shared Gram,
+    as one lockstep PGD.
+
+    ``solvers`` share one :func:`lockstep_plan` at ``t``, and solver ``j``
+    refreshes on ``noisy_crosses[j]``.  The Gram is checked and
+    symmetrized once; the solvers' warm starts and cross moments stack
+    into ``(k, m)`` blocks that
+    :meth:`~repro.erm.noisy_pgd.NoisyProjectedGradient.run` steps
+    together, so solver ``j``'s new parameter is bit-identical to its own
+    ``refresh_from_released(t, noisy_gram, noisy_crosses[j])``.  All or
+    nothing: every input is checked and the solve finishes before any
+    solver's parameter or ``estimate_version`` moves.  Returns the
+    ``(k, m)`` block of refreshed parameters, in solver order.
+    """
+    t = check_sample_weight("t", t)
+    lead = solvers[0]
+    m = lead._moment_dim
+    noisy_gram = check_matrix("noisy_gram", noisy_gram, shape=(m, m))
+    crosses = np.array([check_vector("noisy_cross", c, dim=m) for c in noisy_crosses])
+    alpha, lipschitz, iterations = lead._pgd_plan(t)
+    thetas = solve_released(
+        lead.constraint,
+        noisy_gram,
+        crosses,
+        alpha=alpha,
+        lipschitz=lipschitz,
+        iterations=iterations,
+        start=np.array([solver._theta for solver in solvers]),
+    )
+    for solver, theta in zip(solvers, thetas):
+        solver._theta = theta
+        solver.estimate_version += 1
+    return thetas.copy()
 
 
 class PrivIncReg1(_MomentRegression):

@@ -45,7 +45,11 @@ class PrivateGradientFunction:
         The noisy second-moment matrix ``Q`` (shape ``(d, d)``); callers
         should symmetrize before passing if exact symmetry matters.
     noisy_cross:
-        The noisy cross-moment vector ``q`` (shape ``(d,)``).
+        The noisy cross-moment vector ``q`` (shape ``(d,)``), or a
+        ``(k, d)`` block of them: the function then maps a ``(k, d)``
+        block ``Θ`` to the block of ``2(Qθ_j − q_j)`` — ``k`` problems
+        sharing one Gram, as a lockstep
+        :class:`~repro.erm.noisy_pgd.NoisyProjectedGradient` solves them.
     error_bound:
         A high-probability bound ``α`` on ``sup_{θ∈C} ‖g(θ) − ∇L(θ)‖``
         (Definition 5(ii)); consumed by the PGD step-size rule.
@@ -67,13 +71,20 @@ class PrivateGradientFunction:
         dim = self.noisy_gram.shape[0]
         if self.noisy_gram.shape != (dim, dim):
             raise ValueError(f"noisy_gram must be square, got {self.noisy_gram.shape}")
-        self.noisy_cross = check_vector("noisy_cross", noisy_cross, dim=dim)
+        if np.ndim(noisy_cross) == 2:
+            self.noisy_cross = check_matrix(
+                "noisy_cross", noisy_cross, shape=(len(noisy_cross), dim)
+            )
+        else:
+            self.noisy_cross = check_vector("noisy_cross", noisy_cross, dim=dim)
         self.error_bound = check_non_negative("error_bound", error_bound)
         self.dim = dim
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         """Evaluate ``g(θ) = 2(Qθ − q)`` (free post-processing)."""
         theta = np.asarray(theta, dtype=float)
+        if theta.ndim == 2:
+            return self.into(theta, np.empty_like(theta))
         return 2.0 * (self.noisy_gram @ theta - self.noisy_cross)
 
     def into(self, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -81,11 +92,19 @@ class PrivateGradientFunction:
 
         The allocation-free form :class:`~repro.erm.noisy_pgd.NoisyProjectedGradient`
         iterates with: ``theta`` and ``out`` must be distinct float64
-        vectors of length ``dim``.  Bit-identical to :meth:`__call__` —
-        ``dot`` runs the same BLAS ``gemv`` as ``@`` and each in-place
-        step is one of the call's roundings.
+        vectors of length ``dim`` (or distinct C-contiguous ``(k, dim)``
+        blocks).  Bit-identical to :meth:`__call__` — ``dot`` runs the
+        same BLAS ``gemv`` as ``@`` and each in-place step is one of the
+        call's roundings.  A block takes one stacked matrix–vector
+        product, ``np.matmul(Q, Θ[:, :, None])``: one ``gemv`` per row,
+        so row ``j`` is ``Q.dot(θ_j)`` bit for bit (the single ``gemm``
+        ``Θ @ Q.T`` sums in another order;
+        ``tests/test_noisy_pgd.py`` pins the identity).
         """
-        self.noisy_gram.dot(theta, out)
+        if theta.ndim == 2:
+            np.matmul(self.noisy_gram, theta[:, :, None], out[:, :, None])
+        else:
+            self.noisy_gram.dot(theta, out)
         out -= self.noisy_cross
         out *= 2.0
         return out
@@ -120,7 +139,10 @@ def solve_released(
     and averaging with the transpose is post-processing that only reduces
     the error — forms ``g(θ) = 2(Qθ − q)`` with error bound ``α`` and runs
     ``NOISYPROJGRAD`` over ``constraint`` from the warm start ``start``.
-    The shared refresh of every moment-based estimator.
+    The shared refresh of every moment-based estimator.  With a
+    ``(k, d)`` ``noisy_cross`` and ``start`` the ``k`` refreshes that share
+    this Gram run as one lockstep PGD; row ``j`` of the result is the
+    refresh of ``(noisy_cross[j], start[j])`` bit for bit.
     """
     noisy_gram = 0.5 * (noisy_gram + noisy_gram.T)
     gradient_fn = PrivateGradientFunction(noisy_gram, noisy_cross, alpha)

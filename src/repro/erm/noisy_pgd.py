@@ -131,11 +131,21 @@ class NoisyProjectedGradient:
         bit-identical to the unbuffered loop
         ``θ ← P_C(θ − η·g(θ))``.
 
+        A ``(k, d)`` ``start`` block runs ``k`` problems in lockstep — one
+        oracle evaluation and one
+        :meth:`~repro.geometry.base.ConvexSet._project_rows` over the whole
+        block per step — and returns the ``(k, d)`` block of averages.  Row
+        ``j`` is bit-identical to a 1-D run from ``start[j]`` against an
+        oracle whose value is row ``j`` of the block oracle's, on any set
+        whose projection keeps no state between calls; a row that goes
+        non-finite raises the error its 1-D run raises.
+
         Parameters
         ----------
         gradient_oracle:
             The private gradient function ``g`` — any callable mapping a
-            feasible ``θ`` to an approximate gradient.  Post-processing of a
+            feasible ``θ`` (or a ``(k, d)`` block of them) to an
+            approximate gradient of the same shape.  Post-processing of a
             private release, so evaluations are privacy-free.  The ``θ``
             it receives is a solver buffer reused by later steps, so an
             oracle that keeps it must copy it.  An oracle with an
@@ -144,15 +154,21 @@ class NoisyProjectedGradient:
             has) is evaluated into a buffer instead.
         start:
             Optional feasible starting point ``θ_1`` (defaults to
-            ``P_C(0)``; the Appendix-B analysis permits any ``θ_1 ∈ C``).
+            ``P_C(0)``; the Appendix-B analysis permits any ``θ_1 ∈ C``),
+            or a ``(k, d)`` block of starting points.
         """
         constraint = self.constraint
-        theta = constraint.project(np.zeros(constraint.dim) if start is None else start)
-        project = constraint._project
         evaluate = getattr(gradient_oracle, "into", None)
         if evaluate is None:
             def evaluate(theta, out):
                 return gradient_oracle(theta)
+        rows = start is not None and np.ndim(start) == 2
+        if rows:
+            theta = np.array([constraint.project(row) for row in start])
+            project = constraint._project_rows
+        else:
+            theta = constraint.project(np.zeros(constraint.dim) if start is None else start)
+            project = constraint._project
         step_size = self.step_size
         step = np.empty_like(theta)
         iterate_sum = np.zeros_like(theta)
@@ -164,7 +180,14 @@ class NoisyProjectedGradient:
             # returns its argument or a fresh array.
             np.multiply(evaluate(theta, step), step_size, step)
             np.subtract(theta, step, theta)
-            if not math.isfinite(theta.dot(theta)):
+            if rows:
+                # Each row's ``z·z``, bit for bit; a non-finite one sends
+                # that row through the full check.
+                squares = np.vecdot(theta, theta)
+                if not math.isfinite(squares.sum()):
+                    for row in theta[~np.isfinite(squares)]:
+                        constraint._check_point("point", row)
+            elif not math.isfinite(theta.dot(theta)):
                 # Non-finite, or finite but overflowing the square: the
                 # full check tells the two apart.
                 constraint._check_point("point", theta)

@@ -75,6 +75,14 @@ class L2Ball(ConvexSet):
         point *= self.radius / norm
         return point
 
+    def _project_rows(self, points: np.ndarray) -> np.ndarray:
+        # ``np.vecdot`` is each row's ``x·x`` bit for bit.  A row outside
+        # scales by ``radius / norm`` as in ``_project``; a row inside by
+        # ``radius / radius``, exactly 1.0, which leaves it unchanged.
+        norms = np.sqrt(np.vecdot(points, points))
+        points *= (self.radius / np.maximum(norms, self.radius))[:, None]
+        return points
+
     def gauge(self, point: np.ndarray) -> float:
         point = self._check_point("point", point)
         return float(np.linalg.norm(point)) / self.radius

@@ -108,6 +108,21 @@ class ConvexSet(PointSet):
         call this directly.
         """
 
+    def _project_rows(self, points: np.ndarray) -> np.ndarray:
+        """:meth:`_project` of every row of a ``(k, dim)`` block.
+
+        ``points`` is a finite float64 block the caller hands over, as for
+        :meth:`_project`; the rows are projected in place and the block is
+        returned.  Row ``j`` of the result is ``_project(points[j])`` bit
+        for bit, which the lockstep solve of
+        :class:`~repro.erm.noisy_pgd.NoisyProjectedGradient` relies on.
+        This default calls :meth:`_project` once per row; a set overrides
+        it only with a kernel that keeps that identity.
+        """
+        for j, point in enumerate(points):
+            points[j] = self._project(point)
+        return points
+
     @abc.abstractmethod
     def gauge(self, point: np.ndarray) -> float:
         """The Minkowski functional ``‖θ‖_C = inf{ρ ≥ 0 : θ ∈ ρC}``.

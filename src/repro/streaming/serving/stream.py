@@ -20,6 +20,7 @@ from ..._validation import (
     check_vector,
     check_xy_block,
 )
+from ...core.incremental_regression import lockstep_plan, refresh_lockstep
 from ...exceptions import (
     GroupIngestionError,
     ServingError,
@@ -83,10 +84,11 @@ class ShardFront:
     over the declaration and the knobs gives the entry names
     (:attr:`bundle_names`), each shard's per-entry noise keys, and the served
     models.  One merge-and-solve path (:meth:`_solve`) then merges every
-    bundle entry once by name and solves and publishes each served model
-    — a solver (the ``solver`` knob, or the backend's default), its
+    bundle entry once by name, solves every served model — a solver (the
+    ``solver`` knob, or the backend's default), its
     :class:`~repro.streaming.readers.EstimateHub`, and the entry names it
-    reads — in registration order.  :class:`ShardedStream` serves one
+    reads; models sharing a Gram solve as one lockstep PGD — and then
+    publishes them in registration order.  :class:`ShardedStream` serves one
     anonymous outcome, one model over its whole bundle; a multi-tenant
     front serves one model per tenant, each reading its own
     ``cross:{name}`` entry and its γ group's shared ``gram:{γ}`` entry.
@@ -1021,7 +1023,7 @@ class ShardFront:
         }
 
     def _solve(self) -> None:
-        """Merge every entry once, then solve and publish each served model.
+        """Merge every entry once, solve every served model, then publish.
 
         A model whose lead entry covers nothing (e.g. every surviving
         shard is empty, or a tenant added since the last ingest) keeps its
@@ -1037,30 +1039,76 @@ class ShardFront:
         second-moment estimate over its own window.  The rescale is
         skipped, not applied with factor 1.0, whenever the weights agree:
         single-model fronts never differ, so their bits cannot move.
+
+        ``(cross, gram)`` models that read one Gram entry at one covered
+        weight under one :func:`~repro.core.incremental_regression.lockstep_plan`
+        (set, ``α``, ``L``, ``r``) — a γ group's tenants — solve as one
+        lockstep PGD (:func:`~repro.core.incremental_regression.refresh_lockstep`),
+        which checks, rescales and symmetrizes their shared Gram once; each
+        model's θ is bit-identical to its own ``refresh_from_released``.  A
+        model alone in its group keeps the solver's own refresh.
+
+        All or nothing: every model is solved before any is published, so
+        a solve that raises (e.g. a non-finite merged cross) publishes no
+        model, and ``_refresh`` leaves the stream stale for the retry.  A
+        group solved before the failure keeps its solvers' refreshed warm
+        start (post-processing only); the retry re-solves from it.
         """
         merged = self._merge()
-        for solver, hub, reads in self._models.values():
-            moments = {key: merged[name] for key, name in reads.items()}
+        groups: dict = {}
+        for name, model in self._models.items():
+            moments = {key: merged[entry] for key, entry in model.reads.items()}
             lead = next(iter(moments.values()))
             covered = lead.covered_steps
             if covered == 0:
                 continue
             weight = lead.covered_weight
             t_solve = weight if weight != covered else covered
-            if tuple(moments) == ("cross", "gram"):
-                gram = moments["gram"]
-                gram_value = gram.value
-                if weight != gram.covered_weight:
-                    gram_value = gram_value * (weight / gram.covered_weight)
-                theta = solver.refresh_from_released(t_solve, gram_value, lead.value)
-            else:
-                theta = solver.refresh_from_bundle(t_solve, moments)
-            hub.publish(
-                theta,
-                solver.estimate_version,
-                timestep=self._processed,
-                covered_steps=covered,
+            group = name  # a model that solves alone
+            if len(self._models) > 1 and tuple(moments) == ("cross", "gram"):
+                plan = lockstep_plan(model.solver, t_solve)
+                if plan is not None:
+                    group = (model.reads["gram"], weight, plan)
+            groups.setdefault(group, []).append(
+                (name, model, moments, t_solve, weight, covered)
             )
+        solved = {}
+        for members in groups.values():
+            for (name, *_, covered), theta in zip(members, self._solve_group(members)):
+                solved[name] = theta, covered
+        for name, model in self._models.items():
+            if name in solved:
+                theta, covered = solved[name]
+                model.hub.publish(
+                    theta,
+                    model.solver.estimate_version,
+                    timestep=self._processed,
+                    covered_steps=covered,
+                )
+
+    @staticmethod
+    def _solve_group(members) -> list:
+        """The refreshed θ of every member of one solve group, in member
+        order; a member is ``(name, model, moments, t, weight, covered)``."""
+        _, model, moments, t_solve, weight, _ = members[0]
+        if tuple(moments) != ("cross", "gram"):
+            return [model.solver.refresh_from_bundle(t_solve, moments)]
+        gram = moments["gram"]
+        gram_value = gram.value
+        if weight != gram.covered_weight:
+            gram_value = gram_value * (weight / gram.covered_weight)
+        if len(members) == 1:
+            return [
+                model.solver.refresh_from_released(
+                    t_solve, gram_value, moments["cross"].value
+                )
+            ]
+        return refresh_lockstep(
+            [model.solver for _, model, *_ in members],
+            t_solve,
+            gram_value,
+            [moments["cross"].value for _, _, moments, *_ in members],
+        )
 
     def _refresh(self) -> None:
         """Merge + solve + publish (``_solve``), then mark the stream fresh.

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     GaussianProjection,
@@ -249,3 +250,87 @@ class TestNonFiniteOracle:
         pgd = NoisyProjectedGradient(L1Ball(3), 2.0, 0.1, iterations=4)
         with pytest.raises(ValidationError):
             pgd.run(lambda theta: theta, start=np.array([0.1, np.nan, 0.0]))
+
+
+class TestLockstepRows:
+    """``run`` on a ``(k, d)`` start block steps ``k`` problems together;
+    row ``j`` must equal the 1-D run of problem ``j`` bit for bit, which
+    rests on two numpy facts pinned first."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 32, 256])
+    @pytest.mark.parametrize("k", [1, 2, 8, 33])
+    def test_stacked_gemv_and_vecdot_match_per_row_dot(self, dim, k):
+        """``np.matmul(Q, Θ[:, :, None])`` is one gemv per row and
+        ``np.vecdot(Θ, Θ)`` one dot per row: a numpy or BLAS upgrade that
+        breaks either fails here instead of moving served bits."""
+        rng = np.random.default_rng(dim * 100 + k)
+        for _ in range(5):
+            gram = rng.normal(size=(dim, dim))
+            gram = 0.5 * (gram + gram.T)
+            thetas = rng.normal(scale=rng.uniform(0.01, 5.0), size=(k, dim))
+            stacked = np.empty((k, dim))
+            np.matmul(gram, thetas[:, :, None], stacked[:, :, None])
+            np.testing.assert_array_equal(
+                stacked, np.array([gram.dot(theta) for theta in thetas])
+            )
+            np.testing.assert_array_equal(
+                np.vecdot(thetas, thetas),
+                np.array([theta.dot(theta) for theta in thetas]),
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 9),
+        k=st.integers(1, 9),
+        radius=st.floats(0.05, 2.0),
+        iterations=st.integers(1, 30),
+        l1=st.booleans(),
+    )
+    def test_block_run_equals_row_runs(self, seed, dim, k, radius, iterations, l1):
+        """Small balls and scaled starts send rows out of the set; the L1
+        ball goes through the default per-row ``_project_rows``."""
+        rng = np.random.default_rng(seed)
+        gram = rng.normal(scale=3.0, size=(dim, dim))
+        gram = 0.5 * (gram + gram.T)
+        crosses = rng.normal(scale=3.0, size=(k, dim))
+        starts = rng.normal(scale=2.0, size=(k, dim))
+        ball = (L1Ball if l1 else L2Ball)(dim, radius=radius)
+        pgd = NoisyProjectedGradient(ball, 4.0, 0.5, iterations=iterations)
+        block = pgd.run(PrivateGradientFunction(gram, crosses, 0.5), start=starts)
+        assert block.shape == (k, dim)
+        for j in range(k):
+            row = pgd.run(PrivateGradientFunction(gram, crosses[j], 0.5), start=starts[j])
+            np.testing.assert_array_equal(block[j], row)
+
+    def test_call_matches_into_on_a_block(self):
+        gram, cross, start, _ = _random_problem(7)
+        oracle = PrivateGradientFunction(gram, np.array([cross, -cross]), 0.5)
+        block = np.array([start, 0.5 * start])
+        out = np.empty_like(block)
+        assert oracle.into(block, out) is out
+        np.testing.assert_array_equal(out, oracle(block))
+
+    @pytest.mark.parametrize("ball", [L2Ball(3, 0.4), L1Ball(3, 0.4)],
+                             ids=["L2Ball", "L1Ball"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_raises_its_row_error(self, ball, bad):
+        """Row 1 of three goes non-finite at step 3: the block run raises
+        the ``ValidationError`` the row's own 1-D run raises."""
+        starts = np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, -0.1]])
+        pgd = NoisyProjectedGradient(ball, 2.0, 0.1, iterations=8)
+
+        def gradient(theta, calls, poisoned):
+            calls.append(None)
+            gradient = 2.0 * theta - 0.3
+            if len(calls) > 3:
+                gradient[poisoned] = bad
+            return gradient
+
+        errors = []
+        for start, poisoned in ((starts, (1, 1)), (starts[1], 1)):
+            calls = []
+            with pytest.raises(ValidationError) as caught:
+                pgd.run(lambda theta: gradient(theta, calls, poisoned), start=start)
+            errors.append((str(caught.value), len(calls)))
+        assert errors[0] == errors[1]

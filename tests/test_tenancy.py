@@ -26,6 +26,7 @@ and both shard transports (``SERVE_TRANSPORT``):
     version waits.
 """
 
+import dataclasses
 import os
 import threading
 
@@ -307,6 +308,93 @@ class TestPerTenantCorrectness:
                     T, gram_m.value, cross_m.value
                 )
                 np.testing.assert_array_equal(served[name].theta, theta)
+        finally:
+            server.close()
+
+    @pytest.mark.parametrize("transport", ["thread", "process"])
+    def test_grouped_solves_match_solver_replay(self, stream, transport):
+        """8 tenants in two γ groups solve as two lockstep PGDs, and a
+        tenant added mid-stream (its own covered weight) alone; every
+        tenant's served θ after every refresh == a standalone PrivIncReg1
+        replaying the same refreshes over its merged moments.  The 0.3
+        ball makes projections fire."""
+        ys = np.clip(
+            np.random.default_rng(902).normal(scale=0.8, size=(T, 9)), -1.0, 1.0
+        )
+        radius = 0.3
+        server = MultiTenantStream(
+            L2Ball(DIM, radius), PARAMS, tenants=8, shards=2, horizon=T,
+            tenant_capacity=9, decays=(1.0, 0.9), tenant_decays=(1.0, 0.9) * 4,
+            refresh_every=1, iteration_cap=20, transport=transport, rng=31,
+        )
+        twins = {}
+        norms = []
+        try:
+            for s, e in RAGGED_BLOCKS:
+                if s == 13:
+                    server.add_tenant("late")
+                server.observe_batch(stream.xs[s:e], ys[s:e, : len(server.tenants())])
+                for name in server.tenants():
+                    twin = twins.setdefault(name, PrivIncReg1(
+                        horizon=T, constraint=L2Ball(DIM, radius), params=PARAMS,
+                        iteration_cap=20, rng=0,
+                    ))
+                    cross_m, gram_m = server.merged_moments(name)
+                    weight, covered = cross_m.covered_weight, cross_m.covered_steps
+                    gram = gram_m.value
+                    if weight != gram_m.covered_weight:
+                        gram = gram * (weight / gram_m.covered_weight)
+                    t = weight if weight != covered else covered
+                    theta = twin.refresh_from_released(t, gram, cross_m.value)
+                    served = server.tenant(name).current_served()
+                    assert served.version == twin.estimate_version
+                    np.testing.assert_array_equal(served.theta, theta)
+                    norms.append(np.linalg.norm(theta))
+            assert server.tenant("late").current_served().covered_steps == T - 13
+            assert max(norms) > 0.9 * radius
+        finally:
+            server.close()
+
+    def test_failed_refresh_publishes_no_tenant(self, stream, monkeypatch):
+        """A solve that raises (a non-finite merged cross of the last
+        tenant) publishes nobody and leaves the stream stale; once the
+        fault is gone the next flush publishes every tenant."""
+        k = 8
+        server = MultiTenantStream(
+            L2Ball(DIM), PARAMS, tenants=k, shards=2, horizon=T,
+            decays=(1.0, 0.9), tenant_decays=(1.0, 0.9) * 4,
+            refresh_every=T, iteration_cap=20, transport=TRANSPORT, rng=37,
+        )
+        ys = np.clip(
+            np.random.default_rng(903).normal(scale=0.5, size=(T, k)), -1.0, 1.0
+        )
+        try:
+            server.observe_batch(stream.xs[:20], ys[:20])
+            names = server.tenants()
+            versions = {name: server.tenant(name).current_served().version for name in names}
+            merge = server._merge
+
+            def poisoned():
+                merged = merge()
+                entry = server._layout.reads(names[-1])["cross"]
+                value = merged[entry].value.copy()
+                value[0] = np.nan
+                merged[entry] = dataclasses.replace(merged[entry], value=value)
+                return merged
+
+            monkeypatch.setattr(server, "_merge", poisoned)
+            with pytest.raises(ValidationError):
+                server.flush()
+            assert {
+                name: server.tenant(name).current_served().version for name in names
+            } == versions
+            monkeypatch.setattr(server, "_merge", merge)
+            served = server.flush()
+            for name in names:
+                # A solver solved before the failure re-solves from its
+                # refreshed warm start, so its version may move by two.
+                assert served[name].version > versions[name]
+                assert served[name].covered_steps == 20
         finally:
             server.close()
 

@@ -137,15 +137,22 @@ def _sharded(transport, digest, *, group=0, kill=False, **knobs):
         front.close()
 
 
-def _tenants(transport, digest, *, group=0, **knobs):
-    """A PRIMO run with γ groups, a mid-stream add and a remove."""
-    xs, ys = _data(outcomes=4)
+def _tenants(
+    transport, digest, *, group=0, tenants=3, radius=1.0, late_decay=0.9, **knobs
+):
+    """A PRIMO run with γ groups, a mid-stream add and a remove.
+
+    ``tenants`` tenants serve from the start over ``L2Ball(DIM, radius)``;
+    one more joins mid-stream in the γ group of ``late_decay``.
+    """
+    names = "abcdefghijklmnopqrstuvwxyz"[: tenants + 1]
+    xs, ys = _data(outcomes=tenants + 1)
     front = MultiTenantStream(
-        L2Ball(DIM), PARAMS, tenants=("a", "b", "c"), shards=2, horizon=T,
-        tenant_capacity=4, transport=transport, refresh_every=2 * BLOCK,
-        iteration_cap=30, rng=11, **knobs,
+        L2Ball(DIM, radius), PARAMS, tenants=tuple(names[:-1]), shards=2,
+        horizon=T, tenant_capacity=tenants + 1, transport=transport,
+        refresh_every=2 * BLOCK, iteration_cap=30, rng=11, **knobs,
     )
-    columns = {"a": 0, "b": 1, "c": 2, "d": 3}
+    columns = {name: column for column, name in enumerate(names)}
 
     def watch(name):
         view = front.tenant(name)
@@ -159,7 +166,7 @@ def _tenants(transport, digest, *, group=0, **knobs):
         start = 0
         while start < T:
             if start == 4 * BLOCK:
-                watch(front.add_tenant("d", decay=0.9).name)
+                watch(front.add_tenant(names[-1], decay=late_decay).name)
                 digest.text(front.accountant.summary())
             if start == 8 * BLOCK:
                 front.remove_tenant("b")
@@ -223,6 +230,9 @@ def _configurations():
         _tenants, dict(decays=(1.0, 0.9), tenant_decays=(1.0, 0.9, 1.0), ingest="fast")
     )
     runs["tenants-group"] = (_tenants, dict(group=5))
+    # One γ group of 8 (one lockstep solve), a late tenant at its own
+    # weight, and a radius small enough that projections fire.
+    runs["tenants-8"] = (_tenants, dict(tenants=8, radius=0.3, late_decay=None))
     return runs
 
 
