@@ -67,7 +67,13 @@ from ..privacy.parameters import PrivacyParams, bundle_budgets
 from .moments import MomentBundle, cross_statistic, gram_statistic
 from .private_gradient import PrivateGradientFunction, solve_released
 
-__all__ = ["PrivIncReg1", "lockstep_plan", "refresh_lockstep", "solve_schedule"]
+__all__ = [
+    "PrivIncReg1",
+    "adopt_lockstep",
+    "lockstep_plan",
+    "solve_lockstep",
+    "solve_schedule",
+]
 
 
 def solve_schedule(
@@ -393,7 +399,7 @@ class _MomentRegression:
 
 def lockstep_plan(solver, t: int | float):
     """What ``solver``'s refresh at logical ``t`` must share with others to
-    join one lockstep solve (:func:`refresh_lockstep`), or ``None``.
+    join one lockstep solve (:func:`solve_lockstep`), or ``None``.
 
     Only a refresh that is exactly one PGD over the solver's constraint
     qualifies — :class:`PrivIncReg1`'s and
@@ -407,22 +413,23 @@ def lockstep_plan(solver, t: int | float):
     return (id(solver.constraint), *solver._pgd_plan(t))
 
 
-def refresh_lockstep(
+def solve_lockstep(
     solvers, t: int | float, noisy_gram: np.ndarray, noisy_crosses
 ) -> np.ndarray:
-    """``refresh_from_released`` of every solver against one shared Gram,
-    as one lockstep PGD.
+    """The parameters ``refresh_from_released`` would give every solver
+    against one shared Gram, as one lockstep PGD; no solver moves.
 
     ``solvers`` share one :func:`lockstep_plan` at ``t``, and solver ``j``
     refreshes on ``noisy_crosses[j]``.  The Gram is checked and
     symmetrized once; the solvers' warm starts and cross moments stack
     into ``(k, m)`` blocks that
     :meth:`~repro.erm.noisy_pgd.NoisyProjectedGradient.run` steps
-    together, so solver ``j``'s new parameter is bit-identical to its own
-    ``refresh_from_released(t, noisy_gram, noisy_crosses[j])``.  All or
-    nothing: every input is checked and the solve finishes before any
-    solver's parameter or ``estimate_version`` moves.  Returns the
-    ``(k, m)`` block of refreshed parameters, in solver order.
+    together, so row ``j`` is bit-identical to solver ``j``'s own
+    ``refresh_from_released(t, noisy_gram, noisy_crosses[j])``.  Returns
+    the ``(k, m)`` block of refreshed parameters, in solver order; the
+    solvers' parameters and ``estimate_version`` move only when the
+    caller hands the block to :func:`adopt_lockstep`, so a caller solving
+    several groups can adopt none of them if a later one fails.
     """
     t = check_sample_weight("t", t)
     lead = solvers[0]
@@ -439,10 +446,18 @@ def refresh_lockstep(
         iterations=iterations,
         start=np.array([solver._theta for solver in solvers]),
     )
+    return thetas
+
+
+def adopt_lockstep(solvers, thetas) -> None:
+    """Make :func:`solve_lockstep`'s ``thetas`` the solvers' parameters.
+
+    Each solver's parameter and ``estimate_version`` move exactly as its
+    own ``refresh_from_released`` would have moved them.
+    """
     for solver, theta in zip(solvers, thetas):
         solver._theta = theta
         solver.estimate_version += 1
-    return thetas.copy()
 
 
 class PrivIncReg1(_MomentRegression):

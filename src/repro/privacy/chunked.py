@@ -314,17 +314,17 @@ class ChunkedTreeMechanism:
         """
         return np.concatenate(self._ingest(values, rows=True), axis=0)
 
-    def advance_batch(self, values: np.ndarray) -> np.ndarray:
-        """Ingest a block; release **only** the final noisy sum.
+    def advance_batch(self, values: np.ndarray) -> None:
+        """Ingest a block; the next :meth:`current_sum` reads its end.
 
-        Each piece advances its chunk tree without materializing interior
-        releases (:meth:`~repro.privacy.tree.TreeMechanism.advance_batch`);
-        the release is bit-identical to :meth:`observe_batch`'s final row.
+        Each piece only commits to its chunk tree
+        (:meth:`~repro.privacy.tree.TreeMechanism.advance_batch`); a chunk
+        that fills is read once, when it freezes.  The read is
+        bit-identical to :meth:`observe_batch`'s final row.
         """
         self._ingest(values, rows=False)
-        return self.current_sum()
 
-    def advance_sum(self, total: np.ndarray | float, count: int) -> np.ndarray:
+    def advance_sum(self, total: np.ndarray | float, count: int) -> None:
         """Ingest a pre-reduced block total — one-chunk mechanisms only.
 
         Refused with :class:`~repro.exceptions.NotSupportedError` unless
@@ -343,14 +343,13 @@ class ChunkedTreeMechanism:
         _check_room(self, count)
         self._current_tree.advance_sum(total, count)
         self.steps_taken += count
-        return self.current_sum()
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
 
     def current_sum(self) -> np.ndarray:
-        """The most recent noisy sum (post-processing, free)."""
+        """The noisy sum at the current step (post-processing, free)."""
         return self._fade() * self._frozen_total + self._current_tree.current_sum()
 
     def release_noise_variance(self) -> float:

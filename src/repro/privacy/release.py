@@ -87,6 +87,13 @@ class ReleaseMechanism(Protocol):
     :class:`~repro.privacy.chunked.SlidingWindowMechanism`,
     :class:`SketchNoiseMechanism`.
 
+    ``advance_batch`` (and ``advance_sum``, where a member accepts block
+    totals) commits a block and returns ``None``; :meth:`current_sum` is
+    the one read.  A tree computes its release there, on the first read
+    after a commit (:mod:`repro.privacy.tree`), so a block nobody reads
+    releases nothing.  ``observe`` / ``observe_batch`` return the release
+    after every element they ingest.
+
     ``isinstance(obj, ReleaseMechanism)`` checks the surface structurally
     (``runtime_checkable`` protocols check attribute presence, not
     signatures).
@@ -99,7 +106,7 @@ class ReleaseMechanism(Protocol):
 
     def observe_batch(self, values) -> np.ndarray: ...
 
-    def advance_batch(self, values) -> np.ndarray: ...
+    def advance_batch(self, values) -> None: ...
 
     def current_sum(self) -> np.ndarray: ...
 
@@ -224,23 +231,21 @@ class SketchNoiseMechanism:
             releases[r] = self._sum
         return releases.reshape((k,) + self.shape)
 
-    def advance_batch(self, values: np.ndarray) -> np.ndarray:
-        """Ingest a block (one noise draw); release only the final sum."""
+    def advance_batch(self, values: np.ndarray) -> None:
+        """Ingest a block (one noise draw); :meth:`current_sum` reads it."""
         array = coerce_stream_block(values, self.shape)
         k = array.shape[0]
         _check_room(self, k)
         self._ingest_total(array.reshape(k, self._flat_dim).sum(axis=0))
         self.steps_taken += k
-        return self.current_sum()
 
-    def advance_sum(self, total: np.ndarray | float, count: int) -> np.ndarray:
+    def advance_sum(self, total: np.ndarray | float, count: int) -> None:
         """Ingest a pre-reduced block total of ``count`` elements."""
         total_flat = coerce_stream_element(total, self.shape)
         count = check_int("count", count, minimum=1)
         _check_room(self, count)
         self._ingest_total(total_flat.reshape(self._flat_dim))
         self.steps_taken += count
-        return self.current_sum()
 
     # ------------------------------------------------------------------
     # Reads

@@ -45,8 +45,7 @@ Implementation notes
   identical to the pseudocode's (same nodes, same noise, same reuse of
   frozen node releases), the state is slightly smaller
   (``(levels+1)·d`` instead of ``2·levels·d`` floats), and a block of
-  stream elements becomes one prefix fold plus one noise draw per node
-  that closed inside the block and is still active at its end.
+  stream elements becomes one prefix fold.
 * Every node's noise is a pure function of its **address**: node
   ``(j, n)`` — level ``j``, index ``n = t >> j`` — draws
   ``N(0, σ²_node I)`` from ``Philox(key, counter=[0, 0, n, j])``, where
@@ -54,9 +53,14 @@ Implementation notes
   :func:`noise_key` at construction.  This is Algorithm 4's one Gaussian
   draw per node; it does not depend on the order in which nodes are
   reached.
-* The active-level mask is maintained incrementally (after step ``t`` the
-  active levels are exactly the set bits of ``t``); releases never
-  recompute the set-bit list from scratch.
+* A release is computed when read.  A commit records the clean prefix,
+  the step count and the active levels (after step ``t`` they are exactly
+  the set bits of ``t``), and marks the nodes it closed as not drawn.  The
+  first read after it sums the prefix and the active nodes'
+  noise, drawing each node not drawn yet, and keeps the result until the
+  next commit.  A node that is never active at a read is never released
+  and its noise is never drawn; drawing a keyed node late is
+  post-processing of the same Gaussian, so no bit of any read moves.
 * ``levels`` uses the exact tree height ``⌊log₂ T⌋ + 1`` rather than a real
   logarithm, matching the mechanism's analysis (the paper writes
   ``log T`` loosely).
@@ -68,13 +72,16 @@ Implementation notes
 Batched ingestion contract
 --------------------------
 Every ingest path is one *commit*: validate and capacity-check the block,
-advance the clean prefix, then give each node that is active at the block
-end and closed inside the block its keyed noise.  Because node noise is
-addressed, not drawn in sequence, :meth:`TreeMechanism.observe`,
-:meth:`~TreeMechanism.observe_batch`, :meth:`~TreeMechanism.advance_batch`
-and :meth:`~TreeMechanism.advance_sum` release the same noise for the same
-node, under any block split, and may be freely interleaved.  They differ
-only in how the clean prefix is summed: the first three fold the elements
+then advance the clean prefix and the active levels.
+:meth:`~TreeMechanism.advance_batch` and :meth:`~TreeMechanism.advance_sum`
+only commit; :meth:`~TreeMechanism.current_sum` reads the release at the
+block end.  :meth:`TreeMechanism.observe` and
+:meth:`~TreeMechanism.observe_batch` read after every element they commit.
+Because node noise is addressed, not drawn in sequence, every read sees
+the same noise for the same node, under any block split and any read
+schedule, and the paths may be freely interleaved.  They differ
+only in how the clean prefix is summed: ``observe``, ``observe_batch``
+and ``advance_batch`` fold the elements
 in one at a time (``prefix += v``; a plain-tree block of vector elements
 is one axis-0 reduction, the same additions in the same order), which is
 bit-identical to per-point ingestion;
@@ -362,15 +369,21 @@ class TreeMechanism:
         # Algorithm 4's a/b arrays: b[j] would be the level-j slice of the
         # prefix plus eta[j].
         self._prefix = np.zeros(self._flat_dim)
-        # Allocated lazily on first ingestion, with the Philox generator
-        # the node noise is drawn from: an instance that never ingests
-        # (e.g. the serving front's solver, which reuses only the solve
-        # pipeline and error bounds) then holds O(d) instead of O(d log T)
-        # and never pays for building a bit generator.
+        # Allocated lazily by the first read that draws a node, with the
+        # Philox generator the node noise is drawn from: an instance that
+        # never releases (e.g. the serving front's solver, which reuses
+        # only the solve pipeline and error bounds) then holds O(d) instead
+        # of O(d log T) and never pays for building a bit generator.
         self._eta: np.ndarray | None = None
         self._active = [False] * self.levels
+        # Whether eta[j] holds the noise of level j's active node: a commit
+        # clears the flag of every level whose node it replaced, and the
+        # first read that needs the node draws it (see _read).
+        self._drawn = [False] * self.levels
         self.steps_taken = 0
-        self._last_release: np.ndarray | None = None
+        # The release at steps_taken, built by the first read after a
+        # commit and kept until the next one.
+        self._release: np.ndarray | None = None
 
     def _ensure_eta(self) -> np.ndarray:
         """The per-level frozen-noise store and the node-noise generator,
@@ -457,23 +470,23 @@ class TreeMechanism:
         releases = np.empty_like(flat)
         for r in range(flat.shape[0]):
             self._commit(self._fold(flat[r : r + 1]), 1)
-            releases[r] = self._last_release
+            releases[r] = self._read()
         return releases.reshape(flat.shape[:1] + self.shape)
 
     # ------------------------------------------------------------------
     # Serving paths (block ingestion without per-step releases)
     # ------------------------------------------------------------------
 
-    def advance_batch(self, values: np.ndarray) -> np.ndarray:
-        """Ingest a block; release **only** the final noisy prefix sum.
+    def advance_batch(self, values: np.ndarray) -> None:
+        """Ingest a block; the next :meth:`current_sum` reads its end.
 
         One commit: the prefix folds the block's elements in sequentially
-        (the additions :meth:`observe` performs, so the release is
-        bit-identical to ``observe_batch(values)[-1]``), then the nodes
-        active at the block end that closed inside it get their keyed
-        noise.  Nodes that close and merge inside the block are never
-        released, so their noise is never drawn: at most ``levels`` draws
-        per block instead of ``k``.
+        (the additions :meth:`observe` performs, so the release read after
+        it is bit-identical to ``observe_batch(values)[-1]``).  Nothing is
+        released here: the first read builds the release and draws the
+        keyed noise of the nodes it needs.  Nodes that close and merge
+        inside the block, or before the next read, are never released, so
+        their noise is never drawn.
 
         Finiteness is checked on the folded prefix, not on every entry: a
         non-finite entry stays non-finite under fading and addition, so a
@@ -492,9 +505,9 @@ class TreeMechanism:
         if not np.isfinite(prefix).all():
             self._coerce_batch(values)
         _check_room(self, flat.shape[0])
-        return self._commit(prefix, flat.shape[0])
+        self._commit(prefix, flat.shape[0])
 
-    def advance_sum(self, total: np.ndarray | float, count: int) -> np.ndarray:
+    def advance_sum(self, total: np.ndarray | float, count: int) -> None:
         """Advance ``count`` steps given only the block's element **sum**.
 
         The same commit as :meth:`advance_batch`, with the prefix advanced
@@ -511,7 +524,7 @@ class TreeMechanism:
         total_flat = self._coerce(total)
         count = check_int("count", count, minimum=1)
         _check_room(self, count)
-        return self._commit(self._fold_total(total_flat, count), count)
+        self._commit(self._fold_total(total_flat, count), count)
 
     def _fold(self, rows: np.ndarray) -> np.ndarray:
         """The clean prefix after adding ``rows`` one at a time, in order;
@@ -556,51 +569,61 @@ class TreeMechanism:
         after it closed (its sub-sum fades by the same power)."""
         return self.decay**steps
 
-    def _commit(self, prefix: np.ndarray, count: int) -> np.ndarray:
+    def _commit(self, prefix: np.ndarray, count: int) -> None:
         """Commit ``count`` validated steps ending at clean prefix ``prefix``.
 
         After step ``t`` the active nodes are the set bits of ``t``; the
         level-``j`` one closed at ``(t >> j) << j``.  Only the levels below
-        the highest bit in which ``t0`` and ``t_end`` differ change, and
-        every node active there closed inside the block, so each gets its
-        keyed noise; the levels above keep their nodes and their noise.
+        the highest bit in which ``t0`` and ``t_end`` differ change: each
+        gets its new node, not drawn yet, and the levels above keep their
+        nodes and whatever noise a read already drew for them.  No noise
+        is drawn and no release is built here (see :meth:`_read`).
         """
-        eta = self._ensure_eta()
         t0 = self.steps_taken
         t_end = t0 + count
         self._prefix = prefix
         for j in range((t0 ^ t_end).bit_length()):
-            index = t_end >> j
-            self._active[j] = bool(index & 1)
-            if self._active[j]:
-                eta[j] = self._node_noise(j, index)
+            self._active[j] = bool((t_end >> j) & 1)
+            self._drawn[j] = False
         self.steps_taken = t_end
-        return self._release_current()
+        self._release = None
 
-    def _release_current(self) -> np.ndarray:
-        """Release at the current step: prefix + active noise, level-ascending."""
-        release = self._prefix.copy()
-        t = self.steps_taken
-        for j in range(self.levels):
-            if self._active[j]:
+    def _read(self) -> np.ndarray:
+        """The flat release at the current step, built once per commit.
+
+        The prefix plus the noise of each active node — one per set bit
+        of ``t``, level-ascending — where a node not drawn yet draws its
+        keyed noise now.  A node's noise is a pure function of its
+        address, so drawing it at its first read rather than when it
+        closed changes no bit of any release.
+        """
+        if self._release is None:
+            release = self._prefix.copy()
+            t = bits = self.steps_taken
+            while bits:
+                j = (bits & -bits).bit_length() - 1
+                bits &= bits - 1
+                if not self._drawn[j]:
+                    self._ensure_eta()[j] = self._node_noise(j, t >> j)
+                    self._drawn[j] = True
                 if self.decay == 1.0:
                     release += self._eta[j]
                 else:
                     # The level-j node closed at (t >> j) << j: its age is
                     # the j low bits of t.
                     release += self._fade(t & ((1 << j) - 1)) * self._eta[j]
-        self._last_release = release
-        return release.reshape(self.shape)
+            self._release = release
+        return self._release
 
     def current_sum(self) -> np.ndarray:
-        """The most recent noisy prefix sum (re-read without re-randomizing).
+        """The noisy prefix sum at the current step (zeros before any).
 
-        Re-reading is free privacy-wise: it is post-processing of an already
-        released value.
+        The first read after a commit builds the release and draws the
+        noise of the nodes it needs that no earlier read drew; later reads
+        return the same array.  Re-reading is free privacy-wise: it is
+        post-processing of an already released value.
         """
-        if self._last_release is None:
-            return np.zeros(self.shape)
-        return self._last_release.reshape(self.shape)
+        return self._read().reshape(self.shape)
 
     def release_noise_variance(self) -> float:
         """Per-coordinate noise variance of the current release.
@@ -824,6 +847,10 @@ class ReleasedMoments:
     def release_noise_variance(self) -> float:
         """Per-coordinate noise variance of the snapshotted release."""
         return float(self.noise_variance)
+
+    def released_moments(self) -> "ReleasedMoments":
+        """The snapshot itself (mechanism surface: it is frozen already)."""
+        return self
 
 
 def _snapshot_released(mechanism) -> ReleasedMoments:

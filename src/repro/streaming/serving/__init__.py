@@ -96,6 +96,11 @@ differ only in how each block's clean moment sum is added up:
   release: a pre-reduced total cannot be split at a chunk boundary, so
   ``mechanism="hybrid"`` and a finite ``window`` accept only ``"exact"``.
 
+Either way a block only commits: a release is computed when read, by a
+refresh's merge or by the snapshot the front takes right after an ingest
+when the next refresh reads that shard before its next block
+(``ShardFront._prefetch``), and a node no read needs is never drawn.
+
 Fault semantics: :meth:`ShardedStream.kill_shard` drops a shard's
 mechanisms (under the process transport it SIGKILLs the worker process);
 subsequent merges degrade to the documented *partial-coverage* semantics —

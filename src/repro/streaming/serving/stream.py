@@ -20,7 +20,7 @@ from ..._validation import (
     check_vector,
     check_xy_block,
 )
-from ...core.incremental_regression import lockstep_plan, refresh_lockstep
+from ...core.incremental_regression import adopt_lockstep, lockstep_plan, solve_lockstep
 from ...exceptions import (
     GroupIngestionError,
     ServingError,
@@ -264,6 +264,9 @@ class ShardFront:
         self._blocks_refunded = 0
         self._next_shard = 0
         self._last_refresh_t = 0
+        # Shard index -> (shard, steps, bundle names, released snapshots)
+        # taken right after an ingest for the next refresh (see _prefetch).
+        self._snapshots: dict = {}
         self.lost_steps = 0
         self._error: BaseException | None = None
         self._closed = False
@@ -949,14 +952,16 @@ class ShardFront:
         """
         with self._lock:
             try:
-                self._ingest_block(xs, ys)
+                shard = self._ingest_block(xs, ys)
             except BaseException:
                 self._enqueued -= len(ys)
                 raise
             if self._should_refresh():
                 self._refresh()
+            else:
+                self._prefetch(shard, len(ys))
 
-    def _ingest_block(self, xs: np.ndarray, ys: np.ndarray) -> None:
+    def _ingest_block(self, xs: np.ndarray, ys: np.ndarray):
         shard = self._route(xs, ys)
         self._blocks_routed += 1
         try:
@@ -972,6 +977,38 @@ class ShardFront:
             self._blocks_refunded += 1
             raise
         self._processed += len(ys)
+        return shard
+
+    def _prefetch(self, shard, n: int) -> None:
+        """Snapshot ``shard``'s releases now if the next refresh reads them
+        before the shard's next block.
+
+        A release is computed when read (:mod:`repro.privacy.tree`), so a
+        refresh would otherwise build, in its own call, the release of
+        every shard that ingested since the last one.  Under round-robin
+        routing of ``n``-point blocks over the live shards, this shard's
+        next block comes ``(live − 1)·n`` points from now: if the processed
+        count reaches the next multiple of ``refresh_every`` by then, the
+        refresh comes first and reads exactly what the shard releases now,
+        so the read is taken here, in the ingest call.  A refresh in this
+        very call reads the shard itself (the caller skips the prefetch),
+        and a custom router never prefetches.  :meth:`_merge` reuses a
+        snapshot once, and only while it is still this shard's state.
+        """
+        if callable(self._router) or self.refresh_every is None:
+            return
+        live = sum(s.alive for s in self._shards)
+        next_refresh = (self._processed // self.refresh_every + 1) * self.refresh_every
+        if self._processed + (live - 1) * n < next_refresh:
+            return
+        handles = self._released_handles(shard)
+        if handles is not None:
+            self._snapshots[shard.index] = (
+                shard,
+                shard.steps,
+                self.bundle_names,
+                tuple(handle.released_moments() for handle in handles),
+            )
 
     def _should_refresh(self) -> bool:
         if self.refresh_every is None:
@@ -1013,8 +1050,29 @@ class ShardFront:
         return hub
 
     def _merge(self) -> dict[str, MergedRelease]:
-        """Every bundle entry's merged release, by name (one merge each)."""
-        handles = [self._released_handles(shard) for shard in self._shards]
+        """Every bundle entry's merged release, by name (one merge each).
+
+        A shard snapshotted by :meth:`_prefetch` since the last merge is
+        read from its snapshot while it is still the same live shard
+        object at the same ``steps`` under the same bundle layout (the
+        layout rebuilds its names tuple on every tenant change, so the
+        identity test catches a remove and re-add of one name); every
+        other shard is read as before.  Each snapshot serves one merge.
+        """
+        snapshots, self._snapshots = self._snapshots, {}
+        handles = []
+        for shard in self._shards:
+            taken = snapshots.get(shard.index)
+            if (
+                taken is not None
+                and taken[0] is shard
+                and shard.alive
+                and taken[1] == shard.steps
+                and taken[2] is self.bundle_names
+            ):
+                handles.append(taken[3])
+            else:
+                handles.append(self._released_handles(shard))
         return {
             name: merge_released(
                 [None if h is None else h[slot] for h in handles], strict=False
@@ -1043,16 +1101,20 @@ class ShardFront:
         ``(cross, gram)`` models that read one Gram entry at one covered
         weight under one :func:`~repro.core.incremental_regression.lockstep_plan`
         (set, ``α``, ``L``, ``r``) — a γ group's tenants — solve as one
-        lockstep PGD (:func:`~repro.core.incremental_regression.refresh_lockstep`),
+        lockstep PGD (:func:`~repro.core.incremental_regression.solve_lockstep`),
         which checks, rescales and symmetrizes their shared Gram once; each
-        model's θ is bit-identical to its own ``refresh_from_released``.  A
-        model alone in its group keeps the solver's own refresh.
+        model's θ is bit-identical to its own ``refresh_from_released``.
 
-        All or nothing: every model is solved before any is published, so
-        a solve that raises (e.g. a non-finite merged cross) publishes no
-        model, and ``_refresh`` leaves the stream stale for the retry.  A
-        group solved before the failure keeps its solvers' refreshed warm
-        start (post-processing only); the retry re-solves from it.
+        All or nothing: every group is solved before any solver moves or
+        any model is published.  A lockstep group only computes its θ
+        (:func:`~repro.core.incremental_regression.solve_lockstep`); its
+        solvers adopt them once every group has succeeded.  So a solve
+        that raises (e.g. a non-finite merged cross) moves no lockstep
+        solver and publishes no model, ``_refresh`` leaves the stream
+        stale, and the retry serves what a refresh that never failed would
+        serve.  On a multi-model front every ``(cross, gram)`` model with
+        a lockstep plan solves this way, a group of one included; a model
+        alone in its front keeps its solver's own refresh.
         """
         merged = self._merge()
         groups: dict = {}
@@ -1064,18 +1126,23 @@ class ShardFront:
                 continue
             weight = lead.covered_weight
             t_solve = weight if weight != covered else covered
-            group = name  # a model that solves alone
+            group, lockstep = name, False  # a model that solves alone
             if len(self._models) > 1 and tuple(moments) == ("cross", "gram"):
                 plan = lockstep_plan(model.solver, t_solve)
                 if plan is not None:
-                    group = (model.reads["gram"], weight, plan)
-            groups.setdefault(group, []).append(
+                    group, lockstep = (model.reads["gram"], weight, plan), True
+            groups.setdefault(group, (lockstep, []))[1].append(
                 (name, model, moments, t_solve, weight, covered)
             )
-        solved = {}
-        for members in groups.values():
-            for (name, *_, covered), theta in zip(members, self._solve_group(members)):
+        solved, adopt = {}, []
+        for lockstep, members in groups.values():
+            thetas = self._solve_group(members, lockstep)
+            if lockstep:
+                adopt.append(([model.solver for _, model, *_ in members], thetas))
+            for (name, *_, covered), theta in zip(members, thetas):
                 solved[name] = theta, covered
+        for solvers, thetas in adopt:
+            adopt_lockstep(solvers, thetas)
         for name, model in self._models.items():
             if name in solved:
                 theta, covered = solved[name]
@@ -1087,9 +1154,11 @@ class ShardFront:
                 )
 
     @staticmethod
-    def _solve_group(members) -> list:
+    def _solve_group(members, lockstep: bool) -> list:
         """The refreshed θ of every member of one solve group, in member
-        order; a member is ``(name, model, moments, t, weight, covered)``."""
+        order; a member is ``(name, model, moments, t, weight, covered)``.
+        A lone model's solver refreshes (and moves) here; a lockstep
+        group's solvers do not move."""
         _, model, moments, t_solve, weight, _ = members[0]
         if tuple(moments) != ("cross", "gram"):
             return [model.solver.refresh_from_bundle(t_solve, moments)]
@@ -1097,13 +1166,13 @@ class ShardFront:
         gram_value = gram.value
         if weight != gram.covered_weight:
             gram_value = gram_value * (weight / gram.covered_weight)
-        if len(members) == 1:
+        if not lockstep:
             return [
                 model.solver.refresh_from_released(
                     t_solve, gram_value, moments["cross"].value
                 )
             ]
-        return refresh_lockstep(
+        return solve_lockstep(
             [model.solver for _, model, *_ in members],
             t_solve,
             gram_value,

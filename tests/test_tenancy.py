@@ -357,18 +357,26 @@ class TestPerTenantCorrectness:
 
     def test_failed_refresh_publishes_no_tenant(self, stream, monkeypatch):
         """A solve that raises (a non-finite merged cross of the last
-        tenant) publishes nobody and leaves the stream stale; once the
-        fault is gone the next flush publishes every tenant."""
+        tenant) publishes nobody, moves no solver and leaves the stream
+        stale; once the fault is gone the next flush publishes every
+        tenant the θ bytes and version of a twin front that never
+        failed."""
         k = 8
-        server = MultiTenantStream(
-            L2Ball(DIM), PARAMS, tenants=k, shards=2, horizon=T,
-            decays=(1.0, 0.9), tenant_decays=(1.0, 0.9) * 4,
-            refresh_every=T, iteration_cap=20, transport=TRANSPORT, rng=37,
-        )
+
+        def front():
+            return MultiTenantStream(
+                L2Ball(DIM), PARAMS, tenants=k, shards=2, horizon=T,
+                decays=(1.0, 0.9), tenant_decays=(1.0, 0.9) * 4,
+                refresh_every=T, iteration_cap=20, transport=TRANSPORT, rng=37,
+            )
+
+        server, twin = front(), front()
         ys = np.clip(
             np.random.default_rng(903).normal(scale=0.5, size=(T, k)), -1.0, 1.0
         )
         try:
+            twin.observe_batch(stream.xs[:20], ys[:20])
+            unfailed = twin.flush()
             server.observe_batch(stream.xs[:20], ys[:20])
             names = server.tenants()
             versions = {name: server.tenant(name).current_served().version for name in names}
@@ -391,11 +399,11 @@ class TestPerTenantCorrectness:
             monkeypatch.setattr(server, "_merge", merge)
             served = server.flush()
             for name in names:
-                # A solver solved before the failure re-solves from its
-                # refreshed warm start, so its version may move by two.
-                assert served[name].version > versions[name]
+                assert served[name].version == unfailed[name].version > versions[name]
+                assert served[name].theta.tobytes() == unfailed[name].theta.tobytes()
                 assert served[name].covered_steps == 20
         finally:
+            twin.close()
             server.close()
 
     @pytest.mark.parametrize("k", TENANT_COUNTS)

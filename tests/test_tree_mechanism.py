@@ -201,7 +201,9 @@ class TestBlockRejection:
         # The mechanism goes on exactly like a twin that never saw the block.
         twin = BLOCK_FAMILIES[family]()
         twin.advance_batch(GOOD[:3])
-        assert mech.advance_batch(GOOD[3:9]).tobytes() == twin.advance_batch(GOOD[3:9]).tobytes()
+        mech.advance_batch(GOOD[3:9])
+        twin.advance_batch(GOOD[3:9])
+        assert mech.current_sum().tobytes() == twin.current_sum().tobytes()
 
     @pytest.mark.parametrize("family", ["tree", "decayed", "window"])
     def test_non_finite_block_past_the_horizon_is_a_validation_error(self, family):
@@ -219,7 +221,8 @@ class TestBlockRejection:
         mech = BLOCK_FAMILIES[family]()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            release = mech.advance_batch(np.full((8, 3), 1e308))
+            mech.advance_batch(np.full((8, 3), 1e308))
+            release = mech.current_sum()
         assert mech.steps_taken == 8
         assert not np.isfinite(release).all()
 
@@ -230,7 +233,9 @@ class TestBlockRejection:
         assert not block.flags.writeable
         mech = BLOCK_FAMILIES[family]()
         twin = BLOCK_FAMILIES[family]()
-        assert mech.advance_batch(block).tobytes() == twin.advance_batch(GOOD[:6].copy()).tobytes()
+        mech.advance_batch(block)
+        twin.advance_batch(GOOD[:6].copy())
+        assert mech.current_sum().tobytes() == twin.current_sum().tobytes()
         assert block.tobytes() == raw
 
 

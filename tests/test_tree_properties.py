@@ -21,14 +21,18 @@ depend on, independent of any specific stream:
   (exact ``±0``, subnormals, cancelling magnitudes) ``advance_batch``
   releases the bytes of per-row ``observe``, and the moment statistics'
   ``einsum`` outer products release the bytes of the broadcast products
-  they replaced.
+  they replaced;
+* a release is computed when read: under any block split and any read
+  schedule a read equals a twin's read after every commit, and the only
+  node noise ever drawn is that of the nodes some read needs, once each.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import HybridMechanism, PrivacyParams, TreeMechanism
 from repro.exceptions import StreamExhaustedError
@@ -281,16 +285,19 @@ class TestOneNoiseStreamProperty:
         )
 
         advanced = make(len(data))
-        np.testing.assert_array_equal(
-            np.stack([advanced.advance_batch(b) for b in blocks]), sequential[ends]
-        )
+        releases = []
+        for block in blocks:
+            advanced.advance_batch(block)
+            releases.append(advanced.current_sum())
+        np.testing.assert_array_equal(np.stack(releases), sequential[ends])
 
         summed = make(len(data))
         gamma = getattr(summed, "decay", 1.0)
         releases = []
         for block in blocks:
             weights = gamma ** np.arange(len(block) - 1, -1, -1, dtype=float)
-            releases.append(summed.advance_sum(weights @ block, len(block)))
+            summed.advance_sum(weights @ block, len(block))
+            releases.append(summed.current_sum())
         np.testing.assert_array_equal(np.stack(releases), sequential[ends])
         assert summed.release_noise_variance() == advanced.release_noise_variance()
 
@@ -327,10 +334,11 @@ class TestOneNoiseStreamProperty:
         )
 
         advanced = make(len(data))
-        np.testing.assert_array_equal(
-            np.stack([advanced.advance_batch(b) for b in blocks]),
-            sequential[_block_ends(blocks)],
-        )
+        releases = []
+        for block in blocks:
+            advanced.advance_batch(block)
+            releases.append(advanced.current_sum())
+        np.testing.assert_array_equal(np.stack(releases), sequential[_block_ends(blocks)])
 
 
 # Entries whose sums depend on the order of the additions: exact ±0 (the
@@ -378,7 +386,8 @@ class TestAxisZeroFoldProperty:
         for block in _cut(stream, sizes):
             for row in block:
                 per_row.observe(row)
-            release = blocked.advance_batch(np.asfortranarray(block) if fortran else block)
+            blocked.advance_batch(np.asfortranarray(block) if fortran else block)
+            release = blocked.current_sum()
             assert release.tobytes() == per_row.current_sum().tobytes()
             assert _state_bytes(blocked) == _state_bytes(per_row)
 
@@ -413,7 +422,8 @@ class TestAxisZeroFoldProperty:
         for row in block:
             per_row.observe(row)
         blocked = TreeMechanism(8, (3,), 2.0, NORMAL, rng=4)
-        release = blocked.advance_batch(block)
+        blocked.advance_batch(block)
+        release = blocked.current_sum()
         assert release.tobytes() == per_row.current_sum().tobytes()
         assert np.all(blocked._prefix == 4.0)
         assert _state_bytes(blocked) == _state_bytes(per_row)
@@ -470,7 +480,80 @@ class TestEinsumValuesProperty:
                 new_values = stat.values(rows[block], ys[block])
                 old_values = old(rows[block], ys[block], INSTRUMENTS)
                 np.testing.assert_array_equal(new_values, old_values)
-                new_release = twins[0].advance_batch(new_values)
-                old_release = twins[1].advance_batch(old_values)
+                twins[0].advance_batch(new_values)
+                twins[1].advance_batch(old_values)
+                new_release = twins[0].current_sum()
+                old_release = twins[1].current_sum()
                 assert new_release.tobytes() == old_release.tobytes(), stat.name
             assert twins[0].release_noise_variance() == twins[1].release_noise_variance()
+
+
+#: The mechanisms whose reads are lazy: the plain and γ = 0.5 trees, the
+#: doubling hybrid and a window whose expiry fires inside a live chunk.
+LAZY_FAMILIES = {
+    "tree": TREE_FAMILIES["tree"],
+    "decayed-0.5": TREE_FAMILIES["decayed-0.5"],
+    "hybrid": SPLIT_FAMILIES["hybrid"],
+    "window-7": SPLIT_FAMILIES["window-7"],
+}
+
+
+def _read_nodes(mech, t):
+    """The nodes a read after ``t`` elements sums, as ``(tree key, level,
+    index)``: the set bits of the live chunk tree's own step count."""
+    schedule = getattr(mech, "schedule", None)
+    if schedule is None:
+        key, local = mech._key, t
+    else:
+        chunk = schedule.index_at(t)
+        key, local = mech._chunk_key(chunk), t - schedule.start(chunk)
+    return {(key.tobytes(), j, local >> j) for j in range(local.bit_length()) if (local >> j) & 1}
+
+
+class TestLazyReleaseProperty:
+    @pytest.mark.parametrize("family", sorted(LAZY_FAMILIES))
+    @given(
+        data=int_streams,
+        sizes=block_sizes,
+        reads=st.lists(st.booleans(), min_size=1, max_size=41),
+    )
+    # Element by element, reading every one: every node a later read
+    # shares with an earlier one is read again.
+    @example(data=np.ones((24, 2)), sizes=[1], reads=[True])
+    @settings(max_examples=40, deadline=None)
+    def test_reads_equal_an_eager_twin_and_draw_each_node_once(
+        self, family, data, sizes, reads
+    ):
+        """Commit a random split, read after a random subset of the
+        blocks: every read is the bytes of a twin read after every commit,
+        and ``_node_noise`` runs once per node active at some read — a
+        chunk's final read when it freezes included — and never else."""
+        make = LAZY_FAMILIES[family]
+        blocks = _cut(data, sizes)
+        eager = make(len(data))
+        expected = []
+        for block in blocks:
+            eager.advance_batch(block)
+            expected.append(eager.current_sum().tobytes())
+
+        lazy = make(len(data))
+        drawn = []
+        node_noise = TreeMechanism._node_noise
+
+        def counted(tree, level, index):
+            drawn.append((tree._key.tobytes(), level, index))
+            return node_noise(tree, level, index)
+
+        needed = set()
+        with mock.patch.object(TreeMechanism, "_node_noise", counted):
+            for i, block in enumerate(blocks):
+                lazy.advance_batch(block)
+                if reads[i % len(reads)]:
+                    assert lazy.current_sum().tobytes() == expected[i]
+                    needed |= _read_nodes(lazy, lazy.steps_taken)
+        schedule = getattr(lazy, "schedule", None)
+        if schedule is not None:
+            for chunk in range(schedule.index_at(lazy.steps_taken)):
+                needed |= _read_nodes(lazy, schedule.start(chunk + 1))
+        assert len(drawn) == len(needed)
+        assert set(drawn) == needed

@@ -7,7 +7,9 @@ feeds a fixed stream through one serving front and hashes
 * every published estimate (θ bytes, version, timestep, covered steps),
   read through ``subscribe`` plus the initial and the flushed estimate;
 * every merged release after every block (values and noise variances,
-  coverage and missing shards);
+  coverage and missing shards) — or, in the ``refresh-points-*``
+  configurations, only after the calls that refresh, so the commits in
+  between are never read;
 * the routing books (steps ingested and enqueued, blocks routed and
   refunded, lost steps, shard liveness and load);
 * ``accountant.summary()`` after every ledger change.
@@ -57,13 +59,13 @@ def _ball_rows(rng, n, d):
     return rows * rng.uniform(0.2, 1.0, size=(n, 1))
 
 
-def _data(seed=0, outcomes=1, instruments=0):
+def _data(seed=0, outcomes=1, instruments=0, length=T):
     rng = np.random.default_rng(seed)
-    xs = _ball_rows(rng, T, DIM)
+    xs = _ball_rows(rng, length, DIM)
     if instruments:
-        xs = np.hstack([_ball_rows(rng, T, instruments), xs])
+        xs = np.hstack([_ball_rows(rng, length, instruments), xs])
     theta = rng.normal(size=(xs.shape[1], outcomes)) * 0.4
-    ys = np.clip(xs @ theta + 0.1 * rng.normal(size=(T, outcomes)), -1.0, 1.0)
+    ys = np.clip(xs @ theta + 0.1 * rng.normal(size=(length, outcomes)), -1.0, 1.0)
     return xs, ys[:, 0] if outcomes == 1 else ys
 
 
@@ -194,6 +196,53 @@ def _tenants(
         front.close()
 
 
+def _refresh_points(transport, digest, *, tenants=0, group=0, **knobs):
+    """A run that hashes merges only after the calls that refresh.
+
+    Blocks of 64 points, a refresh every 512, blocks one at a time or
+    ``group`` at a time; ``tenants`` named tenants on a
+    ``MultiTenantStream``, else a ``ShardedStream``.  No read between two
+    refreshes, so every commit in between stays unread.
+    """
+    length, block, every = 2048, 64, 512
+    xs, ys = _data(outcomes=tenants or 1, length=length)
+    common = dict(
+        horizon=length, refresh_every=every, transport=transport, iteration_cap=30,
+        **knobs,
+    )
+    if tenants:
+        front = MultiTenantStream(L2Ball(DIM), PARAMS, tenants, rng=11, **common)
+        views = [front.tenant(name) for name in front.tenants()]
+
+        def merged():
+            return [m for name in front.tenants() for m in front.merged_moments(name)]
+    else:
+        front = ShardedStream(L2Ball(DIM), PARAMS, rng=7, **common)
+        views = [front]
+        merged = front.merged_moments
+    try:
+        for view in views:
+            digest.served(view.current_served())
+            view.subscribe(digest.served)
+        blocks = [(xs[s : s + block], ys[s : s + block]) for s in range(0, length, block)]
+        step = group or 1
+        for start in range(0, len(blocks), step):
+            before = front.steps_ingested
+            if group:
+                front.observe_group(blocks[start : start + group])
+            else:
+                front.observe_batch(*blocks[start])
+            if before // every < front.steps_ingested // every:
+                digest.merged(merged())
+            digest.books(front)
+        flushed = front.flush()
+        for entry in flushed.values() if tenants else [flushed]:
+            digest.served(entry)
+        digest.books(front)
+    finally:
+        front.close()
+
+
 def _configurations():
     projected = dict(backend="projected", x_domain=L2Ball(DIM), projected_dim=3)
     basic = dict(composition="basic", router=lambda i, xs, ys: (3 * i + 1) % 2)
@@ -233,6 +282,11 @@ def _configurations():
     # One γ group of 8 (one lockstep solve), a late tenant at its own
     # weight, and a radius small enough that projections fire.
     runs["tenants-8"] = (_tenants, dict(tenants=8, radius=0.3, late_decay=None))
+    runs["refresh-points-k4"] = (_refresh_points, dict(shards=4))
+    runs["refresh-points-group"] = (_refresh_points, dict(shards=2, group=2, ingest="fast"))
+    runs["refresh-points-tenants"] = (
+        _refresh_points, dict(shards=2, tenants=8, ingest="fast")
+    )
     return runs
 
 
