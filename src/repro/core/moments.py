@@ -353,16 +353,17 @@ class MomentBundle:
         return tuple(outputs)
 
     def released(self) -> tuple:
-        """The per-entry merge handles, in declaration order.
+        """One :class:`~repro.privacy.tree.ReleasedMoments` record per
+        entry, in declaration order (``None`` each once killed).
 
-        The transport seam of the merge path: in-process bundles hand
-        over their **live** mechanisms (zero-copy), while the remote
-        transports snapshot each element as a
-        :class:`~repro.privacy.tree.ReleasedMoments` over the wire —
-        :func:`~repro.privacy.tree.merge_released` accepts both
-        interchangeably.
+        What a merge reads (:func:`~repro.privacy.tree.merge_released`):
+        each mechanism's ``released_moments()``, built without copying
+        its release.
         """
-        return tuple(self.get(name) for name in self.names)
+        mechanisms = self._mechanisms
+        if mechanisms is None:
+            return (None,) * len(self.statistics)
+        return tuple(mechanisms[stat.name].released_moments() for stat in self.statistics)
 
     def memory_floats(self) -> int:
         """Floats held by the bundle's mechanisms (0 once killed)."""

@@ -62,6 +62,7 @@ from .._validation import (
     check_sample_weight,
     check_unit_iv_domain,
     check_vector,
+    check_xy_block,
 )
 from ..exceptions import ValidationError
 from ..geometry import L2Ball
@@ -71,33 +72,6 @@ from .incremental_regression import PrivIncReg1, _MomentRegression
 from .moments import iv_statistics
 
 __all__ = ["PrivIncIV", "two_stage_least_squares"]
-
-
-def _check_iv_block(zs, xs, ys, *, instruments: int, dim: int):
-    """Validate one ``(zs, xs, ys)`` block: shapes, finiteness, unit domain."""
-    zs = np.asarray(zs, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if zs.ndim != 2 or zs.shape[1] != instruments:
-        raise ValidationError(
-            f"Z must be a 2-D (n, {instruments}) block, got shape {zs.shape}"
-        )
-    if xs.shape != (zs.shape[0], dim):
-        raise ValidationError(
-            f"X must have shape ({zs.shape[0]}, {dim}), got {xs.shape}"
-        )
-    if ys.shape != (zs.shape[0],):
-        raise ValidationError(f"y must have shape ({zs.shape[0]},), got {ys.shape}")
-    if zs.shape[0] == 0:
-        raise ValidationError("batch must contain at least one point")
-    if not (
-        np.all(np.isfinite(zs))
-        and np.all(np.isfinite(xs))
-        and np.all(np.isfinite(ys))
-    ):
-        raise ValidationError("batch must contain only finite entries")
-    check_unit_iv_domain("PrivIncIV", zs, xs, ys)
-    return zs, xs, ys
 
 
 def two_stage_least_squares(
@@ -329,9 +303,7 @@ class PrivIncIV(_MomentRegression):
             raise ValidationError(
                 "nothing to refresh: no points observed yet"
             )
-        self._solve_at(
-            self.steps_taken, *(m.current_sum() for m in self._moments.released())
-        )
+        self._solve_at(self.steps_taken, *(r.value for r in self._moments.released()))
         return self._theta.copy()
 
     # ------------------------------------------------------------------
@@ -369,9 +341,9 @@ class PrivIncIV(_MomentRegression):
         StreamExhaustedError
             If the block would pass the horizon; nothing is consumed.
         """
-        zs, xs, ys = _check_iv_block(
-            zs, xs, ys, instruments=self.instruments, dim=self.dim
-        )
+        zs, ys = check_xy_block(zs, ys, dim=self.instruments)
+        xs, ys = check_xy_block(xs, ys, dim=self.dim)
+        check_unit_iv_domain("PrivIncIV", zs, xs, ys)
         return self._ingest(np.hstack([zs, xs]), ys)
 
     def memory_floats(self) -> int:

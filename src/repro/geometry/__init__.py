@@ -24,7 +24,6 @@ from .simplex import Simplex
 from .polytope import Polytope
 from .group import GroupL1Ball
 from .sparse import SparseVectors
-from .ellipsoid import Ellipsoid
 from .width import (
     expected_gaussian_norm,
     expected_max_abs_gaussian,
@@ -43,7 +42,6 @@ __all__ = [
     "Polytope",
     "GroupL1Ball",
     "SparseVectors",
-    "Ellipsoid",
     "expected_gaussian_norm",
     "expected_max_abs_gaussian",
     "expected_max_gaussian",

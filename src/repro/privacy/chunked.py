@@ -53,7 +53,7 @@ from .tree import (
     DecayedTreeMechanism,
     _check_room,
     _check_square,
-    _snapshot_released,
+    _record,
     coerce_stream_block,
     coerce_stream_element,
     noise_key,
@@ -364,8 +364,9 @@ class ChunkedTreeMechanism:
         return fade * fade * self._frozen_variance + self._current_tree.release_noise_variance()
 
     def released_moments(self):
-        """Snapshot the current release (the shard wire format)."""
-        return _snapshot_released(self)
+        """The current release as a record around the fresh array
+        :meth:`current_sum` returns (frozen, not copied)."""
+        return _record(self)
 
     def error_bound(self, beta: float = 0.05) -> float:
         """High-probability error radius of the releases (Proposition C.1

@@ -21,8 +21,8 @@ pick a member:
 
 The decayed and windowed members report their :attr:`~ReleaseMechanism
 .effective_weight` — ``Σ γ^{t−i} = (1−γ^t)/(1−γ)`` and the covered
-window count respectively — which flows through
-:class:`~repro.privacy.tree.ReleasedMoments` /
+window count respectively — which flows through the
+:class:`~repro.privacy.tree.ReleasedMoments` record into
 :func:`~repro.privacy.tree.merge_released` so cross-shard merges of
 weighted moments keep the variance ledger and the estimators' logical
 ``t`` correct.
@@ -58,7 +58,7 @@ from .tree import (
     _check_room,
     _check_square,
     _node_sigma,
-    _snapshot_released,
+    _record,
     coerce_stream_block,
     coerce_stream_element,
     noise_key,
@@ -77,10 +77,10 @@ __all__ = [
 class ReleaseMechanism(Protocol):
     """The moment-release surface every noise source implements.
 
-    This is the contract the estimators, serving shards, merge rule, and
-    wire snapshots were already written against implicitly — extracted so
-    new release semantics (decay, windows, sketch-side noise) plug
-    in without touching the layers above.  Implementations:
+    This is the contract the estimators and serving shards were already
+    written against implicitly — extracted so new release semantics
+    (decay, windows, sketch-side noise) plug in without touching the
+    layers above.  Implementations:
     :class:`~repro.privacy.tree.TreeMechanism`,
     :class:`~repro.privacy.tree.DecayedTreeMechanism`,
     :class:`~repro.privacy.chunked.HybridMechanism`,
@@ -93,6 +93,14 @@ class ReleaseMechanism(Protocol):
     after a commit (:mod:`repro.privacy.tree`), so a block nobody reads
     releases nothing.  ``observe`` / ``observe_batch`` return the release
     after every element they ingest.
+
+    :meth:`released_moments` is what leaves a mechanism for a merge: a
+    frozen :class:`~repro.privacy.tree.ReleasedMoments` record of the
+    current sum, its noise variance, the step count and the effective
+    weight, built without copying the sum (a tree shares its cached,
+    read-only release; the other members freeze the fresh array their
+    read returns).  :func:`~repro.privacy.tree.merge_released` takes
+    only records.
 
     ``isinstance(obj, ReleaseMechanism)`` checks the surface structurally
     (``runtime_checkable`` protocols check attribute presence, not
@@ -260,8 +268,9 @@ class SketchNoiseMechanism:
         return float(self.noise_draws) * self.sigma_block**2
 
     def released_moments(self):
-        """Snapshot the current release (the shard wire format)."""
-        return _snapshot_released(self)
+        """The current release as a record around the fresh array
+        :meth:`current_sum` returns (frozen, not copied)."""
+        return _record(self)
 
     @property
     def effective_weight(self) -> float:

@@ -96,27 +96,20 @@ ever released over two different data sums.  And every new mechanism
 generator; a new window chunk or hybrid epoch gets a key derived from
 its mechanism's key and its chunk index.
 
-The wire release contract (``ReleasedMoments``)
------------------------------------------------
-A sharded server that runs its shard mechanisms in other *processes*
-cannot hand live mechanisms to :func:`merge_released` — only bytes cross
-the pipe.  :meth:`TreeMechanism.released_moments` (and the Hybrid
-mechanism's method of the same name) therefore snapshots everything the
-merge rule consumes into a :class:`ReleasedMoments` value object: the
-current released sum, its per-coordinate noise variance, the step count,
-and the element shape.  The snapshot is a plain frozen dataclass of
-``float64`` arrays and scalars, so shipping it is lossless (the wire codec
-of :mod:`repro.streaming.wire` sends the raw ``float64`` bytes; pickling
-works too) — a merge over
-snapshots is **bit-identical** to a merge over the live mechanisms they
-were taken from — and compact: ``O(d)``/``O(d²)`` per shard per refresh
-(the released statistic), never ``O(d log T)`` (the tree).  This is the
-serialize-the-sketch-not-the-data wire format of the serving layer's
-process transport (:mod:`repro.streaming.transport`); because
-:class:`ReleasedMoments` exposes the same ``current_sum`` /
-``release_noise_variance`` / ``steps_taken`` / ``shape`` surface as the
-mechanisms, :func:`merge_released` accepts live mechanisms and snapshots
-interchangeably (even mixed in one call).
+The release record (``ReleasedMoments``)
+----------------------------------------
+:func:`merge_released` reads one thing per shard: a
+:class:`ReleasedMoments` record of the shard's current release — the
+released sum, its per-coordinate noise variance, the step count and the
+effective weight.  :meth:`TreeMechanism.released_moments` (and the method
+of the same name on every release mechanism) builds it without copying:
+the tree freezes its cached release when it builds it and the record
+shares that array.  Records are the merge handle on every transport.  A
+shard in another *process* or host ships them as raw ``float64`` bytes
+(:mod:`repro.streaming.wire`; pickling works too), so a merge over
+decoded records is **bit-identical** to one over in-process records, and
+the payload is compact: ``O(d)``/``O(d²)`` per shard per refresh (the
+released statistic), never ``O(d log T)`` (the tree).
 """
 
 from __future__ import annotations
@@ -612,6 +605,8 @@ class TreeMechanism:
                     # The level-j node closed at (t >> j) << j: its age is
                     # the j low bits of t.
                     release += self._fade(t & ((1 << j) - 1)) * self._eta[j]
+            # Frozen once built: every read and record shares this array.
+            release.setflags(write=False)
             self._release = release
         return self._release
 
@@ -620,8 +615,8 @@ class TreeMechanism:
 
         The first read after a commit builds the release and draws the
         noise of the nodes it needs that no earlier read drew; later reads
-        return the same array.  Re-reading is free privacy-wise: it is
-        post-processing of an already released value.
+        return the same read-only array.  Re-reading is free privacy-wise:
+        it is post-processing of an already released value.
         """
         return self._read().reshape(self.shape)
 
@@ -656,14 +651,13 @@ class TreeMechanism:
         return (1.0 - self.decay**self.steps_taken) / (1.0 - self.decay)
 
     def released_moments(self) -> "ReleasedMoments":
-        """Snapshot the current release as a :class:`ReleasedMoments`.
+        """The current release as a :class:`ReleasedMoments` record.
 
         Post-processing of an already-released value — free privacy-wise,
-        like :meth:`current_sum`.  The snapshot merges interchangeably with
-        live mechanisms (:func:`merge_released`), which is how process
-        shard workers ship their released moments over a pipe.
+        like :meth:`current_sum`.  The record shares the cached release
+        (no copy); it is what shards hand to :func:`merge_released`.
         """
-        return _snapshot_released(self)
+        return _record(self)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -762,56 +756,55 @@ class DecayedTreeMechanism(TreeMechanism):
 
 
 # ---------------------------------------------------------------------------
-# The released-moments snapshot (what the shard wire carries)
+# The release record (what every shard hands to a merge)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class ReleasedMoments:
-    """A mechanism's current release as a compact value object.
+    """One mechanism's current release, frozen: what a merge reads.
 
-    Everything :func:`merge_released` reads off a live mechanism, frozen at
-    snapshot time: the released prefix sum, its per-coordinate noise
-    variance, the step count, and the element shape.  Snapshots are what a
-    remote shard worker ships back at refresh points
-    (:mod:`repro.streaming.wire` frames, raw ``float64`` bytes; the class
-    also pickles) — both round-trip losslessly, so merging snapshots is
-    bit-identical to merging the live
-    mechanisms, and the payload is the *released statistic*
+    The released prefix sum, its per-coordinate noise variance, the step
+    count and (for decayed or windowed mechanisms) the effective weight.
+    Every shard answers ``released()`` with one record per bundle entry,
+    on every transport: an in-process shard builds them from its
+    mechanisms (:meth:`TreeMechanism.released_moments`), a remote one
+    decodes them from a :mod:`repro.streaming.wire` reply (raw ``float64``
+    bytes; the class also pickles), and :func:`merge_released` reads
+    nothing else.  Both paths are lossless, so a merge is bit-identical on
+    every transport, and the payload is the *released statistic*
     (``O(prod(shape))``), never the tree state (``O(d log T)``).
 
-    The class mirrors the mechanism read surface (``current_sum()``,
-    ``release_noise_variance()``, ``steps_taken``, ``shape``), so snapshots
-    are accepted anywhere a mechanism is merged — including mixed with live
-    mechanisms in one :func:`merge_released` call.
+    A record is built around ``value`` without copying it: the mechanisms
+    hand over a read-only array that no later ingest writes (a tree's
+    cached release, or a fresh array a read returned), and a decoded
+    record reads the frame's bytes in place.  Its ``shape`` is
+    ``value.shape``.
     """
 
     value: np.ndarray
     noise_variance: float
     steps: int
-    shape: tuple[int, ...]
-    #: Effective weight of the snapshotted sum (``Σ γ^{t−i}`` for decayed
+    #: Effective weight of the released sum (``Σ γ^{t−i}`` for decayed
     #: mechanisms, the covered count for windowed ones).  ``None`` means
-    #: "unweighted" — the weight equals ``steps`` — which keeps snapshots
+    #: "unweighted" — the weight equals ``steps`` — which keeps records
     #: of plain mechanisms byte-identical to the pre-weight wire format.
     weight: float | None = None
 
-    def __post_init__(self) -> None:
-        frozen = np.array(self.value, dtype=float)
-        frozen.setflags(write=False)
-        object.__setattr__(self, "value", frozen)
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-        if self.weight is not None:
-            object.__setattr__(self, "weight", float(self.weight))
-        if frozen.shape != self.shape:
-            raise ValidationError(
-                f"released value has shape {frozen.shape}, expected {self.shape}"
-            )
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The element shape of the released sum."""
+        return self.value.shape
+
+    @property
+    def effective_weight(self) -> float:
+        """Total weight of the released sum."""
+        return float(self.steps) if self.weight is None else float(self.weight)
 
     def __eq__(self, other) -> bool:
         # The dataclass-generated __eq__ would compare the ndarray field
         # elementwise and raise on bool() — define value equality instead
-        # (snapshots are wire objects; comparing them must just work).
+        # (records are wire objects; comparing them must just work).
         if not isinstance(other, ReleasedMoments):
             return NotImplemented
         return (
@@ -824,47 +817,27 @@ class ReleasedMoments:
 
     def __hash__(self) -> int:
         # Defining __eq__ in the class body sets __hash__ = None even with
-        # eq=False, silently making snapshots unusable as dict/set keys.
-        # Hash the scalar fields only: equal snapshots share them, and the
+        # eq=False, silently making records unusable as dict/set keys.
+        # Hash the scalar fields only: equal records share them, and the
         # value array (excluded — ndarrays are unhashable) is checked by
         # __eq__ on collision.
         return hash((self.shape, int(self.steps), float(self.noise_variance)))
 
-    @property
-    def steps_taken(self) -> int:
-        """Steps the snapshotted mechanism had ingested (mechanism surface)."""
-        return int(self.steps)
 
-    @property
-    def effective_weight(self) -> float:
-        """Total weight of the snapshotted sum (mechanism surface)."""
-        return float(self.steps) if self.weight is None else float(self.weight)
-
-    def current_sum(self) -> np.ndarray:
-        """The snapshotted release (mechanism surface; post-processing)."""
-        return self.value
-
-    def release_noise_variance(self) -> float:
-        """Per-coordinate noise variance of the snapshotted release."""
-        return float(self.noise_variance)
-
-    def released_moments(self) -> "ReleasedMoments":
-        """The snapshot itself (mechanism surface: it is frozen already)."""
-        return self
-
-
-def _snapshot_released(mechanism) -> ReleasedMoments:
-    """Snapshot any mechanism exposing the merge read surface."""
-    steps = int(mechanism.steps_taken)
-    weight = float(getattr(mechanism, "effective_weight", steps))
+def _record(mechanism) -> ReleasedMoments:
+    """``mechanism``'s current release as a record around the array its
+    ``current_sum()`` returns: frozen here, never copied."""
+    value = mechanism.current_sum()
+    value.setflags(write=False)
+    steps = mechanism.steps_taken
+    weight = mechanism.effective_weight
     return ReleasedMoments(
-        value=np.array(mechanism.current_sum(), dtype=float),
-        noise_variance=float(mechanism.release_noise_variance()),
-        steps=steps,
-        shape=tuple(mechanism.shape),
+        value,
+        mechanism.release_noise_variance(),
+        steps,
         # Canonicalize the unweighted case to None so plain mechanisms'
-        # snapshots stay identical to the pre-weight wire format.
-        weight=None if weight == float(steps) else weight,
+        # records stay identical to the pre-weight wire format.
+        None if weight == steps else weight,
     )
 
 
@@ -922,7 +895,7 @@ class MergedRelease:
 
 
 def merge_released(
-    mechanisms: Sequence["TreeMechanism | None"] | Iterable,
+    records: Sequence["ReleasedMoments | None"] | Iterable,
     strict: bool = True,
 ) -> MergedRelease:
     """Combine per-shard released prefix sums into the logical statistic.
@@ -940,8 +913,8 @@ def merge_released(
     ``Σ_k popcount(t_k)`` independent ``N(0, σ²_node,k I)`` vectors, hence
     Gaussian with per-coordinate variance
     ``Σ_k popcount(t_k) · σ²_node,k`` — exposed as
-    :attr:`MergedRelease.noise_variance` (each shard reports its own term
-    via ``release_noise_variance``, so trees and hybrids mix freely).
+    :attr:`MergedRelease.noise_variance` (each record carries its own
+    shard's term, so trees and hybrids mix freely).
 
     The rule is *shape-agnostic* — the additivity argument only uses that
     every shard's release is its exact sub-stream sum plus independent
@@ -954,50 +927,49 @@ def merge_released(
 
     Parameters
     ----------
-    mechanisms:
-        Per-shard mechanisms (``TreeMechanism`` or
-        :class:`~repro.privacy.chunked.HybridMechanism`) and/or their
-        :class:`ReleasedMoments` snapshots — the two are
-        interchangeable (snapshots freeze exactly the read surface this
-        function consumes, so a merge over snapshots is bit-identical to a
-        merge over the mechanisms they were taken from; process shard
-        workers rely on this).  ``None`` marks an unavailable (dead)
-        shard.
+    records:
+        One :class:`ReleasedMoments` record per shard (a mechanism's
+        :meth:`~TreeMechanism.released_moments`, an entry of a shard's
+        ``released()``, or a record decoded off the wire); the merge
+        reads their ``value``, ``noise_variance``, ``steps`` and
+        ``effective_weight``.  ``None`` marks an unavailable (dead) shard.
     strict:
         When True (default), any unavailable shard raises
         :class:`~repro.exceptions.ShardUnavailableError`.  When False, the
         merge degrades to partial-coverage semantics: the value covers the
         live shards only and ``missing``/``coverage`` report the loss.
     """
-    mechs = list(mechanisms)
-    if not mechs:
-        raise ValidationError("merge_released needs at least one shard mechanism")
-    missing = tuple(i for i, m in enumerate(mechs) if m is None)
+    records = list(records)
+    if not records:
+        raise ValidationError("merge_released needs at least one shard record")
+    missing = tuple(i for i, r in enumerate(records) if r is None)
     if missing and strict:
         raise ShardUnavailableError(
             f"shards {list(missing)} are unavailable (strict merge); pass "
             "strict=False for partial-coverage semantics"
         )
-    live = [(i, m) for i, m in enumerate(mechs) if m is not None]
+    live = [(i, r) for i, r in enumerate(records) if r is not None]
     if not live:
         raise ShardUnavailableError("every shard is unavailable; nothing to merge")
-    shape = live[0][1].shape
-    for _, mech in live:
-        if tuple(mech.shape) != tuple(shape):
+    for _, record in live:
+        if not isinstance(record, ReleasedMoments):
             raise ValidationError(
-                f"shard element shapes differ: {mech.shape} vs {shape}"
+                "merge_released takes ReleasedMoments records (a mechanism's "
+                f"released_moments()), got {type(record).__name__}"
+            )
+        if record.shape != live[0][1].shape:
+            raise ValidationError(
+                f"shard element shapes differ: {record.shape} vs {live[0][1].shape}"
             )
     value: np.ndarray | None = None
     noise_variance = 0.0
-    coverage = [0] * len(mechs)
+    coverage = [0] * len(records)
     weight_total = 0.0
-    for i, mech in live:
-        release = np.asarray(mech.current_sum(), dtype=float)
-        value = release.copy() if value is None else value + release
-        noise_variance += mech.release_noise_variance()
-        steps = int(mech.steps_taken)
-        coverage[i] = steps
-        weight_total += float(getattr(mech, "effective_weight", steps))
+    for i, record in live:
+        value = record.value.copy() if value is None else value + record.value
+        noise_variance += record.noise_variance
+        coverage[i] = record.steps
+        weight_total += record.effective_weight
     covered = sum(coverage)
     return MergedRelease(
         value=value,

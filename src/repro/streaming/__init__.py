@@ -13,9 +13,9 @@ front: a sharded stream with per-shard moment trees, a noise-preserving
 merge rule, asynchronous ingestion, and a versioned estimate cache; the
 transport module lets those shard workers run in their own interpreters
 behind ``multiprocessing`` pipes (``ShardedStream(transport="process")``),
-shipping released moments back as snapshots in the typed frames of the
-wire module (no pickle); the netserve module serves the same command
-protocol over the same frames, length-prefixed on TCP
+shipping released moments back as ``ReleasedMoments`` records in the
+typed frames of the wire module (no pickle); the netserve module serves
+the same command protocol over the same frames, length-prefixed on TCP
 (``ShardedStream(transport="tcp")``: ``ShardHostListener`` hosts,
 ``ShardAddress`` rendezvous, per-RPC deadlines and heartbeats), so
 shards run on separate hosts.  The readers

@@ -2,7 +2,7 @@
 
 :mod:`repro.streaming.transport` established the command/response
 protocol (:class:`~repro.streaming.transport.ShardSpec` spawn payloads
-down, :class:`~repro.privacy.tree.ReleasedMoments` snapshots up,
+down, :class:`~repro.privacy.tree.ReleasedMoments` records up,
 ``(command, payload)`` → ``("ok" | "err", result)`` framing) over a
 ``multiprocessing`` pipe.  This module serves the *same* protocol, in the
 same typed frames (:mod:`repro.streaming.wire`), **length-prefixed on a
@@ -34,7 +34,7 @@ under ``ingest="exact"`` stays bit-identical to the plain batched path,
 and thread ≡ process ≡ tcp merged releases under one seed —
 ``tests/test_tcp_serving.py``).  The wire carries the released statistic
 (``O(m²)`` raw ``float64`` bytes, exact), never tree state, and
-everything the parent does with the snapshots is post-processing.
+everything the parent does with the records is post-processing.
 
 Fault semantics
 ---------------
@@ -100,7 +100,7 @@ __all__ = [
 _HEADER = struct.Struct(">Q")
 
 #: Sanity cap on a single frame (8 GiB).  Real frames are data blocks and
-#: released snapshots — megabytes at most; a length beyond this means a
+#: released records — megabytes at most; a length beyond this means a
 #: corrupt or hostile header, and refusing eagerly beats a doomed
 #: multi-gigabyte allocation.
 MAX_FRAME_BYTES = 8 << 30

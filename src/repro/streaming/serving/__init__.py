@@ -36,13 +36,14 @@ the single-tree one (:func:`repro.privacy.parameters.shard_budgets`).
   under the projected backend drops from ``O(d² log T)`` to
   ``O(m² log T)``.
 * **Transports** — shard workers live either in the serving process
-  (``transport="thread"``, the default: zero-copy merges, group
+  (``transport="thread"``, the default: copy-free release records, group
   parallelism bounded by the GIL except where BLAS releases it) or each
   in their **own interpreter** (``transport="process"``: a
   :class:`~repro.streaming.transport.ProcessShardWorker` drives the same
   ``MomentShard`` over a ``multiprocessing`` pipe, shipping released
-  moments back as :class:`~repro.privacy.tree.ReleasedMoments` snapshots
-  in typed :mod:`repro.streaming.wire` frames).  The two
+  moments back as the same :class:`~repro.privacy.tree.ReleasedMoments`
+  records an in-process shard hands over, in typed
+  :mod:`repro.streaming.wire` frames).  The two
   transports build identical mechanisms from identical noise keys, so
   everything below — tiers, merge rule, fault semantics — holds verbatim
   for both; see :mod:`repro.streaming.transport`.
@@ -97,9 +98,11 @@ differ only in how each block's clean moment sum is added up:
   ``mechanism="hybrid"`` and a finite ``window`` accept only ``"exact"``.
 
 Either way a block only commits: a release is computed when read, by a
-refresh's merge or by the snapshot the front takes right after an ingest
+refresh's merge or by the read the front makes right after an ingest
 when the next refresh reads that shard before its next block
 (``ShardFront._prefetch``), and a node no read needs is never drawn.
+Each shard caches its ``released()`` answer until its next ingest or
+tenant change, so the refresh reuses that read.
 
 Fault semantics: :meth:`ShardedStream.kill_shard` drops a shard's
 mechanisms (under the process transport it SIGKILLs the worker process);

@@ -111,6 +111,8 @@ class MomentShard:
         )
         for entry in later:
             self.bundle.add(*entry)
+        # This shard's released() answer, kept until its state next moves.
+        self._released: tuple | None = None
 
     def ingest(self, xs: np.ndarray, ys, fast: bool) -> None:
         """Feed a routed block to the moment bundle.
@@ -127,6 +129,7 @@ class MomentShard:
         fault path, with only the fully committed blocks counted into
         ``steps`` (and hence ``lost_steps``).
         """
+        self._released = None
         rows = self._declaration.transform(self.config, xs)
         try:
             self.bundle.ingest(rows, self.layout.columns(ys), fast)
@@ -138,24 +141,29 @@ class MomentShard:
     def add_tenant(self, name: str, keys: np.ndarray, decay: float | None = None) -> None:
         """Occupy a free capacity slot with outcome entries for ``name``,
         one per key (:meth:`BundleLayout.outcome_keys`)."""
+        self._released = None
         for entry in self.layout.outcome_entries(name, keys, decay):
             self.bundle.add(*entry)
 
     def remove_tenant(self, name: str) -> None:
         """Retire ``name``'s outcome entries, freeing its capacity slot."""
+        self._released = None
         for entry in self.layout.remove(name):
             self.bundle.remove(entry)
 
-    def released(self):
-        """The bundle's merge handles for :func:`~repro.privacy.tree.merge_released`.
+    def released(self) -> tuple:
+        """One :class:`~repro.privacy.tree.ReleasedMoments` record per
+        bundle entry, in bundle order (``None`` each once killed).
 
-        One handle per bundle entry, in bundle order.  In-process shards
-        hand over their **live** mechanisms (zero-copy); the remote
-        transports ship :class:`~repro.privacy.tree.ReleasedMoments`
-        snapshots of the same
-        handles, and ``merge_released`` accepts both interchangeably.
+        What :func:`~repro.privacy.tree.merge_released` reads, on every
+        transport: a remote worker answers the ``released`` command with
+        exactly these records.  The answer is cached until this shard's
+        next ingest, tenant add, tenant remove or kill, so repeat reads
+        between those build nothing.
         """
-        return self.bundle.released()
+        if self._released is None:
+            self._released = self.bundle.released()
+        return self._released
 
     def memory_floats(self) -> int:
         """Floats held by this shard's mechanisms (0 once killed).
@@ -170,6 +178,7 @@ class MomentShard:
     def kill(self) -> None:
         """Drop the mechanisms; the shard's ingested mass is lost."""
         self.alive = False
+        self._released = None
         self.bundle.kill()
 
     def shutdown(self) -> None:

@@ -264,9 +264,6 @@ class ShardFront:
         self._blocks_refunded = 0
         self._next_shard = 0
         self._last_refresh_t = 0
-        # Shard index -> (shard, steps, bundle names, released snapshots)
-        # taken right after an ingest for the next refresh (see _prefetch).
-        self._snapshots: dict = {}
         self.lost_steps = 0
         self._error: BaseException | None = None
         self._closed = False
@@ -980,7 +977,7 @@ class ShardFront:
         return shard
 
     def _prefetch(self, shard, n: int) -> None:
-        """Snapshot ``shard``'s releases now if the next refresh reads them
+        """Read ``shard``'s releases now if the next refresh reads them
         before the shard's next block.
 
         A release is computed when read (:mod:`repro.privacy.tree`), so a
@@ -992,23 +989,16 @@ class ShardFront:
         refresh comes first and reads exactly what the shard releases now,
         so the read is taken here, in the ingest call.  A refresh in this
         very call reads the shard itself (the caller skips the prefetch),
-        and a custom router never prefetches.  :meth:`_merge` reuses a
-        snapshot once, and only while it is still this shard's state.
+        and a custom router never prefetches.  The shard caches its
+        answer until its state next moves, so the refresh reuses this
+        read exactly when nothing changed in between.
         """
         if callable(self._router) or self.refresh_every is None:
             return
         live = sum(s.alive for s in self._shards)
         next_refresh = (self._processed // self.refresh_every + 1) * self.refresh_every
-        if self._processed + (live - 1) * n < next_refresh:
-            return
-        handles = self._released_handles(shard)
-        if handles is not None:
-            self._snapshots[shard.index] = (
-                shard,
-                shard.steps,
-                self.bundle_names,
-                tuple(handle.released_moments() for handle in handles),
-            )
+        if self._processed + (live - 1) * n >= next_refresh:
+            self._released_handles(shard)
 
     def _should_refresh(self) -> bool:
         if self.refresh_every is None:
@@ -1050,29 +1040,10 @@ class ShardFront:
         return hub
 
     def _merge(self) -> dict[str, MergedRelease]:
-        """Every bundle entry's merged release, by name (one merge each).
-
-        A shard snapshotted by :meth:`_prefetch` since the last merge is
-        read from its snapshot while it is still the same live shard
-        object at the same ``steps`` under the same bundle layout (the
-        layout rebuilds its names tuple on every tenant change, so the
-        identity test catches a remove and re-add of one name); every
-        other shard is read as before.  Each snapshot serves one merge.
-        """
-        snapshots, self._snapshots = self._snapshots, {}
-        handles = []
-        for shard in self._shards:
-            taken = snapshots.get(shard.index)
-            if (
-                taken is not None
-                and taken[0] is shard
-                and shard.alive
-                and taken[1] == shard.steps
-                and taken[2] is self.bundle_names
-            ):
-                handles.append(taken[3])
-            else:
-                handles.append(self._released_handles(shard))
+        """Every bundle entry's merged release, by name (one merge each),
+        over each shard's ``released()`` records (cached by the shard
+        since its last state change, e.g. by :meth:`_prefetch`)."""
+        handles = [self._released_handles(shard) for shard in self._shards]
         return {
             name: merge_released(
                 [None if h is None else h[slot] for h in handles], strict=False
@@ -1207,12 +1178,13 @@ class ShardFront:
             self.lost_steps += shard.steps
 
     def _released_handles(self, shard):
-        """One shard's merge handles in bundle order, or ``None`` if dead.
+        """One shard's release records in bundle order, or ``None`` if dead.
 
         A remote worker found dead *here* (crashed since its last
-        acknowledgement) is folded into the partial-coverage path on the
-        spot: its mass is accounted as lost and the merge proceeds over
-        the survivors, instead of failing the refresh.  Deaths detected
+        acknowledgement, and asked because it has no cached answer) is
+        folded into the partial-coverage path on the spot: its mass is
+        accounted as lost and the merge proceeds over the survivors,
+        instead of failing the refresh.  Deaths detected
         earlier by paths that could not account them are swept up here
         too — every served estimate is preceded by a merge, so the books
         are settled before coverage is reported.
@@ -1351,7 +1323,7 @@ class ShardedStream(ShardFront, HubReads):
         how shards run on separate hosts.  Remote transports speak the
         typed frames of :mod:`repro.streaming.wire` and ship released
         moments back as :class:`~repro.privacy.tree.ReleasedMoments`
-        snapshots.  All transports build the same mechanisms from the
+        records.  All transports build the same mechanisms from the
         same noise keys, so the ingest contract, merge rule, and fault
         semantics are transport-independent
         (``tests/test_process_serving.py``, ``tests/test_tcp_serving.py``).

@@ -172,8 +172,8 @@ class MultiTenantStream(ShardFront):
         interpreter per shard behind a pipe), or ``"tcp"`` (shards
         served by :class:`~repro.streaming.netserve.ShardHostListener`
         hosts, reachable cross-host).  Remote transports ship releases
-        back as :class:`~repro.privacy.tree.ReleasedMoments` snapshots,
-        ``k`` per shard; all transports build the same mechanisms from
+        back as :class:`~repro.privacy.tree.ReleasedMoments` records,
+        one per bundle entry; all transports build the same mechanisms from
         the same noise keys.
     request_timeout:
         Deadline in seconds on every shard RPC (remote transports only;

@@ -17,7 +17,7 @@ What crosses the pipe — and what never does
   data blocks and the front's other commands.
 * **Up** (worker → parent): at refresh points, the shard's released
   moments as compact :class:`~repro.privacy.tree.ReleasedMoments`
-  snapshots — the released statistic (``O(m)`` / ``O(m²)`` floats) with
+  records — the released statistic (``O(m)`` / ``O(m²)`` floats) with
   its variance accounting, **never** the tree state (``O(m² log T)``) and
   never raw data back.  This is the serialize-the-sketch-not-the-data
   pattern: the expensive object stays where it was built, only the
@@ -26,18 +26,17 @@ What crosses the pipe — and what never does
 Why the privacy and serving analyses survive the boundary
 ---------------------------------------------------------
 The merge rule (:func:`~repro.privacy.tree.merge_released`) consumes only
-each shard's released sum, noise variance, step count, and shape — all
-frozen losslessly into the snapshot (``float64`` crosses the wire as its
-raw bytes), so a merge over pipe-shipped snapshots is bit-identical to a
-merge over the live mechanisms.  Each worker builds its mechanisms from
-the keys the in-process transport builds from — every release family is
-a pure function of its two-word key — so they release the same noise:
-under ``ingest="exact"`` a
-``K = 1`` process server stays bit-identical to the plain batched path,
+each shard's release records — the released sum, noise variance, step
+count and effective weight, which cross the wire losslessly (``float64``
+as its raw bytes) — so a merge over pipe-shipped records is bit-identical
+to a merge over the records an in-process shard builds.  Each worker
+builds its mechanisms from the keys the in-process transport builds from
+— every release family is a pure function of its two-word key — so they
+release the same noise: under ``ingest="exact"`` a ``K = 1`` process server stays bit-identical to the plain batched path,
 and thread and process servers under one seed produce identical merged
 releases (``tests/test_process_serving.py``).  Privacy needs even less: each
 shard's tree is a complete ``(ε, δ)`` mechanism on its own sub-stream,
-and everything the parent does with the snapshots is post-processing.
+and everything the parent does with the records is post-processing.
 
 Fault semantics
 ---------------
@@ -242,10 +241,9 @@ def dispatch_command(shard, command: str, payload):
         shard.ingest(xs, ys, fast)
         return shard.steps
     if command == "released":
-        # Snapshots, never the live mechanisms: the wire carries the
-        # released statistics (O(m)/O(m²)), not the trees (O(m² log T))
-        # — one per bundle entry, in bundle order.
-        return tuple(handle.released_moments() for handle in shard.released())
+        # Records of the released statistics (O(m)/O(m²)), never the
+        # trees (O(m² log T)) — one per bundle entry, in bundle order.
+        return shard.released()
     if command == "tenant":
         action, name, extra = payload
         if action == "add":
@@ -379,6 +377,8 @@ class ShardRpcClient:
         self.mechanism = spec.mechanism
         self.steps = 0
         self.alive = False
+        # The worker's last released() answer, kept until its state moves.
+        self._released: tuple | None = None
         # Set by the serving front once this worker's mass is credited to
         # lost_steps (same flag as the in-process MomentShard).
         self.lost_accounted = False
@@ -409,6 +409,7 @@ class ShardRpcClient:
         several shards this way, then awaits each ack in turn.  A dead
         or broken link raises as :meth:`ingest` would.
         """
+        self._released = None
         self._post("ingest", (xs, ys, bool(fast)))
 
     def await_ingest(self) -> None:
@@ -421,14 +422,17 @@ class ShardRpcClient:
         self.steps = int(self._await(self.request_timeout, "ingest"))
 
     def released(self) -> tuple[ReleasedMoments, ...]:
-        """The bundle's released moments, snapshotted over the wire.
+        """The worker shard's ``released()`` records, decoded off the wire.
 
-        One round trip for all snapshots, in bundle order — (cross, gram)
-        for the default backends, (zz, zx, zy) for the IV backend; each
-        merges interchangeably with live mechanisms
-        (:func:`~repro.privacy.tree.merge_released`).
+        One round trip for all records, in bundle order — (cross, gram)
+        for the default backends, (zz, zx, zy) for the IV backend.  The
+        answer is cached until the next :meth:`send_ingest`,
+        :meth:`add_tenant` or :meth:`remove_tenant`, so a repeat read of
+        a live worker sends no frame; a dead worker raises.
         """
-        return tuple(self._request("released", None))
+        if self._released is None or not self.alive:
+            self._released = tuple(self._request("released", None))
+        return self._released
 
     def add_tenant(self, name: str, keys: np.ndarray, decay: float | None = None) -> None:
         """Attach a tenant's outcome entries on the worker (named tenants only).
@@ -439,10 +443,12 @@ class ShardRpcClient:
         the same bit-identity contract as initial construction.  ``decay``
         assigns the tenant to one of the shard's declared γ groups.
         """
+        self._released = None
         self._request("tenant", ("add", name, (keys, decay)))
 
     def remove_tenant(self, name: str) -> None:
         """Drop a tenant's outcome entries on the worker (named tenants only)."""
+        self._released = None
         self._request("tenant", ("remove", name, None))
 
     def memory_floats(self) -> int:

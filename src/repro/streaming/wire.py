@@ -7,7 +7,7 @@ Both remote transports — the ``multiprocessing`` pipe of
 requests and ``("ok" | "err", result)`` replies.  This module turns each
 of them into bytes and back, with no pickle anywhere: a frame decodes
 into plain values, numpy arrays, :class:`~repro.privacy.tree.ReleasedMoments`
-snapshots or an allow-listed exception — never into an arbitrary object,
+records or an allow-listed exception — never into an arbitrary object,
 so a peer can send data but never code.
 
 Frame layout
@@ -29,9 +29,11 @@ little-endian; arrays are raw ``float64`` (or ``uint64``) bytes decoded with
     differ from the thread transport's in the last bits.
   - ``OK_INT`` — ``<Bq``: the integer replies (``ingest``, ``ping``,
     ``memory``).
-  - ``OK_RELEASED`` — ``<BI`` (kind, count), then per snapshot
+  - ``OK_RELEASED`` — ``<BI`` (kind, count), then per record
     ``<dqdBB`` (noise variance, steps, weight, has-weight, ndim), the
-    dims as ``<q`` each and the C-ordered values.
+    dims as ``<q`` each and the C-ordered values.  A decoded record's
+    value is a read-only view of the frame (no copy); the merge only
+    adds values elementwise, so their alignment moves no bit.
 
 * **Cold kinds** (``RELEASED`` requests, ``tenant``, ``memory``,
   ``ping``, ``close``, ``OK_VALUE`` replies, ``ERR`` replies and the boot
@@ -96,7 +98,7 @@ _KIND = struct.Struct("<B")
 _INGEST = struct.Struct("<BBBB4xqqq")
 _OK_INT = struct.Struct("<Bq")
 _RELEASED_HEAD = struct.Struct("<BI")
-_SNAPSHOT = struct.Struct("<dqdBB")
+_RECORD = struct.Struct("<dqdBB")
 _DIMS = tuple(struct.Struct(f"<{n}q") for n in range(_MAX_NDIM + 1))
 _I64 = struct.Struct("<q")
 _U32 = struct.Struct("<I")
@@ -165,8 +167,8 @@ def encode(message) -> bytes:
             type(item) is ReleasedMoments for item in body
         ):
             parts = [_RELEASED_HEAD.pack(OK_RELEASED, len(body))]
-            for snapshot in body:
-                _pack_snapshot(snapshot, parts)
+            for record in body:
+                _pack_record(record, parts)
             return b"".join(parts)
         return _cold(OK_VALUE, body)
     if head == "err":
@@ -208,22 +210,22 @@ def _encode_ingest(payload) -> bytes:
     return b"".join((header, xs, ys))
 
 
-def _pack_snapshot(snapshot: ReleasedMoments, parts: list) -> None:
-    shape = snapshot.shape
+def _pack_record(record: ReleasedMoments, parts: list) -> None:
+    shape = record.shape
     if len(shape) > _MAX_NDIM:
-        raise ValidationError(f"a snapshot has at most {_MAX_NDIM} axes")
-    weight = snapshot.weight
+        raise ValidationError(f"a record has at most {_MAX_NDIM} axes")
+    weight = record.weight
     parts.append(
-        _SNAPSHOT.pack(
-            snapshot.noise_variance,
-            snapshot.steps,
+        _RECORD.pack(
+            record.noise_variance,
+            record.steps,
             0.0 if weight is None else weight,
             weight is not None,
             len(shape),
         )
     )
     parts.append(_DIMS[len(shape)].pack(*shape))
-    parts.append(snapshot.value)
+    parts.append(np.ascontiguousarray(record.value, dtype=_F8))
 
 
 def _cold(kind: int, value) -> bytes:
@@ -359,14 +361,14 @@ def _decode(frame):
             raise _malformed("truncated released reply")
         count = _RELEASED_HEAD.unpack_from(frame)[1]
         if count > size:
-            raise _malformed(f"released reply claims {count} snapshots")
+            raise _malformed(f"released reply claims {count} records")
         offset = _RELEASED_HEAD.size
-        snapshots = []
+        records = []
         for _ in range(count):
-            snapshot, offset = _snapshot_at(frame, offset, size)
-            snapshots.append(snapshot)
+            record, offset = _record_at(frame, offset, size)
+            records.append(record)
         _check_end(offset, size)
-        return "ok", tuple(snapshots)
+        return "ok", tuple(records)
     if kind == RELEASED:
         _check_end(1, size)
         return "released", None
@@ -429,23 +431,17 @@ def _decode_ingest(frame, size: int):
     return xs, ys, bool(flags & _FAST)
 
 
-def _snapshot_at(frame, offset: int, size: int):
-    end = _need(offset, _SNAPSHOT.size, size)
-    noise_variance, steps, weight, has_weight, ndim = _SNAPSHOT.unpack_from(frame, offset)
+def _record_at(frame, offset: int, size: int):
+    end = _need(offset, _RECORD.size, size)
+    noise_variance, steps, weight, has_weight, ndim = _RECORD.unpack_from(frame, offset)
     if ndim > _MAX_NDIM or has_weight > 1:
-        raise _malformed(f"bad snapshot header (ndim {ndim}, weight flag {has_weight})")
+        raise _malformed(f"bad record header (ndim {ndim}, weight flag {has_weight})")
     offset = end
     end = _need(offset, _DIMS[ndim].size, size)
     shape = _DIMS[ndim].unpack_from(frame, offset)
     value, offset = _float_array(frame, end, shape, False, size)
-    snapshot = ReleasedMoments(
-        value=value,
-        noise_variance=noise_variance,
-        steps=steps,
-        shape=shape,
-        weight=weight if has_weight else None,
-    )
-    return snapshot, offset
+    record = ReleasedMoments(value, noise_variance, steps, weight if has_weight else None)
+    return record, offset
 
 
 def _value_of(frame, size: int):

@@ -1,11 +1,10 @@
-"""Tests for the extension modules: sparse JL, ellipsoids, RDP accounting."""
+"""Tests for the extension modules: sparse JL, RDP accounting."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.geometry import Ellipsoid, L2Ball
 from repro.privacy import PrivacyParams, RdpAccountant, gaussian_rdp, rdp_to_dp
 from repro.privacy.mechanisms import gaussian_sigma
 from repro.sketching import SparseProjection
@@ -44,51 +43,6 @@ class TestSparseProjection:
         proj = SparseProjection(30, 10, rng=8)
         with pytest.raises(Exception):
             proj.apply(np.zeros(29))
-
-
-class TestEllipsoid:
-    def test_reduces_to_l2_ball(self):
-        """Equal semi-axes = an L2 ball; all operations must agree."""
-        ellipsoid = Ellipsoid(np.full(4, 2.0))
-        ball = L2Ball(4, radius=2.0)
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            z = rng.normal(size=4) * 3
-            np.testing.assert_allclose(ellipsoid.project(z), ball.project(z), atol=1e-6)
-            assert ellipsoid.gauge(z) == pytest.approx(ball.gauge(z))
-            assert ellipsoid.support(z) == pytest.approx(ball.support(z))
-
-    def test_projection_feasible_and_optimal(self):
-        ellipsoid = Ellipsoid(np.array([2.0, 0.5, 1.0]))
-        rng = np.random.default_rng(1)
-        z = rng.normal(size=3) * 4
-        projected = ellipsoid.project(z)
-        assert ellipsoid.contains(projected, tol=1e-6)
-        # Optimality vs random feasible points.
-        for _ in range(100):
-            other = ellipsoid.project(rng.normal(size=3) * 4)
-            assert np.linalg.norm(z - projected) <= np.linalg.norm(z - other) + 1e-6
-
-    def test_interior_untouched(self):
-        ellipsoid = Ellipsoid(np.array([2.0, 1.0]))
-        point = np.array([0.5, 0.2])
-        np.testing.assert_array_equal(ellipsoid.project(point), point)
-
-    def test_boundary_projection_on_boundary(self):
-        ellipsoid = Ellipsoid(np.array([1.0, 3.0]))
-        projected = ellipsoid.project(np.array([5.0, 5.0]))
-        assert ellipsoid.gauge(projected) == pytest.approx(1.0, abs=1e-6)
-
-    def test_width_bounds(self):
-        axes = np.array([3.0, 1.0, 0.5, 0.25])
-        ellipsoid = Ellipsoid(axes)
-        width = ellipsoid.gaussian_width()
-        assert width <= ellipsoid.width_upper_bound() + 0.05
-        assert width >= axes.max() * 0.7  # at least the longest axis' share
-
-    def test_rejects_non_positive_axis(self):
-        with pytest.raises(ValueError):
-            Ellipsoid(np.array([1.0, 0.0]))
 
 
 class TestRdpAccounting:

@@ -121,13 +121,11 @@ class TestSupportProperties:
 def _every_convex_set():
     """One instance of each ``ConvexSet`` in the library, in ``R^DIM``."""
     from repro import GaussianProjection, Polytope
-    from repro.geometry import Ellipsoid
     from repro.sketching.projected_set import ProjectedConvexSet
 
     rng = np.random.default_rng(7)
     phi = GaussianProjection(DIM + 2, DIM, rng=1).matrix
     return SETS + [
-        Ellipsoid(np.array([0.5, 1.0, 1.5, 0.8, 1.2])),
         Polytope(rng.normal(size=(7, DIM))),
         ProjectedConvexSet(phi, L1Ball(DIM + 2)),
     ]

@@ -151,13 +151,13 @@ class TestPrivIncIVStandalone:
             params=PARAMS, rng=0,
         )
         mech.observe_batch(iv_stream.zs[:-2], iv_stream.xs[:-2], iv_stream.ys[:-2])
-        before = [m.current_sum().copy() for m in mech._moments.released()]
+        before = [record.value for record in mech._moments.released()]
         with pytest.raises(StreamExhaustedError):
             mech.observe_batch(iv_stream.zs[:3], iv_stream.xs[:3], iv_stream.ys[:3])
         assert mech.steps_taken == T - 2
-        for mechanism, value in zip(mech._moments.released(), before):
-            assert mechanism.steps_taken == T - 2
-            np.testing.assert_array_equal(mechanism.current_sum(), value)
+        for record, value in zip(mech._moments.released(), before):
+            assert record.steps == T - 2
+            np.testing.assert_array_equal(record.value, value)
         # The two points that still fit are accepted afterwards.
         mech.observe_batch(iv_stream.zs[-2:], iv_stream.xs[-2:], iv_stream.ys[-2:])
         assert mech.steps_taken == T
@@ -195,6 +195,72 @@ class TestPrivIncIVStandalone:
         assert mech.memory_floats() > 0
         with pytest.raises(ValidationError):
             mech.refresh()
+
+
+def _nan_at(block, index):
+    block = block.copy()
+    block[index] = np.nan
+    return block
+
+
+def _scaled_row(block, factor):
+    block = block.copy()
+    block[0] *= factor
+    return block
+
+
+#: One refused (zs, xs, ys) block per case, built from a valid 4-point
+#: block, with the error ``observe_batch`` must raise.
+BAD_IV_BLOCKS = {
+    "z-one-dimensional": (lambda z, x, y: (z[0], x, y), ValidationError),
+    "z-too-narrow": (lambda z, x, y: (z[:, :-1], x, y), ValidationError),
+    "x-one-dimensional": (lambda z, x, y: (z, x[0], y), ValidationError),
+    "x-too-wide": (lambda z, x, y: (z, np.hstack([x, x[:, :1]]), y), ValidationError),
+    "z-fewer-rows": (lambda z, x, y: (z[:3], x, y), ValidationError),
+    "x-fewer-rows": (lambda z, x, y: (z, x[:3], y), ValidationError),
+    "y-fewer-rows": (lambda z, x, y: (z, x, y[:3]), ValidationError),
+    "y-column": (lambda z, x, y: (z, x, y[:, None]), ValidationError),
+    "empty": (lambda z, x, y: (z[:0], x[:0], y[:0]), ValidationError),
+    "z-nan": (lambda z, x, y: (_nan_at(z, (1, 0)), x, y), ValidationError),
+    "x-nan": (lambda z, x, y: (z, _nan_at(x, (2, 1)), y), ValidationError),
+    "y-nan": (lambda z, x, y: (z, x, _nan_at(y, 3)), ValidationError),
+    "z-norm-above-one": (lambda z, x, y: (_scaled_row(z, 5.0), x, y), DomainViolationError),
+    "x-norm-above-one": (lambda z, x, y: (z, _scaled_row(x, 5.0), y), DomainViolationError),
+    "y-above-one": (lambda z, x, y: (z, x, _scaled_row(y, 5.0) + 2.0), DomainViolationError),
+}
+
+
+class TestPrivIncIVBlockChecks:
+    """``observe_batch`` checks Z and X each against the same responses,
+    then the unit domain: every malformed block is refused before any
+    tree is touched, so the next valid block releases exactly what it
+    would have released on a fresh estimator."""
+
+    @staticmethod
+    def _fresh():
+        return PrivIncIV(
+            horizon=T, constraint=L2Ball(DIM), instruments=INSTRUMENTS,
+            params=PARAMS, rng=0,
+        )
+
+    @pytest.mark.parametrize("case", list(BAD_IV_BLOCKS))
+    def test_malformed_block_is_refused_and_consumes_nothing(self, iv_stream, case):
+        build, error = BAD_IV_BLOCKS[case]
+        zs, xs, ys = iv_stream.zs[:4], iv_stream.xs[:4], iv_stream.ys[:4]
+        mech = self._fresh()
+        with pytest.raises(error):
+            mech.observe_batch(*build(zs, xs, ys))
+        assert mech.steps_taken == 0
+        np.testing.assert_array_equal(
+            mech.observe_batch(zs, xs, ys), self._fresh().observe_batch(zs, xs, ys)
+        )
+
+    def test_nested_lists_are_accepted_like_arrays(self, iv_stream):
+        zs, xs, ys = iv_stream.zs[:4], iv_stream.xs[:4], iv_stream.ys[:4]
+        np.testing.assert_array_equal(
+            self._fresh().observe_batch(zs.tolist(), xs.tolist(), ys.tolist()),
+            self._fresh().observe_batch(zs, xs, ys),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +342,9 @@ class TestServedIV:
             replay["zy"][shard].advance_batch(z * y[:, None])
         for name in ("zz", "zx", "zy"):
             np.testing.assert_array_equal(
-                merged[name].value, merge_released(replay[name]).value
+                merged[name].value, merge_released(
+                    [m.released_moments() for m in replay[name]]
+                ).value
             )
             assert merged[name].covered_steps == T
 

@@ -17,7 +17,6 @@ from repro import (
     Simplex,
 )
 from repro.erm.noisy_pgd import noisy_pgd_iterations
-from repro.geometry import Ellipsoid
 from repro.sketching.projected_set import ProjectedConvexSet
 from repro.exceptions import ValidationError
 
@@ -142,8 +141,6 @@ def _make_set(name):
         return Simplex(GOLDEN_DIM)
     if name == "GroupL1Ball":
         return GroupL1Ball(GOLDEN_DIM, block_size=4, radius=0.9)
-    if name == "Ellipsoid":
-        return Ellipsoid(np.linspace(0.3, 1.2, GOLDEN_DIM))
     if name == "Polytope":
         return Polytope(rng.normal(size=(9, GOLDEN_DIM)), projection_iterations=60)
     if name == "ProjectedConvexSet":
@@ -154,7 +151,7 @@ def _make_set(name):
 
 SET_NAMES = [
     "L2Ball", "L1Ball", "LinfBall", "LpBall", "Simplex",
-    "GroupL1Ball", "Ellipsoid", "Polytope", "ProjectedConvexSet",
+    "GroupL1Ball", "Polytope", "ProjectedConvexSet",
 ]
 
 

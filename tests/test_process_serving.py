@@ -4,10 +4,10 @@ The process transport's whole claim is *transparency*: moving a shard
 worker into its own interpreter must change throughput characteristics and
 nothing else.  Four contracts pin that down:
 
-(a) **Wire fidelity** — ``ReleasedMoments`` snapshots cross the wire
-    codec (and pickle) losslessly and merge interchangeably with the live
-    mechanisms they were taken from (bit-identical value, identical
-    variance accounting).
+(a) **Wire fidelity** — ``ReleasedMoments`` records cross the wire
+    codec (and pickle) losslessly and merge exactly like the records they
+    were encoded from (bit-identical value, identical variance
+    accounting); a mechanism builds its record without copying.
 
 (b) **Transport equivalence** — a thread server and a process server under
     one seed produce bit-identical merged releases and served estimates
@@ -37,6 +37,7 @@ import pytest
 
 from repro import (
     GaussianProjection,
+    HybridMechanism,
     L1Ball,
     L2Ball,
     PrivacyParams,
@@ -44,6 +45,7 @@ from repro import (
     Projection,
     ReleasedMoments,
     ShardedStream,
+    SketchNoiseMechanism,
     SparseVectors,
     TreeMechanism,
     merge_released,
@@ -101,8 +103,8 @@ class TestWireSnapshots:
         assert isinstance(wired, ReleasedMoments)
         assert wired == snapshot  # value equality survives the wire
         np.testing.assert_array_equal(wired.value, mech.current_sum())
-        assert wired.release_noise_variance() == mech.release_noise_variance()
-        assert wired.steps_taken == mech.steps_taken == 5
+        assert wired.noise_variance == mech.release_noise_variance()
+        assert wired.steps == mech.steps_taken == 5
         assert wired.shape == (DIM,)
         # Snapshots of different states compare unequal (and never raise —
         # the auto-generated dataclass __eq__ over an ndarray would).
@@ -113,30 +115,70 @@ class TestWireSnapshots:
         with pytest.raises((ValueError, RuntimeError)):
             snapshot.value[0] = 0.0
 
-    def test_snapshots_merge_interchangeably_with_live_mechanisms(self):
+    def test_pickled_records_merge_like_the_originals(self):
         half = PARAMS.halve()
         a = TreeMechanism(T, (DIM,), 2.0, half, rng=1)
         b = TreeMechanism(T, (DIM,), 2.0, half, rng=2)
         a.observe_batch(np.full((3, DIM), 0.2))
         b.observe_batch(np.full((7, DIM), -0.1))
-        live = merge_released([a, b])
-        mixed = merge_released([a.released_moments(), b])
+        local = merge_released([a.released_moments(), b.released_moments()])
         snapped = merge_released(
             [
                 pickle.loads(pickle.dumps(a.released_moments())),
                 pickle.loads(pickle.dumps(b.released_moments())),
             ]
         )
-        for merged in (mixed, snapped):
-            np.testing.assert_array_equal(merged.value, live.value)
-            assert merged.noise_variance == live.noise_variance
-            assert merged.coverage == live.coverage
+        np.testing.assert_array_equal(snapped.value, local.value)
+        assert snapped.noise_variance == local.noise_variance
+        assert snapped.coverage == local.coverage
+
+    def test_merge_takes_records_only(self):
+        """A live mechanism is not a merge handle: its record is."""
+        mech = TreeMechanism(T, (DIM,), 2.0, PARAMS.halve(), rng=1)
+        mech.observe_batch(np.full((3, DIM), 0.2))
+        with pytest.raises(ValidationError, match="released_moments"):
+            merge_released([mech])
+        with pytest.raises(ValidationError, match="released_moments"):
+            merge_released([mech.released_moments(), mech])
 
     def test_mismatched_snapshot_shape_rejected(self):
-        with pytest.raises(ValidationError):
-            ReleasedMoments(
-                value=np.zeros(DIM), noise_variance=0.0, steps=1, shape=(DIM, DIM)
-            )
+        # A record's shape is its value's; records of different shapes
+        # never merge.
+        flat = ReleasedMoments(value=np.zeros(DIM), noise_variance=0.0, steps=1)
+        square = ReleasedMoments(value=np.zeros((DIM, DIM)), noise_variance=0.0, steps=1)
+        assert flat.shape == (DIM,) and square.shape == (DIM, DIM)
+        with pytest.raises(ValidationError, match="shapes differ"):
+            merge_released([flat, square])
+
+    def test_records_are_built_without_a_copy(self):
+        """A tree's record shares its cached release, which is read-only
+        (so is every ``current_sum()``); the chunked and sketch members
+        freeze the fresh array their read returns; the record decoded off
+        the wire equals the in-process one byte for byte."""
+        tree = TreeMechanism(T, (DIM, DIM), 2.0, PARAMS.halve(), rng=3)
+        tree.advance_batch(np.full((5, DIM, DIM), 0.01))
+        record = tree.released_moments()
+        assert np.shares_memory(record.value, tree._read())
+        assert np.shares_memory(record.value, tree.current_sum())
+        assert not record.value.flags.writeable
+        with pytest.raises(ValueError):
+            tree.current_sum()[0, 0] = 0.0
+        wired = self._via_codec(record)
+        assert wired == record
+        assert wired.value.tobytes() == record.value.tobytes()
+        assert (wired.noise_variance, wired.steps, wired.weight) == (
+            record.noise_variance, record.steps, record.weight,
+        )
+        for mech in (
+            HybridMechanism((DIM,), 2.0, PARAMS.halve(), rng=4, decay=0.9),
+            SketchNoiseMechanism(T, (DIM,), 2.0, PARAMS.halve(), rng=5),
+        ):
+            mech.advance_batch(np.full((5, DIM), 0.1))
+            record = mech.released_moments()
+            assert not record.value.flags.writeable
+            np.testing.assert_array_equal(record.value, mech.current_sum())
+            assert not np.shares_memory(record.value, mech.current_sum())
+            assert self._via_codec(record).value.tobytes() == record.value.tobytes()
 
     def test_snapshots_are_hashable_dict_keys_across_the_wire(self):
         """``__eq__``-with-``__hash__``: a snapshot must work as a dict/set
@@ -177,32 +219,32 @@ class TestWireSnapshots:
         assert isinstance(wired, ReleasedMoments)
         assert wired == snapshot
         np.testing.assert_array_equal(wired.value, mech.current_sum())
-        assert wired.release_noise_variance() == mech.release_noise_variance()
-        assert wired.steps_taken == mech.steps_taken == 5
+        assert wired.noise_variance == mech.release_noise_variance()
+        assert wired.steps == mech.steps_taken == 5
         assert wired.shape == (DIM,)
         assert wired.weight is None
-        # The decoded snapshot is validated and frozen like any other.
+        # The decoded record reads the frame in place, read-only.
         with pytest.raises((ValueError, RuntimeError)):
             wired.value[0] = 0.0
         weighted = ReleasedMoments(
-            value=np.eye(DIM), noise_variance=0.5, steps=4, shape=(DIM, DIM), weight=2.5
+            value=np.eye(DIM), noise_variance=0.5, steps=4, weight=2.5
         )
         assert self._via_codec(weighted).effective_weight == 2.5
         assert self._via_codec(weighted) == weighted
 
-    def test_codec_snapshots_merge_interchangeably_with_live_mechanisms(self):
+    def test_codec_records_merge_like_the_originals(self):
         half = PARAMS.halve()
         a = TreeMechanism(T, (DIM,), 2.0, half, rng=1)
         b = TreeMechanism(T, (DIM,), 2.0, half, rng=2)
         a.observe_batch(np.full((3, DIM), 0.2))
         b.observe_batch(np.full((7, DIM), -0.1))
-        live = merge_released([a, b])
+        local = merge_released([a.released_moments(), b.released_moments()])
         snapped = merge_released(
             list(self._via_codec(a.released_moments(), b.released_moments()))
         )
-        np.testing.assert_array_equal(snapped.value, live.value)
-        assert snapped.noise_variance == live.noise_variance
-        assert snapped.coverage == live.coverage
+        np.testing.assert_array_equal(snapped.value, local.value)
+        assert snapped.noise_variance == local.noise_variance
+        assert snapped.coverage == local.coverage
 
     def test_codec_snapshots_are_hashable_dict_keys(self):
         mech = TreeMechanism(T, (DIM,), 2.0, PARAMS.halve(), rng=3)
@@ -273,7 +315,7 @@ class TestTransportEquivalence:
             # Snapshots fetched over the pipe carry each shard's own term...
             cross = server.bundle_names.index("cross")
             per_shard = [
-                shard.released()[cross].release_noise_variance() for shard in server._shards
+                shard.released()[cross].noise_variance for shard in server._shards
             ]
             assert cross_merged.noise_variance == pytest.approx(sum(per_shard))
             # ...and each term is the documented popcount(t)·σ²_node, with
@@ -307,7 +349,7 @@ class TestSharedProjection:
         def assert_twins():
             for thread_shard, shard in zip(*(server._shards for server in servers)):
                 for live, wired in zip(thread_shard.released(), shard.released()):
-                    np.testing.assert_array_equal(wired.value, live.released_moments().value)
+                    np.testing.assert_array_equal(wired.value, live.value)
 
         try:
             for server in servers:

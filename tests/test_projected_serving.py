@@ -125,10 +125,10 @@ class TestSharedPhiMerge:
         )
         cross_m, gram_m = server.merged_moments()
         np.testing.assert_array_equal(
-            cross_m.value, merge_released(cross_trees).value
+            cross_m.value, merge_released([m.released_moments() for m in cross_trees]).value
         )
         np.testing.assert_array_equal(
-            gram_m.value, merge_released(gram_trees).value
+            gram_m.value, merge_released([m.released_moments() for m in gram_trees]).value
         )
         assert cross_m.value.shape == (M,)
         assert gram_m.value.shape == (M, M)
@@ -247,8 +247,8 @@ class TestK1PlainEquivalence:
         )
         theta = twin.refresh_from_released(
             T,
-            merge_released(gram_trees).value,
-            merge_released(cross_trees).value,
+            merge_released([m.released_moments() for m in gram_trees]).value,
+            merge_released([m.released_moments() for m in cross_trees]).value,
         )
         np.testing.assert_array_equal(served.theta, theta)
         assert served.covered_steps == T
@@ -338,7 +338,7 @@ class TestProjectedNoiseDistribution:
         # Shared Φ counted once; every per-shard tree term shrinks d² → m².
         assert projected.memory_floats() < plain.memory_floats()
         per_shard = projected._shards[0].memory_floats()
-        gram = projected._shards[0].released()[projected.bundle_names.index("gram")]
+        gram = projected._shards[0].bundle.get("gram")
         levels = gram.levels
         assert per_shard == (levels + 1) * (M * M + M)
 

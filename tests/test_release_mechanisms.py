@@ -4,8 +4,9 @@ The serving stack programs against the :class:`ReleaseMechanism`
 protocol; these tests pin the contracts the protocol members share —
 conformance, factory dispatch, the γ=1 / W=inf bit-identity escape
 hatches, decayed and windowed correctness against brute force, the
-noise-variance ledger, up-front knob validation, and keyed releases:
-every family is a pure function of one two-word key.
+noise-variance ledger, up-front knob validation, keyed releases (every
+family is a pure function of one two-word key) and the frozen
+``ReleasedMoments`` record each family hands to a merge.
 """
 
 import math
@@ -18,9 +19,11 @@ from repro import (
     HybridMechanism,
     PrivacyParams,
     ReleaseMechanism,
+    ReleasedMoments,
     SlidingWindowMechanism,
     TreeMechanism,
     make_release_mechanism,
+    merge_released,
 )
 from repro.exceptions import (
     NotSupportedError,
@@ -28,6 +31,7 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.privacy.tree import noise_key
+from repro.streaming import wire
 
 HUGE_EPS = PrivacyParams(1e9, 0.5)
 NORMAL = PrivacyParams(1.0, 1e-6)
@@ -400,3 +404,63 @@ class TestKeyedReleases:
                 noise_key(bad)
         with pytest.raises(ValidationError):
             noise_key("key")
+
+
+# ---------------------------------------------------------------------------
+# Records: what leaves every family for a merge
+# ---------------------------------------------------------------------------
+
+
+def _two_commits(mech, seed=1):
+    data = _stream(10, seed=seed)
+    mech.advance_batch(data[:4])
+    mech.advance_batch(data[4:])
+    return mech
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_a_record_is_a_frozen_read_that_later_ingest_leaves_alone(self, name):
+        """Every family's record carries its current release, noise
+        variance, step count and weight; it is read-only, a later commit
+        does not move it, and it crosses the wire codec byte for byte."""
+        mech = _two_commits(_family(name, 2))
+        record = mech.released_moments()
+        assert isinstance(record, ReleasedMoments)
+        assert not record.value.flags.writeable
+        np.testing.assert_array_equal(record.value, mech.current_sum())
+        assert record.noise_variance == mech.release_noise_variance()
+        assert record.steps == mech.steps_taken == 10
+        assert record.effective_weight == mech.effective_weight
+        assert (record.weight is None) == (mech.effective_weight == 10)
+        frozen = record.value.copy()
+
+        mech.advance_batch(_stream(5, seed=9))
+        later = mech.released_moments()
+        assert later.steps == 15
+        np.testing.assert_array_equal(record.value, frozen)
+
+        status, (wired,) = wire.decode(wire.encode(("ok", (record,))))
+        assert status == "ok"
+        assert wired == record
+        assert wired.value.tobytes() == frozen.tobytes()
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_records_merge_to_a_fresh_sum_of_their_values(self, name):
+        """Two shards' records merge to the sum of their values and noise
+        variances; the merged value is the caller's own array, never a
+        view of a record (which shares a mechanism's release)."""
+        a = _two_commits(_family(name, 3), seed=4)
+        b = _two_commits(_family(name, 5), seed=6)
+        ra, rb = a.released_moments(), b.released_moments()
+        merged = merge_released([ra, rb])
+        np.testing.assert_array_equal(merged.value, ra.value + rb.value)
+        assert merged.noise_variance == ra.noise_variance + rb.noise_variance
+        assert merged.coverage == (10, 10)
+        assert merged.covered_weight == ra.effective_weight + rb.effective_weight
+
+        alone = merge_released([ra])
+        assert alone.value.flags.writeable
+        assert not np.shares_memory(alone.value, ra.value)
+        alone.value[...] = 0.0
+        np.testing.assert_array_equal(ra.value, a.current_sum())

@@ -42,7 +42,6 @@ from repro import (
     L2Ball,
     MultiTenantStream,
     PrivacyParams,
-    ReleasedMoments,
     ShardedStream,
 )
 from repro.data import make_dense_stream
@@ -90,14 +89,6 @@ def _front(transport, k, backend="moment", **kwargs):
 def _blocks(stream, cuts, ys=None):
     ys = stream.ys if ys is None else ys
     return [(stream.xs[s:e], ys[s:e]) for s, e in cuts]
-
-
-def _snapshots(shard):
-    """One shard's releases as snapshots, on any transport."""
-    return [
-        h if isinstance(h, ReleasedMoments) else h.released_moments()
-        for h in shard.released()
-    ]
 
 
 @pytest.fixture(scope="module")
@@ -314,7 +305,7 @@ class TestRemoteGroupMidGroupDeath:
 
             twin.observe_group(blocks, workers=workers)
             twin.observe_batch(stream.xs[24:28], stream.ys[24:28])
-            got, want = _snapshots(remote._shards[0]), _snapshots(twin._shards[0])
+            got, want = remote._shards[0].released(), twin._shards[0].released()
             assert len(got) == len(want) == 2
             for snapshot, twin_snapshot in zip(got, want):
                 np.testing.assert_array_equal(snapshot.value, twin_snapshot.value)

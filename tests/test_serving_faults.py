@@ -101,7 +101,10 @@ class TestShardDeath:
             cross[shard].advance_batch(rows * by[:, None])
         np.testing.assert_array_equal(
             cross_m.value,
-            merge_released([cross[0], None, cross[2]], strict=False).value,
+            merge_released(
+                [cross[0].released_moments(), None, cross[2].released_moments()],
+                strict=False,
+            ).value,
         )
 
     def test_kill_is_idempotent(self, stream):
@@ -125,7 +128,7 @@ class TestShardDeath:
         alive = TreeMechanism(T, (DIM,), 2.0, half, rng=0)
         alive.observe(stream.xs[0] * stream.ys[0])
         with pytest.raises(ShardUnavailableError):
-            merge_released([alive, None], strict=True)
+            merge_released([alive.released_moments(), None], strict=True)
         with pytest.raises(ShardUnavailableError):
             merge_released([None, None], strict=False)
 
@@ -195,7 +198,7 @@ class TestShardRestart:
         cross = server.bundle_names.index("cross")
         with server._lock:
             for shard in server._shards:
-                expected += shard.released()[cross].release_noise_variance()
+                expected += shard.released()[cross].noise_variance
         assert cross_m.noise_variance == pytest.approx(expected)
 
     def test_empty_cache_read_raises_typed_no_estimate_error(self):
@@ -247,10 +250,10 @@ class TestReplacementsDrawFreshKeys:
         )
         try:
             server.observe_batch(stream.xs[:4], stream.ys[:4])
-            before = [m._node_noise(0, 1) for m in server._shards[0].released()]
+            before = [m._node_noise(0, 1) for m in server._shards[0].bundle._mechanisms.values()]
             server.kill_shard(0)
             server.restart_shard(0)
-            after = [m._node_noise(0, 1) for m in server._shards[0].released()]
+            after = [m._node_noise(0, 1) for m in server._shards[0].bundle._mechanisms.values()]
             for noise_before, noise_after in zip(before, after):
                 assert not np.array_equal(noise_before, noise_after)
         finally:
@@ -265,8 +268,10 @@ class TestReplacementsDrawFreshKeys:
             Y = np.stack([stream.ys[:4], -stream.ys[:4]], axis=1)
             server.observe_batch(stream.xs[:4], Y)
             def tenant_1_noise():
-                entry = server.bundle_names.index("cross:tenant-1")
-                return [shard.released()[entry]._node_noise(0, 1) for shard in server._shards]
+                return [
+                    shard.bundle.get("cross:tenant-1")._node_noise(0, 1)
+                    for shard in server._shards
+                ]
 
             before = tenant_1_noise()
             server.remove_tenant("tenant-1")

@@ -143,8 +143,10 @@ class TestMergeCorrectness:
             server.observe_batch(stream.xs[s:e], stream.ys[s:e])
         cross_trees, gram_trees = _replay_shard_trees(k, 13, blocks, stream)
         cross_m, gram_m = server.merged_moments()
-        np.testing.assert_array_equal(cross_m.value, merge_released(cross_trees).value)
-        np.testing.assert_array_equal(gram_m.value, merge_released(gram_trees).value)
+        for merged, trees in ((cross_m, cross_trees), (gram_m, gram_trees)):
+            np.testing.assert_array_equal(
+                merged.value, merge_released([m.released_moments() for m in trees]).value
+            )
         assert cross_m.covered_steps == T
         assert cross_m.missing == ()
         assert cross_m.noise_variance == pytest.approx(
@@ -219,7 +221,9 @@ class TestMergeCorrectness:
             for row, y in zip(transform(stream.xs[s:e]), stream.ys[s:e]):
                 cross[index % k].observe(row * y)
                 gram[index % k].observe(np.outer(row, row))
-        replayed = (merge_released(cross), merge_released(gram))
+        replayed = [
+            merge_released([m.released_moments() for m in trees]) for trees in (cross, gram)
+        ]
         for served_moment, replay in zip(live, replayed):
             assert served_moment.value.tobytes() == replay.value.tobytes()
             assert served_moment.noise_variance == replay.noise_variance
@@ -304,8 +308,8 @@ class TestMergeCorrectness:
             )
         theta = twin.refresh_from_released(
             T,
-            merge_released(gram_trees).value,
-            merge_released(cross_trees).value,
+            merge_released([m.released_moments() for m in gram_trees]).value,
+            merge_released([m.released_moments() for m in cross_trees]).value,
         )
         np.testing.assert_array_equal(served.theta, theta)
         assert served.covered_steps == T

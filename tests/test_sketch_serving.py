@@ -246,7 +246,10 @@ class TestSketchKnobValidation:
         assert shard.backend == "sketch"
         assert shard.mechanism == "tree"
         assert len(shard.released()) == len(server.bundle_names) == 2
-        assert all(isinstance(h, SketchNoiseMechanism) for h in shard.released())
+        assert all(
+            isinstance(shard.bundle.get(name), SketchNoiseMechanism)
+            for name in server.bundle_names
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -483,7 +483,10 @@ class TestDeadlines:
 
     def test_wedged_worker_detected_by_merge(self, stream, wedge):
         """A wedge first noticed by the merge path books the same loss."""
-        server = _server(2, seed=21, request_timeout=0.5)
+        # No refresh (and no prefetch) reads the shards before the wedge:
+        # a shard caches its released() answer until its next ingest, so
+        # only a merge that finds no cached answer asks the worker.
+        server = _server(2, seed=21, request_timeout=0.5, refresh_every=T)
         try:
             _feed(server, stream, BLOCKS[:2])
             wedge(server._shards[1])

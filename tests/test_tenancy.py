@@ -52,7 +52,7 @@ from repro.exceptions import (
     StreamExhaustedError,
     ValidationError,
 )
-from repro.privacy.tree import ReleasedMoments, noise_key
+from repro.privacy.tree import noise_key
 
 PARAMS = PrivacyParams(4.0, 1e-6)
 DIM = 3
@@ -91,15 +91,8 @@ def _make_stream(k, seed, shards=2, **kwargs):
 
 def _assert_same_releases(shard, twin):
     """``shard`` releases ``twin``'s bits, entry by entry in bundle order
-    (live handles and remote snapshots alike)."""
-
-    def snapshots(s):
-        return [
-            h if isinstance(h, ReleasedMoments) else h.released_moments()
-            for h in s.released()
-        ]
-
-    got, want = snapshots(shard), snapshots(twin)
+    (the same records on every transport)."""
+    got, want = shard.released(), twin.released()
     assert len(got) == len(want)
     for mine, theirs in zip(got, want):
         assert (mine.steps, mine.noise_variance) == (theirs.steps, theirs.noise_variance)
@@ -277,10 +270,12 @@ class TestPerTenantCorrectness:
                 cross_m, gram_m = server.merged_moments(name)
                 np.testing.assert_array_equal(
                     cross_m.value,
-                    merge_released([cross_trees[i][j] for i in range(shards)]).value,
+                    merge_released(
+                        [cross_trees[i][j].released_moments() for i in range(shards)]
+                    ).value,
                 )
                 np.testing.assert_array_equal(
-                    gram_m.value, merge_released(gram_trees).value
+                    gram_m.value, merge_released([m.released_moments() for m in gram_trees]).value
                 )
                 assert cross_m.covered_steps == T
         finally:
@@ -779,7 +774,7 @@ class TestTenancyValidation:
         with pytest.raises(StreamExhaustedError):
             shard.ingest(stream.xs[3:6], outcomes[3:6, :2], False)
         assert shard.steps == 3
-        assert all(m.steps_taken == 3 for m in shard.released())  # Gram and crosses
+        assert all(r.steps == 3 for r in shard.released())  # Gram and crosses
         # The refused block is retryable at a fitting size.
         shard.ingest(stream.xs[3:4], outcomes[3:4, :2], False)
         assert shard.steps == 4

@@ -62,7 +62,7 @@ def _spec(**overrides):
 def _snapshot(shape=(DIM,), weight=None, seed=0):
     value = np.random.default_rng(seed).normal(size=shape)
     return ReleasedMoments(
-        value=value, noise_variance=0.25, steps=9, shape=shape, weight=weight
+        value=value, noise_variance=0.25, steps=9, weight=weight
     )
 
 

@@ -39,7 +39,7 @@ from repro import (
 )
 from repro.data import make_dense_stream, make_iv_stream
 from repro.exceptions import ValidationError
-from repro.privacy.tree import ReleasedMoments, noise_key
+from repro.privacy.tree import noise_key
 from repro.streaming import wire
 from repro.streaming.backends import BACKENDS
 from repro.streaming.transport import ShardSpec
@@ -70,16 +70,8 @@ def _server(backend, transport, seed=29, k=2, projection=None):
     )
 
 
-def _released(shard):
-    """A shard's releases as snapshots, in bundle order (any transport)."""
-    return tuple(
-        handle if isinstance(handle, ReleasedMoments) else handle.released_moments()
-        for handle in shard.released()
-    )
-
-
 def _assert_same_releases(shard, twin):
-    got, want = _released(shard), _released(twin)
+    got, want = shard.released(), twin.released()
     assert len(got) == len(want)
     for mine, theirs in zip(got, want):
         assert mine.shape == theirs.shape
@@ -174,19 +166,22 @@ class TestShardSpecWire:
         remote = _over_the_wire(spec).build()
         assert local.backend == "sketch"
         assert BACKENDS[local.backend].release_family == "sketch"
-        assert all(isinstance(h, SketchNoiseMechanism) for h in local.released())
+        assert all(
+            isinstance(local.bundle.get(name), SketchNoiseMechanism)
+            for name in local.bundle.names
+        )
         local.ingest(stream.xs[:6], stream.ys[:6], fast=False)
         remote.ingest(stream.xs[:6], stream.ys[:6], fast=False)
         assert local.bundle.names == remote.bundle.names == ("cross", "gram")
         for mine, theirs in zip(local.released(), remote.released()):
-            np.testing.assert_array_equal(mine.current_sum(), theirs.current_sum())
+            np.testing.assert_array_equal(mine.value, theirs.value)
 
     def test_projected_spec_builds_tree_mechanisms(self):
         spec = self._spec("projected", GaussianProjection(DIM, 2, rng=5))
         shard = spec.build()
         assert shard.backend == "projected"
         assert BACKENDS[shard.backend].release_family is None
-        assert all(isinstance(h, TreeMechanism) for h in shard.released())
+        assert all(isinstance(shard.bundle.get(n), TreeMechanism) for n in shard.bundle.names)
 
     @pytest.mark.parametrize("backend", ["projected", "sketch"])
     def test_spec_without_projection_is_refused(self, backend):
@@ -225,7 +220,7 @@ class TestShardSpecWire:
             )
             cross, gram = shard.released()  # bundle order: (cross, gram)
             thetas.append(
-                twin.refresh_from_released(T, gram.current_sum(), cross.current_sum())
+                twin.refresh_from_released(T, gram.value, cross.value)
             )
         np.testing.assert_array_equal(thetas[0], thetas[1])
 
