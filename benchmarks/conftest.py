@@ -2,16 +2,25 @@
 
 pytest captures stdout during tests, so the benchmarks record their result
 rows in :mod:`benchmarks.common` and this hook renders them in the terminal
-summary (which is never captured).  The same tables are also written to
-``benchmarks/RESULTS.txt``.
+summary (which is never captured).  A full-scale session — every
+``bench_*.py`` module, no test deselected and no smoke knob set — also
+writes the tables to the committed ``benchmarks/RESULTS.txt``; any other
+session writes them to ``benchmarks/out/RESULTS.txt``, which git ignores.
 """
 
+import os
 import pathlib
 import sys
 
 import pytest
 
-sys.path.insert(0, str(pathlib.Path(__file__).parent))
+HERE = pathlib.Path(__file__).parent
+sys.path.insert(0, str(HERE))
+
+#: Environment knobs that shrink a benchmark below its full scale.
+SMOKE_KNOBS = ("BENCH_HORIZON", "BENCH_BATCH_T", "BENCH_BATCH_DIM")
+#: Benchmark modules this session runs, and whether it deselected tests.
+SESSION = {"modules": set(), "deselected": False}
 
 from common import EXPERIMENT_ROWS, format_table  # noqa: E402
 
@@ -46,6 +55,24 @@ def bench_workers(request):
     return request.config.getoption("--bench-workers")
 
 
+def pytest_deselected(items):
+    SESSION["deselected"] = True
+
+
+def pytest_collection_finish(session):
+    SESSION["modules"] = {item.path.name for item in session.items}
+
+
+def full_scale_session() -> bool:
+    """Whether this session's tables may replace the committed ones."""
+    return (
+        not any(knob in os.environ for knob in SMOKE_KNOBS)
+        and os.environ.get("BENCH_SCALE", "full") == "full"
+        and not SESSION["deselected"]
+        and SESSION["modules"] >= {path.name for path in HERE.glob("bench_*.py")}
+    )
+
+
 def pytest_terminal_summary(terminalreporter):
     if not EXPERIMENT_ROWS:
         return
@@ -55,5 +82,6 @@ def pytest_terminal_summary(terminalreporter):
         lines.append(format_table(experiment, EXPERIMENT_ROWS[experiment]))
     report = "\n".join(lines)
     terminalreporter.write_line(report)
-    results_path = pathlib.Path(__file__).parent / "RESULTS.txt"
+    results_path = HERE / "RESULTS.txt" if full_scale_session() else HERE / "out" / "RESULTS.txt"
+    results_path.parent.mkdir(exist_ok=True)
     results_path.write_text(report + "\n")

@@ -22,7 +22,7 @@ Package map
 ``repro.geometry``   constraint sets, projections, gauges, Gaussian widths
 ``repro.erm``        losses, objectives, batch private ERM solvers
 ``repro.sketching``  Gaussian projections, Gordon sizing, lifting
-``repro.streaming``  stream model, adjacency, runner, metrics
+``repro.streaming``  stream model, runner, metrics
 ``repro.data``       synthetic / adaptive / drifting workloads
 """
 

@@ -88,6 +88,18 @@ def check_vector(name: str, value: Sequence[float] | np.ndarray, *, dim: int | N
     return array
 
 
+def check_shape(name: str, value: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Return ``value`` as a float array of exactly ``shape``, its entries
+    unscanned: for an entry point whose values are checked once, later
+    (released moments reach
+    :class:`~repro.core.private_gradient.PrivateGradientFunction`, which
+    scans them)."""
+    array = np.asarray(value, dtype=float)
+    if array.shape != shape:
+        raise ValidationError(f"{name} must have shape {shape}, got {array.shape}")
+    return array
+
+
 def check_matrix(name: str, value: np.ndarray, *, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Return ``value`` as a 2-D float array, optionally of fixed shape."""
     array = np.asarray(value, dtype=float)

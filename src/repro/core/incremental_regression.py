@@ -50,11 +50,11 @@ import numpy as np
 
 from .._validation import (
     check_int,
-    check_matrix,
     check_probability,
     check_release_knobs,
     check_rng,
     check_sample_weight,
+    check_shape,
     check_unit_xy_domain,
     check_vector,
     check_xy_block,
@@ -380,11 +380,16 @@ class _MomentRegression:
         (``decay`` / ``window``) passes the mechanisms' effective weight —
         the γ-series ``Σ γ^{t−i}`` or the covered window count — as the
         logical sample count the Lipschitz sizing uses.
+
+        Only shapes are checked here: the refresh's
+        :class:`~repro.core.private_gradient.PrivateGradientFunction`
+        scans the moments for non-finite entries, once, before any state
+        moves.
         """
         t = check_sample_weight("t", t)
         m = self._moment_dim
-        noisy_gram = check_matrix("noisy_gram", noisy_gram, shape=(m, m))
-        noisy_cross = check_vector("noisy_cross", noisy_cross, dim=m)
+        noisy_gram = check_shape("noisy_gram", noisy_gram, (m, m))
+        noisy_cross = check_shape("noisy_cross", noisy_cross, (m,))
         self._solve_at(t, noisy_cross, noisy_gram)
         return self._theta.copy()
 
@@ -434,8 +439,8 @@ def solve_lockstep(
     t = check_sample_weight("t", t)
     lead = solvers[0]
     m = lead._moment_dim
-    noisy_gram = check_matrix("noisy_gram", noisy_gram, shape=(m, m))
-    crosses = np.array([check_vector("noisy_cross", c, dim=m) for c in noisy_crosses])
+    noisy_gram = check_shape("noisy_gram", noisy_gram, (m, m))
+    crosses = np.array([check_shape("noisy_cross", c, (m,)) for c in noisy_crosses])
     alpha, lipschitz, iterations = lead._pgd_plan(t)
     thetas = solve_released(
         lead.constraint,

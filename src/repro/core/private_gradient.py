@@ -87,18 +87,22 @@ class PrivateGradientFunction:
             return self.into(theta, np.empty_like(theta))
         return 2.0 * (self.noisy_gram @ theta - self.noisy_cross)
 
-    def into(self, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Evaluate ``g(θ)`` into the caller's buffer ``out`` and return it.
+    def into(self, theta: np.ndarray, out: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """Evaluate ``scale·g(θ)`` into the caller's buffer ``out`` and return it.
 
         The allocation-free form :class:`~repro.erm.noisy_pgd.NoisyProjectedGradient`
-        iterates with: ``theta`` and ``out`` must be distinct float64
-        vectors of length ``dim`` (or distinct C-contiguous ``(k, dim)``
-        blocks).  Bit-identical to :meth:`__call__` — ``dot`` runs the
-        same BLAS ``gemv`` as ``@`` and each in-place step is one of the
-        call's roundings.  A block takes one stacked matrix–vector
-        product, ``np.matmul(Q, Θ[:, :, None])``: one ``gemv`` per row,
-        so row ``j`` is ``Q.dot(θ_j)`` bit for bit (the single ``gemm``
-        ``Θ @ Q.T`` sums in another order;
+        iterates with, its step size as ``scale``: ``theta`` and ``out``
+        must be distinct float64 vectors of length ``dim`` (or distinct
+        C-contiguous ``(k, dim)`` blocks).  Writes ``Qθ − q``, then
+        multiplies by ``2·scale`` once.  With ``scale = 1`` it is
+        :meth:`__call__` bit for bit — ``dot`` runs the same BLAS ``gemv``
+        as ``@`` and each in-place step is one of the call's roundings;
+        any other ``scale`` gives ``(2·g(θ))·scale`` bit for bit (doubling
+        is exact) wherever ``2·g(θ)`` is finite, and a finite value where
+        only the doubled gradient overflows.  A block takes one stacked
+        matrix–vector product, ``np.matmul(Q, Θ[:, :, None])``: one
+        ``gemv`` per row, so row ``j`` is ``Q.dot(θ_j)`` bit for bit (the
+        single ``gemm`` ``Θ @ Q.T`` sums in another order;
         ``tests/test_noisy_pgd.py`` pins the identity).
         """
         if theta.ndim == 2:
@@ -106,7 +110,7 @@ class PrivateGradientFunction:
         else:
             self.noisy_gram.dot(theta, out)
         out -= self.noisy_cross
-        out *= 2.0
+        out *= 2.0 * scale
         return out
 
     @staticmethod
@@ -143,9 +147,19 @@ def solve_released(
     ``(k, d)`` ``noisy_cross`` and ``start`` the ``k`` refreshes that share
     this Gram run as one lockstep PGD; row ``j`` of the result is the
     refresh of ``(noisy_cross[j], start[j])`` bit for bit.
+
+    One check per refresh: the refresh hooks check only shapes, and
+    :class:`PrivateGradientFunction` scans the symmetrized Gram and the
+    cross moments for non-finite entries once (a non-finite entry stays
+    non-finite through the average).  The average is formed in one new
+    array, ``(Q + Qᵀ)·0.5``, bit-identical to ``0.5·(Q + Qᵀ)``.  The
+    solve steps with the oracle's ``into(θ, out, η)``, whose single
+    scaling by ``2η`` agrees with ``(2·g)·η`` bit for bit wherever
+    ``2·g`` is finite (see :meth:`~repro.erm.noisy_pgd.NoisyProjectedGradient.run`).
     """
-    noisy_gram = 0.5 * (noisy_gram + noisy_gram.T)
-    gradient_fn = PrivateGradientFunction(noisy_gram, noisy_cross, alpha)
+    symmetric = np.add(noisy_gram, noisy_gram.T)
+    symmetric *= 0.5
+    gradient_fn = PrivateGradientFunction(symmetric, noisy_cross, alpha)
     pgd = NoisyProjectedGradient(
         constraint, lipschitz=lipschitz, gradient_error=alpha, iterations=iterations
     )

@@ -122,23 +122,32 @@ class NoisyProjectedGradient:
 
         One check per solve: ``start`` goes through the checked
         :meth:`~repro.geometry.base.ConvexSet.project` once, and the loop
-        then steps in place, through the unchecked ``_project``.  One
-        scalar test per step (``z·z`` finite, for the point ``z`` about to
-        be projected) stands in for the per-iterate check, so a non-finite
-        gradient or iterate still raises
+        then steps in place.  Each step is one oracle evaluation scaled
+        by the step size into a buffer, ``θ −= step``, one square
+        ``z·z`` of the point ``z`` about to be projected, a finiteness
+        test on that square, and
+        :meth:`~repro.geometry.base.ConvexSet._project_squared`, which
+        takes the same square (the ``L2Ball`` projection uses it as its
+        norm).  The test stands in for the per-iterate check: a
+        non-finite gradient or iterate still raises
         :class:`~repro.exceptions.ValidationError` before it reaches a
-        projection, exactly as a checked ``project`` would.  The result is
-        bit-identical to the unbuffered loop
-        ``θ ← P_C(θ − η·g(θ))``.
+        projection, exactly as a checked ``project`` would.  The result
+        is bit-identical to the unbuffered loop
+        ``θ ← P_C(θ − η·g(θ))`` except in one edge: an ``into`` oracle
+        folds ``η`` into its doubling (``(Qθ − q)·2η``), so where ``2·g``
+        overflows but ``g·2η`` does not, this loop takes a finite step
+        that the unbuffered one, stepping by ``η·inf``, refuses.  A point
+        that step leaves finite but beyond the square's range (‖z‖ >
+        ~1e154) is projected, not refused.
 
         A ``(k, d)`` ``start`` block runs ``k`` problems in lockstep — one
-        oracle evaluation and one
-        :meth:`~repro.geometry.base.ConvexSet._project_rows` over the whole
-        block per step — and returns the ``(k, d)`` block of averages.  Row
-        ``j`` is bit-identical to a 1-D run from ``start[j]`` against an
-        oracle whose value is row ``j`` of the block oracle's, on any set
-        whose projection keeps no state between calls; a row that goes
-        non-finite raises the error its 1-D run raises.
+        oracle evaluation, one ``np.vecdot`` of row squares and one
+        ``_project_squared`` over the whole block per step — and returns
+        the ``(k, d)`` block of averages.  Row ``j`` is bit-identical to
+        a 1-D run from ``start[j]`` against an oracle whose value is row
+        ``j`` of the block oracle's, on any set whose projection keeps no
+        state between calls; a row that goes non-finite raises the error
+        its 1-D run raises.
 
         Parameters
         ----------
@@ -149,9 +158,10 @@ class NoisyProjectedGradient:
             private release, so evaluations are privacy-free.  The ``θ``
             it receives is a solver buffer reused by later steps, so an
             oracle that keeps it must copy it.  An oracle with an
-            ``into(theta, out)`` method (as
+            ``into(theta, out, scale)`` method (as
             :class:`~repro.core.private_gradient.PrivateGradientFunction`
-            has) is evaluated into a buffer instead.
+            has) writes ``scale·g(θ)`` into a buffer instead; a plain
+            callable's value is multiplied by ``η`` into it.
         start:
             Optional feasible starting point ``θ_1`` (defaults to
             ``P_C(0)``; the Appendix-B analysis permits any ``θ_1 ∈ C``),
@@ -160,38 +170,33 @@ class NoisyProjectedGradient:
         constraint = self.constraint
         evaluate = getattr(gradient_oracle, "into", None)
         if evaluate is None:
-            def evaluate(theta, out):
-                return gradient_oracle(theta)
+            def evaluate(theta, out, scale):
+                return np.multiply(gradient_oracle(theta), scale, out)
         rows = start is not None and np.ndim(start) == 2
         if rows:
             theta = np.array([constraint.project(row) for row in start])
-            project = constraint._project_rows
         else:
             theta = constraint.project(np.zeros(constraint.dim) if start is None else start)
-            project = constraint._project
         step_size = self.step_size
+        project = constraint._project_squared
         step = np.empty_like(theta)
         iterate_sum = np.zeros_like(theta)
         for _ in range(self.iterations):
-            # θ ← θ − η·g(θ) in place, the same two roundings as the
-            # unbuffered expression (a positional ``out`` skips keyword
-            # parsing).  ``theta`` is always the solver's own array: the
-            # checked ``project`` copied ``start``, and ``_project``
-            # returns its argument or a fresh array.
-            np.multiply(evaluate(theta, step), step_size, step)
-            np.subtract(theta, step, theta)
-            if rows:
-                # Each row's ``z·z``, bit for bit; a non-finite one sends
-                # that row through the full check.
-                squares = np.vecdot(theta, theta)
-                if not math.isfinite(squares.sum()):
-                    for row in theta[~np.isfinite(squares)]:
-                        constraint._check_point("point", row)
-            elif not math.isfinite(theta.dot(theta)):
+            # ``theta`` is always the solver's own array: the checked
+            # ``project`` copied ``start``, and a projection returns its
+            # argument or a fresh array.
+            evaluate(theta, step, step_size)
+            theta -= step
+            squares = np.vecdot(theta, theta) if rows else theta.dot(theta)
+            # A block tests its squares with one BLAS ``dot`` (cheaper than
+            # ``sum``): finite when every square is, unless the squares'
+            # own squares overflow, which only costs the check below.
+            if not math.isfinite(squares.dot(squares) if rows else squares):
                 # Non-finite, or finite but overflowing the square: the
-                # full check tells the two apart.
-                constraint._check_point("point", theta)
-            theta = project(theta)
+                # full check of each such row tells the two apart.
+                for row in np.atleast_2d(theta)[~np.isfinite(np.atleast_1d(squares))]:
+                    constraint._check_point("point", row)
+            theta = project(theta, squares)
             iterate_sum += theta
         average = iterate_sum / self.iterations
         if not np.all(np.isfinite(average)):

@@ -46,6 +46,14 @@ def project_onto_l1_ball(point: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(point) * np.maximum(magnitude - threshold, 0.0)
 
 
+def _scaled_norm(point: np.ndarray) -> float:
+    """``‖x‖`` of a finite ``x`` whose ``x·x`` overflows: ``s·‖x/s‖`` with
+    ``s = max|xᵢ|``."""
+    scale = float(np.abs(point).max())
+    point = point / scale
+    return scale * math.sqrt(point.dot(point))
+
+
 class L2Ball(ConvexSet):
     """``C = c·B₂^d`` — the Ridge-regression constraint set.
 
@@ -66,21 +74,35 @@ class L2Ball(ConvexSet):
         return float(np.linalg.norm(point)) <= self.radius + tol
 
     def _project(self, point: np.ndarray) -> np.ndarray:
-        # ``sqrt(x·x)`` is how ``np.linalg.norm`` computes a 1-D float64
-        # norm, without the wrapper's cost; scaling in place keeps it
-        # bit-identical to ``point * (radius / norm)``.
-        norm = math.sqrt(point.dot(point))
-        if norm <= self.radius:
-            return point
-        point *= self.radius / norm
-        return point
+        return self._project_squared(point, point.dot(point))
 
     def _project_rows(self, points: np.ndarray) -> np.ndarray:
-        # ``np.vecdot`` is each row's ``x·x`` bit for bit.  A row outside
-        # scales by ``radius / norm`` as in ``_project``; a row inside by
-        # ``radius / radius``, exactly 1.0, which leaves it unchanged.
-        norms = np.sqrt(np.vecdot(points, points))
-        points *= (self.radius / np.maximum(norms, self.radius))[:, None]
+        return self._project_squared(points, np.vecdot(points, points))
+
+    def _project_squared(self, points: np.ndarray, squares) -> np.ndarray:
+        # ``sqrt(x·x)`` is how ``np.linalg.norm`` computes a 1-D float64
+        # norm, without the wrapper's cost; scaling in place keeps it
+        # bit-identical to ``point * (radius / norm)``.  A row inside
+        # scales by ``radius / radius``, exactly 1.0, which leaves it
+        # unchanged.  A finite point whose square overflows (‖x‖ > ~1e154)
+        # takes the scaled norm instead of ``inf``, which would send it to
+        # the origin.
+        if points.ndim == 2:
+            norms = np.sqrt(squares)
+            # One BLAS ``dot`` spots an ``inf`` norm; when only the sum of
+            # squares overflows, the scan below finds nothing to redo.
+            if math.isinf(norms.dot(norms)):
+                for j in np.flatnonzero(np.isinf(norms)):
+                    norms[j] = _scaled_norm(points[j])
+            np.maximum(norms, self.radius, out=norms)
+            points *= np.divide(self.radius, norms, out=norms)[:, None]
+            return points
+        norm = math.sqrt(squares)
+        if norm <= self.radius:
+            return points
+        if norm == math.inf:
+            norm = _scaled_norm(points)
+        points *= self.radius / norm
         return points
 
     def gauge(self, point: np.ndarray) -> float:

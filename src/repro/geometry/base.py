@@ -123,6 +123,25 @@ class ConvexSet(PointSet):
             points[j] = self._project(point)
         return points
 
+    def _project_squared(self, points: np.ndarray, squares) -> np.ndarray:
+        """:meth:`_project` of a point, or :meth:`_project_rows` of a
+        ``(k, dim)`` block, given the square the caller already has.
+
+        ``squares`` is ``points.dot(points)`` for a point, or
+        ``np.vecdot(points, points)`` (each row's ``x·x``, bit for bit)
+        for a block; the loop of
+        :class:`~repro.erm.noisy_pgd.NoisyProjectedGradient` computes it
+        for its finiteness test and hands it over, so a set whose
+        projection starts from the Euclidean norm
+        (:class:`~repro.geometry.balls.L2Ball`) need not compute it again.
+        An ``inf`` square is a finite point whose square overflows.  The
+        result equals :meth:`_project` / :meth:`_project_rows` bit for
+        bit; this default ignores the square and calls them.
+        """
+        if points.ndim == 2:
+            return self._project_rows(points)
+        return self._project(points)
+
     @abc.abstractmethod
     def gauge(self, point: np.ndarray) -> float:
         """The Minkowski functional ``‖θ‖_C = inf{ρ ≥ 0 : θ ∈ ρC}``.

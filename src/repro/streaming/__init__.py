@@ -1,4 +1,4 @@
-"""Streaming substrate: stream model, adjacency, runner, fleet, metrics.
+"""Streaming substrate: stream model, runner, fleet, metrics.
 
 The paper's incremental setting (§1) fixes a stream length ``T``; one
 covariate-response pair arrives per timestep; the algorithm outputs an
@@ -25,7 +25,6 @@ per-reader snapshot handles and pub-sub invalidation
 """
 
 from .stream import RegressionStream
-from .adjacency import is_neighbor, replace_point
 from .metrics import ExcessRiskTrace, ReadStats
 from .runner import IncrementalRunner, RunResult
 from .fleet import FleetResult, FleetRunner, ReplicateResult, ReplicateSpec
@@ -39,8 +38,6 @@ from .netserve import ShardAddress, ShardHostListener, TcpShardWorker
 
 __all__ = [
     "RegressionStream",
-    "replace_point",
-    "is_neighbor",
     "ExcessRiskTrace",
     "ReadStats",
     "IncrementalRunner",

@@ -167,6 +167,43 @@ def _random_problem(seed):
     return gram, cross, start, lipschitz
 
 
+#: L2-ball radii for ``_l2_problem``: every iterate stays inside the ball,
+#: the starts sit on its boundary and the steps land on both sides of it,
+#: or almost every step lands outside it.
+L2_RADII = {"inside": 2.0, "boundary": 0.3, "outside": 0.01}
+
+
+def _l2_problem(dim, models):
+    """``models`` problems sharing one positive-definite Gram: each has a
+    minimizer of norm 0.5 and a warm start of norm 0.3; with ``η`` sized
+    from radius ≤ 2 the iteration is a contraction."""
+    rng = np.random.default_rng([dim, models])
+    xs = rng.normal(size=(4 * dim, dim)) / np.sqrt(dim)
+    gram = xs.T @ xs + np.eye(dim)
+    minimizers = rng.normal(size=(models, dim))
+    minimizers *= (0.5 / np.linalg.norm(minimizers, axis=1))[:, None]
+    starts = rng.normal(size=(models, dim))
+    starts *= (0.3 / np.linalg.norm(starts, axis=1))[:, None]
+    return gram, minimizers @ gram, starts, float(2.0 * np.linalg.norm(gram, 2))
+
+
+def _l2_pgd(dim, regime):
+    _, _, _, lipschitz = _l2_problem(dim, 8)
+    return NoisyProjectedGradient(L2Ball(dim, L2_RADII[regime]), lipschitz, 0.5, iterations=40)
+
+
+def _steps_outside(pgd, oracle, start):
+    """How many of the reference loop's points ``θ − η·g(θ)`` lie outside
+    the ball."""
+    theta = pgd.constraint.project(start)
+    outside = 0
+    for _ in range(pgd.iterations):
+        point = theta - pgd.step_size * oracle(theta)
+        outside += bool(np.linalg.norm(point) > pgd.constraint.radius)
+        theta = pgd.constraint.project(point)
+    return outside
+
+
 class TestBufferedKernelIsBitIdentical:
     """``run`` against the reference loop, bit for bit, on every set."""
 
@@ -208,6 +245,63 @@ class TestBufferedKernelIsBitIdentical:
         out = np.empty(GOLDEN_DIM)
         assert oracle.into(start, out) is out
         np.testing.assert_array_equal(out, oracle(start))
+
+    @pytest.mark.parametrize("dim", [32, 256])
+    def test_l2_regimes_are_what_they_say(self, dim):
+        gram, crosses, starts, _ = _l2_problem(dim, 8)
+        total = 8 * 40
+        counts = {}
+        for regime in L2_RADII:
+            pgd = _l2_pgd(dim, regime)
+            counts[regime] = sum(
+                _steps_outside(pgd, PrivateGradientFunction(gram, cross, 0.5), start)
+                for cross, start in zip(crosses, starts)
+            )
+        assert counts["inside"] == 0
+        assert 0.1 * total < counts["boundary"] < 0.9 * total
+        assert counts["outside"] > 0.9 * total
+
+    @pytest.mark.parametrize("regime", L2_RADII)
+    @pytest.mark.parametrize("dim", [32, 256])
+    def test_l2_ball_at_serving_dims(self, dim, regime):
+        """A lone model's 1-D run at the served dimensions and ``r``."""
+        gram, crosses, starts, _ = _l2_problem(dim, 1)
+        pgd = _l2_pgd(dim, regime)
+        oracle = PrivateGradientFunction(gram, crosses[0], 0.5)
+        np.testing.assert_array_equal(
+            pgd.run(oracle, starts[0]), reference_run(pgd, oracle, starts[0])
+        )
+
+    @pytest.mark.parametrize("models", [None, 1, 8], ids=["vector", "k1", "k8"])
+    def test_into_scale_is_the_doubled_gradient_times_scale(self, models):
+        """``into(θ, out, s)`` multiplies ``Qθ − q`` by ``2s`` once; with
+        finite ``2·g`` that is ``(2·g)·s`` bit for bit."""
+        rng = np.random.default_rng(8 if models is None else models)
+        for _ in range(100):
+            dim = int(rng.integers(1, 40))
+            shape = (dim,) if models is None else (models, dim)
+            magnitude = 10.0 ** rng.uniform(-3, 3)
+            gram = rng.normal(scale=magnitude, size=(dim, dim))
+            oracle = PrivateGradientFunction(
+                0.5 * (gram + gram.T), rng.normal(scale=magnitude, size=shape), 0.5
+            )
+            theta = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=shape)
+            scale = 10.0 ** rng.uniform(-8, 2)
+            out = np.empty(shape)
+            assert oracle.into(theta, out, scale) is out
+            np.testing.assert_array_equal(out, oracle(theta) * scale)
+
+    def test_fold_takes_a_finite_step_where_the_doubled_gradient_overflows(self):
+        """The fold's one edge: ``2·g`` overflows but ``g·2η`` does not.
+        The unbuffered loop steps by ``η·inf`` and refuses the point;
+        ``run`` takes the finite step, and the L2 projection puts the
+        point, whose square overflows, on the sphere."""
+        oracle = PrivateGradientFunction(np.eye(2), np.array([1e308, 0.0]), 0.5)
+        pgd = NoisyProjectedGradient(L2Ball(2), lipschitz=1.0, gradient_error=0.5, iterations=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError):
+                reference_run(pgd, oracle)
+            np.testing.assert_allclose(pgd.run(oracle), [1.0, 0.0])
 
     def test_l2_projection_matches_linalg_norm(self):
         """``sqrt(z·z)`` is the 1-D float64 ``np.linalg.norm``, bit for bit."""
@@ -299,6 +393,19 @@ class TestLockstepRows:
         for j in range(k):
             row = pgd.run(PrivateGradientFunction(gram, crosses[j], 0.5), start=starts[j])
             np.testing.assert_array_equal(block[j], row)
+
+    @pytest.mark.parametrize("regime", L2_RADII)
+    @pytest.mark.parametrize("dim", [32, 256])
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_l2_block_rows_equal_reference_runs(self, k, dim, regime):
+        """A served tenant group's block solve at ``r = 40``: row ``j`` is
+        ``reference_run`` of problem ``j``."""
+        gram, crosses, starts, _ = _l2_problem(dim, k)
+        pgd = _l2_pgd(dim, regime)
+        block = pgd.run(PrivateGradientFunction(gram, crosses, 0.5), start=starts)
+        for j in range(k):
+            oracle = PrivateGradientFunction(gram, crosses[j], 0.5)
+            np.testing.assert_array_equal(block[j], reference_run(pgd, oracle, starts[j]))
 
     def test_call_matches_into_on_a_block(self):
         gram, cross, start, _ = _random_problem(7)

@@ -17,8 +17,8 @@ import pytest
 
 from repro import GaussianProjection, PrivacyParams, PrivIncReg1, PrivIncReg2, L1Ball, L2Ball, SparseVectors
 from repro.core.moments import MOMENT_SENSITIVITY
-from repro.streaming import replace_point
 from repro.data import make_dense_stream, make_sparse_stream
+from test_streaming import replace_point
 
 
 class TestMomentStreamSensitivity:

@@ -5,7 +5,25 @@ import pytest
 
 from repro import ExcessRiskTrace, RegressionStream
 from repro.exceptions import DomainViolationError
-from repro.streaming import is_neighbor, replace_point
+
+
+def replace_point(stream, index, x, y):
+    """A neighboring stream (the paper's Definition 4: one datapoint
+    changed): position ``index`` replaced by ``(x, y)``.  The stream
+    constructor re-checks the unit normalization of the replacement."""
+    if not 0 <= index < stream.length:
+        raise ValueError(f"index {index} out of range for stream of length {stream.length}")
+    xs, ys = stream.xs.copy(), stream.ys.copy()
+    xs[index], ys[index] = x, y
+    return RegressionStream(xs, ys, stream.theta_star)
+
+
+def is_neighbor(a, b, tol=0.0):
+    """Whether two streams differ in at most one position (Definition 4)."""
+    if a.length != b.length or a.dim != b.dim:
+        return False
+    differing = np.any(np.abs(a.xs - b.xs) > tol, axis=1) | (np.abs(a.ys - b.ys) > tol)
+    return int(differing.sum()) <= 1
 
 
 def _valid_stream(length=5, dim=3, seed=0):
