@@ -8,9 +8,10 @@ sequential reference.
 
 What is being amortized, layer by layer:
 
-* the moment trees ingest a block in one call: the elements fold into
-  the clean prefix in order, and keyed Gaussian noise is drawn once per
-  tree node that closes inside the block, not once per step;
+* the moment trees take a block in one commit: the elements fold into
+  the clean prefix in order, and the release is read (and keyed node
+  noise drawn for the nodes it needs) once, at the block's refresh, not
+  once per step;
 * ``observe_batch`` updates the risk statistics with one BLAS ``XᵀX``
   per block instead of ``k`` outer products;
 * the PGD refresh runs once per block (``solve_every = batch``) instead of
@@ -23,7 +24,8 @@ checks the **median** per-pair ratio, so drift of the host between two
 single runs cannot flip it.  Measured wall-clock numbers — every pair and
 the medians — are written to ``BENCH_batched_engine.json`` next to this
 file so the speedup claim is recorded with the configuration that
-produced it.  ``BENCH_BATCH_T`` / ``BENCH_BATCH_DIM`` shrink the
+produced it (and the commit, whether the tree differed from it, and
+``cpu_count``).  ``BENCH_BATCH_T`` / ``BENCH_BATCH_DIM`` shrink the
 stream for smoke runs (CI); the committed JSON is produced at full scale.
 """
 
@@ -37,7 +39,7 @@ import time
 from repro import FleetRunner, IncrementalRunner, L2Ball, PrivIncReg1, ReplicateSpec
 from repro.data import make_dense_stream
 
-from common import bench_budget, record
+from common import bench_budget, provenance, record
 
 T = int(os.environ.get("BENCH_BATCH_T", "20000"))
 DIM = int(os.environ.get("BENCH_BATCH_DIM", "32"))
@@ -131,6 +133,7 @@ def test_batched_engine_speedup(benchmark, bench_batch_size):
     full_scale = "BENCH_BATCH_T" not in os.environ and "BENCH_BATCH_DIM" not in os.environ
     payload = {
         "experiment": "bench_batched_engine",
+        **provenance(),
         "config": {
             "T": T,
             "d": DIM,

@@ -11,7 +11,8 @@ The suites under ``tests/`` pin the semantics; this file only measures.
 ``BENCH_SCALE`` (``full`` by default, or ``smoke``) selects one column of
 :data:`SCALES` for every scenario.  A full run writes the committed
 ``BENCH_serving.json``; a smoke run writes ``out/serving-smoke.json`` and
-never touches committed numbers.  Each section records the commit,
+never touches committed numbers.  Each section records the commit (and
+whether tracked files differed from it),
 ``cpu_count`` and its config.  Read throughput next to ``cpu_count``: with
 few cores the remote transports and the parallel paths cannot win (the
 same work plus serialization), so those rows are recorded and only
@@ -23,7 +24,6 @@ import math
 import operator
 import os
 import pathlib
-import subprocess
 import threading
 import time
 
@@ -36,7 +36,7 @@ from repro.data import make_dense_stream, make_drift_stream, make_iv_stream
 from repro.exceptions import NoEstimateError
 from repro.streaming import netserve
 
-from common import BENCH_EPSILON, DELTA, bench_budget, record
+from common import BENCH_EPSILON, DELTA, bench_budget, provenance, record
 
 HERE = pathlib.Path(__file__).parent
 ARTIFACTS = {"full": HERE / "BENCH_serving.json", "smoke": HERE / "out" / "serving-smoke.json"}
@@ -107,21 +107,13 @@ def check(name: str, value, op: str, bound) -> dict:
     return {"name": name, "value": value, "op": op, "bound": bound, "passed": passed}
 
 
-def _commit() -> str:
-    try:
-        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=HERE, capture_output=True,
-                              text=True, check=True, timeout=10).stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-
-
 class Report:
     """The session's artifact, one section per scenario."""
 
     def __init__(self, scale: str) -> None:
         self.scale = scale
         self.path = ARTIFACTS[scale]
-        self.stamp = {"commit": _commit(), "cpu_count": os.cpu_count()}
+        self.stamp = provenance()
 
     def finish(self, scenario: str, config: dict, results: dict, checks: list) -> None:
         """Write the scenario's section, then fail naming every failed check.

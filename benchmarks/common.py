@@ -19,6 +19,9 @@ checked, never absolute constants.
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
 from collections import defaultdict
 
 import numpy as np
@@ -41,6 +44,26 @@ BENCH_EPSILON = 16.0
 def bench_budget(epsilon: float = BENCH_EPSILON) -> PrivacyParams:
     """The benchmark-default ``(ε, δ)`` budget."""
     return PrivacyParams(epsilon, DELTA)
+
+
+def provenance() -> dict:
+    """Where a committed ``BENCH_*.json`` was measured: the commit, whether
+    tracked files differed from it, and ``cpu_count``."""
+
+    def git(*args: str) -> str:
+        try:
+            return subprocess.run(
+                ["git", *args], cwd=pathlib.Path(__file__).parent, capture_output=True,
+                text=True, check=True, timeout=10,
+            ).stdout.strip()
+        except (OSError, subprocess.SubprocessError):
+            return "unknown"
+
+    return {
+        "commit": git("rev-parse", "HEAD"),
+        "tree_modified": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def record(experiment: str, **row) -> None:

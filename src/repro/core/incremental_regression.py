@@ -34,12 +34,12 @@ lists them):
   staleness argument as Mechanism 1's τ-window and
   :class:`~repro.core.projected_regression.PrivIncReg2`'s knob).  1
   (default) reproduces Algorithm 2 exactly.
-* :meth:`PrivIncReg1.observe_batch` ingests a block of points with
-  vectorized tree updates and runs the PGD refreshes scheduled inside the
-  block.  Each tree owns an independent child generator (spawned from the
-  constructor's ``rng``), so the batched path consumes randomness exactly
-  like the sequential path and the released parameters are bit-identical
-  to point-by-point ``observe`` calls under the same ``solve_every``.
+* :meth:`PrivIncReg1.observe_batch` commits a block to the trees up to
+  each PGD refresh scheduled inside it and reads the releases only there.
+  Tree node noise is keyed by node (each tree's key comes from a child
+  generator spawned from the constructor's ``rng``), so the released
+  parameters are bit-identical to point-by-point ``observe`` calls under
+  the same ``solve_every``.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from ..exceptions import DomainViolationError, ValidationError
 from ..geometry.base import ConvexSet
 from ..privacy.accountant import PrivacyAccountant
 from ..privacy.parameters import PrivacyParams, bundle_budgets
+from ..privacy.tree import _check_room
 from .moments import MomentBundle, cross_statistic, gram_statistic
 from .private_gradient import PrivateGradientFunction, solve_released
 
@@ -107,7 +108,6 @@ class _MomentRegression:
     * ``_ledger_labels`` — the accountant labels, one per statistic;
     * ``_transform_row`` / ``_transform_block`` — the covariate-to-row map
       (identity here);
-    * ``_chunks`` — cuts of a block whose pieces ingest as one unit;
     * ``_solve_at`` — the refresh itself (PGD over ``C`` here);
     * ``gradient_error`` — Lemma 4.1's ``α`` (fixed per configuration here).
 
@@ -266,10 +266,6 @@ class _MomentRegression:
         """The moment rows of a checked covariate block (identity here)."""
         return xs
 
-    def _chunks(self, t0: int, t1: int) -> list[tuple[int, int]]:
-        """Pieces of the block ``(t0, t1]`` that ingest as one unit."""
-        return [(t0, t1)]
-
     def observe(self, x: np.ndarray, y: float) -> np.ndarray:
         """Process ``(x_t, y_t)``; release ``θ_t^priv``.
 
@@ -290,13 +286,13 @@ class _MomentRegression:
     def observe_batch(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Process a block of points; release ``θ`` after the final one.
 
-        The moment bundle ingests each piece of the block (see
-        ``_chunks``) with vectorized updates (the privacy-relevant part
-        still advances element by element inside its mechanisms), then the
-        refreshes scheduled inside the piece by ``solve_every`` run against
-        the matching per-step releases.  Bit-identical to feeding the same
-        points one at a time through :meth:`observe` whenever the row
-        transform is (always, but for Algorithm 3's ``ΦXᵀ`` product).
+        The moment bundle commits the block piece by piece, one piece per
+        refresh scheduled inside it by ``solve_every`` (the privacy-relevant
+        part still advances element by element inside its mechanisms), and
+        each refresh reads the releases at its step.  Bit-identical to
+        feeding the same points one at a time through :meth:`observe`
+        whenever the row transform is (always, but for Algorithm 3's
+        ``ΦXᵀ`` product).
 
         Parameters
         ----------
@@ -316,21 +312,24 @@ class _MomentRegression:
         """Feed checked moment rows to the bundle and run the scheduled
         refreshes; release ``θ`` after the final row.
 
-        Commit ordering: the bundle ingests a piece first and the counter
-        bumps after, so a rejected piece (horizon overrun, validation)
-        leaves the estimator's counter in agreement with its mechanisms
-        and a retry is safe.  Only the refreshes are amortized by
-        ``solve_every``.
+        The block is cut at its ``solve_every`` points.  The bundle commits
+        each piece in one exact ingest and a refresh reads the releases at
+        its piece's end — the commit-then-read a shard uses — so the steps
+        between two solves are never read.  A block that would pass the
+        horizon is refused before any piece commits.  Within the block the
+        bundle commits a piece first and the counter bumps after, so the
+        counter always agrees with the mechanisms.
         """
-        t0 = self.steps_taken
-        for start, stop in self._chunks(t0, t0 + rows.shape[0]):
-            releases = self._moments.observe_batch(
-                rows[start - t0:stop - t0], ys[start - t0:stop - t0]
-            )
-            self.steps_taken = stop
-            for t in solve_schedule(start, stop, self.solve_every, self.horizon):
-                idx = t - start - 1
-                self._solve_at(self._logical_t(t), *(r[idx] for r in releases))
+        t0, t1 = self.steps_taken, self.steps_taken + rows.shape[0]
+        _check_room(self, rows.shape[0])
+        solves = set(solve_schedule(t0, t1, self.solve_every, self.horizon))
+        mechanisms = [self._moments.get(name) for name in self._moments.names]
+        start = t0
+        for stop in sorted(solves | {t1}):
+            self._moments.ingest(rows[start - t0:stop - t0], ys[start - t0:stop - t0], fast=False)
+            self.steps_taken = start = stop
+            if stop in solves:
+                self._solve_at(self._logical_t(stop), *(m.current_sum() for m in mechanisms))
         return self._theta.copy()
 
     def _pgd_plan(self, t: float) -> tuple[float, float, int]:

@@ -8,22 +8,26 @@ needs three (ZᵀZ, ZᵀX, Zᵀy), and a multi-tenant shard one Gram entry per
 rows become those releases:
 
 * :class:`MomentStatistic` — one named statistic: a shape, a per-element
-  accumulation rule (per-step releases and ``ingest="exact"``), a
+  accumulation rule (``ingest="exact"``), a
   pre-reduced block-total rule (``ingest="fast"``), and a budget weight.
 * :class:`MomentBundle` — an *ordered* set of statistics, each backed by
   its own release mechanism from
   :func:`~repro.privacy.release.make_release_mechanism`, advanced in
   lockstep over one (sub-)stream.
 
+Everyone feeds a bundle the same way: commit a block through
+:meth:`MomentBundle.ingest`, then read its mechanisms' releases.
 The standalone estimators hold one bundle
 (:class:`~repro.core.incremental_regression.PrivIncReg1` and its
 siblings the default (cross, gram) pair,
-:class:`~repro.core.priv_inc_iv.PrivIncIV` the (zz, zx, zy) triple) and
-read every step's releases through :meth:`MomentBundle.observe_batch`.
+:class:`~repro.core.priv_inc_iv.PrivIncIV` the (zz, zx, zy) triple),
+commit up to each scheduled refresh in the exact tier and read each
+mechanism's ``current_sum()`` there.
 A serving shard holds the bundle its backend declares
 (:mod:`repro.streaming.backends`), laid out for the front's outcomes by
-:class:`~repro.streaming.serving.BundleLayout`, and advances it block by
-block through :meth:`MomentBundle.ingest`.  Both paths build the same
+:class:`~repro.streaming.serving.BundleLayout`, and commits it block by
+block in the tier the front picked, and answers a merge with
+:meth:`MomentBundle.released`.  Both paths build the same
 mechanisms under the same keys — the estimator's rng children, or the
 two-word keys the front draws from the same children and ships to its
 shards — and the same float expressions, so a ``K = 1`` served stream
@@ -31,8 +35,7 @@ replays its standalone estimator bit for bit.
 
 Fault semantics (the per-bundle accounting rule)
 ------------------------------------------------
-:meth:`MomentBundle.ingest` and :meth:`MomentBundle.observe_batch`
-materialize *every* statistic's input before
+:meth:`MomentBundle.ingest` materializes *every* statistic's input before
 any mechanism advances, so all failures the library can raise
 (validation, capacity) happen on the **first** entry, before anything is
 consumed — the block-atomic no-consumption guarantee the front's refund
@@ -84,8 +87,7 @@ class MomentStatistic:
         Element shape of the statistic (the release mechanism's shape).
     values:
         Per-element rule ``(rows, ys) -> (k, *shape)``: the moment values
-        a mechanism's ``observe_batch`` (per-step releases) or
-        ``advance_batch`` (the exact serving tier) consumes.
+        a mechanism's ``advance_batch`` (the exact tier) consumes.
     total:
         Fast-tier rule ``(rows, ys, weights) -> shape``: the pre-reduced
         block total ``advance_sum`` consumes.  ``weights`` is the
@@ -319,26 +321,13 @@ class MomentBundle:
             inputs = [stat.values(rows, ys) for stat in self.statistics]
             self._advance(inputs, lambda mech, values: mech.advance_batch(values))
 
-    def observe_batch(self, rows: np.ndarray, ys) -> tuple:
-        """Advance every entry with one block; return its per-step releases.
-
-        One ``(k, *shape)`` array per entry, in declaration order: row
-        ``i`` is the entry's release after the block's ``i``-th element
-        (each mechanism's own ``observe_batch``).  The fault rule is
-        :meth:`ingest`'s: a first-entry failure consumes nothing, a
-        later-entry failure tears the bundle.
-        """
-        inputs = [stat.values(rows, ys) for stat in self.statistics]
-        return self._advance(inputs, lambda mech, values: mech.observe_batch(values))
-
-    def _advance(self, inputs, advance) -> tuple:
+    def _advance(self, inputs, advance) -> None:
         mechanisms = self._mechanisms
         if mechanisms is None:
             raise ValidationError("cannot ingest into a killed moment bundle")
-        outputs = []
         for position, (stat, payload) in enumerate(zip(self.statistics, inputs)):
             try:
-                outputs.append(advance(mechanisms[stat.name], payload))
+                advance(mechanisms[stat.name], payload)
             except BaseException as exc:
                 if position == 0:
                     # Nothing consumed: block-atomic, retry-safe.
@@ -350,7 +339,6 @@ class MomentBundle:
                     f"block; the bundle is torn and its mechanisms were "
                     f"discarded"
                 ) from exc
-        return tuple(outputs)
 
     def released(self) -> tuple:
         """One :class:`~repro.privacy.tree.ReleasedMoments` record per

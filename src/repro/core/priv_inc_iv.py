@@ -330,9 +330,9 @@ class PrivIncIV(_MomentRegression):
     ) -> np.ndarray:
         """Process a block of points; release ``θ`` after the final one.
 
-        The moment bundle ingests the stacked ``[z | x]`` rows, then the
-        two-stage refreshes scheduled inside the block by ``solve_every``
-        run against the matching per-step releases — Algorithm 2's
+        The moment bundle commits the stacked ``[z | x]`` rows up to each
+        two-stage refresh scheduled inside the block by ``solve_every``,
+        which runs against the releases read there — Algorithm 2's
         ingest path (:meth:`PrivIncReg1.observe_batch
         <repro.core.incremental_regression.PrivIncReg1.observe_batch>`).
 

@@ -95,18 +95,9 @@ class UnboundedPrivIncReg(_MomentRegression):
         Uses the Hybrid mechanisms' own (Frobenius-level) error bounds;
         conservative versus the spectral refinement available for a single
         tree, but valid at every prefix length without a horizon.  Each
-        refresh recomputes it: the bound grows with the epochs seen.
+        refresh recomputes it: the bound grows with the epochs seen.  A
+        refresh inside a block of :meth:`observe_batch` runs with the
+        mechanisms advanced to its step, so it sees the epochs the
+        sequential path would.
         """
         return self._moment_alpha(self._tree_gram.error_bound(self.beta / 2.0))
-
-    def _chunks(self, t0: int, t1: int) -> list[tuple[int, int]]:
-        """Cut ``(t0, t1]`` where the moment mechanisms' live chunk is full.
-
-        The chunk schedule rolls lazily, at the step *after* a chunk fills,
-        so the error bound (and hence ``α``) is constant between two chunk
-        ends; pieces never straddle one, so a solve inside a block of
-        :meth:`observe_batch` sees exactly the chunk state the sequential
-        path would — bit-identical to ``k`` :meth:`observe` calls.
-        """
-        edges = [t0, *self._tree_gram.schedule.ends(t0, t1), t1]
-        return list(zip(edges[:-1], edges[1:]))

@@ -54,6 +54,14 @@ def _scaled_norm(point: np.ndarray) -> float:
     return scale * math.sqrt(point.dot(point))
 
 
+def _norm(point: np.ndarray) -> float:
+    """``‖x‖`` of a finite ``x``: ``sqrt(x·x)``, the bits ``np.linalg.norm``
+    gives, or :func:`_scaled_norm` where ``x·x`` overflows."""
+    with np.errstate(over="ignore"):
+        square = point.dot(point)
+    return _scaled_norm(point) if square == math.inf else math.sqrt(square)
+
+
 class L2Ball(ConvexSet):
     """``C = c·B₂^d`` — the Ridge-regression constraint set.
 
@@ -71,7 +79,7 @@ class L2Ball(ConvexSet):
 
     def contains(self, point: np.ndarray, tol: float = 1e-9) -> bool:
         point = self._check_point("point", point)
-        return float(np.linalg.norm(point)) <= self.radius + tol
+        return _norm(point) <= self.radius + tol
 
     def _project(self, point: np.ndarray) -> np.ndarray:
         return self._project_squared(point, point.dot(point))
@@ -107,11 +115,11 @@ class L2Ball(ConvexSet):
 
     def gauge(self, point: np.ndarray) -> float:
         point = self._check_point("point", point)
-        return float(np.linalg.norm(point)) / self.radius
+        return _norm(point) / self.radius
 
     def support(self, direction: np.ndarray) -> float:
         direction = self._check_point("direction", direction)
-        return self.radius * float(np.linalg.norm(direction))
+        return self.radius * _norm(direction)
 
     def diameter(self) -> float:
         return self.radius

@@ -55,7 +55,6 @@ from .tree import (
     _check_square,
     _record,
     coerce_stream_block,
-    coerce_stream_element,
     noise_key,
     tree_error_bound,
     tree_error_bound_spectral,
@@ -112,14 +111,6 @@ class ChunkSchedule:
         t = max(int(t), 1)
         return t.bit_length() - 1 if self.chunk is None else (t - 1) // self.chunk
 
-    def ends(self, t0: int, t1: int) -> list[int]:
-        """The steps in ``(t0, t1)`` at which the live chunk is full."""
-        index, ends = self.index_at(t0 + 1), []
-        while self.start(index + 1) < t1:
-            index += 1
-            ends.append(self.start(index))
-        return ends
-
     def covered_at(self, t: int) -> int:
         """Elements the release covers after ``t`` elements (``≤ W``)."""
         t = max(int(t), 0)
@@ -134,10 +125,16 @@ class ChunkedTreeMechanism:
     """Private prefix sums over a run of chunk trees.
 
     The one implementation of the chunk roll, the block split at chunk
-    boundaries, the per-row fade of the frozen total, expiry, the variance
+    boundaries, the fade of the frozen total, expiry, the variance
     ledger, the memory count and the error bounds (see the module
     docstring).  :class:`HybridMechanism` and
     :class:`SlidingWindowMechanism` only declare a schedule.
+
+    Like every release mechanism it has one way in and one way out:
+    :meth:`advance_batch` (or, on one chunk, :meth:`advance_sum`) commits
+    a block, and :meth:`current_sum` reads the release at its end.  A
+    caller that wants the release after every element commits
+    one-element blocks and reads after each.
 
     Parameters
     ----------
@@ -261,19 +258,25 @@ class ChunkedTreeMechanism:
         self._frozen_total = sum((value for value, _ in self._frozen), np.zeros(self.shape))
         self._frozen_variance = sum((variance for _, variance in self._frozen), 0.0)
 
-    def _ingest(self, values: np.ndarray, rows: bool) -> list[np.ndarray]:
-        """Feed a block to the chunk trees, one piece per chunk and expiry.
+    # ------------------------------------------------------------------
+    # Core streaming API (the ReleaseMechanism surface)
+    # ------------------------------------------------------------------
+
+    def advance_batch(self, values: np.ndarray) -> None:
+        """Ingest a block; the next :meth:`current_sum` reads its end.
 
         The whole block is validated and capacity-checked before any piece
-        is consumed.  A piece never straddles a chunk end or an expiry, so
-        the frozen total is constant across it; with ``rows`` each piece
-        returns its per-row releases (the frozen total faded by each row's
-        elapsed length in the live chunk), else nothing.
+        is consumed.  Each piece never straddles a chunk end or an expiry
+        and only commits to its chunk tree
+        (:meth:`~repro.privacy.tree.TreeMechanism.advance_batch`); a chunk
+        that fills is read once, when it freezes.  Chunk trees are built at
+        the same rolls under any block split and their node noise is keyed,
+        so the read is bit-identical to the same elements committed one at
+        a time.
         """
         array = coerce_stream_block(values, self.shape)
         k = array.shape[0]
         _check_room(self, k)
-        pieces = []
         start = 0
         while start < k:
             if self._current_tree.steps_taken >= self._current_tree.horizon:
@@ -281,48 +284,9 @@ class ChunkedTreeMechanism:
             self._expire()
             tree = self._current_tree
             stop = min(k, start + tree.horizon - tree.steps_taken, start + self._room())
-            if rows:
-                elapsed = tree.steps_taken
-                fades = np.array([self._fade(elapsed + r) for r in range(1, stop - start + 1)])
-                fades = fades.reshape((stop - start,) + (1,) * len(self.shape))
-                pieces.append(fades * self._frozen_total + tree.observe_batch(array[start:stop]))
-            else:
-                tree.advance_batch(array[start:stop])
+            tree.advance_batch(array[start:stop])
             self.steps_taken += stop - start
             start = stop
-        return pieces
-
-    # ------------------------------------------------------------------
-    # Core streaming API (the ReleaseMechanism surface)
-    # ------------------------------------------------------------------
-
-    def observe(self, value: np.ndarray | float) -> np.ndarray:
-        """Ingest the next element; return the noisy sum.
-
-        The element is validated before any state moves, so a rejected
-        element leaves the chunk bookkeeping and the step counter where
-        they were.
-        """
-        return self.observe_batch(coerce_stream_element(value, self.shape)[None])[0]
-
-    def observe_batch(self, values: np.ndarray) -> np.ndarray:
-        """Ingest a block of consecutive elements; return all noisy sums.
-
-        Chunk trees are built at the same rolls either way and their node
-        noise is keyed, so the releases are bit-identical to the same
-        elements arriving one at a time.
-        """
-        return np.concatenate(self._ingest(values, rows=True), axis=0)
-
-    def advance_batch(self, values: np.ndarray) -> None:
-        """Ingest a block; the next :meth:`current_sum` reads its end.
-
-        Each piece only commits to its chunk tree
-        (:meth:`~repro.privacy.tree.TreeMechanism.advance_batch`); a chunk
-        that fills is read once, when it freezes.  The read is
-        bit-identical to :meth:`observe_batch`'s final row.
-        """
-        self._ingest(values, rows=False)
 
     def advance_sum(self, total: np.ndarray | float, count: int) -> None:
         """Ingest a pre-reduced block total — one-chunk mechanisms only.
@@ -330,14 +294,13 @@ class ChunkedTreeMechanism:
         Refused with :class:`~repro.exceptions.NotSupportedError` unless
         the schedule is one chunk (:func:`one_chunk`): each element must
         go to its chunk tree, and one block total cannot be split at a
-        chunk boundary.  Use ``observe_batch`` / ``advance_batch``
-        (``ingest="exact"``).
+        chunk boundary.  Use :meth:`advance_batch` (``ingest="exact"``).
         """
         if not one_chunk(self.schedule.chunk is None, self.schedule.window):
             raise NotSupportedError(
                 f"{type(self).__name__} cannot ingest pre-reduced block totals "
                 "(advance_sum): its chunks must split elements at chunk "
-                "boundaries; use observe_batch/advance_batch (ingest='exact')"
+                "boundaries; use advance_batch (ingest='exact')"
             )
         count = check_int("count", count, minimum=1)
         _check_room(self, count)
@@ -436,10 +399,9 @@ class HybridMechanism(ChunkedTreeMechanism):
     --------
     >>> mech = HybridMechanism(shape=(2,), l2_sensitivity=1.0,
     ...                        params=PrivacyParams(1.0, 1e-6), rng=0)
-    >>> for _ in range(10):
-    ...     s = mech.observe(np.ones(2))
-    >>> s.shape
-    (2,)
+    >>> mech.advance_batch(np.ones((10, 2)))
+    >>> mech.current_sum().shape, mech.steps_taken
+    ((2,), 10)
     """
 
     def __init__(

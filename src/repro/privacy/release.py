@@ -2,7 +2,7 @@
 
 Every moment-carrying layer of the library — the ``core/`` estimators,
 the serving shards, the merge rule, the wire format — talks to its noise
-source through one implicit surface: ``observe`` / ``observe_batch`` /
+source through one implicit surface: ``advance_batch`` /
 ``advance_sum`` / ``current_sum`` / ``release_noise_variance`` /
 ``released_moments`` / ``steps_taken``.  This module makes that surface
 explicit as the :class:`ReleaseMechanism` protocol, and
@@ -91,8 +91,9 @@ class ReleaseMechanism(Protocol):
     totals) commits a block and returns ``None``; :meth:`current_sum` is
     the one read.  A tree computes its release there, on the first read
     after a commit (:mod:`repro.privacy.tree`), so a block nobody reads
-    releases nothing.  ``observe`` / ``observe_batch`` return the release
-    after every element they ingest.
+    releases nothing.  There is no per-element path: a caller that wants
+    the release after every element commits one-element blocks,
+    ``advance_batch(v[None])``, and reads after each.
 
     :meth:`released_moments` is what leaves a mechanism for a merge: a
     frozen :class:`~repro.privacy.tree.ReleasedMoments` record of the
@@ -109,10 +110,6 @@ class ReleaseMechanism(Protocol):
 
     shape: tuple[int, ...]
     steps_taken: int
-
-    def observe(self, value) -> np.ndarray: ...
-
-    def observe_batch(self, values) -> np.ndarray: ...
 
     def advance_batch(self, values) -> None: ...
 
@@ -159,9 +156,9 @@ class SketchNoiseMechanism:
     from ``Philox(key, counter=[0, 0, b, 0])``, where ``key`` is the
     two-word key of ``rng`` (:func:`~repro.privacy.tree.noise_key`), so the
     mechanism is a pure function of its key and its blocks.
-    :meth:`observe_batch` makes each element its own block, exactly like
-    ``k`` sequential :meth:`observe` calls, and :meth:`advance_batch` /
-    :meth:`advance_sum` draw **one** block each, so the exact and fast
+    :meth:`advance_batch` and :meth:`advance_sum` draw **one** block
+    each — the block *is* the commit, so releasing after every element
+    means committing one-element blocks — and the exact and fast
     serving tiers release identical noise and differ only in the float
     summation order of the exact block totals.
 
@@ -217,27 +214,6 @@ class SketchNoiseMechanism:
     # ------------------------------------------------------------------
     # Core streaming API (the ReleaseMechanism surface)
     # ------------------------------------------------------------------
-
-    def observe(self, value: np.ndarray | float) -> np.ndarray:
-        """Ingest one element as its own block; return the noisy sum."""
-        array = coerce_stream_element(value, self.shape)
-        _check_room(self, 1)
-        self._ingest_total(array.reshape(self._flat_dim))
-        self.steps_taken += 1
-        return self.current_sum()
-
-    def observe_batch(self, values: np.ndarray) -> np.ndarray:
-        """Ingest ``k`` elements one block each; return all ``k`` sums."""
-        array = coerce_stream_block(values, self.shape)
-        k = array.shape[0]
-        _check_room(self, k)
-        flat = array.reshape(k, self._flat_dim)
-        releases = np.empty((k, self._flat_dim))
-        for r in range(k):
-            self._ingest_total(flat[r])
-            self.steps_taken += 1
-            releases[r] = self._sum
-        return releases.reshape((k,) + self.shape)
 
     def advance_batch(self, values: np.ndarray) -> None:
         """Ingest a block (one noise draw); :meth:`current_sum` reads it."""

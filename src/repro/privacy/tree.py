@@ -71,22 +71,22 @@ Implementation notes
 
 Batched ingestion contract
 --------------------------
-Every ingest path is one *commit*: validate and capacity-check the block,
-then advance the clean prefix and the active levels.
-:meth:`~TreeMechanism.advance_batch` and :meth:`~TreeMechanism.advance_sum`
-only commit; :meth:`~TreeMechanism.current_sum` reads the release at the
-block end.  :meth:`TreeMechanism.observe` and
-:meth:`~TreeMechanism.observe_batch` read after every element they commit.
+There is one way in and one way out.  :meth:`~TreeMechanism.advance_batch`
+and :meth:`~TreeMechanism.advance_sum` *commit* a block: validate and
+capacity-check it, then advance the clean prefix and the active levels.
+:meth:`~TreeMechanism.current_sum` *reads* the release at the block end
+(:meth:`~TreeMechanism.released_moments` wraps the same read in a
+record).  A caller that wants the release after every element commits
+one-element blocks, ``advance_batch(v[None])``, and reads after each.
 Because node noise is addressed, not drawn in sequence, every read sees
-the same noise for the same node, under any block split and any read
-schedule, and the paths may be freely interleaved.  They differ
-only in how the clean prefix is summed: ``observe``, ``observe_batch``
-and ``advance_batch`` fold the elements
-in one at a time (``prefix += v``; a plain-tree block of vector elements
-is one axis-0 reduction, the same additions in the same order), which is
-bit-identical to per-point ingestion;
-``advance_sum`` adds a pre-reduced block total (one BLAS product
-upstream), which equals the fold up to float summation order.
+the same noise for the same node under any block split and any read
+schedule.  The two commits differ only in how the clean prefix is
+summed: ``advance_batch`` folds the elements in one at a time
+(``prefix += v``; a plain-tree block of vector elements is one axis-0
+reduction, the same additions in the same order), which is bit-identical
+to one-element commits; ``advance_sum`` adds a pre-reduced block total
+(one BLAS product upstream), which equals the fold up to float summation
+order.
 
 Three rules carry the privacy argument.  A node's noise is a pure
 function of its address.  The prefix is append-only and a block is
@@ -331,9 +331,10 @@ class TreeMechanism:
     --------
     >>> mech = TreeMechanism(horizon=8, shape=(3,), l2_sensitivity=2.0,
     ...                      params=PrivacyParams(1.0, 1e-6), rng=0)
-    >>> noisy_sum = mech.observe(np.ones(3))
-    >>> noisy_sum.shape
-    (3,)
+    >>> mech.advance_batch(np.ones((2, 3)))
+    >>> noisy_sum = mech.current_sum()
+    >>> noisy_sum.shape, mech.steps_taken
+    ((3,), 2)
     """
 
     decay: float = 1.0
@@ -412,74 +413,19 @@ class TreeMechanism:
         return noise
 
     # ------------------------------------------------------------------
-    # Core streaming API
-    # ------------------------------------------------------------------
-
-    def observe(self, value: np.ndarray | float) -> np.ndarray:
-        """Ingest the next stream element; return the noisy prefix sum.
-
-        The one-element case of :meth:`observe_batch`.
-
-        Raises
-        ------
-        StreamExhaustedError
-            If more than ``horizon`` elements are observed — accepting the
-            extra element would break the noise calibration.
-        ValidationError
-            If the element has the wrong shape or non-finite entries.
-        """
-        return self.observe_batch(coerce_stream_element(value, self.shape)[None])[0]
-
-    def observe_batch(self, values: np.ndarray) -> np.ndarray:
-        """Ingest a block of consecutive stream elements; return all releases.
-
-        Each element is one commit of :meth:`advance_batch` — the same
-        keyed node noise and the same sequential prefix additions — so the
-        releases are bit-identical to ``k`` successive :meth:`observe`
-        calls and the methods may be interleaved freely on one instance.
-
-        Parameters
-        ----------
-        values:
-            Array of shape ``(k, *shape)`` holding ``k ≥ 1`` consecutive
-            stream elements.
-
-        Returns
-        -------
-        numpy.ndarray
-            The ``k`` noisy prefix sums, shape ``(k, *shape)``.
-
-        Raises
-        ------
-        StreamExhaustedError
-            If the block would push past ``horizon``; the state is left
-            untouched (no element of the block is consumed).
-        ValidationError
-            If the block is empty, misshapen, or contains non-finite
-            entries.
-        """
-        flat = self._coerce_batch(values)
-        _check_room(self, flat.shape[0])
-        releases = np.empty_like(flat)
-        for r in range(flat.shape[0]):
-            self._commit(self._fold(flat[r : r + 1]), 1)
-            releases[r] = self._read()
-        return releases.reshape(flat.shape[:1] + self.shape)
-
-    # ------------------------------------------------------------------
-    # Serving paths (block ingestion without per-step releases)
+    # Core streaming API: commit a block, then read
     # ------------------------------------------------------------------
 
     def advance_batch(self, values: np.ndarray) -> None:
         """Ingest a block; the next :meth:`current_sum` reads its end.
 
         One commit: the prefix folds the block's elements in sequentially
-        (the additions :meth:`observe` performs, so the release read after
-        it is bit-identical to ``observe_batch(values)[-1]``).  Nothing is
-        released here: the first read builds the release and draws the
-        keyed noise of the nodes it needs.  Nodes that close and merge
-        inside the block, or before the next read, are never released, so
-        their noise is never drawn.
+        (one addition per element, in order, so the release read after it
+        is bit-identical to committing the elements one at a time and
+        reading after the last).  Nothing is released here: the first
+        read builds the release and draws the keyed noise of the nodes it
+        needs.  Nodes that close and merge inside the block, or before the
+        next read, are never released, so their noise is never drawn.
 
         Finiteness is checked on the folded prefix, not on every entry: a
         non-finite entry stays non-finite under fading and addition, so a

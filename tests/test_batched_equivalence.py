@@ -45,6 +45,8 @@ from repro import (
 from repro.data import make_dense_stream, make_sparse_stream
 from repro.exceptions import ValidationError
 
+from releases import block_reads, step, steps
+
 PARAMS = PrivacyParams(4.0, 1e-6)
 T = 14
 DIM = 3
@@ -102,31 +104,29 @@ class TestTreeMechanismEquivalence:
         rng = np.random.default_rng(0)
         data = rng.normal(size=(T,) + shape) * 0.1
         sequential = TreeMechanism(T, shape, 2.0, PARAMS, rng=21)
-        reference = np.stack([np.asarray(sequential.observe(v)) for v in data])
+        reference = steps(sequential, data)
 
         batched = TreeMechanism(T, shape, 2.0, PARAMS, rng=21)
-        released = np.concatenate(
-            [batched.observe_batch(data[s:e]) for s, e in _blocks(T, batch)], axis=0
-        )
-        np.testing.assert_array_equal(reference, released)
+        released = block_reads(batched, [data[s:e] for s, e in _blocks(T, batch)])
+        np.testing.assert_array_equal(reference[_block_ends(T, batch)], released)
         np.testing.assert_array_equal(
             sequential.current_sum(), batched.current_sum()
         )
 
-    def test_interleaving_observe_and_batch(self):
+    def test_interleaving_single_and_block_commits(self):
         from repro import TreeMechanism
 
         rng = np.random.default_rng(1)
         data = rng.normal(size=(T, 2)) * 0.1
         sequential = TreeMechanism(T, (2,), 2.0, PARAMS, rng=5)
-        reference = np.stack([sequential.observe(v) for v in data])
+        reference = steps(sequential, data)
 
         mixed = TreeMechanism(T, (2,), 2.0, PARAMS, rng=5)
-        first = mixed.observe(data[0])[None]
-        middle = mixed.observe_batch(data[1:9])
-        tail = np.stack([mixed.observe(v) for v in data[9:]])
+        first = step(mixed, data[0])[None]
+        middle = block_reads(mixed, [data[1:9]])
+        tail = steps(mixed, data[9:])
         np.testing.assert_array_equal(
-            reference, np.concatenate([first, middle, tail], axis=0)
+            reference[[0, 8, *range(9, T)]], np.concatenate([first, middle, tail], axis=0)
         )
 
     def test_ragged_final_block(self):
@@ -136,13 +136,11 @@ class TestTreeMechanismEquivalence:
         rng = np.random.default_rng(2)
         data = rng.normal(size=(T, 2)) * 0.1
         sequential = TreeMechanism(T, (2,), 2.0, PARAMS, rng=9)
-        reference = np.stack([sequential.observe(v) for v in data])
+        reference = steps(sequential, data)
         batched = TreeMechanism(T, (2,), 2.0, PARAMS, rng=9)
-        released = np.concatenate(
-            [batched.observe_batch(data[s:e]) for s, e in _blocks(T, 4)], axis=0
-        )
+        released = block_reads(batched, [data[s:e] for s, e in _blocks(T, 4)])
         assert _blocks(T, 4)[-1] == (12, 14)  # the ragged block
-        np.testing.assert_array_equal(reference, released)
+        np.testing.assert_array_equal(reference[[3, 7, 11, 13]], released)
 
 
 class TestHybridMechanismEquivalence:
@@ -155,14 +153,11 @@ class TestHybridMechanismEquivalence:
         rng = np.random.default_rng(3)
         data = rng.normal(size=(length,) + shape) * 0.1
         sequential = HybridMechanism(shape, 2.0, PARAMS, rng=13, decay=decay)
-        reference = np.stack([np.asarray(sequential.observe(v)) for v in data])
+        reference = steps(sequential, data)
 
         batched = HybridMechanism(shape, 2.0, PARAMS, rng=13, decay=decay)
-        released = np.concatenate(
-            [batched.observe_batch(data[s:e]) for s, e in _blocks(length, batch)],
-            axis=0,
-        )
-        np.testing.assert_array_equal(reference, released)
+        released = block_reads(batched, [data[s:e] for s, e in _blocks(length, batch)])
+        np.testing.assert_array_equal(reference[_block_ends(length, batch)], released)
         assert batched._completed_epochs == sequential._completed_epochs
 
 
@@ -419,10 +414,10 @@ class TestBatchDiscipline:
         empty_y = np.empty((0,))
         tree = TreeMechanism(4, (DIM,), 2.0, PARAMS, rng=0)
         with pytest.raises(ValidationError):
-            tree.observe_batch(np.empty((0, DIM)))
+            tree.advance_batch(np.empty((0, DIM)))
         hybrid = HybridMechanism((DIM,), 2.0, PARAMS, rng=0)
         with pytest.raises(ValidationError):
-            hybrid.observe_batch(np.empty((0, DIM)))
+            hybrid.advance_batch(np.empty((0, DIM)))
         estimators = [
             PrivIncReg1(horizon=4, constraint=L2Ball(DIM), params=PARAMS, rng=0),
             UnboundedPrivIncReg(L2Ball(DIM), PARAMS, rng=0),
@@ -456,13 +451,13 @@ class TestBatchDiscipline:
     def test_hybrid_rejects_bad_block_atomically(self):
         """A NaN in a later epoch piece must not consume earlier pieces."""
         mech = HybridMechanism((2,), 2.0, PARAMS, rng=0)
-        mech.observe(np.ones(2) * 0.1)  # epoch 1 now exactly full
+        step(mech, np.ones(2) * 0.1)  # epoch 1 now exactly full
         block = np.full((3, 2), 0.1)
         block[2, 0] = float("nan")
         epochs_before = mech._completed_epochs
         sum_before = mech.current_sum().copy()
         with pytest.raises(ValidationError):
-            mech.observe_batch(block)
+            mech.advance_batch(block)
         assert mech.steps_taken == 1
         assert mech._completed_epochs == epochs_before
         np.testing.assert_array_equal(mech.current_sum(), sum_before)

@@ -20,6 +20,8 @@ from repro import (
 from repro.data import make_dense_stream
 from repro.streaming import IncrementalRunner
 
+from releases import step
+
 NORMAL = PrivacyParams(1.0, 1e-6)
 
 
@@ -117,7 +119,7 @@ class TestGeometryBoundaries:
 class TestTreeBoundaries:
     def test_horizon_one(self):
         mech = TreeMechanism(1, (2,), 1.0, PrivacyParams(1e9, 0.5), rng=0)
-        released = mech.observe(np.array([0.3, -0.3]))
+        released = step(mech, np.array([0.3, -0.3]))
         np.testing.assert_allclose(released, [0.3, -0.3], atol=1e-5)
 
     def test_alternating_signs_cancel(self):
@@ -125,7 +127,7 @@ class TestTreeBoundaries:
         mech = TreeMechanism(8, (1,), 2.0, PrivacyParams(1e9, 0.5), rng=1)
         v = np.array([0.7])
         for t in range(1, 9):
-            released = mech.observe(v if t % 2 else -v)
+            released = step(mech, v if t % 2 else -v)
             expected = 0.7 if t % 2 else 0.0
             assert released[0] == pytest.approx(expected, abs=1e-5)
 

@@ -30,6 +30,8 @@ from repro.exceptions import (
 )
 from repro.sketching.lifting import lift_l1_basis_pursuit
 
+from releases import step
+
 NORMAL = PrivacyParams(1.0, 1e-6)
 
 
@@ -80,9 +82,9 @@ class TestRejectionsLeaveStateUntouched:
 
     def test_tree_exhaustion_preserves_last_release(self):
         mech = TreeMechanism(1, (1,), 1.0, NORMAL, rng=0)
-        released = mech.observe(np.array([0.5]))
+        released = step(mech, np.array([0.5]))
         with pytest.raises(StreamExhaustedError):
-            mech.observe(np.array([0.5]))
+            step(mech, np.array([0.5]))
         np.testing.assert_array_equal(mech.current_sum(), released)
 
 

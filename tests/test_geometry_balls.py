@@ -1,6 +1,7 @@
 """Tests for L2/L1/L∞/Lp ball constraint sets."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,30 @@ class TestL2Ball:
         with np.errstate(over="ignore"):
             projected = L2Ball(4).project(direction * abs(scale))
         np.testing.assert_allclose(projected, direction / np.linalg.norm(direction))
+
+    @pytest.mark.parametrize("scale", [1e200, -1e300, 1e155])
+    def test_gauge_and_support_of_a_point_whose_square_overflows(self, scale):
+        """A finite point with ‖x‖ > ~1.3e154: gauge and support take the
+        scaled norm (finite, no overflow warning) instead of ``inf``."""
+        direction = np.array([1.0, -2.0, 0.5, 2.0]) * math.copysign(1.0, scale)
+        norm = abs(scale) * float(np.linalg.norm(direction))
+        ball = L2Ball(4, radius=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gauge = ball.gauge(direction * abs(scale))
+            support = ball.support(direction * abs(scale))
+            assert not ball.contains(direction * abs(scale))
+        assert gauge == pytest.approx(norm / 2.0, rel=1e-15)
+        assert support == pytest.approx(2.0 * norm, rel=1e-15)
+
+    def test_gauge_and_support_keep_their_bits_on_finite_squares(self):
+        ball = L2Ball(5, radius=1.5)
+        scales = 10.0 ** np.arange(-3, 7, 0.2)[:, None]
+        points = np.random.default_rng(7).normal(size=(50, 5)) * scales
+        for point in points:
+            norm = float(np.linalg.norm(point))
+            assert ball.gauge(point) == norm / 1.5
+            assert ball.support(point) == 1.5 * norm
 
     def test_projects_huge_rows_and_keeps_the_others(self):
         """The row form: an overflowing row is scaled onto the sphere and

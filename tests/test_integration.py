@@ -28,6 +28,8 @@ from repro import (
 from repro.core.bounds import trivial_bound
 from repro.data import make_dense_stream, make_sparse_stream
 
+from releases import step
+
 BUDGET = PrivacyParams(2.0, 1e-6)
 
 
@@ -118,7 +120,7 @@ class TestHybridBackedPipeline:
             x = rng.normal(size=dim)
             x /= max(np.linalg.norm(x), 1.0)
             y = float(rng.uniform(-1, 1))
-            released = cross_tree.observe(x * y)
+            released = step(cross_tree, x * y)
             exact += x * y
         assert np.linalg.norm(released - exact) < cross_tree.error_bound(beta=0.01)
 

@@ -9,9 +9,10 @@ directly (shard vs. hand-built mechanism pair under one seed, exact and
 fast tiers, decayed and windowed), plus the bundle-generic pieces the
 refactor introduced:
 
-* :meth:`~repro.core.moments.MomentBundle.observe_batch` — the path the
-  standalone estimators ingest through — releases each entry's per-step
-  sums exactly as the entry's own mechanism would;
+* :meth:`~repro.core.moments.MomentBundle.ingest` read through
+  :meth:`~repro.core.moments.MomentBundle.released` after every block —
+  the path the standalone estimators ingest through — releases each
+  entry's sums exactly as the entry's own mechanism would;
 * :func:`~repro.privacy.parameters.bundle_budgets` reproduces the
   historical ``halve()`` split bit for bit at equal two-way weights;
 * the per-bundle fault rule — a statistic failing *after* an earlier
@@ -74,37 +75,34 @@ def _shard(seed, **kwargs):
 
 
 def _feed(shard, xs, ys, path):
-    """One block through the shard's serving tiers or the bundle's
-    per-step path (``observe_batch`` returns the per-entry releases)."""
-    if path == "observe_batch":
-        return shard.bundle.observe_batch(xs, ys)
-    shard.ingest(xs, ys, path == "fast")
+    """One block through the shard's serving tiers, or straight into its
+    bundle's exact ingest (the standalone estimators' path)."""
+    if path == "bundle":
+        shard.bundle.ingest(xs, ys, fast=False)
+    else:
+        shard.ingest(xs, ys, path == "fast")
 
 
 class TestDefaultBundleBitIdentity:
     """The acceptance gate: bundle shards replay the pre-refactor pair."""
 
-    @pytest.mark.parametrize("path", ["exact", "fast", "observe_batch"])
+    @pytest.mark.parametrize("path", ["exact", "fast", "bundle"])
     def test_every_path_replays_inline_pair(self, stream, path):
         shard = _shard(11)
         cross_ref, gram_ref = _legacy_pair(11)
         for s, e in BLOCKS:
             xs, ys = stream.xs[s:e], stream.ys[s:e]
-            releases = _feed(shard, xs, ys, path)
+            _feed(shard, xs, ys, path)
             if path == "fast":
                 cross_ref.advance_sum(ys @ xs, e - s)
                 gram_ref.advance_sum(xs.T @ xs, e - s)
-            elif path == "exact":
+            else:
                 cross_ref.advance_batch(xs * ys[:, None])
                 gram_ref.advance_batch(xs[:, :, None] * xs[:, None, :])
-            else:
-                cross_all, gram_all = releases
-                np.testing.assert_array_equal(
-                    cross_all, cross_ref.observe_batch(xs * ys[:, None])
-                )
-                np.testing.assert_array_equal(
-                    gram_all, gram_ref.observe_batch(xs[:, :, None] * xs[:, None, :])
-                )
+            if path == "bundle":
+                cross, gram = shard.bundle.released()
+                np.testing.assert_array_equal(cross.value, cross_ref.current_sum())
+                np.testing.assert_array_equal(gram.value, gram_ref.current_sum())
         cross, gram = shard.released()  # bundle order
         np.testing.assert_array_equal(cross.value, cross_ref.current_sum())
         np.testing.assert_array_equal(gram.value, gram_ref.current_sum())
@@ -216,9 +214,6 @@ class TestPartialCommitFaults:
         """Make one entry's mechanism fail on its next advance."""
 
         class Poisoned:
-            def observe_batch(self, values):
-                raise RuntimeError("poisoned mechanism")
-
             def advance_batch(self, values):
                 raise RuntimeError("poisoned mechanism")
 
@@ -227,7 +222,7 @@ class TestPartialCommitFaults:
 
         bundle._mechanisms[name] = Poisoned()
 
-    @pytest.mark.parametrize("path", ["exact", "observe_batch"])
+    @pytest.mark.parametrize("path", ["exact", "bundle"])
     def test_first_entry_failure_is_block_atomic(self, stream, path):
         """Guard-entry failure consumes nothing: shard alive, retry safe."""
         shard = _shard(17)
@@ -238,7 +233,7 @@ class TestPartialCommitFaults:
         assert shard.steps == 0
         assert shard.bundle.get("gram").steps_taken == 0  # not torn, not advanced
 
-    @pytest.mark.parametrize("path", ["exact", "observe_batch"])
+    @pytest.mark.parametrize("path", ["exact", "bundle"])
     def test_later_entry_failure_tears_the_bundle(self, stream, path):
         """A bundle failing mid-block is a typed death of the bundle."""
         shard = _shard(18)

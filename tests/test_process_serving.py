@@ -97,7 +97,7 @@ def _feed(server, stream, blocks=BLOCKS):
 class TestWireSnapshots:
     def test_released_moments_pickles_losslessly(self):
         mech = TreeMechanism(T, (DIM,), 2.0, PARAMS.halve(), rng=3)
-        mech.observe_batch(np.full((5, DIM), 0.1))
+        mech.advance_batch(np.full((5, DIM), 0.1))
         snapshot = mech.released_moments()
         wired = pickle.loads(pickle.dumps(snapshot))
         assert isinstance(wired, ReleasedMoments)
@@ -108,7 +108,7 @@ class TestWireSnapshots:
         assert wired.shape == (DIM,)
         # Snapshots of different states compare unequal (and never raise —
         # the auto-generated dataclass __eq__ over an ndarray would).
-        mech.observe(np.full(DIM, 0.1))
+        mech.advance_batch(np.full((1, DIM), 0.1))
         assert snapshot != mech.released_moments()
         # The snapshot's buffer is frozen at creation (pickle does not
         # carry numpy's writeable flag, so only the original is checked).
@@ -119,8 +119,8 @@ class TestWireSnapshots:
         half = PARAMS.halve()
         a = TreeMechanism(T, (DIM,), 2.0, half, rng=1)
         b = TreeMechanism(T, (DIM,), 2.0, half, rng=2)
-        a.observe_batch(np.full((3, DIM), 0.2))
-        b.observe_batch(np.full((7, DIM), -0.1))
+        a.advance_batch(np.full((3, DIM), 0.2))
+        b.advance_batch(np.full((7, DIM), -0.1))
         local = merge_released([a.released_moments(), b.released_moments()])
         snapped = merge_released(
             [
@@ -135,7 +135,7 @@ class TestWireSnapshots:
     def test_merge_takes_records_only(self):
         """A live mechanism is not a merge handle: its record is."""
         mech = TreeMechanism(T, (DIM,), 2.0, PARAMS.halve(), rng=1)
-        mech.observe_batch(np.full((3, DIM), 0.2))
+        mech.advance_batch(np.full((3, DIM), 0.2))
         with pytest.raises(ValidationError, match="released_moments"):
             merge_released([mech])
         with pytest.raises(ValidationError, match="released_moments"):
@@ -187,7 +187,7 @@ class TestWireSnapshots:
         ``__hash__ = None`` unless a hash is defined explicitly — this
         pins the explicit one."""
         mech = TreeMechanism(T, (DIM,), 2.0, PARAMS.halve(), rng=3)
-        mech.observe_batch(np.full((5, DIM), 0.1))
+        mech.advance_batch(np.full((5, DIM), 0.1))
         snapshot = mech.released_moments()
         wired = pickle.loads(pickle.dumps(snapshot))
         assert hash(snapshot) == hash(wired)
@@ -196,7 +196,7 @@ class TestWireSnapshots:
         assert registry[wired] == "shard-0"  # equal key, found on lookup
         assert len({snapshot, wired}) == 1
 
-        mech.observe(np.full(DIM, 0.1))
+        mech.advance_batch(np.full((1, DIM), 0.1))
         later = mech.released_moments()
         registry[later] = "shard-0@t6"
         assert len(registry) == 2  # unequal snapshots coexist as keys
@@ -213,7 +213,7 @@ class TestWireSnapshots:
 
     def test_released_moments_cross_the_codec_losslessly(self):
         mech = TreeMechanism(T, (DIM,), 2.0, PARAMS.halve(), rng=3)
-        mech.observe_batch(np.full((5, DIM), 0.1))
+        mech.advance_batch(np.full((5, DIM), 0.1))
         snapshot = mech.released_moments()
         wired = self._via_codec(snapshot)
         assert isinstance(wired, ReleasedMoments)
@@ -236,8 +236,8 @@ class TestWireSnapshots:
         half = PARAMS.halve()
         a = TreeMechanism(T, (DIM,), 2.0, half, rng=1)
         b = TreeMechanism(T, (DIM,), 2.0, half, rng=2)
-        a.observe_batch(np.full((3, DIM), 0.2))
-        b.observe_batch(np.full((7, DIM), -0.1))
+        a.advance_batch(np.full((3, DIM), 0.2))
+        b.advance_batch(np.full((7, DIM), -0.1))
         local = merge_released([a.released_moments(), b.released_moments()])
         snapped = merge_released(
             list(self._via_codec(a.released_moments(), b.released_moments()))
@@ -248,7 +248,7 @@ class TestWireSnapshots:
 
     def test_codec_snapshots_are_hashable_dict_keys(self):
         mech = TreeMechanism(T, (DIM,), 2.0, PARAMS.halve(), rng=3)
-        mech.observe_batch(np.full((5, DIM), 0.1))
+        mech.advance_batch(np.full((5, DIM), 0.1))
         snapshot = mech.released_moments()
         wired = self._via_codec(snapshot)
         assert hash(snapshot) == hash(wired)

@@ -1,7 +1,7 @@
 """Rejected-point recovery: counters must never desync from tree state.
 
-The estimators' ``observe`` and the Hybrid mechanism's ``observe`` commit
-in tree-first order (trees consume, *then* the step counter bumps —
+The estimators' ``observe`` and the Hybrid mechanism's ``advance_batch``
+commit in tree-first order (trees consume, *then* the step counter bumps —
 matching the batch paths).  These tests pin the recovery contract that
 ordering buys: after a **caught** rejection
 
@@ -34,6 +34,8 @@ from repro.exceptions import (
     StreamExhaustedError,
     ValidationError,
 )
+
+from releases import step
 
 PARAMS = PrivacyParams(2.0, 1e-6)
 DIM = 3
@@ -134,12 +136,12 @@ class TestHybridMechanismRejection:
     def test_nonfinite_element_is_rejected_before_any_state_moves(self):
         mech = HybridMechanism(shape=(2,), l2_sensitivity=1.0, params=PARAMS, rng=0)
         for _ in range(3):
-            mech.observe(np.ones(2))
+            step(mech, np.ones(2))
         epochs_before = mech._completed_epochs
         variance_before = mech.release_noise_variance()
         bad = np.array([1.0, np.nan])
         with pytest.raises(ValidationError):
-            mech.observe(bad)
+            step(mech, bad)
         assert mech.steps_taken == 3
         assert mech._completed_epochs == epochs_before
         assert mech.release_noise_variance() == variance_before
@@ -154,11 +156,11 @@ class TestHybridMechanismRejection:
         """
         mech = HybridMechanism(shape=(), l2_sensitivity=1.0, params=PARAMS, rng=1)
         for _ in range(3):  # epochs of horizon 1 and 2 are now exactly full
-            mech.observe(1.0)
+            step(mech, 1.0)
         assert mech._current_tree.steps_taken == mech._current_tree.horizon
         epochs_before = mech._completed_epochs
         with pytest.raises(ValidationError):
-            mech.observe(float("inf"))
+            step(mech, float("inf"))
         # No rollover, no counter bump: the rejection consumed nothing.
         assert mech._completed_epochs == epochs_before
         assert mech.steps_taken == 3
@@ -167,13 +169,13 @@ class TestHybridMechanismRejection:
         mech = HybridMechanism(shape=(2,), l2_sensitivity=1.0, params=PARAMS, rng=2)
         ingested = 0
         rng = np.random.default_rng(3)
-        for step in range(12):
-            if step % 4 == 1:
+        for i in range(12):
+            if i % 4 == 1:
                 with pytest.raises(ValidationError):
-                    mech.observe(np.full(2, np.nan))
+                    step(mech, np.full(2, np.nan))
                 with pytest.raises(ValidationError):
-                    mech.observe(np.zeros(3))  # wrong shape
-            mech.observe(rng.normal(size=2))
+                    step(mech, np.zeros(3))  # wrong shape
+            step(mech, rng.normal(size=2))
             ingested += 1
             frozen_mass = 2 ** mech._epoch_index - 1
             assert mech.steps_taken == ingested
@@ -183,12 +185,12 @@ class TestHybridMechanismRejection:
         rejected = HybridMechanism(shape=(2,), l2_sensitivity=1.0, params=PARAMS, rng=7)
         clean = HybridMechanism(shape=(2,), l2_sensitivity=1.0, params=PARAMS, rng=7)
         rng = np.random.default_rng(11)
-        for step in range(10):
+        for i in range(10):
             value = rng.normal(size=2)
-            if step in (0, 3, 7):  # includes epoch-boundary steps
+            if i in (0, 3, 7):  # includes epoch-boundary steps
                 with pytest.raises(ValidationError):
-                    rejected.observe(np.full(2, np.inf))
+                    step(rejected, np.full(2, np.inf))
             np.testing.assert_array_equal(
-                rejected.observe(value), clean.observe(value)
+                step(rejected, value), step(clean, value)
             )
         assert rejected.release_noise_variance() == clean.release_noise_variance()

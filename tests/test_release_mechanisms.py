@@ -33,6 +33,8 @@ from repro.exceptions import (
 from repro.privacy.tree import noise_key
 from repro.streaming import wire
 
+from releases import block_reads, step, steps
+
 HUGE_EPS = PrivacyParams(1e9, 0.5)
 NORMAL = PrivacyParams(1.0, 1e-6)
 DIM = 3
@@ -103,7 +105,7 @@ class TestProtocol:
     )
     def test_members_conform(self, mech):
         assert isinstance(mech, ReleaseMechanism)
-        out = mech.observe(np.zeros(DIM))
+        out = step(mech, np.zeros(DIM))
         assert out.shape == (DIM,)
         assert mech.release_noise_variance() >= 0.0
         assert mech.memory_floats() > 0
@@ -159,7 +161,7 @@ class TestDegenerateIdentity:
         plain = TreeMechanism(32, (DIM,), 2.0, NORMAL, rng=7)
         decayed = DecayedTreeMechanism(32, (DIM,), 2.0, NORMAL, rng=7, decay=1.0)
         for row in data:
-            assert np.array_equal(plain.observe(row), decayed.observe(row))
+            assert np.array_equal(step(plain, row), step(decayed, row))
         assert plain.release_noise_variance() == decayed.release_noise_variance()
 
     def test_window_inf_is_bit_identical(self):
@@ -169,7 +171,7 @@ class TestDegenerateIdentity:
             math.inf, (DIM,), 2.0, NORMAL, rng=7, horizon=32
         )
         for row in data:
-            assert np.array_equal(plain.observe(row), ring.observe(row))
+            assert np.array_equal(step(plain, row), step(ring, row))
         assert ring.covered_steps == 32
         assert ring.effective_weight == 32.0
 
@@ -195,7 +197,7 @@ class TestDecayedTree:
         brute = np.zeros(DIM)
         for row in data:
             brute = gamma * brute + row
-            released = mech.observe(row)
+            released = step(mech, row)
             np.testing.assert_allclose(released, brute, atol=1e-3)
 
     def test_batch_matches_sequential_bitwise(self):
@@ -204,7 +206,7 @@ class TestDecayedTree:
         seq = DecayedTreeMechanism(32, (DIM,), 2.0, NORMAL, rng=9, decay=gamma)
         bat = DecayedTreeMechanism(32, (DIM,), 2.0, NORMAL, rng=9, decay=gamma)
         for row in data:
-            last = seq.observe(row)
+            last = step(seq, row)
         bat.advance_batch(data)
         assert np.array_equal(last, bat.current_sum())
         assert seq.release_noise_variance() == bat.release_noise_variance()
@@ -229,8 +231,8 @@ class TestDecayedTree:
         mech = DecayedTreeMechanism(64, (DIM,), 2.0, NORMAL, rng=0, decay=gamma)
         plain = TreeMechanism(64, (DIM,), 2.0, NORMAL, rng=0)
         for t in range(1, 64):
-            mech.observe(np.zeros(DIM))
-            plain.observe(np.zeros(DIM))
+            step(mech, np.zeros(DIM))
+            step(plain, np.zeros(DIM))
             assert (
                 mech.release_noise_variance()
                 <= plain.release_noise_variance() + 1e-12
@@ -242,16 +244,16 @@ class TestDecayedTree:
         gamma = 0.9
         mech = DecayedTreeMechanism(32, (DIM,), 2.0, NORMAL, rng=0, decay=gamma)
         for t in range(1, 11):
-            mech.observe(np.zeros(DIM))
+            step(mech, np.zeros(DIM))
             expected = (1 - gamma**t) / (1 - gamma)
             assert abs(mech.effective_weight - expected) < 1e-12
 
     def test_horizon_still_enforced(self):
         mech = DecayedTreeMechanism(4, (DIM,), 2.0, NORMAL, rng=0, decay=0.9)
         for _ in range(4):
-            mech.observe(np.zeros(DIM))
+            step(mech, np.zeros(DIM))
         with pytest.raises(StreamExhaustedError):
-            mech.observe(np.zeros(DIM))
+            step(mech, np.zeros(DIM))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +269,7 @@ class TestSlidingWindow:
             window, (DIM,), 2.0, HUGE_EPS, rng=1, chunk=chunk
         )
         for t, row in enumerate(data, start=1):
-            released = mech.observe(row)
+            released = step(mech, row)
             covered = mech.covered_steps
             assert covered == SlidingWindowMechanism.covered_at(t, window, chunk)
             if t >= window:
@@ -276,18 +278,22 @@ class TestSlidingWindow:
                 released, data[t - covered : t].sum(axis=0), atol=1e-3
             )
 
-    def test_observe_batch_matches_sequential_bitwise(self):
+    def test_block_commits_match_one_element_commits_bitwise(self):
+        """Blocks that straddle chunk ends and expiries read the bits of
+        one-element commits at every block end."""
         data = _stream(25, seed=8)
         seq = SlidingWindowMechanism(10, (DIM,), 2.0, NORMAL, rng=3, chunk=3)
         bat = SlidingWindowMechanism(10, (DIM,), 2.0, NORMAL, rng=3, chunk=3)
-        released = [seq.observe(row) for row in data]
-        assert np.array_equal(np.asarray(released), bat.observe_batch(data))
+        released = steps(seq, data)
+        cuts = [0, 7, 8, 17, 25]
+        reads = block_reads(bat, [data[a:b] for a, b in zip(cuts, cuts[1:])])
+        assert np.array_equal(released[[b - 1 for b in cuts[1:]]], reads)
         assert seq.covered_steps == bat.covered_steps
 
     def test_finite_window_is_horizon_free(self):
         mech = SlidingWindowMechanism(6, (DIM,), 2.0, NORMAL, rng=0)
         for _ in range(500):  # far beyond any horizon
-            mech.observe(np.zeros(DIM))
+            step(mech, np.zeros(DIM))
         assert mech.covered_steps <= 6
         assert mech.effective_weight == float(mech.covered_steps)
 
@@ -295,7 +301,7 @@ class TestSlidingWindow:
         mech = SlidingWindowMechanism(16, (DIM,), 2.0, NORMAL, rng=0, chunk=4)
         floors = []
         for _ in range(200):
-            mech.observe(np.zeros(DIM))
+            step(mech, np.zeros(DIM))
             floors.append(mech.memory_floats())
         assert max(floors[32:]) == max(floors[:32])  # plateaus, no growth
 
@@ -317,9 +323,9 @@ class TestSlidingWindow:
     def test_horizon_caps_capacity(self):
         mech = SlidingWindowMechanism(4, (DIM,), 2.0, NORMAL, rng=0, horizon=10)
         for _ in range(10):
-            mech.observe(np.zeros(DIM))
+            step(mech, np.zeros(DIM))
         with pytest.raises(StreamExhaustedError):
-            mech.observe(np.zeros(DIM))
+            step(mech, np.zeros(DIM))
 
     def test_error_bound_is_state_independent(self):
         """Bounds quote the ring capacity, not the live ring, so a batch
@@ -328,7 +334,7 @@ class TestSlidingWindow:
         mech = SlidingWindowMechanism(12, (DIM, DIM), 2.0, NORMAL, rng=0, chunk=3)
         before = (mech.error_bound(), mech.error_bound_spectral())
         for _ in range(40):
-            mech.observe(np.zeros((DIM, DIM)))
+            step(mech, np.zeros((DIM, DIM)))
         after = (mech.error_bound(), mech.error_bound_spectral())
         assert before == after
 

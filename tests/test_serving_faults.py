@@ -126,7 +126,7 @@ class TestShardDeath:
     def test_strict_merge_raises_on_missing_shard(self, stream):
         half = PARAMS.halve()
         alive = TreeMechanism(T, (DIM,), 2.0, half, rng=0)
-        alive.observe(stream.xs[0] * stream.ys[0])
+        alive.advance_batch((stream.xs[0] * stream.ys[0])[None])
         with pytest.raises(ShardUnavailableError):
             merge_released([alive.released_moments(), None], strict=True)
         with pytest.raises(ShardUnavailableError):

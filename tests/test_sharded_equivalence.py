@@ -38,6 +38,7 @@ import threading
 import numpy as np
 import pytest
 
+from releases import step
 from serving_backends import SERVE_BACKEND, serve_backend_kwargs, serve_backend_replay
 from repro import (
     L2Ball,
@@ -174,9 +175,9 @@ class TestMergeCorrectness:
                 single_gram.advance_batch(block[:, :, None] * block[:, None, :])
         else:
             for v in rows * stream.ys[:, None]:
-                single_cross.observe(v)
+                step(single_cross, v)
             for r in rows:
-                single_gram.observe(np.outer(r, r))
+                step(single_gram, np.outer(r, r))
         cross_m, gram_m = server.merged_moments()
         np.testing.assert_array_equal(cross_m.value, single_cross.current_sum())
         np.testing.assert_array_equal(gram_m.value, single_gram.current_sum())
@@ -219,8 +220,8 @@ class TestMergeCorrectness:
         )
         for index, (s, e) in enumerate(RAGGED_BLOCKS):
             for row, y in zip(transform(stream.xs[s:e]), stream.ys[s:e]):
-                cross[index % k].observe(row * y)
-                gram[index % k].observe(np.outer(row, row))
+                step(cross[index % k], row * y)
+                step(gram[index % k], np.outer(row, row))
         replayed = [
             merge_released([m.released_moments() for m in trees]) for trees in (cross, gram)
         ]

@@ -45,6 +45,8 @@ from repro.data import make_dense_stream
 from repro.exceptions import StreamExhaustedError, ValidationError
 from repro.streaming.backends import BACKENDS
 
+from releases import steps
+
 PARAMS = PrivacyParams(4.0, 1e-6)
 DIM = 3
 T = 26
@@ -104,18 +106,22 @@ class TestSketchNoiseMechanism:
         with pytest.raises(ValidationError, match="mechanism"):
             make_release_mechanism(mechanism="sketchy", horizon=T, **common)
 
-    def test_observe_and_observe_batch_consume_identical_noise(self):
-        """k sequential observes ≡ one observe_batch of the same rows —
-        releases and final sum bit for bit (each element is its own
-        block, so both paths draw k Gaussians in the same order)."""
+    def test_one_element_commits_draw_one_keyed_block_each(self):
+        """k one-element commits are k blocks: the releases equal a
+        direct model that adds element ``b`` and the Gaussian of
+        ``Philox(key, counter=[0, 0, b, 0])`` to the running sum, bit for
+        bit."""
         values = _moment_blocks(np.random.default_rng(5), blocks=1, block_len=8)[0]
-        one = SketchNoiseMechanism(10, (DIM,), 2.0, PARAMS, rng=42)
-        batch = SketchNoiseMechanism(10, (DIM,), 2.0, PARAMS, rng=42)
-        singles = np.stack([one.observe(v) for v in values])
-        releases = batch.observe_batch(values)
-        np.testing.assert_array_equal(singles, releases)
-        np.testing.assert_array_equal(one.current_sum(), batch.current_sum())
-        assert one.noise_draws == batch.noise_draws == len(values)
+        mech = SketchNoiseMechanism(10, (DIM,), 2.0, PARAMS, rng=42)
+        key = np.random.default_rng(42).bit_generator.random_raw(2)
+        running, model = np.zeros(DIM), []
+        for b, value in enumerate(values):
+            node = np.random.Philox(key=key, counter=[0, 0, b, 0])
+            noise = np.random.Generator(node).standard_normal(DIM) * mech.sigma_block
+            running = running + value + noise
+            model.append(running)
+        np.testing.assert_array_equal(steps(mech, values), np.array(model))
+        assert mech.noise_draws == len(values)
 
     def test_block_tiers_draw_once_per_block_and_share_noise_bits(self):
         """advance_batch (exact) and advance_sum (fast) each draw ONE

@@ -15,6 +15,8 @@ from repro.privacy import (
     tree_levels,
 )
 
+from releases import step, steps
+
 HUGE_EPS = PrivacyParams(1e9, 0.5)  # effectively zero noise
 NORMAL = PrivacyParams(1.0, 1e-6)
 
@@ -40,7 +42,7 @@ class TestExactnessWithoutNoise:
         data = rng.normal(size=(16, 4)) * 0.3
         mech = TreeMechanism(16, (4,), 2.0, HUGE_EPS, rng=1)
         for t in range(16):
-            released = mech.observe(data[t])
+            released = step(mech, data[t])
             np.testing.assert_allclose(released, data[: t + 1].sum(axis=0), atol=1e-4)
 
     def test_matrix_stream(self):
@@ -49,20 +51,20 @@ class TestExactnessWithoutNoise:
         data = rng.normal(size=(8, 3, 3)) * 0.2
         mech = TreeMechanism(8, (3, 3), 2.0, HUGE_EPS, rng=2)
         for t in range(8):
-            released = mech.observe(data[t])
+            released = step(mech, data[t])
             assert released.shape == (3, 3)
             np.testing.assert_allclose(released, data[: t + 1].sum(axis=0), atol=1e-4)
 
     def test_scalar_stream(self):
         mech = TreeMechanism(4, (), 1.0, HUGE_EPS, rng=0)
-        outputs = [float(mech.observe(1.0)) for _ in range(4)]
+        outputs = [float(step(mech, 1.0)) for _ in range(4)]
         np.testing.assert_allclose(outputs, [1.0, 2.0, 3.0, 4.0], atol=1e-4)
 
     def test_non_power_of_two_horizon(self):
         data = np.ones((11, 2)) * 0.1
         mech = TreeMechanism(11, (2,), 2.0, HUGE_EPS, rng=0)
         for t in range(11):
-            released = mech.observe(data[t])
+            released = step(mech, data[t])
         np.testing.assert_allclose(released, data.sum(axis=0), atol=1e-4)
 
 
@@ -102,7 +104,7 @@ class TestNoiseCalibration:
         worst = 0.0
         exact = np.zeros(dim)
         for t in range(horizon):
-            released = mech.observe(data[t])
+            released = step(mech, data[t])
             exact += data[t]
             worst = max(worst, float(np.linalg.norm(released - exact)))
         assert worst < bound
@@ -111,25 +113,25 @@ class TestNoiseCalibration:
 class TestStreamDiscipline:
     def test_exhaustion_raises(self):
         mech = TreeMechanism(2, (1,), 1.0, NORMAL, rng=0)
-        mech.observe(np.array([0.1]))
-        mech.observe(np.array([0.1]))
+        step(mech, np.array([0.1]))
+        step(mech, np.array([0.1]))
         with pytest.raises(StreamExhaustedError):
-            mech.observe(np.array([0.1]))
+            step(mech, np.array([0.1]))
 
     def test_wrong_shape_rejected(self):
         mech = TreeMechanism(4, (2,), 1.0, NORMAL, rng=0)
         with pytest.raises(ValidationError):
-            mech.observe(np.zeros(3))
+            step(mech, np.zeros(3))
 
     def test_nan_rejected(self):
         mech = TreeMechanism(4, (2,), 1.0, NORMAL, rng=0)
         with pytest.raises(ValidationError):
-            mech.observe(np.array([0.1, float("nan")]))
+            step(mech, np.array([0.1, float("nan")]))
 
     def test_current_sum_is_stable(self):
         """Re-reading must not re-randomize (post-processing only)."""
         mech = TreeMechanism(4, (2,), 1.0, NORMAL, rng=0)
-        mech.observe(np.array([0.5, 0.5]))
+        step(mech, np.array([0.5, 0.5]))
         first = mech.current_sum()
         second = mech.current_sum()
         np.testing.assert_array_equal(first, second)
@@ -184,23 +186,25 @@ class TestBlockRejection:
     """A block with a non-finite entry is refused whole, before any state
     moves and without a RuntimeWarning, on every ingest path."""
 
-    @pytest.mark.parametrize("method", ["advance_batch", "observe_batch"])
+    @pytest.mark.parametrize("prefix", [0, 3], ids=["fresh", "mid-stream"])
     @pytest.mark.parametrize("bad", sorted(BAD_BLOCKS))
     @pytest.mark.parametrize("family", sorted(BLOCK_FAMILIES))
-    def test_non_finite_block_is_rejected_atomically(self, family, bad, method):
+    def test_non_finite_block_is_rejected_atomically(self, family, bad, prefix):
         mech = BLOCK_FAMILIES[family]()
-        mech.advance_batch(GOOD[:3])
+        if prefix:
+            mech.advance_batch(GOOD[:prefix])
         before = _state(mech)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(
                 ValidationError, match="stream block must contain only finite entries"
             ):
-                getattr(mech, method)(BAD_BLOCKS[bad])
+                mech.advance_batch(BAD_BLOCKS[bad])
         assert _state(mech) == before
         # The mechanism goes on exactly like a twin that never saw the block.
         twin = BLOCK_FAMILIES[family]()
-        twin.advance_batch(GOOD[:3])
+        if prefix:
+            twin.advance_batch(GOOD[:prefix])
         mech.advance_batch(GOOD[3:9])
         twin.advance_batch(GOOD[3:9])
         assert mech.current_sum().tobytes() == twin.current_sum().tobytes()
@@ -251,7 +255,7 @@ class TestMemory:
         mech = TreeMechanism(64, (4,), 2.0, NORMAL, rng=0)
         before = mech.memory_floats()
         for _ in range(32):
-            mech.observe(np.zeros(4))
+            step(mech, np.zeros(4))
         assert mech.memory_floats() == before
 
 
@@ -259,7 +263,7 @@ class TestDeterminism:
     def test_same_seed_same_outputs(self):
         def run(seed):
             mech = TreeMechanism(8, (2,), 2.0, NORMAL, rng=seed)
-            return [mech.observe(np.ones(2) * 0.1).copy() for _ in range(8)]
+            return [step(mech, np.ones(2) * 0.1).copy() for _ in range(8)]
 
         for a, b in zip(run(11), run(11)):
             np.testing.assert_array_equal(a, b)
@@ -298,13 +302,13 @@ class TestActiveMaskRegression:
         rng = np.random.default_rng(0)
         data = rng.normal(size=(horizon, 3)) * 0.2
         mech = TreeMechanism(horizon, (3,), 2.0, NORMAL, rng=77)
-        released = np.stack([mech.observe(v) for v in data])
+        released = steps(mech, data)
         reference = self._reference_releases(data, horizon, mech.sigma_node, 77)
         np.testing.assert_array_equal(released, reference)
 
     def test_active_mask_tracks_set_bits(self):
         mech = TreeMechanism(16, (2,), 2.0, NORMAL, rng=0)
         for t in range(1, 17):
-            mech.observe(np.zeros(2))
+            step(mech, np.zeros(2))
             expected = [(t >> j) & 1 == 1 for j in range(mech.levels)]
             assert list(mech._active) == expected

@@ -13,13 +13,12 @@ depend on, independent of any specific stream:
   sensitivity-times-calibration argument;
 * node noise is addressed by node, so every ingest path releases the same
   noise for the same node under any block split: on small-integer streams
-  (where every float sum is exact) sequential ``observe``,
-  ``observe_batch``, ``advance_batch`` and ``advance_sum`` agree bit for
-  bit;
+  (where every float sum is exact) one-element commits,
+  ``advance_batch`` and ``advance_sum`` agree bit for bit;
 * the plain tree's one-reduction block fold performs the per-row
   additions in their order: on streams whose sums depend on the order
   (exact ``±0``, subnormals, cancelling magnitudes) ``advance_batch``
-  releases the bytes of per-row ``observe``, and the moment statistics'
+  releases the bytes of one-element commits, and the moment statistics'
   ``einsum`` outer products release the bytes of the broadcast products
   they replaced;
 * a release is computed when read: under any block split and any read
@@ -38,6 +37,8 @@ from repro import HybridMechanism, PrivacyParams, TreeMechanism
 from repro.exceptions import StreamExhaustedError
 from repro.privacy import DecayedTreeMechanism, SlidingWindowMechanism, make_release_mechanism
 from repro.streaming.backends import BACKENDS
+
+from releases import block_reads, step, steps
 
 HUGE_EPS = PrivacyParams(1e12, 0.5)
 NORMAL = PrivacyParams(1.0, 1e-6)
@@ -60,7 +61,7 @@ class TestTreeExactnessProperty:
         mech = TreeMechanism(len(elements), (3,), 2.0, HUGE_EPS, rng=0)
         exact = np.zeros(3)
         for element in elements:
-            released = mech.observe(element)
+            released = step(mech, element)
             exact += element
             np.testing.assert_allclose(released, exact, atol=1e-6)
 
@@ -70,7 +71,7 @@ class TestTreeExactnessProperty:
         mech = HybridMechanism((3,), 2.0, HUGE_EPS, rng=0)
         exact = np.zeros(3)
         for element in elements:
-            released = mech.observe(element)
+            released = step(mech, element)
             exact += element
             np.testing.assert_allclose(released, exact, atol=1e-6)
 
@@ -92,7 +93,7 @@ class TestNoiseDataIndependence:
             exact = np.zeros(3)
             errors = []
             for element in elements:
-                released = mech.observe(element)
+                released = step(mech, element)
                 exact += element
                 errors.append(released - exact)
             return errors
@@ -113,6 +114,14 @@ class TestMemoryInvariant:
         assert mech.memory_floats() <= 2 * levels * 2
 
 
+def _read_blocks(mech, data, batch):
+    """Commit ``data`` to ``mech`` in blocks of ``batch``; return the
+    release read after each block and each block's last element index."""
+    starts = range(0, len(data), batch)
+    ends = [min(s + batch, len(data)) - 1 for s in starts]
+    return block_reads(mech, [data[s : s + batch] for s in starts]), ends
+
+
 class TestErrorBoundProperty:
     """Satellite invariant: the realized prefix-sum error stays within
     error_bound() at the configured β across seeds and batch layouts."""
@@ -129,14 +138,8 @@ class TestErrorBoundProperty:
         data /= np.maximum(np.linalg.norm(data, axis=1, keepdims=True), 1.0)
         mech = TreeMechanism(horizon, (3,), 2.0, NORMAL, rng=seed + 1)
         bound = mech.error_bound(beta=0.005)
-        released = np.concatenate(
-            [
-                mech.observe_batch(data[s : s + batch])
-                for s in range(0, horizon, batch)
-            ],
-            axis=0,
-        )
-        errors = np.linalg.norm(released - np.cumsum(data, axis=0), axis=1)
+        released, ends = _read_blocks(mech, data, batch)
+        errors = np.linalg.norm(released - np.cumsum(data, axis=0)[ends], axis=1)
         # β=0.005 per prefix; a violation over ≤64 prefixes is a rare event
         # and a deterministic-given-seed regression if it ever trips.
         assert float(errors.max()) < bound
@@ -151,7 +154,8 @@ class TestErrorBoundProperty:
         ceiling = 2 * horizon.bit_length() * 2
         assert mech.memory_floats() <= ceiling
         for s in range(0, horizon, batch):
-            mech.observe_batch(np.zeros((min(batch, horizon - s), 2)))
+            mech.advance_batch(np.zeros((min(batch, horizon - s), 2)))
+            mech.current_sum()
             assert mech.memory_floats() <= ceiling
 
 
@@ -163,9 +167,9 @@ class TestExhaustionProperty:
     def test_sequential_exhaustion(self, horizon):
         mech = TreeMechanism(horizon, (2,), 1.0, NORMAL, rng=0)
         for _ in range(horizon):
-            mech.observe(np.zeros(2))
+            step(mech, np.zeros(2))
         with pytest.raises(StreamExhaustedError):
-            mech.observe(np.zeros(2))
+            step(mech, np.zeros(2))
 
     @given(
         horizon=st.integers(min_value=1, max_value=32),
@@ -174,10 +178,10 @@ class TestExhaustionProperty:
     @settings(max_examples=20, deadline=None)
     def test_batched_exhaustion_leaves_state_untouched(self, horizon, overshoot):
         mech = TreeMechanism(horizon, (2,), 1.0, NORMAL, rng=0)
-        mech.observe_batch(np.zeros((horizon, 2)))
+        mech.advance_batch(np.zeros((horizon, 2)))
         before = mech.steps_taken
         with pytest.raises(StreamExhaustedError):
-            mech.observe_batch(np.zeros((overshoot, 2)))
+            mech.advance_batch(np.zeros((overshoot, 2)))
         assert mech.steps_taken == before  # the rejected block consumed nothing
 
     @given(horizon=st.integers(min_value=2, max_value=32))
@@ -185,9 +189,9 @@ class TestExhaustionProperty:
     def test_oversized_block_rejected_atomically(self, horizon):
         """A block that would cross the horizon is rejected whole."""
         mech = TreeMechanism(horizon, (2,), 1.0, NORMAL, rng=0)
-        mech.observe(np.zeros(2))
+        step(mech, np.zeros(2))
         with pytest.raises(StreamExhaustedError):
-            mech.observe_batch(np.zeros((horizon, 2)))
+            mech.advance_batch(np.zeros((horizon, 2)))
         assert mech.steps_taken == 1
 
 
@@ -196,29 +200,15 @@ class TestBatchedExactnessProperty:
     @settings(max_examples=25, deadline=None)
     def test_zero_noise_batched_prefix_sums_exact(self, elements, batch):
         stacked = np.stack(elements)
-        mech = TreeMechanism(len(elements), (3,), 2.0, HUGE_EPS, rng=0)
-        released = np.concatenate(
-            [
-                mech.observe_batch(stacked[s : s + batch])
-                for s in range(0, len(elements), batch)
-            ],
-            axis=0,
-        )
-        np.testing.assert_allclose(released, np.cumsum(stacked, axis=0), atol=1e-6)
+        released, ends = _read_blocks(TreeMechanism(len(elements), (3,), 2.0, HUGE_EPS, rng=0), stacked, batch)
+        np.testing.assert_allclose(released, np.cumsum(stacked, axis=0)[ends], atol=1e-6)
 
     @given(elements=element_lists, batch=st.integers(min_value=1, max_value=8))
     @settings(max_examples=25, deadline=None)
     def test_hybrid_zero_noise_batched_prefix_sums_exact(self, elements, batch):
         stacked = np.stack(elements)
-        mech = HybridMechanism((3,), 2.0, HUGE_EPS, rng=0)
-        released = np.concatenate(
-            [
-                mech.observe_batch(stacked[s : s + batch])
-                for s in range(0, len(elements), batch)
-            ],
-            axis=0,
-        )
-        np.testing.assert_allclose(released, np.cumsum(stacked, axis=0), atol=1e-6)
+        released, ends = _read_blocks(HybridMechanism((3,), 2.0, HUGE_EPS, rng=0), stacked, batch)
+        np.testing.assert_allclose(released, np.cumsum(stacked, axis=0)[ends], atol=1e-6)
 
 
 # Small integers keep every prefix (and, at γ = 0.5, every γ-weighted
@@ -261,8 +251,7 @@ SPLIT_FAMILIES = {
 
 
 def _sequential(make, data):
-    mech = make(len(data))
-    return np.stack([mech.observe(v) for v in data])
+    return steps(make(len(data)), data)
 
 
 def _block_ends(blocks):
@@ -279,17 +268,8 @@ class TestOneNoiseStreamProperty:
         ends = _block_ends(blocks)
         sequential = _sequential(make, data)
 
-        batched = make(len(data))
-        np.testing.assert_array_equal(
-            np.concatenate([batched.observe_batch(b) for b in blocks]), sequential
-        )
-
         advanced = make(len(data))
-        releases = []
-        for block in blocks:
-            advanced.advance_batch(block)
-            releases.append(advanced.current_sum())
-        np.testing.assert_array_equal(np.stack(releases), sequential[ends])
+        np.testing.assert_array_equal(block_reads(advanced, blocks), sequential[ends])
 
         summed = make(len(data))
         gamma = getattr(summed, "decay", 1.0)
@@ -312,12 +292,15 @@ class TestOneNoiseStreamProperty:
         mech = SPLIT_FAMILIES[family](len(data))
         schedule = mech.schedule
         for i, block in enumerate(_cut(data, sizes)):
-            (mech.observe_batch if i % 2 else mech.advance_batch)(block)
+            if i % 2:
+                steps(mech, block)
+            else:
+                mech.advance_batch(block)
             t = mech.steps_taken
             index = schedule.index_at(t)
             assert mech._epoch_index == index
             assert mech._current_tree.horizon == schedule.length(index)
-            assert t - mech._current_tree.steps_taken == ([0] + schedule.ends(0, t))[-1]
+            assert t - mech._current_tree.steps_taken == schedule.start(index)
             assert mech.covered_steps == schedule.covered_at(t)
 
     @pytest.mark.parametrize("family", sorted(SPLIT_FAMILIES))
@@ -328,17 +311,10 @@ class TestOneNoiseStreamProperty:
         blocks = _cut(data, sizes)
         sequential = _sequential(make, data)
 
-        batched = make(len(data))
-        np.testing.assert_array_equal(
-            np.concatenate([batched.observe_batch(b) for b in blocks]), sequential
-        )
-
         advanced = make(len(data))
-        releases = []
-        for block in blocks:
-            advanced.advance_batch(block)
-            releases.append(advanced.current_sum())
-        np.testing.assert_array_equal(np.stack(releases), sequential[_block_ends(blocks)])
+        np.testing.assert_array_equal(
+            block_reads(advanced, blocks), sequential[_block_ends(blocks)]
+        )
 
 
 # Entries whose sums depend on the order of the additions: exact ±0 (the
@@ -378,14 +354,14 @@ class TestAxisZeroFoldProperty:
     @pytest.mark.parametrize("shape", FOLD_SHAPES, ids=str)
     @given(data=st.data(), sizes=block_sizes)
     @settings(max_examples=40, deadline=None)
-    def test_advance_batch_is_byte_identical_to_per_row_observe(self, shape, data, sizes):
+    def test_advance_batch_is_byte_identical_to_one_element_commits(self, shape, data, sizes):
         stream = data.draw(order_streams(shape))
         fortran = data.draw(st.booleans())
         per_row = TreeMechanism(len(stream), shape, 2.0, NORMAL, rng=3)
         blocked = TreeMechanism(len(stream), shape, 2.0, NORMAL, rng=3)
         for block in _cut(stream, sizes):
             for row in block:
-                per_row.observe(row)
+                step(per_row, row)
             blocked.advance_batch(np.asfortranarray(block) if fortran else block)
             release = blocked.current_sum()
             assert release.tobytes() == per_row.current_sum().tobytes()
@@ -402,7 +378,7 @@ class TestAxisZeroFoldProperty:
         block = np.broadcast_to(column.reshape((8,) + (1,) * len(shape)), (8, *shape))
         per_row = TreeMechanism(8, shape, 2.0, NORMAL, rng=4)
         for row in block:
-            per_row.observe(row)
+            step(per_row, row)
         blocked = TreeMechanism(8, shape, 2.0, NORMAL, rng=4)
         blocked.advance_batch(block)
         assert np.all(blocked._prefix == 4.0)
@@ -420,7 +396,7 @@ class TestAxisZeroFoldProperty:
         before = block.tobytes(order="A")
         per_row = TreeMechanism(8, (3,), 2.0, NORMAL, rng=4)
         for row in block:
-            per_row.observe(row)
+            step(per_row, row)
         blocked = TreeMechanism(8, (3,), 2.0, NORMAL, rng=4)
         blocked.advance_batch(block)
         release = blocked.current_sum()
