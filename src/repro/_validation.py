@@ -190,6 +190,88 @@ def check_unit_iv_domain(
         )
 
 
+#: The unit-domain bound every privacy calibration assumes, with the
+#: tolerance of the per-point checks.
+_UNIT = 1.0 + 1e-9
+
+
+def within_unit_domain(ys: np.ndarray, *blocks: np.ndarray) -> bool:
+    """The unit-domain test in one sweep: every row of each ``(n, ·)``
+    block has ``‖row‖ ≤ 1 + 1e-9`` and every ``|y| ≤ 1 + 1e-9``.
+
+    The row norms are ``np.linalg.norm``'s own expression,
+    ``sqrt(add.reduce(x*x, axis=1))``, so a block passes exactly when
+    :func:`check_unit_xy_domain` / :func:`check_unit_iv_domain` would pass
+    it.  NaN fails ``<=`` and an infinite entry has an infinite norm, so a
+    pass also proves every entry finite.  A finite row whose square
+    overflows has an infinite norm and fails, as it fails the domain
+    check.
+    """
+    for block in blocks:
+        if not (np.sqrt(np.add.reduce(block * block, axis=1)) <= _UNIT).all():
+            return False
+    return bool((np.abs(ys) <= _UNIT).all())
+
+
+def check_unit_xy_block(
+    name: str,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    *,
+    dim: int,
+    outcomes: int | None = None,
+    instruments: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`check_xy_block` and the unit-domain check, in one sweep.
+
+    The domain is :func:`check_unit_xy_domain`'s over the whole row, or,
+    with ``instruments=p``, :func:`check_unit_iv_domain`'s over a stacked
+    ``[z | x]`` row split after column ``p``.  A block of the right shape
+    that passes :func:`within_unit_domain` is returned at once; any other
+    block re-runs the two checks in their order, so every rejection keeps
+    its exception type and message.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim == 2 and xs.shape[0] and xs.shape[1] == dim:
+        if outcomes == 1 and ys.ndim == 1:
+            ys = ys[:, None]
+        shape = (xs.shape[0],) if outcomes is None else (xs.shape[0], outcomes)
+        parts = (xs,) if instruments is None else (xs[:, :instruments], xs[:, instruments:])
+        if ys.shape == shape and within_unit_domain(ys, *parts):
+            return xs, ys
+    xs, ys = check_xy_block(xs, ys, dim=dim, outcomes=outcomes)
+    if instruments is None:
+        check_unit_xy_domain(name, xs, ys.ravel())
+    else:
+        check_unit_iv_domain(name, xs[:, :instruments], xs[:, instruments:], ys)
+    return xs, ys
+
+
+def check_unit_iv_block(
+    name: str, zs: np.ndarray, xs: np.ndarray, ys: np.ndarray, *, instruments: int, dim: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two :func:`check_xy_block` calls (instruments, then covariates) and
+    :func:`check_unit_iv_domain`, in one sweep, as
+    :func:`check_unit_xy_block` does for one covariate block."""
+    zs = np.asarray(zs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    n = zs.shape[0] if zs.ndim == 2 else 0
+    if (
+        n
+        and zs.shape[1] == instruments
+        and xs.shape == (n, dim)
+        and ys.shape == (n,)
+        and within_unit_domain(ys, zs, xs)
+    ):
+        return zs, xs, ys
+    zs, ys = check_xy_block(zs, ys, dim=instruments)
+    xs, ys = check_xy_block(xs, ys, dim=dim)
+    check_unit_iv_domain(name, zs, xs, ys)
+    return zs, xs, ys
+
+
 def check_decay(name: str, value: float) -> float:
     """Validate a forgetting factor ``γ``: a finite number in ``(0, 1]``.
 

@@ -55,9 +55,8 @@ from .._validation import (
     check_rng,
     check_sample_weight,
     check_shape,
-    check_unit_xy_domain,
+    check_unit_xy_block,
     check_vector,
-    check_xy_block,
 )
 from ..erm.noisy_pgd import noisy_pgd_iterations
 from ..exceptions import DomainViolationError, ValidationError
@@ -304,8 +303,7 @@ class _MomentRegression:
         numpy.ndarray
             The parameter released at the final step of the block.
         """
-        xs, ys = check_xy_block(xs, ys, dim=self.dim)
-        check_unit_xy_domain(type(self).__name__, xs, ys)
+        xs, ys = check_unit_xy_block(type(self).__name__, xs, ys, dim=self.dim)
         return self._ingest(self._transform_block(xs), ys)
 
     def _ingest(self, rows: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ needs three (ZᵀZ, ZᵀX, Zᵀy), and a multi-tenant shard one Gram entry per
 rows become those releases:
 
 * :class:`MomentStatistic` — one named statistic: a shape, a per-element
-  accumulation rule (``ingest="exact"``), a
+  rule that writes a block's values into a fold buffer
+  (``ingest="exact"``), a
   pre-reduced block-total rule (``ingest="fast"``), and a budget weight.
 * :class:`MomentBundle` — an *ordered* set of statistics, each backed by
   its own release mechanism from
@@ -60,6 +61,7 @@ import numpy as np
 from .._validation import check_release_knobs
 from ..exceptions import BundlePartialCommitError, ValidationError
 from ..privacy.release import make_release_mechanism
+from ..privacy.tree import FoldBuffer
 
 __all__ = [
     "MOMENT_SENSITIVITY",
@@ -86,8 +88,13 @@ class MomentStatistic:
     shape:
         Element shape of the statistic (the release mechanism's shape).
     values:
-        Per-element rule ``(rows, ys) -> (k, *shape)``: the moment values
-        a mechanism's ``advance_batch`` (the exact tier) consumes.
+        Per-element rule ``(rows, ys, out=None) -> (k, *shape)``: the
+        moment values a mechanism's ``advance_batch`` (the exact tier)
+        consumes.  With ``out`` — a C-ordered float64 ``(k, *shape)``
+        array, the rows of a :class:`~repro.privacy.tree.FoldBuffer` —
+        the values are written there and ``out`` is returned; without it,
+        into a fresh array.  Both forms hold the same bytes (one ufunc or
+        ``einsum`` call, given ``out=``).
     total:
         Fast-tier rule ``(rows, ys, weights) -> shape``: the pre-reduced
         block total ``advance_sum`` consumes.  ``weights`` is the
@@ -108,8 +115,8 @@ class MomentStatistic:
 def cross_statistic(moment_dim: int) -> MomentStatistic:
     """The ``Σ x_i y_i`` statistic (``(m,)``) of the default bundle."""
 
-    def values(rows, ys):
-        return rows * ys[:, None]
+    def values(rows, ys, out=None):
+        return np.multiply(rows, ys[:, None], out=out)
 
     def total(rows, ys, weights):
         if weights is not None:
@@ -129,8 +136,8 @@ def gram_statistic(moment_dim: int) -> MomentStatistic:
     from the ``+0`` prefix is never ``−0``, so no plain (γ = 1) sum sees it.
     """
 
-    def values(rows, ys):
-        return np.einsum("ij,ik->ijk", rows, rows)
+    def values(rows, ys, out=None):
+        return np.einsum("ij,ik->ijk", rows, rows, out=out)
 
     def total(rows, ys, weights):
         if weights is not None:
@@ -153,9 +160,9 @@ def iv_statistics(instruments: int, dim: int) -> tuple[MomentStatistic, ...]:
     """
     p = instruments
 
-    def zz_values(rows, ys):
+    def zz_values(rows, ys, out=None):
         z = rows[:, :p]
-        return np.einsum("ij,ik->ijk", z, z)
+        return np.einsum("ij,ik->ijk", z, z, out=out)
 
     def zz_total(rows, ys, weights):
         z = rows[:, :p]
@@ -163,8 +170,8 @@ def iv_statistics(instruments: int, dim: int) -> tuple[MomentStatistic, ...]:
             return (weights[:, None] * z).T @ z
         return z.T @ z
 
-    def zx_values(rows, ys):
-        return np.einsum("ij,ik->ijk", rows[:, :p], rows[:, p:])
+    def zx_values(rows, ys, out=None):
+        return np.einsum("ij,ik->ijk", rows[:, :p], rows[:, p:], out=out)
 
     def zx_total(rows, ys, weights):
         z, x = rows[:, :p], rows[:, p:]
@@ -172,8 +179,8 @@ def iv_statistics(instruments: int, dim: int) -> tuple[MomentStatistic, ...]:
             return (weights[:, None] * z).T @ x
         return z.T @ x
 
-    def zy_values(rows, ys):
-        return rows[:, :p] * ys[:, None]
+    def zy_values(rows, ys, out=None):
+        return np.multiply(rows[:, :p], ys[:, None], out=out)
 
     def zy_total(rows, ys, weights):
         z = rows[:, :p]
@@ -296,6 +303,11 @@ class MomentBundle:
         block stays refundable, the shard stays alive), while a
         later-entry failure after earlier commits tears the bundle — see
         the module docstring for the per-bundle fault rule.
+
+        The exact tier builds each statistic's values straight into the
+        rows of a :class:`~repro.privacy.tree.FoldBuffer` allocated for
+        this block and hands it to the mechanism, which folds it where it
+        lies: one block-sized array per statistic, never copied.
         """
         k = rows.shape[0]
         if fast:
@@ -318,8 +330,12 @@ class MomentBundle:
                 inputs.append(stat.total(rows, ys, weight))
             self._advance(inputs, lambda mech, total: mech.advance_sum(total, k))
         else:
-            inputs = [stat.values(rows, ys) for stat in self.statistics]
-            self._advance(inputs, lambda mech, values: mech.advance_batch(values))
+            inputs = []
+            for stat in self.statistics:
+                buffer = FoldBuffer.empty(k, stat.shape)
+                stat.values(rows, ys, out=buffer.rows)
+                inputs.append(buffer)
+            self._advance(inputs, lambda mech, buffer: mech.advance_batch(buffer))
 
     def _advance(self, inputs, advance) -> None:
         mechanisms = self._mechanisms

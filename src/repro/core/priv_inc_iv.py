@@ -60,9 +60,8 @@ from .._validation import (
     check_non_negative,
     check_positive,
     check_sample_weight,
-    check_unit_iv_domain,
+    check_unit_iv_block,
     check_vector,
-    check_xy_block,
 )
 from ..exceptions import ValidationError
 from ..geometry import L2Ball
@@ -341,9 +340,9 @@ class PrivIncIV(_MomentRegression):
         StreamExhaustedError
             If the block would pass the horizon; nothing is consumed.
         """
-        zs, ys = check_xy_block(zs, ys, dim=self.instruments)
-        xs, ys = check_xy_block(xs, ys, dim=self.dim)
-        check_unit_iv_domain("PrivIncIV", zs, xs, ys)
+        zs, xs, ys = check_unit_iv_block(
+            "PrivIncIV", zs, xs, ys, instruments=self.instruments, dim=self.dim
+        )
         return self._ingest(np.hstack([zs, xs]), ys)
 
     def memory_floats(self) -> int:

@@ -81,11 +81,16 @@ class L2Ball(ConvexSet):
         point = self._check_point("point", point)
         return _norm(point) <= self.radius + tol
 
+    # A finite point whose square overflows is projected through the
+    # scaled norm, so the overflow is expected and silenced here; the
+    # solver's loop calls _project_squared directly and pays no errstate.
     def _project(self, point: np.ndarray) -> np.ndarray:
-        return self._project_squared(point, point.dot(point))
+        with np.errstate(over="ignore"):
+            return self._project_squared(point, point.dot(point))
 
     def _project_rows(self, points: np.ndarray) -> np.ndarray:
-        return self._project_squared(points, np.vecdot(points, points))
+        with np.errstate(over="ignore"):
+            return self._project_squared(points, np.vecdot(points, points))
 
     def _project_squared(self, points: np.ndarray, squares) -> np.ndarray:
         # ``sqrt(x·x)`` is how ``np.linalg.norm`` computes a 1-D float64

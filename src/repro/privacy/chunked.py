@@ -51,10 +51,11 @@ from ..exceptions import NotSupportedError, ValidationError
 from .parameters import PrivacyParams
 from .tree import (
     DecayedTreeMechanism,
+    FoldBuffer,
     _check_room,
     _check_square,
     _record,
-    coerce_stream_block,
+    fold_buffer,
     noise_key,
     tree_error_bound,
     tree_error_bound_spectral,
@@ -262,7 +263,7 @@ class ChunkedTreeMechanism:
     # Core streaming API (the ReleaseMechanism surface)
     # ------------------------------------------------------------------
 
-    def advance_batch(self, values: np.ndarray) -> None:
+    def advance_batch(self, values: "np.ndarray | FoldBuffer") -> None:
         """Ingest a block; the next :meth:`current_sum` reads its end.
 
         The whole block is validated and capacity-checked before any piece
@@ -273,9 +274,15 @@ class ChunkedTreeMechanism:
         the same rolls under any block split and their node noise is keyed,
         so the read is bit-identical to the same elements committed one at
         a time.
+
+        One fold buffer (:func:`~repro.privacy.tree.fold_buffer`: a
+        :class:`~repro.privacy.tree.FoldBuffer`'s own, or a copy of the
+        caller's array) serves the whole block: each piece goes to its
+        tree as a :class:`~repro.privacy.tree.FoldBuffer` whose row 0 is
+        the already-consumed row just before the piece.
         """
-        array = coerce_stream_block(values, self.shape)
-        k = array.shape[0]
+        buffer = fold_buffer(values, self.shape)
+        k = buffer.shape[0] - 1
         _check_room(self, k)
         start = 0
         while start < k:
@@ -284,7 +291,7 @@ class ChunkedTreeMechanism:
             self._expire()
             tree = self._current_tree
             stop = min(k, start + tree.horizon - tree.steps_taken, start + self._room())
-            tree.advance_batch(array[start:stop])
+            tree.advance_batch(FoldBuffer(buffer[start:stop + 1]))
             self.steps_taken += stop - start
             start = stop
 

@@ -54,6 +54,7 @@ from .chunked import HybridMechanism, SlidingWindowMechanism
 from .parameters import PrivacyParams
 from .tree import (
     DecayedTreeMechanism,
+    FoldBuffer,
     TreeMechanism,
     _check_room,
     _check_square,
@@ -89,9 +90,12 @@ class ReleaseMechanism(Protocol):
 
     ``advance_batch`` (and ``advance_sum``, where a member accepts block
     totals) commits a block and returns ``None``; :meth:`current_sum` is
-    the one read.  A tree computes its release there, on the first read
-    after a commit (:mod:`repro.privacy.tree`), so a block nobody reads
-    releases nothing.  There is no per-element path: a caller that wants
+    the one read.  ``advance_batch`` takes the caller's array, which it
+    copies and never writes, or a :class:`~repro.privacy.tree.FoldBuffer`
+    it may fold in place (the batched ingestion contract of
+    :mod:`repro.privacy.tree`).  A tree computes its release in
+    :meth:`current_sum`, on the first read after a commit, so a block
+    nobody reads releases nothing.  There is no per-element path: a caller that wants
     the release after every element commits one-element blocks,
     ``advance_batch(v[None])``, and reads after each.
 
@@ -215,8 +219,11 @@ class SketchNoiseMechanism:
     # Core streaming API (the ReleaseMechanism surface)
     # ------------------------------------------------------------------
 
-    def advance_batch(self, values: np.ndarray) -> None:
-        """Ingest a block (one noise draw); :meth:`current_sum` reads it."""
+    def advance_batch(self, values: "np.ndarray | FoldBuffer") -> None:
+        """Ingest a block (one noise draw); :meth:`current_sum` reads it.
+
+        Only the block's sum is read, so neither form is copied or written.
+        """
         array = coerce_stream_block(values, self.shape)
         k = array.shape[0]
         _check_room(self, k)

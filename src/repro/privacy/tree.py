@@ -88,6 +88,15 @@ to one-element commits; ``advance_sum`` adds a pre-reduced block total
 (one BLAS product upstream), which equals the fold up to float summation
 order.
 
+``advance_batch`` takes a block in one of two forms.  An array belongs to
+the caller: it is checked, copied into rows ``1..k`` of a fresh
+C-ordered ``(k + 1, *shape)`` buffer, and never written.  A
+:class:`FoldBuffer` is that buffer already, handed over by whoever built
+it (:meth:`~repro.core.moments.MomentBundle.ingest` builds each
+statistic's values straight into one): the mechanism folds it where it
+lies, writing the prefix into row 0, so a block is never copied.  Both
+forms reach the same fold, so they commit the same bits.
+
 Three rules carry the privacy argument.  A node's noise is a pure
 function of its address.  The prefix is append-only and a block is
 validated and capacity-checked before anything commits, so no node is
@@ -136,6 +145,8 @@ __all__ = [
     "tree_error_bound_spectral",
     "coerce_stream_element",
     "coerce_stream_block",
+    "FoldBuffer",
+    "fold_buffer",
 ]
 
 
@@ -223,17 +234,20 @@ def coerce_stream_element(value: np.ndarray | float, shape: tuple[int, ...]) -> 
 
 
 def coerce_stream_block(
-    values: np.ndarray, shape: tuple[int, ...], finite: bool = True
+    values: "np.ndarray | FoldBuffer", shape: tuple[int, ...], finite: bool = True
 ) -> np.ndarray:
     """Validate a block of stream elements for batched ingestion.
 
-    The single definition of the block contract shared by the Tree and
-    Hybrid mechanisms: shape ``(k, *shape)`` with ``k ≥ 1`` and finite
-    entries, returned as a float array.  Validating the whole block before
-    any element is consumed is what makes batched rejection atomic.
-    ``finite=False`` skips the finiteness scan, for a caller that checks
-    its folded result instead (:meth:`TreeMechanism.advance_batch`).
+    The single definition of the block contract shared by every release
+    mechanism: shape ``(k, *shape)`` with ``k ≥ 1`` and finite entries,
+    returned as a float array (a :class:`FoldBuffer`'s rows, unmoved).
+    Validating the whole block before any element is consumed is what
+    makes batched rejection atomic.  ``finite=False`` skips the
+    finiteness scan, for a caller that checks its folded result instead
+    (:meth:`TreeMechanism.advance_batch`).
     """
+    if isinstance(values, FoldBuffer):
+        values = values.rows
     array = np.asarray(values, dtype=float)
     if array.ndim == 0 or array.shape[1:] != tuple(shape):
         raise ValidationError(
@@ -245,6 +259,64 @@ def coerce_stream_block(
     if finite and not np.isfinite(array).all():
         raise ValidationError("stream block must contain only finite entries")
     return array
+
+
+class FoldBuffer:
+    """A block of stream elements handed to a mechanism to fold in place.
+
+    ``array`` is a C-ordered float64 ``(k + 1, *shape)`` array: rows
+    ``1..k`` hold the block's elements in order and row 0 is free.  Every
+    release mechanism's ``advance_batch`` takes one like any block, but
+    does not copy it: a tree writes its clean prefix into row 0 and
+    reduces the whole array once, and a chunked mechanism hands each later
+    piece of the block, with the already-consumed row just before it as
+    that piece's row 0, to its chunk tree.  Building one gives it away:
+    after the commit its contents are undefined.  The array is allocated
+    per block and never kept.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        if array.dtype != np.float64 or array.ndim == 0 or not array.flags.c_contiguous:
+            raise ValidationError(
+                "a fold buffer is a C-ordered float64 array of k + 1 rows, got "
+                f"{array.dtype} of shape {array.shape}"
+            )
+        self.array = array
+
+    @classmethod
+    def empty(cls, count: int, shape: tuple[int, ...]) -> "FoldBuffer":
+        """An uninitialised buffer for ``count`` elements of ``shape``."""
+        return cls(np.empty((count + 1, *shape)))
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The elements, ``(k, *shape)``: rows ``1..k`` of :attr:`array`."""
+        return self.array[1:]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The block's shape, ``(k, *shape)``, as for an array block."""
+        return self.rows.shape
+
+
+def fold_buffer(
+    values: "np.ndarray | FoldBuffer", shape: tuple[int, ...], finite: bool = True
+) -> np.ndarray:
+    """The checked ``(k + 1, *shape)`` buffer a commit folds.
+
+    A :class:`FoldBuffer`'s own array, or a fresh C-ordered one holding a
+    copy of the caller's block in rows ``1..k`` — so a caller's array is
+    never written.  The block passes :func:`coerce_stream_block` (with
+    ``finite``) first, before anything is copied.
+    """
+    block = coerce_stream_block(values, shape, finite)
+    if isinstance(values, FoldBuffer):
+        return values.array
+    buffer = np.empty((block.shape[0] + 1, *shape))
+    buffer[1:] = block
+    return buffer
 
 
 def _check_square(shape: tuple[int, ...]) -> int:
@@ -416,7 +488,7 @@ class TreeMechanism:
     # Core streaming API: commit a block, then read
     # ------------------------------------------------------------------
 
-    def advance_batch(self, values: np.ndarray) -> None:
+    def advance_batch(self, values: "np.ndarray | FoldBuffer") -> None:
         """Ingest a block; the next :meth:`current_sum` reads its end.
 
         One commit: the prefix folds the block's elements in sequentially
@@ -426,6 +498,10 @@ class TreeMechanism:
         read builds the release and draws the keyed noise of the nodes it
         needs.  Nodes that close and merge inside the block, or before the
         next read, are never released, so their noise is never drawn.
+
+        ``values`` is the caller's array, which is copied and never
+        written, or a :class:`FoldBuffer`, which is folded where it lies
+        (see the module's batched ingestion contract).
 
         Finiteness is checked on the folded prefix, not on every entry: a
         non-finite entry stays non-finite under fading and addition, so a
@@ -438,13 +514,15 @@ class TreeMechanism:
         front that reads only block-boundary sums is post-processing that
         discards outputs.
         """
-        flat = self._coerce_batch(values, finite=False)
+        buffer = fold_buffer(values, self.shape, finite=False)
+        buffer = buffer.reshape(buffer.shape[0], self._flat_dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            prefix = self._fold(flat)
+            prefix = self._fold(buffer)
         if not np.isfinite(prefix).all():
-            self._coerce_batch(values)
-        _check_room(self, flat.shape[0])
-        self._commit(prefix, flat.shape[0])
+            coerce_stream_block(buffer[1:], (self._flat_dim,))
+        count = buffer.shape[0] - 1
+        _check_room(self, count)
+        self._commit(prefix, count)
 
     def advance_sum(self, total: np.ndarray | float, count: int) -> None:
         """Advance ``count`` steps given only the block's element **sum**.
@@ -465,20 +543,25 @@ class TreeMechanism:
         _check_room(self, count)
         self._commit(self._fold_total(total_flat, count), count)
 
-    def _fold(self, rows: np.ndarray) -> np.ndarray:
-        """The clean prefix after adding ``rows`` one at a time, in order;
-        under ``γ < 1`` the prefix fades by ``γ`` before each row.
+    def _fold(self, buffer: np.ndarray) -> np.ndarray:
+        """The clean prefix after adding the rows ``buffer[1:]`` one at a
+        time, in order; under ``γ < 1`` the prefix fades by ``γ`` before
+        each row.
 
-        At ``γ = 1`` a multi-row block is one axis-0 pass over a C-ordered
-        ``[prefix; rows]``, the same additions in the same order: numpy
-        reduces a non-contiguous axis row after row, elementwise, and sums
-        pairwise only along the contiguous axis.  So the buffer is built
-        C-ordered whatever the caller's layout (a Fortran-ordered block
-        would make axis 0 contiguous).  One-entry elements make axis 0 the
-        contiguous one, where ``reduce`` would sum pairwise, so they take
-        ``accumulate``, which is sequential on every axis; a single row is
-        one addition.
+        ``buffer`` is the C-ordered ``(k + 1, flat)`` fold buffer, row 0
+        free.  At ``γ = 1`` a multi-row block writes the prefix into row 0
+        and is one axis-0 pass over the buffer, the same additions in the
+        same order: numpy reduces a non-contiguous axis row after row,
+        elementwise, and sums pairwise only along the contiguous axis.
+        The buffer is C-ordered by construction (:func:`fold_buffer`,
+        :class:`FoldBuffer`), whatever the layout of the block it was
+        built from.  One-entry elements make axis 0 the contiguous one,
+        where ``reduce`` would sum pairwise, so they take ``accumulate``,
+        which is sequential on every axis; a single row is one addition.
+        The rows are never written, so a non-finite prefix can still be
+        traced to them.
         """
+        rows = buffer[1:]
         if self.decay != 1.0:
             prefix = self._prefix.copy()
             for row in rows:
@@ -487,12 +570,10 @@ class TreeMechanism:
             return prefix
         if rows.shape[0] == 1:
             return self._prefix + rows[0]
-        stacked = np.empty((rows.shape[0] + 1, self._flat_dim))
-        stacked[0] = self._prefix
-        stacked[1:] = rows
+        buffer[0] = self._prefix
         if self._flat_dim > 1:
-            return np.add.reduce(stacked, axis=0)
-        return np.add.accumulate(stacked, axis=0)[-1]
+            return np.add.reduce(buffer, axis=0)
+        return np.add.accumulate(buffer, axis=0)[-1]
 
     def _fold_total(self, total: np.ndarray, count: int) -> np.ndarray:
         """The clean prefix after adding a pre-reduced block total.
@@ -641,10 +722,6 @@ class TreeMechanism:
 
     def _coerce(self, value: np.ndarray | float) -> np.ndarray:
         return coerce_stream_element(value, self.shape).reshape(self._flat_dim)
-
-    def _coerce_batch(self, values: np.ndarray, finite: bool = True) -> np.ndarray:
-        array = coerce_stream_block(values, self.shape, finite)
-        return array.reshape(array.shape[0], self._flat_dim)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

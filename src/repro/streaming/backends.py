@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .._validation import check_int, check_unit_iv_domain, check_unit_xy_domain
+from .._validation import check_int, check_unit_xy_block
 from ..core.incremental_regression import PrivIncReg1
 from ..core.moments import cross_statistic, gram_statistic, iv_statistics
 from ..core.priv_inc_iv import PrivIncIV
@@ -74,8 +74,8 @@ def _same_width(dim, config) -> int:
     return dim
 
 
-def _check_xy(xs, ys, config) -> None:
-    check_unit_xy_domain("ShardedStream", xs, ys)
+def _check_xy(xs, ys, dim, config):
+    return check_unit_xy_block("ShardedStream", xs, ys, dim=dim)
 
 
 def _required(config, key: str):
@@ -118,9 +118,11 @@ class Backend:
         ``(config, xs) -> rows``: the rows the statistics are built from.
     block_width:
         ``(dim, config) -> int``: the width of an ingested block row.
-    check_domain:
-        ``(xs, ys, config)``: the unit-domain check every statistic's
-        sensitivity calibration assumes.
+    check_block:
+        ``(xs, ys, dim, config) -> (xs, ys)``: the block's shape check at
+        width ``dim`` and the unit-domain check every statistic's
+        sensitivity calibration assumes, in one sweep
+        (:func:`~repro._validation.check_unit_xy_block`).
     release_family:
         Mechanism family the statistics run; ``None`` defers to the
         front's ``mechanism`` knob (the knob and the wire spec keep their
@@ -140,7 +142,7 @@ class Backend:
     configure: Callable = _no_config
     transform: Callable = _identity
     block_width: Callable = _same_width
-    check_domain: Callable = _check_xy
+    check_block: Callable = _check_xy
     release_family: str | None = None
     knobs: tuple[str, ...] = ()
     refuses: tuple[str, ...] = ()
@@ -284,9 +286,10 @@ def _iv_width(dim, config) -> int:
     return dim + config["instruments"]
 
 
-def _check_iv(xs, ys, config) -> None:
-    p = config["instruments"]
-    check_unit_iv_domain("ShardedStream", xs[:, :p], xs[:, p:], ys)
+def _check_iv(xs, ys, dim, config):
+    return check_unit_xy_block(
+        "ShardedStream", xs, ys, dim=dim, instruments=config["instruments"]
+    )
 
 
 def _iv_solver(front, config, rng, beta, fidelity, iteration_cap):
@@ -346,7 +349,7 @@ BACKENDS: dict[str, Backend] = {
             _iv_solver,
             configure=_configure_iv,
             block_width=_iv_width,
-            check_domain=_check_iv,
+            check_block=_check_iv,
             knobs=("instruments",),
             refuses=("decay", "window"),
             needs_tree=True,

@@ -221,7 +221,7 @@ def _for_outcome(stat: MomentStatistic, name: str) -> MomentStatistic:
     return dataclasses.replace(
         stat,
         name=f"{stat.name}:{name}",
-        values=lambda rows, ys: stat.values(rows, ys[name]),
+        values=lambda rows, ys, out=None: stat.values(rows, ys[name], out),
         total=lambda rows, ys, weights: stat.total(rows, ys[name], weights),
     )
 

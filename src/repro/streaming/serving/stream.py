@@ -18,7 +18,6 @@ from ..._validation import (
     check_rng,
     check_sequence,
     check_vector,
-    check_xy_block,
 )
 from ...core.incremental_regression import adopt_lockstep, lockstep_plan, solve_lockstep
 from ...exceptions import (
@@ -375,7 +374,7 @@ class ShardFront:
             if self.mode == "sync":
                 self._process_block(xs, ys)
             else:
-                # Enqueue private copies: check_xy_block may alias the
+                # Enqueue private copies: validation may alias the
                 # caller's buffers, and a producer that refills its block
                 # buffer before the worker drains would otherwise feed the
                 # mechanisms data that was never validated.
@@ -1545,10 +1544,9 @@ class ShardedStream(ShardFront, HubReads):
                 self.accountant.charge(f"shard{shard.index}:{name}-moments", piece)
 
     def _validate_block(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-        """Shape + the backend's unit-domain check for one block."""
-        xs, ys = check_xy_block(xs, ys, dim=self._block_dim)
-        self._declaration.check_domain(xs, ys, self.config)
-        return xs, ys
+        """Shape + the backend's unit-domain check for one block, in one
+        sweep (the declaration's ``check_block``)."""
+        return self._declaration.check_block(xs, ys, self._block_dim, self.config)
 
     def observe(self, x: np.ndarray, y: float) -> np.ndarray:
         """Ingest one point (a block of one); return the cached estimate.

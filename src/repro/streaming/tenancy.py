@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_sequence, check_unit_xy_domain, check_vector, check_xy_block
+from .._validation import check_sequence, check_unit_xy_block, check_vector
 from ..exceptions import ServingError, ShardUnavailableError, ValidationError
 from ..geometry.base import ConvexSet
 from ..privacy.parameters import PrivacyParams
@@ -269,9 +269,7 @@ class MultiTenantStream(ShardFront):
         k = len(self._models)
         if k == 0:
             raise ServingError("no active tenants; add_tenant() before observing")
-        xs, ys = check_xy_block(xs, ys, dim=self.dim, outcomes=k)
-        check_unit_xy_domain("MultiTenantStream", xs, ys.ravel())
-        return xs, ys
+        return check_unit_xy_block("MultiTenantStream", xs, ys, dim=self.dim, outcomes=k)
 
     def _served(self) -> dict[str, ServedEstimate]:
         return {name: view.current_served() for name, view in self._views.items()}

@@ -46,9 +46,11 @@ class TestL2Ball:
     @pytest.mark.parametrize("scale", [1e200, -1e300, 1e155])
     def test_projects_a_point_whose_square_overflows(self, scale):
         """‖x‖ > ~1.3e154 overflows ``x·x`` to ``inf``; the projection
-        falls back to a scaled norm instead of sending x to the origin."""
+        falls back to a scaled norm instead of sending x to the origin,
+        and raises no overflow warning."""
         direction = np.array([1.0, -2.0, 0.5, 2.0]) * math.copysign(1.0, scale)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             projected = L2Ball(4).project(direction * abs(scale))
         np.testing.assert_allclose(projected, direction / np.linalg.norm(direction))
 
@@ -78,15 +80,25 @@ class TestL2Ball:
 
     def test_projects_huge_rows_and_keeps_the_others(self):
         """The row form: an overflowing row is scaled onto the sphere and
-        every row with a finite square keeps ``_project``'s bits."""
+        every row with a finite square keeps ``_project``'s bits, with no
+        overflow warning — also where only the sum of the rows' squares
+        overflows."""
         ball = L2Ball(4, radius=2.0)
-        rows = np.array([np.full(4, 1e200), [3.0, 0.0, 0.0, 4.0], [0.1, 0.2, 0.3, 0.4]])
+        rows = np.array([
+            np.full(4, 1e200),
+            [3.0, 0.0, 0.0, 4.0],
+            [0.1, 0.2, 0.3, 0.4],
+            [1e154, 0.0, 0.0, 0.0],
+            [0.0, -1e154, 0.0, 0.0],
+        ])
         expected = [ball.project(row) for row in rows[1:]]
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             projected = ball._project_rows(rows.copy())
             np.testing.assert_array_equal(ball.project(np.full(4, 1e200)), np.ones(4))
         np.testing.assert_array_equal(projected[0], np.ones(4))
         np.testing.assert_array_equal(projected[1:], expected)
+        np.testing.assert_array_equal(projected[3:], [[2.0, 0, 0, 0], [0, -2.0, 0, 0]])
 
 
 class TestL1Projection:
